@@ -1,6 +1,6 @@
-//! Ablation benches for the design choices `DESIGN.md` calls out:
+//! Ablation benches for the reproduction's design choices:
 //!
-//! * adaptive scale selection (§3.2) vs. the naive multi-scale grid (§3.1);
+//! * adaptive scale selection vs. the naive multi-scale grid;
 //! * eq. (17) problem reduction on/off;
 //! * window cross-verification on/off (our addition, not in the paper);
 //! * scaling of recovery cost with circuit order.

@@ -7,9 +7,7 @@
 //! baselines are interchangeable `&dyn Solver`s, and [`compare_solvers`]
 //! is the one loop that runs any roster of methods over a circuit — the
 //! experiment-specific runners below are thin wrappers around it plus the
-//! window-level data the paper tables print. See `DESIGN.md` §5 for the
-//! experiment index and `EXPERIMENTS.md` for recorded paper-vs-measured
-//! outcomes.
+//! window-level data the paper tables print.
 
 use refgen_circuit::library::{positive_feedback_ota, rc_ladder, ua741};
 use refgen_circuit::Circuit;

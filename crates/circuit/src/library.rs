@@ -10,9 +10,8 @@
 //!   denominator coefficients span hundreds of decades (Tables 2–3).
 //!
 //! The paper's exact device data is not published; parameters here come from
-//! textbook operating points (see `DESIGN.md` for the substitution
-//! rationale). The rest are scalability workloads: RC ladders of arbitrary
-//! order, active filters, and randomized RC meshes.
+//! textbook operating points. The rest are scalability workloads: RC
+//! ladders of arbitrary order, active filters, and randomized RC meshes.
 //!
 //! # Conventions
 //!

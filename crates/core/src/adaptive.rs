@@ -160,8 +160,7 @@ impl PolyReport {
 /// The admittance degree of the polynomial being recovered — shared by
 /// every solver's denormalization. The numerator cofactor of a
 /// current-source-driven transfer function has one admittance factor fewer
-/// (a node row *and* a node column are struck, removing one admittance;
-/// see `DESIGN.md` §4).
+/// (a node row *and* a node column are struck, removing one admittance).
 pub(crate) fn poly_admittance_degree(
     sys: &MnaSystem,
     spec: &TransferSpec,

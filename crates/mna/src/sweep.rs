@@ -87,7 +87,7 @@ use refgen_numeric::{Complex, ExtComplex};
 use refgen_sparse::gmres::{gmres_solve, GmresParams, GmresWorkspace};
 use refgen_sparse::{FactorProgram, LuWorkspace, PivotOrder, ProgramScratch, SparseLu, Triplets};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Which symbolic ordering strategy a plan build uses for its compiled
 /// kernel. See the crate docs of `refgen_sparse` for the three orderings
@@ -401,7 +401,15 @@ impl PlanCache {
 
     /// Number of recorded `(scale, order)` entries.
     pub fn len(&self) -> usize {
-        self.entries.lock().expect("plan cache poisoned").len()
+        self.lock_entries().len()
+    }
+
+    /// Locks the entry list, recovering it from a poisoned lock: entries
+    /// are pushed only after a selection has been fully built, so a panic
+    /// while the lock was held (say, inside a probe) leaves the list
+    /// complete and valid — it just lacks the half-built entry.
+    fn lock_entries(&self) -> MutexGuard<'_, Vec<CacheEntry>> {
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// `true` when nothing has been recorded yet.
@@ -430,7 +438,7 @@ impl PlanCache {
         // in parallel — serialize into one probe plus hits, instead of
         // racing to insert duplicate entries. That keeps
         // [`PlanCache::pivot_searches`] deterministic at any thread count.
-        let mut entries = self.entries.lock().expect("plan cache poisoned");
+        let mut entries = self.lock_entries();
         if let Some(entry) = entries
             .iter()
             .find(|e| e.fingerprint == fingerprint && e.mode == mode && Self::close(e.scale, scale))
@@ -2060,6 +2068,84 @@ mod tests {
         let _pb2 = SweepPlan::for_determinant_cached(&b, scale, &cache);
         assert_eq!(cache.pivot_searches(), 2);
         assert_eq!(cache.shared_hits(), 2);
+    }
+
+    /// A panic inside a probe poisons the cache's lock mid-build; the
+    /// cache must drop that half-built entry and keep serving lookups and
+    /// new probes.
+    #[test]
+    fn plan_cache_survives_a_panicking_build() {
+        let cache = PlanCache::new();
+        let sys = MnaSystem::new(&ua741()).unwrap();
+        let scale = Scale::new(1e9, 1e3);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.selection_for(scale, 42, OrderingMode::Markowitz, || panic!("probe panicked"))
+        }));
+        assert!(panicked.is_err());
+        assert!(cache.entries.is_poisoned(), "test premise: the build panicked under the lock");
+        assert!(cache.is_empty(), "the half-built entry is dropped");
+
+        let p1 = SweepPlan::new_cached(&sys, scale, &spec(), &cache).unwrap();
+        assert_eq!(cache.len(), 1, "a later probe records its entry");
+        let p2 = SweepPlan::new_cached(&sys, scale, &spec(), &cache).unwrap();
+        assert_eq!(cache.shared_hits(), 1, "and a later lookup finds it");
+        assert_eq!(p1.order(), p2.order());
+    }
+
+    /// FNV-1a over a value's `Debug` text, streamed so a mesh-sized
+    /// program never materializes as one string.
+    fn debug_fingerprint(value: &impl std::fmt::Debug) -> u64 {
+        struct Fnv(u64);
+        impl std::fmt::Write for Fnv {
+            fn write_str(&mut self, s: &str) -> std::fmt::Result {
+                for &b in s.as_bytes() {
+                    self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+                Ok(())
+            }
+        }
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        std::fmt::Write::write_fmt(&mut h, format_args!("{value:?}")).unwrap();
+        h.0
+    }
+
+    /// Pinned fingerprints of the probe's pivot order and the program
+    /// compiled from it: the Markowitz selection rule and the slot
+    /// numbering of `FactorProgram::compile` are contracts, so a rewrite
+    /// of either must reproduce these exactly (µA741 at two window
+    /// scales, and a 32×32 RC mesh under both its Markowitz and its AMD
+    /// order).
+    #[test]
+    fn probe_orders_and_programs_match_pinned_fingerprints() {
+        let fingerprint = |sys: &MnaSystem, scale: Scale, amd: bool| {
+            let (dim, pattern) = affine_pattern(sys, scale);
+            let order = if amd {
+                let positions: Vec<(usize, usize)> =
+                    pattern.iter().map(|&(r, c, _, _)| (r, c)).collect();
+                refgen_sparse::ordering::minimum_degree(dim, &positions)
+            } else {
+                probe_order(dim, &pattern).expect("regular probe")
+            };
+            let program = compile_program(dim, &pattern, &order).expect("compiles");
+            (debug_fingerprint(&order), debug_fingerprint(&program))
+        };
+        let ua = MnaSystem::new(&ua741()).unwrap();
+        let mesh = MnaSystem::new(&refgen_circuit::library::grid_rc_mesh(32, 32, 1)).unwrap();
+        let got = [
+            fingerprint(&ua, Scale::new(1e9, 1e3), false),
+            fingerprint(&ua, Scale::new(1e13, 1e2), false),
+            fingerprint(&mesh, Scale::new(1e9, 1e3), false),
+            fingerprint(&mesh, Scale::new(1e9, 1e3), true),
+        ];
+        let want = [
+            (0x106a_121f_f6e3_eb47, 0x3517_af4b_2720_1940),
+            (0x0bef_7080_6892_988d, 0x46f6_986d_ed4d_4f4c),
+            (0x752d_7856_2eef_1fa7, 0x4e01_ac7c_a9cd_da7a),
+            (0x5ff6_3c33_ea8a_e725, 0x8491_325a_ac8c_1ff9),
+        ];
+        for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g, w, "case {k}: {got:#x?}");
+        }
     }
 
     /// The VCCS-cancelled-diagonal regression for the compiled adopted

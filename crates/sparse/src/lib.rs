@@ -39,7 +39,11 @@
 //!    [`SparseLu::factor`] records a threshold-stabilized Markowitz order;
 //!    near-optimal on tree-like and op-amp-sized patterns, and numerically
 //!    informed (it saw actual magnitudes). Used whenever its predicted
-//!    fill is acceptable.
+//!    fill is acceptable. The selection rule is a contract (see
+//!    [`lu`]): the smallest count `(r_nnz − 1)·(c_nnz − 1)` among entries
+//!    with `|a| ≥ u·max|row|`, then the strictly larger `|a|`, then the
+//!    first in row-major order. Each row caches its best candidate, so a
+//!    step costs O(n) plus a rescan of the rows it touched.
 //! 2. **Adopted fallback** — when a recorded order hits an exact zero
 //!    pivot at some point, the evaluation falls back to a fresh Markowitz
 //!    factorization and (in adopting scratches) *adopts* that order for
@@ -81,7 +85,8 @@
 //!  (one RHS)                                              │ back-substitute  │
 //!                                                         │ → x              │
 //!                                                         └──────────────────┘
-//!  SparseLu::factor ────────────▶ does all three per call (probe / fallback)
+//!  SparseLu::factor ────────────▶ does all three per call (probe / fallback);
+//!                                  search cost O(n) + touched rows per step
 //!  SparseLu::refactor_into ─────▶ numeric + solve, structural tax per point
 //!  FactorProgram::refactor ─────▶ numeric + solve, structure fully compiled
 //! ```

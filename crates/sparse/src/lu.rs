@@ -1,11 +1,38 @@
 //! Sparse LU factorization with Markowitz pivoting.
 //!
-//! The pivot at each step is chosen to minimize the Markowitz count
-//! `(r_nnz − 1)·(c_nnz − 1)` (a classic fill-in heuristic from circuit
-//! simulation) among entries passing a threshold stability test
-//! `|a| ≥ u·max|row|`. The resulting [`PivotOrder`] can be reused for fast
-//! *numeric refactorization*: the interpolation engine factors the same
-//! circuit matrix at dozens of frequency points, and only the first
+//! # The selection rule
+//!
+//! The pivot order is a contract: cached plans, compiled programs and the
+//! committed reference data all depend on it, so [`SparseLu::factor`]
+//! picks exactly this pivot at every step.
+//!
+//! * **Candidates**: every stored entry of an active row with
+//!   `|a| ≠ 0` and `|a| ≥ u·max|row|` (threshold stability; `u` defaults
+//!   to [`DEFAULT_PIVOT_THRESHOLD`]).
+//! * **Cost**: the Markowitz count `(r_nnz − 1)·(c_nnz − 1)`, a classic
+//!   fill-in heuristic from circuit simulation. `r_nnz` counts the
+//!   row's nonzero values; `c_nnz` counts the column's stored entries in
+//!   active rows, explicit zeros included.
+//! * **Tie-break**: the smallest count wins; among equal counts a
+//!   strictly larger `|a|` wins; among equal counts and magnitudes, the
+//!   first candidate in row-major order (row, then column, ascending).
+//!   A NaN magnitude never wins a tie against an earlier candidate and
+//!   is never displaced by a later one at the same count.
+//!
+//! # Cost per step
+//!
+//! Rows are column-sorted `Vec`s holding each entry's `|a|` beside its
+//! value; column counts are the lengths of per-column row lists, so
+//! reading one is O(1). Each row caches its best candidate under the
+//! rule. A step scans the `n` cached row bests, eliminates, and then
+//! rescans only the rows it touched: the elimination targets, plus every
+//! row of every column in the pivot row (their column counts moved). The
+//! cost of a step is O(n) plus the lengths of those dirty rows, instead
+//! of a rescan of the whole active matrix.
+//!
+//! The resulting [`PivotOrder`] can be reused for fast *numeric
+//! refactorization*: the interpolation engine factors the same circuit
+//! matrix at dozens of frequency points, and only the first
 //! factorization pays for pivot search.
 //!
 //! The determinant is accumulated as an
@@ -15,7 +42,6 @@
 
 use crate::triplets::Triplets;
 use refgen_numeric::{Complex, ExtComplex, ExtProduct};
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Default threshold-pivoting parameter: candidates must satisfy
@@ -519,18 +545,133 @@ enum PivotStrategy {
     Fixed(PivotOrder),
 }
 
-fn factor_impl(a: &Triplets, strategy: PivotStrategy) -> Result<SparseLu, FactorError> {
-    let n = a.dim();
-    let mut rows: Vec<BTreeMap<usize, Complex>> = a.to_rows();
-    // col_rows[c]: active rows holding a (possibly zero) entry in column c.
-    let mut col_rows: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
-    for (r, row) in rows.iter().enumerate() {
-        for (&c, _) in row.iter() {
-            col_rows[c].insert(r);
+/// One stored entry of an active row, with its magnitude cached: the
+/// pivot search reads `|a|` for every entry of every dirty row, and an
+/// entry's value only changes when an elimination updates it.
+#[derive(Clone, Copy)]
+struct Entry {
+    col: usize,
+    val: Complex,
+    mag: f64,
+}
+
+impl Entry {
+    fn new(col: usize, val: Complex) -> Entry {
+        Entry { col, val, mag: val.abs() }
+    }
+}
+
+/// A pivot candidate: Markowitz count, column and magnitude.
+#[derive(Clone, Copy)]
+struct Candidate {
+    mark: usize,
+    col: usize,
+    mag: f64,
+}
+
+impl Candidate {
+    /// The selection rule's comparison: a strictly smaller Markowitz
+    /// count, or an equal count with a strictly larger magnitude.
+    fn beats(self, best: Candidate) -> bool {
+        self.mark < best.mark || (self.mark == best.mark && self.mag > best.mag)
+    }
+}
+
+/// One row's cached contribution to the pivot search.
+#[derive(Clone, Copy)]
+struct RowBest {
+    /// The row's winner under the selection rule, scanning its columns in
+    /// ascending order from no prior best.
+    best: Candidate,
+    /// What the row offers against an earlier row's best of the same
+    /// count: the first largest non-NaN magnitude at `best.mark`. It is
+    /// `best` itself unless `best.mag` is NaN (a NaN never loses a tie
+    /// and never wins one, so the row-major scan passes over it).
+    tie: Option<Candidate>,
+}
+
+/// Scans one active row under the selection rule. `None` when the row
+/// holds no usable candidate (empty, or all entries zero).
+fn row_best(row: &[Entry], col_rows: &[Vec<usize>], threshold: f64) -> Option<RowBest> {
+    let row_max = row.iter().map(|e| e.mag).fold(0.0, f64::max);
+    if row_max == 0.0 {
+        return None;
+    }
+    let r_nnz = row.iter().filter(|e| e.val != Complex::ZERO).count();
+    let mut best: Option<Candidate> = None;
+    let mut non_nan_best: Option<Candidate> = None;
+    for e in row {
+        if e.mag < threshold * row_max || e.mag == 0.0 {
+            continue;
+        }
+        let cand = Candidate {
+            mark: (r_nnz - 1) * col_rows[e.col].len().saturating_sub(1),
+            col: e.col,
+            mag: e.mag,
+        };
+        if best.is_none_or(|b| cand.beats(b)) {
+            best = Some(cand);
+        }
+        if !cand.mag.is_nan() && non_nan_best.is_none_or(|b| cand.beats(b)) {
+            non_nan_best = Some(cand);
         }
     }
-    let mut row_active = vec![true; n];
-    let mut col_active = vec![true; n];
+    let best = best?;
+    Some(RowBest { best, tie: non_nan_best.filter(|t| t.mark == best.mark) })
+}
+
+/// Markowitz pivot selection over the cached row bests: exactly the
+/// candidate a row-major scan of every active entry would pick.
+fn select_markowitz(bests: &[Option<RowBest>]) -> Option<(usize, usize)> {
+    let mut pick: Option<(usize, Candidate)> = None;
+    for (r, rb) in bests.iter().enumerate() {
+        let Some(rb) = rb else { continue };
+        pick = match pick {
+            None => Some((r, rb.best)),
+            Some((_, p)) if rb.best.mark < p.mark => Some((r, rb.best)),
+            Some((_, p)) => match rb.tie {
+                Some(t) if t.beats(p) => Some((r, t)),
+                _ => pick,
+            },
+        };
+    }
+    pick.map(|(r, c)| (r, c.col))
+}
+
+fn factor_impl(a: &Triplets, strategy: PivotStrategy) -> Result<SparseLu, FactorError> {
+    let n = a.dim();
+    // Column-sorted rows, duplicates summed in insertion order (the sort
+    // is stable) onto a zero start: `ZERO + v` turns a `-0.0` component
+    // into `+0.0`, as accumulating into a fresh zero entry does.
+    let mut raw: Vec<Vec<(usize, Complex)>> = vec![Vec::new(); n];
+    for &(r, c, v) in a.entries() {
+        raw[r].push((c, Complex::ZERO + v));
+    }
+    let mut rows: Vec<Vec<Entry>> = Vec::with_capacity(n);
+    for mut row in raw {
+        row.sort_by_key(|&(c, _)| c);
+        merge_sorted_duplicates(&mut row);
+        rows.push(row.into_iter().map(|(c, v)| Entry::new(c, v)).collect());
+    }
+    // col_rows[c]: the active rows holding a (possibly zero) entry in
+    // column c — so `col_rows[c].len()` is the column count.
+    let mut col_rows: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for (r, row) in rows.iter().enumerate() {
+        for e in row {
+            col_rows[e.col].push(r);
+        }
+    }
+    let threshold = match strategy {
+        PivotStrategy::Markowitz { threshold } => Some(threshold),
+        PivotStrategy::Fixed(_) => None,
+    };
+    let mut bests: Vec<Option<RowBest>> = match threshold {
+        Some(u) => rows.iter().map(|row| row_best(row, &col_rows, u)).collect(),
+        None => Vec::new(),
+    };
+    let mut dirty = vec![false; n];
+    let mut dirty_rows: Vec<usize> = Vec::new();
+    let mut merged: Vec<Entry> = Vec::new();
 
     let mut order_rows = Vec::with_capacity(n);
     let mut order_cols = Vec::with_capacity(n);
@@ -542,13 +683,15 @@ fn factor_impl(a: &Triplets, strategy: PivotStrategy) -> Result<SparseLu, Factor
 
     for step in 0..n {
         let (pr, pc) = match &strategy {
-            PivotStrategy::Markowitz { threshold } => {
-                select_markowitz(&rows, &col_rows, &row_active, *threshold)
-                    .ok_or(FactorError::Singular { step })?
+            PivotStrategy::Markowitz { .. } => {
+                select_markowitz(&bests).ok_or(FactorError::Singular { step })?
             }
             PivotStrategy::Fixed(ord) => (ord.rows[step], ord.cols[step]),
         };
-        let pivot = rows[pr].get(&pc).copied().unwrap_or(Complex::ZERO);
+        let pivot = match rows[pr].binary_search_by_key(&pc, |e| e.col) {
+            Ok(pos) => rows[pr][pos].val,
+            Err(_) => Complex::ZERO,
+        };
         if pivot == Complex::ZERO {
             return Err(FactorError::Singular { step });
         }
@@ -556,46 +699,71 @@ fn factor_impl(a: &Triplets, strategy: PivotStrategy) -> Result<SparseLu, Factor
         order_rows.push(pr);
         order_cols.push(pc);
         pivots.push(pivot);
-        row_active[pr] = false;
-        col_active[pc] = false;
 
         // Detach the pivot row; record U (without the pivot entry).
         let prow = std::mem::take(&mut rows[pr]);
-        for (&c, _) in prow.iter() {
-            col_rows[c].remove(&pr);
+        for e in &prow {
+            let list = &mut col_rows[e.col];
+            let at = list.iter().position(|&r| r == pr).expect("pivot row listed in its columns");
+            list.swap_remove(at);
         }
         let urow: Vec<(usize, Complex)> =
-            prow.iter().filter(|&(&c, _)| c != pc).map(|(&c, &v)| (c, v)).collect();
+            prow.iter().filter(|e| e.col != pc).map(|e| (e.col, e.val)).collect();
 
-        // Eliminate column pc from remaining active rows.
-        let targets: Vec<usize> = col_rows[pc].iter().copied().filter(|&r| row_active[r]).collect();
+        // Eliminate column pc from the remaining rows, in ascending order.
+        let mut targets = std::mem::take(&mut col_rows[pc]);
+        targets.sort_unstable();
         let mut lcol = Vec::with_capacity(targets.len());
-        for r2 in targets {
-            let a_rc = rows[r2].remove(&pc).unwrap_or(Complex::ZERO);
-            col_rows[pc].remove(&r2);
+        for &r2 in &targets {
+            let row2 = &mut rows[r2];
+            let Ok(pos) = row2.binary_search_by_key(&pc, |e| e.col) else { continue };
+            let a_rc = row2.remove(pos).val;
             if a_rc == Complex::ZERO {
                 continue;
             }
             let l = a_rc / pivot;
             lcol.push((r2, l));
+            // Merge `row2 − l·urow` (both sorted by column) into `merged`.
+            merged.clear();
+            let mut i = 0;
             for &(c, v) in &urow {
+                while i < row2.len() && row2[i].col < c {
+                    merged.push(row2[i]);
+                    i += 1;
+                }
                 let delta = l * v;
-                match rows[r2].entry(c) {
-                    std::collections::btree_map::Entry::Occupied(mut e) => {
-                        *e.get_mut() -= delta;
-                    }
-                    std::collections::btree_map::Entry::Vacant(e) => {
-                        e.insert(-delta);
-                        col_rows[c].insert(r2);
-                    }
+                if i < row2.len() && row2[i].col == c {
+                    let mut val = row2[i].val;
+                    val -= delta;
+                    merged.push(Entry::new(c, val));
+                    i += 1;
+                } else {
+                    merged.push(Entry::new(c, -delta));
+                    col_rows[c].push(r2);
                 }
             }
+            merged.extend_from_slice(&row2[i..]);
+            std::mem::swap(row2, &mut merged);
         }
         lcols.push(lcol);
         urows.push(urow);
+
+        // Only rows whose entries or column counts moved need a new best:
+        // the targets, and every row listed under a pivot-row column.
+        if let Some(u) = threshold {
+            bests[pr] = None;
+            for &r in targets.iter().chain(prow.iter().flat_map(|e| &col_rows[e.col])) {
+                if !std::mem::replace(&mut dirty[r], true) {
+                    dirty_rows.push(r);
+                }
+            }
+            for r in dirty_rows.drain(..) {
+                dirty[r] = false;
+                bests[r] = row_best(&rows[r], &col_rows, u);
+            }
+        }
     }
 
-    let _ = col_active;
     let order = PivotOrder { rows: order_rows, cols: order_cols };
     let det = det_mag.value() * Complex::real(order.sign());
     let final_nnz: usize = urows.iter().map(|u| u.len() + 1).sum::<usize>()
@@ -609,42 +777,6 @@ fn factor_impl(a: &Triplets, strategy: PivotStrategy) -> Result<SparseLu, Factor
         det,
         fill_in: final_nnz.saturating_sub(initial_nnz),
     })
-}
-
-/// Markowitz pivot selection with threshold stability test.
-fn select_markowitz(
-    rows: &[BTreeMap<usize, Complex>],
-    col_rows: &[BTreeSet<usize>],
-    row_active: &[bool],
-    threshold: f64,
-) -> Option<(usize, usize)> {
-    let mut best: Option<(usize, usize, usize, f64)> = None; // (r, c, markowitz, |a|)
-    for (r, row) in rows.iter().enumerate() {
-        if !row_active[r] || row.is_empty() {
-            continue;
-        }
-        let row_max = row.values().map(|v| v.abs()).fold(0.0, f64::max);
-        if row_max == 0.0 {
-            continue;
-        }
-        let r_nnz = row.values().filter(|v| **v != Complex::ZERO).count();
-        for (&c, &v) in row.iter() {
-            let mag = v.abs();
-            if mag < threshold * row_max || mag == 0.0 {
-                continue;
-            }
-            let c_nnz = col_rows[c].iter().filter(|&&rr| row_active[rr]).count();
-            let mark = (r_nnz - 1) * (c_nnz.saturating_sub(1));
-            let better = match best {
-                None => true,
-                Some((_, _, bm, bmag)) => mark < bm || (mark == bm && mag > bmag),
-            };
-            if better {
-                best = Some((r, c, mark, mag));
-            }
-        }
-    }
-    best.map(|(r, c, _, _)| (r, c))
 }
 
 #[cfg(test)]

@@ -56,7 +56,6 @@
 use crate::lu::{FactorError, PivotOrder};
 use crate::triplets::Triplets;
 use refgen_numeric::{Complex, ExtComplex, ExtProduct};
-use std::collections::HashMap;
 
 /// One multiplier of the elimination: the entry at `slot` (original
 /// position `(row, pivot column)`) is divided by the pivot and then drives
@@ -121,6 +120,11 @@ impl FactorProgram {
     /// `(row, col)` entry positions, duplicates allowed — they accumulate
     /// into one slot) under `order`.
     ///
+    /// Slot numbering is part of the program: each distinct position takes
+    /// the next slot at its first occurrence in `positions`, then each
+    /// fill-in entry takes the next slot in the order elimination creates
+    /// it.
+    ///
     /// # Errors
     ///
     /// [`FactorError::OrderMismatch`] when `order` is for a different
@@ -139,29 +143,46 @@ impl FactorProgram {
         if order.dim() != dim {
             return Err(FactorError::OrderMismatch { expected: order.dim(), actual: dim });
         }
-        // Slot assignment for the raw pattern + per-row sorted column sets.
-        let mut slot_of: HashMap<(usize, usize), u32> = HashMap::new();
-        let mut rows: Vec<Vec<usize>> = vec![Vec::new(); dim];
-        let mut scatter = Vec::with_capacity(positions.len());
         for &(r, c) in positions {
             assert!(r < dim && c < dim, "position ({r},{c}) out of range for dim {dim}");
-            let next = u32::try_from(slot_of.len()).expect("pattern exceeds u32 slots");
-            let slot = *slot_of.entry((r, c)).or_insert_with(|| {
-                rows[r].push(c);
-                next
-            });
+        }
+        let slot_count = |n: usize| u32::try_from(n).expect("pattern exceeds u32 slots");
+        // Group raw entries by position, each group led by the position's
+        // first occurrence; leaders take slots in input order.
+        let mut by_position: Vec<usize> = (0..positions.len()).collect();
+        by_position.sort_unstable_by_key(|&i| (positions[i], i));
+        let same_position = |&a: &usize, &b: &usize| positions[a] == positions[b];
+        let mut leader = vec![0; positions.len()];
+        for group in by_position.chunk_by(same_position) {
+            for &i in group {
+                leader[i] = group[0];
+            }
+        }
+        let mut scatter: Vec<u32> = Vec::with_capacity(positions.len());
+        let mut slots = 0usize;
+        for (i, &l) in leader.iter().enumerate() {
+            let slot = if l == i {
+                slots += 1;
+                slot_count(slots - 1)
+            } else {
+                scatter[l]
+            };
             scatter.push(slot);
         }
-        for row in &mut rows {
-            row.sort_unstable();
+        // Per-row `(col, slot)` lists sorted by column: the symbolic
+        // elimination's working pattern, with each entry's slot beside it.
+        let mut rows: Vec<Vec<(usize, u32)>> = vec![Vec::new(); dim];
+        for group in by_position.chunk_by(same_position) {
+            let (r, c) = positions[group[0]];
+            rows[r].push((c, scatter[group[0]]));
         }
         let mut col_rows: Vec<Vec<usize>> = vec![Vec::new(); dim];
         for (r, row) in rows.iter().enumerate() {
-            for &c in row {
+            for &(c, _) in row {
                 col_rows[c].push(r);
             }
         }
-        let initial_nnz = slot_of.len();
+        let initial_nnz = slots;
         let mut row_active = vec![true; dim];
 
         let mut pivot_slots = Vec::with_capacity(dim);
@@ -178,20 +199,20 @@ impl FactorProgram {
         for step in 0..dim {
             let pr = order.rows()[step];
             let pc = order.cols()[step];
-            if rows[pr].binary_search(&pc).is_err() {
+            let Ok(ppos) = rows[pr].binary_search_by_key(&pc, |&(c, _)| c) else {
                 return Err(FactorError::Singular { step });
-            }
+            };
             row_active[pr] = false;
-            pivot_slots.push(slot_of[&(pr, pc)]);
+            pivot_slots.push(rows[pr][ppos].1);
             pivot_rows.push(pr as u32);
             pivot_cols.push(pc as u32);
 
             // rows[pr] is final at its own pivot step (updates only reach
             // rows that are still active): record the pivot-free U row.
             let ustart = uents.len() as u32;
-            for &c in &rows[pr] {
+            for &(c, slot) in &rows[pr] {
                 if c != pc {
-                    uents.push((c as u32, slot_of[&(pr, c)]));
+                    uents.push((c as u32, slot));
                 }
             }
             uranges.push((ustart, uents.len() as u32));
@@ -203,27 +224,25 @@ impl FactorProgram {
                 if !row_active[r2] {
                     continue;
                 }
-                let Ok(pos) = rows[r2].binary_search(&pc) else {
+                let Ok(pos) = rows[r2].binary_search_by_key(&pc, |&(c, _)| c) else {
                     continue;
                 };
                 // The eliminated entry leaves U's pattern (its slot stays,
                 // holding the multiplier — the entry of L this step makes).
-                rows[r2].remove(pos);
+                let lslot = rows[r2].remove(pos).1;
                 let ops_start = ops.len() as u32;
-                for &c in &prow {
+                for &(c, src) in &prow {
                     if c == pc {
                         continue;
                     }
-                    let src = slot_of[&(pr, c)];
-                    let dest = match rows[r2].binary_search(&c) {
-                        Ok(_) => slot_of[&(r2, c)],
+                    let dest = match rows[r2].binary_search_by_key(&c, |&(cc, _)| cc) {
+                        Ok(at) => rows[r2][at].1,
                         Err(ins) => {
                             // Fill-in: a brand-new slot, discovered once at
                             // compile time instead of at every point.
-                            let slot =
-                                u32::try_from(slot_of.len()).expect("pattern exceeds u32 slots");
-                            slot_of.insert((r2, c), slot);
-                            rows[r2].insert(ins, c);
+                            let slot = slot_count(slots);
+                            slots += 1;
+                            rows[r2].insert(ins, (c, slot));
                             col_rows[c].push(r2);
                             slot
                         }
@@ -232,7 +251,7 @@ impl FactorProgram {
                 }
                 lents.push(LEntry {
                     row: r2 as u32,
-                    slot: slot_of[&(r2, pc)],
+                    slot: lslot,
                     ops_start,
                     ops_end: ops.len() as u32,
                 });
@@ -244,7 +263,7 @@ impl FactorProgram {
 
         Ok(FactorProgram {
             n: dim,
-            slots: slot_of.len(),
+            slots,
             positions: positions.iter().map(|&(r, c)| (r as u32, c as u32)).collect(),
             scatter,
             pivot_slots,
@@ -255,7 +274,7 @@ impl FactorProgram {
             ops,
             uranges,
             uents,
-            fill_in: slot_of.len() - initial_nnz,
+            fill_in: slots - initial_nnz,
             sign: order.sign(),
         })
     }
@@ -1446,6 +1465,21 @@ mod tests {
         let mut scratch = ProgramScratch::new();
         program.refactor(&a, &mut scratch).unwrap();
         assert!((scratch.det().to_complex() - Complex::real(6.0)).abs() < 1e-12);
+    }
+
+    /// Slot numbering on an unsorted pattern with a repeated position:
+    /// distinct positions in first-occurrence order, then fill-in.
+    #[test]
+    fn slots_follow_first_occurrence_then_fill_order() {
+        let positions = [(1, 0), (0, 0), (0, 2), (1, 1), (2, 2), (0, 0)];
+        let order = PivotOrder::diagonal(vec![0, 1, 2]);
+        let program = FactorProgram::compile(3, &positions, &order).unwrap();
+        assert_eq!(program.scatter, [0, 1, 2, 3, 4, 1]);
+        assert_eq!(program.pivot_slots, [1, 3, 4]);
+        // Eliminating row 1 by row 0 fills (1, 2) into the next slot.
+        assert_eq!((program.slots(), program.fill_in()), (6, 1));
+        let (dest, src) = (program.ops[0].dest, program.ops[0].src);
+        assert_eq!((program.lents[0].slot, dest, src), (0, 5, 2));
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Coordinate-format sparse matrix assembly.
 
 use refgen_numeric::Complex;
-use std::collections::BTreeMap;
 
 /// A square sparse matrix under assembly, in coordinate (triplet) form.
 ///
@@ -16,7 +15,7 @@ use std::collections::BTreeMap;
 /// let mut t = Triplets::new(3);
 /// t.add(0, 0, Complex::real(1.0));
 /// t.add(0, 0, Complex::real(2.0)); // accumulates: a00 = 3
-/// assert_eq!(t.to_rows()[0][&0], Complex::real(3.0));
+/// assert_eq!(t.get(0, 0), Complex::real(3.0));
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Triplets {
@@ -72,15 +71,6 @@ impl Triplets {
         self.entries.clear();
     }
 
-    /// Accumulates into per-row ordered maps (the LU working format).
-    pub fn to_rows(&self) -> Vec<BTreeMap<usize, Complex>> {
-        let mut rows: Vec<BTreeMap<usize, Complex>> = vec![BTreeMap::new(); self.dim];
-        for &(r, c, v) in &self.entries {
-            *rows[r].entry(c).or_insert(Complex::ZERO) += v;
-        }
-        rows
-    }
-
     /// Accumulated value at `(row, col)` (zero if absent).
     pub fn get(&self, row: usize, col: usize) -> Complex {
         self.entries.iter().filter(|&&(r, c, _)| r == row && c == col).map(|&(_, _, v)| v).sum()
@@ -112,14 +102,14 @@ mod tests {
     }
 
     #[test]
-    fn to_rows_sorted() {
+    fn get_is_independent_of_insertion_order() {
         let mut t = Triplets::new(3);
         t.add(0, 2, Complex::ONE);
-        t.add(0, 1, Complex::ONE);
-        let rows = t.to_rows();
-        let cols: Vec<usize> = rows[0].keys().copied().collect();
-        assert_eq!(cols, vec![1, 2]);
-        assert!(rows[1].is_empty());
+        t.add(0, 1, Complex::real(2.0));
+        t.add(0, 2, Complex::real(3.0));
+        assert_eq!(t.get(0, 1), Complex::real(2.0));
+        assert_eq!(t.get(0, 2), Complex::real(4.0));
+        assert!((0..3).all(|c| t.get(1, c) == Complex::ZERO));
     }
 
     #[test]
