@@ -8,6 +8,12 @@
 //!   every resistive admittance (conductance, transconductance) as `g·G`.
 //!   This realizes the coefficient scaling of the paper's eq. (11),
 //!   `p'_i = p_i·f^i·g^{M-i}`, purely through element values.
+//! * **Stamp table**: [`MnaSystem::new`] compiles every element into raw
+//!   stamps once — a position, a value source (`g/R`, `g·G`, `s·f·C`,
+//!   `s·f·L` or a constant) and a sign — together with the merge of
+//!   duplicate positions. [`MnaSystem::assemble`], the sweep plans and the
+//!   transient plan all stamp from this one table; a new scale is one
+//!   pass over it.
 //! * **Admittance degree** `M`: the number of admittance factors in every
 //!   term of `det(Y_MNA)`, needed to *denormalize* interpolated
 //!   coefficients. [`MnaSystem::admittance_degree`] derives it structurally
@@ -64,6 +70,9 @@ pub mod sweep;
 pub mod system;
 pub mod transfer;
 pub mod transient;
+
+#[cfg(test)]
+mod stamp_table_tests;
 
 pub use ac::{log_space, unwrap_phase, AcAnalysis, AcPoint};
 pub use error::MnaError;

@@ -9,7 +9,11 @@
 //!
 //! * the **sparsity pattern** as an affine template `A(s) = K₀ + s·K₁`
 //!   (every MNA stamp is constant or linear in `s`), so per-point assembly
-//!   is one multiply-add per entry into a reused buffer;
+//!   is one multiply-add per entry into a reused buffer. The template is
+//!   rescaled from the system's stamp table, which [`MnaSystem::new`]
+//!   compiles once per circuit with the positions, the duplicate merge
+//!   and the pattern fingerprint already resolved: a plan build pays one
+//!   pass over the raw stamps, with no assembly, lookup or sort;
 //! * the **RHS template** (the excitation vector is frequency-independent);
 //! * an **adopted pivot order** from one probe factorization, so per-point
 //!   factorization is a numeric replay
@@ -292,9 +296,13 @@ impl PlanDrive {
 pub struct SweepPlan {
     dim: usize,
     scale: Scale,
-    /// `(row, col, constant, s-coefficient)` per raw stamp entry; the
-    /// matrix at `s` is the accumulation of `constant + s·coefficient`.
+    /// `(row, col, constant, s-coefficient)` per stamped position, sorted
+    /// and with duplicates merged; the matrix at `s` holds
+    /// `constant + s·coefficient` at each position.
     pattern: Vec<(usize, usize, Complex, Complex)>,
+    /// The system's pattern fingerprint ([`PlanCache`] key, and the first
+    /// structure check of [`SweepPlan::rebind`]).
+    fingerprint: u64,
     rhs: Vec<Complex>,
     order: Option<PivotOrder>,
     /// Compiled symbolic kernel for `(pattern, order)` — shared by
@@ -323,6 +331,20 @@ struct PlanSelection {
     choice: OrderingChoice,
 }
 
+/// One recorded probe in a [`PlanCache`]: scale, pattern fingerprint, the
+/// recorded pivot order, and the symbolic kernel compiled from it.
+#[derive(Debug)]
+struct CacheEntry {
+    scale: Scale,
+    fingerprint: u64,
+    /// The ordering mode the entry was built under: a forced-AMD build
+    /// must never hand its order to a Markowitz-mode plan or vice versa.
+    mode: OrderingMode,
+    order: PivotOrder,
+    program: Option<Arc<FactorProgram>>,
+    choice: OrderingChoice,
+}
+
 /// Shares recorded pivot orders between [`SweepPlan`]s of the **same
 /// topology** — the amortization seam for Monte-Carlo/sensitivity fleets,
 /// where hundreds of same-structure, different-value systems are planned
@@ -341,26 +363,14 @@ struct PlanSelection {
 /// numeric balance genuinely differs each record their own.
 ///
 /// Pivot-order *replay* only fails on an exact-zero prescribed pivot, in
-/// which case the evaluation falls back to a fresh Markowitz factorization
-/// ([`SweepStats::fresh_factorizations`] counts these), so a shared order
-/// is an optimization, never a correctness hazard.
+/// which case the point climbs the singular-recovery ladder: a fresh
+/// Markowitz factorization ([`SweepStats::recovered_fresh`]), then a
+/// recompile under the alternate ordering
+/// ([`SweepStats::recovered_reordered`]). A shared order is an
+/// optimization, never a correctness hazard.
 ///
 /// The cache is `Sync`; lookups and stores are lock-protected and happen
 /// at plan-build time (never inside point evaluation).
-/// One recorded probe in a [`PlanCache`]: scale, pattern fingerprint, the
-/// recorded pivot order, and the symbolic kernel compiled from it.
-#[derive(Debug)]
-struct CacheEntry {
-    scale: Scale,
-    fingerprint: u64,
-    /// The ordering mode the entry was built under: a forced-AMD build
-    /// must never hand its order to a Markowitz-mode plan or vice versa.
-    mode: OrderingMode,
-    order: PivotOrder,
-    program: Option<Arc<FactorProgram>>,
-    choice: OrderingChoice,
-}
-
 #[derive(Debug, Default)]
 pub struct PlanCache {
     entries: Mutex<Vec<CacheEntry>>,
@@ -467,65 +477,16 @@ impl PlanCache {
     }
 }
 
-/// FNV-1a fingerprint of a pattern's sparsity structure (dimension plus
-/// every stamped `(row, col)` position, value-independent): the identity
-/// [`PlanCache`] shares pivot orders under. Same-topology variants hash
-/// identically; same-dimension circuits of different structure do not.
-fn pattern_fingerprint(dim: usize, pattern: &[(usize, usize, Complex, Complex)]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |x: u64| {
-        h ^= x;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    mix(dim as u64);
-    for &(r, c, _, _) in pattern {
-        mix(r as u64);
-        mix(c as u64);
-    }
-    h
-}
-
-/// Extracts the affine stamp pattern `A(s) = K₀ + s·K₁` of `(sys, scale)`,
-/// deduplicated and sorted by position. Shared with the transient engine
+/// The affine stamp pattern `A(s) = K₀ + s·K₁` of `(sys, scale)`,
+/// deduplicated and sorted by position: one pass over the system's stamp
+/// table ([`MnaSystem::affine_pattern`]). Shared with the transient engine
 /// ([`crate::transient`]), whose companion matrix is this same pattern
 /// evaluated at one real point `s = γ`.
 pub(crate) fn affine_pattern(
     sys: &MnaSystem,
     scale: Scale,
 ) -> (usize, Vec<(usize, usize, Complex, Complex)>) {
-    // Every stamp is affine in s: sample the assembly at s = 0 and s = 1
-    // and difference the aligned raw entry lists.
-    let t0 = sys.assemble(Complex::ZERO, scale);
-    let t1 = sys.assemble(Complex::ONE, scale);
-    debug_assert_eq!(t0.raw_len(), t1.raw_len(), "stamp order must be deterministic");
-    let mut pattern: Vec<(usize, usize, Complex, Complex)> = t0
-        .entries()
-        .iter()
-        .zip(t1.entries())
-        .map(|(&(r0, c0, v0), &(r1, c1, v1))| {
-            debug_assert_eq!((r0, c0), (r1, c1), "stamp positions must align");
-            (r0, c0, v0, v1 - v0)
-        })
-        .collect();
-    // Merge duplicate positions once at build time (MNA stamping hits a
-    // node diagonal once per connected element; affinity in `s` is
-    // preserved under addition), and keep the pattern sorted so each
-    // evaluation scatters pre-deduplicated, pre-ordered rows into the
-    // workspace — the per-point duplicate merge degenerates to a scan.
-    pattern.sort_unstable_by_key(|&(r, c, _, _)| (r, c));
-    let mut w = 0usize;
-    for i in 0..pattern.len() {
-        let (r, c, k0, k1) = pattern[i];
-        if w > 0 && pattern[w - 1].0 == r && pattern[w - 1].1 == c {
-            pattern[w - 1].2 += k0;
-            pattern[w - 1].3 += k1;
-        } else {
-            pattern[w] = (r, c, k0, k1);
-            w += 1;
-        }
-    }
-    pattern.truncate(w);
-    (t0.dim(), pattern)
+    (sys.dim(), sys.affine_pattern(scale))
 }
 
 /// One probe factorization at a generic unit-circle point (angle of one
@@ -690,8 +651,9 @@ impl SweepPlan {
     }
 
     /// As [`SweepPlan::new`], sharing pivot orders through `cache`: a
-    /// cache entry recorded at a nearby scale for this dimension replaces
-    /// the probe factorization entirely — the fleet path where one pivot
+    /// cache entry recorded at a nearby scale for the same pattern
+    /// fingerprint and ordering mode replaces the probe factorization
+    /// entirely — the fleet path where one pivot
     /// search serves a whole topology.
     ///
     /// # Errors
@@ -787,18 +749,17 @@ impl SweepPlan {
     /// or sparsity structure, and the spec-resolution errors of
     /// [`SweepPlan::new`] when the plan carries a drive.
     pub fn rebind(&self, sys: &MnaSystem) -> Result<SweepPlan, MnaError> {
-        if sys.dim() != self.dim {
-            return Err(MnaError::TopologyMismatch { expected: self.dim, actual: sys.dim() });
+        let mismatch = MnaError::TopologyMismatch { expected: self.dim, actual: sys.dim() };
+        if sys.dim() != self.dim || sys.pattern_fingerprint() != self.fingerprint {
+            return Err(mismatch);
+        }
+        let positions = sys.pattern_positions();
+        if positions.len() != self.pattern.len()
+            || positions.iter().zip(&self.pattern).any(|(&p, &(r, c, _, _))| p != (r, c))
+        {
+            return Err(mismatch);
         }
         let (dim, pattern) = affine_pattern(sys, self.scale);
-        let same_structure = pattern.len() == self.pattern.len()
-            && pattern
-                .iter()
-                .zip(&self.pattern)
-                .all(|(&(r1, c1, _, _), &(r2, c2, _, _))| (r1, c1) == (r2, c2));
-        if !same_structure {
-            return Err(MnaError::TopologyMismatch { expected: self.dim, actual: dim });
-        }
         let drive = match (&self.drive, &self.input) {
             (Some(drive), Some(input)) => {
                 // Output rows are positional and identical across the
@@ -815,6 +776,7 @@ impl SweepPlan {
             dim,
             scale: self.scale,
             pattern,
+            fingerprint: self.fingerprint,
             rhs,
             order: self.order.clone(),
             // Symbolic analysis is value-independent: the variant replays
@@ -836,13 +798,10 @@ impl SweepPlan {
         mode: OrderingMode,
     ) -> SweepPlan {
         let (dim, pattern) = affine_pattern(sys, scale);
+        let fingerprint = sys.pattern_fingerprint();
         let selection = match cache {
-            Some(cache) => {
-                let fingerprint = pattern_fingerprint(dim, &pattern);
-                cache.selection_for(scale, fingerprint, mode, || {
-                    select_ordering(dim, &pattern, mode)
-                })
-            }
+            Some(cache) => cache
+                .selection_for(scale, fingerprint, mode, || select_ordering(dim, &pattern, mode)),
             None => select_ordering(dim, &pattern, mode),
         };
         let (order, program, ordering) = match selection {
@@ -855,6 +814,7 @@ impl SweepPlan {
             dim,
             scale,
             pattern,
+            fingerprint,
             rhs,
             order,
             program,
@@ -1914,6 +1874,65 @@ mod tests {
             plan.rebind(&sys7),
             Err(MnaError::TopologyMismatch { expected, actual }) if expected + 1 == actual
         ));
+    }
+
+    /// A four-node RC chain with one bridging capacitor from `bridge` to
+    /// node `c`.
+    fn bridged_chain(bridge: &str, farads: f64) -> Circuit {
+        let mut c = Circuit::new();
+        c.add_vsource("VIN", "in", "0", 1.0).unwrap();
+        c.add_resistor("R1", "in", "a", 1e3).unwrap();
+        c.add_resistor("R2", "a", "b", 2e3).unwrap();
+        c.add_resistor("R3", "b", "out", 3e3).unwrap();
+        c.add_resistor("R4", "out", "0", 4e3).unwrap();
+        c.add_capacitor("CX", bridge, "out", farads).unwrap();
+        c
+    }
+
+    #[test]
+    fn rebind_rejects_same_size_different_positions() {
+        let scale = Scale::new(1e9, 1e3);
+        let base = MnaSystem::new(&bridged_chain("a", 1e-9)).unwrap();
+        // The bridging capacitor moves from node `a` to node `in`: same
+        // dimension, same entry count, different positions.
+        let moved = MnaSystem::new(&bridged_chain("in", 1e-9)).unwrap();
+        let (dim_a, pat_a) = affine_pattern(&base, scale);
+        let (dim_b, pat_b) = affine_pattern(&moved, scale);
+        assert_eq!((dim_a, pat_a.len()), (dim_b, pat_b.len()));
+        let plan = SweepPlan::new(&base, scale, &spec()).unwrap();
+        assert!(matches!(
+            plan.rebind(&moved),
+            Err(MnaError::TopologyMismatch { expected, actual }) if expected == dim_a && actual == dim_b
+        ));
+    }
+
+    #[test]
+    fn rebind_with_matching_fingerprint_reuses_order_and_program() {
+        let scale = Scale::new(1e9, 1e3);
+        let base = MnaSystem::new(&bridged_chain("a", 1e-9)).unwrap();
+        let variant = MnaSystem::new(&bridged_chain("a", 3.3e-9)).unwrap();
+        assert_eq!(base.pattern_fingerprint(), variant.pattern_fingerprint());
+        let cache = PlanCache::new();
+        let plan = SweepPlan::new_cached(&base, scale, &spec(), &cache).unwrap();
+        let rebound = plan.rebind(&variant).unwrap();
+        // No probe: the pivot search count is unchanged, and the rebound
+        // plan replays the very same order and compiled program.
+        assert_eq!(cache.pivot_searches(), 1);
+        assert_eq!(rebound.order(), plan.order());
+        assert!(std::ptr::eq(rebound.program().unwrap(), plan.program().unwrap()));
+        // Only the values changed, and they are the variant's own.
+        let (_, want) = affine_pattern(&variant, scale);
+        let bits = |z: Complex| (z.re.to_bits(), z.im.to_bits());
+        assert!(rebound
+            .pattern
+            .iter()
+            .zip(&want)
+            .all(|(g, w)| (g.0, g.1, bits(g.2), bits(g.3)) == (w.0, w.1, bits(w.2), bits(w.3))));
+        assert!(rebound.pattern.iter().zip(&plan.pattern).any(|(a, b)| bits(a.3) != bits(b.3)));
+        let mut scratch = SweepScratch::new();
+        rebound.eval_at(Complex::new(0.3, 0.8), &mut scratch).unwrap();
+        assert_eq!(scratch.stats().fresh_factorizations, 0);
+        assert_eq!(scratch.stats().compiled_hits, 1);
     }
 
     #[test]

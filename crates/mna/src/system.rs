@@ -45,8 +45,8 @@ impl Default for Scale {
     }
 }
 
-/// A compiled MNA view of a circuit: node/branch index maps plus assembly
-/// and evaluation entry points.
+/// A compiled MNA view of a circuit: node/branch index maps, the stamp
+/// table, and assembly and evaluation entry points.
 ///
 /// Unknowns are ordered: non-ground node voltages first (`0..nodes−1`),
 /// then one branch current per voltage-defined element (independent V
@@ -54,28 +54,163 @@ impl Default for Scale {
 #[derive(Clone, Debug)]
 pub struct MnaSystem {
     circuit: Circuit,
-    /// Map from circuit node id to matrix row (ground absent).
-    node_rows: HashMap<NodeId, usize>,
+    /// Matrix row per circuit node id (`None` for ground).
+    node_rows: Vec<Option<usize>>,
     /// Branch index by element name.
     branch_rows: HashMap<String, usize>,
     node_count: usize,
     dim: usize,
+    stamps: StampTable,
+}
+
+/// How a stamp's value depends on the scale factors and on `s` — the
+/// paper's eq. (11) per element kind.
+#[derive(Clone, Copy, Debug)]
+enum StampSource {
+    /// `g/R`: a resistor, stamped as a scaled conductance.
+    Resistance(f64),
+    /// `g·G`: a conductance or a transconductance.
+    Conductance(f64),
+    /// `s·(f·X)`: a capacitor's admittance, or an inductor's branch
+    /// impedance (stamped negated).
+    Reactive(f64),
+    /// A scale-free value: incidences, gains, transresistances.
+    Constant(Complex),
+}
+
+/// How a stamp applies its source value `y`.
+#[derive(Clone, Copy, Debug)]
+enum StampSign {
+    /// `y`.
+    Plus,
+    /// `−y`.
+    Minus,
+    /// `y·k`: the incidence sign product of a transadmittance.
+    Times(f64),
+}
+
+/// One raw MNA stamp: the value of `source` under `sign` lands at
+/// `(row, col)`.
+#[derive(Clone, Copy, Debug)]
+struct Stamp {
+    row: usize,
+    col: usize,
+    source: StampSource,
+    sign: StampSign,
+}
+
+impl Stamp {
+    fn value(&self, s: Complex, scale: Scale) -> Complex {
+        let y = match self.source {
+            StampSource::Resistance(ohms) => Complex::real(scale.g / ohms),
+            StampSource::Conductance(siemens) => Complex::real(scale.g * siemens),
+            StampSource::Reactive(x) => s * (scale.f * x),
+            StampSource::Constant(c) => c,
+        };
+        match self.sign {
+            StampSign::Plus => y,
+            StampSign::Minus => -y,
+            StampSign::Times(k) => y.scale(k),
+        }
+    }
+
+    /// `(K₀, K₁)` of this stamp: its value at `s = 0`, and the difference
+    /// of its values at `s = 1` and `s = 0`.
+    fn affine(&self, scale: Scale) -> (Complex, Complex) {
+        let k0 = self.value(Complex::ZERO, scale);
+        (k0, self.value(Complex::ONE, scale) - k0)
+    }
+}
+
+/// Every raw stamp of a circuit, compiled once per [`MnaSystem`], plus the
+/// merge of duplicate positions into the affine pattern `A(s) = K₀ + s·K₁`.
+#[derive(Clone, Debug)]
+struct StampTable {
+    /// Raw stamps in element order, then stamp order within an element:
+    /// the entry order of [`MnaSystem::assemble`].
+    raw: Vec<Stamp>,
+    /// Raw indices grouped by position, each group in the order its
+    /// duplicates are summed.
+    merge_order: Vec<usize>,
+    /// Deduplicated positions, sorted by `(row, col)`.
+    positions: Vec<(usize, usize)>,
+    /// One past the last `merge_order` index of each position's group.
+    group_ends: Vec<usize>,
+    /// FNV-1a hash of the dimension and every deduplicated position.
+    fingerprint: u64,
+}
+
+impl StampTable {
+    fn new(dim: usize, raw: Vec<Stamp>) -> StampTable {
+        // The merge order is the one an unstable sort of the raw
+        // `(row, col, K₀, K₁)` entries by position gives. Sorting that same
+        // element type, with the raw index carried in a value field, moves
+        // equal keys exactly as that sort does, so summing each group in
+        // this order reproduces its round-off bit for bit.
+        let mut keyed: Vec<(usize, usize, Complex, Complex)> = raw
+            .iter()
+            .enumerate()
+            .map(|(i, st)| (st.row, st.col, Complex::real(i as f64), Complex::ZERO))
+            .collect();
+        keyed.sort_unstable_by_key(|&(r, c, _, _)| (r, c));
+        let merge_order: Vec<usize> = keyed.iter().map(|&(_, _, i, _)| i.re as usize).collect();
+        let mut positions: Vec<(usize, usize)> = Vec::new();
+        let mut group_ends = Vec::new();
+        for (k, &(r, c, _, _)) in keyed.iter().enumerate() {
+            if positions.last() == Some(&(r, c)) {
+                *group_ends.last_mut().expect("one end per position") = k + 1;
+            } else {
+                positions.push((r, c));
+                group_ends.push(k + 1);
+            }
+        }
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut mix = |x: u64| {
+            h ^= x;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        };
+        mix(dim as u64);
+        for &(r, c) in &positions {
+            mix(r as u64);
+            mix(c as u64);
+        }
+        StampTable { raw, merge_order, positions, group_ends, fingerprint: h }
+    }
+
+    /// The deduplicated affine pattern at `scale`, sorted by position.
+    fn affine(&self, scale: Scale) -> Vec<(usize, usize, Complex, Complex)> {
+        let mut pattern = Vec::with_capacity(self.positions.len());
+        let mut start = 0;
+        for (&(r, c), &end) in self.positions.iter().zip(&self.group_ends) {
+            let group = &self.merge_order[start..end];
+            let (mut k0, mut k1) = self.raw[group[0]].affine(scale);
+            for &i in &group[1..] {
+                let (d0, d1) = self.raw[i].affine(scale);
+                k0 += d0;
+                k1 += d1;
+            }
+            pattern.push((r, c, k0, k1));
+            start = end;
+        }
+        pattern
+    }
 }
 
 impl MnaSystem {
-    /// Compiles a circuit into an MNA system.
+    /// Compiles a circuit into an MNA system and its stamp table.
     ///
     /// # Errors
     ///
     /// Returns [`MnaError::Circuit`] if the circuit fails validation.
     pub fn new(circuit: &Circuit) -> Result<Self, MnaError> {
         circuit.validate()?;
-        let mut node_rows = HashMap::new();
+        let mut node_rows = Vec::with_capacity(circuit.node_count());
         let mut next = 0usize;
         for idx in 0..circuit.node_count() {
-            let id = NodeId(idx);
-            if !id.is_ground() {
-                node_rows.insert(id, next);
+            if NodeId(idx).is_ground() {
+                node_rows.push(None);
+            } else {
+                node_rows.push(Some(next));
                 next += 1;
             }
         }
@@ -87,7 +222,13 @@ impl MnaSystem {
             }
         }
         let dim = node_count + branch_rows.len();
-        Ok(MnaSystem { circuit: circuit.clone(), node_rows, branch_rows, node_count, dim })
+        let node_row = |id: NodeId| node_rows[id.0];
+        let mut raw = Vec::new();
+        for el in circuit.elements() {
+            stamp(&mut raw, el, &node_row, &branch_rows);
+        }
+        let stamps = StampTable::new(dim, raw);
+        Ok(MnaSystem { circuit: circuit.clone(), node_rows, branch_rows, node_count, dim, stamps })
     }
 
     /// The underlying circuit.
@@ -112,7 +253,7 @@ impl MnaSystem {
 
     /// Matrix row of a node's voltage unknown (`None` for ground).
     pub fn node_row(&self, id: NodeId) -> Option<usize> {
-        self.node_rows.get(&id).copied()
+        self.node_rows.get(id.0).copied().flatten()
     }
 
     /// Matrix row of an element's branch current.
@@ -175,10 +316,29 @@ impl MnaSystem {
     /// Assembles the MNA matrix at complex frequency `s` with scaling.
     pub fn assemble(&self, s: Complex, scale: Scale) -> Triplets {
         let mut t = Triplets::new(self.dim);
-        for el in self.circuit.elements() {
-            self.stamp(&mut t, el, s, scale);
+        for st in &self.stamps.raw {
+            t.add(st.row, st.col, st.value(s, scale));
         }
         t
+    }
+
+    /// The deduplicated affine pattern `A(s) = K₀ + s·K₁` at `scale`:
+    /// `(row, col, K₀, K₁)` per stamped position, sorted by position. One
+    /// pass over the stamp table; bit for bit the merge of
+    /// [`MnaSystem::assemble`] at `s = 0` and `s = 1`.
+    pub(crate) fn affine_pattern(&self, scale: Scale) -> Vec<(usize, usize, Complex, Complex)> {
+        self.stamps.affine(scale)
+    }
+
+    /// The stamped positions of [`MnaSystem::affine_pattern`], in order.
+    pub(crate) fn pattern_positions(&self) -> &[(usize, usize)] {
+        &self.stamps.positions
+    }
+
+    /// FNV-1a fingerprint of the dimension and the stamped positions:
+    /// value-independent, so same-topology variants share it.
+    pub(crate) fn pattern_fingerprint(&self) -> u64 {
+        self.stamps.fingerprint
     }
 
     /// Builds the excitation vector `E` from the independent sources.
@@ -230,118 +390,115 @@ impl MnaSystem {
             Err(_) => Ok(ExtComplex::ZERO),
         }
     }
+}
 
-    fn stamp(&self, t: &mut Triplets, el: &Element, s: Complex, scale: Scale) {
-        let (p, m) = el.nodes;
-        let rp = self.node_row(p);
-        let rm = self.node_row(m);
-        match &el.kind {
-            ElementKind::Resistor { ohms } => {
-                self.stamp_admittance(t, rp, rm, Complex::real(scale.g / ohms));
-            }
-            ElementKind::Conductance { siemens } => {
-                self.stamp_admittance(t, rp, rm, Complex::real(scale.g * siemens));
-            }
-            ElementKind::Capacitor { farads } => {
-                self.stamp_admittance(t, rp, rm, s * (scale.f * farads));
-            }
-            ElementKind::Vccs { gm, control } => {
-                let y = Complex::real(scale.g * gm);
-                let (cp, cm) = (self.node_row(control.0), self.node_row(control.1));
-                self.stamp_transadmittance(t, rp, rm, cp, cm, y);
-            }
-            ElementKind::VSource { .. } => {
-                let row = self.branch_rows[&el.name];
-                self.stamp_branch_voltage(t, row, rp, rm);
-            }
-            ElementKind::Vcvs { gain, control } => {
-                let row = self.branch_rows[&el.name];
-                self.stamp_branch_voltage(t, row, rp, rm);
-                let (cp, cm) = (self.node_row(control.0), self.node_row(control.1));
-                if let Some(c) = cp {
-                    t.add(row, c, Complex::real(-gain));
-                }
-                if let Some(c) = cm {
-                    t.add(row, c, Complex::real(*gain));
+/// Appends the raw stamps of one element, in assembly order.
+fn stamp(
+    raw: &mut Vec<Stamp>,
+    el: &Element,
+    node_row: &impl Fn(NodeId) -> Option<usize>,
+    branch_rows: &HashMap<String, usize>,
+) {
+    use StampSign::{Minus, Plus};
+    let (rp, rm) = (node_row(el.nodes.0), node_row(el.nodes.1));
+    let mut add = |row, col, source, sign| raw.push(Stamp { row, col, source, sign });
+    match &el.kind {
+        ElementKind::Resistor { ohms } => {
+            stamp_admittance(&mut add, rp, rm, StampSource::Resistance(*ohms));
+        }
+        ElementKind::Conductance { siemens } => {
+            stamp_admittance(&mut add, rp, rm, StampSource::Conductance(*siemens));
+        }
+        ElementKind::Capacitor { farads } => {
+            stamp_admittance(&mut add, rp, rm, StampSource::Reactive(*farads));
+        }
+        ElementKind::Vccs { gm, control } => {
+            let (cp, cm) = (node_row(control.0), node_row(control.1));
+            for (node, sign_n) in [(rp, 1.0), (rm, -1.0)] {
+                let Some(r) = node else { continue };
+                for (ctrl, sign_c) in [(cp, 1.0), (cm, -1.0)] {
+                    let Some(c) = ctrl else { continue };
+                    add(r, c, StampSource::Conductance(*gm), StampSign::Times(sign_n * sign_c));
                 }
             }
-            ElementKind::Cccs { gain, control_branch } => {
-                let col = self.branch_rows[control_branch];
-                if let Some(r) = rp {
-                    t.add(r, col, Complex::real(*gain));
-                }
-                if let Some(r) = rm {
-                    t.add(r, col, Complex::real(-gain));
-                }
+        }
+        ElementKind::VSource { .. } => {
+            stamp_branch_voltage(&mut add, branch_rows[&el.name], rp, rm);
+        }
+        ElementKind::Vcvs { gain, control } => {
+            let row = branch_rows[&el.name];
+            stamp_branch_voltage(&mut add, row, rp, rm);
+            if let Some(c) = node_row(control.0) {
+                add(row, c, StampSource::Constant(Complex::real(-gain)), Plus);
             }
-            ElementKind::Ccvs { ohms, control_branch } => {
-                let row = self.branch_rows[&el.name];
-                self.stamp_branch_voltage(t, row, rp, rm);
-                let col = self.branch_rows[control_branch];
-                t.add(row, col, Complex::real(-ohms));
+            if let Some(c) = node_row(control.1) {
+                add(row, c, StampSource::Constant(Complex::real(*gain)), Plus);
             }
-            ElementKind::Inductor { henries } => {
-                let row = self.branch_rows[&el.name];
-                self.stamp_branch_voltage(t, row, rp, rm);
-                // The frequency scale applies to every reactive element:
-                // s → f·σ substitutes exactly in the branch equation too.
-                t.add(row, row, -(s * (scale.f * *henries)));
+        }
+        ElementKind::Cccs { gain, control_branch } => {
+            let col = branch_rows[control_branch];
+            if let Some(r) = rp {
+                add(r, col, StampSource::Constant(Complex::real(*gain)), Plus);
             }
-            ElementKind::ISource { .. } => {
-                // Pure excitation: appears only in the RHS.
+            if let Some(r) = rm {
+                add(r, col, StampSource::Constant(Complex::real(-gain)), Plus);
             }
+        }
+        ElementKind::Ccvs { ohms, control_branch } => {
+            let row = branch_rows[&el.name];
+            stamp_branch_voltage(&mut add, row, rp, rm);
+            let col = branch_rows[control_branch];
+            add(row, col, StampSource::Constant(Complex::real(-ohms)), Plus);
+        }
+        ElementKind::Inductor { henries } => {
+            let row = branch_rows[&el.name];
+            stamp_branch_voltage(&mut add, row, rp, rm);
+            // The frequency scale applies to every reactive element:
+            // s → f·σ substitutes exactly in the branch equation too.
+            add(row, row, StampSource::Reactive(*henries), Minus);
+        }
+        ElementKind::ISource { .. } => {
+            // Pure excitation: appears only in the RHS.
         }
     }
+}
 
-    fn stamp_admittance(&self, t: &mut Triplets, rp: Option<usize>, rm: Option<usize>, y: Complex) {
-        if let Some(i) = rp {
-            t.add(i, i, y);
-            if let Some(j) = rm {
-                t.add(i, j, -y);
-            }
-        }
+/// A two-terminal admittance `y` between rows `rp` and `rm`.
+fn stamp_admittance(
+    add: &mut impl FnMut(usize, usize, StampSource, StampSign),
+    rp: Option<usize>,
+    rm: Option<usize>,
+    y: StampSource,
+) {
+    if let Some(i) = rp {
+        add(i, i, y, StampSign::Plus);
         if let Some(j) = rm {
-            t.add(j, j, y);
-            if let Some(i) = rp {
-                t.add(j, i, -y);
-            }
+            add(i, j, y, StampSign::Minus);
         }
     }
-
-    fn stamp_transadmittance(
-        &self,
-        t: &mut Triplets,
-        rp: Option<usize>,
-        rm: Option<usize>,
-        cp: Option<usize>,
-        cm: Option<usize>,
-        y: Complex,
-    ) {
-        for (node, sign_n) in [(rp, 1.0), (rm, -1.0)] {
-            let Some(r) = node else { continue };
-            for (ctrl, sign_c) in [(cp, 1.0), (cm, -1.0)] {
-                let Some(c) = ctrl else { continue };
-                t.add(r, c, y.scale(sign_n * sign_c));
-            }
-        }
-    }
-
-    /// Branch voltage definition row and its incidence column entries.
-    fn stamp_branch_voltage(
-        &self,
-        t: &mut Triplets,
-        row: usize,
-        rp: Option<usize>,
-        rm: Option<usize>,
-    ) {
+    if let Some(j) = rm {
+        add(j, j, y, StampSign::Plus);
         if let Some(i) = rp {
-            t.add(row, i, Complex::ONE);
-            t.add(i, row, Complex::ONE);
+            add(j, i, y, StampSign::Minus);
         }
-        if let Some(j) = rm {
-            t.add(row, j, -Complex::ONE);
-            t.add(j, row, -Complex::ONE);
-        }
+    }
+}
+
+/// Branch voltage definition row and its incidence column entries.
+fn stamp_branch_voltage(
+    add: &mut impl FnMut(usize, usize, StampSource, StampSign),
+    row: usize,
+    rp: Option<usize>,
+    rm: Option<usize>,
+) {
+    let one = StampSource::Constant(Complex::ONE);
+    if let Some(i) = rp {
+        add(row, i, one, StampSign::Plus);
+        add(i, row, one, StampSign::Plus);
+    }
+    if let Some(j) = rm {
+        add(row, j, one, StampSign::Minus);
+        add(j, row, one, StampSign::Minus);
     }
 }
 
