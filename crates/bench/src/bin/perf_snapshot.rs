@@ -33,10 +33,6 @@ fn main() {
     for r in &snapshot.rows {
         println!("{:<38} {:>14.1} {:>8} {:>6}", r.name, r.median_ns_per_point, r.points, r.reps);
     }
-    let ua741 =
-        snapshot.ns("window_ua741_pr3_planned") / snapshot.ns("window_ua741_compiled_mirrored");
-    println!("\nµA741 window sampling speedup vs PR 3 planned path: {ua741:.2}×");
-
     std::fs::write(&out, snapshot.to_json()).expect("write trajectory");
     println!("wrote {out}");
 }

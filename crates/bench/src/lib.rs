@@ -493,7 +493,7 @@ pub fn fleet_batched(
 /// measurement in nanoseconds per evaluated point.
 #[derive(Clone, Debug)]
 pub struct PerfRow {
-    /// Stable row identifier (`refactor_ua741_workspace`, …).
+    /// Stable row identifier (`refactor_ua741_compiled`, …).
     pub name: String,
     /// Median over reps of (elapsed / points).
     pub median_ns_per_point: f64,
@@ -593,42 +593,13 @@ impl PerfSnapshot {
         let speedup = |a: &str, b: &str| self.ns(a) / self.ns(b);
         let mut derived: Vec<(&str, f64)> = vec![
             (
-                "ladder_refactor_speedup_compiled_vs_workspace",
-                speedup("refactor_ladder16_workspace", "refactor_ladder16_compiled"),
-            ),
-            (
-                "ua741_refactor_speedup_compiled_vs_workspace",
-                speedup("refactor_ua741_workspace", "refactor_ua741_compiled"),
-            ),
-            (
-                "ladder_window_speedup_vs_pr3",
-                speedup("window_ladder16_pr3_planned", "window_ladder16_compiled_mirrored"),
-            ),
-            (
-                "ua741_window_speedup_vs_pr3",
-                speedup("window_ua741_pr3_planned", "window_ua741_compiled_mirrored"),
-            ),
-            (
                 "ua741_session_speedup_mirror_on_vs_off",
                 speedup("session_ua741_mirror_off", "session_ua741_mirror_on"),
             ),
             ("fleet_batched_speedup", speedup("fleet_ua741x64_scalar", "fleet_ua741x64_batched")),
         ];
-        // Mesh-scaling ratios only exist on full snapshots (quick mode
-        // measures mesh256 alone), so they are appended conditionally.
-        for nodes in [256usize, 1024, 4096] {
-            if let (Some(direct), Some(gmres)) = (
-                self.ns_opt(&format!("mesh{nodes}_amd_direct")),
-                self.ns_opt(&format!("mesh{nodes}_amd_gmres")),
-            ) {
-                let name: &str = match nodes {
-                    256 => "mesh256_hybrid_speedup_vs_direct",
-                    1024 => "mesh1024_hybrid_speedup_vs_direct",
-                    _ => "mesh4096_hybrid_speedup_vs_direct",
-                };
-                derived.push((name, direct / gmres));
-            }
-        }
+        // The mesh ratio only exists on full snapshots (quick mode
+        // measures mesh256 alone), so it is appended conditionally.
         if let (Some(markowitz), Some(amd)) =
             (self.ns_opt("mesh4096_markowitz_direct"), self.ns_opt("mesh4096_amd_direct"))
         {
@@ -697,9 +668,9 @@ fn median_ns_per_point(reps: usize, points: usize, mut work: impl FnMut() -> f64
 }
 
 /// The affine stamp pattern `A(s) = K₀ + s·K₁` of `(sys, scale)` — the
-/// same two-sample extraction `SweepPlan` performs, rebuilt here so the
-/// snapshot can time the PR 3 workspace path and the compiled kernel on
-/// identical inputs.
+/// two-sample extraction from two full assemblies: raw entries with
+/// duplicates unmerged, so the `refactor_*`/`window_*` rows stay
+/// comparable with earlier snapshots.
 fn bench_affine_pattern(
     sys: &refgen_mna::MnaSystem,
     scale: Scale,
@@ -717,20 +688,15 @@ fn bench_affine_pattern(
 /// Measures the perf trajectory of the sampling hot path and returns the
 /// snapshot the `perf_snapshot` binary writes to `BENCH_sampling.json`:
 ///
-/// * `refactor_{circuit}_{workspace,compiled}` — median ns per
-///   determinant-only refactorization point (the denominator-sampling
-///   cost): the PR 3 planned path (triplet scatter +
-///   `SparseLu::refactor_into`) versus the compiled symbolic kernel
-///   (`FactorProgram::refactor_values`), identical pivot order and
-///   values, no RHS solve in either;
-/// * `window_{circuit}_{pr3_planned,compiled_mirrored}` — median ns per
-///   *window point* of a full conjugate-paired unit-circle window of
-///   refactor+solve work (the numerator-sampling cost): the PR 3 path
-///   solves every point through the workspace, the current path solves
-///   the closed upper half on the compiled kernel and takes each
-///   remaining point as the conjugate of its actual partner — the two
-///   rows perform identical per-point work, so their ratio is the
-///   like-for-like window speedup;
+/// * `refactor_{circuit}_compiled` — median ns per determinant-only
+///   refactorization point (the denominator-sampling cost) on the
+///   compiled symbolic kernel (`FactorProgram::refactor_values`), no RHS
+///   solve;
+/// * `window_{circuit}_compiled_mirrored` — median ns per *window point*
+///   of a full conjugate-paired unit-circle window of refactor+solve work
+///   (the numerator-sampling cost): the closed upper half is solved on
+///   the compiled kernel and each remaining point is the conjugate of its
+///   actual partner;
 /// * `fleet_ua741x64_{scalar,batched}` — a 64-variant same-topology
 ///   µA741 fleet sampled over one 40-point window, ns per
 ///   (variant, point) solve: per-variant sequential evaluation versus the
@@ -738,7 +704,10 @@ fn bench_affine_pattern(
 ///   instruction-stream replay per point);
 /// * `session_ua741_mirror_{on,off}` — full adaptive `Session` solves of
 ///   the µA741, ns per interpolation point, mirroring on versus forced
-///   off.
+///   off;
+/// * `mesh{nodes}_{markowitz,amd}_direct` — square grid RC meshes swept
+///   over a dense log-frequency grid, ns per compiled-replay point under
+///   each pivot ordering.
 ///
 /// The snapshot also records the [`PerfEnv`] (CPU feature flags seen by
 /// the batched kernel's runtime dispatch, configured lane width).
@@ -750,7 +719,7 @@ fn bench_affine_pattern(
 /// workspace tests).
 pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
     use refgen_numeric::Complex;
-    use refgen_sparse::{FactorProgram, LuWorkspace, ProgramScratch, SparseLu, Triplets};
+    use refgen_sparse::{FactorProgram, ProgramScratch, SparseLu, Triplets};
 
     let reps = if quick { 5 } else { 60 };
     let mut rows = Vec::new();
@@ -766,7 +735,7 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
         let points = 40usize;
         let sigmas = refgen_numeric::dft::unit_circle_points(points);
 
-        // One probe pivot search, shared by both measured paths.
+        // One probe pivot search, compiled once.
         let probe = Complex::new(1f64.cos(), 1f64.sin());
         let mut t = Triplets::new(dim);
         for &(r, c, k0, k1) in &pattern {
@@ -775,30 +744,6 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
         let order = SparseLu::factor(&t).expect("probe factors").order().clone();
         let positions: Vec<(usize, usize)> = pattern.iter().map(|&(r, c, _, _)| (r, c)).collect();
         let program = FactorProgram::compile(dim, &positions, &order).expect("pattern compiles");
-
-        // Determinant-only refactorization, PR 3 workspace path: triplet
-        // scatter + pivot-order replay.
-        let mut ws = LuWorkspace::new();
-        let mut x = Vec::new();
-        let mut tri = Triplets::new(dim);
-        let (ns, _) = median_ns_per_point(reps, points, || {
-            let mut acc = 0.0;
-            for &sigma in &sigmas {
-                tri.reset(dim);
-                for &(r, c, k0, k1) in &pattern {
-                    tri.add(r, c, k0 + sigma * k1);
-                }
-                SparseLu::refactor_into(&tri, &order, &mut ws).expect("replay succeeds");
-                acc += ws.det().norm().log2();
-            }
-            acc
-        });
-        rows.push(PerfRow {
-            name: format!("refactor_{name}_workspace"),
-            median_ns_per_point: ns,
-            points,
-            reps,
-        });
 
         // Determinant-only refactorization, compiled kernel: stamp straight
         // into slots + flat instruction-stream replay.
@@ -823,31 +768,11 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
             reps,
         });
 
-        // Window-level refactor+solve comparison over one conjugate-paired
-        // window. PR 3 solved every σ through the workspace…
-        let (ns, _) = median_ns_per_point(reps, points, || {
-            let mut acc = 0.0;
-            for &sigma in &sigmas {
-                tri.reset(dim);
-                for &(r, c, k0, k1) in &pattern {
-                    tri.add(r, c, k0 + sigma * k1);
-                }
-                SparseLu::refactor_into(&tri, &order, &mut ws).expect("replay succeeds");
-                ws.solve_into(&rhs, &mut x);
-                acc += x[0].re;
-            }
-            acc
-        });
-        rows.push(PerfRow {
-            name: format!("window_{name}_pr3_planned"),
-            median_ns_per_point: ns,
-            points,
-            reps,
-        });
-        // …the current engine solves only the closed upper half on the
-        // compiled kernel and conjugates each remaining point from its
-        // actual partner σ_{K−i} = conj(σ_i) (same work per point as the
-        // row above, minus the mirrored solves).
+        // Window-level refactor+solve over one conjugate-paired window:
+        // the engine solves only the closed upper half on the compiled
+        // kernel and conjugates each remaining point from its actual
+        // partner σ_{K−i} = conj(σ_i).
+        let mut x = Vec::new();
         let mut solved: Vec<Complex> = vec![Complex::ZERO; points];
         let (ns, _) = median_ns_per_point(reps, points, || {
             let mut acc = 0.0;
@@ -1011,15 +936,11 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
 
     // Mesh-scaling rows: square grid RC meshes at 256 / 1024 / 4096 nodes,
     // swept over a dense log-frequency grid under both pivot orderings
-    // (the probe-recorded Markowitz order vs. approximate minimum degree)
-    // and both evaluation paths (per-point direct refactorization vs. the
-    // anchored-GMRES hybrid). The hybrid's win condition is locality:
-    // adjacent sweep points sit inside the re-anchor radius, so most
-    // points cost a handful of preconditioned iterations instead of a
-    // full refactorization. Quick mode measures mesh256 only.
+    // (the probe-recorded Markowitz order vs. approximate minimum degree),
+    // one compiled replay per point. Quick mode measures mesh256 only.
     {
         use refgen_circuit::library::grid_rc_mesh;
-        use refgen_mna::{HybridScratch, OrderingMode, SweepPlan, SweepScratch};
+        use refgen_mna::{OrderingMode, SweepPlan, SweepScratch};
         let sides: &[usize] = if quick { &[16] } else { &[16, 32, 64] };
         let spec = standard_spec();
         for &side in sides {
@@ -1027,10 +948,7 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
             let circuit = grid_rc_mesh(side, side, 9000 + nodes as u64);
             let sys = refgen_mna::MnaSystem::new(&circuit).expect("mesh compiles");
             let points = 96usize;
-            // 1.5 decades over 96 points: ~2.7 % relative spacing, a few
-            // interior points per hybrid anchor — dense enough that the
-            // anchored path amortizes its refactorizations, which is the
-            // regime the hybrid exists for.
+            // 1.5 decades over 96 points: ~2.7 % relative spacing.
             let freqs = log_space(1e6, 3e7, points);
             let mesh_reps = if quick {
                 2
@@ -1061,23 +979,6 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
                     points,
                     reps: mesh_reps,
                 });
-
-                let mut hybrid = HybridScratch::new();
-                let (ns, _) = median_ns_per_point(mesh_reps, points, || {
-                    let mut acc = 0.0;
-                    for &f in &freqs {
-                        let s = Complex::new(0.0, 2.0 * std::f64::consts::PI * f);
-                        acc +=
-                            plan.eval_at_iterative(s, &mut hybrid).expect("mesh point solves").re;
-                    }
-                    acc
-                });
-                rows.push(PerfRow {
-                    name: format!("mesh{nodes}_{mode_label}_gmres"),
-                    median_ns_per_point: ns,
-                    points,
-                    reps: mesh_reps,
-                });
             }
         }
     }
@@ -1094,13 +995,9 @@ mod tests {
     #[test]
     fn perf_snapshot_json_format() {
         let names = [
-            "refactor_ladder16_workspace",
             "refactor_ladder16_compiled",
-            "window_ladder16_pr3_planned",
             "window_ladder16_compiled_mirrored",
-            "refactor_ua741_workspace",
             "refactor_ua741_compiled",
-            "window_ua741_pr3_planned",
             "window_ua741_compiled_mirrored",
             "transient_ladder16_be",
             "transient_ladder16_tr",
@@ -1111,17 +1008,11 @@ mod tests {
             "session_ua741_mirror_on",
             "session_ua741_mirror_off",
             "mesh256_markowitz_direct",
-            "mesh256_markowitz_gmres",
             "mesh256_amd_direct",
-            "mesh256_amd_gmres",
             "mesh1024_markowitz_direct",
-            "mesh1024_markowitz_gmres",
             "mesh1024_amd_direct",
-            "mesh1024_amd_gmres",
             "mesh4096_markowitz_direct",
-            "mesh4096_markowitz_gmres",
             "mesh4096_amd_direct",
-            "mesh4096_amd_gmres",
         ];
         let snapshot = PerfSnapshot {
             env: PerfEnv::detect(),
@@ -1138,9 +1029,8 @@ mod tests {
         };
         let json = snapshot.to_json();
         assert!(json.contains("\"schema\": \"refgen-bench-sampling/v1\""));
-        assert!(json.contains("\"ua741_window_speedup_vs_pr3\""));
+        assert!(json.contains("\"ua741_session_speedup_mirror_on_vs_off\""));
         assert!(json.contains("\"fleet_batched_speedup\""));
-        assert!(json.contains("\"mesh1024_hybrid_speedup_vs_direct\""));
         assert!(json.contains("\"mesh4096_amd_speedup_vs_markowitz\""));
         assert!(json.contains("\"env\": {\"avx\": "));
         assert!(json.contains("\"lane_width\": "));
@@ -1149,33 +1039,27 @@ mod tests {
         // JSON parser dependency.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert_eq!(snapshot.ns("refactor_ua741_workspace"), 500.0);
-        assert_eq!(snapshot.ns_opt("refactor_ua741_workspace"), Some(500.0));
+        assert_eq!(snapshot.ns("refactor_ua741_compiled"), 300.0);
+        assert_eq!(snapshot.ns_opt("refactor_ua741_compiled"), Some(300.0));
         assert_eq!(snapshot.ns_opt("mesh8_missing_row"), None);
     }
 
-    /// Quick snapshots carry only the mesh256 rows: the larger mesh ratios
-    /// must be omitted from `derived` without breaking the JSON structure
+    /// Quick snapshots carry only the mesh256 rows: the mesh ratio must be
+    /// omitted from `derived` without breaking the JSON structure
     /// or leaving a trailing comma.
     #[test]
     fn quick_snapshot_json_omits_large_mesh_ratios() {
         let names = [
-            "refactor_ladder16_workspace",
             "refactor_ladder16_compiled",
-            "window_ladder16_pr3_planned",
             "window_ladder16_compiled_mirrored",
-            "refactor_ua741_workspace",
             "refactor_ua741_compiled",
-            "window_ua741_pr3_planned",
             "window_ua741_compiled_mirrored",
             "fleet_ua741x64_scalar",
             "fleet_ua741x64_batched",
             "session_ua741_mirror_on",
             "session_ua741_mirror_off",
             "mesh256_markowitz_direct",
-            "mesh256_markowitz_gmres",
             "mesh256_amd_direct",
-            "mesh256_amd_gmres",
         ];
         let snapshot = PerfSnapshot {
             env: PerfEnv::detect(),
@@ -1191,8 +1075,7 @@ mod tests {
                 .collect(),
         };
         let json = snapshot.to_json();
-        assert!(json.contains("\"mesh256_hybrid_speedup_vs_direct\""));
-        assert!(!json.contains("mesh1024_hybrid_speedup_vs_direct"));
+        assert!(json.contains("\"fleet_batched_speedup\""));
         assert!(!json.contains("mesh4096_amd_speedup_vs_markowitz"));
         // The last derived entry must not carry a trailing comma.
         assert!(!json.contains(",\n  }"));

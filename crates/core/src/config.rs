@@ -124,12 +124,6 @@ pub struct RefgenConfig {
     /// overrides it — the CI hook that re-runs the whole suite under a
     /// forced ordering.
     pub ordering: OrderingMode,
-    /// Permit iterative (anchored-GMRES) refinement paths where an
-    /// analysis exposes them (dense AC mesh sweeps). The interpolation
-    /// engine itself always samples through direct factorization — its
-    /// determinant extraction has no iterative equivalent — so this knob
-    /// only affects auxiliary sweep front ends. Default `false`.
-    pub iterative: bool,
     /// How fleet sessions treat failing variants: abort on the first error
     /// ([`FaultPolicy::FailFast`], the historical default) or contain each
     /// failure as a typed per-variant outcome while survivors complete
@@ -215,7 +209,6 @@ impl Default for RefgenConfig {
             conjugate_mirror: default_conjugate_mirror(),
             lane_width: default_lane_width(),
             ordering: default_ordering(),
-            iterative: false,
             fault_policy: FaultPolicy::default(),
         }
     }
@@ -375,13 +368,6 @@ impl RefgenConfigBuilder {
         self
     }
 
-    /// Permit iterative (anchored-GMRES) paths in auxiliary sweeps.
-    #[must_use]
-    pub fn iterative(mut self, iterative: bool) -> Self {
-        self.config.iterative = iterative;
-        self
-    }
-
     /// How fleet sessions treat failing variants (abort on first error, or
     /// contain each failure per variant).
     #[must_use]
@@ -423,11 +409,9 @@ mod tests {
             .conjugate_mirror(false)
             .lane_width(4)
             .ordering(OrderingMode::Amd)
-            .iterative(true)
             .fault_policy(FaultPolicy::Contain)
             .build();
         assert_eq!(cfg.ordering, OrderingMode::Amd);
-        assert!(cfg.iterative);
         assert_eq!(cfg.fault_policy, FaultPolicy::Contain);
         assert_eq!(cfg.threads, 4);
         assert_eq!(cfg.executor, ExecutorKind::Pool);
@@ -467,7 +451,6 @@ mod tests {
         assert_eq!(c.conjugate_mirror, default_conjugate_mirror());
         assert_eq!(c.lane_width, default_lane_width());
         assert_eq!(c.ordering, default_ordering());
-        assert!(!c.iterative);
         assert_eq!(c.fault_policy, FaultPolicy::FailFast);
         c.assert_valid();
     }

@@ -143,8 +143,8 @@
 //! bit-identical to a fleet that never contained the failures.
 //!
 //! All of it is testable deterministically: the
-//! [`refgen_mna::faults`] tier injects seeded zero pivots, NaN stamps,
-//! GMRES stagnation, and scripted panics, gated so an unarmed process
+//! [`refgen_mna::faults`] tier injects seeded zero pivots, NaN stamps
+//! and scripted panics, gated so an unarmed process
 //! pays one atomic load per query.
 
 pub mod adaptive;

@@ -74,14 +74,10 @@ pub fn validate_against_ac(
     })
 }
 
-/// Sweeps the independent AC simulator over `freqs_hz` on the path the
-/// configuration selects: [`RefgenConfig::iterative`] turns on the hybrid
-/// anchored-GMRES sweep ([`AcAnalysis::sweep_hybrid`]) — the mesh-scale
-/// fast path, accurate to the GMRES tolerance — while the default takes
-/// the compiled direct sweep ([`AcAnalysis::sweep_fast`]). This is the
-/// knob's single consumer: the interpolation engine itself always samples
-/// through direct factorization (its determinant extraction has no
-/// iterative equivalent).
+/// Sweeps the independent AC simulator over `freqs_hz` through the
+/// compiled direct sweep ([`AcAnalysis::sweep_fast`]). No configuration
+/// field changes the sweep's path; the configuration parameter lets a
+/// caller pass its session configuration unchanged.
 ///
 /// # Errors
 ///
@@ -91,14 +87,12 @@ pub fn ac_sweep_with_config(
     circuit: &Circuit,
     spec: &TransferSpec,
     freqs_hz: &[f64],
-    config: &RefgenConfig,
+    _config: &RefgenConfig,
 ) -> Result<Vec<AcPoint>, RefgenError> {
     if freqs_hz.is_empty() {
         return Err(RefgenError::EmptyGrid);
     }
-    let ac = AcAnalysis::new(circuit, spec.clone())?;
-    let pts = if config.iterative { ac.sweep_hybrid(freqs_hz)? } else { ac.sweep_fast(freqs_hz)? };
-    Ok(pts)
+    Ok(AcAnalysis::new(circuit, spec.clone())?.sweep_fast(freqs_hz)?)
 }
 
 #[cfg(test)]
@@ -112,12 +106,9 @@ mod tests {
     fn empty_grid_is_typed_error() {
         let c = rc_ladder(3, 1e3, 1e-9);
         let spec = TransferSpec::voltage_gain("VIN", "out");
-        for iterative in [false, true] {
-            let cfg = RefgenConfig { iterative, ..RefgenConfig::default() };
-            match ac_sweep_with_config(&c, &spec, &[], &cfg) {
-                Err(RefgenError::EmptyGrid) => {}
-                other => panic!("expected EmptyGrid, got {:?}", other.map(|_| "ok")),
-            }
+        match ac_sweep_with_config(&c, &spec, &[], &RefgenConfig::default()) {
+            Err(RefgenError::EmptyGrid) => {}
+            other => panic!("expected EmptyGrid, got {:?}", other.map(|_| "ok")),
         }
     }
 
@@ -158,20 +149,6 @@ mod tests {
         // And the independent AC path agrees too.
         let rep = validate_against_ac(&nf, &c, &spec, &log_space(1e4, 1e8, 60)).unwrap();
         assert!(rep.matches_within(1e-6, 1e-4), "mag err {}", rep.max_mag_err_db);
-    }
-
-    #[test]
-    fn iterative_sweep_matches_direct() {
-        let c = refgen_circuit::library::random_rc_mesh(60, 90, 17);
-        let spec = TransferSpec::voltage_gain("VIN", "out");
-        let freqs = log_space(1e3, 1e9, 80);
-        let direct = ac_sweep_with_config(&c, &spec, &freqs, &RefgenConfig::default()).unwrap();
-        let cfg = crate::RefgenConfig::builder().iterative(true).build();
-        let hybrid = ac_sweep_with_config(&c, &spec, &freqs, &cfg).unwrap();
-        for (a, b) in direct.iter().zip(&hybrid) {
-            let rel = (a.response - b.response).abs() / a.response.abs().max(1e-300);
-            assert!(rel < 1e-9, "at {} Hz: rel {rel:.2e}", a.freq_hz);
-        }
     }
 
     #[test]

@@ -205,6 +205,38 @@ pub(crate) fn interpolate_window(
         raw_mag * ExtFloat::exp10(-config.noise_decades)
     };
 
+    let (normalized, threshold, max_idx, region) = coefficients(&samples, noise_floor, config);
+    Ok(Window {
+        scale,
+        offset: k_lo,
+        normalized,
+        threshold,
+        max_idx: k_lo + max_idx,
+        region: region.map(|(lo, hi)| (k_lo + lo, k_lo + hi)),
+        points: k_points,
+        reduced: reduction.is_some(),
+        noise_floor,
+        threads: batch_stats.threads,
+        refactor_hits: batch_stats.refactor_hits,
+        compiled_hits: batch_stats.compiled_hits,
+        mirrored: batch_stats.mirrored,
+        recovered_fresh: batch_stats.recovered_fresh,
+        recovered_reordered: batch_stats.recovered_reordered,
+        ordering: batch.ordering(),
+    })
+}
+
+/// The inverse DFT of eq. (5) over the prepared samples, and the validity
+/// window of eq. (12): the normalized coefficients, the validity
+/// threshold, the index of the largest coefficient and the valid region
+/// around it (both window-local; the region is `None` when nothing in the
+/// window can be trusted).
+fn coefficients(
+    samples: &[ExtComplex],
+    noise_floor: ExtFloat,
+    config: &RefgenConfig,
+) -> (Vec<ExtComplex>, ExtFloat, usize, Option<(usize, usize)>) {
+    let k_points = samples.len();
     // Exponent alignment: bring all samples to the largest exponent. Samples
     // more than ~36 decades below the maximum flush to zero — which is far
     // below the f64 round-off floor being modeled, so nothing of value is
@@ -212,24 +244,7 @@ pub(crate) fn interpolate_window(
     let e0 = samples.iter().filter(|s| !s.is_zero()).map(|s| s.exponent()).max();
     let Some(e0) = e0 else {
         // All samples exactly zero: the polynomial is zero on this range.
-        return Ok(Window {
-            scale,
-            offset: k_lo,
-            normalized: vec![ExtComplex::ZERO; k_points],
-            threshold: ExtFloat::ZERO,
-            max_idx: k_lo,
-            region: None,
-            points: k_points,
-            reduced: reduction.is_some(),
-            noise_floor,
-            threads: batch_stats.threads,
-            refactor_hits: batch_stats.refactor_hits,
-            compiled_hits: batch_stats.compiled_hits,
-            mirrored: batch_stats.mirrored,
-            recovered_fresh: batch_stats.recovered_fresh,
-            recovered_reordered: batch_stats.recovered_reordered,
-            ordering: batch.ordering(),
-        });
+        return (vec![ExtComplex::ZERO; k_points], ExtFloat::ZERO, 0, None);
     };
     let mantissas: Vec<Complex> = samples.iter().map(|s| s.mantissa_at_exponent(e0)).collect();
 
@@ -259,24 +274,7 @@ pub(crate) fn interpolate_window(
     // order is detected (§3.3).
     let threshold = noise_floor * ExtFloat::exp10(config.sig_digits as f64);
     if max_norm.is_zero() || max_norm < threshold {
-        return Ok(Window {
-            scale,
-            offset: k_lo,
-            normalized,
-            threshold,
-            max_idx: k_lo + max_idx,
-            region: None,
-            points: k_points,
-            reduced: reduction.is_some(),
-            noise_floor,
-            threads: batch_stats.threads,
-            refactor_hits: batch_stats.refactor_hits,
-            compiled_hits: batch_stats.compiled_hits,
-            mirrored: batch_stats.mirrored,
-            recovered_fresh: batch_stats.recovered_fresh,
-            recovered_reordered: batch_stats.recovered_reordered,
-            ordering: batch.ordering(),
-        });
+        return (normalized, threshold, max_idx, None);
     }
     // Second validity criterion, straight from the paper's §2.2 discussion
     // of Table 1a: the circuit's coefficients are real, so a recovered
@@ -298,24 +296,7 @@ pub(crate) fn interpolate_window(
     if !valid[max_idx] {
         // The dominant coefficient itself fails the reality test: nothing
         // in this window can be trusted.
-        return Ok(Window {
-            scale,
-            offset: k_lo,
-            normalized,
-            threshold,
-            max_idx: k_lo + max_idx,
-            region: None,
-            points: k_points,
-            reduced: reduction.is_some(),
-            noise_floor,
-            threads: batch_stats.threads,
-            refactor_hits: batch_stats.refactor_hits,
-            compiled_hits: batch_stats.compiled_hits,
-            mirrored: batch_stats.mirrored,
-            recovered_fresh: batch_stats.recovered_fresh,
-            recovered_reordered: batch_stats.recovered_reordered,
-            ordering: batch.ordering(),
-        });
+        return (normalized, threshold, max_idx, None);
     }
     // Contiguous run containing the maximum.
     let mut lo = max_idx;
@@ -326,25 +307,7 @@ pub(crate) fn interpolate_window(
     while hi + 1 < valid.len() && valid[hi + 1] {
         hi += 1;
     }
-
-    Ok(Window {
-        scale,
-        offset: k_lo,
-        normalized,
-        threshold,
-        max_idx: k_lo + max_idx,
-        region: Some((k_lo + lo, k_lo + hi)),
-        points: k_points,
-        reduced: reduction.is_some(),
-        noise_floor,
-        threads: batch_stats.threads,
-        refactor_hits: batch_stats.refactor_hits,
-        compiled_hits: batch_stats.compiled_hits,
-        mirrored: batch_stats.mirrored,
-        recovered_fresh: batch_stats.recovered_fresh,
-        recovered_reordered: batch_stats.recovered_reordered,
-        ordering: batch.ordering(),
-    })
+    (normalized, threshold, max_idx, Some((lo, hi)))
 }
 
 #[cfg(test)]

@@ -119,13 +119,12 @@ impl AcAnalysis {
     }
 
     /// Sweeps a frequency grid through a [`SweepPlan`](crate::SweepPlan):
-    /// one pivot search
-    /// (the plan's probe factorization) and then pure numeric
-    /// refactorization into a reused workspace per point — what production
-    /// circuit simulators do. Any point where the recorded order hits an
-    /// exact zero pivot falls back to a fresh Markowitz factorization whose
-    /// order is **adopted** for the remaining points, so a mid-sweep
-    /// numeric pattern change costs one pivot search, not one per
+    /// one pivot search (the plan's probe factorization) and then a
+    /// compiled-kernel replay per point — what production circuit
+    /// simulators do. Any point where the recorded order hits an exact
+    /// zero pivot falls back to a fresh Markowitz factorization whose
+    /// order is **adopted** (compiled once) for the remaining points, so a
+    /// mid-sweep numeric pattern change costs one pivot search, not one per
     /// remaining point.
     ///
     /// # Errors
@@ -148,41 +147,6 @@ impl AcAnalysis {
                     other => other,
                 })?;
                 Ok(AcPoint { freq_hz: f, response: r.response })
-            })
-            .collect()
-    }
-
-    /// Sweeps a frequency grid through the hybrid direct/iterative path
-    /// ([`SweepPlan::eval_at_iterative`](crate::SweepPlan::eval_at_iterative)):
-    /// exact compiled refactorization at sparse anchor frequencies,
-    /// preconditioned GMRES at the points between them. On mesh-scale
-    /// circuits (thousands of nodes) this trades the per-point elimination
-    /// replay for a handful of matrix-vector products and
-    /// back-substitutions; on small circuits it behaves like
-    /// [`AcAnalysis::sweep_fast`] with extra bookkeeping. Any point where
-    /// the iterative machinery stagnates or the compiled order dies is
-    /// served directly — accuracy stays within the GMRES tolerance
-    /// (default 1e-13 relative) of the direct answer.
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first frequency where even a fresh factorization is
-    /// singular, or on spec-resolution errors.
-    pub fn sweep_hybrid(&self, freqs_hz: &[f64]) -> Result<Vec<AcPoint>, MnaError> {
-        let plan = crate::sweep::SweepPlan::new(&self.system, Scale::unit(), &self.spec)?;
-        let mut scratch = crate::sweep::HybridScratch::new();
-        freqs_hz
-            .iter()
-            .map(|&f| {
-                let s = Complex::new(0.0, 2.0 * std::f64::consts::PI * f);
-                let response = plan.eval_at_iterative(s, &mut scratch).map_err(|e| match e {
-                    MnaError::Singular { .. } => MnaError::Singular { at: format!("{f} Hz") },
-                    MnaError::Unrecoverable { step, rung, .. } => {
-                        MnaError::Unrecoverable { at: format!("{f} Hz"), step, rung }
-                    }
-                    other => other,
-                })?;
-                Ok(AcPoint { freq_hz: f, response })
             })
             .collect()
     }
@@ -347,48 +311,17 @@ mod tests {
         }
     }
 
+    /// Injected NaN stamps corrupt chosen sweep points and only those:
+    /// each poisoned point reports a non-finite response, and every clean
+    /// point is bit-identical to an unfaulted sweep.
     #[test]
-    fn sweep_hybrid_matches_sweep() {
-        let c = ua741();
-        let ac = AcAnalysis::new(&c, TransferSpec::voltage_gain("VIN", "out")).unwrap();
-        let freqs = log_space(1.0, 1e8, 60);
-        let slow = ac.sweep(&freqs).unwrap();
-        let hybrid = ac.sweep_hybrid(&freqs).unwrap();
-        for (a, b) in slow.iter().zip(&hybrid) {
-            let rel = (a.response - b.response).abs() / a.response.abs();
-            assert!(rel < 1e-9, "at {} Hz: rel {rel:.2e}", a.freq_hz);
-        }
-    }
-
-    #[test]
-    fn sweep_hybrid_deterministic() {
-        let c = rc_ladder(6, 1e3, 1e-9);
-        let ac = AcAnalysis::new(&c, TransferSpec::voltage_gain("VIN", "out")).unwrap();
-        let freqs = log_space(1e2, 1e7, 35);
-        let a = ac.sweep_hybrid(&freqs).unwrap();
-        let b = ac.sweep_hybrid(&freqs).unwrap();
-        for (x, y) in a.iter().zip(&b) {
-            // Bit-identical: the hybrid trace is a pure function of the
-            // point sequence fed to a fresh scratch.
-            assert_eq!(x.response.re.to_bits(), y.response.re.to_bits());
-            assert_eq!(x.response.im.to_bits(), y.response.im.to_bits());
-        }
-    }
-
-    /// Injected NaN stamps corrupt chosen sweep points; the hybrid path
-    /// must degrade exactly like the direct path, per trace: GMRES cannot
-    /// converge on a NaN operator, so the poisoned point falls back to a
-    /// direct replay and reports the same non-finite response the direct
-    /// sweep does, while every clean point stays at direct-LU distance.
-    #[test]
-    fn hybrid_nan_stamps_keep_parity_with_direct_sweep() {
+    fn nan_stamps_poison_only_their_sweep_points() {
         use crate::faults;
         let c = ua741();
         let ac = AcAnalysis::new(&c, TransferSpec::voltage_gain("VIN", "out")).unwrap();
         let freqs = log_space(10.0, 1e7, 30);
-        // Poison two interior points (one of them deep in the dense region
-        // where the hybrid path iterates), addressed by the exact `s` the
-        // sweeps evaluate: s = j·2πf.
+        let clean = ac.sweep_fast(&freqs).unwrap();
+        // Addressed by the exact `s` the sweep evaluates: s = j·2πf.
         let poisoned = [7usize, 19usize];
         let mut plan = faults::FaultPlan::new();
         for &k in &poisoned {
@@ -396,38 +329,15 @@ mod tests {
         }
         let _guard = faults::install(plan);
         let _scope = faults::FaultScope::variant(0);
-        let direct = ac.sweep_fast(&freqs).unwrap();
-        let hybrid = ac.sweep_hybrid(&freqs).unwrap();
-        for (k, (d, h)) in direct.iter().zip(&hybrid).enumerate() {
-            let d_finite = d.response.re.is_finite() && d.response.im.is_finite();
-            let h_finite = h.response.re.is_finite() && h.response.im.is_finite();
-            assert_eq!(d_finite, h_finite, "finiteness parity at point {k} ({} Hz)", d.freq_hz);
+        let faulted = ac.sweep_fast(&freqs).unwrap();
+        for (k, (c, f)) in clean.iter().zip(&faulted).enumerate() {
+            let finite = f.response.re.is_finite() && f.response.im.is_finite();
             if poisoned.contains(&k) {
-                assert!(!d_finite, "injected NaN stamp must poison point {k}");
+                assert!(!finite, "injected NaN stamp must poison point {k}");
             } else {
-                assert!(d_finite, "clean point {k} must stay finite");
-                let rel = (d.response - h.response).abs() / d.response.abs();
-                assert!(rel < 1e-9, "clean point {k}: rel {rel:.2e}");
+                assert_eq!(c.response.re.to_bits(), f.response.re.to_bits(), "point {k}");
+                assert_eq!(c.response.im.to_bits(), f.response.im.to_bits(), "point {k}");
             }
-        }
-    }
-
-    /// Forced GMRES stagnation must never change a hybrid sweep's output —
-    /// every point takes the direct-replay fallback, bit-identical to
-    /// `sweep_fast`.
-    #[test]
-    fn hybrid_forced_stagnation_falls_back_to_direct_bitwise() {
-        use crate::faults;
-        let c = rc_ladder(6, 1e3, 1e-9);
-        let ac = AcAnalysis::new(&c, TransferSpec::voltage_gain("VIN", "out")).unwrap();
-        let freqs = log_space(1e2, 1e7, 35);
-        let _guard = faults::install(faults::FaultPlan::new().stagnate_gmres());
-        let _scope = faults::FaultScope::variant(0);
-        let direct = ac.sweep_fast(&freqs).unwrap();
-        let hybrid = ac.sweep_hybrid(&freqs).unwrap();
-        for (d, h) in direct.iter().zip(&hybrid) {
-            assert_eq!(d.response.re.to_bits(), h.response.re.to_bits(), "at {} Hz", d.freq_hz);
-            assert_eq!(d.response.im.to_bits(), h.response.im.to_bits(), "at {} Hz", d.freq_hz);
         }
     }
 

@@ -2,10 +2,9 @@
 //!
 //! Real fleets die in ways a clean test corpus never exercises: a variant
 //! whose perturbed values land on an exact zero pivot mid-replay, a NaN
-//! creeping into a stamp, an iterative solve that stops converging, a
-//! worker that panics outright. This module injects exactly those faults
-//! **deterministically**, so the containment machinery
-//! ([`SweepPlan`](crate::SweepPlan)'s singular-recovery ladder,
+//! creeping into a stamp, a worker that panics outright. This module
+//! injects exactly those faults **deterministically**, so the containment
+//! machinery ([`SweepPlan`](crate::SweepPlan)'s singular-recovery ladder,
 //! `refgen_core`'s `FaultPolicy::Contain`, `refgen_exec`'s panic
 //! quarantine) can be proven to degrade gracefully — and to leave every
 //! *unfaulted* result bit-identical to a fault-free run.
@@ -13,11 +12,10 @@
 //! # Model
 //!
 //! A [`FaultPlan`] is a passive description: which fleet variants fail in
-//! which way ([`FaultKind`]), which evaluation points get NaN stamps, and
-//! whether GMRES is forced to stagnate. Nothing fires until the plan is
-//! [`install`]ed (a process-global slot, serialized across tests by a
-//! guard) **and** the executing thread has armed a [`FaultScope`] naming
-//! the variant it is solving. Both gates exist for hygiene: an installed
+//! which way ([`FaultKind`]) and which evaluation points get NaN stamps.
+//! Nothing fires until the plan is [`install`]ed (a process-global slot,
+//! serialized across tests by a guard) **and** the executing thread has
+//! armed a [`FaultScope`] naming the variant it is solving. Both gates exist for hygiene: an installed
 //! plan cannot perturb unrelated tests running concurrently in the same
 //! process, and un-scoped product code pays one relaxed atomic load per
 //! query.
@@ -59,7 +57,6 @@ pub struct FaultPlan {
     variants: BTreeMap<usize, FaultKind>,
     /// Bit patterns of evaluation points whose stamps are poisoned.
     nan_points: Vec<(u64, u64)>,
-    gmres_stagnate: bool,
 }
 
 impl FaultPlan {
@@ -85,19 +82,11 @@ impl FaultPlan {
     }
 
     /// Poisons every matrix stamp of evaluations at exactly `s` (bit-wise
-    /// match) with NaN — the injected-round-off scenario the hybrid
-    /// sweep's stagnation fallback must survive.
+    /// match) with NaN — the injected-round-off scenario: the poisoned
+    /// point reports a non-finite result and no other point changes.
     #[must_use]
     pub fn nan_stamp_at(mut self, s: Complex) -> FaultPlan {
         self.nan_points.push((s.re.to_bits(), s.im.to_bits()));
-        self
-    }
-
-    /// Forces every GMRES interior solve to report stagnation, so each
-    /// point of a hybrid sweep takes the direct re-anchor fallback.
-    #[must_use]
-    pub fn stagnate_gmres(mut self) -> FaultPlan {
-        self.gmres_stagnate = true;
         self
     }
 
@@ -257,17 +246,6 @@ pub fn poison_point(s: Complex) -> Complex {
     }
 }
 
-/// `true` when GMRES interior solves must report stagnation.
-pub fn gmres_stagnation() -> bool {
-    if !ARMED.load(Ordering::Relaxed) {
-        return false;
-    }
-    if SCOPE.with(|sc| sc.get()).is_none() {
-        return false;
-    }
-    PLAN.read().unwrap_or_else(PoisonError::into_inner).as_ref().is_some_and(|p| p.gmres_stagnate)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,7 +257,6 @@ mod tests {
         assert!(!poison_fresh());
         assert!(!poison_alternate());
         assert!(!scripted_panic());
-        assert!(!gmres_stagnation());
         let s = Complex::new(0.25, -1.5);
         assert_eq!(poison_point(s), s);
     }
@@ -289,18 +266,15 @@ mod tests {
         let plan = FaultPlan::new()
             .fault_variant(3, FaultKind::ReplayZeroPivot)
             .fault_variant(5, FaultKind::Singular)
-            .nan_stamp_at(Complex::new(1.0, 2.0))
-            .stagnate_gmres();
+            .nan_stamp_at(Complex::new(1.0, 2.0));
         let _guard = install(plan);
         // Armed but un-scoped: still inert.
         assert!(!poison_replay());
-        assert!(!gmres_stagnation());
         {
             let _scope = FaultScope::variant(3);
             assert!(poison_replay());
             assert!(!poison_fresh());
             assert!(!poison_alternate());
-            assert!(gmres_stagnation());
             assert!(poison_point(Complex::new(1.0, 2.0)).re.is_nan());
             let clean = Complex::new(1.0, 2.000000001);
             assert_eq!(poison_point(clean), clean);

@@ -15,17 +15,13 @@
 //!   and the pattern fingerprint already resolved: a plan build pays one
 //!   pass over the raw stamps, with no assembly, lookup or sort;
 //! * the **RHS template** (the excitation vector is frequency-independent);
-//! * an **adopted pivot order** from one probe factorization, so per-point
-//!   factorization is a numeric replay
-//!   ([`SparseLu::refactor_into`](refgen_sparse::SparseLu::refactor_into))
-//!   with no pivot search;
-//! * a **compiled symbolic kernel**
-//!   ([`FactorProgram`]) built from
+//! * a **pivot order** from one probe factorization, held together with
+//!   the **compiled symbolic kernel** ([`FactorProgram`]) built from
 //!   `(pattern, pivot order)`: fill-in, slot layout, and the elimination
 //!   instruction stream are computed once, and every point stamps
-//!   `K₀ + s·K₁` straight into flat slots and replays — zero sorting,
-//!   searching, insertion, or allocation per point
-//!   ([`SweepStats::compiled_hits`] counts this fastest path);
+//!   `K₀ + s·K₁` straight into flat slots and replays — no pivot search,
+//!   and zero sorting, searching, insertion, or allocation per point
+//!   ([`SweepStats::compiled_hits`] counts these replays);
 //! * a **conjugate-symmetry flag**: when every `K₀`/`K₁` entry and the RHS
 //!   are real (true for every supported element), `D(s̄) = conj(D(s))`
 //!   exactly, so batched samplers may solve only the closed upper half of
@@ -33,9 +29,9 @@
 //!   (IEEE arithmetic is conjugate-equivariant; see
 //!   [`SweepPlan::conjugate_symmetric`]).
 //!
-//! Execution state lives in a [`SweepScratch`] — reused triplet buffer, LU
-//! workspace, program scratch, solution vector, and hit counters — so the
-//! steady state allocates nothing. The plan itself is immutable and
+//! Execution state lives in a [`SweepScratch`] — reused triplet buffer,
+//! program scratch, solution vector, and hit counters — so the steady
+//! state allocates nothing. The plan itself is immutable and
 //! `Sync`: a parallel executor shares one plan across workers, each owning
 //! a scratch, and every point's result depends only on `(plan, s)` — which
 //! is what makes batched sampling bit-identical at any thread count.
@@ -88,8 +84,7 @@ use crate::faults;
 use crate::system::{MnaSystem, Scale};
 use crate::transfer::{OutputSpec, TransferResponse, TransferSpec};
 use refgen_numeric::{Complex, ExtComplex};
-use refgen_sparse::gmres::{gmres_solve, GmresParams, GmresWorkspace};
-use refgen_sparse::{FactorProgram, LuWorkspace, PivotOrder, ProgramScratch, SparseLu, Triplets};
+use refgen_sparse::{FactorProgram, PivotOrder, ProgramScratch, SparseLu, Triplets};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -141,8 +136,7 @@ pub enum SelectedOrdering {
 pub struct OrderingChoice {
     /// The adopted ordering.
     pub selected: SelectedOrdering,
-    /// Fill-in slots of the compiled probe-Markowitz program (`None` when
-    /// its compilation was skipped or failed).
+    /// Fill-in slots of the compiled probe-Markowitz program.
     pub markowitz_fill: Option<usize>,
     /// Fill-in slots of the compiled AMD program (`None` when AMD was
     /// never attempted — [`OrderingMode::Markowitz`], or Auto below the
@@ -163,14 +157,11 @@ pub struct SweepStats {
     /// order, or the recorded order hit an exact zero pivot).
     pub fresh_factorizations: u64,
     /// The subset of [`SweepStats::refactor_hits`] that ran through a
-    /// compiled symbolic kernel
-    /// ([`FactorProgram`]): a flat
-    /// instruction-stream replay with zero per-point sorting, searching,
-    /// insertion, or heap allocation — whether the plan's own kernel or
-    /// one compiled for an *adopted* fallback order (sequential sweeps
-    /// recompile once at adoption, so the rest of the window replays the
-    /// fast path too). Batched lanes ([`SweepPlan::eval_batch`]) count
-    /// one hit per live lane, exactly like sequential points.
+    /// compiled symbolic kernel ([`FactorProgram`]) — every replay does:
+    /// the plan's own kernel or one compiled for an *adopted* fallback
+    /// order (sequential sweeps compile once at adoption). Batched lanes
+    /// ([`SweepPlan::eval_batch`]) count one hit per live lane, exactly
+    /// like sequential points.
     pub compiled_hits: u64,
     /// The subset of [`SweepStats::compiled_hits`] that replayed a kernel
     /// compiled from an **AMD** ordering ([`SelectedOrdering::Amd`]) —
@@ -201,18 +192,17 @@ pub struct SweepStats {
 /// fallback Markowitz factorization for subsequent points, so a sequential
 /// sweep that crosses a point where the recorded order dies (exact zero
 /// pivot) pays the pivot search once instead of at every remaining point.
+/// The adopted order is compiled at adoption and keyed by the pattern
+/// fingerprint of the plan that recorded it: plans of another pattern
+/// replay their own kernel.
 #[derive(Clone, Debug, Default)]
 pub struct SweepScratch {
     triplets: Triplets,
-    ws: LuWorkspace,
     prog: ProgramScratch,
     x: Vec<Complex>,
-    adopted: Option<PivotOrder>,
-    /// Symbolic kernel compiled for the adopted order at adoption time, so
-    /// post-fallback points replay the flat instruction stream instead of
-    /// the workspace (`None` only if compilation failed — impossible for
-    /// an order recorded on this very pattern — or before any fallback).
-    adopted_program: Option<Arc<FactorProgram>>,
+    /// The adopted fallback kernel and the pattern fingerprint it was
+    /// compiled for (`None` before any fallback).
+    adopted: Option<(u64, Arc<FactorProgram>)>,
     adopt_on_fallback: bool,
     stats: SweepStats,
 }
@@ -235,7 +225,7 @@ impl SweepScratch {
         self.stats
     }
 
-    /// Resets the counters (buffers and any adopted order are kept).
+    /// Resets the counters (buffers and any adopted kernel are kept).
     pub fn reset_stats(&mut self) {
         self.stats = SweepStats::default();
     }
@@ -243,12 +233,11 @@ impl SweepScratch {
 
 /// Where a factorization for one evaluation point lives.
 enum Factored {
-    /// In the scratch's program scratch (compiled-kernel replay succeeded
-    /// — the fastest path). Carries the kernel that replayed: the plan's
-    /// own, or one compiled for an adopted fallback order.
+    /// In the scratch's program scratch (compiled-kernel replay
+    /// succeeded). Carries the kernel that replayed: the plan's own, one
+    /// compiled for an adopted fallback order, or the ladder's
+    /// alternate-ordering kernel.
     Program(Arc<FactorProgram>),
-    /// In the scratch workspace (pivot-order replay succeeded).
-    Workspace,
     /// A fresh Markowitz factorization (fallback path).
     Fresh(SparseLu),
 }
@@ -304,11 +293,11 @@ pub struct SweepPlan {
     /// structure check of [`SweepPlan::rebind`]).
     fingerprint: u64,
     rhs: Vec<Complex>,
-    order: Option<PivotOrder>,
-    /// Compiled symbolic kernel for `(pattern, order)` — shared by
-    /// reference across rebinds and cache hits (symbolic analysis is
-    /// value- and scale-independent).
-    program: Option<Arc<FactorProgram>>,
+    /// The recorded pivot order and the symbolic kernel compiled from
+    /// `(pattern, order)` — the kernel is shared by reference across
+    /// rebinds and cache hits (symbolic analysis is value- and
+    /// scale-independent). `None` when the probe was singular.
+    compiled: Option<(PivotOrder, Arc<FactorProgram>)>,
     /// `true` when every `K₀`/`K₁` entry and every RHS entry is real, so
     /// `D(s̄) = conj(D(s))` holds exactly (see the [module docs](self)).
     conjugate_symmetric: bool,
@@ -327,7 +316,7 @@ pub struct SweepPlan {
 /// kernel, and the choice record.
 struct PlanSelection {
     order: PivotOrder,
-    program: Option<Arc<FactorProgram>>,
+    program: Arc<FactorProgram>,
     choice: OrderingChoice,
 }
 
@@ -341,7 +330,7 @@ struct CacheEntry {
     /// must never hand its order to a Markowitz-mode plan or vice versa.
     mode: OrderingMode,
     order: PivotOrder,
-    program: Option<Arc<FactorProgram>>,
+    program: Arc<FactorProgram>,
     choice: OrderingChoice,
 }
 
@@ -462,9 +451,7 @@ impl PlanCache {
         }
         self.searches.fetch_add(1, Ordering::Relaxed);
         let selection = build()?;
-        if selection.program.is_some() {
-            self.compiled.fetch_add(1, Ordering::Relaxed);
-        }
+        self.compiled.fetch_add(1, Ordering::Relaxed);
         entries.push(CacheEntry {
             scale,
             fingerprint,
@@ -512,13 +499,13 @@ pub(crate) fn probe_order_at(
     SparseLu::factor(&probe_t).ok().map(|lu| lu.order().clone())
 }
 
-/// Compiles the symbolic kernel for `(pattern, order)`. `None` when a
-/// prescribed pivot is structurally absent — which cannot happen for an
-/// order the probe just recorded on this very pattern, and those are the
-/// only orders compiled: [`PlanCache`] hits hand out the *stored* program
-/// without recompiling, safe because cache entries are keyed by the
-/// positions-only pattern fingerprint (identical positions ⇒ identical
-/// symbolic analysis).
+/// Compiles the symbolic kernel for `(pattern, order)`.
+/// [`FactorProgram::compile`] fails only on a dimension mismatch or a
+/// structurally absent pivot, and neither can happen for an order a probe
+/// just recorded on this very pattern — the only orders compiled here.
+/// [`PlanCache`] hits hand out the *stored* program without recompiling,
+/// safe because cache entries are keyed by the positions-only pattern
+/// fingerprint (identical positions ⇒ identical symbolic analysis).
 pub(crate) fn compile_program(
     dim: usize,
     pattern: &[(usize, usize, Complex, Complex)],
@@ -541,38 +528,33 @@ fn amd_fill_threshold(dim: usize, nnz: usize) -> usize {
 /// if it compiles, factors the probe point, and (in Auto mode) actually
 /// reduces fill. Returns `None` only when the probe factorization itself
 /// is singular (the plan then carries no order and every point pays a
-/// fresh Markowitz factorization, exactly as before).
+/// fresh Markowitz factorization).
 fn select_ordering(
     dim: usize,
     pattern: &[(usize, usize, Complex, Complex)],
     mode: OrderingMode,
 ) -> Option<PlanSelection> {
     let order = probe_order(dim, pattern)?;
-    let program = compile_program(dim, pattern, &order).map(Arc::new);
-    let markowitz_fill = program.as_ref().map(|p| p.fill_in());
+    let program = Arc::new(compile_program(dim, pattern, &order)?);
+    let markowitz_fill = program.fill_in();
     let attempt = match mode {
         OrderingMode::Markowitz => false,
         OrderingMode::Amd => true,
-        OrderingMode::Auto => {
-            markowitz_fill.is_some_and(|f| f > amd_fill_threshold(dim, pattern.len()))
-        }
+        OrderingMode::Auto => markowitz_fill > amd_fill_threshold(dim, pattern.len()),
     };
     if attempt {
         if let Some((amd_order, amd_program)) = try_amd_program(dim, pattern) {
             let amd_fill = amd_program.fill_in();
-            let adopt = match mode {
-                OrderingMode::Amd => true,
-                _ => markowitz_fill.is_none_or(|f| amd_fill < f),
-            };
+            let adopt = mode == OrderingMode::Amd || amd_fill < markowitz_fill;
             let choice = OrderingChoice {
                 selected: if adopt { SelectedOrdering::Amd } else { SelectedOrdering::Markowitz },
-                markowitz_fill,
+                markowitz_fill: Some(markowitz_fill),
                 amd_fill: Some(amd_fill),
             };
             if adopt {
                 return Some(PlanSelection {
                     order: amd_order,
-                    program: Some(Arc::new(amd_program)),
+                    program: Arc::new(amd_program),
                     choice,
                 });
             }
@@ -584,7 +566,7 @@ fn select_ordering(
         program,
         choice: OrderingChoice {
             selected: SelectedOrdering::Markowitz,
-            markowitz_fill,
+            markowitz_fill: Some(markowitz_fill),
             amd_fill: None,
         },
     })
@@ -778,10 +760,9 @@ impl SweepPlan {
             pattern,
             fingerprint: self.fingerprint,
             rhs,
-            order: self.order.clone(),
             // Symbolic analysis is value-independent: the variant replays
             // the exact same compiled kernel, no recompilation.
-            program: self.program.clone(),
+            compiled: self.compiled.clone(),
             conjugate_symmetric,
             drive,
             input: self.input.clone(),
@@ -804,9 +785,9 @@ impl SweepPlan {
                 .selection_for(scale, fingerprint, mode, || select_ordering(dim, &pattern, mode)),
             None => select_ordering(dim, &pattern, mode),
         };
-        let (order, program, ordering) = match selection {
-            Some(sel) => (Some(sel.order), sel.program, Some(sel.choice)),
-            None => (None, None, None),
+        let (compiled, ordering) = match selection {
+            Some(sel) => (Some((sel.order, sel.program)), Some(sel.choice)),
+            None => (None, None),
         };
         let rhs = sys.rhs();
         let conjugate_symmetric = pattern_is_real(&pattern, &rhs);
@@ -816,8 +797,7 @@ impl SweepPlan {
             pattern,
             fingerprint,
             rhs,
-            order,
-            program,
+            compiled,
             conjugate_symmetric,
             drive,
             input,
@@ -838,14 +818,14 @@ impl SweepPlan {
     /// The pivot order recorded by the probe factorization (`None` when
     /// the probe was singular).
     pub fn order(&self) -> Option<&PivotOrder> {
-        self.order.as_ref()
+        self.compiled.as_ref().map(|(order, _)| order)
     }
 
     /// The compiled symbolic kernel this plan evaluates through (`None`
     /// when the probe was singular). Rebinds and cache hits share one
     /// program by reference — compare with [`std::ptr::eq`] to verify.
     pub fn program(&self) -> Option<&FactorProgram> {
-        self.program.as_deref()
+        self.compiled.as_ref().map(|(_, program)| &**program)
     }
 
     /// The outcome of this plan's ordering selection: which ordering was
@@ -871,92 +851,62 @@ impl SweepPlan {
         self.conjugate_symmetric
     }
 
+    /// The values of `A(s) = K₀ + s·K₁`, in pattern order.
+    fn values_at(&self, s: Complex) -> impl Iterator<Item = Complex> + '_ {
+        self.pattern.iter().map(move |&(_, _, k0, k1)| k0 + s * k1)
+    }
+
     /// Stamps `A(s)` into the scratch's reused triplet buffer.
     fn assemble_into(&self, s: Complex, t: &mut Triplets) {
         t.reset(self.dim);
-        for &(r, c, k0, k1) in &self.pattern {
-            t.add(r, c, k0 + s * k1);
+        for (&(r, c, _, _), v) in self.pattern.iter().zip(self.values_at(s)) {
+            t.add(r, c, v);
         }
     }
 
-    /// Factors at `s`, cheapest usable path first: compiled-kernel replay
-    /// (flat instruction stream, no triplet assembly at all), then
-    /// workspace replay of an adopted or recorded pivot order — rung 0 of
-    /// the singular-recovery ladder. A replay that reports a singular
-    /// pivot escalates through [`SweepPlan::recover`] (fresh Markowitz,
-    /// then the alternate-ordering recompile) before the point is allowed
-    /// to fail.
+    /// Factors at `s` by compiled-kernel replay — rung 0 of the
+    /// singular-recovery ladder. A replay that reports a singular pivot
+    /// escalates through [`SweepPlan::recover`] (fresh Markowitz, then the
+    /// alternate-ordering recompile) before the point is allowed to fail.
     fn factor(
         &self,
         s: Complex,
         scratch: &mut SweepScratch,
     ) -> Result<Factored, refgen_sparse::FactorError> {
         let s = faults::poison_point(s);
-        // An adopted fallback order (sequential sweeps only) supersedes the
-        // plan's own order *and* its compiled kernel: the kernel encodes
-        // the stale order that just died. The adopted order was compiled
-        // at adoption time, so its replay is a flat stream too — the
-        // workspace only serves if that compilation failed or the scratch
-        // carries an adoption from a structurally different plan.
-        if scratch.adopt_on_fallback && scratch.adopted.is_some() {
-            if let Some(program) = scratch
-                .adopted_program
-                .as_ref()
-                .filter(|p| p.dim() == self.dim && p.raw_entries() == self.pattern.len())
-                .cloned()
-            {
-                let replay = program.refactor_values(
-                    self.pattern.iter().map(|&(_, _, k0, k1)| k0 + s * k1),
-                    &mut scratch.prog,
-                );
-                if replay.is_ok() && !faults::poison_replay() {
-                    scratch.stats.refactor_hits += 1;
-                    scratch.stats.compiled_hits += 1;
-                    return Ok(Factored::Program(program));
-                }
+        // An adopted fallback kernel (sequential sweeps only) supersedes
+        // the plan's own kernel, which encodes the stale order that just
+        // died — but only on the pattern it was compiled for.
+        let adopted = match &scratch.adopted {
+            Some((fingerprint, program)) if *fingerprint == self.fingerprint => {
+                Some(Arc::clone(program))
+            }
+            _ => None,
+        };
+        let (program, amd) = match (adopted, &self.compiled) {
+            (Some(program), _) => (program, false),
+            (None, Some((_, program))) => (Arc::clone(program), self.amd_selected()),
+            (None, None) => {
+                // No prescribed order at all (singular probe): rung 0 was
+                // never attempted, so a rung-1 success is not a recovery.
                 self.assemble_into(s, &mut scratch.triplets);
-                return self.recover(s, scratch, true);
+                return self.recover(s, scratch, false);
             }
-            self.assemble_into(s, &mut scratch.triplets);
-            let ord = scratch.adopted.as_ref().expect("checked above");
-            let replayed = SparseLu::refactor_into(&scratch.triplets, ord, &mut scratch.ws);
-            if replayed.is_ok() && !faults::poison_replay() {
-                scratch.stats.refactor_hits += 1;
-                return Ok(Factored::Workspace);
+        };
+        // Stamp K₀ + s·K₁ straight into the program's slot array — no
+        // triplet buffer, no sort, no search, no insert, no alloc.
+        let replay = program.refactor_values(self.values_at(s), &mut scratch.prog);
+        if replay.is_ok() && !faults::poison_replay() {
+            scratch.stats.refactor_hits += 1;
+            scratch.stats.compiled_hits += 1;
+            if amd {
+                scratch.stats.amd_replays += 1;
             }
-            return self.recover(s, scratch, true);
+            return Ok(Factored::Program(program));
         }
-        if let Some(program) = self.program.as_ref() {
-            // Stamp K₀ + s·K₁ straight into the program's slot array — no
-            // triplet buffer, no sort, no search, no insert, no alloc.
-            let replay = program.refactor_values(
-                self.pattern.iter().map(|&(_, _, k0, k1)| k0 + s * k1),
-                &mut scratch.prog,
-            );
-            if replay.is_ok() && !faults::poison_replay() {
-                scratch.stats.refactor_hits += 1;
-                scratch.stats.compiled_hits += 1;
-                if self.amd_selected() {
-                    scratch.stats.amd_replays += 1;
-                }
-                return Ok(Factored::Program(Arc::clone(program)));
-            }
-            // Compiled replay died (exact zero pivot): climb the ladder.
-            self.assemble_into(s, &mut scratch.triplets);
-            return self.recover(s, scratch, true);
-        } else if let Some(ord) = self.order.as_ref() {
-            self.assemble_into(s, &mut scratch.triplets);
-            let replayed = SparseLu::refactor_into(&scratch.triplets, ord, &mut scratch.ws);
-            if replayed.is_ok() && !faults::poison_replay() {
-                scratch.stats.refactor_hits += 1;
-                return Ok(Factored::Workspace);
-            }
-            return self.recover(s, scratch, true);
-        }
-        // No prescribed order at all (singular probe): rung 0 was never
-        // attempted, so a rung-1 success is not a recovery.
+        // Compiled replay died (exact zero pivot): climb the ladder.
         self.assemble_into(s, &mut scratch.triplets);
-        self.recover(s, scratch, false)
+        self.recover(s, scratch, true)
     }
 
     /// Rungs 1–2 of the singular-recovery ladder; `scratch.triplets` must
@@ -988,14 +938,11 @@ impl SweepPlan {
                     scratch.stats.recovered_fresh += 1;
                 }
                 if scratch.adopt_on_fallback {
-                    scratch.adopted = Some(lu.order().clone());
-                    // Compile the adopted order once, at adoption — the
-                    // rest of the sweep replays a flat instruction stream
-                    // instead of the structural workspace path. Cannot
-                    // fail symbolically: the order was just recorded on
-                    // this very pattern.
-                    scratch.adopted_program =
-                        compile_program(self.dim, &self.pattern, lu.order()).map(Arc::new);
+                    // Compile the adopted order once, at adoption, for
+                    // this plan's pattern: the rest of the sweep replays
+                    // it as a flat instruction stream.
+                    scratch.adopted = compile_program(self.dim, &self.pattern, lu.order())
+                        .map(|program| (self.fingerprint, Arc::new(program)));
                 }
                 Ok(Factored::Fresh(lu))
             }
@@ -1004,10 +951,7 @@ impl SweepPlan {
                     let replay = if faults::poison_alternate() {
                         Err(refgen_sparse::FactorError::Singular { step: 0 })
                     } else {
-                        program.refactor_values(
-                            self.pattern.iter().map(|&(_, _, k0, k1)| k0 + s * k1),
-                            &mut scratch.prog,
-                        )
+                        program.refactor_values(self.values_at(s), &mut scratch.prog)
                     };
                     if replay.is_ok() {
                         scratch.stats.recovered_reordered += 1;
@@ -1042,7 +986,6 @@ impl SweepPlan {
     pub fn eval_det(&self, s: Complex, scratch: &mut SweepScratch) -> ExtComplex {
         match self.factor(s, scratch) {
             Ok(Factored::Program(_)) => scratch.prog.det(),
-            Ok(Factored::Workspace) => scratch.ws.det(),
             Ok(Factored::Fresh(lu)) => lu.det(),
             Err(_) => ExtComplex::ZERO,
         }
@@ -1072,11 +1015,6 @@ impl SweepPlan {
                 let (prog, x) = (&mut scratch.prog, &mut scratch.x);
                 program.solve_into(prog, &self.rhs, x);
                 (prog.det(), drive.response_from(x))
-            }
-            Ok(Factored::Workspace) => {
-                let (ws, x) = (&mut scratch.ws, &mut scratch.x);
-                ws.solve_into(&self.rhs, x);
-                (ws.det(), drive.response_from(x))
             }
             Ok(Factored::Fresh(lu)) => {
                 let x = lu.solve(&self.rhs);
@@ -1112,15 +1050,12 @@ impl SweepPlan {
     ) -> Vec<Result<TransferResponse, MnaError>> {
         let drive = self.drive.as_ref().expect("determinant-only plan cannot evaluate a transfer");
         assert!(!sigmas.is_empty(), "batch needs at least one point");
-        let Some(program) = self.program.as_deref() else {
+        let Some(program) = self.program() else {
             return sigmas.iter().map(|&s| self.eval_at(s, &mut scratch.fallback)).collect();
         };
         let lanes = sigmas.len();
         program.refactor_batch(
-            sigmas.iter().map(|&s| {
-                let s = faults::poison_point(s);
-                self.pattern.iter().map(move |&(_, _, k0, k1)| k0 + s * k1)
-            }),
+            sigmas.iter().map(|&s| self.values_at(faults::poison_point(s))),
             &mut scratch.batch,
         );
         // Broadcast the (frequency-independent) RHS across lanes, row-major.
@@ -1172,14 +1107,11 @@ impl SweepPlan {
         scratch: &mut SweepBatchScratch,
     ) -> Vec<ExtComplex> {
         assert!(!sigmas.is_empty(), "batch needs at least one point");
-        let Some(program) = self.program.as_deref() else {
+        let Some(program) = self.program() else {
             return sigmas.iter().map(|&s| self.eval_det(s, &mut scratch.fallback)).collect();
         };
         program.refactor_batch(
-            sigmas.iter().map(|&s| {
-                let s = faults::poison_point(s);
-                self.pattern.iter().map(move |&(_, _, k0, k1)| k0 + s * k1)
-            }),
+            sigmas.iter().map(|&s| self.values_at(faults::poison_point(s))),
             &mut scratch.batch,
         );
         sigmas
@@ -1197,288 +1129,6 @@ impl SweepPlan {
                 _ => self.eval_det(s, &mut scratch.fallback),
             })
             .collect()
-    }
-
-    /// Hybrid direct/iterative transfer evaluation for dense sweeps of
-    /// *nearby* points (an AC frequency sweep, a window's interior): the
-    /// compiled kernel refactors **exactly** at sparse anchor points, and
-    /// every point close to the current anchor is solved by restarted
-    /// GMRES preconditioned with the anchor factorization's
-    /// back-substitution — `O(iterations · (nnz + fill))` instead of a
-    /// full elimination replay. On stagnation the point re-anchors (one
-    /// direct replay, never wrong, counted in
-    /// [`HybridStats::fallbacks`]) — the iterative path can only add
-    /// speed, never change availability or accuracy class.
-    ///
-    /// Returns the transfer response `H(s)` only: GMRES produces no
-    /// determinant, so interpolation-grade sampling (which needs `D(s)`)
-    /// keeps the direct path. Results are a pure function of the scratch's
-    /// call history — two scratches fed the same point sequence return
-    /// bit-identical responses on any thread or executor (the invariant
-    /// tier pins this); anchor placement *does* depend on that history, so
-    /// per-point values differ from [`SweepPlan::eval_at`] only within the
-    /// GMRES tolerance, which the mesh oracle tier bounds at direct-LU
-    /// distance ≤ 1e-9.
-    ///
-    /// A scratch serves **one plan**: feeding it to a different plan
-    /// discards the anchor (detected via the compiled kernel's identity)
-    /// but a *rebound variant* shares that kernel — use a fresh scratch
-    /// per variant.
-    ///
-    /// # Errors
-    ///
-    /// [`MnaError::Singular`] when even the fresh-factorization fallback
-    /// fails at `s`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan was built with [`SweepPlan::for_determinant`].
-    pub fn eval_at_iterative(
-        &self,
-        s: Complex,
-        scratch: &mut HybridScratch,
-    ) -> Result<Complex, MnaError> {
-        let drive = self.drive.as_ref().expect("determinant-only plan cannot evaluate a transfer");
-        let Some(program) = self.program.as_ref() else {
-            // No compiled kernel (singular probe): the sequential direct
-            // path is all there is.
-            scratch.stats.fallbacks += 1;
-            return self.eval_at(s, &mut scratch.direct).map(|r| r.response);
-        };
-        let key = Arc::as_ptr(program) as usize;
-        let anchored = match scratch.anchor {
-            Some((s0, k)) if k == key => {
-                let dist = (s - s0).abs();
-                dist <= HYBRID_REANCHOR_REL * s.abs().max(s0.abs())
-            }
-            _ => false,
-        };
-        if !anchored {
-            // A different compiled kernel invalidates the solution history
-            // along with the anchor; a same-kernel re-anchor keeps it.
-            if !matches!(scratch.anchor, Some((_, k)) if k == key) {
-                scratch.last_s = None;
-                scratch.prev_s = None;
-            }
-            return self.anchor_at(s, drive, program, scratch, false);
-        }
-        if faults::gmres_stagnation() {
-            // Injected stagnation: skip the iterative attempt entirely and
-            // take the exact fallback a stagnated solve would — a direct
-            // re-anchor replay, bit-identical to the sequential path.
-            scratch.stats.fallbacks += 1;
-            return self.anchor_at(s, drive, program, scratch, true);
-        }
-
-        // Interior point: left-preconditioned GMRES around the anchor,
-        // warm-started from the sweep's solution history. After the swap
-        // `prev` holds the last solution and `x` the one before it; the
-        // initial guess overwrites `x` — linear extrapolation through the
-        // last two solutions when possible, the last solution alone
-        // otherwise, zeros on a cold scratch.
-        std::mem::swap(&mut scratch.prev, &mut scratch.x);
-        let dim = self.dim;
-        match (scratch.last_s, scratch.prev_s) {
-            (Some(s1), Some(s2))
-                if scratch.prev.len() == dim && scratch.x.len() == dim && s1 != s2 =>
-            {
-                let t = (s - s1) / (s1 - s2);
-                for i in 0..dim {
-                    let last = scratch.prev[i];
-                    scratch.x[i] = last + t * (last - scratch.x[i]);
-                }
-            }
-            (Some(_), _) if scratch.prev.len() == dim => {
-                scratch.x.clear();
-                scratch.x.extend_from_slice(&scratch.prev);
-            }
-            _ => {
-                scratch.x.clear();
-                scratch.x.resize(dim, Complex::ZERO);
-            }
-        }
-        // The anchor solution's norm is ‖M⁻¹·rhs‖ exactly — pass it so
-        // the convergence criterion stays absolute under a warm guess
-        // (unless the caller pinned a scale of their own).
-        let mut params = scratch.params;
-        if params.rhs_scale <= 0.0 && scratch.anchor_norm > 0.0 {
-            params.rhs_scale = scratch.anchor_norm;
-        }
-        // An injected NaN stamp must poison the iterative operator exactly
-        // like the direct one (NaN·0 = NaN turns every stamp non-finite).
-        let sp = faults::poison_point(s);
-        let HybridScratch { anchor_prog, gmres, tmp, x, .. } = scratch;
-        let pattern = &self.pattern;
-        let report = gmres_solve(
-            &self.rhs,
-            x,
-            |v, out| {
-                out.fill(Complex::ZERO);
-                for &(r, c, k0, k1) in pattern {
-                    out[r] += (k0 + sp * k1) * v[c];
-                }
-            },
-            |v| {
-                program.solve_into(anchor_prog, v, tmp);
-                v.copy_from_slice(tmp);
-            },
-            &params,
-            gmres,
-        );
-        scratch.stats.gmres_iterations += report.iterations as u64;
-        if report.converged {
-            scratch.stats.iterative_points += 1;
-            scratch.prev_s = scratch.last_s.replace(s);
-            return Ok(drive.response_from(&scratch.x));
-        }
-        // Stagnation: direct replay at `s`, which doubles as the new
-        // anchor (points after a hard spot tend to cluster near it). Undo
-        // the history rotation first — `prev` still holds the last
-        // converged solution, which `anchor_at` re-rotates.
-        std::mem::swap(&mut scratch.prev, &mut scratch.x);
-        scratch.stats.fallbacks += 1;
-        self.anchor_at(s, drive, program, scratch, true)
-    }
-
-    /// Direct compiled replay at `s` into the hybrid scratch's anchor
-    /// slot, making `s` the current anchor; falls back to the sequential
-    /// path (fresh Markowitz) if the prescribed pivot dies at `s`.
-    fn anchor_at(
-        &self,
-        s: Complex,
-        drive: &PlanDrive,
-        program: &Arc<FactorProgram>,
-        scratch: &mut HybridScratch,
-        restagnated: bool,
-    ) -> Result<Complex, MnaError> {
-        let sp = faults::poison_point(s);
-        let replay = program.refactor_values(
-            self.pattern.iter().map(|&(_, _, k0, k1)| k0 + sp * k1),
-            &mut scratch.anchor_prog,
-        );
-        match replay {
-            Ok(()) => {
-                scratch.stats.anchors += 1;
-                scratch.anchor = Some((s, Arc::as_ptr(program) as usize));
-                // Rotate history: the outgoing solution becomes `prev`,
-                // the anchor solve lands in `x`, and its norm is kept as
-                // the preconditioned-RHS scale for interior points
-                // (M⁻¹·rhs at the anchor *is* the anchor solution).
-                std::mem::swap(&mut scratch.prev, &mut scratch.x);
-                program.solve_into(&mut scratch.anchor_prog, &self.rhs, &mut scratch.x);
-                scratch.anchor_norm = scratch.x.iter().map(|z| z.abs_sq()).sum::<f64>().sqrt();
-                scratch.prev_s = scratch.last_s.replace(s);
-                Ok(drive.response_from(&scratch.x))
-            }
-            Err(_) => {
-                // Exact zero pivot at `s`: the anchor slot holds no valid
-                // factorization — drop it (and the history: the sequential
-                // fallback leaves no plan-order solution behind) and take
-                // the full sequential fallback, which may succeed with
-                // fresh pivoting.
-                scratch.anchor = None;
-                scratch.last_s = None;
-                scratch.prev_s = None;
-                if !restagnated {
-                    scratch.stats.fallbacks += 1;
-                }
-                self.eval_at(s, &mut scratch.direct).map(|r| r.response)
-            }
-        }
-    }
-}
-
-/// How far (relative to the point magnitudes) a point may sit from the
-/// current anchor and still be solved iteratively. GMRES on the anchor-
-/// preconditioned operator gains roughly −log₁₀(d) digits per iteration
-/// at relative distance `d`, and each iteration costs about one fill
-/// back-substitution (a small fraction of a full replay) — so iterating
-/// only beats re-anchoring while `d` stays well under ~10 %. Sweeps
-/// sparser than the radius simply anchor every point, which is the direct
-/// path plus negligible bookkeeping.
-const HYBRID_REANCHOR_REL: f64 = 0.08;
-
-/// Counters a [`HybridScratch`] accumulates across
-/// [`SweepPlan::eval_at_iterative`] calls.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[must_use = "hybrid accounting is the observable the oracle tiers pin — read it or drop it explicitly"]
-pub struct HybridStats {
-    /// Points solved by a direct compiled replay that became the anchor.
-    pub anchors: u64,
-    /// Points solved iteratively (GMRES converged).
-    pub iterative_points: u64,
-    /// Total GMRES inner iterations across all points.
-    pub gmres_iterations: u64,
-    /// Points where the iterative path was unavailable or stagnated and a
-    /// direct evaluation served instead.
-    pub fallbacks: u64,
-}
-
-/// Per-executor mutable state for the hybrid direct/iterative path
-/// ([`SweepPlan::eval_at_iterative`]): the anchor factorization, GMRES
-/// workspace, and a sequential [`SweepScratch`] for hard fallbacks. One
-/// scratch per plan per thread; all buffers retain capacity.
-#[derive(Debug)]
-pub struct HybridScratch {
-    /// GMRES tuning; adjust before the sweep if the defaults don't fit.
-    /// [`HybridScratch::new`] opens `rel_tol` to `1e-11` — two decades
-    /// looser than the kernel default (which targets machine precision)
-    /// and two decades tighter than the oracle tier's `1e-9` bound on
-    /// hybrid-vs-direct distance.
-    pub params: GmresParams,
-    direct: SweepScratch,
-    /// The current anchor: its point and the identity (address) of the
-    /// compiled kernel whose factorization occupies `anchor_prog`.
-    anchor: Option<(Complex, usize)>,
-    /// Norm of the anchor solution — the preconditioned-RHS scale passed
-    /// to GMRES so warm-started solves keep an absolute criterion.
-    anchor_norm: f64,
-    anchor_prog: ProgramScratch,
-    gmres: GmresWorkspace,
-    tmp: Vec<Complex>,
-    /// The most recent solution (after every successful point).
-    x: Vec<Complex>,
-    /// The solution before `x`, and the points both were solved at —
-    /// the linear-extrapolation warm-start history.
-    prev: Vec<Complex>,
-    last_s: Option<Complex>,
-    prev_s: Option<Complex>,
-    stats: HybridStats,
-}
-
-impl Default for HybridScratch {
-    fn default() -> Self {
-        HybridScratch::new()
-    }
-}
-
-impl HybridScratch {
-    /// An empty scratch; buffers size themselves on first use.
-    pub fn new() -> HybridScratch {
-        HybridScratch {
-            params: GmresParams { rel_tol: 1e-11, ..GmresParams::default() },
-            direct: SweepScratch::new(),
-            anchor: None,
-            anchor_norm: 0.0,
-            anchor_prog: ProgramScratch::new(),
-            gmres: GmresWorkspace::new(),
-            tmp: Vec::new(),
-            x: Vec::new(),
-            prev: Vec::new(),
-            last_s: None,
-            prev_s: None,
-            stats: HybridStats::default(),
-        }
-    }
-
-    /// Counters accumulated so far.
-    pub fn stats(&self) -> HybridStats {
-        self.stats
-    }
-
-    /// Resets the counters (buffers and the current anchor are kept).
-    pub fn reset_stats(&mut self) {
-        self.stats = HybridStats::default();
     }
 }
 
@@ -1568,10 +1218,11 @@ impl<'a> FleetSampler<'a> {
     /// this).
     pub fn new(plans: &[&'a SweepPlan]) -> FleetSampler<'a> {
         assert!(!plans.is_empty(), "fleet needs at least one variant");
-        let first = plans[0].program.clone().expect("fleet plans must carry a compiled program");
+        let (_, first) =
+            plans[0].compiled.clone().expect("fleet plans must carry a compiled program");
         for p in plans {
             assert!(
-                p.program.as_ref().is_some_and(|pp| Arc::ptr_eq(pp, &first)),
+                p.program().is_some_and(|pp| std::ptr::eq(pp, &*first)),
                 "fleet plans must share one compiled program (rebind or plan through one PlanCache)"
             );
             assert!(p.drive.is_some(), "determinant-only plan cannot evaluate a transfer");
@@ -1783,11 +1434,8 @@ mod tests {
         assert_eq!(stats.refactor_hits, 5);
         // The adopted order is *compiled* at adoption: the probe point ran
         // the plan's kernel (1) and all four post-fallback DC points ran
-        // the adopted kernel (4) — no workspace replays left.
-        assert_eq!(
-            stats.compiled_hits, 5,
-            "adopted-order replays must run the compiled kernel, not the workspace"
-        );
+        // the adopted kernel (4).
+        assert_eq!(stats.compiled_hits, 5, "adopted-order replays must run a compiled kernel");
 
         // A non-adopting scratch (deterministic batch mode) keeps replaying
         // the plan order by design, paying the fallback at every DC point.
@@ -2201,6 +1849,48 @@ mod tests {
         assert_eq!(after.fresh_factorizations, before.fresh_factorizations);
     }
 
+    /// An adopted kernel is keyed by the pattern fingerprint of the plan
+    /// that adopted it. Circuit B has circuit A's dimension and entry
+    /// count but R3 lands on other positions, so after A adopts a DC
+    /// fallback order, B must replay its own kernel — not A's.
+    #[test]
+    fn adopted_kernel_serves_only_its_own_pattern() {
+        let circuit = |r3_from: &str| {
+            let mut c = Circuit::new();
+            c.add_vsource("VIN", "in", "0", 1.0).unwrap();
+            c.add_resistor("R1", "in", "a", 1e3).unwrap();
+            c.add_capacitor("C1", "a", "0", 1.0).unwrap();
+            c.add_vccs("G1", "a", "0", "a", "0", -2e-3).unwrap();
+            c.add_resistor("R3", r3_from, "b", 1e3).unwrap();
+            c.add_resistor("R4", "b", "0", 1e3).unwrap();
+            MnaSystem::new(&c).unwrap()
+        };
+        let spec = TransferSpec::voltage_gain("VIN", "b");
+        let plan = |sys: &MnaSystem| {
+            SweepPlan::new_with_ordering(sys, Scale::unit(), &spec, OrderingMode::Markowitz)
+                .unwrap()
+        };
+        let (sys_a, sys_b) = (circuit("a"), circuit("in"));
+        let (plan_a, plan_b) = (plan(&sys_a), plan(&sys_b));
+        assert_eq!(plan_a.dim(), plan_b.dim());
+        assert_eq!(
+            plan_a.program().unwrap().raw_entries(),
+            plan_b.program().unwrap().raw_entries()
+        );
+        assert_ne!(sys_a.pattern_fingerprint(), sys_b.pattern_fingerprint());
+
+        let mut scratch = SweepScratch::adopting();
+        plan_a.eval_at(Complex::ZERO, &mut scratch).unwrap();
+        assert_eq!(scratch.stats().fresh_factorizations, 1, "A adopts a DC fallback order");
+
+        let s = Complex::new(0.3, 1.1);
+        let got = plan_b.eval_at(s, &mut scratch).unwrap().response;
+        let want = plan_b.eval_at(s, &mut SweepScratch::new()).unwrap().response;
+        assert_eq!((got.re.to_bits(), got.im.to_bits()), (want.re.to_bits(), want.im.to_bits()));
+        // B divides the source between R1 and R4 alone.
+        assert!((want - Complex::real(0.5)).abs() < 1e-12, "{want}");
+    }
+
     /// `eval_batch` / `eval_det_batch` over any lane width are bit-identical
     /// to sequential `eval_at` / `eval_det` — values and accounting.
     #[test]
@@ -2417,58 +2107,6 @@ mod tests {
         assert_eq!(amd2.ordering_choice(), amd.ordering_choice());
     }
 
-    #[test]
-    fn hybrid_matches_direct_and_iterates() {
-        let c = refgen_circuit::library::random_rc_mesh(80, 120, 11);
-        let sys = MnaSystem::new(&c).unwrap();
-        let scale = Scale::new(1e6, 1e3);
-        let plan = SweepPlan::new_with_ordering(&sys, scale, &spec(), OrderingMode::Amd).unwrap();
-        let mut hybrid = HybridScratch::new();
-        let mut direct = SweepScratch::new();
-        // A dense walk around the upper unit semicircle: neighbors sit
-        // well inside the re-anchor radius, so interior points should go
-        // iterative.
-        let n = 256;
-        for k in 0..n {
-            let theta = std::f64::consts::PI * (k as f64 + 0.5) / n as f64;
-            let s = Complex::new(theta.cos(), theta.sin());
-            let h = plan.eval_at_iterative(s, &mut hybrid).unwrap();
-            let d = plan.eval_at(s, &mut direct).unwrap();
-            let rel = (h - d.response).abs() / d.response.abs().max(1e-300);
-            assert!(rel < 1e-9, "point {k}: rel {rel:.2e}");
-        }
-        let stats = hybrid.stats();
-        assert!(stats.iterative_points > 0, "no point went iterative: {stats:?}");
-        assert!(
-            stats.anchors + stats.iterative_points + stats.fallbacks >= n as u64,
-            "every point must be accounted for: {stats:?}"
-        );
-        assert!(stats.anchors < n as u64 / 2, "anchoring too often: {stats:?}");
-    }
-
-    #[test]
-    fn hybrid_trace_is_deterministic() {
-        let c = refgen_circuit::library::random_rc_mesh(50, 80, 5);
-        let sys = MnaSystem::new(&c).unwrap();
-        let scale = Scale::new(1e6, 1e3);
-        let plan = SweepPlan::new(&sys, scale, &spec()).unwrap();
-        let points: Vec<Complex> = (0..40)
-            .map(|k| {
-                let theta = std::f64::consts::PI * (k as f64 + 0.25) / 40.0;
-                Complex::new(theta.cos(), theta.sin())
-            })
-            .collect();
-        let mut a = HybridScratch::new();
-        let mut b = HybridScratch::new();
-        for &s in &points {
-            let x = plan.eval_at_iterative(s, &mut a).unwrap();
-            let y = plan.eval_at_iterative(s, &mut b).unwrap();
-            assert_eq!(x.re.to_bits(), y.re.to_bits(), "hybrid trace diverged at {s:?}");
-            assert_eq!(x.im.to_bits(), y.im.to_bits(), "hybrid trace diverged at {s:?}");
-        }
-        assert_eq!(a.stats(), b.stats());
-    }
-
     fn circle_points(n: usize) -> Vec<Complex> {
         (0..n)
             .map(|k| {
@@ -2574,39 +2212,5 @@ mod tests {
         let bs = batch.stats();
         assert_eq!(bs.recovered_fresh, points.len() as u64, "{bs:?}");
         assert_eq!(bs, seq.stats(), "batched accounting must match sequential");
-    }
-
-    /// Injected GMRES stagnation turns the hybrid sweep into a pure
-    /// direct-replay sweep — bit-identical to `eval_at` at every point.
-    #[test]
-    fn forced_stagnation_degrades_hybrid_to_direct_bitwise() {
-        let c = refgen_circuit::library::random_rc_mesh(40, 64, 9);
-        let sys = MnaSystem::new(&c).unwrap();
-        let plan = SweepPlan::new(&sys, Scale::new(1e6, 1e3), &spec()).unwrap();
-        // Adjacent points sit well inside the re-anchor radius, so a
-        // healthy sweep would solve most of them iteratively.
-        let points: Vec<Complex> = (0..60)
-            .map(|k| {
-                let theta = std::f64::consts::PI * (k as f64 + 0.4) / 60.0;
-                Complex::new(theta.cos(), theta.sin())
-            })
-            .collect();
-        let _guard = faults::install(faults::FaultPlan::new().stagnate_gmres());
-        let _scope = faults::FaultScope::variant(0);
-        let mut hybrid = HybridScratch::new();
-        let mut direct = SweepScratch::new();
-        for (k, &s) in points.iter().enumerate() {
-            let h = plan.eval_at_iterative(s, &mut hybrid).unwrap();
-            let d = plan.eval_at(s, &mut direct).unwrap();
-            assert_eq!(h.re.to_bits(), d.response.re.to_bits(), "point {k}");
-            assert_eq!(h.im.to_bits(), d.response.im.to_bits(), "point {k}");
-        }
-        let stats = hybrid.stats();
-        assert_eq!(stats.iterative_points, 0, "no point may converge iteratively: {stats:?}");
-        // Every point direct-anchors; every interior point (all but the
-        // first) got there through the stagnation-fallback counter — the
-        // same double entry a genuinely stagnated point records.
-        assert_eq!(stats.anchors, points.len() as u64, "{stats:?}");
-        assert_eq!(stats.fallbacks, points.len() as u64 - 1, "{stats:?}");
     }
 }

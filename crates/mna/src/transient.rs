@@ -63,7 +63,7 @@ use crate::sweep::{affine_pattern, compile_program, probe_order_at};
 use crate::system::{MnaSystem, Scale};
 use refgen_circuit::{ElementKind, Waveform};
 use refgen_numeric::Complex;
-use refgen_sparse::{FactorProgram, LuWorkspace, PivotOrder, ProgramScratch, SparseLu, Triplets};
+use refgen_sparse::{FactorProgram, PivotOrder, ProgramScratch, SparseLu, Triplets};
 use std::sync::Arc;
 
 /// The implicit integration rule a [`TransientPlan`] discretizes with.
@@ -147,8 +147,6 @@ enum StepFactor {
     Pending,
     /// In the program scratch (compiled replay — the expected path).
     Program,
-    /// In the LU workspace (pivot-order replay without a program).
-    Workspace,
     /// A fresh Markowitz factorization (fallback path).
     Fresh(SparseLu),
 }
@@ -160,7 +158,6 @@ enum StepFactor {
 #[derive(Debug, Default)]
 pub struct TransientScratch {
     prog: ProgramScratch,
-    ws: LuWorkspace,
     triplets: Triplets,
     rhs: Vec<Complex>,
     x_next: Vec<Complex>,
@@ -216,8 +213,9 @@ pub struct TransientPlan {
     /// Precomputed companion matrix values `K₀ + γ·K₁`, aligned with
     /// `pattern`.
     values: Vec<Complex>,
-    order: Option<PivotOrder>,
-    program: Option<Arc<FactorProgram>>,
+    /// The pivot order recorded at `γ` and the kernel compiled from it
+    /// (`None` when the companion matrix is singular).
+    compiled: Option<(PivotOrder, Arc<FactorProgram>)>,
     caps: Vec<CompanionCap>,
     inds: Vec<CompanionInd>,
     /// Independent V sources: branch row + time-domain drive.
@@ -246,8 +244,10 @@ impl TransientPlan {
         let (dim, pattern) = affine_pattern(sys, Scale::unit());
         let gamma = method.gamma(dt);
         let values = companion_values(&pattern, gamma);
-        let order = probe_order_at(dim, &pattern, Complex::real(gamma));
-        let program = order.as_ref().and_then(|o| compile_program(dim, &pattern, o)).map(Arc::new);
+        let compiled = probe_order_at(dim, &pattern, Complex::real(gamma)).and_then(|order| {
+            let program = compile_program(dim, &pattern, &order)?;
+            Some((order, Arc::new(program)))
+        });
 
         let mut caps = Vec::new();
         let mut inds = Vec::new();
@@ -290,8 +290,7 @@ impl TransientPlan {
             gamma,
             pattern,
             values,
-            order,
-            program,
+            compiled,
             caps,
             inds,
             vsrcs,
@@ -320,8 +319,7 @@ impl TransientPlan {
             gamma,
             pattern: self.pattern.clone(),
             values: companion_values(&self.pattern, gamma),
-            order: self.order.clone(),
-            program: self.program.clone(),
+            compiled: self.compiled.clone(),
             caps: self.caps.clone(),
             inds: self.inds.clone(),
             vsrcs: self.vsrcs.clone(),
@@ -347,13 +345,13 @@ impl TransientPlan {
     /// The pivot order recorded by the probe at `γ` (`None` when the
     /// companion matrix is singular).
     pub fn order(&self) -> Option<&PivotOrder> {
-        self.order.as_ref()
+        self.compiled.as_ref().map(|(order, _)| order)
     }
 
     /// The compiled symbolic kernel ([`with_dt`](Self::with_dt) shares one
     /// by reference — compare with [`std::ptr::eq`]).
     pub fn program(&self) -> Option<&FactorProgram> {
-        self.program.as_deref()
+        self.compiled.as_ref().map(|(_, program)| &**program)
     }
 
     /// The initial condition at `t0`: a DC operating-point solve (`s = 0`)
@@ -489,15 +487,12 @@ impl TransientPlan {
             scratch.rhs[ind.row] += hist;
         }
 
-        let TransientScratch { prog, ws, rhs, x_next, factored, stats, .. } = scratch;
+        let TransientScratch { prog, rhs, x_next, factored, stats, .. } = scratch;
         match factored {
             StepFactor::Program => {
-                let program = self.program.as_deref().expect("program path implies a program");
+                let program = self.program().expect("program path implies a program");
                 program.solve_into(prog, rhs, x_next);
                 stats.compiled_hits += 1;
-            }
-            StepFactor::Workspace => {
-                ws.solve_into(rhs, x_next);
             }
             StepFactor::Fresh(lu) => {
                 *x_next = lu.solve(rhs);
@@ -507,10 +502,10 @@ impl TransientPlan {
         std::mem::swap(&mut state.x, &mut scratch.x_next);
     }
 
-    /// The run's one numeric factorization: compiled replay, then
-    /// pivot-order replay, then fresh Markowitz.
+    /// The run's one numeric factorization: compiled replay, then fresh
+    /// Markowitz.
     fn factor_into(&self, scratch: &mut TransientScratch) -> Result<(), MnaError> {
-        if let Some(program) = self.program.as_deref() {
+        if let Some(program) = self.program() {
             if program.refactor_values(self.values.iter().copied(), &mut scratch.prog).is_ok() {
                 scratch.stats.refactor_hits += 1;
                 scratch.factored = StepFactor::Program;
@@ -520,13 +515,6 @@ impl TransientPlan {
         scratch.triplets.reset(self.dim);
         for (&(r, c, _, _), &v) in self.pattern.iter().zip(&self.values) {
             scratch.triplets.add(r, c, v);
-        }
-        if let Some(order) = self.order.as_ref() {
-            if SparseLu::refactor_into(&scratch.triplets, order, &mut scratch.ws).is_ok() {
-                scratch.stats.refactor_hits += 1;
-                scratch.factored = StepFactor::Workspace;
-                return Ok(());
-            }
         }
         scratch.stats.fresh_factorizations += 1;
         let lu = SparseLu::factor(&scratch.triplets).map_err(|e| {

@@ -8,14 +8,12 @@
 //! * [`Triplets`] — a coordinate-format assembly container (duplicate
 //!   entries accumulate, as MNA stamping produces them).
 //! * [`SparseLu`] — LU factorization with Markowitz pivoting (fill-reducing,
-//!   threshold-stabilized), reusable [`PivotOrder`] for fast numeric
-//!   refactorization across interpolation points, solve, and a determinant
-//!   accumulated as an [`ExtComplex`](refgen_numeric::ExtComplex) so products of pivots spanning
-//!   hundreds of decades never overflow.
-//! * [`LuWorkspace`] — the allocation-reusing steady-state path:
-//!   [`SparseLu::refactor_into`] replays a recorded pivot order into
-//!   retained buffers and [`LuWorkspace::solve_into`] solves without
-//!   allocating, so a sweep's per-point cost is pure arithmetic.
+//!   threshold-stabilized), a recorded [`PivotOrder`], solve, and a
+//!   determinant accumulated as an
+//!   [`ExtComplex`](refgen_numeric::ExtComplex) so products of pivots
+//!   spanning hundreds of decades never overflow.
+//!   [`SparseLu::refactor`] replays a prescribed order element by element:
+//!   the reference the compiled replay is tested against.
 //! * [`FactorProgram`] — the compiled symbolic kernel: fill-in pattern,
 //!   slot layout, and elimination instruction stream precomputed once per
 //!   `(pattern, order)`, so each numeric point is scatter-then-replay with
@@ -26,8 +24,6 @@
 //!   the instruction stream.
 //! * [`ordering`] — approximate-minimum-degree symbolic ordering over the
 //!   pattern graph, the fill-reducing alternative for mesh-scale circuits.
-//! * [`gmres`] — restarted, preconditioned GMRES for nearby-point
-//!   iteration, the building block of the hybrid sweep path.
 //! * [`dense`] — a dense LU reference implementation used as a test oracle
 //!   and for tiny systems.
 //!
@@ -54,14 +50,6 @@
 //!    threshold (mesh-scale patterns), after validating that the compiled
 //!    order factors the probe point and actually reduces fill.
 //!
-//! # The GMRES fallback contract
-//!
-//! The iterative path ([`gmres::gmres_solve`]) is an *accelerator*, never
-//! a point of failure: it reports non-convergence instead of panicking,
-//! and every caller holds a direct factorization path to fall back to —
-//! stagnation at a point costs the direct-replay price for that point,
-//! nothing more. Availability is exactly that of the direct path.
-//!
 //! # The three phases
 //!
 //! Factorization work splits into phases with sharply different reuse
@@ -87,9 +75,12 @@
 //!                                                         └──────────────────┘
 //!  SparseLu::factor ────────────▶ does all three per call (probe / fallback);
 //!                                  search cost O(n) + touched rows per step
-//!  SparseLu::refactor_into ─────▶ numeric + solve, structural tax per point
 //!  FactorProgram::refactor ─────▶ numeric + solve, structure fully compiled
 //! ```
+//!
+//! Every order the sweep and transient engines replay is compiled into a
+//! [`FactorProgram`]; [`SparseLu::refactor`] is the prescribed-order
+//! reference that the program's bits are tested against.
 //!
 //! The interpolation engine factors the same pattern at dozens of points
 //! per window and across whole Monte-Carlo fleets, so the per-point column
@@ -154,15 +145,13 @@
 //! ```
 
 pub mod dense;
-pub mod gmres;
 pub mod lu;
 pub mod ordering;
 pub mod symbolic;
 pub mod triplets;
 
 pub use dense::DenseMatrix;
-pub use gmres::{GmresParams, GmresReport, GmresWorkspace};
-pub use lu::{FactorError, LuWorkspace, PivotOrder, SparseLu};
+pub use lu::{FactorError, PivotOrder, SparseLu};
 pub use ordering::minimum_degree;
 pub use symbolic::{BatchScratch, FactorProgram, ProgramScratch};
 pub use triplets::Triplets;

@@ -199,8 +199,9 @@ impl SparseLu {
     }
 
     /// Refactors numerically with a previously recorded pivot order — no
-    /// pivot search. Intended for re-evaluating the same circuit matrix at a
-    /// new frequency point.
+    /// pivot search. This element-by-element replay is the reference that
+    /// the compiled replay ([`FactorProgram`](crate::FactorProgram)) of
+    /// the same order is tested against, bit for bit.
     ///
     /// # Errors
     ///
@@ -263,265 +264,6 @@ impl SparseLu {
             x[self.order.cols[k]] = s / self.pivots[k];
         }
         x
-    }
-
-    /// Refactors numerically into a reusable [`LuWorkspace`] — no pivot
-    /// search *and* no heap allocation once the workspace has warmed up on
-    /// this pattern. This is the steady-state path of a frequency sweep:
-    /// factor once with [`SparseLu::factor`], then replay the recorded
-    /// order at every subsequent point with this method and solve through
-    /// [`LuWorkspace::solve_into`].
-    ///
-    /// On success the workspace holds the factorization (determinant,
-    /// pivots, elimination multipliers). On failure the workspace contents
-    /// are unspecified, but the workspace itself stays reusable: the caller
-    /// falls back to a fresh [`SparseLu::factor`] and may try
-    /// `refactor_into` again at the next point.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FactorError::OrderMismatch`] on dimension mismatch and
-    /// [`FactorError::Singular`] if a prescribed pivot is exactly zero.
-    pub fn refactor_into(
-        a: &Triplets,
-        order: &PivotOrder,
-        ws: &mut LuWorkspace,
-    ) -> Result<(), FactorError> {
-        if order.dim() != a.dim() {
-            return Err(FactorError::OrderMismatch { expected: order.dim(), actual: a.dim() });
-        }
-        ws.refactor(a, order)
-    }
-}
-
-/// Reusable buffers for repeated numeric refactorization with a fixed
-/// [`PivotOrder`] ([`SparseLu::refactor_into`]) and repeated solves
-/// ([`LuWorkspace::solve_into`]).
-///
-/// All internal storage is capacity-retaining `Vec`s: the first
-/// refactorization of a given pattern sizes them, and every later
-/// refactorization of the same pattern reuses the memory — the steady
-/// state performs **zero heap allocation**, which is what makes per-point
-/// sampling cheap enough to scale across threads (each worker owns one
-/// workspace).
-///
-/// ```
-/// use refgen_numeric::Complex;
-/// use refgen_sparse::{LuWorkspace, SparseLu, Triplets};
-///
-/// # fn main() -> Result<(), refgen_sparse::FactorError> {
-/// let mut a = Triplets::new(2);
-/// a.add(0, 0, Complex::real(2.0));
-/// a.add(0, 1, Complex::real(1.0));
-/// a.add(1, 1, Complex::real(3.0));
-/// let order = SparseLu::factor(&a)?.order().clone(); // pivot search, once
-///
-/// let mut ws = LuWorkspace::new();
-/// let mut x = Vec::new();
-/// SparseLu::refactor_into(&a, &order, &mut ws)?; // numeric replay only
-/// ws.solve_into(&[Complex::real(3.0), Complex::real(3.0)], &mut x);
-/// assert!((x[0] - Complex::real(1.0)).abs() < 1e-12);
-/// assert!((ws.det().to_complex() - Complex::real(6.0)).abs() < 1e-12);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct LuWorkspace {
-    n: usize,
-    /// Active-row storage, sorted by column. After a successful
-    /// refactorization, row `rows[k]` of the pivot sequence holds exactly
-    /// the step-`k` U row (pivot entry included).
-    rows: Vec<Vec<(usize, Complex)>>,
-    /// `col_rows[c]`: rows known to hold an entry in column `c`.
-    col_rows: Vec<Vec<usize>>,
-    row_active: Vec<bool>,
-    /// Elimination multipliers per step: `(target row, l)`.
-    lcols: Vec<Vec<(usize, Complex)>>,
-    /// Pivot-free U row per step, copied out at the pivot step so the
-    /// back substitution in [`LuWorkspace::solve_into`] never has to test
-    /// each stored entry against the pivot column.
-    urows: Vec<Vec<(usize, Complex)>>,
-    pivots: Vec<Complex>,
-    pivot_rows: Vec<usize>,
-    pivot_cols: Vec<usize>,
-    det: ExtComplex,
-    work: Vec<Complex>,
-    factored: bool,
-}
-
-impl LuWorkspace {
-    /// An empty workspace; buffers grow on first use and are reused after.
-    pub fn new() -> Self {
-        LuWorkspace { det: ExtComplex::ONE, ..Default::default() }
-    }
-
-    /// Dimension of the last factorization.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
-    /// Determinant of the last successful refactorization (sign-corrected
-    /// for the pivot order's permutations), in extended range.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no refactorization has succeeded yet.
-    pub fn det(&self) -> ExtComplex {
-        assert!(self.factored, "workspace holds no factorization");
-        self.det
-    }
-
-    /// Solves `A·x = b` with the last successful refactorization, writing
-    /// the solution into `x` (cleared and refilled — its allocation is
-    /// reused across calls, as is the internal forward-elimination buffer).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no refactorization has succeeded yet or if `b.len()`
-    /// differs from the factored dimension.
-    pub fn solve_into(&mut self, b: &[Complex], x: &mut Vec<Complex>) {
-        assert!(self.factored, "workspace holds no factorization");
-        assert_eq!(b.len(), self.n, "rhs length mismatch");
-        self.work.clear();
-        self.work.extend_from_slice(b);
-        // Forward elimination replay: y[k] lives at work[pivot_rows[k]].
-        for k in 0..self.n {
-            let t = self.work[self.pivot_rows[k]];
-            if t == Complex::ZERO {
-                continue;
-            }
-            for &(r2, l) in &self.lcols[k] {
-                self.work[r2] -= l * t;
-            }
-        }
-        // Back substitution in original column coordinates over the
-        // pivot-free U rows recorded at refactor time — branchless: no
-        // per-entry pivot-column test in the inner loop.
-        x.clear();
-        x.resize(self.n, Complex::ZERO);
-        for k in (0..self.n).rev() {
-            let mut s = self.work[self.pivot_rows[k]];
-            for &(c, v) in &self.urows[k] {
-                s -= v * x[c];
-            }
-            x[self.pivot_cols[k]] = s / self.pivots[k];
-        }
-    }
-
-    /// Clears per-factorization state, retaining every buffer's capacity.
-    fn reset(&mut self, n: usize) {
-        self.factored = false;
-        self.n = n;
-        if self.rows.len() < n {
-            self.rows.resize_with(n, Vec::new);
-            self.col_rows.resize_with(n, Vec::new);
-            self.lcols.resize_with(n, Vec::new);
-            self.urows.resize_with(n, Vec::new);
-        }
-        for r in &mut self.rows[..n] {
-            r.clear();
-        }
-        for c in &mut self.col_rows[..n] {
-            c.clear();
-        }
-        for l in &mut self.lcols[..n] {
-            l.clear();
-        }
-        for u in &mut self.urows[..n] {
-            u.clear();
-        }
-        self.row_active.clear();
-        self.row_active.resize(n, true);
-        self.pivots.clear();
-        self.pivot_rows.clear();
-        self.pivot_cols.clear();
-        self.det = ExtComplex::ONE;
-    }
-
-    /// The numeric elimination replay behind [`SparseLu::refactor_into`].
-    fn refactor(&mut self, a: &Triplets, order: &PivotOrder) -> Result<(), FactorError> {
-        let n = a.dim();
-        self.reset(n);
-        // Scatter raw triplets, then sort + merge duplicates per row.
-        for &(r, c, v) in a.entries() {
-            self.rows[r].push((c, v));
-        }
-        for row in &mut self.rows[..n] {
-            row.sort_unstable_by_key(|&(c, _)| c);
-            merge_sorted_duplicates(row);
-        }
-        for (r, row) in self.rows[..n].iter().enumerate() {
-            for &(c, _) in row {
-                self.col_rows[c].push(r);
-            }
-        }
-
-        let mut det_mag = ExtProduct::ONE;
-        for step in 0..n {
-            let pr = order.rows[step];
-            let pc = order.cols[step];
-            let pivot = match self.rows[pr].binary_search_by_key(&pc, |&(c, _)| c) {
-                Ok(pos) => self.rows[pr][pos].1,
-                Err(_) => Complex::ZERO,
-            };
-            if pivot == Complex::ZERO {
-                return Err(FactorError::Singular { step });
-            }
-            det_mag.mul_complex(pivot);
-            self.pivots.push(pivot);
-            self.pivot_rows.push(pr);
-            self.pivot_cols.push(pc);
-            self.row_active[pr] = false;
-
-            // Detach the pivot row and the pivot column's row list so the
-            // target-row updates can borrow `self.rows` mutably; both are
-            // returned afterwards (the Vec moves keep their capacity).
-            let prow = std::mem::take(&mut self.rows[pr]);
-            let targets = std::mem::take(&mut self.col_rows[pc]);
-            // prow is final at its own pivot step: record the pivot-free U
-            // row now so solve_into's back substitution is branch-free.
-            let urow = &mut self.urows[step];
-            for &(c, v) in &prow {
-                if c != pc {
-                    urow.push((c, v));
-                }
-            }
-            let lcol = &mut self.lcols[step];
-            for &r2 in &targets {
-                if !self.row_active[r2] {
-                    continue;
-                }
-                let row2 = &mut self.rows[r2];
-                let Ok(pos) = row2.binary_search_by_key(&pc, |&(c, _)| c) else {
-                    continue;
-                };
-                let a_rc = row2.remove(pos).1;
-                if a_rc == Complex::ZERO {
-                    continue;
-                }
-                let l = a_rc / pivot;
-                lcol.push((r2, l));
-                for &(c, v) in &prow {
-                    if c == pc {
-                        continue;
-                    }
-                    let delta = l * v;
-                    match row2.binary_search_by_key(&c, |&(cc, _)| cc) {
-                        Ok(pos) => row2[pos].1 -= delta,
-                        Err(pos) => {
-                            row2.insert(pos, (c, -delta));
-                            self.col_rows[c].push(r2);
-                        }
-                    }
-                }
-            }
-            self.rows[pr] = prow;
-            self.col_rows[pc] = targets;
-        }
-
-        self.det = det_mag.value() * Complex::real(order.sign());
-        self.factored = true;
-        Ok(())
     }
 }
 
@@ -782,6 +524,15 @@ fn factor_impl(a: &Triplets, strategy: PivotStrategy) -> Result<SparseLu, Factor
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{FactorProgram, ProgramScratch};
+
+    fn bits(z: Complex) -> [u64; 2] {
+        [z.re.to_bits(), z.im.to_bits()]
+    }
+
+    fn det_bits(d: ExtComplex) -> ([u64; 2], i64) {
+        (bits(d.mantissa()), d.exponent())
+    }
 
     fn tri(dim: usize, entries: &[(usize, usize, f64)]) -> Triplets {
         let mut t = Triplets::new(dim);
@@ -958,8 +709,11 @@ mod tests {
         assert!(((lu.det() - dense).norm() / dense.norm()).to_f64() < 1e-12);
     }
 
+    /// The compiled replay of a recorded order reproduces the prescribed-
+    /// order reference [`SparseLu::refactor`] bit for bit: determinant and
+    /// solve vector.
     #[test]
-    fn workspace_refactor_matches_refactor() {
+    fn program_replay_matches_refactor_bits() {
         let a = tri(
             4,
             &[
@@ -973,95 +727,35 @@ mod tests {
                 (3, 3, -2.0),
             ],
         );
-        let lu = SparseLu::factor(&a).unwrap();
-        let mut ws = LuWorkspace::new();
-        SparseLu::refactor_into(&a, lu.order(), &mut ws).unwrap();
-        assert!(((lu.det() - ws.det()).norm()).to_f64() < 1e-14, "{} vs {}", lu.det(), ws.det());
+        let order = SparseLu::factor(&a).unwrap().order().clone();
+        let reference = SparseLu::refactor(&a, &order).unwrap();
+        let program = FactorProgram::for_triplets(&a, &order).unwrap();
+        let mut scratch = ProgramScratch::new();
+        program.refactor(&a, &mut scratch).unwrap();
+        assert_eq!(det_bits(scratch.det()), det_bits(reference.det()));
         let b = vec![Complex::real(1.0), Complex::real(-2.0), Complex::real(0.5), Complex::ONE];
         let mut x = Vec::new();
-        ws.solve_into(&b, &mut x);
-        for (p, q) in x.iter().zip(&lu.solve(&b)) {
-            assert!((*p - *q).abs() < 1e-13);
-        }
+        program.solve_into(&mut scratch, &b, &mut x);
+        let want: Vec<_> = reference.solve(&b).into_iter().map(bits).collect();
+        assert_eq!(x.into_iter().map(bits).collect::<Vec<_>>(), want);
     }
 
+    /// A prescribed pivot zeroed at new values: the reference reports
+    /// `Singular` at that pivot's step, and the compiled replay dies at the
+    /// same step.
     #[test]
-    fn workspace_new_values_same_pattern_and_reuse() {
-        // An arrow matrix with fill-in, refactored over a sweep of values:
-        // the workspace result must track a fresh refactor at every step,
-        // and the buffers must survive being reused.
-        let n = 10;
-        let build = |w: f64| {
-            let mut t = Triplets::new(n);
-            for i in 0..n {
-                t.add(i, i, Complex::new(2.0 + i as f64, w));
-            }
-            for i in 1..n {
-                t.add(0, i, Complex::real(1.0));
-                t.add(i, 0, Complex::new(0.5, -w));
-            }
-            t
-        };
-        let order = SparseLu::factor(&build(0.1)).unwrap().order().clone();
-        let mut ws = LuWorkspace::new();
-        let mut x = Vec::new();
-        let b: Vec<Complex> = (0..n).map(|i| Complex::new(i as f64, 1.0)).collect();
-        for k in 0..12 {
-            let t = build(0.1 + 0.3 * k as f64);
-            SparseLu::refactor_into(&t, &order, &mut ws).unwrap();
-            let reference = SparseLu::refactor(&t, &order).unwrap();
-            let rel = ((ws.det() - reference.det()).norm() / reference.det().norm()).to_f64();
-            assert!(rel < 1e-13, "sweep step {k}: det rel {rel:.2e}");
-            ws.solve_into(&b, &mut x);
-            for (p, q) in x.iter().zip(&reference.solve(&b)) {
-                assert!((*p - *q).abs() < 1e-12, "sweep step {k}");
-            }
-        }
-    }
-
-    #[test]
-    fn workspace_reports_zero_pivot_and_recovers() {
+    fn zeroed_pivot_is_singular_at_its_step_in_both_paths() {
         let a = tri(2, &[(0, 0, 1.0), (0, 1, 2.0), (1, 0, 3.0), (1, 1, 4.0)]);
         let order = SparseLu::factor(&a).unwrap().order().clone();
-        // Zero out the prescribed pivot's position: the replay must report
-        // Singular at some step…
-        let mut ws = LuWorkspace::new();
-        let zeroed = tri(2, &[(0, 0, 0.0), (0, 1, 2.0), (1, 0, 3.0), (1, 1, 0.0)]);
-        assert!(matches!(
-            SparseLu::refactor_into(&zeroed, &order, &mut ws),
-            Err(FactorError::Singular { .. })
-        ));
-        // …and the same workspace must still be usable afterwards.
-        SparseLu::refactor_into(&a, &order, &mut ws).unwrap();
-        assert!((ws.det().to_complex() - Complex::real(-2.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn workspace_dimension_mismatch_and_dim_changes() {
-        let a2 = tri(2, &[(0, 0, 1.0), (1, 1, 1.0)]);
-        let a3 = tri(3, &[(0, 0, 2.0), (1, 1, 3.0), (2, 2, 4.0)]);
-        let o2 = SparseLu::factor(&a2).unwrap().order().clone();
-        let o3 = SparseLu::factor(&a3).unwrap().order().clone();
-        let mut ws = LuWorkspace::new();
-        assert!(matches!(
-            SparseLu::refactor_into(&a3, &o2, &mut ws),
-            Err(FactorError::OrderMismatch { expected: 2, actual: 3 })
-        ));
-        // One workspace across different dimensions.
-        SparseLu::refactor_into(&a3, &o3, &mut ws).unwrap();
-        assert!((ws.det().to_complex() - Complex::real(24.0)).abs() < 1e-12);
-        SparseLu::refactor_into(&a2, &o2, &mut ws).unwrap();
-        assert!((ws.det().to_complex() - Complex::ONE).abs() < 1e-12);
-        let mut x = Vec::new();
-        ws.solve_into(&[Complex::real(5.0), Complex::real(7.0)], &mut x);
-        assert_eq!(x.len(), 2);
-        assert!((x[0] - Complex::real(5.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "no factorization")]
-    fn workspace_solve_before_factor_panics() {
-        LuWorkspace::new().solve_into(&[], &mut Vec::new());
+        let (pr, pc) = (order.rows()[0], order.cols()[0]);
+        let mut zeroed = Triplets::new(2);
+        for &(r, c, v) in a.entries() {
+            zeroed.add(r, c, if (r, c) == (pr, pc) { Complex::ZERO } else { v });
+        }
+        let want = SparseLu::refactor(&zeroed, &order).unwrap_err();
+        assert_eq!(want, FactorError::Singular { step: 0 });
+        let program = FactorProgram::for_triplets(&a, &order).unwrap();
+        assert_eq!(program.refactor(&zeroed, &mut ProgramScratch::new()), Err(want));
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Compiled symbolic LU kernels: do the structural work once, replay it as
 //! a flat instruction stream at every numeric point.
 //!
-//! [`LuWorkspace`](crate::LuWorkspace) replays a recorded
-//! [`PivotOrder`] without pivot *search*, but it still pays a per-point
-//! *structural* tax: triplet scatter into per-row vectors, a
-//! `sort_unstable` per row, binary searches for every pivot and update
-//! target, and `Vec::insert` for every fill-in entry — even though the
-//! fill pattern is byte-for-byte identical at every point of a sweep.
+//! Replaying a recorded [`PivotOrder`] element by element
+//! ([`SparseLu::refactor`](crate::SparseLu::refactor)) skips the pivot
+//! *search*, but still pays a per-point *structural* tax: triplet scatter
+//! into per-row vectors, a sort per row, a binary search for every pivot
+//! and a sorted-row merge for every update — even though the fill pattern
+//! is identical at every point of a sweep.
 //! A [`FactorProgram`] hoists all of that to compile time (the
 //! Sparse-1.3/KLU split classic circuit simulators use for exactly this
 //! workload):
@@ -194,8 +194,9 @@ impl FactorProgram {
         let mut uranges = Vec::with_capacity(dim);
         let mut uents: Vec<(u32, u32)> = Vec::new();
 
-        // Symbolic elimination: identical structure to the numeric replay
-        // in `LuWorkspace::refactor`, on positions instead of values.
+        // Symbolic elimination: the structure of the prescribed-order
+        // elimination in `SparseLu::refactor`, on positions instead of
+        // values.
         for step in 0..dim {
             let pr = order.rows()[step];
             let pc = order.cols()[step];
@@ -333,8 +334,9 @@ impl FactorProgram {
     ///
     /// [`FactorError::Singular`] when a prescribed pivot is exactly zero
     /// at this matrix's values (the caller falls back to a fresh
-    /// [`SparseLu::factor`](crate::SparseLu::factor), exactly like the
-    /// [`LuWorkspace`](crate::LuWorkspace) path).
+    /// [`SparseLu::factor`](crate::SparseLu::factor); the prescribed-order
+    /// reference [`SparseLu::refactor`](crate::SparseLu::refactor) fails at
+    /// the same step).
     ///
     /// # Panics
     ///
@@ -1371,7 +1373,33 @@ impl ProgramScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lu::{LuWorkspace, SparseLu};
+    use crate::lu::SparseLu;
+
+    fn bits(z: Complex) -> [u64; 2] {
+        [z.re.to_bits(), z.im.to_bits()]
+    }
+
+    fn det_bits(d: ExtComplex) -> ([u64; 2], i64) {
+        (bits(d.mantissa()), d.exponent())
+    }
+
+    /// Replays `program` on `t` and checks determinant and solve bits
+    /// against the prescribed-order reference [`SparseLu::refactor`].
+    fn assert_program_matches_refactor(
+        program: &FactorProgram,
+        t: &Triplets,
+        order: &PivotOrder,
+        b: &[Complex],
+        scratch: &mut ProgramScratch,
+    ) {
+        let reference = SparseLu::refactor(t, order).unwrap();
+        program.refactor(t, scratch).unwrap();
+        assert_eq!(det_bits(scratch.det()), det_bits(reference.det()));
+        let mut x = Vec::new();
+        program.solve_into(scratch, b, &mut x);
+        let want: Vec<_> = reference.solve(b).into_iter().map(bits).collect();
+        assert_eq!(x.into_iter().map(bits).collect::<Vec<_>>(), want);
+    }
 
     fn tri(dim: usize, entries: &[(usize, usize, f64)]) -> Triplets {
         let mut t = Triplets::new(dim);
@@ -1381,11 +1409,11 @@ mod tests {
         t
     }
 
-    /// The arrow matrix with fill-in used by the workspace tests: the
-    /// program must reproduce workspace refactorization across a sweep of
-    /// values, reusing one scratch.
+    /// An arrow matrix with fill-in: the program must reproduce the
+    /// reference refactorization across a sweep of values, reusing one
+    /// scratch.
     #[test]
-    fn program_matches_workspace_across_value_sweep() {
+    fn program_matches_refactor_across_value_sweep() {
         let n = 10;
         let build = |w: f64| {
             let mut t = Triplets::new(n);
@@ -1403,27 +1431,17 @@ mod tests {
         assert_eq!(program.dim(), n);
 
         let mut scratch = ProgramScratch::new();
-        let mut ws = LuWorkspace::new();
-        let (mut x, mut xw) = (Vec::new(), Vec::new());
         let b: Vec<Complex> = (0..n).map(|i| Complex::new(i as f64, 1.0)).collect();
         for k in 0..12 {
             let t = build(0.1 + 0.3 * k as f64);
-            program.refactor(&t, &mut scratch).unwrap();
-            SparseLu::refactor_into(&t, &order, &mut ws).unwrap();
-            let rel = ((scratch.det() - ws.det()).norm() / ws.det().norm()).to_f64();
-            assert!(rel < 1e-13, "sweep step {k}: det rel {rel:.2e}");
-            program.solve_into(&mut scratch, &b, &mut x);
-            ws.solve_into(&b, &mut xw);
-            for (p, q) in x.iter().zip(&xw) {
-                assert!((*p - *q).abs() < 1e-12, "sweep step {k}");
-            }
+            assert_program_matches_refactor(&program, &t, &order, &b, &mut scratch);
         }
     }
 
     /// A cyclic bidiagonal pattern fills in a cascade under diagonal
     /// pivoting: eliminating `(0,0)` fills `(n−1,1)`, eliminating `(1,1)`
     /// fills `(n−1,2)`, and so on. The compiled program must discover every
-    /// fill slot at compile time and still match the workspace replay.
+    /// fill slot at compile time and still match the reference replay.
     #[test]
     fn fill_in_cascade_is_precompiled() {
         let n = 8;
@@ -1438,19 +1456,8 @@ mod tests {
         assert!(program.fill_in() > 0, "cyclic pattern must fill");
         assert!(program.op_count() > 0);
 
-        let mut scratch = ProgramScratch::new();
-        let mut ws = LuWorkspace::new();
-        program.refactor(&t, &mut scratch).unwrap();
-        SparseLu::refactor_into(&t, lu.order(), &mut ws).unwrap();
-        let rel = ((scratch.det() - ws.det()).norm() / ws.det().norm()).to_f64();
-        assert!(rel < 1e-13, "det rel {rel:.2e}");
         let b: Vec<Complex> = (0..n).map(|i| Complex::new(1.0, i as f64)).collect();
-        let (mut x, mut xw) = (Vec::new(), Vec::new());
-        program.solve_into(&mut scratch, &b, &mut x);
-        ws.solve_into(&b, &mut xw);
-        for (p, q) in x.iter().zip(&xw) {
-            assert!((*p - *q).abs() < 1e-12);
-        }
+        assert_program_matches_refactor(&program, &t, lu.order(), &b, &mut ProgramScratch::new());
     }
 
     #[test]

@@ -65,7 +65,7 @@ impl Triplets {
     /// Clears the matrix for reassembly at a (possibly new) dimension,
     /// keeping the entry buffer's allocation. This is what lets a sweep
     /// re-stamp the same pattern at a new frequency point with zero heap
-    /// traffic (see [`LuWorkspace`](crate::LuWorkspace)).
+    /// traffic.
     pub fn reset(&mut self, dim: usize) {
         self.dim = dim;
         self.entries.clear();

@@ -1,17 +1,15 @@
-//! Mesh-scaling oracle tier: the anchored-GMRES hybrid path and the AMD
-//! pivot ordering must reproduce per-point direct LU on circuit meshes —
-//! the regime both exist for — and the orderings must stay mutually
-//! consistent while differing in fill.
+//! Mesh-scaling oracle tier: the compiled sweep under both pivot
+//! orderings must reproduce per-point fresh LU on circuit meshes, and the
+//! orderings must stay mutually consistent while differing in fill.
 //!
-//! The hybrid's invariant tier lives with its unit tests in `refgen_mna`;
-//! this tier drives the public plan API over real generated meshes at the
-//! tolerances ISSUE acceptance pins: hybrid-vs-direct within `1e-9`
-//! relative, bit-identical hybrid traces across fresh scratches, and (in
-//! the `#[ignore]`d large run) an AMD fill win of at least 5× over the
+//! This tier drives the public plan API over real generated meshes:
+//! compiled-sweep-vs-fresh-LU within `1e-9` relative, and (in the
+//! `#[ignore]`d large run) an AMD fill win of at least 5× over the
 //! probe-Markowitz order on a 4096-node random mesh.
 
 use refgen::circuit::library::{grid_rc_mesh, random_rc_mesh};
-use refgen::mna::{HybridScratch, MnaSystem, OrderingMode, SweepPlan};
+use refgen::circuit::Circuit;
+use refgen::mna::{MnaSystem, OrderingMode, SweepPlan};
 use refgen::numeric::Complex;
 use refgen::prelude::*;
 
@@ -19,9 +17,7 @@ fn spec() -> TransferSpec {
     TransferSpec::voltage_gain("VIN", "out")
 }
 
-/// The AC-style point set the hybrid is built for: log-spaced on the
-/// imaginary axis, dense enough that neighbors sit inside the re-anchor
-/// radius.
+/// AC-style points: log-spaced frequencies on the imaginary axis.
 fn jw_points(lo: f64, hi: f64, n: usize) -> Vec<Complex> {
     log_space(lo, hi, n)
         .into_iter()
@@ -29,84 +25,38 @@ fn jw_points(lo: f64, hi: f64, n: usize) -> Vec<Complex> {
         .collect()
 }
 
-/// Hybrid vs direct-LU on one mesh plan: every point within 1e-9 relative.
-fn assert_hybrid_matches_direct(plan: &SweepPlan, points: &[Complex]) {
-    let mut hybrid = HybridScratch::new();
-    // GMRES converges on the residual relative to the full solution norm;
-    // the far-corner mesh response sits several decades below that, so
-    // matching direct LU to 1e-9 of the *response* needs residuals near
-    // machine precision. The params knob is public for exactly this.
-    hybrid.params.rel_tol = 1e-13;
-    let mut direct = SweepScratch::new();
-    let reference: Vec<Complex> = points
-        .iter()
-        .map(|&s| plan.eval_at(s, &mut direct).expect("direct point solves").response)
-        .collect();
-    let peak = reference.iter().map(|d| d.abs()).fold(0.0, f64::max);
-    assert!(peak > 0.0, "degenerate reference sweep");
-    for (k, &s) in points.iter().enumerate() {
-        let h = plan.eval_at_iterative(s, &mut hybrid).expect("hybrid point solves");
-        let d = reference[k];
-        // Direct LU itself rounds at ~1e-16 of the solution norm, so a
-        // point attenuated far below the sweep's peak response cannot be
-        // reproduced pointwise-relatively by *any* second solve path.
-        // Every point is held to 1e-9 of the response scale; points
-        // carrying at least 1 % of the peak are additionally held to
-        // 1e-9 pointwise-relative.
-        let err = (h - d).abs();
-        assert!(
-            err <= 1e-9 * peak,
-            "point {k} ({s:?}): hybrid {h:?} vs direct {d:?}, scaled err {:.2e}",
-            err / peak
-        );
-        if d.abs() >= 1e-2 * peak {
-            let rel = err / d.abs();
-            assert!(rel <= 1e-9, "point {k} ({s:?}): hybrid {h:?} vs direct {d:?}, rel {rel:.2e}");
-        }
+/// The compiled sweep of `circuit` under `mode` against a fresh per-point
+/// factorization ([`AcAnalysis::at`]): every frequency of `freqs` within
+/// 1e-9 relative, and every point served by the compiled kernel.
+fn assert_compiled_sweep_matches_fresh_lu(circuit: &Circuit, mode: OrderingMode, freqs: &[f64]) {
+    let ac = AcAnalysis::new(circuit, spec()).expect("mesh compiles");
+    let plan =
+        SweepPlan::new_with_ordering(ac.system(), Scale::unit(), &spec(), mode).expect("mesh plan");
+    let mut scratch = SweepScratch::new();
+    for (k, &f) in freqs.iter().enumerate() {
+        let s = Complex::new(0.0, 2.0 * std::f64::consts::PI * f);
+        let got = plan.eval_at(s, &mut scratch).expect("compiled point solves").response;
+        let want = ac.at(f).expect("fresh point solves").response;
+        let rel = (got - want).abs() / want.abs();
+        assert!(rel <= 1e-9, "{mode:?} point {k} ({f:.3e} Hz): {got:?} vs {want:?}, rel {rel:.2e}");
     }
-    let stats = hybrid.stats();
-    assert!(stats.iterative_points > 0, "no point went iterative: {stats:?}");
+    assert_eq!(scratch.stats().compiled_hits, freqs.len() as u64, "{mode:?}");
 }
 
 #[test]
-fn grid_mesh_hybrid_holds_to_direct_lu_under_both_orderings() {
+fn grid_mesh_sweep_holds_to_fresh_lu_under_both_orderings() {
     let circuit = grid_rc_mesh(16, 16, 9256);
-    let sys = MnaSystem::new(&circuit).expect("mesh compiles");
-    let points = jw_points(1e6, 3e7, 72);
     for mode in [OrderingMode::Markowitz, OrderingMode::Amd] {
-        let plan =
-            SweepPlan::new_with_ordering(&sys, Scale::unit(), &spec(), mode).expect("mesh plan");
-        assert_hybrid_matches_direct(&plan, &points);
+        assert_compiled_sweep_matches_fresh_lu(&circuit, mode, &log_space(1e6, 3e7, 72));
     }
 }
 
 #[test]
-fn random_mesh_hybrid_holds_to_direct_lu() {
+fn random_mesh_sweep_holds_to_fresh_lu_under_both_orderings() {
     let circuit = random_rc_mesh(200, 320, 42);
-    let sys = MnaSystem::new(&circuit).expect("mesh compiles");
-    let plan = SweepPlan::new_with_ordering(&sys, Scale::unit(), &spec(), OrderingMode::Auto)
-        .expect("mesh plan");
-    assert_hybrid_matches_direct(&plan, &jw_points(1e5, 1e8, 90));
-}
-
-/// Two fresh scratches over the same trace agree bit-for-bit: the hybrid
-/// is a pure function of (plan, point sequence, params).
-#[test]
-fn hybrid_mesh_trace_is_deterministic_across_scratches() {
-    let circuit = grid_rc_mesh(12, 12, 9144);
-    let sys = MnaSystem::new(&circuit).expect("mesh compiles");
-    let plan = SweepPlan::new_with_ordering(&sys, Scale::unit(), &spec(), OrderingMode::Amd)
-        .expect("mesh plan");
-    let points = jw_points(1e6, 3e7, 48);
-    let mut a = HybridScratch::new();
-    let mut b = HybridScratch::new();
-    for &s in &points {
-        let ra = plan.eval_at_iterative(s, &mut a).expect("solves");
-        let rb = plan.eval_at_iterative(s, &mut b).expect("solves");
-        assert_eq!(ra.re.to_bits(), rb.re.to_bits(), "re drifts at {s:?}");
-        assert_eq!(ra.im.to_bits(), rb.im.to_bits(), "im drifts at {s:?}");
+    for mode in [OrderingMode::Markowitz, OrderingMode::Amd] {
+        assert_compiled_sweep_matches_fresh_lu(&circuit, mode, &log_space(1e5, 1e8, 90));
     }
-    assert_eq!(format!("{:?}", a.stats()), format!("{:?}", b.stats()));
 }
 
 /// Both orderings compile valid factorizations of the same matrix: their
