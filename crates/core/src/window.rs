@@ -8,13 +8,20 @@
 //! reused per-worker scratches — numeric refactorization instead of a
 //! Markowitz pivot search per point, on [`RefgenConfig::threads`] workers
 //! with bit-identical output at any thread count.
+//!
+//! Everything a window needs that depends on its size `K` alone — the
+//! unit-circle points, the [`Dft`] plan and the power columns `σ_k^i` /
+//! `conj(σ_k)^{k_lo}` of the eq. (17) reduction — comes from the
+//! [`SamplingRuntime`]'s per-size window tables, built once per `K` and
+//! shared by every window of that size in the solve (the verify
+//! re-interpolation included) and, in a batch session, by every variant.
 
 use crate::batch::BatchSampler;
 use crate::config::RefgenConfig;
 use crate::error::RefgenError;
 use crate::runtime::SamplingRuntime;
 use refgen_mna::{MnaSystem, OrderingChoice, Scale, TransferSpec};
-use refgen_numeric::dft::{unit_circle_points, Dft};
+use refgen_numeric::dft::Dft;
 use refgen_numeric::{Complex, ExtComplex, ExtFloat};
 
 /// Which polynomial of the network function is being recovered.
@@ -156,7 +163,7 @@ pub(crate) fn interpolate_window(
         None => (0, n_max),
     };
     let k_points = k_hi - k_lo + 1;
-    let sigmas = unit_circle_points(k_points);
+    let tables = runtime.window_tables(k_points);
 
     let f_ext = ExtFloat::from_f64(scale.f);
     let g_ext = ExtFloat::from_f64(scale.g);
@@ -179,23 +186,23 @@ pub(crate) fn interpolate_window(
     // the computation: the sampling and subtraction round-off is relative
     // to it.
     let batch = BatchSampler::new(sampler, scale, config, runtime)?;
-    let (raw_samples, batch_stats) = batch.sample_all(&sigmas, runtime)?;
+    let (raw_samples, batch_stats) = batch.sample_all(&tables.sigmas, runtime)?;
     let mut raw_mag = ExtFloat::ZERO;
     for &(_, c) in &renorm_known {
         raw_mag = raw_mag.max_abs(c.norm());
     }
+    let known_powers: Vec<_> = renorm_known.iter().map(|&(i, c)| (c, tables.powers(i))).collect();
+    // |σ| = 1, so σ^{−k} = conj(σ)^k exactly.
+    let shift = (k_lo > 0).then(|| tables.conj_powers(k_lo));
     let mut samples = Vec::with_capacity(k_points);
-    for (&sigma, &raw) in sigmas.iter().zip(&raw_samples) {
+    for (k, &raw) in raw_samples.iter().enumerate() {
         let mut v = raw;
         raw_mag = raw_mag.max_abs(v.norm());
-        if reduction.is_some() {
-            for &(i, c) in &renorm_known {
-                v -= c * sigma.powi(i as i32);
-            }
-            if k_lo > 0 {
-                // |σ| = 1, so σ^{−k} = conj(σ)^k exactly.
-                v = v * sigma.conj().powi(k_lo as i32);
-            }
+        for (c, powers) in &known_powers {
+            v -= *c * powers[k];
+        }
+        if let Some(shift) = &shift {
+            v = v * shift[k];
         }
         samples.push(v);
     }
@@ -205,7 +212,8 @@ pub(crate) fn interpolate_window(
         raw_mag * ExtFloat::exp10(-config.noise_decades)
     };
 
-    let (normalized, threshold, max_idx, region) = coefficients(&samples, noise_floor, config);
+    let (normalized, threshold, max_idx, region) =
+        coefficients(&samples, &tables.dft, noise_floor, config);
     Ok(Window {
         scale,
         offset: k_lo,
@@ -233,6 +241,7 @@ pub(crate) fn interpolate_window(
 /// window can be trusted).
 fn coefficients(
     samples: &[ExtComplex],
+    dft: &Dft,
     noise_floor: ExtFloat,
     config: &RefgenConfig,
 ) -> (Vec<ExtComplex>, ExtFloat, usize, Option<(usize, usize)>) {
@@ -249,17 +258,17 @@ fn coefficients(
     let mantissas: Vec<Complex> = samples.iter().map(|s| s.mantissa_at_exponent(e0)).collect();
 
     // Inverse DFT per eq. (5): coefficients = forward(samples)/K.
-    let plan = Dft::new(k_points);
-    let spectrum = plan.forward(&mantissas);
+    let spectrum = dft.forward(&mantissas);
     let inv_k = 1.0 / k_points as f64;
     let normalized: Vec<ExtComplex> =
         spectrum.iter().map(|&c| ExtComplex::new(c.scale(inv_k), e0)).collect();
 
-    // Validity window (eq. (12)).
+    // Validity window (eq. (12)), on each coefficient's magnitude computed
+    // once.
+    let norms: Vec<ExtFloat> = normalized.iter().map(|c| c.norm()).collect();
     let mut max_idx = 0usize;
     let mut max_norm = ExtFloat::ZERO;
-    for (j, c) in normalized.iter().enumerate() {
-        let n = c.norm();
+    for (j, &n) in norms.iter().enumerate() {
         if n > max_norm {
             max_norm = n;
             max_idx = j;
@@ -281,16 +290,17 @@ fn coefficients(
     // coefficient whose imaginary part is comparable to its real part is
     // round-off garbage regardless of magnitude. (This is what rejects
     // whole windows when an extreme tilt has degraded the LU itself.)
-    let imag_tol = 10f64.powf(-(config.sig_digits as f64) / 2.0);
+    let imag_tol = ExtFloat::from_f64(10f64.powf(-(config.sig_digits as f64) / 2.0));
     let valid: Vec<bool> = normalized
         .iter()
-        .map(|c| {
-            if c.is_zero() || c.norm() < threshold {
+        .zip(&norms)
+        .map(|(c, &n)| {
+            if c.is_zero() || n < threshold {
                 return false;
             }
             let im = c.im().abs();
             let re = c.re().abs();
-            im <= re * ExtFloat::from_f64(imag_tol)
+            im <= re * imag_tol
         })
         .collect();
     if !valid[max_idx] {

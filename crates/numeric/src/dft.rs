@@ -10,9 +10,32 @@
 //! `K = n+1` is arbitrary (the polynomial order is whatever the circuit
 //! gives), so three algorithms are provided behind one [`Dft`] plan:
 //!
-//! * direct `O(K²)` evaluation with exact index reduction (`j·k mod K`),
+//! * direct `O(K²)` evaluation with exact index reduction (`j·k mod K`)
+//!   and fused multiply-adds,
 //! * iterative radix-2 Cooley–Tukey for powers of two,
 //! * Bluestein's chirp-z algorithm for everything else above a size cutoff.
+//!
+//! **The direct path's exactness contract.** Bin `i` of the direct
+//! transform is the chain `acc ← x_k · w_{(i·k) mod n} + acc` over
+//! `k = 0..n`, each step a complex multiply-add whose four real
+//! operations are single-rounding fused multiply-adds. Two things make
+//! its output a fixed function of its input, independent of how it is
+//! compiled:
+//!
+//! * the twiddle index is reduced exactly — a running index stepped by
+//!   `i` and wrapped by one conditional subtraction visits exactly
+//!   `(i·k) mod n`, so every angle comes from the same table entry;
+//! * `f64::mul_add` is correctly rounded under either dispatch. On
+//!   x86-64 CPUs with FMA (probed once per process) the loop runs in a
+//!   copy compiled for that instruction set, where each fused
+//!   multiply-add is one instruction; elsewhere it runs in the generic
+//!   copy, where it is the libm `fma` call. Both round once, so both
+//!   give the same bits.
+//!
+//! The unit tests hold both copies, and the dispatched entry point, to a
+//! verbatim `(i·k) % n` reference bit for bit at every size up to the
+//! Bluestein cutoff, on random, extreme-range and special (±0,
+//! subnormal, ±∞, NaN) inputs.
 //!
 //! A double-double direct transform ([`dft_direct_dd`]) serves as the
 //! high-precision oracle in tests: the paper's `1e-13·max` error floor
@@ -134,14 +157,57 @@ fn forward_twiddles(n: usize) -> Vec<Complex> {
     (0..n).map(|k| Complex::cis(-2.0 * PI * (k as f64) / (n as f64))).collect()
 }
 
+/// Direct `O(n²)` transform, dispatched once per process: on x86-64 CPUs
+/// with FMA the loop runs through [`direct_fma`], elsewhere through
+/// [`direct_generic`]. Both give the same bits (see the module docs).
 fn direct(x: &[Complex], twiddle: &[Complex]) -> Vec<Complex> {
+    #[cfg(target_arch = "x86_64")]
+    if fma_available() {
+        // SAFETY: FMA support was verified at runtime.
+        return unsafe { direct_fma(x, twiddle) };
+    }
+    direct_generic(x, twiddle)
+}
+
+#[cfg(target_arch = "x86_64")]
+fn fma_available() -> bool {
+    use std::sync::OnceLock;
+    static FMA: OnceLock<bool> = OnceLock::new();
+    *FMA.get_or_init(|| std::arch::is_x86_feature_detected!("fma"))
+}
+
+/// [`direct_loop`] compiled with the FMA instruction set, so each
+/// `f64::mul_add` is one `vfmadd` instead of a libm `fma` call.
+///
+/// # Safety
+///
+/// The CPU must support FMA (see [`fma_available`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma")]
+unsafe fn direct_fma(x: &[Complex], twiddle: &[Complex]) -> Vec<Complex> {
+    direct_loop(x, twiddle)
+}
+
+fn direct_generic(x: &[Complex], twiddle: &[Complex]) -> Vec<Complex> {
+    direct_loop(x, twiddle)
+}
+
+#[inline(always)]
+fn direct_loop(x: &[Complex], twiddle: &[Complex]) -> Vec<Complex> {
     let n = x.len();
+    let twiddle = &twiddle[..n];
     let mut out = Vec::with_capacity(n);
     for i in 0..n {
         let mut acc = Complex::ZERO;
-        for (k, &xk) in x.iter().enumerate() {
-            // Exact index reduction keeps the twiddle angle exact for all i·k.
-            acc = xk.mul_add(twiddle[(i * k) % n], acc);
+        // `idx` runs through `(i·k) mod n` exactly: each step adds `i < n`
+        // to a value below `n`, so one conditional subtraction reduces it.
+        let mut idx = 0;
+        for &xk in x {
+            acc = xk.mul_add(twiddle[idx], acc);
+            idx += i;
+            if idx >= n {
+                idx -= n;
+            }
         }
         out.push(acc);
     }
@@ -438,6 +504,90 @@ mod tests {
                 // …and the points still match their defining angles.
                 let theta = 2.0 * PI * (i as f64) / (k as f64);
                 assert!((a - Complex::cis(theta)).abs() < 1e-15, "k={k}, i={i}");
+            }
+        }
+    }
+
+    /// The direct transform as it was written before the running twiddle
+    /// index and the FMA dispatch, kept verbatim as the identity
+    /// reference.
+    fn direct_reference(x: &[Complex], twiddle: &[Complex]) -> Vec<Complex> {
+        let n = x.len();
+        let mut out = Vec::with_capacity(n);
+        for i in 0..n {
+            let mut acc = Complex::ZERO;
+            for (k, &xk) in x.iter().enumerate() {
+                acc = xk.mul_add(twiddle[(i * k) % n], acc);
+            }
+            out.push(acc);
+        }
+        out
+    }
+
+    /// Seeded signals of length `n`: plain random values, random values
+    /// spread over the whole exponent range, and random values salted with
+    /// ±0, subnormals, ±∞ and NaN.
+    fn identity_signals(n: usize) -> Vec<Vec<Complex>> {
+        const SPECIALS: [f64; 8] = [
+            0.0,
+            -0.0,
+            5e-324,
+            -2.5e-310,
+            f64::MIN_POSITIVE,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let plain = random_signal(n, 3 * n as u64);
+        let spread: Vec<Complex> = random_signal(n, 3 * n as u64 + 1)
+            .iter()
+            .zip(random_signal(n, 3 * n as u64 + 2))
+            .map(|(z, e)| z.scale(2f64.powi((e.re * 1900.0) as i32)))
+            .collect();
+        let mut salted = random_signal(n, 3 * n as u64 + 3);
+        for (k, z) in salted.iter_mut().enumerate() {
+            let pick = (k * 7 + n) % 11;
+            if pick < SPECIALS.len() {
+                z.re = SPECIALS[pick];
+            }
+            if (pick + 5) % 11 < SPECIALS.len() {
+                z.im = SPECIALS[(pick + 5) % 11];
+            }
+        }
+        vec![plain, spread, salted]
+    }
+
+    #[track_caller]
+    fn assert_same_bits(got: &[Complex], want: &[Complex], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        let same = |a: f64, b: f64| (a.is_nan() && b.is_nan()) || a.to_bits() == b.to_bits();
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(same(g.re, w.re) && same(g.im, w.im), "{what}, bin {i}: {g:?} vs {w:?}");
+        }
+    }
+
+    /// The running twiddle index is the exact `(i·k) mod n`, and the
+    /// fused multiply-add rounds once under either dispatch: the
+    /// dispatched transform, the generic copy and (where the CPU has it)
+    /// the FMA copy all reproduce the reference bit for bit.
+    #[test]
+    fn direct_paths_match_reference_bit_for_bit() {
+        for n in 1..=96 {
+            let twiddle = forward_twiddles(n);
+            for (j, x) in identity_signals(n).iter().enumerate() {
+                let want = direct_reference(x, &twiddle);
+                assert_same_bits(&direct(x, &twiddle), &want, &format!("dispatched, n={n}/{j}"));
+                assert_same_bits(
+                    &direct_generic(x, &twiddle),
+                    &want,
+                    &format!("generic, n={n}/{j}"),
+                );
+                #[cfg(target_arch = "x86_64")]
+                if fma_available() {
+                    // SAFETY: FMA support was verified at runtime.
+                    let got = unsafe { direct_fma(x, &twiddle) };
+                    assert_same_bits(&got, &want, &format!("fma, n={n}/{j}"));
+                }
             }
         }
     }

@@ -8,7 +8,7 @@
 //! and `1e-522` after, per the paper's Tables 2–3).
 
 use crate::complex::Complex;
-use crate::extfloat::ExtFloat;
+use crate::extfloat::{pow2, ExtFloat};
 use std::fmt;
 use std::iter::{Product, Sum};
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -80,14 +80,25 @@ impl ExtComplex {
             return ExtComplex { mantissa: m, exponent: 0 };
         }
         // Normalize on the dominant component.
-        let dom = m.re.abs().max(m.im.abs());
-        let ext = ExtFloat::from_f64(dom);
-        let shift = ext.exponent();
+        let mut m = m;
+        let mut exponent = self.exponent;
+        let mut dom = m.re.abs().max(m.im.abs());
+        if dom < f64::MIN_POSITIVE {
+            // A subnormal dominant component's shift (up to 1074) has no
+            // finite `2^-shift`: pre-scale both components into the normal
+            // range first, exactly, as `ExtFloat` does.
+            let k = pow2(200);
+            m = Complex::new(m.re * k, m.im * k);
+            exponent -= 200;
+            dom *= k;
+        }
+        // `dom` is normal here, so its exponent field is its binary exponent.
+        let shift = ((dom.to_bits() >> 52) & 0x7ff) as i64 - 1023;
         if shift == 0 {
-            return ExtComplex { mantissa: m, exponent: self.exponent };
+            return ExtComplex { mantissa: m, exponent };
         }
         let k = pow2(-shift);
-        ExtComplex { mantissa: Complex::new(m.re * k, m.im * k), exponent: self.exponent + shift }
+        ExtComplex { mantissa: Complex::new(m.re * k, m.im * k), exponent: exponent + shift }
     }
 
     /// Returns `true` if the value is exactly zero.
@@ -317,18 +328,6 @@ impl ExtProduct {
     }
 }
 
-/// `2^k` for |k| ≤ ~1020, split to avoid powi overflow at the extremes.
-#[inline]
-fn pow2(k: i64) -> f64 {
-    debug_assert!(k.abs() <= 1080);
-    if k.abs() <= 1000 {
-        2f64.powi(k as i32)
-    } else {
-        let half = k / 2;
-        2f64.powi(half as i32) * 2f64.powi((k - half) as i32)
-    }
-}
-
 fn re_im_common_exponent(re: ExtFloat, im: ExtFloat) -> i64 {
     match (re.is_zero(), im.is_zero()) {
         (true, true) => 0,
@@ -523,6 +522,51 @@ mod tests {
         let e = ExtComplex::from_complex(z);
         let back = e.to_complex();
         assert!((back - z).abs() < 1e-20);
+    }
+
+    #[test]
+    fn subnormal_inputs_normalize_and_round_trip() {
+        for (re, im) in [(5e-324, 0.0), (1e-310, 0.0), (1e-310, 3e-320), (-3e-320, 2.5e-309)] {
+            let z = Complex::new(re, im);
+            let e = ExtComplex::from_complex(z);
+            let m = e.mantissa();
+            assert!(m.is_finite(), "{z:?}: mantissa {m:?}");
+            assert!((1.0..2.0).contains(&m.re.abs().max(m.im.abs())), "{z:?}: {e:?}");
+            // Same exponent as the dominant part through `ExtFloat`.
+            let dom = ExtFloat::from_f64(re.abs().max(im.abs()));
+            assert_eq!(e.exponent(), dom.exponent(), "{z:?}");
+            let back = e.to_complex();
+            assert_eq!((back.re.to_bits(), back.im.to_bits()), (re.to_bits(), im.to_bits()));
+        }
+    }
+
+    #[test]
+    fn normal_inputs_keep_their_normalization() {
+        // Before the subnormal pre-scale, normalization read the dominant
+        // component's exponent through `ExtFloat::from_f64` and scaled by
+        // `2^-shift`; normal inputs must still take exactly that path.
+        let reference = |z: Complex| {
+            let shift = ExtFloat::from_f64(z.re.abs().max(z.im.abs())).exponent();
+            let k = 2f64.powi(-shift as i32);
+            (Complex::new(z.re * k, z.im * k), shift)
+        };
+        for (re, im) in [
+            (3.0, -40.0),
+            (f64::MIN_POSITIVE, 5e-324),
+            (-1e-300, 1e-310),
+            (1.5, 0.0),
+            (0.0, -7e300),
+            (f64::MAX, -f64::MAX),
+        ] {
+            let z = Complex::new(re, im);
+            let e = ExtComplex::from_complex(z);
+            let (m, shift) = reference(z);
+            assert_eq!(
+                (e.mantissa().re.to_bits(), e.mantissa().im.to_bits(), e.exponent()),
+                (m.re.to_bits(), m.im.to_bits(), shift),
+                "{z:?}"
+            );
+        }
     }
 
     #[test]

@@ -20,6 +20,24 @@ use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssi
 /// log10(2), used to convert binary exponents to decimal for display.
 pub(crate) const LOG10_2: f64 = std::f64::consts::LOG10_2;
 
+/// `2^k`, exact wherever it is representable.
+///
+/// For `k ∈ [−1022, 1023]` the power is a normal `f64` built straight from
+/// its exponent bits — the same value `2f64.powi(k)` returns, without the
+/// runtime exponentiation loop. Outside that range (`|k| ≤ 1080`) the power
+/// is the product of two in-range halves: `∞` above the range, the exact
+/// subnormal down to `2⁻¹⁰⁷⁴`, and `0` below it.
+#[inline]
+pub(crate) fn pow2(k: i64) -> f64 {
+    debug_assert!(k.abs() <= 1080);
+    if (-1022..=1023).contains(&k) {
+        f64::from_bits(((k + 1023) as u64) << 52)
+    } else {
+        let half = k / 2;
+        2f64.powi(half as i32) * 2f64.powi((k - half) as i32)
+    }
+}
+
 /// An extended-range real number `m · 2^e` with `1 ≤ |m| < 2` (or `m = 0`).
 ///
 /// ```
@@ -150,7 +168,7 @@ impl ExtFloat {
         }
         // Split the exponent so each factor stays in range.
         let half = self.exponent / 2;
-        self.mantissa * 2f64.powi(half as i32) * 2f64.powi((self.exponent - half) as i32)
+        self.mantissa * pow2(half) * pow2(self.exponent - half)
     }
 
     /// Base-10 logarithm of the absolute value.
@@ -283,7 +301,7 @@ impl Add for ExtFloat {
             // The smaller operand is below one ulp of the larger.
             return hi;
         }
-        let lo_m = lo.mantissa * 2f64.powi(-(shift as i32));
+        let lo_m = lo.mantissa * pow2(-shift);
         ExtFloat::new(hi.mantissa + lo_m, hi.exponent)
     }
 }
@@ -391,6 +409,33 @@ impl fmt::Display for ExtFloat {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `pow2` before the exponent-bit fast path, kept verbatim as the
+    /// identity reference.
+    fn pow2_reference(k: i64) -> f64 {
+        if k.abs() <= 1000 {
+            2f64.powi(k as i32)
+        } else {
+            let half = k / 2;
+            2f64.powi(half as i32) * 2f64.powi((k - half) as i32)
+        }
+    }
+
+    #[test]
+    fn pow2_is_bit_identical_to_powi() {
+        for k in -1080i64..=1080 {
+            let got = pow2(k);
+            assert_eq!(got.to_bits(), pow2_reference(k).to_bits(), "k={k}");
+            if (-1074..=-1024).contains(&k) {
+                // `powi` forms 1/2^|k|, whose denominator overflows here,
+                // and returns 0; `pow2` keeps the exact subnormal power.
+                assert_eq!(2f64.powi(k as i32), 0.0, "k={k}");
+                assert_eq!(got.to_bits(), 1u64 << (k + 1074), "k={k}");
+            } else {
+                assert_eq!(got.to_bits(), 2f64.powi(k as i32).to_bits(), "k={k}");
+            }
+        }
+    }
 
     #[test]
     fn normalization_invariant() {
