@@ -11,12 +11,28 @@
 //!    eq. (16) bisection. If escalating re-tilts find nothing new, the
 //!    remaining high-order coefficients are *declared zero* (this is how
 //!    the true polynomial order emerges, cf. §3.3 "neglecting high order
-//!    coefficients").
+//!    coefficients"). A re-tilt whose clamped scale repeats the previous
+//!    attempt's is skipped: it would recompute the same rejected window.
 //! 3. **Descending phase** (only if the first window missed `p₀`):
 //!    symmetric, using eq. (15).
 //!
 //! Every coefficient is denormalized as `p_i = p'_i/(f^i·g^{M−i})` in
 //! extended-range arithmetic and cross-checked between overlapping windows.
+//!
+//! **Shared opening windows.** A full network function recovers the
+//! denominator `D(s)` (eq. (9)) and then the numerator `N(s) = H(s)·D(s)`
+//! (eq. (10)) from samples at the same scaled unit-circle points: both
+//! chains open at the heuristic scale with `K = n_max + 1` points and
+//! verify at the same perturbed scale. So the denominator's opening window
+//! and its verify window sample the transfer function once per point —
+//! `D(σ)` is the transfer's own determinant, bit for bit what determinant
+//! sampling gives — and hand the `N(σ)` samples, per-point errors
+//! included, to the numerator's opening window and verify window at the
+//! same `(scale, K)`. The hand-off is a value owned by the one call; a
+//! single-polynomial solve ([`Solver::solve_polynomial`]) samples on its
+//! own. Coefficients are unchanged; only the numerator's shared windows
+//! report no solves of their own (see
+//! [`Diagnostic::SamplingBatched`]).
 
 use crate::config::RefgenConfig;
 use crate::diagnostic::{Diagnostic, NullObserver, Observer, Severity};
@@ -27,7 +43,7 @@ use crate::scaling::{
     Direction, ScalePolicy,
 };
 use crate::solver::{Solution, Solver};
-use crate::window::{interpolate_window, Reduction, Sampler, Window};
+use crate::window::{interpolate_window, Reduction, Sampler, SharedOpening, Window};
 use refgen_circuit::{Circuit, ElementKind};
 use refgen_mna::{MnaSystem, Scale, TransferSpec};
 use refgen_numeric::{Complex, ExtComplex, ExtFloat, ExtPoly};
@@ -246,6 +262,18 @@ impl NetworkFunction {
     }
 }
 
+/// `true` when a stall retry's stepped `scale` equals the previous
+/// attempt's bit for bit. Between attempts nothing the window depends on
+/// changes (the accepted and declared sets only grow when an attempt is
+/// taken), so the retry would compute the previous window again and be
+/// rejected the same way. Once eq. (14)'s step is clamped by
+/// [`RefgenConfig::max_step_decades_per_index`], every later attempt is
+/// clamped to the same scale too.
+fn repeats(previous: Option<Scale>, scale: Scale) -> bool {
+    previous
+        .is_some_and(|p| p.f.to_bits() == scale.f.to_bits() && p.g.to_bits() == scale.g.to_bits())
+}
+
 #[derive(Clone, Copy, Debug)]
 struct Accepted {
     value: ExtComplex,
@@ -351,10 +379,13 @@ impl AdaptiveInterpolator {
         runtime: &SamplingRuntime,
     ) -> Result<NetworkFunction, RefgenError> {
         self.preflight(sys, spec)?;
+        // Both chains open at the same scale and size: the denominator's
+        // opening windows sample the transfer once for both.
+        let mut opening = SharedOpening::default();
         let (denominator, den_report) =
-            self.recover(sys, spec, PolyKind::Denominator, observer, runtime)?;
+            self.recover(sys, spec, PolyKind::Denominator, observer, runtime, Some(&mut opening))?;
         let (numerator, num_report) =
-            self.recover(sys, spec, PolyKind::Numerator, observer, runtime)?;
+            self.recover(sys, spec, PolyKind::Numerator, observer, runtime, Some(&mut opening))?;
         Ok(NetworkFunction {
             numerator,
             denominator,
@@ -389,6 +420,9 @@ impl AdaptiveInterpolator {
         Ok(())
     }
 
+    /// Recovers one polynomial; `opening` is the hand-off its opening
+    /// window (and that window's verify re-interpolation) shares with the
+    /// other polynomial's, when both are recovered.
     fn recover(
         &self,
         sys: &MnaSystem,
@@ -396,6 +430,7 @@ impl AdaptiveInterpolator {
         kind: PolyKind,
         observer: &mut dyn Observer,
         runtime: &SamplingRuntime,
+        opening: Option<&mut SharedOpening>,
     ) -> Result<(ExtPoly, PolyReport), RefgenError> {
         let n_max = sys.circuit().reactive_count();
         let m_adm = poly_admittance_degree(sys, spec, kind)?;
@@ -434,6 +469,7 @@ impl AdaptiveInterpolator {
             &mut report,
             observer,
             runtime,
+            opening,
         )?;
         if w0.all_zero() {
             report.emit(observer, Diagnostic::AllSamplesZero { kind });
@@ -453,6 +489,7 @@ impl AdaptiveInterpolator {
                     break;
                 }
                 let mut stepped = false;
+                let mut previous = None;
                 for attempt in 0..=self.config.stall_retries {
                     if report.windows.len() >= self.config.max_interpolations {
                         break;
@@ -465,6 +502,10 @@ impl AdaptiveInterpolator {
                         &self.config,
                         policy,
                     );
+                    if repeats(previous, scale) {
+                        continue;
+                    }
+                    previous = Some(scale);
                     let reduction = self.descent_reduction(&accepted, &declared, n_max);
                     let w = self.run_checked(
                         &sampler,
@@ -476,6 +517,7 @@ impl AdaptiveInterpolator {
                         &mut report,
                         observer,
                         runtime,
+                        None,
                     )?;
                     let Some((lo, hi)) = w.region else { continue };
                     if lo >= bottom {
@@ -523,6 +565,7 @@ impl AdaptiveInterpolator {
                 break;
             }
             let mut stepped = false;
+            let mut previous = None;
             for attempt in 0..=self.config.stall_retries {
                 if report.windows.len() >= self.config.max_interpolations {
                     break;
@@ -535,6 +578,10 @@ impl AdaptiveInterpolator {
                     &self.config,
                     policy,
                 );
+                if repeats(previous, scale) {
+                    continue;
+                }
+                previous = Some(scale);
                 let reduction = self.ascent_reduction(&accepted, &declared, n_max);
                 let w = self.run_checked(
                     &sampler,
@@ -546,6 +593,7 @@ impl AdaptiveInterpolator {
                     &mut report,
                     observer,
                     runtime,
+                    None,
                 )?;
                 let Some((lo, hi)) = w.region else { continue };
                 if hi <= top {
@@ -613,8 +661,18 @@ impl AdaptiveInterpolator {
         report: &mut PolyReport,
         observer: &mut dyn Observer,
         runtime: &SamplingRuntime,
+        opening: Option<&mut SharedOpening>,
     ) -> Result<Window, RefgenError> {
-        let w = interpolate_window(sampler, scale, n_max, m_adm, reduction, &self.config, runtime)?;
+        let w = interpolate_window(
+            sampler,
+            scale,
+            n_max,
+            m_adm,
+            reduction,
+            &self.config,
+            runtime,
+            opening,
+        )?;
         report.record_window(observer, &w);
         Ok(w)
     }
@@ -636,9 +694,19 @@ impl AdaptiveInterpolator {
         report: &mut PolyReport,
         observer: &mut dyn Observer,
         runtime: &SamplingRuntime,
+        mut opening: Option<&mut SharedOpening>,
     ) -> Result<Window, RefgenError> {
-        let mut w =
-            self.run_window(sampler, scale, n_max, m_adm, reduction, report, observer, runtime)?;
+        let mut w = self.run_window(
+            sampler,
+            scale,
+            n_max,
+            m_adm,
+            reduction,
+            report,
+            observer,
+            runtime,
+            opening.as_deref_mut(),
+        )?;
         let Some((lo, hi)) = w.region else { return Ok(w) };
         if !self.config.verify {
             return Ok(w);
@@ -650,8 +718,9 @@ impl AdaptiveInterpolator {
             // not valid for these circuits).
             ScalePolicy::FrequencyOnly => Scale::new(scale.f * delta * delta, 1.0),
         };
-        let w2 =
-            self.run_window(sampler, scale2, n_max, m_adm, reduction, report, observer, runtime)?;
+        let w2 = self.run_window(
+            sampler, scale2, n_max, m_adm, reduction, report, observer, runtime, opening,
+        )?;
         let tol = 10f64.powi(-(self.config.sig_digits as i32) + 2);
         let denorm = |win: &Window, i: usize| -> Option<ExtComplex> {
             let f = ExtFloat::from_f64(win.scale.f);
@@ -819,8 +888,9 @@ impl AdaptiveInterpolator {
                 continue;
             }
             let mid = gap_repair_scale(a, b);
-            let w = self
-                .run_checked(sampler, mid, n_max, m_adm, None, policy, report, observer, runtime)?;
+            let w = self.run_checked(
+                sampler, mid, n_max, m_adm, None, policy, report, observer, runtime, None,
+            )?;
             self.accept_window(&w, m_adm, accepted, report, observer);
             queue.push((a, mid, depth + 1));
             queue.push((mid, b, depth + 1));
@@ -879,7 +949,7 @@ impl Solver for AdaptiveInterpolator {
         let sys = MnaSystem::new(circuit)?;
         self.preflight(&sys, spec)?;
         let runtime = SamplingRuntime::new(&self.config);
-        self.recover(&sys, spec, kind, observer, &runtime)
+        self.recover(&sys, spec, kind, observer, &runtime, None)
     }
 }
 
@@ -1304,6 +1374,51 @@ mod tests {
         assert_eq!(report.diagnostics, obs.events);
         let kept = accepted.get(&0).expect("still accepted").value;
         assert!((kept.to_complex().re - 1.0).abs() < 1e-12, "higher quality kept: {kept:?}");
+    }
+
+    /// The µA741's stall retries clamp at `max_step_decades_per_index`,
+    /// so escalating attempts land on the previous attempt's scale; those
+    /// are skipped. And the numerator's opening window and verify window
+    /// take the denominator's transfer samples: they report no solves of
+    /// their own, while the denominator's windows at the same scales
+    /// report them — at lane width 1 and batched alike, with identical
+    /// coefficients.
+    #[test]
+    fn ua741_skips_repeated_retries_and_shares_opening_windows() {
+        let c = refgen_circuit::library::ua741();
+        let mut coefficients = Vec::new();
+        for lanes in [1, 32] {
+            let cfg = RefgenConfig::builder().threads(1).lane_width(lanes).build();
+            let nf = AdaptiveInterpolator::new(cfg).network_function(&c, &spec()).unwrap();
+            for rep in [&nf.report.denominator, &nf.report.numerator] {
+                for pair in rep.windows.windows(2) {
+                    let same = pair[0].scale.f.to_bits() == pair[1].scale.f.to_bits()
+                        && pair[0].scale.g.to_bits() == pair[1].scale.g.to_bits();
+                    assert!(!same, "{:?}: a window repeats its predecessor's scale", rep.kind);
+                }
+            }
+            let batches = |rep: &PolyReport| -> Vec<(usize, u64, u64)> {
+                rep.diagnostics
+                    .iter()
+                    .filter_map(|d| match *d {
+                        Diagnostic::SamplingBatched { points, refactor_hits, mirrored, .. } => {
+                            Some((points, refactor_hits, mirrored))
+                        }
+                        _ => None,
+                    })
+                    .collect()
+            };
+            let (den, num) = (batches(&nf.report.denominator), batches(&nf.report.numerator));
+            let (d0, n0) = (&nf.report.denominator.windows, &nf.report.numerator.windows);
+            for w in 0..2 {
+                assert_eq!(d0[w].scale, n0[w].scale, "lanes {lanes}: opening window {w}");
+                assert_eq!(num[w], (den[w].0, 0, 0), "lanes {lanes}: shared window {w}");
+                assert!(den[w].1 > 0, "lanes {lanes}: the denominator window solved");
+            }
+            assert!(num[2..].iter().all(|&(_, hits, _)| hits > 0), "later windows sample");
+            coefficients.push(format!("{:?} {:?}", nf.denominator.coeffs(), nf.numerator.coeffs()));
+        }
+        assert_eq!(coefficients[0], coefficients[1], "lane width changes no coefficient bit");
     }
 
     #[test]

@@ -99,6 +99,7 @@ pub fn static_interpolation(
         None,
         config,
         &runtime,
+        None,
     )?;
     let num = interpolate_window(
         &Sampler { sys: &sys, spec, kind: PolyKind::Numerator },
@@ -108,6 +109,7 @@ pub fn static_interpolation(
         None,
         config,
         &runtime,
+        None,
     )?;
     Ok(StaticInterpolation { scale, numerator: num, denominator: den, admittance_degree: m })
 }
@@ -188,6 +190,7 @@ fn static_polynomial(
         None,
         config,
         runtime,
+        None,
     )?;
     poly_from_window(&w, m_poly, n_max, kind, observer)
 }
@@ -461,7 +464,7 @@ fn grid_recover(
         let f = 10f64.powf(f_lo.log10() + t * (f_hi.log10() - f_lo.log10()));
         let scale = Scale::new(f, g);
         out.scales.push(scale);
-        let w = interpolate_window(&sampler, scale, n_max, m, None, config, runtime)?;
+        let w = interpolate_window(&sampler, scale, n_max, m, None, config, runtime, None)?;
         out.total_points += w.points;
         on_window(&w);
         if let Some((lo, hi)) = w.region {

@@ -2,11 +2,14 @@
 //! half of the plan/execute sampling engine.
 //!
 //! [`interpolate_window`](crate::window::interpolate_window) builds one
-//! [`BatchSampler`] per window: a compiled
+//! [`BatchSampler`] per sampled window: a compiled
 //! [`SweepPlan`](refgen_mna::SweepPlan) for the window's
 //! `(MnaSystem, Scale)` pair, shared read-only across
 //! [`refgen_exec::par_map_indexed`] workers that each own a
-//! [`SweepScratch`](refgen_mna::SweepScratch). Five properties matter:
+//! [`SweepScratch`](refgen_mna::SweepScratch). It samples the determinant,
+//! the numerator, or — for the opening windows both polynomials share —
+//! both from one transfer evaluation per point
+//! ([`BatchSampler::sample_transfer`]). Five properties matter:
 //!
 //! * **Pivot-order reuse** — the plan records one pivot order at build
 //!   time and compiles a `FactorProgram` from it; every sample is a flat
@@ -22,13 +25,18 @@
 //!   `unit_circle_points` generates the pairs bit-exactly, so mirrored
 //!   output is **bit-identical** to the full sweep — only wall-clock
 //!   changes (`REFGEN_TEST_CONJ=off` forces the full sweep to prove it).
+//!   The partition depends on the window size `K` alone, so it is built
+//!   once per size ([`ConjugateRoles`], held by the runtime's window
+//!   tables).
 //! * **Lane batching** — with `config.lane_width > 1` the solved points
 //!   are chunked into lane-width groups, each group replayed through the
 //!   compiled kernel in **one** instruction-stream traversal
-//!   ([`SweepPlan::eval_batch`] / [`SweepPlan::eval_det_batch`]); per live
-//!   lane the batched replay performs the exact scalar operation sequence
-//!   of a one-point evaluation and dead lanes fall back to it verbatim,
-//!   so output is bit-identical at every lane width. Batching composes
+//!   ([`SweepPlan::eval_batch`] / [`SweepPlan::eval_det_batch`], which
+//!   stamp `K₀ + σ·K₁` point-major from the plan's coefficient arrays in
+//!   one vector pass); per live lane the batched replay performs the exact
+//!   scalar operation sequence of a one-point evaluation and dead lanes
+//!   fall back to it verbatim, so output is bit-identical at every lane
+//!   width. Batching composes
 //!   with, and is orthogonal to, threading: chunks fan out across the
 //!   same executor.
 //! * **Determinism** — every sample is a pure function of `(plan, σ)`
@@ -44,14 +52,16 @@
 
 use crate::config::RefgenConfig;
 use crate::error::RefgenError;
-use crate::runtime::SamplingRuntime;
-use crate::window::{PolyKind, Sampler};
-use refgen_mna::{MnaError, Scale, SweepBatchScratch, SweepPlan, SweepScratch};
+use crate::runtime::{SamplingRuntime, SizeTables};
+use refgen_mna::{
+    MnaError, MnaSystem, OrderingChoice, Scale, SweepBatchScratch, SweepPlan, SweepScratch,
+    SweepStats, TransferResponse, TransferSpec,
+};
 use refgen_numeric::{Complex, ExtComplex};
 use std::collections::HashMap;
 
 /// What one batch cost and how it ran.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct BatchStats {
     /// Worker threads actually used (after resolving `threads = 0` and
     /// capping at the solved-point count). Reported per *point*, not per
@@ -73,16 +83,109 @@ pub(crate) struct BatchStats {
 
 /// How one requested σ point is obtained: solved directly (index into the
 /// solve list) or mirrored from a solved conjugate partner.
-enum Role {
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Role {
     Direct(usize),
     Mirror(usize),
 }
 
-/// A window's sampling plan: evaluates one polynomial of the network
-/// function at scaled unit-circle points, in parallel, deterministically.
+/// The conjugate-pair partition of one σ set: a fixed function of the σ
+/// values alone, so it is identical at any thread count under any
+/// executor — and, since every window of size `K` samples the same
+/// [`unit_circle_points`](refgen_numeric::dft::unit_circle_points), built
+/// once per size.
+#[derive(Debug)]
+pub(crate) struct ConjugateRoles {
+    /// The points to solve: the closed upper half-circle in first-seen
+    /// order, then any lower-half point without an exact partner.
+    pub solve: Vec<Complex>,
+    /// Per σ point, in order, where its sample comes from.
+    pub roles: Vec<Role>,
+}
+
+impl ConjugateRoles {
+    pub fn new(sigmas: &[Complex]) -> ConjugateRoles {
+        let bits = |s: Complex| (s.re.to_bits(), s.im.to_bits());
+        let mut solve: Vec<Complex> = Vec::with_capacity(sigmas.len());
+        let mut upper: HashMap<(u64, u64), usize> = HashMap::with_capacity(sigmas.len());
+        for &s in sigmas {
+            if s.im >= 0.0 {
+                upper.entry(bits(s)).or_insert_with(|| {
+                    solve.push(s);
+                    solve.len() - 1
+                });
+            }
+        }
+        let roles = sigmas
+            .iter()
+            .map(|&s| {
+                if s.im >= 0.0 {
+                    Role::Direct(upper[&bits(s)])
+                } else if let Some(&k) = upper.get(&bits(s.conj())) {
+                    Role::Mirror(k)
+                } else {
+                    // No exact partner in the set (not a conjugate-paired
+                    // grid): solve it directly.
+                    solve.push(s);
+                    Role::Direct(solve.len() - 1)
+                }
+            })
+            .collect();
+        ConjugateRoles { solve, roles }
+    }
+}
+
+/// One point's sample; a mirrored point takes its partner's conjugate.
+trait Sample: Clone + Send {
+    fn conj(self) -> Self;
+}
+
+impl Sample for ExtComplex {
+    fn conj(self) -> Self {
+        // Exact: conjugation only negates the mantissa's imaginary
+        // component.
+        ExtComplex::conj(self)
+    }
+}
+
+impl Sample for Result<ExtComplex, MnaError> {
+    fn conj(self) -> Self {
+        self.map(ExtComplex::conj)
+    }
+}
+
+impl Sample for (ExtComplex, Result<ExtComplex, MnaError>) {
+    fn conj(self) -> Self {
+        (self.0.conj(), self.1.conj())
+    }
+}
+
+/// A transfer evaluation split into the two polynomials' samples: the
+/// denominator `D(σ)` (`ExtComplex::ZERO` where every recovery rung
+/// failed — exactly what [`SweepPlan::eval_det`] reports there) and the
+/// numerator `N(σ)` or the point's error.
+fn split(r: Result<TransferResponse, MnaError>) -> (ExtComplex, Result<ExtComplex, MnaError>) {
+    match r {
+        Ok(t) => (t.denominator, Ok(t.numerator)),
+        Err(e) => (ExtComplex::ZERO, Err(e)),
+    }
+}
+
+/// The counter deltas a window reports, from one scratch's before/after
+/// stats: refactor, compiled, recovered-fresh, recovered-reordered.
+fn deltas(before: SweepStats, after: SweepStats) -> [u64; 4] {
+    [
+        after.refactor_hits - before.refactor_hits,
+        after.compiled_hits - before.compiled_hits,
+        after.recovered_fresh - before.recovered_fresh,
+        after.recovered_reordered - before.recovered_reordered,
+    ]
+}
+
+/// A window's sampling plan: evaluates the network function at scaled
+/// unit-circle points, in parallel, deterministically.
 pub(crate) struct BatchSampler {
     plan: SweepPlan,
-    kind: PolyKind,
     /// Conjugate-pair halving is active: the configuration asked for it
     /// and the plan's pattern/RHS are real.
     mirror: bool,
@@ -94,103 +197,122 @@ pub(crate) struct BatchSampler {
 }
 
 impl BatchSampler {
-    /// Compiles the plan for one window of `sampler` at `scale`, sharing
-    /// pivot orders *and compiled symbolic kernels* through the runtime's
-    /// plan cache (one probe + one `FactorProgram` per distinct scale
-    /// region per topology — verify re-interpolations and batch-session
-    /// variants reuse both).
+    /// Compiles the plan for one window of `sys` at `scale` — a
+    /// determinant-only plan without a `spec` (a denominator-only solve
+    /// may have no resolvable source at all), a transfer plan with one —
+    /// sharing pivot orders *and compiled symbolic kernels* through the
+    /// runtime's plan cache (one probe + one `FactorProgram` per distinct
+    /// scale region per topology — verify re-interpolations and
+    /// batch-session variants reuse both).
     pub fn new(
-        sampler: &Sampler<'_>,
+        sys: &MnaSystem,
+        spec: Option<&TransferSpec>,
         scale: Scale,
         config: &RefgenConfig,
         runtime: &SamplingRuntime,
     ) -> Result<BatchSampler, RefgenError> {
         let cache = runtime.plan_cache();
-        let plan = match sampler.kind {
-            // Determinant sampling needs no spec (and must not require
-            // one: a denominator-only solve may have no resolvable
-            // source at all).
-            PolyKind::Denominator => SweepPlan::for_determinant_cached_with_ordering(
-                sampler.sys,
-                scale,
-                cache,
-                config.ordering,
-            ),
-            PolyKind::Numerator => SweepPlan::new_cached_with_ordering(
-                sampler.sys,
-                scale,
-                sampler.spec,
-                cache,
-                config.ordering,
-            )?,
+        let plan = match spec {
+            None => {
+                SweepPlan::for_determinant_cached_with_ordering(sys, scale, cache, config.ordering)
+            }
+            Some(spec) => {
+                SweepPlan::new_cached_with_ordering(sys, scale, spec, cache, config.ordering)?
+            }
         };
         let mirror = config.conjugate_mirror && plan.conjugate_symmetric();
         let lanes = config.lane_width.max(1);
-        Ok(BatchSampler { plan, kind: sampler.kind, mirror, lanes })
+        Ok(BatchSampler { plan, mirror, lanes })
     }
 
     /// The plan's pivot-ordering decision with the system dimension, for
     /// the ordering diagnostic (`None` when the probe was singular and no
     /// order could be recorded).
-    pub fn ordering(&self) -> Option<(usize, refgen_mna::OrderingChoice)> {
+    pub fn ordering(&self) -> Option<(usize, OrderingChoice)> {
         self.plan.ordering_choice().map(|c| (self.plan.dim(), c))
     }
 
-    /// Evaluates the polynomial at every `σ` on the runtime's executor
-    /// (scoped threads or the persistent pool — bit-identical either way),
-    /// returning samples in input order. With mirroring active, only the
-    /// closed upper half-circle is solved; each lower-half σ whose exact
-    /// conjugate appears in the set is mirrored from its partner.
+    /// The determinant `D(σ)` at every σ of `tables` (a singular point is
+    /// a legitimate zero sample).
+    pub fn sample_det(
+        &self,
+        tables: &SizeTables,
+        runtime: &SamplingRuntime,
+    ) -> (Vec<ExtComplex>, BatchStats) {
+        self.sample(tables, runtime, SweepPlan::eval_det, SweepPlan::eval_det_batch)
+    }
+
+    /// The numerator `N(σ)` at every σ of `tables`.
     ///
     /// # Errors
     ///
-    /// The lowest-index point's [`MnaError`], if any point fails (only
-    /// numerator sampling can fail — a singular determinant sample is a
-    /// legitimate zero). A mirrored point inherits its partner's failure.
-    pub fn sample_all(
+    /// The lowest-index point's [`MnaError`], if any point fails. A
+    /// mirrored point inherits its partner's failure.
+    pub fn sample_numerator(
         &self,
-        sigmas: &[Complex],
+        tables: &SizeTables,
         runtime: &SamplingRuntime,
     ) -> Result<(Vec<ExtComplex>, BatchStats), RefgenError> {
-        // Assign roles: a fixed function of the σ values alone, so the
-        // partition is identical at any thread count under any executor.
-        let bits = |s: Complex| (s.re.to_bits(), s.im.to_bits());
-        let mut solve: Vec<Complex> = Vec::with_capacity(sigmas.len());
-        let mut roles: Vec<Role> = Vec::with_capacity(sigmas.len());
-        if self.mirror {
-            let mut upper: HashMap<(u64, u64), usize> = HashMap::with_capacity(sigmas.len());
-            for &s in sigmas {
-                if s.im >= 0.0 {
-                    upper.entry(bits(s)).or_insert_with(|| {
-                        solve.push(s);
-                        solve.len() - 1
-                    });
-                }
-            }
-            for &s in sigmas {
-                if s.im >= 0.0 {
-                    roles.push(Role::Direct(upper[&bits(s)]));
-                } else if let Some(&k) = upper.get(&bits(s.conj())) {
-                    roles.push(Role::Mirror(k));
-                } else {
-                    // No exact partner in the set (not a conjugate-paired
-                    // grid): solve it directly.
-                    solve.push(s);
-                    roles.push(Role::Direct(solve.len() - 1));
-                }
-            }
-        } else {
-            solve.extend_from_slice(sigmas);
-            roles.extend((0..sigmas.len()).map(Role::Direct));
-        }
+        let (values, stats) = self.sample(
+            tables,
+            runtime,
+            |plan, s, scratch| plan.eval_at(s, scratch).map(|t| t.numerator),
+            |plan, chunk, scratch| {
+                plan.eval_batch(chunk, scratch)
+                    .into_iter()
+                    .map(|r| r.map(|t| t.numerator))
+                    .collect()
+            },
+        );
+        let values = values.into_iter().collect::<Result<Vec<_>, _>>()?;
+        Ok((values, stats))
+    }
 
+    /// Both polynomials at every σ of `tables` from **one** transfer
+    /// evaluation per solved point: the denominator samples (bit for bit
+    /// what [`BatchSampler::sample_det`] gives — the transfer's
+    /// factorization *is* the determinant's, accounting included) and the
+    /// numerator samples with their per-point errors, in σ order.
+    pub fn sample_transfer(
+        &self,
+        tables: &SizeTables,
+        runtime: &SamplingRuntime,
+    ) -> (Vec<ExtComplex>, Vec<Result<ExtComplex, MnaError>>, BatchStats) {
+        let (values, stats) = self.sample(
+            tables,
+            runtime,
+            |plan, s, scratch| split(plan.eval_at(s, scratch)),
+            |plan, chunk, scratch| plan.eval_batch(chunk, scratch).into_iter().map(split).collect(),
+        );
+        let (den, num) = values.into_iter().unzip();
+        (den, num, stats)
+    }
+
+    /// Evaluates every σ of `tables` on the runtime's executor (scoped
+    /// threads or the persistent pool — bit-identical either way), `one`
+    /// point at a time at lane width 1 and `batch` per lane group
+    /// otherwise, returning samples in σ order. With mirroring active,
+    /// only the size's solve list is evaluated and the rest mirrored.
+    fn sample<T: Sample>(
+        &self,
+        tables: &SizeTables,
+        runtime: &SamplingRuntime,
+        one: impl Fn(&SweepPlan, Complex, &mut SweepScratch) -> T + Sync,
+        batch: impl Fn(&SweepPlan, &[Complex], &mut SweepBatchScratch) -> Vec<T> + Sync,
+    ) -> (Vec<T>, BatchStats) {
+        let solve: &[Complex] = if self.mirror { &tables.conjugate.solve } else { &tables.sigmas };
         let executor = runtime.executor();
         // Reported per point regardless of lane chunking, so diagnostics
         // stay bit-identical across lane widths.
         let threads = refgen_exec::effective_threads(executor.threads(), solve.len());
         let plan = &self.plan;
-        let kind = self.kind;
-        let (values, counters) = if self.lanes > 1 {
+        let mut counters = [0u64; 4];
+        let mut count = |job: [u64; 4]| {
+            for (c, d) in counters.iter_mut().zip(job) {
+                *c += d;
+            }
+        };
+        let values: Vec<T> = if self.lanes > 1 {
             // Variant-major batched replay: chunk the solve list into
             // lane-width groups, each group one instruction-stream
             // traversal through the compiled kernel. Per live lane the
@@ -198,89 +320,54 @@ impl BatchSampler {
             // per-point path, and dead lanes fall back to it verbatim, so
             // every value (and every counter) below is bit-identical to
             // the `lanes == 1` branch.
-            // One lane group's output plus its counter deltas (refactor,
-            // compiled, recovered-fresh, recovered-reordered).
-            type ChunkOut = (Vec<Result<ExtComplex, MnaError>>, [u64; 4]);
             let chunks: Vec<&[Complex]> = solve.chunks(self.lanes).collect();
-            let per_chunk: Vec<ChunkOut> =
+            let per_chunk: Vec<(Vec<T>, [u64; 4])> =
                 executor.par_map_indexed(&chunks, SweepBatchScratch::new, |_, chunk, scratch| {
                     let before = scratch.stats();
-                    let values: Vec<Result<ExtComplex, MnaError>> = match kind {
-                        PolyKind::Denominator => {
-                            plan.eval_det_batch(chunk, scratch).into_iter().map(Ok).collect()
-                        }
-                        PolyKind::Numerator => plan
-                            .eval_batch(chunk, scratch)
-                            .into_iter()
-                            .map(|r| r.map(|t| t.numerator))
-                            .collect(),
-                    };
-                    let after = scratch.stats();
-                    (
-                        values,
-                        [
-                            after.refactor_hits - before.refactor_hits,
-                            after.compiled_hits - before.compiled_hits,
-                            after.recovered_fresh - before.recovered_fresh,
-                            after.recovered_reordered - before.recovered_reordered,
-                        ],
-                    )
+                    let values = batch(plan, chunk, scratch);
+                    (values, deltas(before, scratch.stats()))
                 });
-            let mut values = Vec::with_capacity(solve.len());
-            let mut counters = [0u64; 4];
-            for (chunk_values, deltas) in per_chunk {
-                values.extend(chunk_values);
-                for (c, d) in counters.iter_mut().zip(deltas) {
-                    *c += d;
-                }
-            }
-            (values, counters)
+            per_chunk
+                .into_iter()
+                .flat_map(|(values, job)| {
+                    count(job);
+                    values
+                })
+                .collect()
         } else {
-            let results: Vec<(Result<ExtComplex, MnaError>, [u64; 4])> =
-                executor.par_map_indexed(&solve, SweepScratch::new, |_, &sigma, scratch| {
+            let per_point: Vec<(T, [u64; 4])> =
+                executor.par_map_indexed(solve, SweepScratch::new, |_, &sigma, scratch| {
                     let before = scratch.stats();
-                    let value = match kind {
-                        PolyKind::Denominator => Ok(plan.eval_det(sigma, scratch)),
-                        PolyKind::Numerator => plan.eval_at(sigma, scratch).map(|r| r.numerator),
-                    };
-                    let after = scratch.stats();
-                    (
-                        value,
-                        [
-                            after.refactor_hits - before.refactor_hits,
-                            after.compiled_hits - before.compiled_hits,
-                            after.recovered_fresh - before.recovered_fresh,
-                            after.recovered_reordered - before.recovered_reordered,
-                        ],
-                    )
+                    let value = one(plan, sigma, scratch);
+                    (value, deltas(before, scratch.stats()))
                 });
-            let mut values = Vec::with_capacity(solve.len());
-            let mut counters = [0u64; 4];
-            for (value, deltas) in results {
-                values.push(value);
-                for (c, d) in counters.iter_mut().zip(deltas) {
-                    *c += d;
-                }
-            }
-            (values, counters)
+            per_point
+                .into_iter()
+                .map(|(value, job)| {
+                    count(job);
+                    value
+                })
+                .collect()
         };
 
         let mut mirrored = 0u64;
-        let mut samples = Vec::with_capacity(sigmas.len());
-        for role in &roles {
-            let value = match *role {
-                Role::Direct(k) => values[k].clone(),
-                Role::Mirror(k) => {
-                    mirrored += 1;
-                    // Exact: conjugation only negates the mantissa's
-                    // imaginary component.
-                    values[k].clone().map(|v| v.conj())
-                }
-            };
-            samples.push(value.map_err(RefgenError::from)?);
-        }
+        let samples = if self.mirror {
+            let roles = &tables.conjugate.roles;
+            roles
+                .iter()
+                .map(|role| match *role {
+                    Role::Direct(k) => values[k].clone(),
+                    Role::Mirror(k) => {
+                        mirrored += 1;
+                        values[k].clone().conj()
+                    }
+                })
+                .collect()
+        } else {
+            values
+        };
         let [refactor_hits, compiled_hits, recovered_fresh, recovered_reordered] = counters;
-        Ok((
+        (
             samples,
             BatchStats {
                 threads,
@@ -290,6 +377,6 @@ impl BatchSampler {
                 recovered_fresh,
                 recovered_reordered,
             },
-        ))
+        )
     }
 }

@@ -50,7 +50,12 @@ pub struct RefgenConfig {
     /// points once head/tail coefficients are known).
     pub reduce: bool,
     /// How many escalating re-tilts to try when an adaptive step yields no
-    /// new coefficients, before declaring the remaining ones zero.
+    /// new coefficients, before declaring the remaining ones zero. An
+    /// attempt whose stepped scale repeats the previous attempt's bit for
+    /// bit (the step clamped by
+    /// [`RefgenConfig::max_step_decades_per_index`]) would compute the
+    /// same rejected window again, so it is skipped: it opens no window
+    /// and uses none of the [`RefgenConfig::max_interpolations`] budget.
     pub stall_retries: u32,
     /// How many bisection attempts (eq. (16)) to repair a window gap.
     pub gap_retries: u32,
@@ -64,7 +69,9 @@ pub struct RefgenConfig {
     /// Cap on the scale-step tilt, in decades per coefficient index.
     /// Beyond ~8 the element-value imbalance of the scaled matrix starts
     /// eroding the LU determinant itself (the paper's §3.2 warning about
-    /// too-large individual scale factors).
+    /// too-large individual scale factors). Once a step is clamped, every
+    /// escalating stall retry after it is clamped to the same scale; those
+    /// retries are skipped (see [`RefgenConfig::stall_retries`]).
     pub max_step_decades_per_index: f64,
     /// Worker threads for batched unit-circle sampling: each window's
     /// points are independent numeric refactorizations, executed by
@@ -296,7 +303,8 @@ impl RefgenConfigBuilder {
         self
     }
 
-    /// Escalating re-tilts to try before declaring coefficients zero.
+    /// Escalating re-tilts to try before declaring coefficients zero (a
+    /// retry that would repeat the previous attempt's scale is skipped).
     #[must_use]
     pub fn stall_retries(mut self, stall_retries: u32) -> Self {
         self.config.stall_retries = stall_retries;

@@ -90,6 +90,14 @@ pub enum Diagnostic {
     /// plan/execute engine (one `SweepPlan` per window, executed by
     /// `refgen_exec`). Fires right after the window's
     /// [`Diagnostic::WindowOpened`].
+    ///
+    /// The counters report only work this window performed. The
+    /// numerator's opening window and its verify window take the samples
+    /// the denominator's windows at the same scale and size already
+    /// computed (see the [adaptive module docs](crate::adaptive)); such a
+    /// shared window reports its `points` with zero `threads`,
+    /// `refactor_hits`, `compiled_hits` and `mirrored`, and the solves
+    /// stay counted once, on the denominator's window.
     SamplingBatched {
         /// Points evaluated in the batch (conjugate-mirrored points
         /// included — they cost no solve but are part of the window).

@@ -17,10 +17,11 @@
 //!   the same unit-circle points `σ_k`, the same [`Dft`] plan and, under
 //!   the eq. (17) reduction, the same power columns `σ_k^i` (subtracting
 //!   the known coefficient `i`) and `conj(σ_k)^{k_lo}` (the shift down to
-//!   the lowest unknown). The runtime builds them once per `K`, each power
-//!   column on first use, and every later window of that size — the
-//!   verify re-interpolation and every variant of a fleet included —
-//!   reads them.
+//!   the lowest unknown), and the same conjugate-pair partition of the
+//!   points into solved and mirrored ones. The runtime builds them once
+//!   per `K`, each power column on first use, and every later window of
+//!   that size — the verify re-interpolation and every variant of a fleet
+//!   included — reads them.
 //!
 //! A [`SamplingRuntime`] is created per [`Session::solve`](crate::Session)
 //! by default, which already amortizes across every window of both
@@ -33,6 +34,7 @@
 //! bit-identical with or without a shared runtime, at any thread count,
 //! under either executor kind.
 
+use crate::batch::ConjugateRoles;
 use crate::config::RefgenConfig;
 use refgen_exec::Executor;
 use refgen_mna::PlanCache;
@@ -74,6 +76,9 @@ pub(crate) struct SizeTables {
     pub sigmas: Vec<Complex>,
     /// The size-`K` DFT plan of eq. (5).
     pub dft: Dft,
+    /// Which points a conjugate-mirrored window solves, and where every
+    /// point's sample comes from.
+    pub conjugate: ConjugateRoles,
     /// Power columns by `(exponent, conjugated)`: `σ_k.powi(e)` or
     /// `σ_k.conj().powi(e)` for every point `k`, each built on first use.
     powers: Mutex<HashMap<(usize, bool), Column>>,
@@ -152,9 +157,12 @@ impl SamplingRuntime {
     /// request.
     pub(crate) fn window_tables(&self, k_points: usize) -> Arc<SizeTables> {
         cached(&self.shared.windows, k_points, || {
+            let sigmas = unit_circle_points(k_points);
+            let conjugate = ConjugateRoles::new(&sigmas);
             Arc::new(SizeTables {
-                sigmas: unit_circle_points(k_points),
+                sigmas,
                 dft: Dft::new(k_points),
+                conjugate,
                 powers: Mutex::default(),
             })
         })

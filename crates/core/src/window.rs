@@ -15,12 +15,16 @@
 //! [`SamplingRuntime`]'s per-size window tables, built once per `K` and
 //! shared by every window of that size in the solve (the verify
 //! re-interpolation included) and, in a batch session, by every variant.
+//!
+//! The two polynomials of one network function open at the same scale
+//! with the same `K`, so their opening windows share one sampling batch
+//! (see the [adaptive module docs](crate::adaptive)).
 
-use crate::batch::BatchSampler;
+use crate::batch::{BatchSampler, BatchStats};
 use crate::config::RefgenConfig;
 use crate::error::RefgenError;
-use crate::runtime::SamplingRuntime;
-use refgen_mna::{MnaSystem, OrderingChoice, Scale, TransferSpec};
+use crate::runtime::{SamplingRuntime, SizeTables};
+use refgen_mna::{MnaError, MnaSystem, OrderingChoice, Scale, TransferSpec};
 use refgen_numeric::dft::Dft;
 use refgen_numeric::{Complex, ExtComplex, ExtFloat};
 
@@ -39,6 +43,46 @@ pub(crate) struct Sampler<'a> {
     pub sys: &'a MnaSystem,
     pub spec: &'a TransferSpec,
     pub kind: PolyKind,
+}
+
+/// The opening windows the two polynomials of one network function share.
+///
+/// Both recovery chains open at the same heuristic scale with
+/// `K = n_max + 1` points, and verify at the same perturbed scale, while
+/// one transfer evaluation yields `D(σ)` *and* `N(σ) = H(σ)·D(σ)` from a
+/// single factorization. So the denominator chain samples its opening
+/// windows through the transfer and leaves the numerator samples (errors
+/// included) here, and a numerator window at the same `(scale, K)` takes
+/// them instead of sampling again. The denominator samples are bit for bit
+/// what determinant sampling gives, so no coefficient changes. A value of
+/// this type is owned by one network-function call and passed to the
+/// opening windows of its two chains only.
+#[derive(Debug, Default)]
+pub(crate) struct SharedOpening {
+    windows: Vec<SharedWindow>,
+}
+
+/// One denominator opening window's numerator samples, in σ order.
+#[derive(Debug)]
+struct SharedWindow {
+    scale: Scale,
+    numerator: Vec<Result<ExtComplex, MnaError>>,
+    ordering: PlanOrdering,
+}
+
+/// A sampling plan's pivot-ordering decision with the system dimension
+/// (`None` when the probe was singular).
+type PlanOrdering = Option<(usize, OrderingChoice)>;
+
+impl SharedOpening {
+    /// Removes and returns the samples left for `(scale, k_points)`, if
+    /// any (scales compared bit for bit).
+    fn take(&mut self, scale: Scale, k_points: usize) -> Option<SharedWindow> {
+        let same =
+            |s: Scale| s.f.to_bits() == scale.f.to_bits() && s.g.to_bits() == scale.g.to_bits();
+        let i = self.windows.iter().position(|w| same(w.scale) && w.numerator.len() == k_points)?;
+        Some(self.windows.swap_remove(i))
+    }
 }
 
 /// Known coefficients used by the problem-size reduction of eq. (17): the
@@ -146,6 +190,10 @@ impl Window {
 ///   when unreduced).
 /// * `m_adm` — admittance degree used to renormalize known coefficients
 ///   into the current scaling during reduction.
+/// * `opening` — the hand-off of an opening window (unreduced, shared by
+///   both polynomials; see [`SharedOpening`]), `None` for every other
+///   window.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn interpolate_window(
     sampler: &Sampler<'_>,
     scale: Scale,
@@ -154,7 +202,9 @@ pub(crate) fn interpolate_window(
     reduction: Option<&Reduction>,
     config: &RefgenConfig,
     runtime: &SamplingRuntime,
+    opening: Option<&mut SharedOpening>,
 ) -> Result<Window, RefgenError> {
+    debug_assert!(opening.is_none() || reduction.is_none(), "opening windows are unreduced");
     let (k_lo, k_hi) = match reduction {
         Some(r) => {
             debug_assert!(r.k <= r.l && r.l <= n_max);
@@ -185,8 +235,8 @@ pub(crate) fn interpolate_window(
     // and shift down by σ^{k_lo}. Track the largest magnitude that enters
     // the computation: the sampling and subtraction round-off is relative
     // to it.
-    let batch = BatchSampler::new(sampler, scale, config, runtime)?;
-    let (raw_samples, batch_stats) = batch.sample_all(&tables.sigmas, runtime)?;
+    let (raw_samples, batch_stats, ordering) =
+        sample_window(sampler, scale, &tables, opening, config, runtime)?;
     let mut raw_mag = ExtFloat::ZERO;
     for &(_, c) in &renorm_known {
         raw_mag = raw_mag.max_abs(c.norm());
@@ -199,6 +249,9 @@ pub(crate) fn interpolate_window(
         let mut v = raw;
         raw_mag = raw_mag.max_abs(v.norm());
         for (c, powers) in &known_powers {
+            if !subtraction_changes(v, *c) {
+                continue;
+            }
             v -= *c * powers[k];
         }
         if let Some(shift) = &shift {
@@ -230,8 +283,60 @@ pub(crate) fn interpolate_window(
         mirrored: batch_stats.mirrored,
         recovered_fresh: batch_stats.recovered_fresh,
         recovered_reordered: batch_stats.recovered_reordered,
-        ordering: batch.ordering(),
+        ordering,
     })
+}
+
+/// One window's raw samples of its polynomial at the σ points of
+/// `tables`, how the batch ran, and the plan's ordering decision.
+///
+/// An opening window of the denominator samples through the transfer and
+/// leaves the numerator samples in `opening`. An opening window of the
+/// numerator takes them when they match its `(scale, K)`: it runs no batch
+/// and reports zero threads, solves and mirrored points — the denominator
+/// window reported them — but the same ordering decision.
+fn sample_window(
+    sampler: &Sampler<'_>,
+    scale: Scale,
+    tables: &SizeTables,
+    opening: Option<&mut SharedOpening>,
+    config: &RefgenConfig,
+    runtime: &SamplingRuntime,
+) -> Result<(Vec<ExtComplex>, BatchStats, PlanOrdering), RefgenError> {
+    let Sampler { sys, spec, kind } = *sampler;
+    match (kind, opening) {
+        (PolyKind::Denominator, Some(opening)) => {
+            let batch = BatchSampler::new(sys, Some(spec), scale, config, runtime)?;
+            let (samples, numerator, stats) = batch.sample_transfer(tables, runtime);
+            let ordering = batch.ordering();
+            opening.windows.push(SharedWindow { scale, numerator, ordering });
+            Ok((samples, stats, ordering))
+        }
+        (PolyKind::Denominator, None) => {
+            let batch = BatchSampler::new(sys, None, scale, config, runtime)?;
+            let (samples, stats) = batch.sample_det(tables, runtime);
+            Ok((samples, stats, batch.ordering()))
+        }
+        (PolyKind::Numerator, opening) => {
+            if let Some(shared) = opening.and_then(|o| o.take(scale, tables.sigmas.len())) {
+                let samples = shared.numerator.into_iter().collect::<Result<Vec<_>, _>>()?;
+                return Ok((samples, BatchStats::default(), shared.ordering));
+            }
+            let batch = BatchSampler::new(sys, Some(spec), scale, config, runtime)?;
+            let (samples, stats) = batch.sample_numerator(tables, runtime)?;
+            Ok((samples, stats, batch.ordering()))
+        }
+    }
+}
+
+/// `false` when `v − c·σ^i` is bit for bit `v` for every unit-circle power
+/// `σ^i`, so the eq. (17) subtraction can skip it: `c` is zero, or the
+/// product — whose exponent is at most `c.exponent() + 1`, since
+/// `|σ^i| = 1` — lies more than 120 binary orders below `v`, where
+/// `ExtComplex` addition returns `v` unchanged. A zero `v` always
+/// changes (it takes the negated product, even a signed zero).
+fn subtraction_changes(v: ExtComplex, c: ExtComplex) -> bool {
+    v.is_zero() || !(c.is_zero() || c.exponent() + 121 < v.exponent())
 }
 
 /// The inverse DFT of eq. (5) over the prepared samples, and the validity
@@ -349,6 +454,7 @@ mod tests {
             reduction,
             config,
             &SamplingRuntime::new(config),
+            None,
         )
     }
 
@@ -503,6 +609,119 @@ mod tests {
                 assert_eq!(w.region, one.region);
                 assert_eq!(w.refactor_hits, one.refactor_hits);
                 assert!(w.threads >= 1);
+            }
+        }
+    }
+
+    /// Every subtraction `subtraction_changes` lets the eq. (17) loop skip
+    /// leaves the sample bit for bit unchanged: exponent gaps straddling
+    /// the 120-bit cut-off, zero and non-finite operands, and every power
+    /// of a window's unit-circle points.
+    #[test]
+    fn skipped_subtractions_are_exact_noops() {
+        let mantissas = [
+            Complex::new(1.0, 0.0),
+            Complex::new(-1.999_999_999, 1.5),
+            Complex::new(0.3, -1.25),
+            Complex::new(-0.0, 1.0),
+        ];
+        let sigmas = refgen_numeric::dft::unit_circle_points(9);
+        let bits =
+            |z: ExtComplex| (z.mantissa().re.to_bits(), z.mantissa().im.to_bits(), z.exponent());
+        let mut skipped = 0;
+        for &vm in &mantissas {
+            for ve in [-300i64, 0, 7, 450] {
+                let mut vs = vec![ExtComplex::new(vm, ve), ExtComplex::ZERO];
+                vs.push(ExtComplex::new(Complex::new(f64::NAN, 1.0), ve));
+                for v in vs {
+                    for &cm in &mantissas {
+                        for gap in 115..=126 {
+                            for c in [ExtComplex::new(cm, ve - gap), ExtComplex::ZERO] {
+                                if subtraction_changes(v, c) {
+                                    continue;
+                                }
+                                skipped += 1;
+                                for i in 0..12 {
+                                    for s in &sigmas {
+                                        let out = v - c * s.powi(i);
+                                        assert_eq!(bits(out), bits(v), "v {v:?}, c {c:?}");
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(skipped > 0);
+        // The skip is conservative at the edge: a gap of 121 binary orders
+        // is still subtracted.
+        let v = ExtComplex::new(Complex::ONE, 0);
+        assert!(subtraction_changes(v, ExtComplex::new(Complex::ONE, -121)));
+        assert!(!subtraction_changes(v, ExtComplex::new(Complex::ONE, -122)));
+        assert!(subtraction_changes(ExtComplex::ZERO, ExtComplex::ZERO));
+    }
+
+    /// The opening windows a network function shares: the denominator
+    /// sampled through the transfer and the numerator taking its samples
+    /// are bit for bit the windows each polynomial samples on its own, at
+    /// every lane width, with mirroring on and off. The shared numerator
+    /// window reports no work of its own and the same ordering decision;
+    /// a numerator window at another scale samples itself.
+    #[test]
+    fn shared_opening_windows_match_own_sampling() {
+        let sys = MnaSystem::new(&refgen_circuit::library::ua741()).unwrap();
+        let spec = TransferSpec::voltage_gain("VIN", "out");
+        let n = sys.circuit().reactive_count();
+        let m = sys.admittance_degree();
+        let scale = Scale::new(1e9, 1e3);
+        let den = Sampler { sys: &sys, spec: &spec, kind: PolyKind::Denominator };
+        let num = Sampler { sys: &sys, spec: &spec, kind: PolyKind::Numerator };
+        for lanes in [1, 3, 32] {
+            for mirror in [true, false] {
+                let cfg =
+                    RefgenConfig::builder().lane_width(lanes).conjugate_mirror(mirror).build();
+                let at = format!("lanes {lanes}, mirror {mirror}");
+                let own_den = interp(&den, scale, n, m, None, &cfg).unwrap();
+                let own_num = interp(&num, scale, n, m, None, &cfg).unwrap();
+                let runtime = SamplingRuntime::new(&cfg);
+                let mut opening = SharedOpening::default();
+                let window = |sampler: &Sampler<'_>, opening: &mut SharedOpening| {
+                    let o = Some(opening);
+                    interpolate_window(sampler, scale, n, m, None, &cfg, &runtime, o).unwrap()
+                };
+                let shared_den = window(&den, &mut opening);
+                let shared_num = window(&num, &mut opening);
+                assert!(opening.windows.is_empty(), "{at}: the hand-off was taken");
+                for (own, shared) in [(&own_den, &shared_den), (&own_num, &shared_num)] {
+                    assert_eq!(format!("{:?}", own.normalized), format!("{:?}", shared.normalized));
+                    assert_eq!(own.region, shared.region, "{at}");
+                    assert_eq!(own.ordering, shared.ordering, "{at}");
+                }
+                let counters =
+                    |w: &Window| (w.threads, w.refactor_hits, w.compiled_hits, w.mirrored);
+                assert_eq!(counters(&own_den), counters(&shared_den), "{at}");
+                assert_eq!(counters(&shared_num), (0, 0, 0, 0), "{at}");
+                // Samples left at `scale` do not serve a window elsewhere.
+                let mut left = SharedOpening::default();
+                window(&den, &mut left);
+                let elsewhere = Scale::new(2e9, 5e2);
+                let own = interpolate_window(&num, elsewhere, n, m, None, &cfg, &runtime, None);
+                let asked = interpolate_window(
+                    &num,
+                    elsewhere,
+                    n,
+                    m,
+                    None,
+                    &cfg,
+                    &runtime,
+                    Some(&mut left),
+                );
+                let (own, asked) = (own.unwrap(), asked.unwrap());
+                assert_eq!(left.windows.len(), 1, "{at}: the hand-off stays for its own scale");
+                assert_eq!(format!("{:?}", own.normalized), format!("{:?}", asked.normalized));
+                assert_eq!(counters(&own), counters(&asked), "{at}: nothing to take");
+                assert!(asked.refactor_hits > 0, "{at}");
             }
         }
     }

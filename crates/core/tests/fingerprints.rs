@@ -3,8 +3,11 @@
 //! Every coefficient bit and every `Diagnostic` of a default-configuration
 //! µA741 solve is a contract: a rewrite of the window math (exponent
 //! alignment, the inverse DFT of eq. (5), the validity test of eq. (12)) or
-//! of the sampling engine must reproduce these hashes exactly. The
-//! configuration is spelled out field by field, so the `REFGEN_TEST_*`
+//! of the sampling engine must reproduce these hashes exactly. Each solve
+//! is pinned twice: by its coefficient bits alone, which a change that
+//! only removes or shares redundant sampling work must keep, and by its
+//! coefficient bits plus the `Diagnostic` stream, which records that work.
+//! The configuration is spelled out field by field, so the `REFGEN_TEST_*`
 //! environment hooks of the CI passes cannot change what is hashed.
 
 use refgen_circuit::library::ua741;
@@ -14,6 +17,7 @@ use refgen_core::{
 };
 use refgen_mna::TransferSpec;
 use std::fmt::Write;
+use std::sync::OnceLock;
 
 /// FNV-1a, streamed through `fmt::Write` so Debug text hashes without
 /// materializing.
@@ -80,44 +84,97 @@ fn spec() -> TransferSpec {
     TransferSpec::voltage_gain("VIN", "out")
 }
 
+/// Both fingerprints of one solve: coefficient bits alone, and coefficient
+/// bits plus the `Diagnostic` stream.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Hashes {
+    coefficients: u64,
+    full: u64,
+}
+
+fn hash_solutions<'a>(solutions: impl IntoIterator<Item = &'a Solution>) -> Hashes {
+    let (mut coefficients, mut full) = (Fnv::new(), Fnv::new());
+    for solution in solutions {
+        hash_network(&mut coefficients, &solution.network);
+        hash_solution(&mut full, solution);
+    }
+    Hashes { coefficients: coefficients.0, full: full.0 }
+}
+
+/// The default µA741 session and three ±5 % variants, one solve each.
+fn sessions() -> &'static [Hashes] {
+    static HASHES: OnceLock<Vec<Hashes>> = OnceLock::new();
+    HASHES.get_or_init(|| {
+        let base = ua741();
+        let mut circuits = vec![base.clone()];
+        circuits.extend(variants(3, 0x5eed).generate(&base).unwrap());
+        circuits
+            .iter()
+            .map(|c| {
+                let solution = Session::for_circuit(c)
+                    .spec(spec())
+                    .config(config(ExecutorKind::Scoped))
+                    .solve()
+                    .unwrap();
+                hash_solutions([&solution])
+            })
+            .collect()
+    })
+}
+
+/// A 64-variant ±5 % fleet on the worker pool, hashed in fleet order.
+fn fleet() -> Hashes {
+    static HASHES: OnceLock<Hashes> = OnceLock::new();
+    *HASHES.get_or_init(|| {
+        let run = Session::for_circuit(&ua741())
+            .spec(spec())
+            .config(config(ExecutorKind::Pool))
+            .variants(variants(64, 0xf1ee7))
+            .solve_all()
+            .unwrap();
+        let solutions = run.solutions();
+        assert_eq!(solutions.len(), 64);
+        hash_solutions(solutions)
+    })
+}
+
+/// Coefficient bits only: any change to the sampling engine that keeps
+/// every window's samples must keep these, whatever it does to the
+/// diagnostic stream.
+#[test]
+fn ua741_session_coefficients_match_pinned_fingerprints() {
+    let got: Vec<u64> = sessions().iter().map(|h| h.coefficients).collect();
+    let want: [u64; 4] = [
+        0x191f_81ec_f72b_672e,
+        0x0d89_1003_a58b_0560,
+        0x543e_6599_22e0_63e4,
+        0x7534_3e37_0017_9144,
+    ];
+    assert_eq!(got, want, "{got:#x?}");
+}
+
+#[test]
+fn ua741_fleet_coefficients_match_pinned_fingerprint() {
+    let got = fleet().coefficients;
+    let want: u64 = 0xec05_59bb_41f2_42d9;
+    assert_eq!(got, want, "{got:#x}");
+}
+
 #[test]
 fn ua741_sessions_match_pinned_fingerprints() {
-    let base = ua741();
-    let mut circuits = vec![base.clone()];
-    circuits.extend(variants(3, 0x5eed).generate(&base).unwrap());
-    let got: Vec<u64> = circuits
-        .iter()
-        .map(|c| {
-            let solution =
-                Session::for_circuit(c).spec(spec()).config(config(ExecutorKind::Scoped)).solve();
-            let mut h = Fnv::new();
-            hash_solution(&mut h, &solution.unwrap());
-            h.0
-        })
-        .collect();
+    let got: Vec<u64> = sessions().iter().map(|h| h.full).collect();
     let want: [u64; 4] = [
-        0x59d6_fb00_7e56_6f2f,
-        0xbfce_787d_3e48_5045,
-        0x27b8_3471_e7da_97ec,
-        0x7364_e0de_c0e0_dde0,
+        0xde14_8a77_1560_f1af,
+        0xf17a_2529_777a_fd6d,
+        0x5ac6_8916_a2bf_c3e8,
+        0x7453_31ec_0ee7_8c1e,
     ];
     assert_eq!(got, want, "{got:#x?}");
 }
 
 #[test]
 fn ua741_fleet_matches_pinned_fingerprint() {
-    let run = Session::for_circuit(&ua741())
-        .spec(spec())
-        .config(config(ExecutorKind::Pool))
-        .variants(variants(64, 0xf1ee7))
-        .solve_all()
-        .unwrap();
-    let solutions = run.solutions();
-    assert_eq!(solutions.len(), 64);
-    let mut h = Fnv::new();
-    for solution in solutions {
-        hash_solution(&mut h, solution);
-    }
-    let want: u64 = 0x8707_479a_a190_d314;
-    assert_eq!(h.0, want, "{:#x}", h.0);
+    let got = fleet().full;
+    let want: u64 = 0x3242_3db0_c3fd_7ace;
+    assert_eq!(got, want, "{got:#x}");
 }

@@ -13,7 +13,10 @@
 //!   rescaled from the system's stamp table, which [`MnaSystem::new`]
 //!   compiles once per circuit with the positions, the duplicate merge
 //!   and the pattern fingerprint already resolved: a plan build pays one
-//!   pass over the raw stamps, with no assembly, lookup or sort;
+//!   pass over the raw stamps, with no assembly, lookup or sort. The plan
+//!   keeps `K₀` and `K₁` as contiguous arrays, so batched evaluation
+//!   stamps a whole lane group of points in one vector pass
+//!   ([`FactorProgram::refactor_batch_points`]);
 //! * the **RHS template** (the excitation vector is frequency-independent);
 //! * a **pivot order** from one probe factorization, held together with
 //!   the **compiled symbolic kernel** ([`FactorProgram`]) built from
@@ -289,6 +292,12 @@ pub struct SweepPlan {
     /// and with duplicates merged; the matrix at `s` holds
     /// `constant + s·coefficient` at each position.
     pattern: Vec<(usize, usize, Complex, Complex)>,
+    /// The pattern's constants and `s`-coefficients as two contiguous
+    /// arrays, in pattern order — what the point-major batched stamp
+    /// ([`FactorProgram::refactor_batch_points`]) reads, built once per
+    /// plan.
+    k0: Vec<Complex>,
+    k1: Vec<Complex>,
     /// The system's pattern fingerprint ([`PlanCache`] key, and the first
     /// structure check of [`SweepPlan::rebind`]).
     fingerprint: u64,
@@ -754,10 +763,13 @@ impl SweepPlan {
         };
         let rhs = sys.rhs();
         let conjugate_symmetric = pattern_is_real(&pattern, &rhs);
+        let (k0, k1) = pattern.iter().map(|&(_, _, k0, k1)| (k0, k1)).unzip();
         Ok(SweepPlan {
             dim,
             scale: self.scale,
             pattern,
+            k0,
+            k1,
             fingerprint: self.fingerprint,
             rhs,
             // Symbolic analysis is value-independent: the variant replays
@@ -791,10 +803,13 @@ impl SweepPlan {
         };
         let rhs = sys.rhs();
         let conjugate_symmetric = pattern_is_real(&pattern, &rhs);
+        let (k0, k1) = pattern.iter().map(|&(_, _, k0, k1)| (k0, k1)).unzip();
         SweepPlan {
             dim,
             scale,
             pattern,
+            k0,
+            k1,
             fingerprint,
             rhs,
             compiled,
@@ -853,7 +868,21 @@ impl SweepPlan {
 
     /// The values of `A(s) = K₀ + s·K₁`, in pattern order.
     fn values_at(&self, s: Complex) -> impl Iterator<Item = Complex> + '_ {
-        self.pattern.iter().map(move |&(_, _, k0, k1)| k0 + s * k1)
+        self.k0.iter().zip(&self.k1).map(move |(&k0, &k1)| k0 + s * k1)
+    }
+
+    /// Stamps `A(σ)` for every point of `sigmas` (lane `k` at `sigmas[k]`,
+    /// fault-poisoned like a one-point evaluation) and replays the
+    /// program over all lanes in one traversal.
+    fn refactor_lanes(
+        &self,
+        program: &FactorProgram,
+        sigmas: &[Complex],
+        scratch: &mut SweepBatchScratch,
+    ) {
+        scratch.sigmas.clear();
+        scratch.sigmas.extend(sigmas.iter().map(|&s| faults::poison_point(s)));
+        program.refactor_batch_points(&self.k0, &self.k1, &scratch.sigmas, &mut scratch.batch);
     }
 
     /// Stamps `A(s)` into the scratch's reused triplet buffer.
@@ -1054,10 +1083,7 @@ impl SweepPlan {
             return sigmas.iter().map(|&s| self.eval_at(s, &mut scratch.fallback)).collect();
         };
         let lanes = sigmas.len();
-        program.refactor_batch(
-            sigmas.iter().map(|&s| self.values_at(faults::poison_point(s))),
-            &mut scratch.batch,
-        );
+        self.refactor_lanes(program, sigmas, scratch);
         // Broadcast the (frequency-independent) RHS across lanes, row-major.
         scratch.rhs.clear();
         for &v in &self.rhs {
@@ -1110,10 +1136,7 @@ impl SweepPlan {
         let Some(program) = self.program() else {
             return sigmas.iter().map(|&s| self.eval_det(s, &mut scratch.fallback)).collect();
         };
-        program.refactor_batch(
-            sigmas.iter().map(|&s| self.values_at(faults::poison_point(s))),
-            &mut scratch.batch,
-        );
+        self.refactor_lanes(program, sigmas, scratch);
         sigmas
             .iter()
             .enumerate()
@@ -1140,6 +1163,8 @@ impl SweepPlan {
 #[derive(Debug, Default)]
 pub struct SweepBatchScratch {
     batch: refgen_sparse::BatchScratch,
+    /// The lanes' (fault-poisoned) evaluation points.
+    sigmas: Vec<Complex>,
     rhs: Vec<Complex>,
     x: Vec<Complex>,
     /// Non-adopting by construction: dead lanes must replicate the
@@ -2212,5 +2237,84 @@ mod tests {
         let bs = batch.stats();
         assert_eq!(bs.recovered_fresh, points.len() as u64, "{bs:?}");
         assert_eq!(bs, seq.stats(), "batched accounting must match sequential");
+    }
+
+    /// The contract shared opening windows rest on: the denominator a
+    /// transfer evaluation reports (`ExtComplex::ZERO` where it fails) is
+    /// bit for bit the determinant-only plan's sample, with the same
+    /// accounting — one lane at a time (`eval_at` vs `eval_det`) and
+    /// batched (`eval_batch` vs `eval_det_batch`) at several lane widths,
+    /// on clean points, on points where the recorded order dies, and under
+    /// every replay fault kind and a NaN-stamped point.
+    #[test]
+    fn transfer_denominator_is_the_det_sample_bitwise() {
+        fn det_bits(d: ExtComplex) -> (u64, u64, i64) {
+            (d.mantissa().re.to_bits(), d.mantissa().im.to_bits(), d.exponent())
+        }
+        fn denominator(r: Result<TransferResponse, MnaError>) -> (u64, u64, i64) {
+            det_bits(r.map_or(ExtComplex::ZERO, |t| t.denominator))
+        }
+        fn check(sys: &MnaSystem, spec: &TransferSpec, scale: Scale, points: &[Complex], at: &str) {
+            let cache = PlanCache::new();
+            let mode = OrderingMode::Markowitz;
+            let det_plan =
+                SweepPlan::for_determinant_cached_with_ordering(sys, scale, &cache, mode);
+            let plan = SweepPlan::new_cached_with_ordering(sys, scale, spec, &cache, mode).unwrap();
+            let (mut a, mut b) = (SweepScratch::new(), SweepScratch::new());
+            for (k, &s) in points.iter().enumerate() {
+                let got = denominator(plan.eval_at(s, &mut a));
+                assert_eq!(
+                    got,
+                    det_bits(det_plan.eval_det(s, &mut b)),
+                    "{at}: one lane, point {k}"
+                );
+            }
+            assert_eq!(a.stats(), b.stats(), "{at}: one-lane accounting");
+            for width in [1usize, 3, 8] {
+                let (mut a, mut b) = (SweepBatchScratch::new(), SweepBatchScratch::new());
+                for (c, chunk) in points.chunks(width).enumerate() {
+                    let got: Vec<_> =
+                        plan.eval_batch(chunk, &mut a).into_iter().map(denominator).collect();
+                    let want: Vec<_> =
+                        det_plan.eval_det_batch(chunk, &mut b).into_iter().map(det_bits).collect();
+                    assert_eq!(got, want, "{at}: width {width}, chunk {c}");
+                }
+                assert_eq!(a.stats(), b.stats(), "{at}: width {width} accounting");
+            }
+        }
+
+        let sys = MnaSystem::new(&ua741()).unwrap();
+        let scale = Scale::new(1e9, 1e3);
+        let points = circle_points(12);
+        check(&sys, &spec(), scale, &points, "clean");
+
+        // Dead lanes: the VCCS circuit's recorded order dies at DC.
+        let mut c = Circuit::new();
+        c.add_vsource("VIN", "in", "0", 1.0).unwrap();
+        c.add_resistor("R1", "in", "a", 1e3).unwrap();
+        c.add_capacitor("C1", "a", "0", 1.0).unwrap();
+        c.add_vccs("G1", "a", "0", "a", "0", -2e-3).unwrap();
+        c.add_resistor("R3", "a", "b", 1e3).unwrap();
+        c.add_resistor("R4", "b", "0", 1e3).unwrap();
+        let vccs = MnaSystem::new(&c).unwrap();
+        let dc = [Complex::new(0.3, 1.1), Complex::ZERO, Complex::new(-0.4, 0.9), Complex::ZERO];
+        check(&vccs, &TransferSpec::voltage_gain("VIN", "b"), Scale::unit(), &dc, "dead lanes");
+
+        // Injected faults: every ladder depth, plus one NaN-stamped point.
+        let kinds = [
+            faults::FaultKind::ReplayZeroPivot,
+            faults::FaultKind::FreshSingular,
+            faults::FaultKind::Singular,
+        ];
+        for (variant, kind) in kinds.into_iter().enumerate() {
+            let _guard = faults::install(
+                faults::FaultPlan::new().fault_variant(variant, kind).nan_stamp_at(points[5]),
+            );
+            let _scope = faults::FaultScope::variant(variant);
+            check(&sys, &spec(), scale, &points, &format!("{kind:?}"));
+        }
+        let _guard = faults::install(faults::FaultPlan::new().nan_stamp_at(points[5]));
+        let _scope = faults::FaultScope::variant(0);
+        check(&sys, &spec(), scale, &points, "NaN stamp");
     }
 }

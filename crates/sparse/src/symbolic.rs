@@ -550,6 +550,44 @@ impl FactorProgram {
         self.replay_batch(scratch);
     }
 
+    /// Point-major batched refactorization of **one** affine matrix
+    /// `K₀ + σ·K₁` at many points: raw entry `e` of lane `k` takes the
+    /// value `k0[e] + sigmas[k]·k1[e]`. This is the transpose of
+    /// [`FactorProgram::refactor_batch_interleaved`] — one coefficient pair
+    /// per entry broadcast across the lanes, one `σ` per lane — and the
+    /// allocation- and iterator-free fast path for window sampling (one
+    /// plan, many unit-circle points). Per lane it performs exactly the
+    /// scalar `σ·k1`, `+ k0`, `+=` sequence of
+    /// [`FactorProgram::refactor_batch`] fed `k0[e] + σ·k1[e]` iterators,
+    /// with no FMA contraction, so results are bit-identical to it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sigmas` is empty or either coefficient slice's length
+    /// differs from the compiled pattern's raw entry count.
+    pub fn refactor_batch_points(
+        &self,
+        k0: &[Complex],
+        k1: &[Complex],
+        sigmas: &[Complex],
+        scratch: &mut BatchScratch,
+    ) {
+        let lanes = sigmas.len();
+        assert!(lanes > 0, "batch needs at least one lane");
+        assert_eq!(k0.len(), self.scatter.len(), "k0 length differs from compiled pattern");
+        assert_eq!(k1.len(), self.scatter.len(), "k1 length differs from compiled pattern");
+        scratch.begin(self, lanes);
+        #[cfg(target_arch = "x86_64")]
+        if avx_available() {
+            // SAFETY: AVX support was verified at runtime.
+            unsafe { stamp_points_avx(&self.scatter, k0, k1, sigmas, &mut scratch.vals) };
+            self.replay_batch(scratch);
+            return;
+        }
+        stamp_points_scalar(&self.scatter, k0, k1, sigmas, &mut scratch.vals);
+        self.replay_batch(scratch);
+    }
+
     /// The batched elimination replay: never fails as a whole — per-lane
     /// zero pivots are captured in `scratch.singular`.
     fn replay_batch(&self, scratch: &mut BatchScratch) {
@@ -985,6 +1023,78 @@ unsafe fn stamp_interleaved_avx(
         if lanes % 2 == 1 {
             let lane = lanes - 1;
             vals[slot as usize * lanes + lane] += k0[base + lane] + s * k1[base + lane];
+        }
+    }
+}
+
+/// The scalar stamp loop of [`FactorProgram::refactor_batch_points`] and
+/// the reference its AVX copy ([`stamp_points_avx`]) must match bit for
+/// bit: per raw entry, `vals[slot·lanes + k] += k0[e] + σ_k·k1[e]`.
+fn stamp_points_scalar(
+    scatter: &[u32],
+    k0: &[Complex],
+    k1: &[Complex],
+    sigmas: &[Complex],
+    vals: &mut [Complex],
+) {
+    let lanes = sigmas.len();
+    for ((&slot, &a), &b) in scatter.iter().zip(k0).zip(k1) {
+        let dst = &mut vals[slot as usize * lanes..(slot as usize + 1) * lanes];
+        for (v, &s) in dst.iter_mut().zip(sigmas) {
+            *v += a + s * b;
+        }
+    }
+}
+
+/// The AVX stamp loop of [`FactorProgram::refactor_batch_points`]: per raw
+/// entry, `k0[e]`/`k1[e]` broadcast and two lanes' `σ` per 256-bit
+/// register. Scalar operand order throughout (`σ` is the product's
+/// `self`; multiply, add `k0`, then accumulate), no FMA contraction —
+/// the mirror image of [`stamp_interleaved_avx`], bit-identical to
+/// [`stamp_points_scalar`].
+///
+/// # Safety
+///
+/// The CPU must support AVX. Every memory access is bounds-checked
+/// (each entry's lane range of `vals` is sliced before the raw-pointer
+/// loop, and the loop reads `sigmas` only below `sigmas.len()`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn stamp_points_avx(
+    scatter: &[u32],
+    k0: &[Complex],
+    k1: &[Complex],
+    sigmas: &[Complex],
+    vals: &mut [Complex],
+) {
+    use std::arch::x86_64::{
+        _mm256_add_pd, _mm256_addsub_pd, _mm256_loadu_pd, _mm256_movedup_pd, _mm256_mul_pd,
+        _mm256_permute_pd, _mm256_set_pd, _mm256_storeu_pd,
+    };
+    let lanes = sigmas.len();
+    let pairs = lanes / 2;
+    let sp = sigmas.as_ptr().cast::<f64>();
+    for ((&slot, &a), &b) in scatter.iter().zip(k0).zip(k1) {
+        let dst = &mut vals[slot as usize * lanes..(slot as usize + 1) * lanes];
+        let k0v = _mm256_set_pd(a.im, a.re, a.im, a.re);
+        let k1v = _mm256_set_pd(b.im, b.re, b.im, b.re);
+        let k1sw = _mm256_permute_pd(k1v, 0x5); // [k1.im, k1.re, k1.im, k1.re]
+        let vp = dst.as_mut_ptr().cast::<f64>();
+        for k in 0..pairs {
+            // Two lanes' σ, split into duplicated real and imaginary
+            // parts; addsub(σ.re·k1, σ.im·k1_swapped) is
+            // (σ.re·k1.re − σ.im·k1.im, σ.re·k1.im + σ.im·k1.re),
+            // operand-for-operand the scalar `σ * k1`.
+            let sv = _mm256_loadu_pd(sp.add(4 * k));
+            let sre = _mm256_movedup_pd(sv);
+            let sim = _mm256_permute_pd(sv, 0xF);
+            let prod = _mm256_addsub_pd(_mm256_mul_pd(sre, k1v), _mm256_mul_pd(sim, k1sw));
+            let v = _mm256_add_pd(k0v, prod);
+            let old = _mm256_loadu_pd(vp.add(4 * k));
+            _mm256_storeu_pd(vp.add(4 * k), _mm256_add_pd(old, v));
+        }
+        if lanes % 2 == 1 {
+            dst[lanes - 1] += a + sigmas[lanes - 1] * b;
         }
     }
 }
@@ -1661,6 +1771,82 @@ mod tests {
                 format!("{:?}", scratch.det()),
                 "surviving lane {lane}"
             );
+        }
+    }
+
+    /// The point-major stamp of `K₀ + σ·K₁` against `refactor_batch` fed
+    /// `k0[e] + σ·k1[e]` iterators, at every lane count 1..=33 (both tail
+    /// parities), on a pattern with duplicate positions, extreme
+    /// magnitudes, signed zeros and a NaN (poisoned) lane: the slot arrays,
+    /// per-lane dead steps and determinants must match bit for bit. The
+    /// scalar and AVX stamp copies are also called directly against a
+    /// lane-by-lane reference stamp.
+    #[test]
+    fn point_major_refactor_matches_iterator_batch() {
+        let n = 6;
+        let mut positions: Vec<(usize, usize)> = (0..n).map(|i| (i, i)).collect();
+        for i in 1..n {
+            positions.push((0, i));
+            positions.push((i, 0));
+        }
+        // Duplicates accumulate into one slot, in input order.
+        positions.extend([(0, 0), (2, 2), (3, 0), (2, 2)]);
+        let specials = [1e300, -1e-300, 5e-324, -0.0, 0.0, 3.5, -2.25e7, 1.0 / 3.0];
+        let coeff = |e: usize, salt: usize| {
+            let pick = |k: usize| specials[(e * 7 + salt * 3 + k) % specials.len()];
+            Complex::new(pick(0) + (e + 1) as f64, pick(5))
+        };
+        let k0: Vec<Complex> = (0..positions.len()).map(|e| coeff(e, 0)).collect();
+        let k1: Vec<Complex> = (0..positions.len()).map(|e| coeff(e, 1)).collect();
+        let probe = Complex::new(0.3, 0.7);
+        let mut t = Triplets::new(n);
+        for (&(r, c), (&a, &b)) in positions.iter().zip(k0.iter().zip(&k1)) {
+            t.add(r, c, a + probe * b);
+        }
+        let order = SparseLu::factor(&t).unwrap().order().clone();
+        let program = FactorProgram::compile(n, &positions, &order).unwrap();
+        let values = |s: Complex| k0.iter().zip(&k1).map(move |(&a, &b)| a + s * b);
+        let vals_bits = |vals: &[Complex]| vals.iter().map(|&z| bits(z)).collect::<Vec<_>>();
+        for lanes in 1..=33usize {
+            let sigmas: Vec<Complex> = (0..lanes)
+                .map(|k| match k % 5 {
+                    3 => Complex::new(f64::NAN, f64::NAN),
+                    4 => Complex::new(-0.0, 1e-200 * k as f64),
+                    _ => Complex::cis(2.0 * std::f64::consts::PI * k as f64 / lanes as f64),
+                })
+                .collect();
+            let mut want = BatchScratch::new();
+            program.refactor_batch(sigmas.iter().map(|&s| values(s)), &mut want);
+            let mut got = BatchScratch::new();
+            program.refactor_batch_points(&k0, &k1, &sigmas, &mut got);
+            assert_eq!(vals_bits(&got.vals), vals_bits(&want.vals), "{lanes} lanes: slots");
+            for lane in 0..lanes {
+                assert_eq!(got.singular_step(lane), want.singular_step(lane), "lane {lane}");
+                assert_eq!(
+                    format!("{:?}", got.lane_det(lane)),
+                    format!("{:?}", want.lane_det(lane)),
+                    "{lanes} lanes: lane {lane} det"
+                );
+            }
+
+            // Both stamp copies, directly, against the lane-by-lane stamp.
+            let zeroed = vec![Complex::ZERO; program.slots * lanes];
+            let mut reference = zeroed.clone();
+            for (lane, &s) in sigmas.iter().enumerate() {
+                for (e, v) in values(s).enumerate() {
+                    reference[program.scatter[e] as usize * lanes + lane] += v;
+                }
+            }
+            let mut scalar = zeroed.clone();
+            stamp_points_scalar(&program.scatter, &k0, &k1, &sigmas, &mut scalar);
+            assert_eq!(vals_bits(&scalar), vals_bits(&reference), "{lanes} lanes: scalar");
+            #[cfg(target_arch = "x86_64")]
+            if avx_available() {
+                let mut avx = zeroed.clone();
+                // SAFETY: AVX support was verified at runtime.
+                unsafe { stamp_points_avx(&program.scatter, &k0, &k1, &sigmas, &mut avx) };
+                assert_eq!(vals_bits(&avx), vals_bits(&reference), "{lanes} lanes: AVX");
+            }
         }
     }
 
