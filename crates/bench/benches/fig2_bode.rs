@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use refgen_bench::standard_spec;
 use refgen_circuit::library::ua741;
-use refgen_core::Session;
+use refgen_core::{RefgenConfig, Session};
 use refgen_mna::{log_space, AcAnalysis};
 use std::hint::black_box;
 
@@ -30,8 +30,9 @@ fn bench_fig2(c: &mut Criterion) {
     group.bench_function("electrical_simulator", |b| {
         b.iter(|| black_box(ac.sweep(black_box(&freqs)).expect("sweeps")))
     });
+    let lanes = RefgenConfig::default().lane_width;
     group.bench_function("electrical_simulator_reused_pivots", |b| {
-        b.iter(|| black_box(ac.sweep_fast(black_box(&freqs)).expect("sweeps")))
+        b.iter(|| black_box(ac.sweep_fast(black_box(&freqs), lanes).expect("sweeps")))
     });
     group.finish();
 }

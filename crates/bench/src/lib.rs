@@ -707,7 +707,10 @@ fn bench_affine_pattern(
 ///   off;
 /// * `mesh{nodes}_{markowitz,amd}_direct` — square grid RC meshes swept
 ///   over a dense log-frequency grid, ns per compiled-replay point under
-///   each pivot ordering.
+///   each pivot ordering;
+/// * `mesh{nodes}_auto_sweep` — the same meshes and grid through the
+///   direct AC sweep ([`refgen_mna::AcAnalysis::sweep_fast`]) at the
+///   default lane width, plan build included, ns per point.
 ///
 /// The snapshot also records the [`PerfEnv`] (CPU feature flags seen by
 /// the batched kernel's runtime dispatch, configured lane width).
@@ -937,10 +940,12 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
     // Mesh-scaling rows: square grid RC meshes at 256 / 1024 / 4096 nodes,
     // swept over a dense log-frequency grid under both pivot orderings
     // (the probe-recorded Markowitz order vs. approximate minimum degree),
-    // one compiled replay per point. Quick mode measures mesh256 only.
+    // one compiled replay per point; then the whole direct AC sweep (Auto
+    // plan build plus lane-batched replay). Quick mode measures mesh256
+    // only.
     {
         use refgen_circuit::library::grid_rc_mesh;
-        use refgen_mna::{OrderingMode, SweepPlan, SweepScratch};
+        use refgen_mna::{AcAnalysis, OrderingMode, SweepPlan, SweepScratch};
         let sides: &[usize] = if quick { &[16] } else { &[16, 32, 64] };
         let spec = standard_spec();
         for &side in sides {
@@ -980,6 +985,18 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
                     reps: mesh_reps,
                 });
             }
+            let ac = AcAnalysis::new(&circuit, spec.clone()).expect("mesh compiles");
+            let lanes = RefgenConfig::default().lane_width;
+            let (ns, _) = median_ns_per_point(mesh_reps, points, || {
+                let sweep = ac.sweep_fast(&freqs, lanes).expect("mesh sweeps");
+                sweep.iter().map(|p| p.response.re).sum()
+            });
+            rows.push(PerfRow {
+                name: format!("mesh{nodes}_auto_sweep"),
+                median_ns_per_point: ns,
+                points,
+                reps: mesh_reps,
+            });
         }
     }
 
@@ -1009,10 +1026,13 @@ mod tests {
             "session_ua741_mirror_off",
             "mesh256_markowitz_direct",
             "mesh256_amd_direct",
+            "mesh256_auto_sweep",
             "mesh1024_markowitz_direct",
             "mesh1024_amd_direct",
+            "mesh1024_auto_sweep",
             "mesh4096_markowitz_direct",
             "mesh4096_amd_direct",
+            "mesh4096_auto_sweep",
         ];
         let snapshot = PerfSnapshot {
             env: PerfEnv::detect(),
@@ -1060,6 +1080,7 @@ mod tests {
             "session_ua741_mirror_off",
             "mesh256_markowitz_direct",
             "mesh256_amd_direct",
+            "mesh256_auto_sweep",
         ];
         let snapshot = PerfSnapshot {
             env: PerfEnv::detect(),

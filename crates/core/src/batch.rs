@@ -171,17 +171,6 @@ fn split(r: Result<TransferResponse, MnaError>) -> (ExtComplex, Result<ExtComple
     }
 }
 
-/// The counter deltas a window reports, from one scratch's before/after
-/// stats: refactor, compiled, recovered-fresh, recovered-reordered.
-fn deltas(before: SweepStats, after: SweepStats) -> [u64; 4] {
-    [
-        after.refactor_hits - before.refactor_hits,
-        after.compiled_hits - before.compiled_hits,
-        after.recovered_fresh - before.recovered_fresh,
-        after.recovered_reordered - before.recovered_reordered,
-    ]
-}
-
 /// A window's sampling plan: evaluates the network function at scaled
 /// unit-circle points, in parallel, deterministically.
 pub(crate) struct BatchSampler {
@@ -306,12 +295,8 @@ impl BatchSampler {
         // stay bit-identical across lane widths.
         let threads = refgen_exec::effective_threads(executor.threads(), solve.len());
         let plan = &self.plan;
-        let mut counters = [0u64; 4];
-        let mut count = |job: [u64; 4]| {
-            for (c, d) in counters.iter_mut().zip(job) {
-                *c += d;
-            }
-        };
+        let mut counters = SweepStats::default();
+        let mut count = |job: SweepStats| counters = counters + job;
         let values: Vec<T> = if self.lanes > 1 {
             // Variant-major batched replay: chunk the solve list into
             // lane-width groups, each group one instruction-stream
@@ -321,11 +306,11 @@ impl BatchSampler {
             // every value (and every counter) below is bit-identical to
             // the `lanes == 1` branch.
             let chunks: Vec<&[Complex]> = solve.chunks(self.lanes).collect();
-            let per_chunk: Vec<(Vec<T>, [u64; 4])> =
+            let per_chunk: Vec<(Vec<T>, SweepStats)> =
                 executor.par_map_indexed(&chunks, SweepBatchScratch::new, |_, chunk, scratch| {
                     let before = scratch.stats();
                     let values = batch(plan, chunk, scratch);
-                    (values, deltas(before, scratch.stats()))
+                    (values, scratch.stats() - before)
                 });
             per_chunk
                 .into_iter()
@@ -335,11 +320,11 @@ impl BatchSampler {
                 })
                 .collect()
         } else {
-            let per_point: Vec<(T, [u64; 4])> =
+            let per_point: Vec<(T, SweepStats)> =
                 executor.par_map_indexed(solve, SweepScratch::new, |_, &sigma, scratch| {
                     let before = scratch.stats();
                     let value = one(plan, sigma, scratch);
-                    (value, deltas(before, scratch.stats()))
+                    (value, scratch.stats() - before)
                 });
             per_point
                 .into_iter()
@@ -366,16 +351,15 @@ impl BatchSampler {
         } else {
             values
         };
-        let [refactor_hits, compiled_hits, recovered_fresh, recovered_reordered] = counters;
         (
             samples,
             BatchStats {
                 threads,
-                refactor_hits,
-                compiled_hits,
+                refactor_hits: counters.refactor_hits,
+                compiled_hits: counters.compiled_hits,
                 mirrored,
-                recovered_fresh,
-                recovered_reordered,
+                recovered_fresh: counters.recovered_fresh,
+                recovered_reordered: counters.recovered_reordered,
             },
         )
     }

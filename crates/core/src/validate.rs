@@ -75,9 +75,10 @@ pub fn validate_against_ac(
 }
 
 /// Sweeps the independent AC simulator over `freqs_hz` through the
-/// compiled direct sweep ([`AcAnalysis::sweep_fast`]). No configuration
-/// field changes the sweep's path; the configuration parameter lets a
-/// caller pass its session configuration unchanged.
+/// compiled direct sweep ([`AcAnalysis::sweep_fast`]), batching
+/// [`RefgenConfig::lane_width`] frequencies per pass through the lane
+/// kernels. The output is bit-identical at every lane width; no other
+/// configuration field changes the sweep.
 ///
 /// # Errors
 ///
@@ -87,12 +88,12 @@ pub fn ac_sweep_with_config(
     circuit: &Circuit,
     spec: &TransferSpec,
     freqs_hz: &[f64],
-    _config: &RefgenConfig,
+    config: &RefgenConfig,
 ) -> Result<Vec<AcPoint>, RefgenError> {
     if freqs_hz.is_empty() {
         return Err(RefgenError::EmptyGrid);
     }
-    Ok(AcAnalysis::new(circuit, spec.clone())?.sweep_fast(freqs_hz)?)
+    Ok(AcAnalysis::new(circuit, spec.clone())?.sweep_fast(freqs_hz, config.lane_width)?)
 }
 
 #[cfg(test)]

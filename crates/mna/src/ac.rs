@@ -7,6 +7,7 @@
 //! interpolation engine, which is what makes the comparison meaningful.
 
 use crate::error::MnaError;
+use crate::sweep::{SweepBatchScratch, SweepPlan, SweepScratch};
 use crate::system::{MnaSystem, Scale};
 use crate::transfer::TransferSpec;
 use refgen_circuit::Circuit;
@@ -93,8 +94,7 @@ impl AcAnalysis {
     /// [`MnaError::Singular`] at frequencies where the matrix degenerates,
     /// plus spec-resolution errors.
     pub fn at(&self, freq_hz: f64) -> Result<AcPoint, MnaError> {
-        let s = Complex::new(0.0, 2.0 * std::f64::consts::PI * freq_hz);
-        let r = self.system.transfer(s, Scale::unit(), &self.spec)?;
+        let r = self.system.transfer(j_omega(freq_hz), Scale::unit(), &self.spec)?;
         Ok(AcPoint { freq_hz, response: r.response })
     }
 
@@ -118,37 +118,82 @@ impl AcAnalysis {
         self.sweep(&card.frequencies())
     }
 
-    /// Sweeps a frequency grid through a [`SweepPlan`](crate::SweepPlan):
-    /// one pivot search (the plan's probe factorization) and then a
-    /// compiled-kernel replay per point — what production circuit
-    /// simulators do. Any point where the recorded order hits an exact
-    /// zero pivot falls back to a fresh Markowitz factorization whose
-    /// order is **adopted** (compiled once) for the remaining points, so a
-    /// mid-sweep numeric pattern change costs one pivot search, not one per
-    /// remaining point.
+    /// Sweeps a frequency grid through a [`SweepPlan`]: one pivot search
+    /// (the plan's probe factorization) and then a compiled-kernel replay
+    /// per point — what production circuit simulators do.
+    ///
+    /// `lanes` is the lane width. The grid is cut into consecutive chunks
+    /// of `lanes` frequencies, and each chunk is stamped, replayed and
+    /// solved in one pass through the batched kernels
+    /// ([`SweepPlan::eval_batch`]). A width of `1` (or `0`) evaluates one
+    /// point at a time. Widths below about 8 gain little or lose against
+    /// the one-point path; on a 1 025-unknown RC mesh, widths 16 and 32
+    /// cut the cost per frequency by about a third.
+    ///
+    /// The output is **bit-identical at every width**, errors included:
+    /// every live lane computes exactly what the one-point replay
+    /// computes. Any point where the recorded order hits an exact zero
+    /// pivot falls back to a fresh Markowitz factorization whose order is
+    /// **adopted** (compiled once) for the remaining points, so a
+    /// mid-sweep numeric pattern change costs one pivot search, not one
+    /// per remaining point. Adoption is sequential, hence the restart
+    /// rule: when any point of a chunk needs a fresh factorization, the
+    /// chunk's batched results are discarded and the sweep finishes from
+    /// that chunk's first frequency one point at a time, with an adopting
+    /// [`SweepScratch`], exactly as a width-1 sweep would. A plan whose
+    /// probe was singular (no compiled kernel) runs one point at a time
+    /// from the start.
     ///
     /// # Errors
     ///
     /// Fails on the first frequency where even a fresh factorization is
     /// singular, or on spec-resolution errors.
-    pub fn sweep_fast(&self, freqs_hz: &[f64]) -> Result<Vec<AcPoint>, MnaError> {
-        let plan = crate::sweep::SweepPlan::new(&self.system, Scale::unit(), &self.spec)?;
-        let mut scratch = crate::sweep::SweepScratch::adopting();
-        freqs_hz
-            .iter()
-            .map(|&f| {
-                let s = Complex::new(0.0, 2.0 * std::f64::consts::PI * f);
-                let r = plan.eval_at(s, &mut scratch).map_err(|e| match e {
-                    // Report the sweep frequency, not the raw complex s.
-                    MnaError::Singular { .. } => MnaError::Singular { at: format!("{f} Hz") },
-                    MnaError::Unrecoverable { step, rung, .. } => {
-                        MnaError::Unrecoverable { at: format!("{f} Hz"), step, rung }
-                    }
-                    other => other,
-                })?;
-                Ok(AcPoint { freq_hz: f, response: r.response })
-            })
-            .collect()
+    pub fn sweep_fast(&self, freqs_hz: &[f64], lanes: usize) -> Result<Vec<AcPoint>, MnaError> {
+        let plan = SweepPlan::new(&self.system, Scale::unit(), &self.spec)?;
+        let mut points = Vec::with_capacity(freqs_hz.len());
+        if lanes > 1 && plan.program().is_some() {
+            let mut batch = SweepBatchScratch::new();
+            let mut sigmas = Vec::with_capacity(lanes);
+            for chunk in freqs_hz.chunks(lanes) {
+                sigmas.clear();
+                sigmas.extend(chunk.iter().map(|&f| j_omega(f)));
+                let before = batch.stats();
+                let results = plan.eval_batch(&sigmas, &mut batch);
+                let fresh = (batch.stats() - before).fresh_factorizations;
+                match results.into_iter().collect::<Result<Vec<_>, _>>() {
+                    Ok(responses) if fresh == 0 => points.extend(
+                        chunk
+                            .iter()
+                            .zip(responses)
+                            .map(|(&freq_hz, r)| AcPoint { freq_hz, response: r.response }),
+                    ),
+                    _ => break,
+                }
+            }
+        }
+        let mut scratch = SweepScratch::adopting();
+        for &f in &freqs_hz[points.len()..] {
+            let r = plan.eval_at(j_omega(f), &mut scratch).map_err(|e| at_frequency(e, f))?;
+            points.push(AcPoint { freq_hz: f, response: r.response });
+        }
+        Ok(points)
+    }
+}
+
+/// The sweep point `s = j·2πf` of frequency `f` (hertz).
+fn j_omega(freq_hz: f64) -> Complex {
+    Complex::new(0.0, 2.0 * std::f64::consts::PI * freq_hz)
+}
+
+/// Reports a sweep point's failure at its frequency, not the raw complex
+/// `s`.
+fn at_frequency(e: MnaError, freq_hz: f64) -> MnaError {
+    match e {
+        MnaError::Singular { .. } => MnaError::Singular { at: format!("{freq_hz} Hz") },
+        MnaError::Unrecoverable { step, rung, .. } => {
+            MnaError::Unrecoverable { at: format!("{freq_hz} Hz"), step, rung }
+        }
+        other => other,
     }
 }
 
@@ -292,7 +337,7 @@ mod tests {
         let ac = AcAnalysis::new(&c, TransferSpec::voltage_gain("VIN", "out")).unwrap();
         let freqs = log_space(1.0, 1e8, 40);
         let slow = ac.sweep(&freqs).unwrap();
-        let fast = ac.sweep_fast(&freqs).unwrap();
+        let fast = ac.sweep_fast(&freqs, 32).unwrap();
         for (a, b) in slow.iter().zip(&fast) {
             let rel = (a.response - b.response).abs() / a.response.abs();
             assert!(rel < 1e-9, "at {} Hz: rel {rel:.2e}", a.freq_hz);
@@ -305,7 +350,7 @@ mod tests {
         let ac = AcAnalysis::new(&c, TransferSpec::differential_gain("VIN", "out", "l1")).unwrap();
         let freqs = log_space(1e2, 1e8, 20);
         let slow = ac.sweep(&freqs).unwrap();
-        let fast = ac.sweep_fast(&freqs).unwrap();
+        let fast = ac.sweep_fast(&freqs, 32).unwrap();
         for (a, b) in slow.iter().zip(&fast) {
             assert!((a.response - b.response).abs() < 1e-12 + 1e-9 * a.response.abs());
         }
@@ -320,7 +365,7 @@ mod tests {
         let c = ua741();
         let ac = AcAnalysis::new(&c, TransferSpec::voltage_gain("VIN", "out")).unwrap();
         let freqs = log_space(10.0, 1e7, 30);
-        let clean = ac.sweep_fast(&freqs).unwrap();
+        let clean = ac.sweep_fast(&freqs, 32).unwrap();
         // Addressed by the exact `s` the sweep evaluates: s = j·2πf.
         let poisoned = [7usize, 19usize];
         let mut plan = faults::FaultPlan::new();
@@ -329,7 +374,7 @@ mod tests {
         }
         let _guard = faults::install(plan);
         let _scope = faults::FaultScope::variant(0);
-        let faulted = ac.sweep_fast(&freqs).unwrap();
+        let faulted = ac.sweep_fast(&freqs, 32).unwrap();
         for (k, (c, f)) in clean.iter().zip(&faulted).enumerate() {
             let finite = f.response.re.is_finite() && f.response.im.is_finite();
             if poisoned.contains(&k) {
@@ -338,6 +383,107 @@ mod tests {
                 assert_eq!(c.response.re.to_bits(), f.response.re.to_bits(), "point {k}");
                 assert_eq!(c.response.im.to_bits(), f.response.im.to_bits(), "point {k}");
             }
+        }
+    }
+
+    /// The sequential sweep `sweep_fast` ran before it batched, kept
+    /// verbatim as the oracle: one adopting scratch, one `eval_at` per
+    /// frequency, errors reported at their frequency.
+    fn sequential_oracle(ac: &AcAnalysis, freqs_hz: &[f64]) -> Result<Vec<AcPoint>, MnaError> {
+        let plan = SweepPlan::new(&ac.system, Scale::unit(), &ac.spec)?;
+        let mut scratch = SweepScratch::adopting();
+        freqs_hz
+            .iter()
+            .map(|&f| {
+                let s = Complex::new(0.0, 2.0 * std::f64::consts::PI * f);
+                let r = plan.eval_at(s, &mut scratch).map_err(|e| match e {
+                    MnaError::Singular { .. } => MnaError::Singular { at: format!("{f} Hz") },
+                    MnaError::Unrecoverable { step, rung, .. } => {
+                        MnaError::Unrecoverable { at: format!("{f} Hz"), step, rung }
+                    }
+                    other => other,
+                })?;
+                Ok(AcPoint { freq_hz: f, response: r.response })
+            })
+            .collect()
+    }
+
+    fn point_bits(points: &[AcPoint]) -> Vec<[u64; 3]> {
+        points
+            .iter()
+            .map(|p| [p.freq_hz.to_bits(), p.response.re.to_bits(), p.response.im.to_bits()])
+            .collect()
+    }
+
+    /// `sweep_fast` at widths 1, 3, 32 and 95 equals the sequential oracle
+    /// bit for bit — every point, or the identical error.
+    fn assert_sweep_matches_oracle(ac: &AcAnalysis, freqs_hz: &[f64]) {
+        let want = sequential_oracle(ac, freqs_hz);
+        for lanes in [1, 3, 32, 95] {
+            match (ac.sweep_fast(freqs_hz, lanes), &want) {
+                (Ok(got), Ok(want)) => {
+                    assert_eq!(point_bits(&got), point_bits(want), "width {lanes}");
+                }
+                (Err(got), Err(want)) => assert_eq!(&got, want, "width {lanes}"),
+                (got, want) => panic!(
+                    "width {lanes}: outcomes diverge: {:?} vs {:?}",
+                    got.map(|p| p.len()),
+                    want.as_ref().map(|p| p.len())
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn batched_sweep_matches_oracle_on_ua741() {
+        let ac = AcAnalysis::new(&ua741(), TransferSpec::voltage_gain("VIN", "out")).unwrap();
+        assert_sweep_matches_oracle(&ac, &log_space(1.0, 1e8, 95));
+    }
+
+    #[test]
+    fn batched_sweep_matches_oracle_on_grid_meshes() {
+        use refgen_circuit::library::grid_rc_mesh;
+        for side in [16, 32] {
+            let mesh = grid_rc_mesh(side, side, 9000 + side as u64);
+            let ac = AcAnalysis::new(&mesh, TransferSpec::voltage_gain("VIN", "out")).unwrap();
+            assert_sweep_matches_oracle(&ac, &log_space(1e6, 3e7, 95));
+        }
+    }
+
+    /// The restart path: the recorded order of this circuit dies at DC
+    /// (the VCCS cancels node a's conductances), so a chunk holding 0 Hz
+    /// is discarded and the sweep finishes one point at a time, adopting
+    /// the DC-safe order exactly where the sequential sweep does — the
+    /// second 0 Hz point then replays the adopted kernel.
+    #[test]
+    fn batched_sweep_restarts_sequentially_where_the_order_dies() {
+        let mut c = refgen_circuit::Circuit::new();
+        c.add_vsource("VIN", "in", "0", 1.0).unwrap();
+        c.add_resistor("R1", "in", "a", 1e3).unwrap();
+        c.add_capacitor("C1", "a", "0", 1.0).unwrap();
+        c.add_vccs("G1", "a", "0", "a", "0", -2e-3).unwrap();
+        c.add_resistor("R3", "a", "b", 1e3).unwrap();
+        c.add_resistor("R4", "b", "0", 1e3).unwrap();
+        let ac = AcAnalysis::new(&c, TransferSpec::voltage_gain("VIN", "b")).unwrap();
+        let mut freqs = log_space(1e-3, 1e3, 90);
+        // 0 Hz mid-chunk at widths 3 and 32, and again further on.
+        freqs.insert(40, 0.0);
+        freqs.insert(70, 0.0);
+        assert_sweep_matches_oracle(&ac, &freqs);
+    }
+
+    /// Fault scopes: replay faults send every lane down the recovery
+    /// ladder (restart path), and an exhausted ladder fails the sweep with
+    /// the oracle's error, at the oracle's frequency.
+    #[test]
+    fn batched_sweep_matches_oracle_under_faults() {
+        use crate::faults::{self, FaultKind, FaultPlan, FaultScope};
+        let ac = AcAnalysis::new(&ua741(), TransferSpec::voltage_gain("VIN", "out")).unwrap();
+        let freqs = log_space(10.0, 1e7, 40);
+        for kind in [FaultKind::ReplayZeroPivot, FaultKind::Singular] {
+            let _guard = faults::install(FaultPlan::new().fault_variant(3, kind));
+            let _scope = FaultScope::variant(3);
+            assert_sweep_matches_oracle(&ac, &freqs);
         }
     }
 

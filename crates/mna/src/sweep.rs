@@ -139,7 +139,11 @@ pub enum SelectedOrdering {
 pub struct OrderingChoice {
     /// The adopted ordering.
     pub selected: SelectedOrdering,
-    /// Fill-in slots of the compiled probe-Markowitz program.
+    /// Fill-in slots of the probe-Markowitz order: the probe
+    /// factorization's certified structural fill
+    /// ([`SparseLu::structural_fill`]) when it has one, which equals the
+    /// compiled program's [`FactorProgram::fill_in`] without compiling it;
+    /// otherwise the fill of the program compiled from the probe order.
     pub markowitz_fill: Option<usize>,
     /// Fill-in slots of the compiled AMD program (`None` when AMD was
     /// never attempted — [`OrderingMode::Markowitz`], or Auto below the
@@ -182,6 +186,45 @@ pub struct SweepStats {
     /// Points where every rung failed — surfaced to callers as the typed
     /// per-point [`MnaError::Unrecoverable`].
     pub unrecoverable: u64,
+}
+
+impl std::ops::Add for SweepStats {
+    type Output = SweepStats;
+
+    /// Field-wise sum: the accounting of two disjoint sets of evaluations.
+    fn add(self, rhs: SweepStats) -> SweepStats {
+        SweepStats {
+            refactor_hits: self.refactor_hits + rhs.refactor_hits,
+            fresh_factorizations: self.fresh_factorizations + rhs.fresh_factorizations,
+            compiled_hits: self.compiled_hits + rhs.compiled_hits,
+            amd_replays: self.amd_replays + rhs.amd_replays,
+            recovered_fresh: self.recovered_fresh + rhs.recovered_fresh,
+            recovered_reordered: self.recovered_reordered + rhs.recovered_reordered,
+            unrecoverable: self.unrecoverable + rhs.unrecoverable,
+        }
+    }
+}
+
+impl std::ops::Sub for SweepStats {
+    type Output = SweepStats;
+
+    /// Field-wise difference: what a scratch counted between two reads of
+    /// its [`SweepScratch::stats`] (`after - before`).
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if any field of `rhs` exceeds `self`'s.
+    fn sub(self, rhs: SweepStats) -> SweepStats {
+        SweepStats {
+            refactor_hits: self.refactor_hits - rhs.refactor_hits,
+            fresh_factorizations: self.fresh_factorizations - rhs.fresh_factorizations,
+            compiled_hits: self.compiled_hits - rhs.compiled_hits,
+            amd_replays: self.amd_replays - rhs.amd_replays,
+            recovered_fresh: self.recovered_fresh - rhs.recovered_fresh,
+            recovered_reordered: self.recovered_reordered - rhs.recovered_reordered,
+            unrecoverable: self.unrecoverable - rhs.unrecoverable,
+        }
+    }
 }
 
 /// Per-executor mutable state for [`SweepPlan`] evaluation: reused
@@ -399,10 +442,12 @@ impl PlanCache {
         self.shared.load(Ordering::Relaxed)
     }
 
-    /// [`FactorProgram`]s compiled through
-    /// this cache. Symbolic analysis is value- and scale-independent, so a
-    /// whole fleet of same-topology plans compiles **once** — cache hits
-    /// hand out the same `Arc`'d program the probe build compiled.
+    /// Ordering selections recorded through this cache, each holding one
+    /// [`FactorProgram`] — the count of recorded selections, not of
+    /// compile calls (a selection may compile none, one or two programs
+    /// while choosing). Symbolic analysis is value- and scale-independent,
+    /// so a whole fleet of same-topology plans records **one** — cache hits
+    /// hand out the same `Arc`'d program the probe build stored.
     pub fn programs_compiled(&self) -> usize {
         self.compiled.load(Ordering::Relaxed)
     }
@@ -485,12 +530,17 @@ pub(crate) fn affine_pattern(
     (sys.dim(), sys.affine_pattern(scale))
 }
 
-/// One probe factorization at a generic unit-circle point (angle of one
-/// radian — an irrational fraction of the circle, so it never coincides
-/// with a DFT sampling point), recording the pivot order every evaluation
-/// will replay. `None` when the probe is singular.
+/// The generic probe point: angle of one radian on the unit circle — an
+/// irrational fraction of the circle, so it never coincides with a DFT
+/// sampling point.
+fn generic_probe() -> Complex {
+    Complex::new(1f64.cos(), 1f64.sin())
+}
+
+/// One probe factorization at the generic point, recording the pivot order
+/// every evaluation will replay. `None` when the probe is singular.
 fn probe_order(dim: usize, pattern: &[(usize, usize, Complex, Complex)]) -> Option<PivotOrder> {
-    probe_order_at(dim, pattern, Complex::new(1f64.cos(), 1f64.sin()))
+    probe_order_at(dim, pattern, generic_probe())
 }
 
 /// Probe factorization of `K₀ + s·K₁` at an arbitrary point, recording the
@@ -501,11 +551,20 @@ pub(crate) fn probe_order_at(
     pattern: &[(usize, usize, Complex, Complex)],
     probe: Complex,
 ) -> Option<PivotOrder> {
+    probe_at(dim, pattern, probe).map(|lu| lu.order().clone())
+}
+
+/// The probe factorization itself (`None` when singular).
+fn probe_at(
+    dim: usize,
+    pattern: &[(usize, usize, Complex, Complex)],
+    probe: Complex,
+) -> Option<SparseLu> {
     let mut probe_t = Triplets::new(dim);
     for &(r, c, k0, k1) in pattern {
         probe_t.add(r, c, k0 + probe * k1);
     }
-    SparseLu::factor(&probe_t).ok().map(|lu| lu.order().clone())
+    SparseLu::factor(&probe_t).ok()
 }
 
 /// Compiles the symbolic kernel for `(pattern, order)`.
@@ -538,45 +597,60 @@ fn amd_fill_threshold(dim: usize, nnz: usize) -> usize {
 /// reduces fill. Returns `None` only when the probe factorization itself
 /// is singular (the plan then carries no order and every point pays a
 /// fresh Markowitz factorization).
+///
+/// Only the winning ordering's program is compiled: the Markowitz fill
+/// that drives the choice comes from the probe factorization whenever it
+/// certifies it ([`SparseLu::structural_fill`]), so a selection that
+/// adopts AMD never compiles the Markowitz program it would discard. A
+/// probe that skipped an exact-zero entry compiles the Markowitz program
+/// up front for its fill, as every selection once did.
 fn select_ordering(
     dim: usize,
     pattern: &[(usize, usize, Complex, Complex)],
     mode: OrderingMode,
 ) -> Option<PlanSelection> {
-    let order = probe_order(dim, pattern)?;
-    let program = Arc::new(compile_program(dim, pattern, &order)?);
-    let markowitz_fill = program.fill_in();
+    let probe = probe_at(dim, pattern, generic_probe())?;
+    let (markowitz_fill, markowitz_program) = match probe.structural_fill() {
+        Some(fill) => (fill, None),
+        None => {
+            let program = compile_program(dim, pattern, probe.order())?;
+            (program.fill_in(), Some(program))
+        }
+    };
     let attempt = match mode {
         OrderingMode::Markowitz => false,
         OrderingMode::Amd => true,
         OrderingMode::Auto => markowitz_fill > amd_fill_threshold(dim, pattern.len()),
     };
+    let mut amd_fill = None;
     if attempt {
         if let Some((amd_order, amd_program)) = try_amd_program(dim, pattern) {
-            let amd_fill = amd_program.fill_in();
-            let adopt = mode == OrderingMode::Amd || amd_fill < markowitz_fill;
-            let choice = OrderingChoice {
-                selected: if adopt { SelectedOrdering::Amd } else { SelectedOrdering::Markowitz },
-                markowitz_fill: Some(markowitz_fill),
-                amd_fill: Some(amd_fill),
-            };
-            if adopt {
+            let fill = amd_program.fill_in();
+            amd_fill = Some(fill);
+            if mode == OrderingMode::Amd || fill < markowitz_fill {
                 return Some(PlanSelection {
                     order: amd_order,
                     program: Arc::new(amd_program),
-                    choice,
+                    choice: OrderingChoice {
+                        selected: SelectedOrdering::Amd,
+                        markowitz_fill: Some(markowitz_fill),
+                        amd_fill,
+                    },
                 });
             }
-            return Some(PlanSelection { order, program, choice });
         }
     }
+    let program = match markowitz_program {
+        Some(program) => program,
+        None => compile_program(dim, pattern, probe.order())?,
+    };
     Some(PlanSelection {
-        order,
-        program,
+        order: probe.order().clone(),
+        program: Arc::new(program),
         choice: OrderingChoice {
             selected: SelectedOrdering::Markowitz,
             markowitz_fill: Some(markowitz_fill),
-            amd_fill: None,
+            amd_fill,
         },
     })
 }
@@ -592,7 +666,7 @@ fn try_amd_program(
     let positions: Vec<(usize, usize)> = pattern.iter().map(|&(r, c, _, _)| (r, c)).collect();
     let order = refgen_sparse::ordering::minimum_degree(dim, &positions);
     let program = FactorProgram::compile(dim, &positions, &order).ok()?;
-    let probe = Complex::new(1f64.cos(), 1f64.sin());
+    let probe = generic_probe();
     let mut scratch = ProgramScratch::new();
     program
         .refactor_values(pattern.iter().map(|&(_, _, k0, k1)| k0 + probe * k1), &mut scratch)
@@ -1184,16 +1258,7 @@ impl SweepBatchScratch {
     /// fallbacks combined, so totals match a sequential sweep of the same
     /// points exactly.
     pub fn stats(&self) -> SweepStats {
-        let fb = self.fallback.stats();
-        SweepStats {
-            refactor_hits: self.stats.refactor_hits + fb.refactor_hits,
-            fresh_factorizations: self.stats.fresh_factorizations + fb.fresh_factorizations,
-            compiled_hits: self.stats.compiled_hits + fb.compiled_hits,
-            amd_replays: self.stats.amd_replays + fb.amd_replays,
-            recovered_fresh: self.stats.recovered_fresh + fb.recovered_fresh,
-            recovered_reordered: self.stats.recovered_reordered + fb.recovered_reordered,
-            unrecoverable: self.stats.unrecoverable + fb.unrecoverable,
-        }
+        self.stats + self.fallback.stats()
     }
 
     /// Resets the counters (buffers are kept).
@@ -2095,6 +2160,92 @@ mod tests {
             let (mf, af) = (choice.markowitz_fill.unwrap(), choice.amd_fill.unwrap());
             assert!(af < mf, "auto adopted amd without a fill win: {af} vs {mf}");
         }
+    }
+
+    /// The selection rule as it stood before the probe certified its
+    /// fill: compile the Markowitz program first, read its fill, then
+    /// compile AMD when the mode asks. The reference the one-program
+    /// selection must reproduce — order, program fill and choice.
+    fn select_ordering_compiling_both(
+        dim: usize,
+        pattern: &[(usize, usize, Complex, Complex)],
+        mode: OrderingMode,
+    ) -> Option<(PivotOrder, usize, OrderingChoice)> {
+        let order = probe_order(dim, pattern)?;
+        let program = compile_program(dim, pattern, &order)?;
+        let markowitz_fill = program.fill_in();
+        let attempt = match mode {
+            OrderingMode::Markowitz => false,
+            OrderingMode::Amd => true,
+            OrderingMode::Auto => markowitz_fill > amd_fill_threshold(dim, pattern.len()),
+        };
+        let markowitz = |amd_fill| OrderingChoice {
+            selected: SelectedOrdering::Markowitz,
+            markowitz_fill: Some(markowitz_fill),
+            amd_fill,
+        };
+        if attempt {
+            if let Some((amd_order, amd_program)) = try_amd_program(dim, pattern) {
+                let amd_fill = amd_program.fill_in();
+                if mode == OrderingMode::Amd || amd_fill < markowitz_fill {
+                    let choice = OrderingChoice {
+                        selected: SelectedOrdering::Amd,
+                        markowitz_fill: Some(markowitz_fill),
+                        amd_fill: Some(amd_fill),
+                    };
+                    return Some((amd_order, amd_fill, choice));
+                }
+                return Some((order, markowitz_fill, markowitz(Some(amd_fill))));
+            }
+        }
+        Some((order, markowitz_fill, markowitz(None)))
+    }
+
+    fn assert_selection_matches_reference(
+        dim: usize,
+        pattern: &[(usize, usize, Complex, Complex)],
+    ) {
+        for mode in [OrderingMode::Auto, OrderingMode::Markowitz, OrderingMode::Amd] {
+            let got = select_ordering(dim, pattern, mode)
+                .map(|sel| (sel.order, sel.program.fill_in(), sel.choice));
+            assert_eq!(got, select_ordering_compiling_both(dim, pattern, mode), "{mode:?}");
+        }
+    }
+
+    /// Compiling only the winning ordering changes no selection: order,
+    /// program and [`OrderingChoice`] equal the compile-both reference
+    /// under every mode, on patterns that keep Markowitz, that adopt AMD
+    /// and that reject it.
+    #[test]
+    fn one_program_selection_matches_compile_both_reference() {
+        use refgen_circuit::library::{grid_rc_mesh, random_rc_mesh};
+        let scale = Scale::new(1e6, 1e3);
+        for circuit in [ua741(), rc_ladder(6, 1e3, 1e-9), random_rc_mesh(60, 150, 3)] {
+            let (dim, pattern) = affine_pattern(&MnaSystem::new(&circuit).unwrap(), scale);
+            assert_selection_matches_reference(dim, &pattern);
+        }
+        let (dim, pattern) =
+            affine_pattern(&MnaSystem::new(&grid_rc_mesh(16, 16, 9256)).unwrap(), Scale::unit());
+        assert_selection_matches_reference(dim, &pattern);
+    }
+
+    /// A probe whose elimination skips a stored exact zero cannot certify
+    /// its fill (it reports 0 where the compiled program fills 1): the
+    /// selection compiles the Markowitz program for the fill, exactly as
+    /// the reference does.
+    #[test]
+    fn uncertified_probe_fill_falls_back_to_the_compiled_fill() {
+        let real = |v: f64| Complex::real(v);
+        let pattern: Vec<(usize, usize, Complex, Complex)> =
+            [(0, 0, 2.0), (0, 1, 4.0), (1, 0, 1.0), (1, 2, 0.0), (2, 1, 0.0), (2, 2, 2.0)]
+                .into_iter()
+                .map(|(r, c, v)| (r, c, real(v), Complex::ZERO))
+                .collect();
+        let probe = probe_at(3, &pattern, generic_probe()).unwrap();
+        assert_eq!((probe.fill_in(), probe.structural_fill()), (0, None));
+        assert_selection_matches_reference(3, &pattern);
+        let choice = select_ordering(3, &pattern, OrderingMode::Markowitz).unwrap().choice;
+        assert_eq!(choice.markowitz_fill, Some(1));
     }
 
     #[test]

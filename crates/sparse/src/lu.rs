@@ -171,6 +171,10 @@ pub struct SparseLu {
     pivots: Vec<Complex>,
     det: ExtComplex,
     fill_in: usize,
+    /// `true` when some elimination step met an exact-zero entry in its
+    /// pivot column and skipped that row (no multiplier, no merge): the
+    /// numeric fill then undercounts the structural fill.
+    skipped_zero: bool,
 }
 
 impl SparseLu {
@@ -234,6 +238,17 @@ impl SparseLu {
     /// Number of fill-in entries created during elimination.
     pub fn fill_in(&self) -> usize {
         self.fill_in
+    }
+
+    /// The fill-in of the value-blind elimination under this factorization's
+    /// order — what [`FactorProgram::compile`](crate::FactorProgram::compile)
+    /// reports for the same positions and order — when this factorization
+    /// can certify it: `Some(fill_in)` when no elimination step skipped an
+    /// exact-zero entry of its pivot column, because both eliminations
+    /// then merge exactly the same rows. `None` when one did: a skipped
+    /// entry creates no fill here but does in the compiled program.
+    pub fn structural_fill(&self) -> Option<usize> {
+        (!self.skipped_zero).then_some(self.fill_in)
     }
 
     /// Solves `A·x = b`.
@@ -421,6 +436,7 @@ fn factor_impl(a: &Triplets, strategy: PivotStrategy) -> Result<SparseLu, Factor
     let mut urows = Vec::with_capacity(n);
     let mut pivots = Vec::with_capacity(n);
     let mut det_mag = ExtProduct::ONE;
+    let mut skipped_zero = false;
     let initial_nnz: usize = rows.iter().map(|r| r.len()).sum();
 
     for step in 0..n {
@@ -461,6 +477,7 @@ fn factor_impl(a: &Triplets, strategy: PivotStrategy) -> Result<SparseLu, Factor
             let Ok(pos) = row2.binary_search_by_key(&pc, |e| e.col) else { continue };
             let a_rc = row2.remove(pos).val;
             if a_rc == Complex::ZERO {
+                skipped_zero = true;
                 continue;
             }
             let l = a_rc / pivot;
@@ -518,6 +535,7 @@ fn factor_impl(a: &Triplets, strategy: PivotStrategy) -> Result<SparseLu, Factor
         pivots,
         det,
         fill_in: final_nnz.saturating_sub(initial_nnz),
+        skipped_zero,
     })
 }
 
@@ -756,6 +774,27 @@ mod tests {
         assert_eq!(want, FactorError::Singular { step: 0 });
         let program = FactorProgram::for_triplets(&a, &order).unwrap();
         assert_eq!(program.refactor(&zeroed, &mut ProgramScratch::new()), Err(want));
+    }
+
+    /// A stored exact zero in a later pivot column: the first step pivots
+    /// on (2,2) and meets row 1's zero at (1,2), which the numeric
+    /// elimination skips (no multiplier, no fill) while the compiled
+    /// program merges the pivot row into row 1 and creates (1,1). The
+    /// factorization must refuse to certify its fill.
+    #[test]
+    fn skipped_exact_zero_voids_structural_fill() {
+        let a =
+            tri(3, &[(0, 0, 2.0), (0, 1, 4.0), (1, 0, 1.0), (1, 2, 0.0), (2, 1, 0.0), (2, 2, 2.0)]);
+        let lu = SparseLu::factor(&a).unwrap();
+        assert_eq!((lu.order().rows()[0], lu.order().cols()[0]), (2, 2));
+        let program = FactorProgram::for_triplets(&a, lu.order()).unwrap();
+        assert_eq!((lu.fill_in(), program.fill_in()), (0, 1));
+        assert_eq!(lu.structural_fill(), None);
+        // Without the stored zero nothing is skipped, and the fill agrees.
+        let b = tri(3, &[(0, 0, 2.0), (0, 1, 4.0), (1, 0, 1.0), (2, 2, 2.0)]);
+        let lu = SparseLu::factor(&b).unwrap();
+        let program = FactorProgram::for_triplets(&b, lu.order()).unwrap();
+        assert_eq!(lu.structural_fill(), Some(program.fill_in()));
     }
 
     #[test]

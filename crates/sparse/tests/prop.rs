@@ -328,6 +328,7 @@ proptest! {
         let program = FactorProgram::for_triplets(&t, lu.order())
             .expect("order recorded on this pattern compiles");
         prop_assert_eq!(program.fill_in(), lu.fill_in(), "compile-time fill = numeric fill");
+        prop_assert_eq!(lu.structural_fill(), Some(program.fill_in()), "no zero was skipped");
 
         // Same matrix, then a same-pattern matrix with fresh values: the
         // program must track SparseLu::refactor on both.
@@ -434,6 +435,25 @@ proptest! {
     ) {
         let t = tie_heavy_matrix(dim, seed, density, false);
         assert_matches_reference(&t, f64::from(u_tenths) / 10.0)?;
+    }
+
+    /// Whenever a factorization certifies its fill (no exact-zero entry
+    /// skipped), the certificate is the compiled program's fill for the
+    /// same positions and order — on tie-heavy patterns full of stored
+    /// zeros and exact cancellations, where skips are common.
+    #[test]
+    fn certified_fill_is_the_compiled_fill(
+        dim in 1usize..10,
+        seed in 0u64..1_000_000,
+        density in 10u64..90,
+    ) {
+        let t = tie_heavy_matrix(dim, seed, density, false);
+        let Ok(lu) = SparseLu::factor(&t) else { return Ok(()) };
+        if let Some(fill) = lu.structural_fill() {
+            let program = FactorProgram::for_triplets(&t, lu.order())
+                .expect("order recorded on this pattern compiles");
+            prop_assert_eq!(fill, program.fill_in());
+        }
     }
 
     /// The same identity when entries overflow to infinity or hold NaN:

@@ -3,13 +3,16 @@
 //! orderings must stay mutually consistent while differing in fill.
 //!
 //! This tier drives the public plan API over real generated meshes:
-//! compiled-sweep-vs-fresh-LU within `1e-9` relative, and (in the
-//! `#[ignore]`d large run) an AMD fill win of at least 5× over the
-//! probe-Markowitz order on a 4096-node random mesh.
+//! compiled-sweep-vs-fresh-LU within `1e-9` relative, every plan's
+//! ordering choice against a reference that compiles both candidate
+//! programs, the lane-batched AC sweep against the one-point sweep bit for
+//! bit, and (in the `#[ignore]`d large run) an AMD fill win of at least 5×
+//! over the probe-Markowitz order on a 4096-node random mesh.
 
 use refgen::circuit::library::{grid_rc_mesh, random_rc_mesh};
 use refgen::circuit::Circuit;
-use refgen::mna::{MnaSystem, OrderingMode, SweepPlan};
+use refgen::core::ac_sweep_with_config;
+use refgen::mna::{MnaSystem, OrderingChoice, OrderingMode, SelectedOrdering, SweepPlan};
 use refgen::numeric::Complex;
 use refgen::prelude::*;
 
@@ -25,6 +28,39 @@ fn jw_points(lo: f64, hi: f64, n: usize) -> Vec<Complex> {
         .collect()
 }
 
+/// The ordering selection recomputed from compiled programs: the
+/// Markowitz-mode plan compiles the probe order, the AMD-mode plan
+/// compiles the AMD order whenever AMD is usable, and the selection rule
+/// is applied to their compiled fills — Auto tries AMD once the Markowitz
+/// fill exceeds `max(dim, nnz)` and adopts it only for strictly less fill.
+fn reference_choice(sys: &MnaSystem, mode: OrderingMode) -> Option<OrderingChoice> {
+    let plan = |mode| SweepPlan::new_with_ordering(sys, Scale::unit(), &spec(), mode).unwrap();
+    let markowitz = plan(OrderingMode::Markowitz);
+    let program = markowitz.program()?;
+    let markowitz_fill = program.fill_in();
+    let nnz = program.slots() - markowitz_fill;
+    let amd = plan(OrderingMode::Amd);
+    let amd_fill = (amd.ordering_choice()?.selected == SelectedOrdering::Amd)
+        .then(|| amd.program().expect("amd plans carry a program").fill_in());
+    let attempt = match mode {
+        OrderingMode::Markowitz => false,
+        OrderingMode::Amd => true,
+        OrderingMode::Auto => markowitz_fill > sys.dim().max(nnz),
+    };
+    let amd_fill = amd_fill.filter(|_| attempt);
+    let adopt = amd_fill.is_some_and(|f| mode == OrderingMode::Amd || f < markowitz_fill);
+    Some(OrderingChoice {
+        selected: if adopt { SelectedOrdering::Amd } else { SelectedOrdering::Markowitz },
+        markowitz_fill: Some(markowitz_fill),
+        amd_fill,
+    })
+}
+
+/// `plan`, built from `sys` under `mode`, reports the reference choice.
+fn assert_choice_matches_reference(plan: &SweepPlan, sys: &MnaSystem, mode: OrderingMode) {
+    assert_eq!(plan.ordering_choice(), reference_choice(sys, mode), "{mode:?}");
+}
+
 /// The compiled sweep of `circuit` under `mode` against a fresh per-point
 /// factorization ([`AcAnalysis::at`]): every frequency of `freqs` within
 /// 1e-9 relative, and every point served by the compiled kernel.
@@ -32,6 +68,7 @@ fn assert_compiled_sweep_matches_fresh_lu(circuit: &Circuit, mode: OrderingMode,
     let ac = AcAnalysis::new(circuit, spec()).expect("mesh compiles");
     let plan =
         SweepPlan::new_with_ordering(ac.system(), Scale::unit(), &spec(), mode).expect("mesh plan");
+    assert_choice_matches_reference(&plan, ac.system(), mode);
     let mut scratch = SweepScratch::new();
     for (k, &f) in freqs.iter().enumerate() {
         let s = Complex::new(0.0, 2.0 * std::f64::consts::PI * f);
@@ -70,6 +107,8 @@ fn orderings_agree_and_report_fill_on_meshes() {
         .expect("markowitz plan");
     let amd = SweepPlan::new_with_ordering(&sys, Scale::unit(), &spec(), OrderingMode::Amd)
         .expect("amd plan");
+    assert_choice_matches_reference(&mk, &sys, OrderingMode::Markowitz);
+    assert_choice_matches_reference(&amd, &sys, OrderingMode::Amd);
     let choice = amd.ordering_choice().expect("mesh plans record their ordering");
     let mk_fill = choice.markowitz_fill.expect("probe fill recorded");
     let amd_fill = choice.amd_fill.expect("amd fill recorded");
@@ -82,6 +121,41 @@ fn orderings_agree_and_report_fill_on_meshes() {
         let rel = (a - b).abs() / a.abs().max(1e-300);
         assert!(rel <= 1e-9, "orderings disagree at {s:?}: rel {rel:.2e}");
     }
+}
+
+/// Auto plans compile only the winning ordering, yet every mesh of this
+/// tier reports the choice the compile-both reference makes, under all
+/// three modes — including the 32×32 grid, where Auto adopts AMD.
+#[test]
+fn ordering_choices_match_compile_both_reference_under_every_mode() {
+    for circuit in
+        [grid_rc_mesh(16, 16, 9256), random_rc_mesh(200, 320, 42), grid_rc_mesh(32, 32, 20)]
+    {
+        let sys = MnaSystem::new(&circuit).expect("mesh compiles");
+        for mode in [OrderingMode::Auto, OrderingMode::Markowitz, OrderingMode::Amd] {
+            let plan = SweepPlan::new_with_ordering(&sys, Scale::unit(), &spec(), mode)
+                .expect("mesh plan");
+            assert_choice_matches_reference(&plan, &sys, mode);
+        }
+    }
+}
+
+/// The AC sweep the validation path runs, at 1 025 unknowns: batched at
+/// the default lane width it returns the one-point sweep's bits exactly.
+#[test]
+fn lane_batched_mesh_sweep_is_bit_identical_to_one_point_sweep() {
+    let circuit = grid_rc_mesh(32, 32, 20);
+    let freqs = log_space(1e6, 3e7, 95);
+    let sweep = |config: &RefgenConfig| {
+        ac_sweep_with_config(&circuit, &spec(), &freqs, config)
+            .expect("mesh sweeps")
+            .iter()
+            .map(|p| [p.freq_hz.to_bits(), p.response.re.to_bits(), p.response.im.to_bits()])
+            .collect::<Vec<_>>()
+    };
+    let one_point = sweep(&RefgenConfig::builder().lane_width(1).build());
+    assert_eq!(sweep(&RefgenConfig::builder().lane_width(32).build()), one_point);
+    assert_eq!(sweep(&RefgenConfig::default()), one_point);
 }
 
 /// ISSUE 9 acceptance, calibrated to what the orderings actually are: on
@@ -103,6 +177,7 @@ fn amd_cuts_fill_5x_on_4096_node_random_mesh() {
     let sys = MnaSystem::new(&circuit).expect("mesh compiles");
     let plan = SweepPlan::new_with_ordering(&sys, Scale::unit(), &spec(), OrderingMode::Amd)
         .expect("mesh plan");
+    assert_choice_matches_reference(&plan, &sys, OrderingMode::Amd);
     let choice = plan.ordering_choice().expect("ordering recorded");
     let mk_fill = choice.markowitz_fill.expect("probe fill recorded") as f64;
     let amd_fill = choice.amd_fill.expect("amd fill recorded") as f64;
