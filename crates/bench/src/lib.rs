@@ -705,6 +705,9 @@ fn bench_affine_pattern(
 /// * `session_ua741_mirror_{on,off}` — full adaptive `Session` solves of
 ///   the µA741, ns per interpolation point, mirroring on versus forced
 ///   off;
+/// * `plan_ua741_miss` — ns per plan built through a fresh `PlanCache` at
+///   the scales where the default µA741 session's plans miss its cache
+///   (probe factorization, ordering selection and program compile);
 /// * `mesh{nodes}_{markowitz,amd}_direct` — square grid RC meshes swept
 ///   over a dense log-frequency grid, ns per compiled-replay point under
 ///   each pivot ordering;
@@ -937,6 +940,53 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
         });
     }
 
+    // Plan misses: the plans of the default µA741 session that probe, found
+    // by replaying its windows (engine order, denominator first) through
+    // one cache, then rebuilt through a fresh cache per rep so every one
+    // misses again — probe, ordering selection and compile, ns per plan.
+    {
+        use refgen_mna::{MnaSystem, PlanCache, SweepPlan};
+        let spec = standard_spec();
+        let ordering = RefgenConfig::default().ordering;
+        let sys = MnaSystem::new(&ua741_circuit).expect("µA741 compiles");
+        let build = |kind: PolyKind, scale: Scale, cache: &PlanCache| match kind {
+            PolyKind::Denominator => {
+                SweepPlan::for_determinant_cached_with_ordering(&sys, scale, cache, ordering)
+            }
+            PolyKind::Numerator => {
+                SweepPlan::new_cached_with_ordering(&sys, scale, &spec, cache, ordering)
+                    .expect("µA741 plans")
+            }
+        };
+        let solution =
+            Session::for_circuit(&ua741_circuit).spec(spec.clone()).solve().expect("µA741 solves");
+        let report = &solution.network.report;
+        let replay = PlanCache::new();
+        let mut misses = Vec::new();
+        for (kind, windows) in [
+            (PolyKind::Denominator, &report.denominator.windows),
+            (PolyKind::Numerator, &report.numerator.windows),
+        ] {
+            for w in windows {
+                let searches = replay.pivot_searches();
+                build(kind, w.scale, &replay);
+                if replay.pivot_searches() > searches {
+                    misses.push((kind, w.scale));
+                }
+            }
+        }
+        let (ns, _) = median_ns_per_point(reps, misses.len(), || {
+            let cache = PlanCache::new();
+            misses.iter().map(|&(kind, scale)| build(kind, scale, &cache).dim() as f64).sum()
+        });
+        rows.push(PerfRow {
+            name: "plan_ua741_miss".to_string(),
+            median_ns_per_point: ns,
+            points: misses.len(),
+            reps,
+        });
+    }
+
     // Mesh-scaling rows: square grid RC meshes at 256 / 1024 / 4096 nodes,
     // swept over a dense log-frequency grid under both pivot orderings
     // (the probe-recorded Markowitz order vs. approximate minimum degree),
@@ -1024,6 +1074,7 @@ mod tests {
             "fleet_ua741x64_batched",
             "session_ua741_mirror_on",
             "session_ua741_mirror_off",
+            "plan_ua741_miss",
             "mesh256_markowitz_direct",
             "mesh256_amd_direct",
             "mesh256_auto_sweep",
@@ -1078,6 +1129,7 @@ mod tests {
             "fleet_ua741x64_batched",
             "session_ua741_mirror_on",
             "session_ua741_mirror_off",
+            "plan_ua741_miss",
             "mesh256_markowitz_direct",
             "mesh256_amd_direct",
             "mesh256_auto_sweep",

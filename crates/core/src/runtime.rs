@@ -1,7 +1,7 @@
 //! Shared sampling resources for one solve — or one fleet of solves.
 //!
-//! Two costs of the plan/execute sampling engine are worth paying **once**
-//! rather than per window:
+//! Three costs of the plan/execute sampling engine are worth paying
+//! **once** rather than per window:
 //!
 //! * **worker threads** — under
 //!   [`ExecutorKind::Pool`](refgen_exec::ExecutorKind::Pool) the runtime
@@ -21,7 +21,9 @@
 //!   points into solved and mirrored ones. The runtime builds them once
 //!   per `K`, each power column on first use, and every later window of
 //!   that size — the verify re-interpolation and every variant of a fleet
-//!   included — reads them.
+//!   included — reads them. Tables sit in a vector indexed by `K`, and
+//!   each table's columns in a vector indexed by `(exponent, conjugated)`
+//!   of write-once cells, so reading a column neither hashes nor locks.
 //!
 //! A [`SamplingRuntime`] is created per [`Session::solve`](crate::Session)
 //! by default, which already amortizes across every window of both
@@ -40,9 +42,7 @@ use refgen_exec::Executor;
 use refgen_mna::PlanCache;
 use refgen_numeric::dft::{unit_circle_points, Dft};
 use refgen_numeric::Complex;
-use std::collections::HashMap;
-use std::hash::Hash;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Executor, plan cache and per-size window tables shared by every
 /// sampling batch of one solve (or one batch session). See the
@@ -63,8 +63,8 @@ pub struct SamplingRuntime {
 #[derive(Debug, Default)]
 struct Shared {
     plans: PlanCache,
-    /// Per-size window tables, keyed by the interpolation size `K`.
-    windows: Mutex<HashMap<usize, Arc<SizeTables>>>,
+    /// Per-size window tables, indexed by the interpolation size `K`.
+    windows: Mutex<Vec<Option<Arc<SizeTables>>>>,
 }
 
 /// The tables of one interpolation size `K`: everything a window computes
@@ -79,47 +79,82 @@ pub(crate) struct SizeTables {
     /// Which points a conjugate-mirrored window solves, and where every
     /// point's sample comes from.
     pub conjugate: ConjugateRoles,
-    /// Power columns by `(exponent, conjugated)`: `σ_k.powi(e)` or
-    /// `σ_k.conj().powi(e)` for every point `k`, each built on first use.
-    powers: Mutex<HashMap<(usize, bool), Column>>,
+    /// Power columns indexed by `(exponent, conjugated)` as
+    /// `2·exponent + conjugated`, for every exponent up to the one the
+    /// tables were built for: `σ_k.powi(e)` or `σ_k.conj().powi(e)` for
+    /// every point `k`, each built on first use.
+    powers: Box<[OnceLock<Box<[Complex]>>]>,
+    /// The bases `Complex::powi` multiplies in, indexed like `powers` by
+    /// `(j, conjugated)`: `σ_k` (or `conj(σ_k)`) squared `j` times.
+    squares: Box<[OnceLock<Box<[Complex]>>]>,
 }
 
-/// One value per interpolation point, shared between windows.
-type Column = Arc<[Complex]>;
-
 impl SizeTables {
+    /// Tables for `k_points` points with power columns up to exponent
+    /// `max_exponent`.
+    fn new(k_points: usize, max_exponent: usize) -> SizeTables {
+        let sigmas = unit_circle_points(k_points);
+        let conjugate = ConjugateRoles::new(&sigmas);
+        let cells = |n: usize| (0..2 * n).map(|_| OnceLock::new()).collect();
+        SizeTables {
+            sigmas,
+            dft: Dft::new(k_points),
+            conjugate,
+            powers: cells(max_exponent + 1),
+            squares: cells(max_exponent.max(1).ilog2() as usize + 1),
+        }
+    }
+
+    /// The largest exponent these tables hold columns for.
+    fn max_exponent(&self) -> usize {
+        self.powers.len() / 2 - 1
+    }
+
     /// The column `σ_k^e` over every point `k` of this size.
-    pub fn powers(&self, e: usize) -> Column {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `e` exceeds the exponent the tables were built for.
+    pub fn powers(&self, e: usize) -> &[Complex] {
         self.column(e, false)
     }
 
     /// The column `conj(σ_k)^e` over every point `k` of this size.
-    pub fn conj_powers(&self, e: usize) -> Column {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `e` exceeds the exponent the tables were built for.
+    pub fn conj_powers(&self, e: usize) -> &[Complex] {
         self.column(e, true)
     }
 
-    fn column(&self, e: usize, conj: bool) -> Column {
-        cached(&self.powers, (e, conj), || {
-            self.sigmas.iter().map(|&s| if conj { s.conj() } else { s }.powi(e as i32)).collect()
+    /// `Complex::powi(e)` starts from `acc = 1` and multiplies in its
+    /// base `b_j` (the point squared `j` times) for each set bit `j` of
+    /// `e`, lowest first. Its product before the highest bit `h` is
+    /// therefore the column of `e − 2^h`, so the column of `e` is that
+    /// column times `b_h`, point by point: the same products in the same
+    /// order, each made once per table instead of once per column.
+    fn column(&self, e: usize, conj: bool) -> &[Complex] {
+        self.powers[2 * e + usize::from(conj)].get_or_init(|| {
+            if e == 0 {
+                return vec![Complex::ONE; self.sigmas.len()].into();
+            }
+            let h = e.ilog2() as usize;
+            let rest = self.column(e - (1 << h), conj);
+            rest.iter().zip(self.square(h, conj)).map(|(&a, &b)| a * b).collect()
         })
     }
-}
 
-/// The value under `key`, built by `build` outside the lock on first use.
-/// A concurrent builder of the same key computes the same value, and the
-/// first insert wins. The map only ever receives finished values, so a
-/// lock poisoned by a panicking builder still guards valid entries.
-fn cached<K: Eq + Hash, V: Clone>(
-    map: &Mutex<HashMap<K, V>>,
-    key: K,
-    build: impl FnOnce() -> V,
-) -> V {
-    let lock = || map.lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(value) = lock().get(&key) {
-        return value.clone();
+    /// The bases `b_j` of [`SizeTables::column`]: `b_0` is the points
+    /// themselves (conjugated or not), `b_j = b_{j−1}·b_{j−1}`.
+    fn square(&self, j: usize, conj: bool) -> &[Complex] {
+        self.squares[2 * j + usize::from(conj)].get_or_init(|| {
+            if j == 0 {
+                return self.sigmas.iter().map(|&s| if conj { s.conj() } else { s }).collect();
+            }
+            self.square(j - 1, conj).iter().map(|&b| b * b).collect()
+        })
     }
-    let value = build();
-    lock().entry(key).or_insert(value).clone()
 }
 
 impl SamplingRuntime {
@@ -153,19 +188,30 @@ impl SamplingRuntime {
         &self.shared.plans
     }
 
-    /// The window tables of interpolation size `k_points`, built on first
-    /// request.
-    pub(crate) fn window_tables(&self, k_points: usize) -> Arc<SizeTables> {
-        cached(&self.shared.windows, k_points, || {
-            let sigmas = unit_circle_points(k_points);
-            let conjugate = ConjugateRoles::new(&sigmas);
-            Arc::new(SizeTables {
-                sigmas,
-                dft: Dft::new(k_points),
-                conjugate,
-                powers: Mutex::default(),
-            })
-        })
+    /// The window tables of interpolation size `k_points`, with power
+    /// columns up to at least `max_exponent`, built on first request. A
+    /// request for a larger exponent than the recorded tables hold (a
+    /// runtime shared between circuits of different order) replaces them
+    /// with larger ones; windows still reading the old tables keep them,
+    /// and both hold the same bits.
+    pub(crate) fn window_tables(&self, k_points: usize, max_exponent: usize) -> Arc<SizeTables> {
+        let lock = || self.shared.windows.lock().unwrap_or_else(PoisonError::into_inner);
+        let fits = |t: &&Arc<SizeTables>| t.max_exponent() >= max_exponent;
+        if let Some(tables) = lock().get(k_points).and_then(Option::as_ref).filter(fits) {
+            return Arc::clone(tables);
+        }
+        // Built outside the lock; a concurrent builder of the same size
+        // builds the same values, and the first one recorded wins.
+        let built = Arc::new(SizeTables::new(k_points, max_exponent));
+        let mut windows = lock();
+        if windows.len() <= k_points {
+            windows.resize(k_points + 1, None);
+        }
+        let slot = &mut windows[k_points];
+        match slot.as_ref().filter(fits) {
+            Some(tables) => Arc::clone(tables),
+            None => Arc::clone(slot.insert(built)),
+        }
     }
 
     /// Probe factorizations (full pivot searches) performed so far — the
@@ -222,6 +268,27 @@ mod tests {
         assert!(std::ptr::eq(parent.plan_cache() as *const _, worker.plan_cache() as *const _));
     }
 
+    /// A request for a larger exponent than the recorded tables hold
+    /// replaces them with larger tables of the same bits; smaller requests
+    /// then read the larger ones, and the old tables stay valid.
+    #[test]
+    fn window_tables_grow_for_a_larger_exponent() {
+        let runtime = SamplingRuntime::new(&RefgenConfig::default());
+        let bits = |zs: &[Complex]| -> Vec<(u64, u64)> {
+            zs.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+        };
+        let small = runtime.window_tables(9, 3);
+        assert!(Arc::ptr_eq(&small, &runtime.window_tables(9, 2)));
+        let large = runtime.window_tables(9, 40);
+        assert!(!Arc::ptr_eq(&small, &large));
+        assert!(Arc::ptr_eq(&large, &runtime.window_tables(9, 5)));
+        for e in [0, 3] {
+            assert_eq!(bits(small.conj_powers(e)), bits(large.conj_powers(e)));
+        }
+        let direct: Vec<Complex> = large.sigmas.iter().map(|s| s.powi(40)).collect();
+        assert_eq!(bits(large.powers(40)), bits(&direct));
+    }
+
     #[test]
     fn window_tables_are_shared_and_hold_the_direct_values() {
         let parent = SamplingRuntime::new(&RefgenConfig::default());
@@ -229,21 +296,24 @@ mod tests {
         let bits = |zs: &[Complex]| -> Vec<(u64, u64)> {
             zs.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
         };
-        for k_points in [1, 6, 7, 16] {
-            let tables = parent.window_tables(k_points);
+        for k_points in [1, 6, 7, 16, 49] {
+            let tables = parent.window_tables(k_points, 70);
             // One table per size, reached from every derived runtime.
-            assert!(Arc::ptr_eq(&tables, &worker.window_tables(k_points)));
+            assert!(Arc::ptr_eq(&tables, &worker.window_tables(k_points, 70)));
             let sigmas = unit_circle_points(k_points);
             assert_eq!(bits(&tables.sigmas), bits(&sigmas));
             assert_eq!(tables.dft.len(), k_points);
-            for e in [0, 1, 3, 11] {
+            // Exponents 0..=70 in a scrambled order: each column is built
+            // from lower ones and the shared squarings, whichever came
+            // first, and must still be `powi`'s bits.
+            for e in (0..=70).map(|i| (i * 37) % 71) {
                 let direct: Vec<Complex> = sigmas.iter().map(|s| s.powi(e as i32)).collect();
                 let conj: Vec<Complex> = sigmas.iter().map(|s| s.conj().powi(e as i32)).collect();
-                assert_eq!(bits(&tables.powers(e)), bits(&direct), "K={k_points}, e={e}");
-                assert_eq!(bits(&tables.conj_powers(e)), bits(&conj), "K={k_points}, e={e}");
+                assert_eq!(bits(tables.powers(e)), bits(&direct), "K={k_points}, e={e}");
+                assert_eq!(bits(tables.conj_powers(e)), bits(&conj), "K={k_points}, e={e}");
                 // Built once, then shared.
-                let again = worker.window_tables(k_points).powers(e);
-                assert!(Arc::ptr_eq(&tables.powers(e), &again));
+                let again = worker.window_tables(k_points, e);
+                assert!(std::ptr::eq(tables.powers(e), again.powers(e)));
             }
         }
     }

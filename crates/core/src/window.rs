@@ -213,7 +213,7 @@ pub(crate) fn interpolate_window(
         None => (0, n_max),
     };
     let k_points = k_hi - k_lo + 1;
-    let tables = runtime.window_tables(k_points);
+    let tables = runtime.window_tables(k_points, n_max);
 
     let f_ext = ExtFloat::from_f64(scale.f);
     let g_ext = ExtFloat::from_f64(scale.g);

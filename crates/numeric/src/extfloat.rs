@@ -197,21 +197,43 @@ impl ExtFloat {
     }
 
     /// Integer power by binary exponentiation.
+    ///
+    /// The multiplication tree is the textbook one — `acc *= base` on each
+    /// set bit of `|n|`, `base *= base` per bit, starting from `1/self`
+    /// when `n < 0` — but it runs on bare `f64` mantissas with the binary
+    /// exponents summed beside them, and normalizes once at the end. That
+    /// gives exactly the bits of normalizing after every product:
+    /// normalized mantissas have `1 ≤ |m| < 2`, so every running value has
+    /// `|m| ≥ 1`, and a running value is renormalized exactly (its exponent
+    /// bits moved into the exponent) as soon as it reaches `2^511`. Every
+    /// product therefore stays below `2^1022`, in the normal range where
+    /// scaling by `2^k` commutes with rounding: each product rounds to the
+    /// normalized product times an exact power of two. Zero, `±∞` and NaN
+    /// take the same path; the final normalization maps them to the values
+    /// the per-product normalization gives (zero to [`ExtFloat::ZERO`],
+    /// non-finite mantissas to exponent 0).
     pub fn powi(self, n: i64) -> Self {
-        if n == 0 {
-            return ExtFloat::ONE;
-        }
+        const RENORM_AT: f64 = f64::from_bits((1023 + 511) << 52);
+        let renorm = |x: ExtFloat| if x.mantissa.abs() < RENORM_AT { x } else { x.normalized() };
         let mut base = if n < 0 { ExtFloat::ONE / self } else { self };
-        let mut k = n.unsigned_abs();
         let mut acc = ExtFloat::ONE;
+        let mut k = n.unsigned_abs();
         while k > 0 {
             if k & 1 == 1 {
-                acc *= base;
+                acc = renorm(ExtFloat {
+                    mantissa: acc.mantissa * base.mantissa,
+                    exponent: acc.exponent + base.exponent,
+                });
             }
-            base = base * base;
             k >>= 1;
+            if k > 0 {
+                base = renorm(ExtFloat {
+                    mantissa: base.mantissa * base.mantissa,
+                    exponent: 2 * base.exponent,
+                });
+            }
         }
-        acc
+        acc.normalized()
     }
 
     /// Square root.
@@ -433,6 +455,111 @@ mod tests {
                 assert_eq!(got.to_bits(), 1u64 << (k + 1074), "k={k}");
             } else {
                 assert_eq!(got.to_bits(), 2f64.powi(k as i32).to_bits(), "k={k}");
+            }
+        }
+    }
+
+    /// `powi` as it was before it ran on bare mantissas — normalizing after
+    /// every product — kept verbatim as the identity reference.
+    fn powi_reference(x: ExtFloat, n: i64) -> ExtFloat {
+        if n == 0 {
+            return ExtFloat::ONE;
+        }
+        let mut base = if n < 0 { ExtFloat::ONE / x } else { x };
+        let mut k = n.unsigned_abs();
+        let mut acc = ExtFloat::ONE;
+        while k > 0 {
+            if k & 1 == 1 {
+                acc *= base;
+            }
+            base = base * base;
+            k >>= 1;
+        }
+        acc
+    }
+
+    /// Mantissa bits and exponent, every NaN as one value: which NaN an
+    /// operation on a NaN returns is not specified.
+    fn ext_bits(x: ExtFloat) -> (u64, i64) {
+        let m = x.mantissa();
+        (if m.is_nan() { f64::NAN.to_bits() } else { m.to_bits() }, x.exponent())
+    }
+
+    fn assert_powi_matches_reference(x: ExtFloat) {
+        for n in -2100i64..=2100 {
+            assert_eq!(ext_bits(x.powi(n)), ext_bits(powi_reference(x, n)), "{x:?}^{n}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig {
+            cases: 96,
+            ..proptest::test_runner::ProptestConfig::default()
+        })]
+
+        /// Bit identity with the per-product normalization over random
+        /// mantissas and exponents, including values built from subnormal
+        /// `f64`s and exponents far outside the `f64` range.
+        #[test]
+        fn powi_is_bit_identical_to_reference(
+            bits in proptest::prelude::any::<u64>(),
+            subnormal in 0u64..(1u64 << 52),
+            exponent in -100_000i64..100_000,
+            kind in 0u8..3,
+        ) {
+            let x = match kind {
+                0 => ExtFloat::from_f64(f64::from_bits(bits)),
+                1 => ExtFloat::from_f64(f64::from_bits(subnormal | (bits & (1 << 63)))),
+                _ => ExtFloat::new(f64::from_bits(bits & !(0x7ffu64 << 52) | (1023 << 52)), exponent),
+            };
+            assert_powi_matches_reference(x);
+        }
+    }
+
+    #[test]
+    fn powi_special_values_match_reference() {
+        let specials = [
+            ExtFloat::ZERO,
+            -ExtFloat::ZERO,
+            ExtFloat::ONE,
+            -ExtFloat::ONE,
+            ExtFloat::from_f64(f64::INFINITY),
+            ExtFloat::from_f64(f64::NEG_INFINITY),
+            ExtFloat::from_f64(f64::INFINITY).ldexp(7),
+            ExtFloat::from_f64(f64::NAN),
+            ExtFloat::from_f64(5e-324),
+            ExtFloat::from_f64(-f64::MAX),
+            ExtFloat::new(1.9999999999999998, -3000),
+            // Mantissas 2^t with t just above 1/2: the 10th square lands
+            // just past 2^512 and the running product of the lower bits
+            // just past 2^511, so at n = 2047 a later renormalization
+            // would let the product overflow.
+            ExtFloat::from_f64(2f64.powf(0.5003)),
+            ExtFloat::from_f64(-(2f64.powf(0.5005))),
+            ExtFloat::from_f64(2f64.powf(0.5009)),
+        ];
+        for x in specials {
+            assert_powi_matches_reference(x);
+        }
+        assert_eq!(ext_bits(ExtFloat::from_f64(f64::NAN).powi(0)), ext_bits(ExtFloat::ONE));
+        assert_eq!(ext_bits(ExtFloat::ZERO.powi(-3)), ext_bits(ExtFloat::from_f64(f64::INFINITY)));
+    }
+
+    /// The window denormalization factor `f^i · g^{M−i}` at scales far
+    /// from 1: every product is bit-identical to the reference's.
+    #[test]
+    fn powi_denormalization_products_match_reference() {
+        let scales = [1e-300, 3.7e-300, 1e-150, 0.3, 1.0, 7.9e4, 1e150, 2.2e300, 1e300];
+        for &f in &scales {
+            for &g in &scales {
+                let (fe, ge) = (ExtFloat::from_f64(f), ExtFloat::from_f64(g));
+                for m in [0i64, 1, 7, 48, 129] {
+                    for i in 0..=m {
+                        let got = fe.powi(i) * ge.powi(m - i);
+                        let want = powi_reference(fe, i) * powi_reference(ge, m - i);
+                        assert_eq!(ext_bits(got), ext_bits(want), "f={f}, g={g}, M={m}, i={i}");
+                    }
+                }
             }
         }
     }

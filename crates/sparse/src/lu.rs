@@ -23,12 +23,16 @@
 //!
 //! Rows are column-sorted `Vec`s holding each entry's `|a|` beside its
 //! value; column counts are the lengths of per-column row lists, so
-//! reading one is O(1). Each row caches its best candidate under the
-//! rule. A step scans the `n` cached row bests, eliminates, and then
-//! rescans only the rows it touched: the elimination targets, plus every
-//! row of every column in the pivot row (their column counts moved). The
-//! cost of a step is O(n) plus the lengths of those dirty rows, instead
-//! of a rescan of the whole active matrix.
+//! reading one is O(1). Each row caches its largest magnitude and nonzero
+//! count (rebuilt by the merge that updates the row), its best candidate
+//! under the rule, and that candidate's count. A step takes the minimum of
+//! the `n` cached counts, breaks the tie among the rows holding it,
+//! eliminates, and then rescans only the rows it touched: the elimination
+//! targets, plus every row of every column in the pivot row (their column
+//! counts moved). The cost of a step is O(n) plus the lengths of those
+//! dirty rows, instead of a rescan of the whole active matrix. All of
+//! this state lives in a per-thread workspace reused across calls (see
+//! [`SparseLu`]).
 //!
 //! The resulting [`PivotOrder`] can be reused for fast *numeric
 //! refactorization*: the interpolation engine factors the same circuit
@@ -42,6 +46,7 @@
 
 use crate::triplets::Triplets;
 use refgen_numeric::{Complex, ExtComplex, ExtProduct};
+use std::cell::RefCell;
 use std::fmt;
 
 /// Default threshold-pivoting parameter: candidates must satisfy
@@ -158,16 +163,25 @@ fn permutation_sign(perm: &[usize]) -> f64 {
 /// An LU factorization of a sparse complex matrix.
 ///
 /// See the [crate docs](crate) for an end-to-end example.
+///
+/// The elimination runs on a per-thread workspace (active rows, column
+/// lists, cached row bests, merge, pivot-row and target buffers) that is
+/// reset at every call and keeps the capacity of the largest
+/// factorization seen on that thread, so a stream of factorizations
+/// allocates little beyond the result. L and U are stored flat, step by
+/// step.
 #[derive(Clone, Debug)]
 pub struct SparseLu {
     n: usize,
     order: PivotOrder,
-    /// `lcols[k]` — multipliers eliminating column `cols[k]` from the listed
-    /// original rows.
-    lcols: Vec<Vec<(usize, Complex)>>,
-    /// `urows[k]` — the pivot row at step `k`, original column indices,
-    /// *excluding* the pivot entry itself.
-    urows: Vec<Vec<(usize, Complex)>>,
+    /// Where each step's L and U entries start, plus one end entry:
+    /// step `k`'s multipliers `(original row, l)`, eliminating column
+    /// `cols[k]`, are `lents[starts[k].0..starts[k + 1].0]`, and its pivot
+    /// row (original column indices, *excluding* the pivot entry itself)
+    /// is `uents[starts[k].1..starts[k + 1].1]`.
+    starts: Vec<(usize, usize)>,
+    lents: Vec<(usize, Complex)>,
+    uents: Vec<(usize, Complex)>,
     pivots: Vec<Complex>,
     det: ExtComplex,
     fill_in: usize,
@@ -265,7 +279,7 @@ impl SparseLu {
             if t == Complex::ZERO {
                 continue;
             }
-            for &(r2, l) in &self.lcols[k] {
+            for &(r2, l) in &self.lents[self.starts[k].0..self.starts[k + 1].0] {
                 work[r2] -= l * t;
             }
         }
@@ -273,28 +287,13 @@ impl SparseLu {
         let mut x = vec![Complex::ZERO; self.n];
         for k in (0..self.n).rev() {
             let mut s = work[self.order.rows[k]];
-            for &(c, v) in &self.urows[k] {
+            for &(c, v) in &self.uents[self.starts[k].1..self.starts[k + 1].1] {
                 s -= v * x[c];
             }
             x[self.order.cols[k]] = s / self.pivots[k];
         }
         x
     }
-}
-
-/// In-place accumulation of duplicate columns in a sorted row.
-fn merge_sorted_duplicates(row: &mut Vec<(usize, Complex)>) {
-    let mut w = 0usize;
-    for i in 0..row.len() {
-        let (c, v) = row[i];
-        if w > 0 && row[w - 1].0 == c {
-            row[w - 1].1 += v;
-        } else {
-            row[w] = (c, v);
-            w += 1;
-        }
-    }
-    row.truncate(w);
 }
 
 enum PivotStrategy {
@@ -347,102 +346,218 @@ struct RowBest {
     tie: Option<Candidate>,
 }
 
-/// Scans one active row under the selection rule. `None` when the row
-/// holds no usable candidate (empty, or all entries zero).
-fn row_best(row: &[Entry], col_rows: &[Vec<usize>], threshold: f64) -> Option<RowBest> {
-    let row_max = row.iter().map(|e| e.mag).fold(0.0, f64::max);
-    if row_max == 0.0 {
+/// What the selection rule reads of a row as a whole: its largest
+/// magnitude (NaN magnitudes ignored) and its count of nonzero values.
+/// Both are order-free, so a merge can build them entry by entry.
+#[derive(Clone, Copy, Default)]
+struct RowSummary {
+    max: f64,
+    nnz: usize,
+}
+
+impl RowSummary {
+    fn add(&mut self, e: &Entry) {
+        self.max = f64::max(self.max, e.mag);
+        self.nnz += usize::from(e.val != Complex::ZERO);
+    }
+
+    fn of(row: &[Entry]) -> RowSummary {
+        let mut summary = RowSummary::default();
+        row.iter().for_each(|e| summary.add(e));
+        summary
+    }
+}
+
+/// Scans one active row, summarized by `summary`, under the selection
+/// rule. `None` when the row holds no usable candidate (empty, or all
+/// entries zero).
+fn row_best(
+    row: &[Entry],
+    summary: RowSummary,
+    col_rows: &[Vec<usize>],
+    threshold: f64,
+) -> Option<RowBest> {
+    if summary.max == 0.0 {
         return None;
     }
-    let r_nnz = row.iter().filter(|e| e.val != Complex::ZERO).count();
-    let mut best: Option<Candidate> = None;
-    let mut non_nan_best: Option<Candidate> = None;
+    let floor = threshold * summary.max;
+    // `usize::MAX` marks "no candidate yet": every real count is smaller,
+    // so the first candidate beats it.
+    let none = Candidate { mark: usize::MAX, col: 0, mag: 0.0 };
+    let (mut best, mut non_nan_best) = (none, none);
     for e in row {
-        if e.mag < threshold * row_max || e.mag == 0.0 {
+        if e.mag < floor || e.mag == 0.0 {
             continue;
         }
         let cand = Candidate {
-            mark: (r_nnz - 1) * col_rows[e.col].len().saturating_sub(1),
+            mark: (summary.nnz - 1) * col_rows[e.col].len().saturating_sub(1),
             col: e.col,
             mag: e.mag,
         };
-        if best.is_none_or(|b| cand.beats(b)) {
-            best = Some(cand);
+        if cand.beats(best) {
+            best = cand;
         }
-        if !cand.mag.is_nan() && non_nan_best.is_none_or(|b| cand.beats(b)) {
-            non_nan_best = Some(cand);
+        if !cand.mag.is_nan() && cand.beats(non_nan_best) {
+            non_nan_best = cand;
         }
     }
-    let best = best?;
-    Some(RowBest { best, tie: non_nan_best.filter(|t| t.mark == best.mark) })
+    (best.mark != usize::MAX)
+        .then(|| RowBest { best, tie: (non_nan_best.mark == best.mark).then_some(non_nan_best) })
+}
+
+/// A row's key for the pivot search's first pass: its Markowitz count
+/// clamped to `u32::MAX − 1`, or `u32::MAX` without a candidate. Narrow
+/// keys let the minimum over all rows vectorize; a count too large for
+/// one only clamps, and the second pass compares the exact counts.
+fn mark_of(best: &Option<RowBest>) -> u32 {
+    best.map_or(u32::MAX, |b| u32::try_from(b.best.mark).unwrap_or(u32::MAX - 1).min(u32::MAX - 1))
 }
 
 /// Markowitz pivot selection over the cached row bests: exactly the
 /// candidate a row-major scan of every active entry would pick.
-fn select_markowitz(bests: &[Option<RowBest>]) -> Option<(usize, usize)> {
+///
+/// Only rows at the minimum count can matter — the first of them
+/// displaces any earlier pick, and a later one competes on magnitude at
+/// the same count — so a first pass takes the minimum of `marks` (see
+/// [`mark_of`]), and the second runs the row-major rule over the rows
+/// holding it, on their exact counts.
+fn select_markowitz(bests: &[Option<RowBest>], marks: &[u32]) -> Option<(usize, usize)> {
+    let min = marks.iter().fold(u32::MAX, |m, &k| m.min(k));
+    if min == u32::MAX {
+        return None;
+    }
     let mut pick: Option<(usize, Candidate)> = None;
-    for (r, rb) in bests.iter().enumerate() {
-        let Some(rb) = rb else { continue };
+    for (r, _) in marks.iter().enumerate().filter(|&(_, &k)| k == min) {
+        let rb = bests[r].expect("a row with a key has a best");
         pick = match pick {
-            None => Some((r, rb.best)),
-            Some((_, p)) if rb.best.mark < p.mark => Some((r, rb.best)),
-            Some((_, p)) => match rb.tie {
+            Some((_, p)) if rb.best.mark > p.mark => pick,
+            Some((_, p)) if rb.best.mark == p.mark => match rb.tie {
                 Some(t) if t.beats(p) => Some((r, t)),
                 _ => pick,
             },
+            _ => Some((r, rb.best)),
         };
     }
     pick.map(|(r, c)| (r, c.col))
 }
 
+/// The Markowitz elimination's working state, reused across calls on one
+/// thread. Only the first `n` rows and column lists of the current call
+/// are live; [`Workspace::reset`] clears them at entry, so nothing from an
+/// earlier call — finished or exited early — reaches the next one.
+#[derive(Default)]
+struct Workspace {
+    /// Active rows, column-sorted, duplicates merged, and their summaries.
+    rows: Vec<Vec<Entry>>,
+    summaries: Vec<RowSummary>,
+    /// `col_rows[c]`: the active rows holding a (possibly zero) entry in
+    /// column `c` — so `col_rows[c].len()` is the column count.
+    col_rows: Vec<Vec<usize>>,
+    /// Each active row's cached best candidate (Markowitz strategy only),
+    /// and its pivot-search key ([`mark_of`]).
+    bests: Vec<Option<RowBest>>,
+    marks: Vec<u32>,
+    /// The rows a step must rescan: `dirty` flags them, `dirty_rows`
+    /// lists them.
+    dirty: Vec<bool>,
+    dirty_rows: Vec<usize>,
+    /// Merge buffer: the updated target row, swapped in place of the old.
+    merged: Vec<Entry>,
+    /// The detached pivot row of the current step.
+    prow: Vec<Entry>,
+    /// The elimination targets of the current step.
+    targets: Vec<usize>,
+}
+
+impl Workspace {
+    fn reset(&mut self, n: usize) {
+        if self.rows.len() < n {
+            self.rows.resize_with(n, Vec::new);
+            self.col_rows.resize_with(n, Vec::new);
+        }
+        self.rows[..n].iter_mut().for_each(Vec::clear);
+        self.col_rows[..n].iter_mut().for_each(Vec::clear);
+        self.summaries.clear();
+        self.bests.clear();
+        self.marks.clear();
+        self.dirty.clear();
+        self.dirty.resize(n, false);
+        self.dirty_rows.clear();
+        self.merged.clear();
+        self.prow.clear();
+        self.targets.clear();
+    }
+}
+
+thread_local! {
+    static WORKSPACE: RefCell<Workspace> = RefCell::default();
+}
+
 fn factor_impl(a: &Triplets, strategy: PivotStrategy) -> Result<SparseLu, FactorError> {
+    WORKSPACE.with(|ws| eliminate(a, &strategy, &mut ws.borrow_mut()))
+}
+
+fn eliminate(
+    a: &Triplets,
+    strategy: &PivotStrategy,
+    ws: &mut Workspace,
+) -> Result<SparseLu, FactorError> {
     let n = a.dim();
+    ws.reset(n);
+    let Workspace {
+        rows,
+        summaries,
+        col_rows,
+        bests,
+        marks,
+        dirty,
+        dirty_rows,
+        merged,
+        prow,
+        targets,
+    } = ws;
+    let (rows, col_rows) = (&mut rows[..n], &mut col_rows[..n]);
     // Column-sorted rows, duplicates summed in insertion order (the sort
     // is stable) onto a zero start: `ZERO + v` turns a `-0.0` component
     // into `+0.0`, as accumulating into a fresh zero entry does.
-    let mut raw: Vec<Vec<(usize, Complex)>> = vec![Vec::new(); n];
     for &(r, c, v) in a.entries() {
-        raw[r].push((c, Complex::ZERO + v));
+        rows[r].push(Entry { col: c, val: Complex::ZERO + v, mag: 0.0 });
     }
-    let mut rows: Vec<Vec<Entry>> = Vec::with_capacity(n);
-    for mut row in raw {
-        row.sort_by_key(|&(c, _)| c);
-        merge_sorted_duplicates(&mut row);
-        rows.push(row.into_iter().map(|(c, v)| Entry::new(c, v)).collect());
+    for row in rows.iter_mut() {
+        row.sort_by_key(|e| e.col);
+        merge_sorted_duplicates(row);
     }
-    // col_rows[c]: the active rows holding a (possibly zero) entry in
-    // column c — so `col_rows[c].len()` is the column count.
-    let mut col_rows: Vec<Vec<usize>> = vec![Vec::new(); n];
     for (r, row) in rows.iter().enumerate() {
         for e in row {
             col_rows[e.col].push(r);
         }
     }
     let threshold = match strategy {
-        PivotStrategy::Markowitz { threshold } => Some(threshold),
+        PivotStrategy::Markowitz { threshold } => Some(*threshold),
         PivotStrategy::Fixed(_) => None,
     };
-    let mut bests: Vec<Option<RowBest>> = match threshold {
-        Some(u) => rows.iter().map(|row| row_best(row, &col_rows, u)).collect(),
-        None => Vec::new(),
-    };
-    let mut dirty = vec![false; n];
-    let mut dirty_rows: Vec<usize> = Vec::new();
-    let mut merged: Vec<Entry> = Vec::new();
+    summaries.extend(rows.iter().map(|row| RowSummary::of(row)));
+    if let Some(u) = threshold {
+        bests.extend(
+            rows.iter().zip(&*summaries).map(|(row, &sum)| row_best(row, sum, col_rows, u)),
+        );
+        marks.extend(bests.iter().map(mark_of));
+    }
 
     let mut order_rows = Vec::with_capacity(n);
     let mut order_cols = Vec::with_capacity(n);
-    let mut lcols = Vec::with_capacity(n);
-    let mut urows = Vec::with_capacity(n);
+    let mut starts = Vec::with_capacity(n + 1);
+    let mut lents = Vec::new();
+    let mut uents: Vec<(usize, Complex)> = Vec::new();
     let mut pivots = Vec::with_capacity(n);
     let mut det_mag = ExtProduct::ONE;
     let mut skipped_zero = false;
     let initial_nnz: usize = rows.iter().map(|r| r.len()).sum();
 
     for step in 0..n {
-        let (pr, pc) = match &strategy {
+        let (pr, pc) = match strategy {
             PivotStrategy::Markowitz { .. } => {
-                select_markowitz(&bests).ok_or(FactorError::Singular { step })?
+                select_markowitz(bests, marks).ok_or(FactorError::Singular { step })?
             }
             PivotStrategy::Fixed(ord) => (ord.rows[step], ord.cols[step]),
         };
@@ -459,20 +574,23 @@ fn factor_impl(a: &Triplets, strategy: PivotStrategy) -> Result<SparseLu, Factor
         pivots.push(pivot);
 
         // Detach the pivot row; record U (without the pivot entry).
-        let prow = std::mem::take(&mut rows[pr]);
-        for e in &prow {
+        prow.clear();
+        std::mem::swap(prow, &mut rows[pr]);
+        for e in prow.iter() {
             let list = &mut col_rows[e.col];
             let at = list.iter().position(|&r| r == pr).expect("pivot row listed in its columns");
             list.swap_remove(at);
         }
-        let urow: Vec<(usize, Complex)> =
-            prow.iter().filter(|e| e.col != pc).map(|e| (e.col, e.val)).collect();
+        let ustart = uents.len();
+        starts.push((lents.len(), ustart));
+        uents.extend(prow.iter().filter(|e| e.col != pc).map(|e| (e.col, e.val)));
+        let urow = &uents[ustart..];
 
         // Eliminate column pc from the remaining rows, in ascending order.
-        let mut targets = std::mem::take(&mut col_rows[pc]);
+        targets.clear();
+        std::mem::swap(targets, &mut col_rows[pc]);
         targets.sort_unstable();
-        let mut lcol = Vec::with_capacity(targets.len());
-        for &r2 in &targets {
+        for &r2 in targets.iter() {
             let row2 = &mut rows[r2];
             let Ok(pos) = row2.binary_search_by_key(&pc, |e| e.col) else { continue };
             let a_rc = row2.remove(pos).val;
@@ -481,36 +599,41 @@ fn factor_impl(a: &Triplets, strategy: PivotStrategy) -> Result<SparseLu, Factor
                 continue;
             }
             let l = a_rc / pivot;
-            lcol.push((r2, l));
-            // Merge `row2 − l·urow` (both sorted by column) into `merged`.
+            lents.push((r2, l));
+            // Merge `row2 − l·urow` (both sorted by column) into `merged`,
+            // summarizing it on the way.
             merged.clear();
+            let mut summary = RowSummary::default();
+            let mut push = |e: Entry| {
+                summary.add(&e);
+                merged.push(e);
+            };
             let mut i = 0;
-            for &(c, v) in &urow {
+            for &(c, v) in urow {
                 while i < row2.len() && row2[i].col < c {
-                    merged.push(row2[i]);
+                    push(row2[i]);
                     i += 1;
                 }
                 let delta = l * v;
                 if i < row2.len() && row2[i].col == c {
                     let mut val = row2[i].val;
                     val -= delta;
-                    merged.push(Entry::new(c, val));
+                    push(Entry::new(c, val));
                     i += 1;
                 } else {
-                    merged.push(Entry::new(c, -delta));
+                    push(Entry::new(c, -delta));
                     col_rows[c].push(r2);
                 }
             }
-            merged.extend_from_slice(&row2[i..]);
-            std::mem::swap(row2, &mut merged);
+            row2[i..].iter().for_each(|&e| push(e));
+            std::mem::swap(row2, merged);
+            summaries[r2] = summary;
         }
-        lcols.push(lcol);
-        urows.push(urow);
 
         // Only rows whose entries or column counts moved need a new best:
         // the targets, and every row listed under a pivot-row column.
         if let Some(u) = threshold {
-            bests[pr] = None;
+            (bests[pr], marks[pr]) = (None, u32::MAX);
             for &r in targets.iter().chain(prow.iter().flat_map(|e| &col_rows[e.col])) {
                 if !std::mem::replace(&mut dirty[r], true) {
                     dirty_rows.push(r);
@@ -518,26 +641,50 @@ fn factor_impl(a: &Triplets, strategy: PivotStrategy) -> Result<SparseLu, Factor
             }
             for r in dirty_rows.drain(..) {
                 dirty[r] = false;
-                bests[r] = row_best(&rows[r], &col_rows, u);
+                bests[r] = row_best(&rows[r], summaries[r], col_rows, u);
+                marks[r] = mark_of(&bests[r]);
             }
         }
     }
+    starts.push((lents.len(), uents.len()));
 
     let order = PivotOrder { rows: order_rows, cols: order_cols };
     let det = det_mag.value() * Complex::real(order.sign());
-    let final_nnz: usize = urows.iter().map(|u| u.len() + 1).sum::<usize>()
-        + lcols.iter().map(|l| l.len()).sum::<usize>();
+    let final_nnz = uents.len() + n + lents.len();
     Ok(SparseLu {
         n,
         order,
-        lcols,
-        urows,
+        starts,
+        lents,
+        uents,
         pivots,
         det,
         fill_in: final_nnz.saturating_sub(initial_nnz),
         skipped_zero,
     })
 }
+
+/// In-place accumulation of duplicate columns in a sorted row, then each
+/// merged entry's magnitude.
+fn merge_sorted_duplicates(row: &mut Vec<Entry>) {
+    let mut w = 0usize;
+    for i in 0..row.len() {
+        let e = row[i];
+        if w > 0 && row[w - 1].col == e.col {
+            row[w - 1].val += e.val;
+        } else {
+            row[w] = e;
+            w += 1;
+        }
+    }
+    row.truncate(w);
+    for e in row.iter_mut() {
+        e.mag = e.val.abs();
+    }
+}
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

@@ -56,6 +56,7 @@
 use crate::lu::{FactorError, PivotOrder};
 use crate::triplets::Triplets;
 use refgen_numeric::{Complex, ExtComplex, ExtProduct};
+use std::cell::RefCell;
 
 /// One multiplier of the elimination: the entry at `slot` (original
 /// position `(row, pivot column)`) is divided by the pivot and then drives
@@ -125,6 +126,12 @@ impl FactorProgram {
     /// fill-in entry takes the next slot in the order elimination creates
     /// it.
     ///
+    /// The symbolic elimination runs on a per-thread workspace (position
+    /// grouping, per-row `(col, slot)` lists, column lists, active flags
+    /// and merge buffers) that is reset at every call and keeps the
+    /// capacity of the largest compile seen on that thread, so a compile
+    /// allocates only the program it returns.
+    ///
     /// # Errors
     ///
     /// [`FactorError::OrderMismatch`] when `order` is for a different
@@ -146,138 +153,7 @@ impl FactorProgram {
         for &(r, c) in positions {
             assert!(r < dim && c < dim, "position ({r},{c}) out of range for dim {dim}");
         }
-        let slot_count = |n: usize| u32::try_from(n).expect("pattern exceeds u32 slots");
-        // Group raw entries by position, each group led by the position's
-        // first occurrence; leaders take slots in input order.
-        let mut by_position: Vec<usize> = (0..positions.len()).collect();
-        by_position.sort_unstable_by_key(|&i| (positions[i], i));
-        let same_position = |&a: &usize, &b: &usize| positions[a] == positions[b];
-        let mut leader = vec![0; positions.len()];
-        for group in by_position.chunk_by(same_position) {
-            for &i in group {
-                leader[i] = group[0];
-            }
-        }
-        let mut scatter: Vec<u32> = Vec::with_capacity(positions.len());
-        let mut slots = 0usize;
-        for (i, &l) in leader.iter().enumerate() {
-            let slot = if l == i {
-                slots += 1;
-                slot_count(slots - 1)
-            } else {
-                scatter[l]
-            };
-            scatter.push(slot);
-        }
-        // Per-row `(col, slot)` lists sorted by column: the symbolic
-        // elimination's working pattern, with each entry's slot beside it.
-        let mut rows: Vec<Vec<(usize, u32)>> = vec![Vec::new(); dim];
-        for group in by_position.chunk_by(same_position) {
-            let (r, c) = positions[group[0]];
-            rows[r].push((c, scatter[group[0]]));
-        }
-        let mut col_rows: Vec<Vec<usize>> = vec![Vec::new(); dim];
-        for (r, row) in rows.iter().enumerate() {
-            for &(c, _) in row {
-                col_rows[c].push(r);
-            }
-        }
-        let initial_nnz = slots;
-        let mut row_active = vec![true; dim];
-
-        let mut pivot_slots = Vec::with_capacity(dim);
-        let mut pivot_rows = Vec::with_capacity(dim);
-        let mut pivot_cols = Vec::with_capacity(dim);
-        let mut lranges = Vec::with_capacity(dim);
-        let mut lents: Vec<LEntry> = Vec::new();
-        let mut ops: Vec<Op> = Vec::new();
-        let mut uranges = Vec::with_capacity(dim);
-        let mut uents: Vec<(u32, u32)> = Vec::new();
-
-        // Symbolic elimination: the structure of the prescribed-order
-        // elimination in `SparseLu::refactor`, on positions instead of
-        // values.
-        for step in 0..dim {
-            let pr = order.rows()[step];
-            let pc = order.cols()[step];
-            let Ok(ppos) = rows[pr].binary_search_by_key(&pc, |&(c, _)| c) else {
-                return Err(FactorError::Singular { step });
-            };
-            row_active[pr] = false;
-            pivot_slots.push(rows[pr][ppos].1);
-            pivot_rows.push(pr as u32);
-            pivot_cols.push(pc as u32);
-
-            // rows[pr] is final at its own pivot step (updates only reach
-            // rows that are still active): record the pivot-free U row.
-            let ustart = uents.len() as u32;
-            for &(c, slot) in &rows[pr] {
-                if c != pc {
-                    uents.push((c as u32, slot));
-                }
-            }
-            uranges.push((ustart, uents.len() as u32));
-
-            let lstart = lents.len() as u32;
-            let prow = std::mem::take(&mut rows[pr]);
-            let targets = std::mem::take(&mut col_rows[pc]);
-            for &r2 in &targets {
-                if !row_active[r2] {
-                    continue;
-                }
-                let Ok(pos) = rows[r2].binary_search_by_key(&pc, |&(c, _)| c) else {
-                    continue;
-                };
-                // The eliminated entry leaves U's pattern (its slot stays,
-                // holding the multiplier — the entry of L this step makes).
-                let lslot = rows[r2].remove(pos).1;
-                let ops_start = ops.len() as u32;
-                for &(c, src) in &prow {
-                    if c == pc {
-                        continue;
-                    }
-                    let dest = match rows[r2].binary_search_by_key(&c, |&(cc, _)| cc) {
-                        Ok(at) => rows[r2][at].1,
-                        Err(ins) => {
-                            // Fill-in: a brand-new slot, discovered once at
-                            // compile time instead of at every point.
-                            let slot = slot_count(slots);
-                            slots += 1;
-                            rows[r2].insert(ins, (c, slot));
-                            col_rows[c].push(r2);
-                            slot
-                        }
-                    };
-                    ops.push(Op { dest, src });
-                }
-                lents.push(LEntry {
-                    row: r2 as u32,
-                    slot: lslot,
-                    ops_start,
-                    ops_end: ops.len() as u32,
-                });
-            }
-            rows[pr] = prow;
-            col_rows[pc] = targets;
-            lranges.push((lstart, lents.len() as u32));
-        }
-
-        Ok(FactorProgram {
-            n: dim,
-            slots,
-            positions: positions.iter().map(|&(r, c)| (r as u32, c as u32)).collect(),
-            scatter,
-            pivot_slots,
-            pivot_rows,
-            pivot_cols,
-            lranges,
-            lents,
-            ops,
-            uranges,
-            uents,
-            fill_in: slots - initial_nnz,
-            sign: order.sign(),
-        })
+        COMPILE_WORKSPACE.with(|ws| compile_on(dim, positions, order, &mut ws.borrow_mut()))
     }
 
     /// Compiles the program for `a`'s raw entry positions (in entry order,
@@ -742,6 +618,242 @@ impl FactorProgram {
 
 /// Sentinel in [`BatchScratch::singular`]: the lane is still live.
 const LANE_LIVE: u32 = u32::MAX;
+
+/// [`FactorProgram::compile`]'s working buffers, reused across calls on
+/// one thread. Only the first `dim` rows and column lists of the current
+/// call are live; [`CompileWorkspace::reset`] clears them at entry, so
+/// nothing from an earlier call — finished or failed — reaches the next.
+#[derive(Default)]
+struct CompileWorkspace {
+    /// Row `r`'s raw entries are `by_row[row_start[r]..row_start[r + 1]]`,
+    /// in input order.
+    row_start: Vec<usize>,
+    by_row: Vec<usize>,
+    /// Per column: `(row + 1, leader)` of the first raw entry seen at that
+    /// column in the row being grouped.
+    seen: Vec<(usize, usize)>,
+    /// The first raw entry at each raw entry's position.
+    leader: Vec<usize>,
+    /// Per-row `(col, slot)` lists sorted by column: the symbolic
+    /// elimination's working pattern, with each entry's slot beside it.
+    rows: Vec<Vec<(usize, u32)>>,
+    /// `col_rows[c]`: the rows that have held an entry in column `c`, in
+    /// the order they gained it (eliminated rows are skipped on use).
+    col_rows: Vec<Vec<usize>>,
+    row_active: Vec<bool>,
+    /// Merge buffer: the updated target row, swapped in place of the old.
+    merged: Vec<(usize, u32)>,
+    /// The current step's pivot row.
+    prow: Vec<(usize, u32)>,
+    /// The current step's elimination targets.
+    targets: Vec<usize>,
+}
+
+impl CompileWorkspace {
+    fn reset(&mut self, dim: usize, raw: usize) {
+        if self.rows.len() < dim {
+            self.rows.resize_with(dim, Vec::new);
+            self.col_rows.resize_with(dim, Vec::new);
+        }
+        self.rows[..dim].iter_mut().for_each(Vec::clear);
+        self.col_rows[..dim].iter_mut().for_each(Vec::clear);
+        self.row_start.clear();
+        self.row_start.resize(dim + 1, 0);
+        self.by_row.clear();
+        self.by_row.resize(raw, 0);
+        self.seen.clear();
+        self.seen.resize(dim, (0, 0));
+        self.leader.clear();
+        self.leader.resize(raw, 0);
+        self.row_active.clear();
+        self.row_active.resize(dim, true);
+        self.merged.clear();
+        self.prow.clear();
+        self.targets.clear();
+    }
+}
+
+thread_local! {
+    static COMPILE_WORKSPACE: RefCell<CompileWorkspace> = RefCell::default();
+}
+
+/// The body of [`FactorProgram::compile`] (arguments already validated).
+fn compile_on(
+    dim: usize,
+    positions: &[(usize, usize)],
+    order: &PivotOrder,
+    ws: &mut CompileWorkspace,
+) -> Result<FactorProgram, FactorError> {
+    ws.reset(dim, positions.len());
+    let CompileWorkspace {
+        row_start,
+        by_row,
+        seen,
+        leader,
+        rows,
+        col_rows,
+        row_active,
+        merged,
+        prow,
+        targets,
+    } = ws;
+    let (rows, col_rows) = (&mut rows[..dim], &mut col_rows[..dim]);
+    let slot_count = |n: usize| u32::try_from(n).expect("pattern exceeds u32 slots");
+    // Group raw entries by row (a counting sort, stable in input order),
+    // then find each entry's leader — the first occurrence of its
+    // position — within its row.
+    for &(r, _) in positions {
+        row_start[r + 1] += 1;
+    }
+    for r in 0..dim {
+        row_start[r + 1] += row_start[r];
+    }
+    for (i, &(r, _)) in positions.iter().enumerate() {
+        by_row[row_start[r]] = i;
+        row_start[r] += 1;
+    }
+    for r in (1..=dim).rev() {
+        row_start[r] = row_start[r - 1];
+    }
+    row_start[0] = 0;
+    for r in 0..dim {
+        for &i in &by_row[row_start[r]..row_start[r + 1]] {
+            let c = positions[i].1;
+            leader[i] = if seen[c].0 == r + 1 {
+                seen[c].1
+            } else {
+                seen[c] = (r + 1, i);
+                i
+            };
+        }
+    }
+    // Leaders take slots in input order; every entry scatters into its
+    // leader's slot.
+    let mut scatter: Vec<u32> = Vec::with_capacity(positions.len());
+    let mut slots = 0usize;
+    for (i, &l) in leader.iter().enumerate() {
+        let slot = if l == i {
+            slots += 1;
+            slot_count(slots - 1)
+        } else {
+            scatter[l]
+        };
+        scatter.push(slot);
+    }
+    for (r, row) in rows.iter_mut().enumerate() {
+        let group = &by_row[row_start[r]..row_start[r + 1]];
+        row.extend(
+            group.iter().filter(|&&i| leader[i] == i).map(|&i| (positions[i].1, scatter[i])),
+        );
+        row.sort_unstable_by_key(|&(c, _)| c);
+    }
+    for (r, row) in rows.iter().enumerate() {
+        for &(c, _) in row {
+            col_rows[c].push(r);
+        }
+    }
+    let initial_nnz = slots;
+
+    let mut pivot_slots = Vec::with_capacity(dim);
+    let mut pivot_rows = Vec::with_capacity(dim);
+    let mut pivot_cols = Vec::with_capacity(dim);
+    let mut lranges = Vec::with_capacity(dim);
+    let mut lents: Vec<LEntry> = Vec::new();
+    let mut ops: Vec<Op> = Vec::new();
+    let mut uranges = Vec::with_capacity(dim);
+    let mut uents: Vec<(u32, u32)> = Vec::new();
+
+    // Symbolic elimination: the structure of the prescribed-order
+    // elimination in `SparseLu::refactor`, on positions instead of values.
+    for step in 0..dim {
+        let pr = order.rows()[step];
+        let pc = order.cols()[step];
+        let Ok(ppos) = rows[pr].binary_search_by_key(&pc, |&(c, _)| c) else {
+            return Err(FactorError::Singular { step });
+        };
+        row_active[pr] = false;
+        pivot_slots.push(rows[pr][ppos].1);
+        pivot_rows.push(pr as u32);
+        pivot_cols.push(pc as u32);
+
+        // rows[pr] is final at its own pivot step (updates only reach rows
+        // that are still active): record the pivot-free U row.
+        prow.clear();
+        prow.extend_from_slice(&rows[pr]);
+        let ustart = uents.len() as u32;
+        uents.extend(prow.iter().filter(|&&(c, _)| c != pc).map(|&(c, slot)| (c as u32, slot)));
+        uranges.push((ustart, uents.len() as u32));
+
+        let lstart = lents.len() as u32;
+        targets.clear();
+        std::mem::swap(targets, &mut col_rows[pc]);
+        for &r2 in targets.iter() {
+            if !row_active[r2] {
+                continue;
+            }
+            let row2 = &mut rows[r2];
+            let Ok(pos) = row2.binary_search_by_key(&pc, |&(c, _)| c) else {
+                continue;
+            };
+            // The eliminated entry leaves U's pattern (its slot stays,
+            // holding the multiplier — the entry of L this step makes).
+            let lslot = row2.remove(pos).1;
+            let ops_start = ops.len() as u32;
+            // Merge the pivot row's pattern into row2 (both sorted by
+            // column), one update op per pivot-row entry.
+            merged.clear();
+            let mut i = 0;
+            for &(c, src) in prow.iter() {
+                if c == pc {
+                    continue;
+                }
+                while i < row2.len() && row2[i].0 < c {
+                    merged.push(row2[i]);
+                    i += 1;
+                }
+                let dest = if i < row2.len() && row2[i].0 == c {
+                    i += 1;
+                    row2[i - 1].1
+                } else {
+                    // Fill-in: a brand-new slot, discovered once at
+                    // compile time instead of at every point.
+                    slots += 1;
+                    col_rows[c].push(r2);
+                    slot_count(slots - 1)
+                };
+                merged.push((c, dest));
+                ops.push(Op { dest, src });
+            }
+            merged.extend_from_slice(&row2[i..]);
+            std::mem::swap(row2, merged);
+            lents.push(LEntry {
+                row: r2 as u32,
+                slot: lslot,
+                ops_start,
+                ops_end: ops.len() as u32,
+            });
+        }
+        std::mem::swap(targets, &mut col_rows[pc]);
+        lranges.push((lstart, lents.len() as u32));
+    }
+
+    Ok(FactorProgram {
+        n: dim,
+        slots,
+        positions: positions.iter().map(|&(r, c)| (r as u32, c as u32)).collect(),
+        scatter,
+        pivot_slots,
+        pivot_rows,
+        pivot_cols,
+        lranges,
+        lents,
+        ops,
+        uranges,
+        uents,
+        fill_in: slots - initial_nnz,
+        sign: order.sign(),
+    })
+}
 
 /// `dest[k] -= a[k] · b[k]` over complex lanes — the shared inner loop of
 /// the batched refactor update and the batched back substitution.
@@ -1479,6 +1591,9 @@ impl ProgramScratch {
         self.vals.resize(program.slots, Complex::ZERO);
     }
 }
+
+#[cfg(test)]
+mod compile_reference;
 
 #[cfg(test)]
 mod tests {
