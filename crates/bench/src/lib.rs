@@ -699,9 +699,11 @@ fn bench_affine_pattern(
 ///   actual partner;
 /// * `fleet_ua741x64_{scalar,batched}` — a 64-variant same-topology
 ///   µA741 fleet sampled over one 40-point window, ns per
-///   (variant, point) solve: per-variant sequential evaluation versus the
-///   variant-major `FleetSampler` (all 64 variants as lanes of one
-///   instruction-stream replay per point);
+///   (variant, point) solve: per-point sequential evaluation versus each
+///   variant's points through [`refgen_mna::SweepPlan::eval_batch`] in
+///   lane groups of the default `lane_width`, the path batch sessions
+///   run (the batched responses are checked bit for bit against the
+///   scalar ones);
 /// * `session_ua741_mirror_{on,off}` — full adaptive `Session` solves of
 ///   the µA741, ns per interpolation point, mirroring on versus forced
 ///   off;
@@ -844,15 +846,15 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
         }
     }
 
-    // Variant-major fleet sampling: one conjugate-grid window's σ points
-    // evaluated for 64 same-topology µA741 variants whose rebound plans
-    // share one compiled kernel. The scalar row solves per (point,
-    // variant) through the sequential path; the batched row drives all 64
-    // variants as lanes of one instruction-stream replay per point
-    // (`FleetSampler`). Identical work and bit-identical results, so the
-    // ratio is the fleet-throughput speedup of variant-major batching.
+    // Fleet sampling: one conjugate-grid window's σ points evaluated for
+    // 64 same-topology µA741 variants whose rebound plans share one
+    // compiled kernel. The scalar row solves per (point, variant) through
+    // the sequential path; the batched row drives each variant's points
+    // through `eval_batch` in lane groups of the default width, as batch
+    // sessions sample. Identical work and bit-identical results, so the
+    // ratio is the speedup of lane batching on a fleet.
     {
-        use refgen_mna::{FleetSampler, SweepBatchScratch, SweepPlan, SweepScratch};
+        use refgen_mna::{SweepBatchScratch, SweepPlan, SweepScratch, TransferResponse};
         let base = &circuits[1].1;
         let spec = standard_spec();
         let scale = Scale::new(1e9, 1e3);
@@ -867,17 +869,19 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
         // Lane groups of the configured width: wider batches amortize
         // more instruction decode but grow the slot-major working set
         // linearly (slots × lanes complex values), so the engine's
-        // default width — not the whole fleet — is the measured shape.
+        // default width is the measured shape.
         let lane_width = RefgenConfig::default().lane_width.max(1);
-        let samplers: Vec<FleetSampler<'_>> = plans
-            .chunks(lane_width)
-            .map(|group| FleetSampler::new(&group.iter().collect::<Vec<_>>()))
-            .collect();
         let sigmas = refgen_numeric::dft::unit_circle_points(40);
         let evals = sigmas.len() * plans.len();
         let fleet_reps = if quick { 3 } else { 25 };
+        let repr = |r: &TransferResponse| format!("{r:?}");
 
         let mut seq = SweepScratch::new();
+        let scalar: Vec<String> = plans
+            .iter()
+            .flat_map(|plan| sigmas.iter().map(|&s| plan.eval_at(s, &mut seq)).collect::<Vec<_>>())
+            .map(|r| repr(&r.expect("variant solves")))
+            .collect();
         let (ns, _) = median_ns_per_point(fleet_reps, evals, || {
             let mut acc = 0.0;
             for &sigma in &sigmas {
@@ -895,11 +899,22 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
         });
 
         let mut batch = SweepBatchScratch::new();
+        let batched: Vec<String> = plans
+            .iter()
+            .flat_map(|plan| {
+                sigmas
+                    .chunks(lane_width)
+                    .flat_map(|c| plan.eval_batch(c, &mut batch))
+                    .collect::<Vec<_>>()
+            })
+            .map(|r| repr(&r.expect("variant solves")))
+            .collect();
+        assert_eq!(batched, scalar, "lane-batched fleet responses must match the scalar row");
         let (ns, _) = median_ns_per_point(fleet_reps, evals, || {
             let mut acc = 0.0;
-            for &sigma in &sigmas {
-                for sampler in &samplers {
-                    for response in sampler.eval_at(sigma, &mut batch) {
+            for plan in &plans {
+                for chunk in sigmas.chunks(lane_width) {
+                    for response in plan.eval_batch(chunk, &mut batch) {
                         acc += response.expect("variant solves").response.re;
                     }
                 }

@@ -117,7 +117,7 @@ impl PolyReport {
             reduced: w.reduced,
         });
         self.total_points += w.points;
-        self.refactor_hits += w.refactor_hits;
+        self.refactor_hits += w.stats.compiled_hits;
         let kind = self.kind;
         self.emit(
             observer,
@@ -134,22 +134,17 @@ impl PolyReport {
             Diagnostic::SamplingBatched {
                 points: w.points,
                 threads: w.threads,
-                refactor_hits: w.refactor_hits,
-                compiled_hits: w.compiled_hits,
+                refactor_hits: w.stats.compiled_hits,
+                compiled_hits: w.stats.compiled_hits,
                 mirrored: w.mirrored,
             },
         );
         // Recovery is exceptional by construction, so the event is only
         // emitted when the ladder actually fired — fault-free streams are
         // byte-identical to pre-ladder builds.
-        if w.recovered_fresh + w.recovered_reordered > 0 {
-            self.emit(
-                observer,
-                Diagnostic::SolveRecovered {
-                    fresh: w.recovered_fresh,
-                    reordered: w.recovered_reordered,
-                },
-            );
+        let (fresh, reordered) = (w.stats.recovered_fresh, w.stats.recovered_reordered);
+        if fresh + reordered > 0 {
+            self.emit(observer, Diagnostic::SolveRecovered { fresh, reordered });
         }
         // One ordering event per *decision*, not per window: windows at
         // nearby scales share a cached plan (and therefore a choice), so
@@ -1334,11 +1329,8 @@ mod tests {
             reduced: false,
             noise_floor: ExtFloat::ZERO,
             threads: 1,
-            refactor_hits: 0,
-            compiled_hits: 0,
+            stats: refgen_mna::SweepStats::default(),
             mirrored: 0,
-            recovered_fresh: 0,
-            recovered_reordered: 0,
             ordering: None,
         };
         let mut accepted = BTreeMap::new();

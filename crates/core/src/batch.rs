@@ -43,10 +43,10 @@
 //!   (scratches never adopt fallback orders here), mirroring depends only
 //!   on the σ values, and results are collected in index order, so solver
 //!   output is bit-identical at any thread count.
-//! * **Honest accounting** — the batch reports how many points reused the
-//!   recorded order ([`BatchStats::refactor_hits`]), how many of those ran
-//!   the compiled kernel ([`BatchStats::compiled_hits`]), and how many
-//!   were mirrored ([`BatchStats::mirrored`]), surfaced as
+//! * **Honest accounting** — the batch reports its solved points'
+//!   [`SweepStats`] (compiled replays, fresh factorizations and ladder
+//!   rescues), the worker threads it used and how many points were
+//!   mirrored ([`BatchRun`]), surfaced as
 //!   [`Diagnostic::SamplingBatched`](crate::Diagnostic) through the normal
 //!   emit path.
 
@@ -60,26 +60,12 @@ use refgen_mna::{
 use refgen_numeric::{Complex, ExtComplex};
 use std::collections::HashMap;
 
-/// What one batch cost and how it ran.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct BatchStats {
-    /// Worker threads actually used (after resolving `threads = 0` and
-    /// capping at the solved-point count). Reported per *point*, not per
-    /// lane chunk, so the figure — and every diagnostic built from it —
-    /// is independent of `lane_width`.
-    pub threads: usize,
-    /// Solved points that replayed the window plan's recorded pivot order.
-    pub refactor_hits: u64,
-    /// The subset of `refactor_hits` that ran the compiled symbolic kernel.
-    pub compiled_hits: u64,
-    /// Points mirrored from a conjugate partner instead of solved.
-    pub mirrored: u64,
-    /// Points rescued by rung 1 of the singular-recovery ladder (fresh
-    /// Markowitz after a dead replay).
-    pub recovered_fresh: u64,
-    /// Points rescued by rung 2 (alternate-ordering recompile).
-    pub recovered_reordered: u64,
-}
+/// How one batch ran: the worker threads it reports
+/// (`min(threads, solved points)` after resolving `threads = 0`, counted
+/// per point rather than per lane chunk, so the figure is independent of
+/// `lane_width`), its solved points' accounting, and the points mirrored
+/// from a conjugate partner instead of solved.
+pub(crate) type BatchRun = (usize, SweepStats, u64);
 
 /// How one requested σ point is obtained: solved directly (index into the
 /// solve list) or mirrored from a solved conjugate partner.
@@ -178,7 +164,7 @@ pub(crate) struct BatchSampler {
     /// Conjugate-pair halving is active: the configuration asked for it
     /// and the plan's pattern/RHS are real.
     mirror: bool,
-    /// Lane width for variant-major batched replay (`config.lane_width`):
+    /// Lane width for batched replay (`config.lane_width`):
     /// solved points are chunked into groups of this size, each group
     /// driven through one instruction-stream traversal. `1` keeps the
     /// per-point path; results are bit-identical at every width.
@@ -227,7 +213,7 @@ impl BatchSampler {
         &self,
         tables: &SizeTables,
         runtime: &SamplingRuntime,
-    ) -> (Vec<ExtComplex>, BatchStats) {
+    ) -> (Vec<ExtComplex>, BatchRun) {
         self.sample(tables, runtime, SweepPlan::eval_det, SweepPlan::eval_det_batch)
     }
 
@@ -241,8 +227,8 @@ impl BatchSampler {
         &self,
         tables: &SizeTables,
         runtime: &SamplingRuntime,
-    ) -> Result<(Vec<ExtComplex>, BatchStats), RefgenError> {
-        let (values, stats) = self.sample(
+    ) -> Result<(Vec<ExtComplex>, BatchRun), RefgenError> {
+        let (values, run) = self.sample(
             tables,
             runtime,
             |plan, s, scratch| plan.eval_at(s, scratch).map(|t| t.numerator),
@@ -254,7 +240,7 @@ impl BatchSampler {
             },
         );
         let values = values.into_iter().collect::<Result<Vec<_>, _>>()?;
-        Ok((values, stats))
+        Ok((values, run))
     }
 
     /// Both polynomials at every σ of `tables` from **one** transfer
@@ -266,15 +252,15 @@ impl BatchSampler {
         &self,
         tables: &SizeTables,
         runtime: &SamplingRuntime,
-    ) -> (Vec<ExtComplex>, Vec<Result<ExtComplex, MnaError>>, BatchStats) {
-        let (values, stats) = self.sample(
+    ) -> (Vec<ExtComplex>, Vec<Result<ExtComplex, MnaError>>, BatchRun) {
+        let (values, run) = self.sample(
             tables,
             runtime,
             |plan, s, scratch| split(plan.eval_at(s, scratch)),
             |plan, chunk, scratch| plan.eval_batch(chunk, scratch).into_iter().map(split).collect(),
         );
         let (den, num) = values.into_iter().unzip();
-        (den, num, stats)
+        (den, num, run)
     }
 
     /// Evaluates every σ of `tables` on the runtime's executor (scoped
@@ -288,7 +274,7 @@ impl BatchSampler {
         runtime: &SamplingRuntime,
         one: impl Fn(&SweepPlan, Complex, &mut SweepScratch) -> T + Sync,
         batch: impl Fn(&SweepPlan, &[Complex], &mut SweepBatchScratch) -> Vec<T> + Sync,
-    ) -> (Vec<T>, BatchStats) {
+    ) -> (Vec<T>, BatchRun) {
         let solve: &[Complex] = if self.mirror { &tables.conjugate.solve } else { &tables.sigmas };
         let executor = runtime.executor();
         // Reported per point regardless of lane chunking, so diagnostics
@@ -298,13 +284,12 @@ impl BatchSampler {
         let mut counters = SweepStats::default();
         let mut count = |job: SweepStats| counters = counters + job;
         let values: Vec<T> = if self.lanes > 1 {
-            // Variant-major batched replay: chunk the solve list into
-            // lane-width groups, each group one instruction-stream
-            // traversal through the compiled kernel. Per live lane the
-            // replay performs the exact scalar operation sequence of the
-            // per-point path, and dead lanes fall back to it verbatim, so
-            // every value (and every counter) below is bit-identical to
-            // the `lanes == 1` branch.
+            // Batched replay: chunk the solve list into lane-width groups,
+            // each group one instruction-stream traversal through the
+            // compiled kernel. Per live lane the replay performs the exact
+            // scalar operation sequence of the per-point path, and dead
+            // lanes fall back to it verbatim, so every value (and every
+            // counter) below is bit-identical to the `lanes == 1` branch.
             let chunks: Vec<&[Complex]> = solve.chunks(self.lanes).collect();
             let per_chunk: Vec<(Vec<T>, SweepStats)> =
                 executor.par_map_indexed(&chunks, SweepBatchScratch::new, |_, chunk, scratch| {
@@ -351,16 +336,6 @@ impl BatchSampler {
         } else {
             values
         };
-        (
-            samples,
-            BatchStats {
-                threads,
-                refactor_hits: counters.refactor_hits,
-                compiled_hits: counters.compiled_hits,
-                mirrored,
-                recovered_fresh: counters.recovered_fresh,
-                recovered_reordered: counters.recovered_reordered,
-            },
-        )
+        (samples, (threads, counters, mirrored))
     }
 }

@@ -102,17 +102,19 @@ pub enum Diagnostic {
         /// Points evaluated in the batch (conjugate-mirrored points
         /// included — they cost no solve but are part of the window).
         points: usize,
-        /// Worker threads the batch actually used (after resolving the
-        /// `threads = 0` auto knob and capping at the solved-point count).
+        /// `min(threads, solved points)`, after resolving the
+        /// `threads = 0` auto knob, whatever the lane chunking: a 20-point
+        /// window at lane width 32 runs one chunk and still reports 4 at
+        /// `threads = 4`.
         threads: usize,
         /// Solved points that reused the window plan's recorded pivot
         /// order (numeric refactorization, no pivot search); the remainder
-        /// paid a fresh Markowitz factorization.
+        /// paid a fresh Markowitz factorization. Every replay runs the
+        /// compiled kernel, so this always equals `compiled_hits`.
         refactor_hits: u64,
-        /// The subset of `refactor_hits` that ran through the compiled
-        /// symbolic kernel (`FactorProgram`): flat instruction-stream
-        /// replay with zero per-point sorting, searching, insertion, or
-        /// heap allocation.
+        /// Solved points that ran through the compiled symbolic kernel
+        /// (`FactorProgram`): flat instruction-stream replay with zero
+        /// per-point sorting, searching, insertion, or heap allocation.
         compiled_hits: u64,
         /// Points obtained as exact complex conjugates of a solved partner
         /// (`D(s̄) = conj(D(s))` on real-pattern systems) instead of their

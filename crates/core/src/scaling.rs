@@ -192,11 +192,8 @@ mod tests {
             reduced: false,
             noise_floor: max * ExtFloat::exp10(-13.0),
             threads: 1,
-            refactor_hits: 0,
-            compiled_hits: 0,
+            stats: refgen_mna::SweepStats::default(),
             mirrored: 0,
-            recovered_fresh: 0,
-            recovered_reordered: 0,
             ordering: None,
         }
     }

@@ -20,11 +20,11 @@
 //! with the same `K`, so their opening windows share one sampling batch
 //! (see the [adaptive module docs](crate::adaptive)).
 
-use crate::batch::{BatchSampler, BatchStats};
+use crate::batch::{BatchRun, BatchSampler};
 use crate::config::RefgenConfig;
 use crate::error::RefgenError;
 use crate::runtime::{SamplingRuntime, SizeTables};
-use refgen_mna::{MnaError, MnaSystem, OrderingChoice, Scale, TransferSpec};
+use refgen_mna::{MnaError, MnaSystem, OrderingChoice, Scale, SweepStats, TransferSpec};
 use refgen_numeric::dft::Dft;
 use refgen_numeric::{Complex, ExtComplex, ExtFloat};
 
@@ -128,24 +128,19 @@ pub struct Window {
     /// Coefficients below this are indistinguishable from noise no matter
     /// how they compare to the window maximum.
     pub noise_floor: ExtFloat,
-    /// Worker threads the sampling batch used.
+    /// Worker threads the sampling batch reports: `min(threads, solved
+    /// points)` after resolving `threads = 0`, whatever the lane chunking
+    /// (a 20-point window at lane width 32 runs one chunk and still
+    /// reports 4 at `threads = 4`). Zero when the window took shared
+    /// samples and ran no batch.
     pub threads: usize,
-    /// Sampling points that reused the window plan's recorded pivot order
-    /// (numeric refactorization instead of a Markowitz pivot search).
-    pub refactor_hits: u64,
-    /// The subset of [`Window::refactor_hits`] that ran through the
-    /// compiled symbolic kernel (flat instruction-stream replay — zero
-    /// per-point sorting, searching, insertion, or allocation).
-    pub compiled_hits: u64,
+    /// The solved sampling points' accounting: compiled replays of the
+    /// window plan's recorded pivot order, fresh factorizations and the
+    /// recovery-ladder rescues among them.
+    pub stats: SweepStats,
     /// Sampling points obtained as exact conjugates of a solved partner
     /// (conjugate-pair halving) instead of their own factorization.
     pub mirrored: u64,
-    /// Sampling points rescued by rung 1 of the singular-recovery ladder
-    /// (fresh value-aware Markowitz factorization after a dead replay).
-    pub recovered_fresh: u64,
-    /// Sampling points rescued by rung 2 (recompile under the alternate
-    /// ordering family and replay).
-    pub recovered_reordered: u64,
     /// The sampling plan's pivot-ordering decision — system dimension plus
     /// the recorded fill numbers — feeding
     /// [`Diagnostic::OrderingSelected`](crate::Diagnostic::OrderingSelected).
@@ -235,7 +230,7 @@ pub(crate) fn interpolate_window(
     // and shift down by σ^{k_lo}. Track the largest magnitude that enters
     // the computation: the sampling and subtraction round-off is relative
     // to it.
-    let (raw_samples, batch_stats, ordering) =
+    let (raw_samples, (threads, stats, mirrored), ordering) =
         sample_window(sampler, scale, &tables, opening, config, runtime)?;
     let mut raw_mag = ExtFloat::ZERO;
     for &(_, c) in &renorm_known {
@@ -277,12 +272,9 @@ pub(crate) fn interpolate_window(
         points: k_points,
         reduced: reduction.is_some(),
         noise_floor,
-        threads: batch_stats.threads,
-        refactor_hits: batch_stats.refactor_hits,
-        compiled_hits: batch_stats.compiled_hits,
-        mirrored: batch_stats.mirrored,
-        recovered_fresh: batch_stats.recovered_fresh,
-        recovered_reordered: batch_stats.recovered_reordered,
+        threads,
+        stats,
+        mirrored,
         ordering,
     })
 }
@@ -302,29 +294,29 @@ fn sample_window(
     opening: Option<&mut SharedOpening>,
     config: &RefgenConfig,
     runtime: &SamplingRuntime,
-) -> Result<(Vec<ExtComplex>, BatchStats, PlanOrdering), RefgenError> {
+) -> Result<(Vec<ExtComplex>, BatchRun, PlanOrdering), RefgenError> {
     let Sampler { sys, spec, kind } = *sampler;
     match (kind, opening) {
         (PolyKind::Denominator, Some(opening)) => {
             let batch = BatchSampler::new(sys, Some(spec), scale, config, runtime)?;
-            let (samples, numerator, stats) = batch.sample_transfer(tables, runtime);
+            let (samples, numerator, run) = batch.sample_transfer(tables, runtime);
             let ordering = batch.ordering();
             opening.windows.push(SharedWindow { scale, numerator, ordering });
-            Ok((samples, stats, ordering))
+            Ok((samples, run, ordering))
         }
         (PolyKind::Denominator, None) => {
             let batch = BatchSampler::new(sys, None, scale, config, runtime)?;
-            let (samples, stats) = batch.sample_det(tables, runtime);
-            Ok((samples, stats, batch.ordering()))
+            let (samples, run) = batch.sample_det(tables, runtime);
+            Ok((samples, run, batch.ordering()))
         }
         (PolyKind::Numerator, opening) => {
             if let Some(shared) = opening.and_then(|o| o.take(scale, tables.sigmas.len())) {
                 let samples = shared.numerator.into_iter().collect::<Result<Vec<_>, _>>()?;
-                return Ok((samples, BatchStats::default(), shared.ordering));
+                return Ok((samples, (0, SweepStats::default(), 0), shared.ordering));
             }
             let batch = BatchSampler::new(sys, Some(spec), scale, config, runtime)?;
-            let (samples, stats) = batch.sample_numerator(tables, runtime)?;
-            Ok((samples, stats, batch.ordering()))
+            let (samples, run) = batch.sample_numerator(tables, runtime)?;
+            Ok((samples, run, batch.ordering()))
         }
     }
 }
@@ -550,15 +542,15 @@ mod tests {
             // 9 conjugate-paired points: σ₀ is real, σ₁..σ₄ are solved,
             // σ₅..σ₈ are their exact conjugates.
             assert_eq!(w.mirrored, 4, "{kind:?}: lower half-circle is mirrored");
-            assert_eq!(w.refactor_hits, 5, "{kind:?}: every solve reuses the pivot order");
-            assert_eq!(w.compiled_hits, 5, "{kind:?}: every solve runs the compiled kernel");
+            assert_eq!(w.stats.compiled_hits, 5, "{kind:?}: every solve runs the compiled kernel");
+            assert_eq!(w.stats.fresh_factorizations, 0, "{kind:?}: no solve searches pivots");
         }
         // With mirroring off, every point is its own solve.
         let full = RefgenConfig { threads: 1, conjugate_mirror: false, ..RefgenConfig::default() };
         let sampler = Sampler { sys: &sys, spec: &spec, kind: PolyKind::Denominator };
         let w = interp(&sampler, Scale::new(1e9, 1e3), 8, sys.admittance_degree(), None, &full)
             .unwrap();
-        assert_eq!((w.refactor_hits, w.compiled_hits, w.mirrored), (9, 9, 0));
+        assert_eq!((w.stats.compiled_hits, w.mirrored), (9, 0));
     }
 
     #[test]
@@ -607,7 +599,7 @@ mod tests {
                     "{kind:?} at threads = {threads}"
                 );
                 assert_eq!(w.region, one.region);
-                assert_eq!(w.refactor_hits, one.refactor_hits);
+                assert_eq!(w.stats, one.stats);
                 assert!(w.threads >= 1);
             }
         }
@@ -698,10 +690,9 @@ mod tests {
                     assert_eq!(own.region, shared.region, "{at}");
                     assert_eq!(own.ordering, shared.ordering, "{at}");
                 }
-                let counters =
-                    |w: &Window| (w.threads, w.refactor_hits, w.compiled_hits, w.mirrored);
+                let counters = |w: &Window| (w.threads, w.stats, w.mirrored);
                 assert_eq!(counters(&own_den), counters(&shared_den), "{at}");
-                assert_eq!(counters(&shared_num), (0, 0, 0, 0), "{at}");
+                assert_eq!(counters(&shared_num), (0, SweepStats::default(), 0), "{at}");
                 // Samples left at `scale` do not serve a window elsewhere.
                 let mut left = SharedOpening::default();
                 window(&den, &mut left);
@@ -721,7 +712,7 @@ mod tests {
                 assert_eq!(left.windows.len(), 1, "{at}: the hand-off stays for its own scale");
                 assert_eq!(format!("{:?}", own.normalized), format!("{:?}", asked.normalized));
                 assert_eq!(counters(&own), counters(&asked), "{at}: nothing to take");
-                assert!(asked.refactor_hits > 0, "{at}");
+                assert!(asked.stats.compiled_hits > 0, "{at}");
             }
         }
     }

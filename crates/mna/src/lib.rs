@@ -78,8 +78,8 @@ pub use ac::{log_space, unwrap_phase, AcAnalysis, AcPoint};
 pub use error::MnaError;
 pub use sensitivity::Sensitivity;
 pub use sweep::{
-    FleetSampler, OrderingChoice, OrderingMode, PlanCache, SelectedOrdering, SweepBatchScratch,
-    SweepPlan, SweepScratch, SweepStats,
+    OrderingChoice, OrderingMode, PlanCache, SelectedOrdering, SweepBatchScratch, SweepPlan,
+    SweepScratch, SweepStats,
 };
 pub use system::{MnaSystem, Scale};
 pub use transfer::{OutputSpec, TransferResponse, TransferSpec};

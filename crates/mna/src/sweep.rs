@@ -58,7 +58,7 @@
 //!     assert!(r.response.abs() <= 1.0 + 1e-9); // passive ladder
 //! }
 //! // Every point after the plan's probe reused the recorded pivot order.
-//! assert_eq!(scratch.stats().refactor_hits, 32);
+//! assert_eq!(scratch.stats().compiled_hits, 32);
 //! assert_eq!(scratch.stats().fresh_factorizations, 0);
 //! # Ok(())
 //! # }
@@ -158,23 +158,19 @@ pub struct OrderingChoice {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[must_use = "sweep accounting is the observable the determinism tiers pin — read it or drop it explicitly"]
 pub struct SweepStats {
-    /// Evaluations that reused a recorded pivot order (the cheap path).
-    pub refactor_hits: u64,
-    /// Evaluations that paid a full Markowitz factorization (no usable
-    /// order, or the recorded order hit an exact zero pivot).
-    pub fresh_factorizations: u64,
-    /// The subset of [`SweepStats::refactor_hits`] that ran through a
-    /// compiled symbolic kernel ([`FactorProgram`]) — every replay does:
-    /// the plan's own kernel or one compiled for an *adopted* fallback
-    /// order (sequential sweeps compile once at adoption). Batched lanes
+    /// Evaluations that replayed a recorded pivot order through a
+    /// compiled symbolic kernel ([`FactorProgram`]), the cheap path: the
+    /// plan's own kernel or one compiled for an *adopted* fallback order
+    /// (sequential sweeps compile once at adoption). Batched lanes
     /// ([`SweepPlan::eval_batch`]) count one hit per live lane, exactly
-    /// like sequential points.
+    /// like sequential points. Every evaluation is either a compiled hit
+    /// or a fresh factorization.
     pub compiled_hits: u64,
-    /// The subset of [`SweepStats::compiled_hits`] that replayed a kernel
-    /// compiled from an **AMD** ordering ([`SelectedOrdering::Amd`]) —
-    /// the mesh-scale fill-reducing path. Zero on plans that kept the
-    /// probe Markowitz order.
-    pub amd_replays: u64,
+    /// Evaluations that paid a full Markowitz factorization (no usable
+    /// order, or the recorded order hit an exact zero pivot). On a plan
+    /// with a compiled kernel each one ends at exactly one ladder rung:
+    /// `recovered_fresh`, `recovered_reordered` or `unrecoverable`.
+    pub fresh_factorizations: u64,
     /// Points rescued at rung 1 of the singular-recovery ladder: a
     /// prescribed-order replay reported a singular pivot and the fresh
     /// value-aware Markowitz factorization succeeded anyway.
@@ -194,10 +190,8 @@ impl std::ops::Add for SweepStats {
     /// Field-wise sum: the accounting of two disjoint sets of evaluations.
     fn add(self, rhs: SweepStats) -> SweepStats {
         SweepStats {
-            refactor_hits: self.refactor_hits + rhs.refactor_hits,
-            fresh_factorizations: self.fresh_factorizations + rhs.fresh_factorizations,
             compiled_hits: self.compiled_hits + rhs.compiled_hits,
-            amd_replays: self.amd_replays + rhs.amd_replays,
+            fresh_factorizations: self.fresh_factorizations + rhs.fresh_factorizations,
             recovered_fresh: self.recovered_fresh + rhs.recovered_fresh,
             recovered_reordered: self.recovered_reordered + rhs.recovered_reordered,
             unrecoverable: self.unrecoverable + rhs.unrecoverable,
@@ -216,10 +210,8 @@ impl std::ops::Sub for SweepStats {
     /// Panics in debug builds if any field of `rhs` exceeds `self`'s.
     fn sub(self, rhs: SweepStats) -> SweepStats {
         SweepStats {
-            refactor_hits: self.refactor_hits - rhs.refactor_hits,
-            fresh_factorizations: self.fresh_factorizations - rhs.fresh_factorizations,
             compiled_hits: self.compiled_hits - rhs.compiled_hits,
-            amd_replays: self.amd_replays - rhs.amd_replays,
+            fresh_factorizations: self.fresh_factorizations - rhs.fresh_factorizations,
             recovered_fresh: self.recovered_fresh - rhs.recovered_fresh,
             recovered_reordered: self.recovered_reordered - rhs.recovered_reordered,
             unrecoverable: self.unrecoverable - rhs.unrecoverable,
@@ -269,11 +261,6 @@ impl SweepScratch {
     /// Counters accumulated so far.
     pub fn stats(&self) -> SweepStats {
         self.stats
-    }
-
-    /// Resets the counters (buffers and any adopted kernel are kept).
-    pub fn reset_stats(&mut self) {
-        self.stats = SweepStats::default();
     }
 }
 
@@ -715,25 +702,11 @@ impl SweepPlan {
         Self::build_transfer(sys, scale, spec, None, mode)
     }
 
-    /// As [`SweepPlan::new`], sharing pivot orders through `cache`: a
-    /// cache entry recorded at a nearby scale for the same pattern
-    /// fingerprint and ordering mode replaces the probe factorization
-    /// entirely — the fleet path where one pivot
-    /// search serves a whole topology.
-    ///
-    /// # Errors
-    ///
-    /// See [`SweepPlan::new`].
-    pub fn new_cached(
-        sys: &MnaSystem,
-        scale: Scale,
-        spec: &TransferSpec,
-        cache: &PlanCache,
-    ) -> Result<SweepPlan, MnaError> {
-        Self::build_transfer(sys, scale, spec, Some(cache), OrderingMode::env_default())
-    }
-
-    /// As [`SweepPlan::new_cached`] with an explicit [`OrderingMode`].
+    /// As [`SweepPlan::new_with_ordering`], sharing pivot orders through
+    /// `cache`: a cache entry recorded at a nearby scale for the same
+    /// pattern fingerprint and ordering mode replaces the probe
+    /// factorization entirely — the fleet path where one pivot search
+    /// serves a whole topology.
     ///
     /// # Errors
     ///
@@ -783,14 +756,9 @@ impl SweepPlan {
         Self::build(sys, scale, None, None, None, OrderingMode::env_default())
     }
 
-    /// As [`SweepPlan::for_determinant`], sharing pivot orders through
-    /// `cache` (see [`SweepPlan::new_cached`]).
-    pub fn for_determinant_cached(sys: &MnaSystem, scale: Scale, cache: &PlanCache) -> SweepPlan {
-        Self::build(sys, scale, None, None, Some(cache), OrderingMode::env_default())
-    }
-
-    /// As [`SweepPlan::for_determinant_cached`] with an explicit
-    /// [`OrderingMode`].
+    /// As [`SweepPlan::for_determinant`] with an explicit
+    /// [`OrderingMode`], sharing pivot orders through `cache` (see
+    /// [`SweepPlan::new_cached_with_ordering`]).
     pub fn for_determinant_cached_with_ordering(
         sys: &MnaSystem,
         scale: Scale,
@@ -986,9 +954,9 @@ impl SweepPlan {
             }
             _ => None,
         };
-        let (program, amd) = match (adopted, &self.compiled) {
-            (Some(program), _) => (program, false),
-            (None, Some((_, program))) => (Arc::clone(program), self.amd_selected()),
+        let program = match (adopted, &self.compiled) {
+            (Some(program), _) => program,
+            (None, Some((_, program))) => Arc::clone(program),
             (None, None) => {
                 // No prescribed order at all (singular probe): rung 0 was
                 // never attempted, so a rung-1 success is not a recovery.
@@ -1000,11 +968,7 @@ impl SweepPlan {
         // triplet buffer, no sort, no search, no insert, no alloc.
         let replay = program.refactor_values(self.values_at(s), &mut scratch.prog);
         if replay.is_ok() && !faults::poison_replay() {
-            scratch.stats.refactor_hits += 1;
             scratch.stats.compiled_hits += 1;
-            if amd {
-                scratch.stats.amd_replays += 1;
-            }
             return Ok(Factored::Program(program));
         }
         // Compiled replay died (exact zero pivot): climb the ladder.
@@ -1169,11 +1133,7 @@ impl SweepPlan {
             .enumerate()
             .map(|(lane, &s)| match scratch.batch.lane_det(lane) {
                 Ok(denominator) if !faults::poison_replay() => {
-                    scratch.stats.refactor_hits += 1;
                     scratch.stats.compiled_hits += 1;
-                    if self.amd_selected() {
-                        scratch.stats.amd_replays += 1;
-                    }
                     let response = drive.response_from_lane(&scratch.x, lanes, lane);
                     Ok(TransferResponse {
                         response,
@@ -1216,11 +1176,7 @@ impl SweepPlan {
             .enumerate()
             .map(|(lane, &s)| match scratch.batch.lane_det(lane) {
                 Ok(det) if !faults::poison_replay() => {
-                    scratch.stats.refactor_hits += 1;
                     scratch.stats.compiled_hits += 1;
-                    if self.amd_selected() {
-                        scratch.stats.amd_replays += 1;
-                    }
                     det
                 }
                 _ => self.eval_det(s, &mut scratch.fallback),
@@ -1230,10 +1186,10 @@ impl SweepPlan {
 }
 
 /// Per-executor mutable state for batched plan evaluation
-/// ([`SweepPlan::eval_batch`] / [`SweepPlan::eval_det_batch`] /
-/// [`FleetSampler::eval_at`]): the sparse batch scratch, reused RHS/solution
-/// buffers, and a sequential [`SweepScratch`] that serves dead lanes the
-/// exact fallback path a sequential evaluation would take.
+/// ([`SweepPlan::eval_batch`] / [`SweepPlan::eval_det_batch`]): the
+/// sparse batch scratch, reused RHS/solution buffers, and a sequential
+/// [`SweepScratch`] that serves dead lanes the exact fallback path a
+/// sequential evaluation would take.
 #[derive(Debug, Default)]
 pub struct SweepBatchScratch {
     batch: refgen_sparse::BatchScratch,
@@ -1259,122 +1215,6 @@ impl SweepBatchScratch {
     /// points exactly.
     pub fn stats(&self) -> SweepStats {
         self.stats + self.fallback.stats()
-    }
-
-    /// Resets the counters (buffers are kept).
-    pub fn reset_stats(&mut self) {
-        self.stats = SweepStats::default();
-        self.fallback.reset_stats();
-    }
-}
-
-/// Variant-major batched evaluation: N same-topology fleet variants —
-/// rebound plans sharing **one** compiled [`FactorProgram`] by reference
-/// (see [`SweepPlan::rebind`] / [`PlanCache`]) — evaluated at one `s` per
-/// call, variant `k` in lane `k`. This is the transpose of
-/// [`SweepPlan::eval_batch`]: instead of many points of one variant, one
-/// point of many variants, stamping each variant's `K₀ + s·K₁` lane-wise
-/// so the whole fleet walks the instruction stream once.
-///
-/// Per variant, results and [`SweepStats`] accounting are bit-identical to
-/// that variant's sequential [`SweepPlan::eval_at`]; a variant whose pivot
-/// dies at `s` falls back alone, exactly like the sequential path.
-#[derive(Debug)]
-pub struct FleetSampler<'a> {
-    plans: Vec<&'a SweepPlan>,
-    program: Arc<FactorProgram>,
-    /// Lane-interleaved RHS (`rhs[row·lanes + lane]` = variant `lane`'s
-    /// excitation), precomputed once at construction — the plans are
-    /// immutable for the sampler's lifetime, so every `eval_at` shares it.
-    rhs: Vec<Complex>,
-    /// Lane-interleaved stamp coefficients (`k0[e·lanes + lane]`,
-    /// likewise `k1`): every variant's affine pattern entry
-    /// `K₀ + s·K₁`, transposed once so each `eval_at` stamps the whole
-    /// fleet through the vectorized
-    /// [`FactorProgram::refactor_batch_interleaved`] fast path instead
-    /// of per-lane iterator walks.
-    k0: Vec<Complex>,
-    k1: Vec<Complex>,
-}
-
-impl<'a> FleetSampler<'a> {
-    /// Builds a sampler over `plans`, one lane per variant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `plans` is empty, any plan is determinant-only, or the
-    /// plans do not all share one compiled program by reference (plan a
-    /// fleet via [`SweepPlan::rebind`] or one [`PlanCache`] to guarantee
-    /// this).
-    pub fn new(plans: &[&'a SweepPlan]) -> FleetSampler<'a> {
-        assert!(!plans.is_empty(), "fleet needs at least one variant");
-        let (_, first) =
-            plans[0].compiled.clone().expect("fleet plans must carry a compiled program");
-        for p in plans {
-            assert!(
-                p.program().is_some_and(|pp| std::ptr::eq(pp, &*first)),
-                "fleet plans must share one compiled program (rebind or plan through one PlanCache)"
-            );
-            assert!(p.drive.is_some(), "determinant-only plan cannot evaluate a transfer");
-        }
-        let mut rhs = Vec::with_capacity(first.dim() * plans.len());
-        for row in 0..first.dim() {
-            for p in plans {
-                rhs.push(p.rhs[row]);
-            }
-        }
-        let entries = plans[0].pattern.len();
-        let mut k0 = Vec::with_capacity(entries * plans.len());
-        let mut k1 = Vec::with_capacity(entries * plans.len());
-        for e in 0..entries {
-            for p in plans {
-                let (_, _, e0, e1) = p.pattern[e];
-                k0.push(e0);
-                k1.push(e1);
-            }
-        }
-        FleetSampler { plans: plans.to_vec(), program: first, rhs, k0, k1 }
-    }
-
-    /// Number of variants (lanes).
-    pub fn lanes(&self) -> usize {
-        self.plans.len()
-    }
-
-    /// Evaluates every variant's transfer at `s` through one
-    /// instruction-stream traversal. Entry `k` is exactly what
-    /// `plans[k].eval_at(s, …)` would return.
-    pub fn eval_at(
-        &self,
-        s: Complex,
-        scratch: &mut SweepBatchScratch,
-    ) -> Vec<Result<TransferResponse, MnaError>> {
-        let lanes = self.plans.len();
-        self.program.refactor_batch_interleaved(&self.k0, &self.k1, s, lanes, &mut scratch.batch);
-        self.program.solve_batch(&mut scratch.batch, &self.rhs, &mut scratch.x);
-        self.plans
-            .iter()
-            .enumerate()
-            .map(|(lane, plan)| {
-                let drive = plan.drive.as_ref().expect("checked at construction");
-                match scratch.batch.lane_det(lane) {
-                    Ok(denominator) => {
-                        scratch.stats.refactor_hits += 1;
-                        scratch.stats.compiled_hits += 1;
-                        if plan.amd_selected() {
-                            scratch.stats.amd_replays += 1;
-                        }
-                        let response = drive.response_from_lane(&scratch.x, lanes, lane);
-                        Ok(TransferResponse {
-                            response,
-                            denominator,
-                            numerator: denominator * response,
-                        })
-                    }
-                    Err(_) => plan.eval_at(s, &mut scratch.fallback),
-                }
-            })
-            .collect()
     }
 }
 
@@ -1408,9 +1248,8 @@ mod tests {
             let nrel = ((fast.numerator - slow.numerator).norm() / slow.numerator.norm()).to_f64();
             assert!(nrel < 1e-9, "numerator at point {k}: rel {nrel:.2e}");
         }
-        // Every point replayed the probe's pivot order — and every replay
-        // ran the compiled kernel, not the workspace path.
-        assert_eq!(scratch.stats().refactor_hits, 16);
+        // Every point replayed the probe's pivot order through the
+        // compiled kernel.
         assert_eq!(scratch.stats().compiled_hits, 16);
         assert_eq!(scratch.stats().fresh_factorizations, 0);
     }
@@ -1453,7 +1292,7 @@ mod tests {
             let rel = ((fast - slow).norm() / slow.norm()).to_f64();
             assert!(rel < 1e-10, "point {k}: rel {rel:.2e}");
         }
-        assert!(scratch.stats().refactor_hits > 0);
+        assert!(scratch.stats().compiled_hits > 0);
     }
 
     #[test]
@@ -1507,7 +1346,7 @@ mod tests {
         // conductances) pivots on node a's capacitor-only diagonal.
         let mut adopting = SweepScratch::adopting();
         plan.eval_at(Complex::new(0.3, 1.1), &mut adopting).unwrap();
-        assert_eq!(adopting.stats().refactor_hits, 1, "generic point replays the probe order");
+        assert_eq!(adopting.stats().compiled_hits, 1, "generic point replays the probe order");
 
         // At s = 0 the prescribed pivot is exactly zero: one fallback…
         plan.eval_at(Complex::ZERO, &mut adopting).unwrap();
@@ -1521,7 +1360,6 @@ mod tests {
             stats.fresh_factorizations, 1,
             "stale order must be replaced on fallback, not re-failed per point"
         );
-        assert_eq!(stats.refactor_hits, 5);
         // The adopted order is *compiled* at adoption: the probe point ran
         // the plan's kernel (1) and all four post-fallback DC points ran
         // the adopted kernel (4).
@@ -1534,7 +1372,7 @@ mod tests {
             plan.eval_at(Complex::ZERO, &mut plain).unwrap();
         }
         assert_eq!(plain.stats().fresh_factorizations, 3);
-        assert_eq!(plain.stats().refactor_hits, 0);
+        assert_eq!(plain.stats().compiled_hits, 0);
     }
 
     #[test]
@@ -1598,7 +1436,7 @@ mod tests {
             assert!(rel < 1e-12, "point {k}: rel {rel:.2e}");
         }
         // Every rebound evaluation replayed the transplanted order.
-        assert_eq!(sa.stats().refactor_hits, 8);
+        assert_eq!(sa.stats().compiled_hits, 8);
         assert_eq!(sa.stats().fresh_factorizations, 0);
     }
 
@@ -1651,7 +1489,9 @@ mod tests {
         let variant = MnaSystem::new(&bridged_chain("a", 3.3e-9)).unwrap();
         assert_eq!(base.pattern_fingerprint(), variant.pattern_fingerprint());
         let cache = PlanCache::new();
-        let plan = SweepPlan::new_cached(&base, scale, &spec(), &cache).unwrap();
+        let mode = OrderingMode::env_default();
+        let plan =
+            SweepPlan::new_cached_with_ordering(&base, scale, &spec(), &cache, mode).unwrap();
         let rebound = plan.rebind(&variant).unwrap();
         // No probe: the pivot search count is unchanged, and the rebound
         // plan replays the very same order and compiled program.
@@ -1698,17 +1538,18 @@ mod tests {
     #[test]
     fn plan_cache_shares_orders_across_nearby_scales_only() {
         let cache = PlanCache::new();
+        let mode = OrderingMode::env_default();
         let sys = MnaSystem::new(&ua741()).unwrap();
         let spec = spec();
         let scale = Scale::new(1e9, 1e3);
-        let p1 = SweepPlan::new_cached(&sys, scale, &spec, &cache).unwrap();
+        let p1 = SweepPlan::new_cached_with_ordering(&sys, scale, &spec, &cache, mode).unwrap();
         assert_eq!(cache.pivot_searches(), 1);
         assert_eq!(cache.shared_hits(), 0);
 
         // A verify-style nearby scale (±0.2 decades) reuses the order —
         // and the same compiled program, by reference…
         let nearby = Scale::new(1e9 * 10f64.powf(0.2), 1e3 / 10f64.powf(0.2));
-        let p2 = SweepPlan::new_cached(&sys, nearby, &spec, &cache).unwrap();
+        let p2 = SweepPlan::new_cached_with_ordering(&sys, nearby, &spec, &cache, mode).unwrap();
         assert_eq!(cache.pivot_searches(), 1, "nearby scale must not re-probe");
         assert_eq!(cache.shared_hits(), 1);
         assert_eq!(p2.order(), p1.order());
@@ -1720,7 +1561,7 @@ mod tests {
 
         // …while a re-tilted window scale records its own.
         let far = Scale::new(1e13, 1e2);
-        let _p3 = SweepPlan::for_determinant_cached(&sys, far, &cache);
+        let _p3 = SweepPlan::for_determinant_cached_with_ordering(&sys, far, &cache, mode);
         assert_eq!(cache.pivot_searches(), 2);
         assert_eq!(cache.programs_compiled(), 2);
         assert_eq!(cache.len(), 2);
@@ -1761,7 +1602,6 @@ mod tests {
         }
         let stats = scratch.stats();
         assert_eq!(stats.fresh_factorizations, 0, "the one base probe must serve all 64 variants");
-        assert_eq!(stats.refactor_hits, 64 * points as u64);
         assert_eq!(stats.compiled_hits, 64 * points as u64, "every evaluation ran compiled");
     }
 
@@ -1776,13 +1616,15 @@ mod tests {
         let base = ua741();
         let scale = Scale::new(1e9, 1e3);
         let cache = PlanCache::new();
+        let mode = OrderingMode::env_default();
         let fleet =
             VariantSet::new(Perturbation::all_relative(0.04), 64).seed(11).generate(&base).unwrap();
         let mut scratch = SweepScratch::new();
         let mut first_program: Option<*const FactorProgram> = None;
         for circuit in &fleet {
             let sys = MnaSystem::new(circuit).unwrap();
-            let plan = SweepPlan::new_cached(&sys, scale, &spec(), &cache).unwrap();
+            let plan =
+                SweepPlan::new_cached_with_ordering(&sys, scale, &spec(), &cache, mode).unwrap();
             let program = plan.program().expect("every variant plan carries the shared program")
                 as *const FactorProgram;
             assert_eq!(*first_program.get_or_insert(program), program, "one Arc'd program");
@@ -1815,14 +1657,15 @@ mod tests {
         assert_eq!(a.dim(), b.dim(), "test premise: equal dimensions");
 
         let cache = PlanCache::new();
+        let mode = OrderingMode::env_default();
         let scale = Scale::new(1e9, 1e3);
-        let _pa = SweepPlan::for_determinant_cached(&a, scale, &cache);
-        let _pb = SweepPlan::for_determinant_cached(&b, scale, &cache);
+        let _pa = SweepPlan::for_determinant_cached_with_ordering(&a, scale, &cache, mode);
+        let _pb = SweepPlan::for_determinant_cached_with_ordering(&b, scale, &cache, mode);
         assert_eq!(cache.pivot_searches(), 2, "each topology probes its own order");
         assert_eq!(cache.shared_hits(), 0);
         // The same topologies, revisited, do share.
-        let _pa2 = SweepPlan::for_determinant_cached(&a, scale, &cache);
-        let _pb2 = SweepPlan::for_determinant_cached(&b, scale, &cache);
+        let _pa2 = SweepPlan::for_determinant_cached_with_ordering(&a, scale, &cache, mode);
+        let _pb2 = SweepPlan::for_determinant_cached_with_ordering(&b, scale, &cache, mode);
         assert_eq!(cache.pivot_searches(), 2);
         assert_eq!(cache.shared_hits(), 2);
     }
@@ -1833,6 +1676,7 @@ mod tests {
     #[test]
     fn plan_cache_survives_a_panicking_build() {
         let cache = PlanCache::new();
+        let mode = OrderingMode::env_default();
         let sys = MnaSystem::new(&ua741()).unwrap();
         let scale = Scale::new(1e9, 1e3);
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1842,9 +1686,9 @@ mod tests {
         assert!(cache.entries.is_poisoned(), "test premise: the build panicked under the lock");
         assert!(cache.is_empty(), "the half-built entry is dropped");
 
-        let p1 = SweepPlan::new_cached(&sys, scale, &spec(), &cache).unwrap();
+        let p1 = SweepPlan::new_cached_with_ordering(&sys, scale, &spec(), &cache, mode).unwrap();
         assert_eq!(cache.len(), 1, "a later probe records its entry");
-        let p2 = SweepPlan::new_cached(&sys, scale, &spec(), &cache).unwrap();
+        let p2 = SweepPlan::new_cached_with_ordering(&sys, scale, &spec(), &cache, mode).unwrap();
         assert_eq!(cache.shared_hits(), 1, "and a later lookup finds it");
         assert_eq!(p1.order(), p2.order());
     }
@@ -2061,52 +1905,7 @@ mod tests {
         let stats = batch.stats();
         assert_eq!(stats, seq.stats(), "accounting parity with the sequential sweep");
         assert_eq!(stats.fresh_factorizations, 2, "both DC lanes fell back alone");
-        assert_eq!(stats.refactor_hits, 2);
-    }
-
-    /// Variant-major batching: a `FleetSampler` over rebound plans yields,
-    /// per variant, exactly that variant's sequential evaluation.
-    #[test]
-    fn fleet_sampler_matches_per_variant_eval() {
-        let scale = Scale::new(1e9, 1e3);
-        let base = MnaSystem::new(&perturbed_ladder(6, 0.0)).unwrap();
-        let plan = SweepPlan::new(&base, scale, &spec()).unwrap();
-        let systems: Vec<MnaSystem> = (0..5)
-            .map(|k| MnaSystem::new(&perturbed_ladder(6, 0.05 * (k as f64 + 1.0))).unwrap())
-            .collect();
-        let plans: Vec<SweepPlan> = systems.iter().map(|s| plan.rebind(s).unwrap()).collect();
-        let refs: Vec<&SweepPlan> = plans.iter().collect();
-        let sampler = FleetSampler::new(&refs);
-        assert_eq!(sampler.lanes(), 5);
-
-        let mut batch = SweepBatchScratch::new();
-        let mut seq = SweepScratch::new();
-        for k in 0..6 {
-            let theta = 2.0 * std::f64::consts::PI * (k as f64 + 0.4) / 6.0;
-            let s = Complex::new(theta.cos(), theta.sin());
-            let got = sampler.eval_at(s, &mut batch);
-            for (lane, p) in plans.iter().enumerate() {
-                let want = p.eval_at(s, &mut seq).unwrap();
-                assert_eq!(
-                    format!("{:?}", got[lane].as_ref().unwrap()),
-                    format!("{want:?}"),
-                    "point {k}, variant {lane}"
-                );
-            }
-        }
-        assert_eq!(batch.stats(), seq.stats());
-    }
-
-    #[test]
-    #[should_panic(expected = "share one compiled program")]
-    fn fleet_sampler_rejects_unshared_programs() {
-        let scale = Scale::new(1e9, 1e3);
-        let a = MnaSystem::new(&perturbed_ladder(4, 0.0)).unwrap();
-        let b = MnaSystem::new(&perturbed_ladder(4, 0.1)).unwrap();
-        // Two independently probed plans: same topology, separate programs.
-        let pa = SweepPlan::new(&a, scale, &spec()).unwrap();
-        let pb = SweepPlan::new(&b, scale, &spec()).unwrap();
-        let _ = FleetSampler::new(&[&pa, &pb]);
+        assert_eq!(stats.compiled_hits, 2);
     }
 
     #[test]
@@ -2137,8 +1936,6 @@ mod tests {
             let rel = (a.response - b.response).abs() / a.response.abs().max(1e-300);
             assert!(rel < 1e-9, "point {k}: rel {rel:.2e}");
         }
-        assert!(sb.stats().amd_replays > 0, "amd replays must be counted");
-        assert_eq!(sa.stats().amd_replays, 0, "markowitz plan counts no amd replays");
     }
 
     #[test]
@@ -2292,6 +2089,37 @@ mod tests {
             .collect()
     }
 
+    /// The identities the merged counters rest on, checked on a fresh
+    /// scratch after `points` run through `eval_at`, and through
+    /// `eval_batch` and `eval_det_batch` at widths 1, 3 and 32: every
+    /// point is either a compiled replay or a fresh factorization, and on
+    /// a plan with a program every fresh factorization ends at exactly one
+    /// rung of the recovery ladder.
+    fn assert_accounting_identities(plan: &SweepPlan, points: &[Complex]) {
+        let check = |stats: SweepStats, at: &str| {
+            let solved = stats.compiled_hits + stats.fresh_factorizations;
+            assert_eq!(solved, points.len() as u64, "{at}: {stats:?}");
+            if plan.program().is_some() {
+                let rungs = stats.recovered_fresh + stats.recovered_reordered + stats.unrecoverable;
+                assert_eq!(stats.fresh_factorizations, rungs, "{at}: {stats:?}");
+            }
+        };
+        let mut one = SweepScratch::new();
+        for &s in points {
+            let _ = plan.eval_at(s, &mut one);
+        }
+        check(one.stats(), "eval_at");
+        for width in [1usize, 3, 32] {
+            let (mut transfer, mut det) = (SweepBatchScratch::new(), SweepBatchScratch::new());
+            for chunk in points.chunks(width) {
+                let _ = plan.eval_batch(chunk, &mut transfer);
+                let _ = plan.eval_det_batch(chunk, &mut det);
+            }
+            check(transfer.stats(), &format!("eval_batch, width {width}"));
+            check(det.stats(), &format!("eval_det_batch, width {width}"));
+        }
+    }
+
     #[test]
     fn ladder_rung1_rescues_dead_replays_with_fresh_markowitz() {
         let sys = MnaSystem::new(&ua741()).unwrap();
@@ -2312,10 +2140,11 @@ mod tests {
             assert!(rel < 1e-9, "recovered point {k} drifted: rel {rel:.2e}");
         }
         let stats = scratch.stats();
-        assert_eq!(stats.refactor_hits, 0, "every replay was injected dead: {stats:?}");
+        assert_eq!(stats.compiled_hits, 0, "every replay was injected dead: {stats:?}");
         assert_eq!(stats.recovered_fresh, points.len() as u64, "{stats:?}");
         assert_eq!(stats.recovered_reordered, 0, "{stats:?}");
         assert_eq!(stats.unrecoverable, 0, "{stats:?}");
+        assert_accounting_identities(&plan, &points);
     }
 
     #[test]
@@ -2341,6 +2170,7 @@ mod tests {
         assert_eq!(stats.recovered_reordered, points.len() as u64, "{stats:?}");
         assert_eq!(stats.recovered_fresh, 0, "{stats:?}");
         assert_eq!(stats.unrecoverable, 0, "{stats:?}");
+        assert_accounting_identities(&plan, &points);
     }
 
     #[test]
@@ -2361,6 +2191,7 @@ mod tests {
         let stats = scratch.stats();
         assert_eq!(stats.unrecoverable, 2, "{stats:?}");
         assert_eq!(stats.recovered_fresh + stats.recovered_reordered, 0, "{stats:?}");
+        assert_accounting_identities(&plan, &circle_points(4));
     }
 
     /// A faulted lane in the batched path is masked — it takes the exact
@@ -2388,6 +2219,7 @@ mod tests {
         let bs = batch.stats();
         assert_eq!(bs.recovered_fresh, points.len() as u64, "{bs:?}");
         assert_eq!(bs, seq.stats(), "batched accounting must match sequential");
+        assert_accounting_identities(&plan, &points);
     }
 
     /// The contract shared opening windows rest on: the denominator a

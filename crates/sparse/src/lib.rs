@@ -18,13 +18,12 @@
 //!   slot layout, and elimination instruction stream precomputed once per
 //!   `(pattern, order)`, so each numeric point is scatter-then-replay with
 //!   zero sorting, searching, insertion, or allocation.
-//! * [`BatchScratch`] — the batched (variant-major) execution state:
+//! * [`BatchScratch`] — the batched execution state:
 //!   [`FactorProgram::refactor_batch`] / [`FactorProgram::solve_batch`]
 //!   drive N independent value sets ("lanes") through **one** traversal of
-//!   the instruction stream; the affine stamps `K₀ + s·K₁` of many variants
-//!   at one point ([`FactorProgram::refactor_batch_interleaved`]) or of one
-//!   matrix at many points ([`FactorProgram::refactor_batch_points`]) fill
-//!   the lanes in one vector pass.
+//!   the instruction stream; the affine stamps `K₀ + σ·K₁` of one matrix
+//!   at many points ([`FactorProgram::refactor_batch_points`]) fill the
+//!   lanes in one vector pass.
 //! * [`ordering`] — approximate-minimum-degree symbolic ordering over the
 //!   pattern graph, the fill-reducing alternative for mesh-scale circuits.
 //! * [`dense`] — a dense LU reference implementation used as a test oracle

@@ -380,57 +380,10 @@ impl FactorProgram {
         self.replay_batch(scratch);
     }
 
-    /// Variant-major batched refactorization with **precomputed
-    /// lane-interleaved stamp coefficients**: raw entry `e` of lane `k`
-    /// takes the value `k0[e·lanes + k] + s · k1[e·lanes + k]`, the affine
-    /// per-entry form every frequency-domain stamp has. This is the
-    /// allocation- and iterator-free fast path for fleet sampling
-    /// (N variants, one `s`): the coefficient arrays are built once per
-    /// fleet, and the stamp loop vectorizes over the contiguous lanes of
-    /// each entry with `s` broadcast — performing, per lane, exactly the
-    /// scalar `k0 + s·k1` then `+=` sequence of
-    /// [`FactorProgram::refactor_batch`] with an equivalent value
-    /// iterator, so results are bit-identical to it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is zero or the coefficient slices' length is not
-    /// `lanes ×` the compiled pattern's raw entry count.
-    pub fn refactor_batch_interleaved(
-        &self,
-        k0: &[Complex],
-        k1: &[Complex],
-        s: Complex,
-        lanes: usize,
-        scratch: &mut BatchScratch,
-    ) {
-        assert!(lanes > 0, "batch needs at least one lane");
-        let entries = self.scatter.len();
-        assert_eq!(k0.len(), entries * lanes, "k0 length differs from compiled pattern");
-        assert_eq!(k1.len(), entries * lanes, "k1 length differs from compiled pattern");
-        scratch.begin(self, lanes);
-        #[cfg(target_arch = "x86_64")]
-        if avx_available() {
-            // SAFETY: AVX support was verified at runtime.
-            unsafe { stamp_interleaved_avx(&self.scatter, k0, k1, s, &mut scratch.vals, lanes) };
-            self.replay_batch(scratch);
-            return;
-        }
-        for (e, &slot) in self.scatter.iter().enumerate() {
-            let base = e * lanes;
-            let ss = slot as usize * lanes;
-            for lane in 0..lanes {
-                scratch.vals[ss + lane] += k0[base + lane] + s * k1[base + lane];
-            }
-        }
-        self.replay_batch(scratch);
-    }
-
     /// Point-major batched refactorization of **one** affine matrix
     /// `K₀ + σ·K₁` at many points: raw entry `e` of lane `k` takes the
-    /// value `k0[e] + sigmas[k]·k1[e]`. This is the transpose of
-    /// [`FactorProgram::refactor_batch_interleaved`] — one coefficient pair
-    /// per entry broadcast across the lanes, one `σ` per lane — and the
+    /// value `k0[e] + sigmas[k]·k1[e]`: one coefficient pair per entry
+    /// broadcast across the lanes, one `σ` per lane. This is the
     /// allocation- and iterator-free fast path for window sampling (one
     /// plan, many unit-circle points). Per lane it performs exactly the
     /// scalar `σ·k1`, `+ k0`, `+=` sequence of
@@ -1095,50 +1048,6 @@ unsafe fn back_step_avx(
     div_lanes_avx(&vals[ps..ps + lanes], acc, &mut x[pc..pc + lanes]);
 }
 
-/// The AVX stamp loop of [`FactorProgram::refactor_batch_interleaved`]:
-/// per raw entry, `vals[slot·lanes + k] += k0[k] + s·k1[k]` over the
-/// entry's contiguous lanes, `s` broadcast. Scalar operand order
-/// throughout (`s` is the product's `self`; multiply, add `k0`, then
-/// accumulate), no FMA contraction — bit-identical to the scalar stamp.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn stamp_interleaved_avx(
-    scatter: &[u32],
-    k0: &[Complex],
-    k1: &[Complex],
-    s: Complex,
-    vals: &mut [Complex],
-    lanes: usize,
-) {
-    use std::arch::x86_64::{
-        _mm256_add_pd, _mm256_addsub_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_permute_pd,
-        _mm256_set1_pd, _mm256_storeu_pd,
-    };
-    let pairs = lanes / 2;
-    let sre = _mm256_set1_pd(s.re);
-    let sim = _mm256_set1_pd(s.im);
-    for (e, &slot) in scatter.iter().enumerate() {
-        let base = e * lanes;
-        let k0p = k0.as_ptr().add(base).cast::<f64>();
-        let k1p = k1.as_ptr().add(base).cast::<f64>();
-        let vp = vals.as_mut_ptr().add(slot as usize * lanes).cast::<f64>();
-        for k in 0..pairs {
-            let k1v = _mm256_loadu_pd(k1p.add(4 * k));
-            let prod = _mm256_addsub_pd(
-                _mm256_mul_pd(sre, k1v),
-                _mm256_mul_pd(sim, _mm256_permute_pd(k1v, 0x5)),
-            );
-            let v = _mm256_add_pd(_mm256_loadu_pd(k0p.add(4 * k)), prod);
-            let dst = _mm256_loadu_pd(vp.add(4 * k));
-            _mm256_storeu_pd(vp.add(4 * k), _mm256_add_pd(dst, v));
-        }
-        if lanes % 2 == 1 {
-            let lane = lanes - 1;
-            vals[slot as usize * lanes + lane] += k0[base + lane] + s * k1[base + lane];
-        }
-    }
-}
-
 /// The scalar stamp loop of [`FactorProgram::refactor_batch_points`] and
 /// the reference its AVX copy ([`stamp_points_avx`]) must match bit for
 /// bit: per raw entry, `vals[slot·lanes + k] += k0[e] + σ_k·k1[e]`.
@@ -1162,8 +1071,7 @@ fn stamp_points_scalar(
 /// entry, `k0[e]`/`k1[e]` broadcast and two lanes' `σ` per 256-bit
 /// register. Scalar operand order throughout (`σ` is the product's
 /// `self`; multiply, add `k0`, then accumulate), no FMA contraction —
-/// the mirror image of [`stamp_interleaved_avx`], bit-identical to
-/// [`stamp_points_scalar`].
+/// bit-identical to [`stamp_points_scalar`].
 ///
 /// # Safety
 ///
@@ -1462,7 +1370,7 @@ unsafe fn expand_lane_scalars(v: std::arch::x86_64::__m128d) -> std::arch::x86_6
 ///
 /// # Per-lane failure
 ///
-/// One dead variant does not kill the batch: a lane hitting an exact-zero
+/// One dead lane does not kill the batch: a lane hitting an exact-zero
 /// pivot records its first failing step ([`BatchScratch::singular_step`],
 /// the batched analogue of `FactorError::Singular { step }`) while the
 /// other lanes proceed bit-identically to one-lane replays.

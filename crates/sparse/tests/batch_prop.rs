@@ -1,4 +1,4 @@
-//! Property tests for the batched (variant-major) kernel: driving N lanes
+//! Property tests for the batched kernel: driving N lanes
 //! through one instruction-stream traversal must be **bit-identical** to N
 //! independent one-lane replays — determinants, solution vectors, and
 //! per-lane `Singular { step }` parity under injected zero pivots.
