@@ -520,7 +520,7 @@ pub struct PerfEnv {
     /// AVX-512F available.
     pub avx512f: bool,
     /// Lane width the batched fleet rows ran at
-    /// (`RefgenConfig::default().lane_width`, honoring `REFGEN_TEST_LANES`).
+    /// (`RefgenConfig::default().lane_width`).
     pub lane_width: usize,
 }
 

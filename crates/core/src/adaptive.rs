@@ -134,7 +134,6 @@ impl PolyReport {
             Diagnostic::SamplingBatched {
                 points: w.points,
                 threads: w.threads,
-                refactor_hits: w.stats.compiled_hits,
                 compiled_hits: w.stats.compiled_hits,
                 mirrored: w.mirrored,
             },
@@ -1393,8 +1392,8 @@ mod tests {
                 rep.diagnostics
                     .iter()
                     .filter_map(|d| match *d {
-                        Diagnostic::SamplingBatched { points, refactor_hits, mirrored, .. } => {
-                            Some((points, refactor_hits, mirrored))
+                        Diagnostic::SamplingBatched { points, compiled_hits, mirrored, .. } => {
+                            Some((points, compiled_hits, mirrored))
                         }
                         _ => None,
                     })

@@ -24,7 +24,7 @@
 //!   partner. IEEE arithmetic is conjugate-equivariant and
 //!   `unit_circle_points` generates the pairs bit-exactly, so mirrored
 //!   output is **bit-identical** to the full sweep — only wall-clock
-//!   changes (`REFGEN_TEST_CONJ=off` forces the full sweep to prove it).
+//!   changes (`conjugate_mirror = false` forces the full sweep).
 //!   The partition depends on the window size `K` alone, so it is built
 //!   once per size ([`ConjugateRoles`], held by the runtime's window
 //!   tables).

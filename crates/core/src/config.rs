@@ -78,10 +78,7 @@ pub struct RefgenConfig {
     /// `refgen_exec` with deterministic, index-ordered collection — solver
     /// output is **bit-identical at any thread count**. `0` means "use the
     /// available hardware parallelism"; the default is `1`
-    /// (single-threaded, matching the original engine), unless the
-    /// `REFGEN_TEST_THREADS` environment variable overrides it — the hook
-    /// CI uses to run the whole test suite under a parallel sampling
-    /// configuration without touching every test.
+    /// (single-threaded, matching the original engine).
     pub threads: usize,
     /// How sampling batches obtain their worker threads:
     /// [`ExecutorKind::Scoped`] spawns scoped threads per batch (zero
@@ -90,9 +87,7 @@ pub struct RefgenConfig {
     /// reuses it across every window and polynomial — amortizing the
     /// ~100 µs spawn/join per batch that dominates reduced 6-point
     /// windows. Output is **bit-identical** under either kind; only
-    /// wall-clock time changes. Default [`ExecutorKind::Scoped`], unless
-    /// the `REFGEN_TEST_EXECUTOR=pool` environment variable overrides it
-    /// (the CI hook that re-runs the whole suite on the pool executor).
+    /// wall-clock time changes. Default [`ExecutorKind::Scoped`].
     pub executor: ExecutorKind,
     /// Exploit conjugate symmetry in window sampling: the MNA pattern's
     /// `K₀`/`K₁` and RHS are real for every supported element, so
@@ -100,10 +95,7 @@ pub struct RefgenConfig {
     /// conjugate-equivariant — the sampler solves only the closed upper
     /// half of each window's conjugate-paired σ set and mirrors the rest
     /// **bit-identically**, halving solves per window. Output is identical
-    /// either way; only wall-clock time changes. Default `true`, unless
-    /// the `REFGEN_TEST_CONJ=off` environment variable overrides it — the
-    /// CI hook that re-runs the whole suite on the full (un-mirrored)
-    /// sweep for differential testing.
+    /// either way; only wall-clock time changes. Default `true`.
     pub conjugate_mirror: bool,
     /// Lane width for batched window sampling and for the direct AC sweep
     /// of [`ac_sweep_with_config`](crate::ac_sweep_with_config): how many
@@ -114,9 +106,7 @@ pub struct RefgenConfig {
     /// one worker, threads fan chunks across workers — and per live lane
     /// the batched kernel performs the exact scalar operation sequence of
     /// the one-lane path, so output is **bit-identical at any lane
-    /// width**. Default `32`, unless the `REFGEN_TEST_LANES` environment
-    /// variable overrides it — the CI hook that re-runs the whole suite at
-    /// a non-default width.
+    /// width**. Default `32`.
     pub lane_width: usize,
     /// Pivot-ordering policy for the sampling plans:
     /// [`OrderingMode::Auto`] lets the sweep engine keep the numeric
@@ -126,10 +116,7 @@ pub struct RefgenConfig {
     /// [`OrderingMode::Markowitz`]/[`OrderingMode::Amd`] force one side.
     /// The selection is symbolic-phase only — every ordering feeds the
     /// same compiled kernel, and per-point output is bit-identical for a
-    /// fixed selection. Default [`OrderingMode::Auto`], unless the
-    /// `REFGEN_TEST_ORDERING` environment variable (`amd` / `markowitz`)
-    /// overrides it — the CI hook that re-runs the whole suite under a
-    /// forced ordering.
+    /// fixed selection. Default [`OrderingMode::Auto`].
     pub ordering: OrderingMode,
     /// How fleet sessions treat failing variants: abort on the first error
     /// ([`FaultPolicy::FailFast`], the historical default) or contain each
@@ -137,71 +124,6 @@ pub struct RefgenConfig {
     /// bit-identically ([`FaultPolicy::Contain`]). Single-circuit solves
     /// ignore this knob.
     pub fault_policy: FaultPolicy,
-}
-
-/// Default for [`RefgenConfig::threads`]: `1`, overridable by the
-/// `REFGEN_TEST_THREADS` environment variable (read once per process).
-pub fn default_threads() -> usize {
-    static DEFAULT: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        std::env::var("REFGEN_TEST_THREADS").ok().and_then(|v| v.parse().ok()).unwrap_or(1)
-    })
-}
-
-/// Default for [`RefgenConfig::executor`]: [`ExecutorKind::Scoped`],
-/// overridable by setting the `REFGEN_TEST_EXECUTOR` environment variable
-/// to `pool` (read once per process).
-pub fn default_executor() -> ExecutorKind {
-    static DEFAULT: std::sync::OnceLock<ExecutorKind> = std::sync::OnceLock::new();
-    *DEFAULT.get_or_init(|| match std::env::var("REFGEN_TEST_EXECUTOR") {
-        Ok(v) if v.eq_ignore_ascii_case("pool") => ExecutorKind::Pool,
-        _ => ExecutorKind::Scoped,
-    })
-}
-
-/// Default for [`RefgenConfig::conjugate_mirror`]: `true`, overridable by
-/// setting the `REFGEN_TEST_CONJ` environment variable to `off`, `0`, or
-/// `false` (read once per process) — the CI hook that forces the full
-/// un-mirrored sweep for differential testing.
-pub fn default_conjugate_mirror() -> bool {
-    static DEFAULT: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *DEFAULT.get_or_init(|| match std::env::var("REFGEN_TEST_CONJ") {
-        Ok(v) => !matches!(v.to_ascii_lowercase().as_str(), "off" | "0" | "false"),
-        Err(_) => true,
-    })
-}
-
-/// Default for [`RefgenConfig::lane_width`]: `32`, overridable by the
-/// `REFGEN_TEST_LANES` environment variable (read once per process) — the
-/// CI hook that re-runs the whole suite at a non-default lane width.
-///
-/// `32` measures fastest per lane on the µA741 fleet shape: per-step
-/// fixed costs (pivot staging, determinant bookkeeping, dispatch) keep
-/// amortizing well past 8 lanes, while the slot-major working set —
-/// `slots × width` complex values per worker — still streams fine at
-/// µA741 size (~100 KiB). On the 1 025-unknown grid RC mesh (~24 000
-/// slots, ~12 MiB of lanes at width 32), a 95-point
-/// [`ac_sweep_with_config`](crate::ac_sweep_with_config), Auto plan build
-/// included, took a median 66 / 63 / 66 ms at widths 8 / 16 / 32 against
-/// 94 ms at width 1 (25 interleaved runs on a 2-core Intel Xeon): the
-/// gain flattens past 16 lanes there, but 32 does not lose.
-pub fn default_lane_width() -> usize {
-    static DEFAULT: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        std::env::var("REFGEN_TEST_LANES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&w| w >= 1)
-            .unwrap_or(32)
-    })
-}
-
-/// Default for [`RefgenConfig::ordering`]: [`OrderingMode::Auto`],
-/// overridable by the `REFGEN_TEST_ORDERING` environment variable (`amd`
-/// or `markowitz`, read once per process) — the CI hook that re-runs the
-/// whole suite under a forced pivot-ordering policy.
-pub fn default_ordering() -> OrderingMode {
-    OrderingMode::env_default()
 }
 
 impl Default for RefgenConfig {
@@ -216,11 +138,22 @@ impl Default for RefgenConfig {
             gap_retries: 3,
             verify: true,
             max_step_decades_per_index: 8.0,
-            threads: default_threads(),
-            executor: default_executor(),
-            conjugate_mirror: default_conjugate_mirror(),
-            lane_width: default_lane_width(),
-            ordering: default_ordering(),
+            threads: 1,
+            executor: ExecutorKind::Scoped,
+            conjugate_mirror: true,
+            // `32` measures fastest per lane on the µA741 fleet shape:
+            // per-step fixed costs (pivot staging, determinant
+            // bookkeeping, dispatch) keep amortizing well past 8 lanes,
+            // while the slot-major working set — `slots × width` complex
+            // values per worker — still streams fine at µA741 size
+            // (~100 KiB). On the 1 025-unknown grid RC mesh (~24 000
+            // slots, ~12 MiB of lanes at width 32), a 95-point
+            // `ac_sweep_with_config`, Auto plan build included, took a
+            // median 66 / 63 / 66 ms at widths 8 / 16 / 32 against 94 ms
+            // at width 1 (25 interleaved runs on a 2-core Intel Xeon): the
+            // gain flattens past 16 lanes there, but 32 does not lose.
+            lane_width: 32,
+            ordering: OrderingMode::Auto,
             fault_policy: FaultPolicy::default(),
         }
     }
@@ -457,13 +390,11 @@ mod tests {
         assert_eq!(c.sig_digits, 6);
         assert_eq!(c.noise_decades, 13.0);
         assert_eq!(c.validity_decades(), 7.0);
-        // Single-threaded scoped execution by default (seed behavior),
-        // unless the CI environment hooks override it.
-        assert_eq!(c.threads, default_threads());
-        assert_eq!(c.executor, default_executor());
-        assert_eq!(c.conjugate_mirror, default_conjugate_mirror());
-        assert_eq!(c.lane_width, default_lane_width());
-        assert_eq!(c.ordering, default_ordering());
+        assert_eq!(c.threads, 1);
+        assert_eq!(c.executor, ExecutorKind::Scoped);
+        assert!(c.conjugate_mirror);
+        assert_eq!(c.lane_width, 32);
+        assert_eq!(c.ordering, OrderingMode::Auto);
         assert_eq!(c.fault_policy, FaultPolicy::FailFast);
         c.assert_valid();
     }

@@ -96,8 +96,8 @@ pub enum Diagnostic {
     /// the denominator's windows at the same scale and size already
     /// computed (see the [adaptive module docs](crate::adaptive)); such a
     /// shared window reports its `points` with zero `threads`,
-    /// `refactor_hits`, `compiled_hits` and `mirrored`, and the solves
-    /// stay counted once, on the denominator's window.
+    /// `compiled_hits` and `mirrored`, and the solves stay counted once, on
+    /// the denominator's window.
     SamplingBatched {
         /// Points evaluated in the batch (conjugate-mirrored points
         /// included — they cost no solve but are part of the window).
@@ -107,14 +107,11 @@ pub enum Diagnostic {
         /// window at lane width 32 runs one chunk and still reports 4 at
         /// `threads = 4`.
         threads: usize,
-        /// Solved points that reused the window plan's recorded pivot
-        /// order (numeric refactorization, no pivot search); the remainder
-        /// paid a fresh Markowitz factorization. Every replay runs the
-        /// compiled kernel, so this always equals `compiled_hits`.
-        refactor_hits: u64,
-        /// Solved points that ran through the compiled symbolic kernel
-        /// (`FactorProgram`): flat instruction-stream replay with zero
-        /// per-point sorting, searching, insertion, or heap allocation.
+        /// Solved points that replayed the window plan's recorded pivot
+        /// order through the compiled symbolic kernel (`FactorProgram`):
+        /// flat instruction-stream replay with zero per-point sorting,
+        /// searching, insertion, or heap allocation. The remainder paid a
+        /// fresh Markowitz factorization.
         compiled_hits: u64,
         /// Points obtained as exact complex conjugates of a solved partner
         /// (`D(s̄) = conj(D(s))` on real-pattern systems) instead of their
@@ -146,10 +143,8 @@ pub enum Diagnostic {
     OrderingSelected {
         /// System dimension (MNA matrix rows).
         dim: usize,
-        /// Fill-in slots the Markowitz probe order realizes, when a probe
-        /// succeeded (`None` under a forced-AMD configuration where the
-        /// probe was skipped or singular).
-        markowitz_fill: Option<usize>,
+        /// Fill-in slots the Markowitz probe order realizes.
+        markowitz_fill: usize,
         /// Fill-in slots the AMD order realizes, when one was computed and
         /// passed validation (`None` when Markowitz won without a
         /// challenger).
@@ -257,18 +252,11 @@ impl fmt::Display for Diagnostic {
             Diagnostic::AllSamplesZero { kind } => {
                 write!(f, "{}: all samples are exactly zero", kind_name(*kind))
             }
-            Diagnostic::SamplingBatched {
-                points,
-                threads,
-                refactor_hits,
-                compiled_hits,
-                mirrored,
-            } => {
+            Diagnostic::SamplingBatched { points, threads, compiled_hits, mirrored } => {
                 write!(
                     f,
                     "sampled {points} points on {threads} thread{} \
-                     ({refactor_hits} pivot-order reuses, {compiled_hits} compiled, \
-                     {mirrored} mirrored)",
+                     ({compiled_hits} compiled, {mirrored} mirrored)",
                     if *threads == 1 { "" } else { "s" },
                 )
             }
@@ -280,12 +268,7 @@ impl fmt::Display for Diagnostic {
             ),
             Diagnostic::OrderingSelected { dim, markowitz_fill, amd_fill, amd } => {
                 let name = if *amd { "amd" } else { "markowitz" };
-                write!(f, "ordering for dim {dim}: {name} (fill markowitz ")?;
-                match markowitz_fill {
-                    Some(m) => write!(f, "{m}")?,
-                    None => write!(f, "–")?,
-                }
-                write!(f, ", amd ")?;
+                write!(f, "ordering for dim {dim}: {name} (fill markowitz {markowitz_fill}, amd ")?;
                 match amd_fill {
                     Some(a) => write!(f, "{a}")?,
                     None => write!(f, "–")?,
@@ -380,17 +363,11 @@ mod tests {
             Diagnostic::GapRepaired { kind: PolyKind::Numerator, lo: 2, hi: 3 },
             Diagnostic::CrossCheckMismatch { kind: PolyKind::Denominator, index: 4, rel_err: 1e-3 },
             Diagnostic::AllSamplesZero { kind: PolyKind::Numerator },
-            Diagnostic::SamplingBatched {
-                points: 41,
-                threads: 4,
-                refactor_hits: 20,
-                compiled_hits: 20,
-                mirrored: 20,
-            },
+            Diagnostic::SamplingBatched { points: 41, threads: 4, compiled_hits: 20, mirrored: 20 },
             Diagnostic::TransientStepped { steps: 600, refactor_hits: 1, compiled_hits: 601 },
             Diagnostic::OrderingSelected {
                 dim: 4096,
-                markowitz_fill: Some(250_000),
+                markowitz_fill: 250_000,
                 amd_fill: Some(40_000),
                 amd: true,
             },

@@ -592,7 +592,7 @@ mod tests {
             let streamed: u64 = run.solutions()[i]
                 .diagnostics()
                 .filter_map(|d| match d {
-                    Diagnostic::SamplingBatched { refactor_hits, .. } => Some(*refactor_hits),
+                    Diagnostic::SamplingBatched { compiled_hits, .. } => Some(*compiled_hits),
                     _ => None,
                 })
                 .sum();

@@ -323,8 +323,7 @@ pub enum ExecutorKind {
 /// A batch executor: either the per-call scoped spawner or a persistent
 /// [`WorkerPool`], behind one `par_map_indexed` entry point. Both produce
 /// bit-identical output for pure map functions — only the thread lifecycle
-/// differs — so callers can switch freely (the `REFGEN_TEST_EXECUTOR` CI
-/// hook relies on this).
+/// differs — so callers can switch freely.
 #[derive(Debug)]
 pub enum Executor {
     /// Spawn scoped workers per batch.

@@ -19,16 +19,11 @@
 //! plan cannot perturb unrelated tests running concurrently in the same
 //! process, and un-scoped product code pays one relaxed atomic load per
 //! query.
-//!
-//! The `REFGEN_TEST_FAULTS` environment hook ([`env_seed`]) carries a seed
-//! the fault-injection test tier feeds to [`FaultPlan::seeded_variants`],
-//! so CI can re-run the whole suite under a different (but reproducible)
-//! injection pattern without touching any other test.
 
 use refgen_numeric::Complex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
+use std::sync::{Mutex, MutexGuard, PoisonError, RwLock};
 
 /// How a faulted variant fails. Kinds are ordered by how deep into the
 /// singular-recovery ladder they reach.
@@ -176,14 +171,6 @@ impl Drop for FaultScope {
         let prev = self.prev;
         SCOPE.with(|s| s.set(prev));
     }
-}
-
-/// The seed carried by the `REFGEN_TEST_FAULTS` environment hook, if set
-/// to a valid `u64` (read once per process). The fault test tier feeds it
-/// to [`FaultPlan::seeded_variants`] so CI can vary the injection pattern.
-pub fn env_seed() -> Option<u64> {
-    static SEED: OnceLock<Option<u64>> = OnceLock::new();
-    *SEED.get_or_init(|| std::env::var("REFGEN_TEST_FAULTS").ok().and_then(|v| v.parse().ok()))
 }
 
 /// The fault kind armed for the current thread's scope, if any.

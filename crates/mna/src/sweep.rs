@@ -89,7 +89,7 @@ use crate::transfer::{OutputSpec, TransferResponse, TransferSpec};
 use refgen_numeric::{Complex, ExtComplex};
 use refgen_sparse::{FactorProgram, PivotOrder, ProgramScratch, SparseLu, Triplets};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Which symbolic ordering strategy a plan build uses for its compiled
 /// kernel. See the crate docs of `refgen_sparse` for the three orderings
@@ -106,21 +106,6 @@ pub enum OrderingMode {
     /// Force the AMD order whenever it compiles and factors the probe
     /// point; fall back to Markowitz only if it cannot.
     Amd,
-}
-
-impl OrderingMode {
-    /// The process-wide default: `REFGEN_TEST_ORDERING` (`auto`,
-    /// `markowitz`, `amd` — anything else means `Auto`), read once. The
-    /// CI suite uses `amd` to force the AMD path through every plan build
-    /// of the whole test tier.
-    pub fn env_default() -> OrderingMode {
-        static MODE: OnceLock<OrderingMode> = OnceLock::new();
-        *MODE.get_or_init(|| match std::env::var("REFGEN_TEST_ORDERING").as_deref() {
-            Ok("amd") => OrderingMode::Amd,
-            Ok("markowitz") => OrderingMode::Markowitz,
-            _ => OrderingMode::Auto,
-        })
-    }
 }
 
 /// Which ordering a built plan actually adopted.
@@ -144,7 +129,7 @@ pub struct OrderingChoice {
     /// ([`SparseLu::structural_fill`]) when it has one, which equals the
     /// compiled program's [`FactorProgram::fill_in`] without compiling it;
     /// otherwise the fill of the program compiled from the probe order.
-    pub markowitz_fill: Option<usize>,
+    pub markowitz_fill: usize,
     /// Fill-in slots of the compiled AMD program (`None` when AMD was
     /// never attempted — [`OrderingMode::Markowitz`], or Auto below the
     /// fill threshold).
@@ -620,7 +605,7 @@ fn select_ordering(
                     program: Arc::new(amd_program),
                     choice: OrderingChoice {
                         selected: SelectedOrdering::Amd,
-                        markowitz_fill: Some(markowitz_fill),
+                        markowitz_fill,
                         amd_fill,
                     },
                 });
@@ -634,11 +619,7 @@ fn select_ordering(
     Some(PlanSelection {
         order: probe.order().clone(),
         program: Arc::new(program),
-        choice: OrderingChoice {
-            selected: SelectedOrdering::Markowitz,
-            markowitz_fill: Some(markowitz_fill),
-            amd_fill,
-        },
+        choice: OrderingChoice { selected: SelectedOrdering::Markowitz, markowitz_fill, amd_fill },
     })
 }
 
@@ -684,11 +665,11 @@ impl SweepPlan {
     /// [`MnaSystem::resolve_source`] and [`MnaError::NoSuchNode`] for
     /// unknown output nodes.
     pub fn new(sys: &MnaSystem, scale: Scale, spec: &TransferSpec) -> Result<SweepPlan, MnaError> {
-        Self::build_transfer(sys, scale, spec, None, OrderingMode::env_default())
+        Self::build_transfer(sys, scale, spec, None, OrderingMode::default())
     }
 
     /// As [`SweepPlan::new`] with an explicit [`OrderingMode`] instead of
-    /// the process default.
+    /// [`OrderingMode::Auto`].
     ///
     /// # Errors
     ///
@@ -753,7 +734,7 @@ impl SweepPlan {
     /// Builds a determinant-only plan ([`SweepPlan::eval_at`] is
     /// unavailable): no transfer spec needed, no RHS solve ever performed.
     pub fn for_determinant(sys: &MnaSystem, scale: Scale) -> SweepPlan {
-        Self::build(sys, scale, None, None, None, OrderingMode::env_default())
+        Self::build(sys, scale, None, None, None, OrderingMode::default())
     }
 
     /// As [`SweepPlan::for_determinant`] with an explicit
@@ -1332,8 +1313,8 @@ mod tests {
         c.add_resistor("R4", "b", "0", 1e3).unwrap();
         let sys = MnaSystem::new(&c).unwrap();
         // Pinned to the probe order: this test documents Markowitz-probe
-        // pivot mechanics (the DC-vanishing capacitor diagonal), which a
-        // forced AMD environment would order around.
+        // pivot mechanics (the DC-vanishing capacitor diagonal), which an
+        // AMD order would pivot around.
         let plan = SweepPlan::new_with_ordering(
             &sys,
             Scale::unit(),
@@ -1489,7 +1470,7 @@ mod tests {
         let variant = MnaSystem::new(&bridged_chain("a", 3.3e-9)).unwrap();
         assert_eq!(base.pattern_fingerprint(), variant.pattern_fingerprint());
         let cache = PlanCache::new();
-        let mode = OrderingMode::env_default();
+        let mode = OrderingMode::default();
         let plan =
             SweepPlan::new_cached_with_ordering(&base, scale, &spec(), &cache, mode).unwrap();
         let rebound = plan.rebind(&variant).unwrap();
@@ -1538,7 +1519,7 @@ mod tests {
     #[test]
     fn plan_cache_shares_orders_across_nearby_scales_only() {
         let cache = PlanCache::new();
-        let mode = OrderingMode::env_default();
+        let mode = OrderingMode::default();
         let sys = MnaSystem::new(&ua741()).unwrap();
         let spec = spec();
         let scale = Scale::new(1e9, 1e3);
@@ -1616,7 +1597,7 @@ mod tests {
         let base = ua741();
         let scale = Scale::new(1e9, 1e3);
         let cache = PlanCache::new();
-        let mode = OrderingMode::env_default();
+        let mode = OrderingMode::default();
         let fleet =
             VariantSet::new(Perturbation::all_relative(0.04), 64).seed(11).generate(&base).unwrap();
         let mut scratch = SweepScratch::new();
@@ -1657,7 +1638,7 @@ mod tests {
         assert_eq!(a.dim(), b.dim(), "test premise: equal dimensions");
 
         let cache = PlanCache::new();
-        let mode = OrderingMode::env_default();
+        let mode = OrderingMode::default();
         let scale = Scale::new(1e9, 1e3);
         let _pa = SweepPlan::for_determinant_cached_with_ordering(&a, scale, &cache, mode);
         let _pb = SweepPlan::for_determinant_cached_with_ordering(&b, scale, &cache, mode);
@@ -1676,7 +1657,7 @@ mod tests {
     #[test]
     fn plan_cache_survives_a_panicking_build() {
         let cache = PlanCache::new();
-        let mode = OrderingMode::env_default();
+        let mode = OrderingMode::default();
         let sys = MnaSystem::new(&ua741()).unwrap();
         let scale = Scale::new(1e9, 1e3);
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1881,8 +1862,8 @@ mod tests {
         c.add_resistor("R4", "b", "0", 1e3).unwrap();
         let sys = MnaSystem::new(&c).unwrap();
         // Pinned to the probe order: this test documents Markowitz-probe
-        // pivot mechanics (the DC-vanishing capacitor diagonal), which a
-        // forced AMD environment would order around.
+        // pivot mechanics (the DC-vanishing capacitor diagonal), which an
+        // AMD order would pivot around.
         let plan = SweepPlan::new_with_ordering(
             &sys,
             Scale::unit(),
@@ -1954,7 +1935,7 @@ mod tests {
         let plan = SweepPlan::new_with_ordering(&mesh, scale, &spec(), OrderingMode::Auto).unwrap();
         let choice = plan.ordering_choice().unwrap();
         if choice.selected == SelectedOrdering::Amd {
-            let (mf, af) = (choice.markowitz_fill.unwrap(), choice.amd_fill.unwrap());
+            let (mf, af) = (choice.markowitz_fill, choice.amd_fill.unwrap());
             assert!(af < mf, "auto adopted amd without a fill win: {af} vs {mf}");
         }
     }
@@ -1978,7 +1959,7 @@ mod tests {
         };
         let markowitz = |amd_fill| OrderingChoice {
             selected: SelectedOrdering::Markowitz,
-            markowitz_fill: Some(markowitz_fill),
+            markowitz_fill,
             amd_fill,
         };
         if attempt {
@@ -1987,7 +1968,7 @@ mod tests {
                 if mode == OrderingMode::Amd || amd_fill < markowitz_fill {
                     let choice = OrderingChoice {
                         selected: SelectedOrdering::Amd,
-                        markowitz_fill: Some(markowitz_fill),
+                        markowitz_fill,
                         amd_fill: Some(amd_fill),
                     };
                     return Some((amd_order, amd_fill, choice));
@@ -2042,7 +2023,7 @@ mod tests {
         assert_eq!((probe.fill_in(), probe.structural_fill()), (0, None));
         assert_selection_matches_reference(3, &pattern);
         let choice = select_ordering(3, &pattern, OrderingMode::Markowitz).unwrap().choice;
-        assert_eq!(choice.markowitz_fill, Some(1));
+        assert_eq!(choice.markowitz_fill, 1);
     }
 
     #[test]

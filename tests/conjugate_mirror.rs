@@ -1,101 +1,18 @@
 //! Conjugate-pair sampling acceptance: solving only the closed upper half
 //! of every window's σ set and mirroring the rest (`conjugate_mirror =
 //! true`, the default) produces **bit-identical** solutions to the full
-//! sweep (`conjugate_mirror = false`, what `REFGEN_TEST_CONJ=off` forces
-//! process-wide) — coefficients, regions, window trails, and diagnostics,
-//! across thread counts and both executors, for all four solvers.
+//! sweep (`conjugate_mirror = false`) — coefficients, regions, window
+//! trails, and diagnostics, across thread counts and both executors, for
+//! all four solvers.
 //!
-//! The sanctioned differences are exactly the sampling-cost fields:
-//! mirrored points cost no solve, so `refactor_hits`/`compiled_hits` are
-//! (roughly) halved and `mirrored` is nonzero — per batch,
-//! `refactor_hits + fresh + mirrored` must still account for every point.
-//! Both runs here set the knob explicitly, so this test proves the
-//! invariant in every CI configuration, including the `REFGEN_TEST_CONJ=off`
-//! pass itself.
+//! The sanctioned differences are exactly the sampling-cost fields, as
+//! [`support::assert_same_solution`] documents: mirrored points cost no
+//! solve, so each full-sweep batch mirrors nothing and solves every point
+//! the mirrored run solved or mirrored.
+
+mod support;
 
 use refgen::prelude::*;
-
-fn solver_roster(cfg: RefgenConfig) -> Vec<Box<dyn Solver>> {
-    vec![
-        Box::new(AdaptiveInterpolator::new(cfg)),
-        Box::new(UnitCircleSolver::new(cfg)),
-        Box::new(StaticScalingSolver::heuristic(cfg)),
-        Box::new(MultiScaleGridSolver::new(1e3, 1e15, 16, cfg)),
-    ]
-}
-
-/// Diagnostics must match pairwise; `SamplingBatched` modulo its cost
-/// fields (`threads`, `refactor_hits`, `compiled_hits`, `mirrored`), which
-/// must instead satisfy the halving accounting.
-fn assert_same_diagnostics(ctx: &str, on: &[Diagnostic], off: &[Diagnostic]) {
-    assert_eq!(on.len(), off.len(), "{ctx}: diagnostic counts differ");
-    for (i, (x, y)) in on.iter().zip(off).enumerate() {
-        match (x, y) {
-            (
-                Diagnostic::SamplingBatched {
-                    points: p1,
-                    refactor_hits: h1,
-                    compiled_hits: c1,
-                    mirrored: m1,
-                    ..
-                },
-                Diagnostic::SamplingBatched {
-                    points: p2,
-                    refactor_hits: h2,
-                    compiled_hits: c2,
-                    mirrored: m2,
-                    ..
-                },
-            ) => {
-                assert_eq!(p1, p2, "{ctx}: batch {i} point counts differ");
-                assert_eq!(*m2, 0, "{ctx}: batch {i}: full sweep must mirror nothing");
-                // The full sweep solves every point; the mirrored run
-                // solves exactly the non-mirrored ones.
-                assert_eq!(h1 + m1, *h2, "{ctx}: batch {i}: hits + mirrored = full-sweep hits");
-                assert_eq!(c1 + m1, *c2, "{ctx}: batch {i}: compiled accounting");
-                assert_eq!(h1, c1, "{ctx}: batch {i}: every planned solve runs compiled");
-            }
-            _ => assert_eq!(x, y, "{ctx}: diagnostic {i} differs"),
-        }
-    }
-}
-
-/// Debug formatting of f64 round-trips, so equal strings ⇔ equal bits.
-fn assert_same_solution(ctx: &str, on: &Solution, off: &Solution) {
-    assert_eq!(on.method, off.method, "{ctx}");
-    assert_eq!(
-        format!("{:?}", on.network.denominator.coeffs()),
-        format!("{:?}", off.network.denominator.coeffs()),
-        "{ctx}: denominator coefficients differ"
-    );
-    assert_eq!(
-        format!("{:?}", on.network.numerator.coeffs()),
-        format!("{:?}", off.network.numerator.coeffs()),
-        "{ctx}: numerator coefficients differ"
-    );
-    let ra = &on.network.report;
-    let rb = &off.network.report;
-    assert_eq!(ra.admittance_degree, rb.admittance_degree, "{ctx}");
-    for (pa, pb, poly) in
-        [(&ra.denominator, &rb.denominator, "den"), (&ra.numerator, &rb.numerator, "num")]
-    {
-        let ctx = format!("{ctx}/{poly}");
-        assert_eq!(pa.kind, pb.kind, "{ctx}");
-        assert_eq!(format!("{:?}", pa.windows), format!("{:?}", pb.windows), "{ctx}: windows");
-        assert_eq!(pa.declared_zero, pb.declared_zero, "{ctx}: declared_zero");
-        assert_eq!(pa.effective_degree, pb.effective_degree, "{ctx}: effective_degree");
-        assert_eq!(pa.total_points, pb.total_points, "{ctx}: total_points");
-        // Refactor accounting modulo the halved point counts: mirroring
-        // can only reduce solves, never add them.
-        assert!(
-            pa.refactor_hits <= pb.refactor_hits,
-            "{ctx}: mirroring increased solves ({} vs {})",
-            pa.refactor_hits,
-            pb.refactor_hits
-        );
-        assert_same_diagnostics(&ctx, &pa.diagnostics, &pb.diagnostics);
-    }
-}
 
 fn run(
     circuit: &Circuit,
@@ -108,7 +25,13 @@ fn run(
         .executor(executor)
         .conjugate_mirror(mirror)
         .build();
-    solver_roster(cfg)
+    let roster: [Box<dyn Solver>; 4] = [
+        Box::new(AdaptiveInterpolator::new(cfg)),
+        Box::new(UnitCircleSolver::new(cfg)),
+        Box::new(StaticScalingSolver::heuristic(cfg)),
+        Box::new(MultiScaleGridSolver::new(1e3, 1e15, 16, cfg)),
+    ];
+    roster
         .into_iter()
         .map(|solver| {
             Session::for_circuit(circuit)
@@ -126,29 +49,19 @@ fn assert_mirror_invariant(name: &str, circuit: &Circuit) {
             let off = run(circuit, threads, executor, false);
             assert_eq!(on.len(), off.len());
             let mut mirrored_somewhere = 0u64;
-            for (a, b) in on.iter().zip(&off) {
-                match (a, b) {
-                    (Ok(sa), Ok(sb)) => {
-                        let ctx = format!("{name}/{}/t{threads}/{executor:?}", sa.method);
-                        assert_same_solution(&ctx, sa, sb);
-                        mirrored_somewhere += sa
-                            .diagnostics()
-                            .filter_map(|d| match d {
-                                Diagnostic::SamplingBatched { mirrored, .. } => Some(*mirrored),
-                                _ => None,
-                            })
-                            .sum::<u64>();
-                    }
-                    // Typed failures must be identical too (unit-circle on
-                    // the µA741 legitimately cannot cover the range).
-                    (Err(ea), Err(eb)) => {
-                        assert_eq!(format!("{ea:?}"), format!("{eb:?}"), "{name}: errors differ")
-                    }
-                    (a, b) => panic!(
-                        "{name}: outcome changed with mirroring: {:?} vs {:?}",
-                        a.as_ref().map(|s| s.method),
-                        b.as_ref().map(|s| s.method)
-                    ),
+            for (i, (a, b)) in on.iter().zip(&off).enumerate() {
+                let ctx = format!("{name}/solver {i}/t{threads}/{executor:?}");
+                // Typed failures must be identical too (unit-circle on
+                // the µA741 legitimately cannot cover the range).
+                support::assert_same_outcome(&ctx, a, b, true);
+                if let Ok(s) = a {
+                    mirrored_somewhere += s
+                        .diagnostics()
+                        .filter_map(|d| match d {
+                            Diagnostic::SamplingBatched { mirrored, .. } => Some(*mirrored),
+                            _ => None,
+                        })
+                        .sum::<u64>();
                 }
             }
             assert!(

@@ -6,73 +6,24 @@
 //! thread count may only change wall-clock time, never a single bit of
 //! the answer.
 //!
-//! The lone sanctioned difference is the `threads` field of
-//! `Diagnostic::SamplingBatched`, which *reports* the worker count used;
-//! its `points` and `refactor_hits` fields must still agree exactly.
+//! The comparison goes through [`support::assert_same_outcome`], whose
+//! lone sanctioned difference is the `threads` field of
+//! `Diagnostic::SamplingBatched`. `tests/config_matrix.rs` crosses the
+//! thread count with the other execution knobs.
+
+mod support;
 
 use refgen::prelude::*;
 
-fn solver_roster(cfg: RefgenConfig) -> Vec<Box<dyn Solver>> {
-    vec![
+fn run(circuit: &Circuit, threads: usize) -> Vec<Result<Solution, RefgenError>> {
+    let cfg = RefgenConfig::builder().threads(threads).build();
+    let roster: [Box<dyn Solver>; 4] = [
         Box::new(AdaptiveInterpolator::new(cfg)),
         Box::new(UnitCircleSolver::new(cfg)),
         Box::new(StaticScalingSolver::heuristic(cfg)),
         Box::new(MultiScaleGridSolver::new(1e3, 1e15, 16, cfg)),
-    ]
-}
-
-/// Diagnostics must match pairwise; `SamplingBatched` modulo its
-/// `threads` report field, everything else exactly.
-fn assert_same_diagnostics(ctx: &str, a: &[Diagnostic], b: &[Diagnostic]) {
-    assert_eq!(a.len(), b.len(), "{ctx}: diagnostic counts differ");
-    for (i, (x, y)) in a.iter().zip(b).enumerate() {
-        match (x, y) {
-            (
-                Diagnostic::SamplingBatched { points: p1, refactor_hits: h1, .. },
-                Diagnostic::SamplingBatched { points: p2, refactor_hits: h2, .. },
-            ) => {
-                assert_eq!(p1, p2, "{ctx}: batch {i} point counts differ");
-                assert_eq!(h1, h2, "{ctx}: batch {i} refactor hits differ");
-            }
-            _ => assert_eq!(x, y, "{ctx}: diagnostic {i} differs"),
-        }
-    }
-}
-
-/// Debug formatting of f64 round-trips, so equal strings ⇔ equal bits.
-fn assert_same_solution(ctx: &str, a: &Solution, b: &Solution) {
-    assert_eq!(a.method, b.method, "{ctx}");
-    assert_eq!(
-        format!("{:?}", a.network.denominator.coeffs()),
-        format!("{:?}", b.network.denominator.coeffs()),
-        "{ctx}: denominator coefficients differ"
-    );
-    assert_eq!(
-        format!("{:?}", a.network.numerator.coeffs()),
-        format!("{:?}", b.network.numerator.coeffs()),
-        "{ctx}: numerator coefficients differ"
-    );
-    let ra = &a.network.report;
-    let rb = &b.network.report;
-    assert_eq!(ra.admittance_degree, rb.admittance_degree, "{ctx}");
-    for (pa, pb, poly) in
-        [(&ra.denominator, &rb.denominator, "den"), (&ra.numerator, &rb.numerator, "num")]
-    {
-        let ctx = format!("{ctx}/{poly}");
-        assert_eq!(pa.kind, pb.kind, "{ctx}");
-        assert_eq!(format!("{:?}", pa.windows), format!("{:?}", pb.windows), "{ctx}: windows");
-        assert_eq!(pa.declared_zero, pb.declared_zero, "{ctx}: declared_zero");
-        assert_eq!(pa.order_bound, pb.order_bound, "{ctx}: order_bound");
-        assert_eq!(pa.effective_degree, pb.effective_degree, "{ctx}: effective_degree");
-        assert_eq!(pa.total_points, pb.total_points, "{ctx}: total_points");
-        assert_eq!(pa.refactor_hits, pb.refactor_hits, "{ctx}: refactor_hits");
-        assert_same_diagnostics(&ctx, &pa.diagnostics, &pb.diagnostics);
-    }
-}
-
-fn run(circuit: &Circuit, threads: usize) -> Vec<Result<Solution, RefgenError>> {
-    let cfg = RefgenConfig::builder().threads(threads).build();
-    solver_roster(cfg)
+    ];
+    roster
         .into_iter()
         .map(|solver| {
             Session::for_circuit(circuit)
@@ -87,25 +38,13 @@ fn assert_thread_invariant(name: &str, circuit: &Circuit) {
     let one = run(circuit, 1);
     let four = run(circuit, 4);
     assert_eq!(one.len(), four.len());
-    for (a, b) in one.iter().zip(&four) {
-        match (a, b) {
-            (Ok(sa), Ok(sb)) => {
-                let ctx = format!("{name}/{}", sa.method);
-                assert_same_solution(&ctx, sa, sb);
-                // The engine's cheap path must carry real solves at both
-                // thread counts (pivot-order reuse, not silent fallback).
-                assert!(sa.refactor_hits() > 0, "{ctx}: no pivot-order reuse at threads = 1");
-            }
-            // Typed failures must be identical too (unit-circle on the
-            // µA741 legitimately cannot cover the coefficient range).
-            (Err(ea), Err(eb)) => {
-                assert_eq!(format!("{ea:?}"), format!("{eb:?}"), "{name}: errors differ")
-            }
-            (a, b) => panic!(
-                "{name}: outcome changed with thread count: {:?} vs {:?}",
-                a.as_ref().map(|s| s.method),
-                b.as_ref().map(|s| s.method)
-            ),
+    for (i, (a, b)) in one.iter().zip(&four).enumerate() {
+        let ctx = format!("{name}/solver {i}");
+        support::assert_same_outcome(&ctx, a, b, false);
+        // The engine's cheap path must carry real solves (pivot-order
+        // reuse, not silent fallback).
+        if let Ok(s) = a {
+            assert!(s.refactor_hits() > 0, "{ctx}: no pivot-order reuse at threads = 1");
         }
     }
 }

@@ -13,11 +13,12 @@
 //! and lane-chunked sampling). Under the default `FailFast` the same
 //! fleet returns the first victim's error, exactly.
 //!
-//! The victim set is seeded: `REFGEN_TEST_FAULTS=<u64>` reseeds it (the
-//! CI fault-injection smoke step does), and
-//! [`FaultPlan::seeded_variants`] never selects variant 0 — the
+//! The victim sets are seeded, and every test runs each of its seeds in
+//! turn. [`FaultPlan::seeded_variants`] never selects variant 0 — the
 //! plan-cache warmer — so the cache is warmed identically with and
 //! without faults.
+
+mod support;
 
 use refgen::mna::faults::{self, FaultKind, FaultPlan};
 use refgen::prelude::*;
@@ -26,6 +27,12 @@ use std::sync::Mutex;
 const FLEET: usize = 64;
 const FAULTS: usize = 4;
 const SEED: u64 = 20260808;
+
+/// Seeds of the seeded-singular victim sets.
+const VICTIM_SEEDS: [u64; 3] = [0xFA17, 9217, 424242];
+
+/// Seeds of the scripted-panic victim sets.
+const PANIC_SEEDS: [u64; 3] = [0x9A71C, 9217, 424242];
 
 /// Fault plans are process-global; every test in this binary both
 /// installs plans and runs fleets (which arm per-variant fault scopes),
@@ -41,8 +48,8 @@ fn ua741_fleet() -> Vec<Circuit> {
     VariantSet::new(Perturbation::all_relative(0.03), FLEET).seed(SEED).generate(&base).unwrap()
 }
 
-fn victims() -> Vec<usize> {
-    FaultPlan::seeded_variants(faults::env_seed().unwrap_or(0xFA17), FLEET, FAULTS)
+fn victims(seed: u64) -> Vec<usize> {
+    FaultPlan::seeded_variants(seed, FLEET, FAULTS)
 }
 
 fn run_fleet(
@@ -67,116 +74,63 @@ fn run_fleet(
         .solve_all()
 }
 
-/// One solution's recorded diagnostic trail. As in `fleet_oracle.rs`,
-/// the `threads` field of `SamplingBatched` is the lone sanctioned
-/// difference across configurations and is masked; everything else must
-/// match bit for bit.
-fn render_diagnostics(solution: &refgen::core::Solution) -> String {
-    solution
-        .diagnostics()
-        .map(|d| match d {
-            Diagnostic::SamplingBatched {
-                points, refactor_hits, compiled_hits, mirrored, ..
-            } => {
-                format!(
-                    "SamplingBatched(points={points},refactor={refactor_hits},\
-                     compiled={compiled_hits},mirrored={mirrored})"
-                )
-            }
-            other => format!("{other:?}"),
-        })
-        .collect::<Vec<_>>()
-        .join(";")
-}
-
-fn render_solution(s: &refgen::core::Solution) -> String {
-    format!(
-        "{:?}|{:?}|{}",
-        s.network.denominator.coeffs(),
-        s.network.numerator.coeffs(),
-        render_diagnostics(s)
-    )
-}
-
-/// The headline acceptance grid (see module docs).
+/// The headline acceptance grid (see module docs), for every victim seed.
 #[test]
 fn contained_ua741_fleet_survivors_match_fault_free_run_bitwise() {
     let _exclusive = EXCLUSIVE.lock().unwrap();
     let circuits = ua741_fleet();
-    let victims = victims();
-    assert_eq!(victims.len(), FAULTS);
-    assert!(!victims.contains(&0), "variant 0 warms the plan cache and must survive");
+    for seed in VICTIM_SEEDS {
+        let victims = victims(seed);
+        assert_eq!(victims.len(), FAULTS);
+        assert!(!victims.contains(&0), "variant 0 warms the plan cache and must survive");
 
-    // Fault-free reference: just the 60 surviving circuits, solved with
-    // no plan installed. One configuration suffices — fault-free
-    // bit-identity across this grid is `fleet_oracle.rs`'s tier.
-    let survivors: Vec<Circuit> = circuits
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !victims.contains(i))
-        .map(|(_, c)| c.clone())
-        .collect();
-    let reference = run_fleet(&survivors, 1, ExecutorKind::Scoped, 1, FaultPolicy::FailFast)
-        .expect("fault-free survivor fleet solves");
-    let ref_solutions: Vec<String> =
-        reference.solutions().into_iter().map(render_solution).collect();
-    assert_eq!(ref_solutions.len(), FLEET - FAULTS);
-    // Survivor-side accounting of the faulted run must equal the
-    // fault-free run's. (The runtime-global plan-cache counters —
-    // pivot_searches / shared_plan_hits / programs_compiled — are
-    // excluded: faulted variants legitimately touch the shared cache
-    // before dying.)
-    let ref_accounting = format!(
-        "{:?}|{:?}|{:?}|{:?}|{}",
-        reference.report.denominator,
-        reference.report.numerator,
-        reference.report.variant_points,
-        reference.report.variant_refactor_hits,
-        reference.report.total_refactor_hits,
-    );
+        // Fault-free reference: just the 60 surviving circuits, solved
+        // with no plan installed. One configuration suffices — fault-free
+        // bit-identity across configurations is `config_matrix.rs`'s tier.
+        let survivors: Vec<Circuit> = circuits
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| !victims.contains(i))
+            .map(|(_, c)| c.clone())
+            .collect();
+        let reference = run_fleet(&survivors, 1, ExecutorKind::Scoped, 1, FaultPolicy::FailFast)
+            .expect("fault-free survivor fleet solves");
+        assert_eq!(reference.solutions().len(), FLEET - FAULTS);
 
-    let _guard = faults::install(FaultPlan::new().fault_variants(&victims, FaultKind::Singular));
-    for threads in [1, 4] {
-        for executor in [ExecutorKind::Scoped, ExecutorKind::Pool] {
-            for lanes in [1, 4, 8] {
-                let label = format!("{executor:?}/{threads}t/{lanes}l");
-                let run = run_fleet(&circuits, threads, executor, lanes, FaultPolicy::Contain)
-                    .expect("contained fleet completes");
-                assert_eq!(run.report.variants, FLEET - FAULTS, "{label}");
-                assert_eq!(run.report.variants_attempted, FLEET, "{label}");
-                assert_eq!(run.report.failed_variants, victims, "{label}");
-                assert_eq!(run.outcomes.len(), FLEET, "{label}");
-                for (i, outcome) in run.outcomes.iter().enumerate() {
-                    assert_eq!(
-                        outcome.is_solved(),
-                        !victims.contains(&i),
-                        "{label}: variant {i} on the wrong side of the fault line"
-                    );
+        let _guard =
+            faults::install(FaultPlan::new().fault_variants(&victims, FaultKind::Singular));
+        for threads in [1, 4] {
+            for executor in [ExecutorKind::Scoped, ExecutorKind::Pool] {
+                for lanes in [1, 4, 8] {
+                    let label = format!("seed {seed}: {executor:?}/{threads}t/{lanes}l");
+                    let run = run_fleet(&circuits, threads, executor, lanes, FaultPolicy::Contain)
+                        .expect("contained fleet completes");
+                    assert_eq!(run.report.variants_attempted, FLEET, "{label}");
+                    assert_eq!(run.report.failed_variants, victims, "{label}");
+                    assert_eq!(run.outcomes.len(), FLEET, "{label}");
+                    for (i, outcome) in run.outcomes.iter().enumerate() {
+                        assert_eq!(
+                            outcome.is_solved(),
+                            !victims.contains(&i),
+                            "{label}: variant {i} on the wrong side of the fault line"
+                        );
+                    }
+                    // Every victim died typed, not silently zero.
+                    for &v in &victims {
+                        let error = run.outcomes[v].error().expect("victim has an error");
+                        assert!(
+                            !matches!(error, RefgenError::VariantPanicked { .. }),
+                            "{label}: variant {v}: a seeded singularity must not panic, \
+                             got {error:?}"
+                        );
+                    }
+                    // Survivors: coefficients, recorded diagnostics and
+                    // survivor-side accounting are bit-identical to the
+                    // fault-free run, in fleet order. (The runtime-global
+                    // plan-cache counters are excluded: faulted variants
+                    // legitimately touch the shared cache before dying.)
+                    support::assert_same_fleet(&label, &reference, &run, false, false);
                 }
-                // Every victim died typed, not silently zero.
-                for &v in &victims {
-                    let error = run.outcomes[v].error().expect("victim has an error");
-                    assert!(
-                        !matches!(error, RefgenError::VariantPanicked { .. }),
-                        "{label}: variant {v}: a seeded singularity must not panic, got {error:?}"
-                    );
-                }
-                // Survivors: coefficients and recorded diagnostics are
-                // bit-identical to the fault-free run, in fleet order.
-                let solutions = run.solutions();
-                assert_eq!(solutions.len(), ref_solutions.len(), "{label}");
-                for (i, (a, s)) in ref_solutions.iter().zip(&solutions).enumerate() {
-                    assert_eq!(a, &render_solution(s), "{label}: survivor {i} differs");
-                }
-                let accounting = format!(
-                    "{:?}|{:?}|{:?}|{:?}|{}",
-                    run.report.denominator,
-                    run.report.numerator,
-                    run.report.variant_points,
-                    run.report.variant_refactor_hits,
-                    run.report.total_refactor_hits,
-                );
-                assert_eq!(ref_accounting, accounting, "{label}: survivor accounting differs");
             }
         }
     }
@@ -184,23 +138,26 @@ fn contained_ua741_fleet_survivors_match_fault_free_run_bitwise() {
 
 /// Under the default `FailFast`, the same seeded fleet aborts with the
 /// first victim's error — byte-for-byte the error `Contain` records for
-/// that variant.
+/// that variant — for every victim seed.
 #[test]
 fn failfast_returns_the_first_victims_error_exactly() {
     let _exclusive = EXCLUSIVE.lock().unwrap();
     let circuits = ua741_fleet();
-    let victims = victims();
-    let first = victims[0];
-    let _guard = faults::install(FaultPlan::new().fault_variants(&victims, FaultKind::Singular));
-    let contained = run_fleet(&circuits, 4, ExecutorKind::Scoped, 4, FaultPolicy::Contain)
-        .expect("contained fleet completes");
-    let expected = contained.outcomes[first].error().expect("first victim failed").clone();
-    for (threads, executor, lanes) in
-        [(1, ExecutorKind::Scoped, 1), (4, ExecutorKind::Scoped, 4), (4, ExecutorKind::Pool, 8)]
-    {
-        let err = run_fleet(&circuits, threads, executor, lanes, FaultPolicy::FailFast)
-            .expect_err("fail-fast fleet aborts");
-        assert_eq!(err, expected, "{executor:?}/{threads}t/{lanes}l");
+    for seed in VICTIM_SEEDS {
+        let victims = victims(seed);
+        let first = victims[0];
+        let _guard =
+            faults::install(FaultPlan::new().fault_variants(&victims, FaultKind::Singular));
+        let contained = run_fleet(&circuits, 4, ExecutorKind::Scoped, 4, FaultPolicy::Contain)
+            .expect("contained fleet completes");
+        let expected = contained.outcomes[first].error().expect("first victim failed").clone();
+        for (threads, executor, lanes) in
+            [(1, ExecutorKind::Scoped, 1), (4, ExecutorKind::Scoped, 4), (4, ExecutorKind::Pool, 8)]
+        {
+            let err = run_fleet(&circuits, threads, executor, lanes, FaultPolicy::FailFast)
+                .expect_err("fail-fast fleet aborts");
+            assert_eq!(err, expected, "seed {seed}: {executor:?}/{threads}t/{lanes}l");
+        }
     }
 }
 
@@ -214,38 +171,37 @@ fn scripted_panics_are_quarantined_and_survivors_unperturbed() {
     let base = library::rc_ladder(6, 1e3, 1e-9);
     let fleet =
         VariantSet::new(Perturbation::all_relative(0.05), 24).seed(SEED).generate(&base).unwrap();
-    let panickers = FaultPlan::seeded_variants(faults::env_seed().unwrap_or(0x9A71C), 24, 3);
-    let survivors: Vec<Circuit> = fleet
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !panickers.contains(i))
-        .map(|(_, c)| c.clone())
-        .collect();
-    let reference = run_fleet(&survivors, 1, ExecutorKind::Scoped, 1, FaultPolicy::FailFast)
-        .expect("panic-free fleet solves");
-    let ref_solutions: Vec<String> =
-        reference.solutions().into_iter().map(render_solution).collect();
+    for seed in PANIC_SEEDS {
+        let panickers = FaultPlan::seeded_variants(seed, 24, 3);
+        let survivors: Vec<Circuit> = fleet
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| !panickers.contains(i))
+            .map(|(_, c)| c.clone())
+            .collect();
+        let reference = run_fleet(&survivors, 1, ExecutorKind::Scoped, 1, FaultPolicy::FailFast)
+            .expect("panic-free fleet solves");
 
-    let _guard = faults::install(FaultPlan::new().fault_variants(&panickers, FaultKind::Panic));
-    for (threads, executor, lanes) in
-        [(1, ExecutorKind::Scoped, 1), (4, ExecutorKind::Scoped, 1), (4, ExecutorKind::Pool, 4)]
-    {
-        let label = format!("{executor:?}/{threads}t/{lanes}l");
-        let run = run_fleet(&fleet, threads, executor, lanes, FaultPolicy::Contain)
-            .expect("contained fleet completes");
-        assert_eq!(run.report.failed_variants, panickers, "{label}");
-        for &v in &panickers {
-            match run.outcomes[v].error() {
-                Some(RefgenError::VariantPanicked { message }) => assert!(
-                    message.contains(&format!("scripted panic for variant {v}")),
-                    "{label}: variant {v}: unexpected payload {message:?}"
-                ),
-                other => panic!("{label}: variant {v}: expected quarantined panic, got {other:?}"),
+        let _guard = faults::install(FaultPlan::new().fault_variants(&panickers, FaultKind::Panic));
+        for (threads, executor, lanes) in
+            [(1, ExecutorKind::Scoped, 1), (4, ExecutorKind::Scoped, 1), (4, ExecutorKind::Pool, 4)]
+        {
+            let label = format!("seed {seed}: {executor:?}/{threads}t/{lanes}l");
+            let run = run_fleet(&fleet, threads, executor, lanes, FaultPolicy::Contain)
+                .expect("contained fleet completes");
+            assert_eq!(run.report.failed_variants, panickers, "{label}");
+            for &v in &panickers {
+                match run.outcomes[v].error() {
+                    Some(RefgenError::VariantPanicked { message }) => assert!(
+                        message.contains(&format!("scripted panic for variant {v}")),
+                        "{label}: variant {v}: unexpected payload {message:?}"
+                    ),
+                    other => {
+                        panic!("{label}: variant {v}: expected quarantined panic, got {other:?}")
+                    }
+                }
             }
-        }
-        let solutions = run.solutions();
-        for (i, (a, s)) in ref_solutions.iter().zip(&solutions).enumerate() {
-            assert_eq!(a, &render_solution(s), "{label}: survivor {i} differs");
+            support::assert_same_fleet(&label, &reference, &run, false, false);
         }
     }
 }
@@ -291,7 +247,7 @@ fn replay_faults_recover_in_ladder_and_emit_diagnostics() {
                 assert!(rel < 1e-9, "victim coefficient drifted: rel {rel:.2e}");
             }
         } else {
-            assert_eq!(render_solution(a), render_solution(b), "non-victim {i} perturbed");
+            support::assert_same_solution(&format!("non-victim {i}"), a, b, false);
         }
     }
 }

@@ -18,6 +18,8 @@
 //! the scoped vs. pool executors, and across batched-replay lane widths
 //! `∈ {1, 4, 8}` (variant-major fan-out included).
 
+mod support;
+
 use refgen::prelude::*;
 
 const TG: f64 = 0.15; // conductance relative tolerance
@@ -134,29 +136,6 @@ fn monte_carlo_statistics_match_closed_form() {
     assert_eq!(run.report.total_refactor_hits, run.report.variant_refactor_hits.iter().sum());
 }
 
-/// One variant's full diagnostic trail rendered for comparison. The
-/// `threads` report field of `SamplingBatched` is the lone sanctioned
-/// difference across configurations (a fanned variant samples on one
-/// worker thread), so it is masked; every other field must match bit for
-/// bit.
-fn render_diagnostics(solution: &refgen::core::Solution) -> String {
-    solution
-        .diagnostics()
-        .map(|d| match d {
-            Diagnostic::SamplingBatched {
-                points, refactor_hits, compiled_hits, mirrored, ..
-            } => {
-                format!(
-                    "SamplingBatched(points={points},refactor={refactor_hits},\
-                     compiled={compiled_hits},mirrored={mirrored})"
-                )
-            }
-            other => format!("{other:?}"),
-        })
-        .collect::<Vec<_>>()
-        .join(";")
-}
-
 /// The determinism acceptance for batch sessions: coefficients, recorded
 /// diagnostics, variance statistics, and cost accounting are bit-identical
 /// across `threads ∈ {1, 4}` × scoped/pool executors × batched-replay lane
@@ -166,24 +145,6 @@ fn render_diagnostics(solution: &refgen::core::Solution) -> String {
 #[test]
 fn batch_is_bit_identical_across_threads_executors_and_lanes() {
     let reference = run_batch(1, ExecutorKind::Scoped, 1);
-    let ref_coeffs: Vec<String> = reference
-        .solutions()
-        .iter()
-        .map(|s| format!("{:?}|{:?}", s.network.denominator.coeffs(), s.network.numerator.coeffs()))
-        .collect();
-    let ref_diags: Vec<String> =
-        reference.solutions().into_iter().map(render_diagnostics).collect();
-    let ref_stats = format!(
-        "{:?}|{:?}|{:?}|{:?}|{}|{}|{}|{}",
-        reference.report.denominator,
-        reference.report.numerator,
-        reference.report.variant_points,
-        reference.report.variant_refactor_hits,
-        reference.report.total_refactor_hits,
-        reference.report.pivot_searches,
-        reference.report.shared_plan_hits,
-        reference.report.programs_compiled,
-    );
     for threads in [1, 4] {
         for executor in [ExecutorKind::Scoped, ExecutorKind::Pool] {
             for lanes in [1, 4, 8] {
@@ -192,35 +153,7 @@ fn batch_is_bit_identical_across_threads_executors_and_lanes() {
                 }
                 let label = format!("{executor:?}/{threads}t/{lanes}l");
                 let run = run_batch(threads, executor, lanes);
-                for (i, (a, s)) in ref_coeffs.iter().zip(run.solutions()).enumerate() {
-                    let b = format!(
-                        "{:?}|{:?}",
-                        s.network.denominator.coeffs(),
-                        s.network.numerator.coeffs()
-                    );
-                    // Debug formatting of f64 round-trips: equal strings ⇔
-                    // equal bits.
-                    assert_eq!(a, &b, "{label}: variant {i} coefficients differ");
-                }
-                for (i, (a, s)) in ref_diags.iter().zip(run.solutions()).enumerate() {
-                    assert_eq!(
-                        a,
-                        &render_diagnostics(s),
-                        "{label}: variant {i} diagnostics differ"
-                    );
-                }
-                let stats = format!(
-                    "{:?}|{:?}|{:?}|{:?}|{}|{}|{}|{}",
-                    run.report.denominator,
-                    run.report.numerator,
-                    run.report.variant_points,
-                    run.report.variant_refactor_hits,
-                    run.report.total_refactor_hits,
-                    run.report.pivot_searches,
-                    run.report.shared_plan_hits,
-                    run.report.programs_compiled,
-                );
-                assert_eq!(ref_stats, stats, "{label}: batch report differs");
+                support::assert_same_fleet(&label, &reference, &run, false, true);
             }
         }
     }

@@ -51,7 +51,7 @@ fn reference_choice(sys: &MnaSystem, mode: OrderingMode) -> Option<OrderingChoic
     let adopt = amd_fill.is_some_and(|f| mode == OrderingMode::Amd || f < markowitz_fill);
     Some(OrderingChoice {
         selected: if adopt { SelectedOrdering::Amd } else { SelectedOrdering::Markowitz },
-        markowitz_fill: Some(markowitz_fill),
+        markowitz_fill,
         amd_fill,
     })
 }
@@ -110,7 +110,7 @@ fn orderings_agree_and_report_fill_on_meshes() {
     assert_choice_matches_reference(&mk, &sys, OrderingMode::Markowitz);
     assert_choice_matches_reference(&amd, &sys, OrderingMode::Amd);
     let choice = amd.ordering_choice().expect("mesh plans record their ordering");
-    let mk_fill = choice.markowitz_fill.expect("probe fill recorded");
+    let mk_fill = choice.markowitz_fill;
     let amd_fill = choice.amd_fill.expect("amd fill recorded");
     assert!(amd_fill <= mk_fill, "AMD regressed fill on a grid mesh: {amd_fill} > {mk_fill}");
     let mut sa = SweepScratch::new();
@@ -179,7 +179,7 @@ fn amd_cuts_fill_5x_on_4096_node_random_mesh() {
         .expect("mesh plan");
     assert_choice_matches_reference(&plan, &sys, OrderingMode::Amd);
     let choice = plan.ordering_choice().expect("ordering recorded");
-    let mk_fill = choice.markowitz_fill.expect("probe fill recorded") as f64;
+    let mk_fill = choice.markowitz_fill as f64;
     let amd_fill = choice.amd_fill.expect("amd fill recorded") as f64;
     assert!(
         amd_fill <= mk_fill * 1.05,
