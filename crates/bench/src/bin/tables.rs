@@ -70,7 +70,7 @@ fn print_tables_2_3() {
     println!("interpolation (normalized and denormalized)");
     println!("==============================================================");
     println!(
-        "order bound {} → effective degree {:?}; admittance degree M = {}",
+        "structural order bound {} → effective degree {:?}; admittance degree M = {}",
         e.network.report.denominator.order_bound,
         e.network.denominator.degree(),
         e.network.report.admittance_degree,

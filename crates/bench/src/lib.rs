@@ -707,6 +707,10 @@ fn bench_affine_pattern(
 /// * `session_ua741_mirror_{on,off}` — full adaptive `Session` solves of
 ///   the µA741, ns per interpolation point, mirroring on versus forced
 ///   off;
+/// * `session_{ota_table1,miller}` — full default-configuration `Session`
+///   solves of the Table 1 OTA and the Miller opamp, ns per solve;
+/// * `order_bound_ua741` — both structural degree bounds of the µA741's
+///   voltage gain ([`refgen_mna::MnaSystem::degree_bounds`]), ns per pair;
 /// * `plan_ua741_miss` — ns per plan built through a fresh `PlanCache` at
 ///   the scales where the default µA741 session's plans miss its cache
 ///   (probe factorization, ordering selection and program compile);
@@ -952,6 +956,49 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
             median_ns_per_point: samples[samples.len() / 2],
             points: total_points,
             reps: session_reps,
+        });
+    }
+
+    // Full adaptive sessions of the paper's Table 1 OTA and of the Miller
+    // opamp at the default configuration: ns per solve. Their reactive
+    // counts (37, 21) far exceed their degrees (9/7, 4/4), so these rows
+    // follow the structural order bound's window sizing.
+    let miller = refgen_circuit::library::miller_two_stage_opamp(2e-12, 5e-12);
+    for (name, circuit) in [("ota_table1", positive_feedback_ota()), ("miller", miller)] {
+        let (ns, _) = median_ns_per_point(reps, 1, || {
+            let solution = Session::for_circuit(&circuit)
+                .spec(standard_spec())
+                .solve()
+                .expect("library circuit solves");
+            solution.total_points() as f64
+        });
+        rows.push(PerfRow {
+            name: format!("session_{name}"),
+            median_ns_per_point: ns,
+            points: 1,
+            reps,
+        });
+    }
+
+    // Both structural degree bounds of the µA741's voltage gain — what each
+    // network function computes before it samples: ns per pair.
+    {
+        let sys = refgen_mna::MnaSystem::new(&ua741_circuit).expect("µA741 compiles");
+        let output = standard_spec().output;
+        let pairs = 100;
+        let (ns, _) = median_ns_per_point(reps, pairs, || {
+            let mut acc = 0.0;
+            for _ in 0..pairs {
+                let bounds = sys.degree_bounds(&output);
+                acc += (bounds.denominator.unwrap_or(0) + bounds.numerator.unwrap_or(0)) as f64;
+            }
+            acc
+        });
+        rows.push(PerfRow {
+            name: "order_bound_ua741".to_string(),
+            median_ns_per_point: ns,
+            points: pairs,
+            reps,
         });
     }
 

@@ -473,7 +473,9 @@ impl Circuit {
     }
 
     /// Number of reactive elements — an upper bound on the network-function
-    /// polynomial order, used to pick the interpolation point count `K`.
+    /// polynomial order. Capacitor loops and inductor cutsets make it
+    /// loose; the interpolation engine caps it by the structural bound of
+    /// `refgen_mna::MnaSystem::degree_bounds`.
     pub fn reactive_count(&self) -> usize {
         self.elements.iter().filter(|e| e.is_reactive()).count()
     }

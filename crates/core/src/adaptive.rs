@@ -9,22 +9,35 @@
 //!    interpolate again — with the problem-size reduction of eq. (17) when
 //!    enabled — and merge the new valid window. Window gaps are repaired by
 //!    eq. (16) bisection. If escalating re-tilts find nothing new, the
-//!    remaining high-order coefficients are *declared zero* (this is how
-//!    the true polynomial order emerges, cf. §3.3 "neglecting high order
-//!    coefficients"). A re-tilt whose clamped scale repeats the previous
-//!    attempt's is skipped: it would recompute the same rejected window.
+//!    remaining high-order coefficients are *declared zero* (cf. §3.3
+//!    "neglecting high order coefficients"). A re-tilt whose clamped scale
+//!    repeats the previous attempt's is skipped: it would recompute the
+//!    same rejected window.
 //! 3. **Descending phase** (only if the first window missed `p₀`):
 //!    symmetric, using eq. (15).
 //!
 //! Every coefficient is denormalized as `p_i = p'_i/(f^i·g^{M−i})` in
 //! extended-range arithmetic and cross-checked between overlapping windows.
 //!
+//! **Order bound.** Each polynomial's degree is bounded before any
+//! sampling by its structural bound from [`MnaSystem::degree_bounds`] (a
+//! maximum-weight matching of the pattern, reactive positions weighing 1),
+//! capped by the reactive-element count. Both bounds are computed once per
+//! network function. The ascent ends as soon as the accepted coefficients
+//! reach the bound; the indices above it are structural zeros, never
+//! accepted from a window and never declared. A window interpolates two
+//! indices beyond the bound (still capped by the reactive-element count);
+//! exactly to the bound, the µA741's agreement with the AC simulator
+//! worsened. Stall detection stays as the fallback for the coefficients
+//! that value cancellation zeroes below the bound.
+//!
 //! **Shared opening windows.** A full network function recovers the
 //! denominator `D(s)` (eq. (9)) and then the numerator `N(s) = H(s)·D(s)`
 //! (eq. (10)) from samples at the same scaled unit-circle points: both
-//! chains open at the heuristic scale with `K = n_max + 1` points and
-//! verify at the same perturbed scale. So the denominator's opening window
-//! and its verify window sample the transfer function once per point —
+//! chains open at the heuristic scale with the same `K` — one more than the
+//! larger of the two polynomials' window orders — and verify at the same
+//! perturbed scale. So the denominator's opening window and its verify
+//! window sample the transfer function once per point —
 //! `D(σ)` is the transfer's own determinant, bit for bit what determinant
 //! sampling gives — and hand the `N(σ)` samples, per-point errors
 //! included, to the numerator's opening window and verify window at the
@@ -71,12 +84,18 @@ pub struct PolyReport {
     pub kind: PolyKind,
     /// Every interpolation, in execution order.
     pub windows: Vec<WindowSummary>,
-    /// Coefficient indices declared zero by stall detection.
+    /// Coefficient indices at or below [`PolyReport::order_bound`] that
+    /// stall detection declared zero (value cancellation). The indices
+    /// above the bound are structural zeros and are not listed.
     pub declared_zero: Vec<usize>,
     /// Typed events recorded during recovery, in execution order — the
     /// same stream an [`Observer`] receives live.
     pub diagnostics: Vec<Diagnostic>,
-    /// The a-priori order bound (`#` reactive elements).
+    /// The a-priori order bound: the structural degree bound of the
+    /// polynomial (a maximum-weight matching of the MNA pattern, see
+    /// [`MnaSystem::degree_bounds`]), capped by the number of
+    /// reactive elements. The baseline solvers, which reproduce the
+    /// paper's comparison, report the reactive-element count.
     pub order_bound: usize,
     /// Degree of the recovered polynomial.
     pub effective_degree: Option<usize>,
@@ -268,6 +287,44 @@ fn repeats(previous: Option<Scale>, scale: Scale) -> bool {
         .is_some_and(|p| p.f.to_bits() == scale.f.to_bits() && p.g.to_bits() == scale.g.to_bits())
 }
 
+/// Indices a window interpolates beyond the structural order bound. The
+/// coefficients there are structural zeros, so they only sample the
+/// round-off floor. Interpolating exactly to the bound (no margin, the
+/// fewest points) worsened the µA741's agreement with the AC simulator in
+/// 8 of 9 solves when the bound was introduced.
+const WINDOW_MARGIN: usize = 2;
+
+/// How far one polynomial's windows reach.
+#[derive(Clone, Copy, Debug)]
+struct Orders {
+    /// The structural degree bound, capped by the reactive-element count:
+    /// every coefficient above it is zero for every value set.
+    bound: usize,
+    /// The highest index a window interpolates:
+    /// `min(bound + WINDOW_MARGIN, reactive_count)`. The opening windows of
+    /// a network function interpolate to their [`SharedOpening::order`].
+    window: usize,
+}
+
+impl Orders {
+    /// The orders of the denominator and the numerator of `spec`.
+    fn of(sys: &MnaSystem, spec: &TransferSpec) -> (Orders, Orders) {
+        let reactive = sys.circuit().reactive_count();
+        let orders = |structural: Option<usize>| {
+            let bound = structural.map_or(reactive, |b| b.min(reactive));
+            Orders { bound, window: (bound + WINDOW_MARGIN).min(reactive) }
+        };
+        let bounds = sys.degree_bounds(&spec.output);
+        (orders(bounds.denominator), orders(bounds.numerator))
+    }
+}
+
+/// `region` without the indices above `bound`: structural zeros are never
+/// accepted.
+fn below_bound(region: Option<(usize, usize)>, bound: usize) -> Option<(usize, usize)> {
+    region.filter(|&(lo, _)| lo <= bound).map(|(lo, hi)| (lo, hi.min(bound)))
+}
+
 #[derive(Clone, Copy, Debug)]
 struct Accepted {
     value: ExtComplex,
@@ -375,11 +432,26 @@ impl AdaptiveInterpolator {
         self.preflight(sys, spec)?;
         // Both chains open at the same scale and size: the denominator's
         // opening windows sample the transfer once for both.
-        let mut opening = SharedOpening::default();
-        let (denominator, den_report) =
-            self.recover(sys, spec, PolyKind::Denominator, observer, runtime, Some(&mut opening))?;
-        let (numerator, num_report) =
-            self.recover(sys, spec, PolyKind::Numerator, observer, runtime, Some(&mut opening))?;
+        let (den, num) = Orders::of(sys, spec);
+        let mut opening = SharedOpening::new(den.window.max(num.window));
+        let (denominator, den_report) = self.recover(
+            sys,
+            spec,
+            PolyKind::Denominator,
+            den,
+            observer,
+            runtime,
+            Some(&mut opening),
+        )?;
+        let (numerator, num_report) = self.recover(
+            sys,
+            spec,
+            PolyKind::Numerator,
+            num,
+            observer,
+            runtime,
+            Some(&mut opening),
+        )?;
         Ok(NetworkFunction {
             numerator,
             denominator,
@@ -417,16 +489,18 @@ impl AdaptiveInterpolator {
     /// Recovers one polynomial; `opening` is the hand-off its opening
     /// window (and that window's verify re-interpolation) shares with the
     /// other polynomial's, when both are recovered.
+    #[allow(clippy::too_many_arguments)]
     fn recover(
         &self,
         sys: &MnaSystem,
         spec: &TransferSpec,
         kind: PolyKind,
+        orders: Orders,
         observer: &mut dyn Observer,
         runtime: &SamplingRuntime,
         opening: Option<&mut SharedOpening>,
     ) -> Result<(ExtPoly, PolyReport), RefgenError> {
-        let n_max = sys.circuit().reactive_count();
+        let bound = orders.bound;
         let m_adm = poly_admittance_degree(sys, spec, kind)?;
         let sampler = Sampler { sys, spec, kind };
         let mut report = PolyReport {
@@ -434,7 +508,7 @@ impl AdaptiveInterpolator {
             windows: Vec::new(),
             declared_zero: Vec::new(),
             diagnostics: Vec::new(),
-            order_bound: n_max,
+            order_bound: bound,
             effective_degree: None,
             total_points: 0,
             refactor_hits: 0,
@@ -453,10 +527,12 @@ impl AdaptiveInterpolator {
             ScalePolicy::Simultaneous => initial_scale(sys.circuit()),
             ScalePolicy::FrequencyOnly => initial_scale_frequency_only(sys.circuit()),
         };
+        // The opening windows interpolate to the order both chains share.
+        let first = opening.as_deref().map_or(orders, |o| Orders { window: o.order(), ..orders });
         let w0 = self.run_checked(
             &sampler,
             scale0,
-            n_max,
+            first,
             m_adm,
             None,
             policy,
@@ -500,11 +576,11 @@ impl AdaptiveInterpolator {
                         continue;
                     }
                     previous = Some(scale);
-                    let reduction = self.descent_reduction(&accepted, &declared, n_max);
+                    let reduction = self.descent_reduction(&accepted, &declared, bound);
                     let w = self.run_checked(
                         &sampler,
                         scale,
-                        n_max,
+                        orders,
                         m_adm,
                         reduction.as_ref(),
                         policy,
@@ -523,7 +599,7 @@ impl AdaptiveInterpolator {
                             w.scale,
                             last_desc.scale,
                             (hi + 1, bottom - 1),
-                            n_max,
+                            orders,
                             m_adm,
                             policy,
                             &mut accepted,
@@ -555,7 +631,7 @@ impl AdaptiveInterpolator {
         let mut last = w0;
         loop {
             let top = *accepted.keys().max().expect("non-empty after first window");
-            if top >= n_max || report.windows.len() >= self.config.max_interpolations {
+            if top >= bound || report.windows.len() >= self.config.max_interpolations {
                 break;
             }
             let mut stepped = false;
@@ -576,11 +652,11 @@ impl AdaptiveInterpolator {
                     continue;
                 }
                 previous = Some(scale);
-                let reduction = self.ascent_reduction(&accepted, &declared, n_max);
+                let reduction = self.ascent_reduction(&accepted, &declared, orders);
                 let w = self.run_checked(
                     &sampler,
                     scale,
-                    n_max,
+                    orders,
                     m_adm,
                     reduction.as_ref(),
                     policy,
@@ -599,7 +675,7 @@ impl AdaptiveInterpolator {
                         last.scale,
                         w.scale,
                         (top + 1, lo - 1),
-                        n_max,
+                        orders,
                         m_adm,
                         policy,
                         &mut accepted,
@@ -614,14 +690,14 @@ impl AdaptiveInterpolator {
                 break;
             }
             if !stepped {
-                // Stall: the remaining high-order coefficients are zero
-                // (true-order detection, §3.3).
+                // Stall: the remaining coefficients up to the bound are
+                // zero by value cancellation (true-order detection, §3.3).
                 let top = *accepted.keys().max().expect("non-empty");
                 report.emit(
                     observer,
-                    Diagnostic::CoefficientsDeclaredZero { kind, lo: top + 1, hi: n_max },
+                    Diagnostic::CoefficientsDeclaredZero { kind, lo: top + 1, hi: bound },
                 );
-                for i in (top + 1)..=n_max {
+                for i in (top + 1)..=bound {
                     declared.insert(i);
                 }
                 break;
@@ -630,13 +706,13 @@ impl AdaptiveInterpolator {
 
         // --- Coverage check ----------------------------------------------
         let missing: Vec<usize> =
-            (0..=n_max).filter(|i| !accepted.contains_key(i) && !declared.contains(i)).collect();
+            (0..=bound).filter(|i| !accepted.contains_key(i) && !declared.contains(i)).collect();
         if !missing.is_empty() {
             return Err(RefgenError::DidNotConverge { missing });
         }
 
         report.declared_zero = declared.iter().copied().collect();
-        let coeffs: Vec<ExtComplex> = (0..=n_max)
+        let coeffs: Vec<ExtComplex> = (0..=bound)
             .map(|i| accepted.get(&i).map(|a| a.value).unwrap_or(ExtComplex::ZERO))
             .collect();
         let poly = ExtPoly::new(coeffs);
@@ -649,7 +725,7 @@ impl AdaptiveInterpolator {
         &self,
         sampler: &Sampler<'_>,
         scale: Scale,
-        n_max: usize,
+        order: usize,
         m_adm: i64,
         reduction: Option<&Reduction>,
         report: &mut PolyReport,
@@ -660,7 +736,7 @@ impl AdaptiveInterpolator {
         let w = interpolate_window(
             sampler,
             scale,
-            n_max,
+            order,
             m_adm,
             reduction,
             &self.config,
@@ -675,13 +751,15 @@ impl AdaptiveInterpolator {
     /// slightly perturbed scale and trims the valid region to coefficients
     /// whose denormalized values agree — the paper's "equal in both
     /// interpolations" acceptance criterion. This is what rejects coherent
-    /// round-off artifacts that pass the magnitude and reality tests.
+    /// round-off artifacts that pass the magnitude and reality tests. Both
+    /// windows interpolate to `orders.window`, and the region never reaches
+    /// above `orders.bound`.
     #[allow(clippy::too_many_arguments)]
     fn run_checked(
         &self,
         sampler: &Sampler<'_>,
         scale: Scale,
-        n_max: usize,
+        orders: Orders,
         m_adm: i64,
         reduction: Option<&Reduction>,
         policy: ScalePolicy,
@@ -690,10 +768,11 @@ impl AdaptiveInterpolator {
         runtime: &SamplingRuntime,
         mut opening: Option<&mut SharedOpening>,
     ) -> Result<Window, RefgenError> {
+        let order = orders.window;
         let mut w = self.run_window(
             sampler,
             scale,
-            n_max,
+            order,
             m_adm,
             reduction,
             report,
@@ -703,6 +782,7 @@ impl AdaptiveInterpolator {
         )?;
         let Some((lo, hi)) = w.region else { return Ok(w) };
         if !self.config.verify {
+            w.region = below_bound(w.region, orders.bound);
             return Ok(w);
         }
         let delta = 10f64.powf(0.2);
@@ -713,7 +793,7 @@ impl AdaptiveInterpolator {
             ScalePolicy::FrequencyOnly => Scale::new(scale.f * delta * delta, 1.0),
         };
         let w2 = self.run_window(
-            sampler, scale2, n_max, m_adm, reduction, report, observer, runtime, opening,
+            sampler, scale2, order, m_adm, reduction, report, observer, runtime, opening,
         )?;
         let tol = 10f64.powi(-(self.config.sig_digits as i32) + 2);
         let denorm = |win: &Window, i: usize| -> Option<ExtComplex> {
@@ -744,7 +824,7 @@ impl AdaptiveInterpolator {
         while new_hi < hi && agrees(new_hi + 1) {
             new_hi += 1;
         }
-        w.region = Some((new_lo, new_hi));
+        w.region = below_bound(Some((new_lo, new_hi)), orders.bound);
         Ok(w)
     }
 
@@ -792,18 +872,19 @@ impl AdaptiveInterpolator {
 
     /// Eq. (17) reduction for the ascending phase: legal when accepted ∪
     /// declared covers `0..=top` contiguously (declared zeros subtract
-    /// nothing and are simply omitted).
+    /// nothing and are simply omitted). The unknowns run up to the window
+    /// order.
     fn ascent_reduction(
         &self,
         accepted: &BTreeMap<usize, Accepted>,
         declared: &BTreeSet<usize>,
-        n_max: usize,
+        orders: Orders,
     ) -> Option<Reduction> {
         if !self.config.reduce {
             return None;
         }
         let top = *accepted.keys().max()?;
-        if top + 1 > n_max {
+        if top >= orders.bound {
             return None;
         }
         for i in 0..=top {
@@ -813,18 +894,19 @@ impl AdaptiveInterpolator {
         }
         Some(Reduction {
             k: top + 1,
-            l: n_max,
+            l: orders.window,
             known: accepted.iter().map(|(&i, a)| (i, a.value)).collect(),
         })
     }
 
     /// Eq. (17) reduction for the descending phase: legal when accepted ∪
-    /// declared covers `bottom..=n_max` contiguously.
+    /// declared covers `bottom..=bound` contiguously (the structural zeros
+    /// above the bound subtract nothing).
     fn descent_reduction(
         &self,
         accepted: &BTreeMap<usize, Accepted>,
         declared: &BTreeSet<usize>,
-        n_max: usize,
+        bound: usize,
     ) -> Option<Reduction> {
         if !self.config.reduce {
             return None;
@@ -833,7 +915,7 @@ impl AdaptiveInterpolator {
         if bottom == 0 {
             return None;
         }
-        for i in bottom..=n_max {
+        for i in bottom..=bound {
             if !accepted.contains_key(&i) && !declared.contains(&i) {
                 return None;
             }
@@ -859,7 +941,7 @@ impl AdaptiveInterpolator {
         scale_lo_side: Scale,
         scale_hi_side: Scale,
         gap: (usize, usize),
-        n_max: usize,
+        orders: Orders,
         m_adm: i64,
         policy: ScalePolicy,
         accepted: &mut BTreeMap<usize, Accepted>,
@@ -883,7 +965,7 @@ impl AdaptiveInterpolator {
             }
             let mid = gap_repair_scale(a, b);
             let w = self.run_checked(
-                sampler, mid, n_max, m_adm, None, policy, report, observer, runtime, None,
+                sampler, mid, orders, m_adm, None, policy, report, observer, runtime, None,
             )?;
             self.accept_window(&w, m_adm, accepted, report, observer);
             queue.push((a, mid, depth + 1));
@@ -943,7 +1025,11 @@ impl Solver for AdaptiveInterpolator {
         let sys = MnaSystem::new(circuit)?;
         self.preflight(&sys, spec)?;
         let runtime = SamplingRuntime::new(&self.config);
-        self.recover(&sys, spec, kind, observer, &runtime, None)
+        let orders = match (kind, Orders::of(&sys, spec)) {
+            (PolyKind::Denominator, (den, _)) => den,
+            (PolyKind::Numerator, (_, num)) => num,
+        };
+        self.recover(&sys, spec, kind, orders, observer, &runtime, None)
     }
 }
 

@@ -19,6 +19,10 @@
 //! The two polynomials of one network function open at the same scale
 //! with the same `K`, so their opening windows share one sampling batch
 //! (see the [adaptive module docs](crate::adaptive)).
+//!
+//! A window's *order* is the highest coefficient index it interpolates:
+//! `K = order + 1` unreduced. The adaptive driver sets it from the
+//! polynomial's structural degree bound plus a small margin.
 
 use crate::batch::{BatchRun, BatchSampler};
 use crate::config::RefgenConfig;
@@ -47,18 +51,20 @@ pub(crate) struct Sampler<'a> {
 
 /// The opening windows the two polynomials of one network function share.
 ///
-/// Both recovery chains open at the same heuristic scale with
-/// `K = n_max + 1` points, and verify at the same perturbed scale, while
-/// one transfer evaluation yields `D(σ)` *and* `N(σ) = H(σ)·D(σ)` from a
-/// single factorization. So the denominator chain samples its opening
-/// windows through the transfer and leaves the numerator samples (errors
-/// included) here, and a numerator window at the same `(scale, K)` takes
-/// them instead of sampling again. The denominator samples are bit for bit
+/// Both recovery chains open at the same heuristic scale with the same
+/// `K = order + 1` points — [`SharedOpening::order`] is the larger of the
+/// two polynomials' window orders — and verify at the same perturbed
+/// scale, while one transfer evaluation yields `D(σ)` *and*
+/// `N(σ) = H(σ)·D(σ)` from a single factorization. So the denominator
+/// chain samples its opening windows through the transfer and leaves the
+/// numerator samples (errors included) here, and a numerator window at
+/// the same `(scale, K)` takes them instead of sampling again. The denominator samples are bit for bit
 /// what determinant sampling gives, so no coefficient changes. A value of
 /// this type is owned by one network-function call and passed to the
 /// opening windows of its two chains only.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct SharedOpening {
+    order: usize,
     windows: Vec<SharedWindow>,
 }
 
@@ -75,6 +81,16 @@ struct SharedWindow {
 type PlanOrdering = Option<(usize, OrderingChoice)>;
 
 impl SharedOpening {
+    /// An empty hand-off for opening windows of order `order`.
+    pub(crate) fn new(order: usize) -> SharedOpening {
+        SharedOpening { order, windows: Vec::new() }
+    }
+
+    /// The window order both polynomials' opening windows interpolate to.
+    pub(crate) fn order(&self) -> usize {
+        self.order
+    }
+
     /// Removes and returns the samples left for `(scale, k_points)`, if
     /// any (scales compared bit for bit).
     fn take(&mut self, scale: Scale, k_points: usize) -> Option<SharedWindow> {
@@ -86,9 +102,9 @@ impl SharedOpening {
 }
 
 /// Known coefficients used by the problem-size reduction of eq. (17): the
-/// unknown range is `[k, l]` and everything outside it in `0..=n` is in
-/// `known` (declared-zero coefficients may simply be omitted — subtracting
-/// zero is a no-op).
+/// unknown range is `[k, l]` and everything outside it in `0..=order` is
+/// in `known` (declared-zero and structural-zero coefficients may simply be
+/// omitted — subtracting zero is a no-op).
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Reduction {
     /// Lowest unknown coefficient index.
@@ -181,8 +197,8 @@ impl Window {
 
 /// Performs one interpolation of eq. (5), optionally reduced per eq. (17).
 ///
-/// * `n_max` — upper bound on the polynomial order (sets `K = n_max+1`
-///   when unreduced).
+/// * `order` — the highest coefficient index interpolated, at least the
+///   polynomial's degree (sets `K = order + 1` when unreduced).
 /// * `m_adm` — admittance degree used to renormalize known coefficients
 ///   into the current scaling during reduction.
 /// * `opening` — the hand-off of an opening window (unreduced, shared by
@@ -192,7 +208,7 @@ impl Window {
 pub(crate) fn interpolate_window(
     sampler: &Sampler<'_>,
     scale: Scale,
-    n_max: usize,
+    order: usize,
     m_adm: i64,
     reduction: Option<&Reduction>,
     config: &RefgenConfig,
@@ -202,13 +218,13 @@ pub(crate) fn interpolate_window(
     debug_assert!(opening.is_none() || reduction.is_none(), "opening windows are unreduced");
     let (k_lo, k_hi) = match reduction {
         Some(r) => {
-            debug_assert!(r.k <= r.l && r.l <= n_max);
+            debug_assert!(r.k <= r.l && r.l <= order);
             (r.k, r.l)
         }
-        None => (0, n_max),
+        None => (0, order),
     };
     let k_points = k_hi - k_lo + 1;
-    let tables = runtime.window_tables(k_points, n_max);
+    let tables = runtime.window_tables(k_points, order);
 
     let f_ext = ExtFloat::from_f64(scale.f);
     let g_ext = ExtFloat::from_f64(scale.g);
@@ -433,7 +449,7 @@ mod tests {
     fn interp(
         sampler: &Sampler<'_>,
         scale: Scale,
-        n_max: usize,
+        order: usize,
         m_adm: i64,
         reduction: Option<&Reduction>,
         config: &RefgenConfig,
@@ -441,7 +457,7 @@ mod tests {
         interpolate_window(
             sampler,
             scale,
-            n_max,
+            order,
             m_adm,
             reduction,
             config,
@@ -677,7 +693,7 @@ mod tests {
                 let own_den = interp(&den, scale, n, m, None, &cfg).unwrap();
                 let own_num = interp(&num, scale, n, m, None, &cfg).unwrap();
                 let runtime = SamplingRuntime::new(&cfg);
-                let mut opening = SharedOpening::default();
+                let mut opening = SharedOpening::new(n);
                 let window = |sampler: &Sampler<'_>, opening: &mut SharedOpening| {
                     let o = Some(opening);
                     interpolate_window(sampler, scale, n, m, None, &cfg, &runtime, o).unwrap()
@@ -694,7 +710,7 @@ mod tests {
                 assert_eq!(counters(&own_den), counters(&shared_den), "{at}");
                 assert_eq!(counters(&shared_num), (0, SweepStats::default(), 0), "{at}");
                 // Samples left at `scale` do not serve a window elsewhere.
-                let mut left = SharedOpening::default();
+                let mut left = SharedOpening::new(n);
                 window(&den, &mut left);
                 let elsewhere = Scale::new(2e9, 5e2);
                 let own = interpolate_window(&num, elsewhere, n, m, None, &cfg, &runtime, None);

@@ -145,10 +145,10 @@ fn fleet() -> Hashes {
 fn ua741_session_coefficients_match_pinned_fingerprints() {
     let got: Vec<u64> = sessions().iter().map(|h| h.coefficients).collect();
     let want: [u64; 4] = [
-        0x191f_81ec_f72b_672e,
-        0x0d89_1003_a58b_0560,
-        0x543e_6599_22e0_63e4,
-        0x7534_3e37_0017_9144,
+        0x75ea_4c2b_1f21_9709,
+        0xb632_0f76_467f_85d4,
+        0xa06f_96ba_6c74_4325,
+        0x29b2_693a_0cc0_45df,
     ];
     assert_eq!(got, want, "{got:#x?}");
 }
@@ -156,7 +156,7 @@ fn ua741_session_coefficients_match_pinned_fingerprints() {
 #[test]
 fn ua741_fleet_coefficients_match_pinned_fingerprint() {
     let got = fleet().coefficients;
-    let want: u64 = 0xec05_59bb_41f2_42d9;
+    let want: u64 = 0x5060_89f3_be5d_f9a8;
     assert_eq!(got, want, "{got:#x}");
 }
 
@@ -164,10 +164,10 @@ fn ua741_fleet_coefficients_match_pinned_fingerprint() {
 fn ua741_sessions_match_pinned_fingerprints() {
     let got: Vec<u64> = sessions().iter().map(|h| h.full).collect();
     let want: [u64; 4] = [
-        0x24fb_ffdb_77a4_d7df,
-        0xfe12_6a1b_e363_5c4b,
-        0xa139_5369_7c31_df04,
-        0x22bd_06f3_7436_4844,
+        0xc373_f023_3080_6ed4,
+        0xe991_dee6_74c4_2223,
+        0x770d_0b57_1ddd_23db,
+        0xb0c8_dc01_c31a_786d,
     ];
     assert_eq!(got, want, "{got:#x?}");
 }
@@ -175,6 +175,6 @@ fn ua741_sessions_match_pinned_fingerprints() {
 #[test]
 fn ua741_fleet_matches_pinned_fingerprint() {
     let got = fleet().full;
-    let want: u64 = 0x1a0c_014a_8389_efec;
+    let want: u64 = 0x319f_bfad_d899_6188;
     assert_eq!(got, want, "{got:#x}");
 }

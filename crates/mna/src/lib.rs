@@ -20,6 +20,10 @@
 //!   (`M = #nodes − 1 − #branches`) and
 //!   [`MnaSystem::measured_admittance_degree`] cross-checks it numerically
 //!   via `det(λ·Y)/det(Y) = λ^M`.
+//! * **Structural degree bounds**: [`MnaSystem::degree_bounds`] bounds the
+//!   degrees of both polynomials by maximum-weight perfect matchings of the
+//!   pattern, reactive positions weighing 1 — value-independent, computed
+//!   on request.
 //!
 //! The [`ac`] module is the workspace's stand-in for the "commercial
 //! electrical simulator" of the paper's Fig. 2: a direct complex LU solve
@@ -63,6 +67,7 @@
 //! ```
 
 pub mod ac;
+mod degree;
 pub mod error;
 pub mod faults;
 pub mod sensitivity;
@@ -75,6 +80,7 @@ pub mod transient;
 mod stamp_table_tests;
 
 pub use ac::{log_space, unwrap_phase, AcAnalysis, AcPoint};
+pub use degree::DegreeBounds;
 pub use error::MnaError;
 pub use sensitivity::Sensitivity;
 pub use sweep::{

@@ -341,6 +341,18 @@ impl MnaSystem {
         self.stamps.fingerprint
     }
 
+    /// The stamped positions of [`MnaSystem::pattern_positions`], in order,
+    /// each with whether any raw stamp there is reactive (`s·f·X`): the
+    /// positions where `K₁` is structurally nonzero.
+    pub(crate) fn reactive_pattern(&self) -> impl Iterator<Item = (usize, usize, bool)> + '_ {
+        let t = &self.stamps;
+        let starts = std::iter::once(0).chain(t.group_ends.iter().copied());
+        t.positions.iter().zip(starts.zip(&t.group_ends)).map(|(&(r, c), (start, &end))| {
+            let group = &t.merge_order[start..end];
+            (r, c, group.iter().any(|&i| matches!(t.raw[i].source, StampSource::Reactive(_))))
+        })
+    }
+
     /// Builds the excitation vector `E` from the independent sources.
     pub fn rhs(&self) -> Vec<Complex> {
         let mut e = vec![Complex::ZERO; self.dim];

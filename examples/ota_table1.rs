@@ -17,7 +17,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The true coefficients, from the adaptive algorithm, for comparison.
     let truth = Session::for_circuit(&circuit).spec(spec.clone()).config(cfg).solve()?.network;
     let order = truth.denominator.degree().expect("OTA has dynamics");
-    println!("true denominator order: {order} (paper's OTA estimate: 9)\n");
+    println!("true denominator order: {order} (paper's OTA estimate: 9)");
+    println!(
+        "structural order bounds: D {}, N {} (of {} reactive elements)\n",
+        truth.report.denominator.order_bound,
+        truth.report.numerator.order_bound,
+        circuit.reactive_count(),
+    );
 
     // (a) unit-circle interpolation, no scaling — Table 1a.
     let a = UnitCircleSolver::new(cfg).interpolation(&circuit, &spec)?;

@@ -25,9 +25,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .solve_polynomial(PolyKind::Denominator)?;
 
     println!(
-        "\ndenominator degree {} (order bound {}); {} interpolations, {} points total",
+        "\ndenominator degree {} (structural order bound {}, of {} reactive elements); \
+         {} interpolations, {} points total",
         den.degree().expect("non-trivial"),
         report.order_bound,
+        circuit.reactive_count(),
         report.windows.len(),
         report.total_points,
     );

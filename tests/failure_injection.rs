@@ -11,9 +11,10 @@ fn spec() -> TransferSpec {
 
 #[test]
 fn capacitor_loop_drops_order() {
-    // Three caps in a loop contribute only two independent states: the
-    // order bound (3) exceeds the true order (2) and the engine must
-    // declare the top coefficient zero rather than invent it.
+    // Three caps in a loop contribute only two independent states. The
+    // structural order bound sees the loop: it is 2, not the reactive
+    // count 3, so the ascent ends at the true order with no stall window
+    // and nothing declared zero.
     let mut c = Circuit::new();
     c.add_vsource("VIN", "in", "0", 1.0).unwrap();
     c.add_resistor("R1", "in", "a", 1e3).unwrap();
@@ -21,15 +22,20 @@ fn capacitor_loop_drops_order() {
     c.add_capacitor("C2", "out", "0", 1e-9).unwrap();
     c.add_capacitor("C3", "a", "0", 1e-9).unwrap(); // closes the loop with C1+C2
     c.add_resistor("R2", "out", "0", 1e3).unwrap();
+    assert_eq!(c.reactive_count(), 3);
     let (den, rep) =
         Session::for_circuit(&c).spec(spec()).solve_polynomial(PolyKind::Denominator).unwrap();
-    assert_eq!(den.degree(), Some(2), "cap loop: order 2, bound 3");
-    assert!(rep.declared_zero.contains(&3));
-    // The stall decision is also visible as a typed diagnostic.
-    assert!(rep
+    assert_eq!(den.degree(), Some(2), "cap loop: order 2");
+    assert_eq!(rep.order_bound, 2, "the bound sees the loop");
+    assert!(rep.declared_zero.is_empty(), "{rep:?}");
+    assert!(!rep
         .diagnostics
         .iter()
         .any(|d| matches!(d, Diagnostic::CoefficientsDeclaredZero { .. })));
+    // Every window is the opening window or its verify re-interpolation,
+    // and both cover the whole polynomial: no stall window opens.
+    assert_eq!(rep.windows.len(), 2, "{:?}", rep.windows);
+    assert!(rep.windows.iter().all(|w| w.region == Some((0, 2))), "{:?}", rep.windows);
 }
 
 #[test]

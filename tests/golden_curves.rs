@@ -94,10 +94,14 @@ fn rc_step_tran_matches_golden_step_response() {
 /// The acceptance criterion of the hierarchical front end: a
 /// netlist-defined fleet of 32 biquad instances with perturbed parameters
 /// solves through `Session::variant_circuits` with exactly one pivot
-/// search and one compiled symbolic program *per recovered polynomial*
-/// (numerator and denominator → two each in total, independent of fleet
-/// size) — the flattened subcircuits share a topology, so the `PlanCache`
-/// and program cache hit for every variant after the first.
+/// search and one compiled symbolic program in total, independent of fleet
+/// size. The flattened subcircuits share a topology, so the `PlanCache`
+/// and program cache hit for every variant after the first. Each variant
+/// recovers both polynomials from its opening window and that window's
+/// verify re-interpolation — the structural order bounds (3 and 0) end
+/// both ascents there — and the numerator takes those windows' shared
+/// transfer samples, so only the denominator's two plans per variant are
+/// built: one miss, then 63 hits.
 #[test]
 fn netlist_biquad_fleet_shares_one_plan_and_program() {
     let golden = load_golden("sallen_key");
@@ -127,12 +131,12 @@ fn netlist_biquad_fleet_shares_one_plan_and_program() {
         .solve_all()
         .expect("fleet solves");
     assert_eq!(run.report.variants, 32);
-    assert_eq!(run.report.pivot_searches, 2, "one pivot search per polynomial, fleet-wide");
-    assert_eq!(run.report.programs_compiled, 2, "one compiled program per polynomial, fleet-wide");
-    assert!(run.report.shared_plan_hits >= 62, "every later variant reuses both plans");
+    assert_eq!(run.report.pivot_searches, 1, "one pivot search, fleet-wide");
+    assert_eq!(run.report.programs_compiled, 1, "one compiled program, fleet-wide");
+    assert_eq!(run.report.shared_plan_hits, 63, "every later plan reuses the first");
 
     // The counts are fleet-size independent: a quarter-size fleet costs the
-    // same two searches and two programs.
+    // same search and program.
     let small = Session::for_circuit(&fleet[0])
         .spec(spec.clone())
         .variant_circuits(&fleet[..8])

@@ -1,8 +1,10 @@
 //! Observer acceptance: typed [`Diagnostic`] events fire live during a
-//! µA741-class adaptive run, and the streamed events equal the trail
-//! recorded in the returned `Solution`.
+//! µA741-class adaptive run and a value-cancellation run, and the streamed
+//! events equal the trail recorded in the returned `Solution`.
 
 use refgen::prelude::*;
+
+mod support;
 
 fn spec() -> TransferSpec {
     TransferSpec::voltage_gain("VIN", "out")
@@ -23,17 +25,17 @@ fn diagnostics_stream_on_ua741_run() {
     // several windows to tile hundreds of decades of coefficient spread.
     let windows = obs.count_where(|d| matches!(d, Diagnostic::WindowOpened { .. }));
     assert!(windows >= 3, "got {windows} WindowOpened events");
-    // The order bound (one per reactive element) exceeds the true degree:
-    // stall detection declares the tail zero and says so in a typed event.
+    // The structural order bound holds the true degree, and on the µA741
+    // it is tight: the ascent ends at the bound, with nothing left for
+    // stall detection to declare zero.
     let report = &solution.network.report.denominator;
-    assert!(report.order_bound > solution.network.denominator.degree().expect("non-trivial"));
-    assert!(
-        obs.count_where(|d| matches!(d, Diagnostic::CoefficientsDeclaredZero { .. })) >= 1,
-        "expected a CoefficientsDeclaredZero event; got {:?}",
+    assert!(report.order_bound >= solution.network.denominator.degree().expect("non-trivial"));
+    assert_eq!(
+        obs.count_where(|d| matches!(d, Diagnostic::CoefficientsDeclaredZero { .. })),
+        0,
+        "{:?}",
         obs.events
     );
-    // Severity classification: declared zeros are warnings.
-    assert!(obs.warnings().count() >= 1);
     // The live stream and the Solution's recorded trail are the same, in
     // the same order (denominator recovery first, then numerator).
     let recorded: Vec<Diagnostic> = solution.diagnostics().cloned().collect();
@@ -77,8 +79,45 @@ fn custom_observer_counts_event_kinds_on_ua741() {
         .solve()
         .expect("µA741 recovers");
     assert!(counts.windows >= solution.network.report.denominator.windows.len());
-    assert!(counts.declared_zero >= 1, "µA741's order bound exceeds its true degree");
+    assert_eq!(counts.declared_zero, 0, "µA741's structural order bound is its true degree");
     assert_eq!(counts.all_zero, 0, "nothing degenerate in the library µA741");
+}
+
+/// Two first-order high-pass sections read differentially
+/// ([`support::cancelling_highpass_pair`]): the numerator's structural
+/// bound is 2, but its `s²` terms cancel by value. Stall detection stays the fallback: it declares the
+/// top coefficient zero and says so in a typed warning.
+#[test]
+fn value_cancellation_declares_zero_as_a_warning() {
+    let (c, spec) = support::cancelling_highpass_pair();
+    let mut obs = CollectObserver::new();
+    let solution = Session::for_circuit(&c)
+        .spec(spec)
+        .observer(&mut obs)
+        .solve()
+        .expect("the sections recover");
+    let report = &solution.network.report.numerator;
+    assert_eq!(report.order_bound, 2);
+    assert_eq!(solution.network.numerator.degree(), Some(1));
+    // The sections block DC, so `p₀` is zero as well: the descending
+    // phase declares it, the ascent's stall declares `p₂`.
+    assert_eq!(report.declared_zero, vec![0, 2]);
+    let declared: Vec<&Diagnostic> = obs
+        .events
+        .iter()
+        .filter(|d| matches!(d, Diagnostic::CoefficientsDeclaredZero { .. }))
+        .collect();
+    assert_eq!(
+        declared,
+        [
+            &Diagnostic::CoefficientsDeclaredZero { kind: PolyKind::Numerator, lo: 0, hi: 0 },
+            &Diagnostic::CoefficientsDeclaredZero { kind: PolyKind::Numerator, lo: 2, hi: 2 },
+        ]
+    );
+    // Severity classification: declared zeros are warnings.
+    assert!(obs.warnings().count() >= 1);
+    let recorded: Vec<Diagnostic> = solution.diagnostics().cloned().collect();
+    assert_eq!(obs.events, recorded);
 }
 
 #[test]

@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 use refgen::circuit::library::random_rc_mesh;
+use refgen::mna::MnaSystem;
 use refgen::prelude::*;
 
 fn spec() -> TransferSpec {
@@ -57,6 +58,31 @@ proptest! {
         let sign = nf.denominator.coeffs()[0].re().signum();
         for c in nf.denominator.coeffs() {
             prop_assert!(c.re().signum() == sign);
+        }
+    }
+
+    /// The structural order bound holds each random mesh's recovered
+    /// degree, never exceeds the reactive-element count, and is the bound
+    /// the report carries: degree ≤ bound ≤ reactive count, for both
+    /// polynomials.
+    #[test]
+    fn random_mesh_degree_within_structural_bound(
+        nodes in 3usize..9,
+        extra in 0usize..6,
+        seed in 0u64..1_000_000,
+    ) {
+        let circuit = random_rc_mesh(nodes, extra, seed);
+        let sys = MnaSystem::new(&circuit).expect("valid circuit");
+        let bounds = sys.degree_bounds(&spec().output);
+        let nf = Session::for_circuit(&circuit).spec(spec()).solve().expect("recovers").network;
+        for (bound, poly, report) in [
+            (bounds.denominator, &nf.denominator, &nf.report.denominator),
+            (bounds.numerator, &nf.numerator, &nf.report.numerator),
+        ] {
+            let bound = bound.expect("an RC mesh's pattern has a perfect matching");
+            prop_assert!(poly.degree().is_some_and(|d| d <= bound), "{:?} > {bound}", poly.degree());
+            prop_assert!(bound <= circuit.reactive_count());
+            prop_assert_eq!(report.order_bound, bound);
         }
     }
 

@@ -1,11 +1,25 @@
 //! Helpers shared by the integration-test binaries: the one solution
-//! comparator of the configuration-invariance tiers, and the golden-curve
-//! loader.
+//! comparator of the configuration-invariance tiers, the golden-curve
+//! loader, and circuits more than one tier drives.
 #![allow(dead_code)]
 
 pub mod golden;
 
 use refgen::prelude::*;
+
+/// Two first-order high-pass RC sections driven by `VIN` (C1 = 1 nF,
+/// R1 = 1 kΩ into `a`; C2 = 2 nF, R2 = 3 kΩ into `b`), read as `a − b`.
+/// The numerator `s·τ₁(1 + s·τ₂) − s·τ₂(1 + s·τ₁)` has structural bound 2,
+/// but its `s²` terms cancel by value: its degree is 1.
+pub fn cancelling_highpass_pair() -> (Circuit, TransferSpec) {
+    let mut c = Circuit::new();
+    c.add_vsource("VIN", "in", "0", 1.0).unwrap();
+    c.add_capacitor("C1", "in", "a", 1e-9).unwrap();
+    c.add_resistor("R1", "a", "0", 1e3).unwrap();
+    c.add_capacitor("C2", "in", "b", 2e-9).unwrap();
+    c.add_resistor("R2", "b", "0", 3e3).unwrap();
+    (c, TransferSpec::differential_gain("VIN", "a", "b"))
+}
 
 /// Asserts `got` reproduces the reference solve `want` bit for bit:
 /// method, coefficient bits, window trail, report fields and every
