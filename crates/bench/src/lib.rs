@@ -714,6 +714,10 @@ fn bench_affine_pattern(
 /// * `plan_ua741_miss` — ns per plan built through a fresh `PlanCache` at
 ///   the scales where the default µA741 session's plans miss its cache
 ///   (probe factorization, ordering selection and program compile);
+/// * `plan_ua741_gate` — ns per plan built at the scales where the
+///   default µA741 session's plans certify a new plan cell (the growth
+///   gate: a replay of the root program at the cell centre), through a
+///   fresh `PlanCache` that already holds the session's misses;
 /// * `mesh{nodes}_{markowitz,amd}_direct` — square grid RC meshes swept
 ///   over a dense log-frequency grid, ns per compiled-replay point under
 ///   each pivot ordering;
@@ -1002,10 +1006,13 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
         });
     }
 
-    // Plan misses: the plans of the default µA741 session that probe, found
-    // by replaying its windows (engine order, denominator first) through
-    // one cache, then rebuilt through a fresh cache per rep so every one
-    // misses again — probe, ordering selection and compile, ns per plan.
+    // Plan misses and gates: the plans of the default µA741 session that
+    // probe, and those that certify a new cell, found by replaying its
+    // windows (engine order, denominator first) through one cache. The
+    // misses are rebuilt through a fresh cache per rep so every one misses
+    // again — probe, ordering selection and compile, ns per plan; the
+    // gates are rebuilt through a fresh cache holding only the misses, so
+    // every one certifies its cell again, ns per plan.
     {
         use refgen_mna::{MnaSystem, PlanCache, SweepPlan};
         let spec = standard_spec();
@@ -1024,16 +1031,18 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
             Session::for_circuit(&ua741_circuit).spec(spec.clone()).solve().expect("µA741 solves");
         let report = &solution.network.report;
         let replay = PlanCache::new();
-        let mut misses = Vec::new();
+        let (mut misses, mut gates) = (Vec::new(), Vec::new());
         for (kind, windows) in [
             (PolyKind::Denominator, &report.denominator.windows),
             (PolyKind::Numerator, &report.numerator.windows),
         ] {
             for w in windows {
-                let searches = replay.pivot_searches();
+                let (searches, cells) = (replay.pivot_searches(), replay.len());
                 build(kind, w.scale, &replay);
                 if replay.pivot_searches() > searches {
                     misses.push((kind, w.scale));
+                } else if replay.len() > cells {
+                    gates.push((kind, w.scale));
                 }
             }
         }
@@ -1045,6 +1054,26 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
             name: "plan_ua741_miss".to_string(),
             median_ns_per_point: ns,
             points: misses.len(),
+            reps,
+        });
+        let mut samples: Vec<f64> = (0..reps)
+            .map(|_| {
+                let cache = PlanCache::new();
+                for &(kind, scale) in &misses {
+                    build(kind, scale, &cache);
+                }
+                let t0 = std::time::Instant::now();
+                for &(kind, scale) in &gates {
+                    std::hint::black_box(build(kind, scale, &cache));
+                }
+                t0.elapsed().as_nanos() as f64 / gates.len().max(1) as f64
+            })
+            .collect();
+        samples.sort_by(|a, b| a.total_cmp(b));
+        rows.push(PerfRow {
+            name: "plan_ua741_gate".to_string(),
+            median_ns_per_point: samples[samples.len() / 2],
+            points: gates.len(),
             reps,
         });
     }
@@ -1137,6 +1166,7 @@ mod tests {
             "session_ua741_mirror_on",
             "session_ua741_mirror_off",
             "plan_ua741_miss",
+            "plan_ua741_gate",
             "mesh256_markowitz_direct",
             "mesh256_amd_direct",
             "mesh256_auto_sweep",
@@ -1192,6 +1222,7 @@ mod tests {
             "session_ua741_mirror_on",
             "session_ua741_mirror_off",
             "plan_ua741_miss",
+            "plan_ua741_gate",
             "mesh256_markowitz_direct",
             "mesh256_amd_direct",
             "mesh256_auto_sweep",

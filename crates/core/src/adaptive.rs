@@ -164,9 +164,10 @@ impl PolyReport {
         if fresh + reordered > 0 {
             self.emit(observer, Diagnostic::SolveRecovered { fresh, reordered });
         }
-        // One ordering event per *decision*, not per window: windows at
-        // nearby scales share a cached plan (and therefore a choice), so
-        // only a change from the previously reported selection is news.
+        // One ordering event per *decision*, not per window: windows in
+        // cells that pass the growth gate share the anchor's cached
+        // selection (and therefore a choice), so only a change from the
+        // previously reported selection is news.
         if let Some((dim, choice)) = w.ordering {
             let event = Diagnostic::OrderingSelected {
                 dim,
@@ -272,6 +273,22 @@ impl NetworkFunction {
     /// Zeros (numerator roots), extended range.
     pub fn zeros(&self) -> Vec<ExtComplex> {
         self.numerator.roots(1e-12, 500)
+    }
+}
+
+/// The scale policy of `sys` and the scale both polynomials' walks open
+/// at. Inductors/CCVS break admittance homogeneity: such circuits fall
+/// back to exact frequency-only scaling (see [`ScalePolicy`]).
+///
+/// # Panics
+///
+/// Panics if the circuit has no reactive elements (the solver's preflight
+/// rejects those first).
+pub(crate) fn opening_scale(sys: &MnaSystem) -> (ScalePolicy, Scale) {
+    if sys.has_unscalable_elements() {
+        (ScalePolicy::FrequencyOnly, initial_scale_frequency_only(sys.circuit()))
+    } else {
+        (ScalePolicy::Simultaneous, initial_scale(sys.circuit()))
     }
 }
 
@@ -477,6 +494,18 @@ impl AdaptiveInterpolator {
         Solver::solve_polynomial(self, circuit, spec, kind, &mut NullObserver)
     }
 
+    /// [`Solver::solve_with_runtime`] on an already compiled system.
+    pub(crate) fn solve_system(
+        &self,
+        sys: &MnaSystem,
+        spec: &TransferSpec,
+        observer: &mut dyn Observer,
+        runtime: &SamplingRuntime,
+    ) -> Result<Solution, RefgenError> {
+        let network = self.network_function_runtime(sys, spec, observer, runtime)?;
+        Ok(Solution { network, method: self.name() })
+    }
+
     fn preflight(&self, sys: &MnaSystem, spec: &TransferSpec) -> Result<(), RefgenError> {
         if sys.circuit().reactive_count() == 0 {
             return Err(RefgenError::NoReactiveElements);
@@ -516,17 +545,10 @@ impl AdaptiveInterpolator {
         let mut accepted: BTreeMap<usize, Accepted> = BTreeMap::new();
         let mut declared: BTreeSet<usize> = BTreeSet::new();
 
-        // Inductors/CCVS break admittance homogeneity: fall back to exact
-        // frequency-only scaling (see `ScalePolicy`).
-        let policy = if sys.has_unscalable_elements() {
-            ScalePolicy::FrequencyOnly
-        } else {
-            ScalePolicy::Simultaneous
-        };
-        let scale0 = match policy {
-            ScalePolicy::Simultaneous => initial_scale(sys.circuit()),
-            ScalePolicy::FrequencyOnly => initial_scale_frequency_only(sys.circuit()),
-        };
+        let (policy, scale0) = opening_scale(sys);
+        // The circuit anchors its pattern's plan cells, unless a fleet
+        // registered its anchors first.
+        runtime.plan_cache().register_anchor(sys, scale0);
         // The opening windows interpolate to the order both chains share.
         let first = opening.as_deref().map_or(orders, |o| Orders { window: o.order(), ..orders });
         let w0 = self.run_checked(
@@ -999,7 +1021,7 @@ impl Solver for AdaptiveInterpolator {
 
     /// The fleet path: reuses the caller's executor and plan cache, so a
     /// batch of same-topology variants spawns threads once and pays one
-    /// pivot search per scale region across the whole fleet.
+    /// pivot search per plan cell of its anchor across the whole fleet.
     fn solve_with_runtime(
         &self,
         circuit: &Circuit,
@@ -1007,9 +1029,7 @@ impl Solver for AdaptiveInterpolator {
         observer: &mut dyn Observer,
         runtime: &SamplingRuntime,
     ) -> Result<Solution, RefgenError> {
-        let sys = MnaSystem::new(circuit)?;
-        let network = self.network_function_runtime(&sys, spec, observer, runtime)?;
-        Ok(Solution { network, method: self.name() })
+        self.solve_system(&MnaSystem::new(circuit)?, spec, observer, runtime)
     }
 
     /// Samples only the requested polynomial — half the work of a full

@@ -176,8 +176,9 @@ impl BatchSampler {
     /// determinant-only plan without a `spec` (a denominator-only solve
     /// may have no resolvable source at all), a transfer plan with one —
     /// sharing pivot orders *and compiled symbolic kernels* through the
-    /// runtime's plan cache (one probe + one `FactorProgram` per distinct
-    /// scale region per topology — verify re-interpolations and
+    /// runtime's plan cache (one probe + one `FactorProgram` for the
+    /// anchor of each topology, and one more per plan cell whose growth
+    /// gate fails — every other window, verify re-interpolations and
     /// batch-session variants reuse both).
     pub fn new(
         sys: &MnaSystem,

@@ -138,8 +138,8 @@ pub enum Diagnostic {
     /// fill crossed the mesh-scale threshold (or the configuration forced
     /// it) — a validated approximate-minimum-degree order replaced it.
     /// Fires when the reported decision differs from the previous window's
-    /// (windows at nearby scales share a cached plan and its choice, so
-    /// repeats are suppressed).
+    /// (windows in plan cells that pass the growth gate share the anchor's
+    /// cached selection and its choice, so repeats are suppressed).
     OrderingSelected {
         /// System dimension (MNA matrix rows).
         dim: usize,

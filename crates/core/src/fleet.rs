@@ -5,7 +5,9 @@
 //! explicitly — through **one** [`SamplingRuntime`]: the worker pool (if
 //! [`ExecutorKind::Pool`](refgen_exec::ExecutorKind::Pool) is configured)
 //! spawns once for the fleet, and the shared plan cache means one pivot
-//! search per scale region per *topology*, not per variant. Progress is
+//! search per *topology* (plus one per plan cell whose growth gate
+//! fails), not per variant: every cell's order is computed from the
+//! topology's anchor, the base circuit. Progress is
 //! streamed as [`Diagnostic::VariantSolved`] events, and the aggregate
 //! [`BatchReport`] carries per-coefficient mean/variance plus the
 //! per-variant cost accounting.
@@ -69,7 +71,7 @@
 //! # }
 //! ```
 
-use crate::adaptive::AdaptiveInterpolator;
+use crate::adaptive::{opening_scale, AdaptiveInterpolator};
 use crate::config::{FaultPolicy, RefgenConfig};
 use crate::diagnostic::{Diagnostic, NullObserver, Observer};
 use crate::error::RefgenError;
@@ -78,7 +80,7 @@ use crate::solver::{Solution, Solver};
 use refgen_circuit::perturb::VariantSet;
 use refgen_circuit::Circuit;
 use refgen_exec::JobPanic;
-use refgen_mna::{faults, MnaError, TransferSpec};
+use refgen_mna::{faults, MnaError, MnaSystem, TransferSpec};
 
 /// Where a batch session's fleet comes from.
 pub(crate) enum VariantInput<'a> {
@@ -164,9 +166,9 @@ pub struct BatchReport {
     /// Fleet-wide pivot-order reuses.
     pub total_refactor_hits: u64,
     /// Full Markowitz pivot searches the fleet performed (probe
-    /// factorizations through the shared plan cache). Plan reuse drives
-    /// this toward the number of distinct window-scale regions of **one**
-    /// solve — independent of fleet size.
+    /// factorizations through the shared plan cache): one for the
+    /// anchor's own opening scale, plus one per plan cell whose growth
+    /// gate fails — independent of fleet size.
     pub pivot_searches: usize,
     /// Plan builds that reused a recorded pivot order instead of probing.
     pub shared_plan_hits: usize,
@@ -311,6 +313,36 @@ impl<'a> BatchSession<'a> {
         // the plan cache accumulates pivot orders across every variant.
         let runtime = SamplingRuntime::new(&self.config);
         let threads = refgen_exec::resolve_threads(self.config.threads);
+
+        // Every variant's system is compiled once, here, and every
+        // pattern's plan cells are anchored before any variant plans: on
+        // the base circuit, then on the lowest-index variant of each other
+        // pattern. A plan's pivot order is then a function of its anchor
+        // and cell alone, whichever variant asks first and on whatever
+        // thread. A custom solver compiles its own systems; the base still
+        // anchors.
+        let systems: Vec<Result<MnaSystem, MnaError>> = if custom_solver {
+            Vec::new()
+        } else {
+            runtime.executor().par_map_indexed(
+                circuits,
+                || (),
+                |_, circuit, _: &mut ()| MnaSystem::new(circuit),
+            )
+        };
+        let base = MnaSystem::new(self.circuit).ok();
+        for sys in base.iter().chain(systems.iter().filter_map(|sys| sys.as_ref().ok())) {
+            if sys.circuit().reactive_count() > 0 {
+                runtime.plan_cache().register_anchor(sys, opening_scale(sys).1);
+            }
+        }
+        let solve_variant = |solver: &AdaptiveInterpolator,
+                             variant: usize,
+                             observer: &mut dyn Observer,
+                             runtime: &SamplingRuntime| {
+            let sys = systems[variant].as_ref().map_err(|e| RefgenError::Mna(e.clone()))?;
+            solver.solve_system(sys, &spec, observer, runtime)
+        };
         let mut outcomes = Vec::with_capacity(circuits.len());
         if !custom_solver && circuits.len() > 1 && threads > 1 {
             // Variant-major fan-out: whole variants are the unit of
@@ -326,43 +358,25 @@ impl<'a> BatchSession<'a> {
             inner_config.threads = 1;
             inner_config.executor = refgen_exec::ExecutorKind::Scoped;
 
-            // Variant 0 solves inline first: it warms the shared plan
-            // cache so the fanned workers replay recorded pivot orders
-            // instead of queueing on the probe lock.
-            let first = solve_one(
-                &AdaptiveInterpolator::new(inner_config),
-                0,
-                &circuits[0],
-                &spec,
-                &mut NullObserver,
-                &runtime.variant_worker(),
-                contain,
-            );
-
-            // Remaining variants in lane-width batches — one batch per
-            // worker slot, collected in index order. Chunk `i` covers
-            // variants `1 + i·lane ..`, so fault scopes carry the true
-            // fleet index onto the worker thread.
+            // Variants in lane-width batches — one batch per worker slot,
+            // collected in index order. Chunk `i` covers variants
+            // `i·lane ..`, so fault scopes carry the true fleet index onto
+            // the worker thread. The anchors are registered, so whichever
+            // worker reaches a plan cell first certifies or probes it
+            // exactly as any other would.
             let lane = self.config.lane_width.max(1);
-            let chunks: Vec<&[Circuit]> = circuits[1..].chunks(lane).collect();
+            let chunks: Vec<&[Circuit]> = circuits.chunks(lane).collect();
             let worker_runtimes: Vec<SamplingRuntime> =
                 chunks.iter().map(|_| runtime.variant_worker()).collect();
             let solve_chunk = |i: usize, chunk: &&[Circuit]| {
                 let solver = AdaptiveInterpolator::new(inner_config);
                 let mut sink = NullObserver;
-                chunk
-                    .iter()
-                    .enumerate()
-                    .map(|(j, circuit)| {
-                        solve_one(
-                            &solver,
-                            1 + i * lane + j,
-                            circuit,
-                            &spec,
-                            &mut sink,
-                            &worker_runtimes[i],
-                            contain,
-                        )
+                (0..chunk.len())
+                    .map(|j| {
+                        let variant = i * lane + j;
+                        solve_one(variant, &mut sink, contain, |observer| {
+                            solve_variant(&solver, variant, observer, &worker_runtimes[i])
+                        })
                     })
                     .collect::<Vec<Result<Solution, RefgenError>>>()
             };
@@ -406,9 +420,7 @@ impl<'a> BatchSession<'a> {
             // wins under FailFast. The recorded diagnostic trail of each
             // solution is replayed to the session observer so the
             // observable stream matches a sequential run event for event.
-            for (variant, result) in
-                std::iter::once(first).chain(fanned.into_iter().flatten()).enumerate()
-            {
+            for (variant, result) in fanned.into_iter().flatten().enumerate() {
                 match result {
                     Ok(solution) => {
                         for diagnostic in solution.diagnostics() {
@@ -426,19 +438,14 @@ impl<'a> BatchSession<'a> {
                 }
             }
         } else {
-            let solver = self.solver.unwrap_or_else(|| {
-                Box::new(AdaptiveInterpolator::new(self.config)) as Box<dyn Solver>
-            });
+            let adaptive = AdaptiveInterpolator::new(self.config);
+            let custom = self.solver;
             for (variant, circuit) in circuits.iter().enumerate() {
-                match solve_one(
-                    solver.as_ref(),
-                    variant,
-                    circuit,
-                    &spec,
-                    observer,
-                    &runtime,
-                    contain,
-                ) {
+                let solved = solve_one(variant, observer, contain, |observer| match &custom {
+                    Some(solver) => solver.solve_with_runtime(circuit, &spec, observer, &runtime),
+                    None => solve_variant(&adaptive, variant, observer, &runtime),
+                });
+                match solved {
                     Ok(solution) => {
                         observer.on_diagnostic(&Diagnostic::VariantSolved {
                             variant,
@@ -476,8 +483,8 @@ impl<'a> BatchSession<'a> {
     }
 }
 
-/// Solves one variant with its fault scope armed on the executing
-/// thread.
+/// Runs `solve` for one variant with its fault scope armed on the
+/// executing thread.
 ///
 /// The scope gives the deterministic fault-injection tier
 /// ([`refgen_mna::faults`]) the variant's fleet index — with no plan
@@ -487,20 +494,17 @@ impl<'a> BatchSession<'a> {
 /// (scripted or genuine) is quarantined into
 /// [`RefgenError::VariantPanicked`] instead of unwinding the fleet.
 fn solve_one(
-    solver: &dyn Solver,
     variant: usize,
-    circuit: &Circuit,
-    spec: &TransferSpec,
     observer: &mut dyn Observer,
-    runtime: &SamplingRuntime,
     contain: bool,
+    solve: impl FnOnce(&mut dyn Observer) -> Result<Solution, RefgenError>,
 ) -> Result<Solution, RefgenError> {
     let run = |observer: &mut dyn Observer| {
         let _scope = faults::FaultScope::variant(variant);
         if faults::scripted_panic() {
             panic!("injected fault: scripted panic for variant {variant}");
         }
-        solver.solve_with_runtime(circuit, spec, observer, runtime)
+        solve(observer)
     };
     if contain {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(observer))).unwrap_or_else(

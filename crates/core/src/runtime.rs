@@ -8,22 +8,26 @@
 //!   owns a persistent `refgen_exec::WorkerPool`, so the per-window
 //!   scoped-thread spawn/join (~100 µs at 4 workers) disappears from the
 //!   steady state;
-//! * **pivot searches** — the runtime's [`PlanCache`] shares recorded
-//!   pivot orders between window plans built at nearby scales, so a
-//!   verify re-interpolation (±0.2 decades) and every same-topology
-//!   variant of a batch session replay one recorded order instead of
-//!   probing their own;
-//! * **per-size window tables** — every interpolation of `K` points uses
-//!   the same unit-circle points `σ_k`, the same [`Dft`] plan and, under
-//!   the eq. (17) reduction, the same power columns `σ_k^i` (subtracting
-//!   the known coefficient `i`) and `conj(σ_k)^{k_lo}` (the shift down to
-//!   the lowest unknown), and the same conjugate-pair partition of the
-//!   points into solved and mirrored ones. The runtime builds them once
-//!   per `K`, each power column on first use, and every later window of
-//!   that size — the verify re-interpolation and every variant of a fleet
-//!   included — reads them. Tables sit in a vector indexed by `K`, and
-//!   each table's columns in a vector indexed by `(exponent, conjugated)`
-//!   of write-once cells, so reading a column neither hashes nor locks.
+//! * **pivot searches** — the runtime's [`PlanCache`] hands every window
+//!   plan the pivot order of its plan cell, computed once from the cell's
+//!   anchor (the session's circuit, or a fleet's base circuit): the
+//!   opening scale's probe, shared by every cell whose growth gate it
+//!   passes. A verify re-interpolation and every same-topology variant of
+//!   a batch session replay a recorded order instead of probing their
+//!   own.
+//!
+//! Two more costs are paid once per **process**: the per-size window
+//! tables. Every interpolation of `K` points uses the same unit-circle
+//! points `σ_k`, the same [`Dft`] plan and, under the eq. (17) reduction,
+//! the same power columns `σ_k^i` (subtracting the known coefficient `i`)
+//! and `conj(σ_k)^{k_lo}` (the shift down to the lowest unknown), and the
+//! same conjugate-pair partition of the points into solved and mirrored
+//! ones. They depend on `K` alone, so [`window_tables`] builds them once
+//! per `K` for the whole process, each power column on first use, and
+//! every later window of that size — in any session, fleet or thread —
+//! reads them. Tables sit in a vector indexed by `K`, and each table's
+//! columns in a vector indexed by `(exponent, conjugated)` of write-once
+//! cells, so reading a column neither hashes nor locks.
 //!
 //! A [`SamplingRuntime`] is created per [`Session::solve`](crate::Session)
 //! by default, which already amortizes across every window of both
@@ -31,10 +35,10 @@
 //! runtime for its whole fleet — that is the "one pivot search per
 //! topology, threads spawned once" configuration the batch engine exists
 //! for. Sharing never changes results: executors collect in index order,
-//! pivot-order replay is value-exact and a cached table holds exactly the
-//! values a window would compute for itself, so solver output is
-//! bit-identical with or without a shared runtime, at any thread count,
-//! under either executor kind.
+//! pivot-order replay is value-exact, a plan's order depends only on its
+//! anchor and cell, and a table holds exactly the values a window would
+//! compute for itself, so solver output is bit-identical with or without
+//! a shared runtime, at any thread count, under either executor kind.
 
 use crate::batch::ConjugateRoles;
 use crate::config::RefgenConfig;
@@ -44,27 +48,17 @@ use refgen_numeric::dft::{unit_circle_points, Dft};
 use refgen_numeric::Complex;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-/// Executor, plan cache and per-size window tables shared by every
-/// sampling batch of one solve (or one batch session). See the
-/// [module docs](self).
+/// Executor and plan cache shared by every sampling batch of one solve
+/// (or one batch session). See the [module docs](self).
 ///
-/// The plan cache and the window tables sit behind one [`Arc`] so a fleet
-/// session can hand each variant worker its own
-/// [`SamplingRuntime::variant_worker`] runtime — single-threaded inside,
-/// but planning through the **same** cache and reading the **same**
-/// tables as every other worker.
+/// The plan cache sits behind an [`Arc`] so a fleet session can hand each
+/// variant worker its own [`SamplingRuntime::variant_worker`] runtime —
+/// single-threaded inside, but planning through the **same** cache as
+/// every other worker.
 #[derive(Debug)]
 pub struct SamplingRuntime {
     executor: Executor,
-    shared: Arc<Shared>,
-}
-
-/// What every runtime derived from one [`SamplingRuntime::new`] shares.
-#[derive(Debug, Default)]
-struct Shared {
-    plans: PlanCache,
-    /// Per-size window tables, indexed by the interpolation size `K`.
-    windows: Mutex<Vec<Option<Arc<SizeTables>>>>,
+    plans: Arc<PlanCache>,
 }
 
 /// The tables of one interpolation size `K`: everything a window computes
@@ -160,22 +154,21 @@ impl SizeTables {
 impl SamplingRuntime {
     /// Builds the runtime a configuration asks for: an
     /// [`Executor`] of `config.executor` kind with `config.threads`
-    /// workers (pool threads spawn here, once), an empty plan cache and no
-    /// window tables yet.
+    /// workers (pool threads spawn here, once) and an empty plan cache.
     pub fn new(config: &RefgenConfig) -> SamplingRuntime {
         SamplingRuntime {
             executor: Executor::new(config.executor, config.threads),
-            shared: Arc::default(),
+            plans: Arc::default(),
         }
     }
 
     /// A per-variant worker runtime: a single-threaded scoped executor
     /// (the variant-major fleet path parallelizes *across* variants, so
     /// each variant's own sampling must not nest threads) sharing **this**
-    /// runtime's plan cache and window tables. Pivot searches, shared-plan
-    /// hits, and compiled programs all accumulate on the parent.
+    /// runtime's plan cache. Pivot searches, shared-plan hits, and
+    /// compiled programs all accumulate on the parent.
     pub fn variant_worker(&self) -> SamplingRuntime {
-        SamplingRuntime { executor: Executor::scoped(1), shared: Arc::clone(&self.shared) }
+        SamplingRuntime { executor: Executor::scoped(1), plans: Arc::clone(&self.plans) }
     }
 
     /// The executor sampling batches fan out on.
@@ -185,52 +178,52 @@ impl SamplingRuntime {
 
     /// The shared pivot-order cache window plans build through.
     pub fn plan_cache(&self) -> &PlanCache {
-        &self.shared.plans
-    }
-
-    /// The window tables of interpolation size `k_points`, with power
-    /// columns up to at least `max_exponent`, built on first request. A
-    /// request for a larger exponent than the recorded tables hold (a
-    /// runtime shared between circuits of different order) replaces them
-    /// with larger ones; windows still reading the old tables keep them,
-    /// and both hold the same bits.
-    pub(crate) fn window_tables(&self, k_points: usize, max_exponent: usize) -> Arc<SizeTables> {
-        let lock = || self.shared.windows.lock().unwrap_or_else(PoisonError::into_inner);
-        let fits = |t: &&Arc<SizeTables>| t.max_exponent() >= max_exponent;
-        if let Some(tables) = lock().get(k_points).and_then(Option::as_ref).filter(fits) {
-            return Arc::clone(tables);
-        }
-        // Built outside the lock; a concurrent builder of the same size
-        // builds the same values, and the first one recorded wins.
-        let built = Arc::new(SizeTables::new(k_points, max_exponent));
-        let mut windows = lock();
-        if windows.len() <= k_points {
-            windows.resize(k_points + 1, None);
-        }
-        let slot = &mut windows[k_points];
-        match slot.as_ref().filter(fits) {
-            Some(tables) => Arc::clone(tables),
-            None => Arc::clone(slot.insert(built)),
-        }
+        &self.plans
     }
 
     /// Probe factorizations (full pivot searches) performed so far — the
     /// quantity plan sharing drives toward one per topology.
     pub fn pivot_searches(&self) -> usize {
-        self.shared.plans.pivot_searches()
+        self.plans.pivot_searches()
     }
 
     /// Plan builds that reused a recorded pivot order instead of probing.
     pub fn shared_plan_hits(&self) -> usize {
-        self.shared.plans.shared_hits()
+        self.plans.shared_hits()
     }
 
     /// Compiled symbolic kernels (`FactorProgram`s) built through the
     /// plan cache so far — like pivot searches, plan sharing drives this
-    /// toward one per topology per scale region: a whole fleet of
-    /// same-topology variants compiles once.
+    /// toward one per topology: one per plan cell whose growth gate fails,
+    /// plus the anchor's own, for a whole fleet of same-topology variants.
     pub fn programs_compiled(&self) -> usize {
-        self.shared.plans.programs_compiled()
+        self.plans.programs_compiled()
+    }
+}
+
+/// The window tables of interpolation size `k_points`, with power columns
+/// up to at least `max_exponent`, built on the process's first request.
+/// A request for a larger exponent than the recorded tables hold replaces
+/// them with larger ones; windows still reading the old tables keep them,
+/// and both hold the same bits.
+pub(crate) fn window_tables(k_points: usize, max_exponent: usize) -> Arc<SizeTables> {
+    static WINDOWS: Mutex<Vec<Option<Arc<SizeTables>>>> = Mutex::new(Vec::new());
+    let lock = || WINDOWS.lock().unwrap_or_else(PoisonError::into_inner);
+    let fits = |t: &&Arc<SizeTables>| t.max_exponent() >= max_exponent;
+    if let Some(tables) = lock().get(k_points).and_then(Option::as_ref).filter(fits) {
+        return Arc::clone(tables);
+    }
+    // Built outside the lock; a concurrent builder of the same size builds
+    // the same values, and the first one recorded wins.
+    let built = Arc::new(SizeTables::new(k_points, max_exponent));
+    let mut windows = lock();
+    if windows.len() <= k_points {
+        windows.resize(k_points + 1, None);
+    }
+    let slot = &mut windows[k_points];
+    match slot.as_ref().filter(fits) {
+        Some(tables) => Arc::clone(tables),
+        None => Arc::clone(slot.insert(built)),
     }
 }
 
@@ -270,18 +263,18 @@ mod tests {
 
     /// A request for a larger exponent than the recorded tables hold
     /// replaces them with larger tables of the same bits; smaller requests
-    /// then read the larger ones, and the old tables stay valid.
+    /// then read the larger ones, and the old tables stay valid. (`K` = 997
+    /// is a size no other test of this process asks for.)
     #[test]
     fn window_tables_grow_for_a_larger_exponent() {
-        let runtime = SamplingRuntime::new(&RefgenConfig::default());
         let bits = |zs: &[Complex]| -> Vec<(u64, u64)> {
             zs.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
         };
-        let small = runtime.window_tables(9, 3);
-        assert!(Arc::ptr_eq(&small, &runtime.window_tables(9, 2)));
-        let large = runtime.window_tables(9, 40);
+        let small = window_tables(997, 3);
+        assert!(Arc::ptr_eq(&small, &window_tables(997, 2)));
+        let large = window_tables(997, 40);
         assert!(!Arc::ptr_eq(&small, &large));
-        assert!(Arc::ptr_eq(&large, &runtime.window_tables(9, 5)));
+        assert!(Arc::ptr_eq(&large, &window_tables(997, 5)));
         for e in [0, 3] {
             assert_eq!(bits(small.conj_powers(e)), bits(large.conj_powers(e)));
         }
@@ -291,15 +284,15 @@ mod tests {
 
     #[test]
     fn window_tables_are_shared_and_hold_the_direct_values() {
-        let parent = SamplingRuntime::new(&RefgenConfig::default());
-        let worker = parent.variant_worker();
         let bits = |zs: &[Complex]| -> Vec<(u64, u64)> {
             zs.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
         };
         for k_points in [1, 6, 7, 16, 49] {
-            let tables = parent.window_tables(k_points, 70);
-            // One table per size, reached from every derived runtime.
-            assert!(Arc::ptr_eq(&tables, &worker.window_tables(k_points, 70)));
+            let tables = window_tables(k_points, 70);
+            // One table per size for the whole process, every thread
+            // included.
+            let elsewhere = std::thread::spawn(move || window_tables(k_points, 70)).join();
+            assert!(Arc::ptr_eq(&tables, &elsewhere.unwrap()));
             let sigmas = unit_circle_points(k_points);
             assert_eq!(bits(&tables.sigmas), bits(&sigmas));
             assert_eq!(tables.dft.len(), k_points);
@@ -312,7 +305,7 @@ mod tests {
                 assert_eq!(bits(tables.powers(e)), bits(&direct), "K={k_points}, e={e}");
                 assert_eq!(bits(tables.conj_powers(e)), bits(&conj), "K={k_points}, e={e}");
                 // Built once, then shared.
-                let again = worker.window_tables(k_points, e);
+                let again = window_tables(k_points, e);
                 assert!(std::ptr::eq(tables.powers(e), again.powers(e)));
             }
         }

@@ -27,7 +27,7 @@
 use crate::batch::{BatchRun, BatchSampler};
 use crate::config::RefgenConfig;
 use crate::error::RefgenError;
-use crate::runtime::{SamplingRuntime, SizeTables};
+use crate::runtime::{window_tables, SamplingRuntime, SizeTables};
 use refgen_mna::{MnaError, MnaSystem, OrderingChoice, Scale, SweepStats, TransferSpec};
 use refgen_numeric::dft::Dft;
 use refgen_numeric::{Complex, ExtComplex, ExtFloat};
@@ -224,7 +224,7 @@ pub(crate) fn interpolate_window(
         None => (0, order),
     };
     let k_points = k_hi - k_lo + 1;
-    let tables = runtime.window_tables(k_points, order);
+    let tables = window_tables(k_points, order);
 
     let f_ext = ExtFloat::from_f64(scale.f);
     let g_ext = ExtFloat::from_f64(scale.g);

@@ -145,10 +145,10 @@ fn fleet() -> Hashes {
 fn ua741_session_coefficients_match_pinned_fingerprints() {
     let got: Vec<u64> = sessions().iter().map(|h| h.coefficients).collect();
     let want: [u64; 4] = [
-        0x75ea_4c2b_1f21_9709,
-        0xb632_0f76_467f_85d4,
-        0xa06f_96ba_6c74_4325,
-        0x29b2_693a_0cc0_45df,
+        0x6e1d_cde8_27b9_d60f,
+        0xc0aa_f721_1f5e_49e7,
+        0xbfc9_d955_bf8a_aa92,
+        0x7716_1294_43e1_32fc,
     ];
     assert_eq!(got, want, "{got:#x?}");
 }
@@ -156,7 +156,7 @@ fn ua741_session_coefficients_match_pinned_fingerprints() {
 #[test]
 fn ua741_fleet_coefficients_match_pinned_fingerprint() {
     let got = fleet().coefficients;
-    let want: u64 = 0x5060_89f3_be5d_f9a8;
+    let want: u64 = 0x61de_aada_93bb_10fc;
     assert_eq!(got, want, "{got:#x}");
 }
 
@@ -164,10 +164,10 @@ fn ua741_fleet_coefficients_match_pinned_fingerprint() {
 fn ua741_sessions_match_pinned_fingerprints() {
     let got: Vec<u64> = sessions().iter().map(|h| h.full).collect();
     let want: [u64; 4] = [
-        0xc373_f023_3080_6ed4,
-        0xe991_dee6_74c4_2223,
-        0x770d_0b57_1ddd_23db,
-        0xb0c8_dc01_c31a_786d,
+        0x6b36_f762_0879_689a,
+        0x5ea4_b9b4_4209_1621,
+        0xc5d0_eec9_0c1b_f936,
+        0xada4_c0a7_5e46_3844,
     ];
     assert_eq!(got, want, "{got:#x?}");
 }
@@ -175,6 +175,6 @@ fn ua741_sessions_match_pinned_fingerprints() {
 #[test]
 fn ua741_fleet_matches_pinned_fingerprint() {
     let got = fleet().full;
-    let want: u64 = 0x319f_bfad_d899_6188;
+    let want: u64 = 0x3790_1f56_2eb2_3a4e;
     assert_eq!(got, want, "{got:#x}");
 }

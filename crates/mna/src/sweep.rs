@@ -84,7 +84,7 @@
 
 use crate::error::MnaError;
 use crate::faults;
-use crate::system::{MnaSystem, Scale};
+use crate::system::{MnaSystem, Scale, StampTable};
 use crate::transfer::{OutputSpec, TransferResponse, TransferSpec};
 use refgen_numeric::{Complex, ExtComplex};
 use refgen_sparse::{FactorProgram, PivotOrder, ProgramScratch, SparseLu, Triplets};
@@ -338,68 +338,183 @@ pub struct SweepPlan {
 
 /// What one ordering selection produced: the adopted order, its compiled
 /// kernel, and the choice record.
+#[derive(Clone, Debug)]
 struct PlanSelection {
     order: PivotOrder,
     program: Arc<FactorProgram>,
     choice: OrderingChoice,
 }
 
-/// One recorded probe in a [`PlanCache`]: scale, pattern fingerprint, the
-/// recorded pivot order, and the symbolic kernel compiled from it.
+/// A cell of a [`PlanCache`] grid: a scale's offset from its anchor's
+/// opening scale in whole [`PlanCache::CELL_DECADES`], per axis.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Cell {
+    f: i32,
+    g: i32,
+}
+
+impl Cell {
+    /// The cell of the anchor's opening scale, whose selection is the
+    /// anchor's own probe.
+    const ROOT: Cell = Cell { f: 0, g: 0 };
+}
+
+/// The nominal system every selection of one pattern is computed from,
+/// held by its stamp table, and its opening scale.
+#[derive(Clone, Debug)]
+struct Anchor {
+    fingerprint: u64,
+    dim: usize,
+    stamps: Arc<StampTable>,
+    scale: Scale,
+}
+
+impl Anchor {
+    /// The cell `scale` falls in: the nearest whole cell offset per axis.
+    fn cell(&self, scale: Scale) -> Cell {
+        let index = |x: f64, x0: f64| ((x / x0).log10() / PlanCache::CELL_DECADES).round() as i32;
+        Cell { f: index(scale.f, self.scale.f), g: index(scale.g, self.scale.g) }
+    }
+
+    /// The scale at the centre of `cell`; the opening scale for the root.
+    fn centre(&self, cell: Cell) -> Scale {
+        let step = |i: i32| 10f64.powf(f64::from(i) * PlanCache::CELL_DECADES);
+        Scale { f: self.scale.f * step(cell.f), g: self.scale.g * step(cell.g) }
+    }
+}
+
+/// One certified or probed cell of a [`PlanCache`]: the selection every
+/// plan of `(fingerprint, mode)` whose scale falls in `cell` receives
+/// (`None` when the anchor's probe there is singular).
 #[derive(Debug)]
 struct CacheEntry {
-    scale: Scale,
     fingerprint: u64,
     /// The ordering mode the entry was built under: a forced-AMD build
     /// must never hand its order to a Markowitz-mode plan or vice versa.
     mode: OrderingMode,
-    order: PivotOrder,
-    program: Arc<FactorProgram>,
-    choice: OrderingChoice,
+    cell: Cell,
+    selection: Option<PlanSelection>,
 }
 
-/// Shares recorded pivot orders between [`SweepPlan`]s of the **same
-/// topology** — the amortization seam for Monte-Carlo/sensitivity fleets,
-/// where hundreds of same-structure, different-value systems are planned
-/// at near-identical scales and a pivot search per plan would dominate.
+/// What a [`PlanCache`] guards with its lock.
+#[derive(Debug, Default)]
+struct CacheState {
+    anchors: Vec<Anchor>,
+    entries: Vec<CacheEntry>,
+}
+
+impl CacheState {
+    fn entry(&self, fingerprint: u64, mode: OrderingMode, cell: Cell) -> Option<&CacheEntry> {
+        self.entries
+            .iter()
+            .find(|e| e.fingerprint == fingerprint && e.mode == mode && e.cell == cell)
+    }
+
+    /// Records `selection` as the cell's and returns it.
+    fn record(
+        &mut self,
+        fingerprint: u64,
+        mode: OrderingMode,
+        cell: Cell,
+        selection: Option<PlanSelection>,
+    ) -> Option<PlanSelection> {
+        self.entries.push(CacheEntry { fingerprint, mode, cell, selection: selection.clone() });
+        selection
+    }
+
+    /// The anchor of `sys`'s pattern, adopting `(sys, scale)` when the
+    /// pattern has none yet.
+    fn anchor(&mut self, sys: &MnaSystem, scale: Scale) -> Anchor {
+        let fingerprint = sys.pattern_fingerprint();
+        if let Some(anchor) = self.anchors.iter().find(|a| a.fingerprint == fingerprint) {
+            return anchor.clone();
+        }
+        let stamps = Arc::clone(sys.stamp_table());
+        let anchor = Anchor { fingerprint, dim: sys.dim(), stamps, scale };
+        self.anchors.push(anchor.clone());
+        anchor
+    }
+}
+
+/// Shares pivot orders and compiled programs between [`SweepPlan`]s of
+/// the **same topology**: every window of a session, and every variant
+/// of a Monte-Carlo or sensitivity fleet, where a pivot search per plan
+/// would dominate.
 ///
-/// A cache entry is keyed by the sparsity **pattern fingerprint**
-/// (dimension plus a hash of every stamped position, so same-dimension
-/// circuits of different topology never share an order) and scale
-/// proximity: a recorded order is offered to any same-pattern plan whose
-/// scale is within [`PlanCache::SCALE_TOLERANCE_DECADES`] of the
-/// recording scale on both axes. That window is far wider than
-/// fleet-to-fleet value perturbations
-/// move the heuristic scales (a 5 % value spread shifts them by
-/// ~0.02 decades) and far narrower than the ≥ 10-decade re-tilts between
-/// adaptive windows — so variants share orders, while windows whose
-/// numeric balance genuinely differs each record their own.
+/// **Anchor.** Each sparsity pattern (keyed by its fingerprint: the
+/// dimension plus a hash of every stamped position, so same-dimension
+/// circuits of different topology never share) has one anchor, a nominal
+/// system and its opening scale, and every order the cache hands out for
+/// that pattern is computed from the anchor alone. A session registers
+/// its circuit; a fleet registers its base circuit, then the
+/// lowest-index variant of every other pattern, before it fans out
+/// ([`PlanCache::register_anchor`]). A pattern planned without a
+/// registered anchor adopts the first system and scale planned.
 ///
-/// Pivot-order *replay* only fails on an exact-zero prescribed pivot, in
-/// which case the point climbs the singular-recovery ladder: a fresh
-/// Markowitz factorization ([`SweepStats::recovered_fresh`]), then a
-/// recompile under the alternate ordering
-/// ([`SweepStats::recovered_reordered`]). A shared order is an
-/// optimization, never a correctness hazard.
+/// **Cells.** Scales fall into a fixed grid of cells, one
+/// [`PlanCache::CELL_DECADES`] wide per axis and centred on the anchor's
+/// opening scale; entries are keyed by `(fingerprint, mode, cell)`.
 ///
-/// The cache is `Sync`; lookups and stores are lock-protected and happen
-/// at plan-build time (never inside point evaluation).
+/// **Gate.** The root cell's selection is the anchor's probe at its
+/// opening scale. Every other cell is certified once, at its centre with
+/// the anchor's values: a replay of the root's program must meet no zero
+/// pivot and keep element growth within [`PlanCache::GROWTH_BOUND`]. A
+/// cell that passes shares the root's order and `Arc`'d program; one that
+/// fails probes the anchor at the cell centre under the plan's
+/// [`OrderingMode`]. Either way a plan's order is a function of its
+/// `(anchor, cell)` only, never of visit order, thread count or what the
+/// cache already holds, so results are bit-identical however a fleet is
+/// scheduled.
+///
+/// Pivot-order *replay* on a variant's own values only fails on an
+/// exact-zero prescribed pivot, in which case the point climbs the
+/// singular-recovery ladder: a fresh Markowitz factorization
+/// ([`SweepStats::recovered_fresh`]), then a recompile under the
+/// alternate ordering ([`SweepStats::recovered_reordered`]). A shared
+/// order is an optimization, never a correctness hazard.
+///
+/// The cache is `Sync`; lookups, gates and probes are lock-protected and
+/// happen at plan-build time (never inside point evaluation).
 #[derive(Debug, Default)]
 pub struct PlanCache {
-    entries: Mutex<Vec<CacheEntry>>,
+    state: Mutex<CacheState>,
     searches: AtomicUsize,
     shared: AtomicUsize,
     compiled: AtomicUsize,
 }
 
 impl PlanCache {
-    /// How far (in decades, per scale axis) a plan's scale may sit from a
-    /// recorded entry's scale and still reuse its pivot order.
-    pub const SCALE_TOLERANCE_DECADES: f64 = 0.5;
+    /// Width of a cell, in decades per scale axis. The scale walk's
+    /// windows step by ten or more decades on one axis, so most windows
+    /// land in cells of their own, while a verify re-interpolation
+    /// (±0.2 decades) shares its window's cell.
+    pub const CELL_DECADES: f64 = 1.0;
+
+    /// The largest element growth — `max|U|` (pivots included) over
+    /// `max|A|` — a replay of the root order may show at a cell centre and
+    /// still certify the cell.
+    ///
+    /// Wilkinson's bound puts the backward error of LU at a small multiple
+    /// of `n·u·ρ·max|A|`, with `u` the unit round-off and `ρ` the growth.
+    /// At `ρ ≤ 10` a certified order loses at most one decade more than a
+    /// growth-free factorization: on the µA741 (`n = 41`) that is
+    /// `n·u·ρ ≈ 4.6e-14`, still below the `10^{-noise_decades}` floor
+    /// (`RefgenConfig::noise_decades`, default 13) that the engine's
+    /// validity test already assumes lost to round-off in every window.
+    /// The Markowitz probe's own orders grow by at most 1.83 across the
+    /// µA741 scale walk.
+    pub const GROWTH_BOUND: f64 = 10.0;
 
     /// An empty cache.
     pub fn new() -> PlanCache {
         PlanCache::default()
+    }
+
+    /// Registers `sys` at its opening `scale` as the anchor of its
+    /// sparsity pattern, unless the pattern has one already: the first
+    /// registration wins, and later ones change nothing.
+    pub fn register_anchor(&self, sys: &MnaSystem, scale: Scale) {
+        self.lock_state().anchor(sys, scale);
     }
 
     /// Probe factorizations (full Markowitz pivot searches) performed by
@@ -409,7 +524,8 @@ impl PlanCache {
         self.searches.load(Ordering::Relaxed)
     }
 
-    /// Plan builds that reused a recorded order instead of probing.
+    /// Plan builds that reused a recorded order instead of probing, the
+    /// first build in a certified cell included.
     pub fn shared_hits(&self) -> usize {
         self.shared.load(Ordering::Relaxed)
     }
@@ -418,23 +534,24 @@ impl PlanCache {
     /// [`FactorProgram`] — the count of recorded selections, not of
     /// compile calls (a selection may compile none, one or two programs
     /// while choosing). Symbolic analysis is value- and scale-independent,
-    /// so a whole fleet of same-topology plans records **one** — cache hits
-    /// hand out the same `Arc`'d program the probe build stored.
+    /// so a whole fleet of same-topology plans records **one** when every
+    /// cell it visits certifies — cache hits hand out the same `Arc`'d
+    /// program the root probe stored.
     pub fn programs_compiled(&self) -> usize {
         self.compiled.load(Ordering::Relaxed)
     }
 
-    /// Number of recorded `(scale, order)` entries.
+    /// Number of recorded `(pattern, mode, cell)` entries.
     pub fn len(&self) -> usize {
-        self.lock_entries().len()
+        self.lock_state().entries.len()
     }
 
-    /// Locks the entry list, recovering it from a poisoned lock: entries
+    /// Locks the cache state, recovering it from a poisoned lock: entries
     /// are pushed only after a selection has been fully built, so a panic
-    /// while the lock was held (say, inside a probe) leaves the list
+    /// while the lock was held (say, inside a probe) leaves the state
     /// complete and valid — it just lacks the half-built entry.
-    fn lock_entries(&self) -> MutexGuard<'_, Vec<CacheEntry>> {
-        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    fn lock_state(&self) -> MutexGuard<'_, CacheState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// `true` when nothing has been recorded yet.
@@ -442,52 +559,80 @@ impl PlanCache {
         self.len() == 0
     }
 
-    fn close(a: Scale, b: Scale) -> bool {
-        let tol = Self::SCALE_TOLERANCE_DECADES;
-        (a.f / b.f).log10().abs() <= tol && (a.g / b.g).log10().abs() <= tol
-    }
-
-    /// Returns the recorded ordering selection for
-    /// `(scale, pattern, mode)` or runs the full selection via `build`
-    /// (probe + optional AMD evaluation, counting the pivot search) and
-    /// records it.
+    /// The recorded selection of the cell `scale` falls in for `sys`'s
+    /// pattern under `mode`, certifying or probing the cell first if it
+    /// has none.
     fn selection_for(
         &self,
+        sys: &MnaSystem,
         scale: Scale,
-        fingerprint: u64,
         mode: OrderingMode,
-        build: impl FnOnce() -> Option<PlanSelection>,
     ) -> Option<PlanSelection> {
-        // The lock is held across probe-and-record: concurrent misses on
-        // the same `(pattern, scale)` region — a fleet's variants planned
-        // in parallel — serialize into one probe plus hits, instead of
-        // racing to insert duplicate entries. That keeps
-        // [`PlanCache::pivot_searches`] deterministic at any thread count.
-        let mut entries = self.lock_entries();
-        if let Some(entry) = entries
-            .iter()
-            .find(|e| e.fingerprint == fingerprint && e.mode == mode && Self::close(e.scale, scale))
-        {
-            self.shared.fetch_add(1, Ordering::Relaxed);
-            return Some(PlanSelection {
-                order: entry.order.clone(),
-                program: entry.program.clone(),
-                choice: entry.choice,
-            });
-        }
-        self.searches.fetch_add(1, Ordering::Relaxed);
-        let selection = build()?;
-        self.compiled.fetch_add(1, Ordering::Relaxed);
-        entries.push(CacheEntry {
-            scale,
-            fingerprint,
-            mode,
-            order: selection.order.clone(),
-            program: selection.program.clone(),
-            choice: selection.choice,
-        });
-        Some(selection)
+        self.selection_with(sys, scale, mode, select_ordering)
     }
+
+    /// [`PlanCache::selection_for`] with the probe as a parameter.
+    fn selection_with(
+        &self,
+        sys: &MnaSystem,
+        scale: Scale,
+        mode: OrderingMode,
+        select: impl Fn(
+            usize,
+            &[(usize, usize, Complex, Complex)],
+            OrderingMode,
+        ) -> Option<PlanSelection>,
+    ) -> Option<PlanSelection> {
+        // The lock is held across gate, probe and record: concurrent
+        // misses on one cell — a fleet's variants planned in parallel —
+        // serialize into one gate or probe plus hits, which keeps the
+        // counters deterministic at any thread count.
+        let mut state = self.lock_state();
+        let anchor = state.anchor(sys, scale);
+        let cell = anchor.cell(scale);
+        if let Some(entry) = state.entry(anchor.fingerprint, mode, cell) {
+            if entry.selection.is_some() {
+                self.shared.fetch_add(1, Ordering::Relaxed);
+            }
+            return entry.selection.clone();
+        }
+        let probe = |cell: Cell| {
+            self.searches.fetch_add(1, Ordering::Relaxed);
+            let selection = select(anchor.dim, &anchor.stamps.affine(anchor.centre(cell)), mode);
+            if selection.is_some() {
+                self.compiled.fetch_add(1, Ordering::Relaxed);
+            }
+            selection
+        };
+        let selection = if cell == Cell::ROOT {
+            probe(cell)
+        } else {
+            let root = match state.entry(anchor.fingerprint, mode, Cell::ROOT) {
+                Some(entry) => entry.selection.clone(),
+                None => state.record(anchor.fingerprint, mode, Cell::ROOT, probe(Cell::ROOT)),
+            };
+            let centre = anchor.stamps.affine(anchor.centre(cell));
+            match root.filter(|root| certifies(&root.program, &centre)) {
+                Some(root) => {
+                    self.shared.fetch_add(1, Ordering::Relaxed);
+                    Some(root)
+                }
+                None => probe(cell),
+            }
+        };
+        state.record(anchor.fingerprint, mode, cell, selection)
+    }
+}
+
+/// The cell gate: `true` when a replay of `program` on `pattern` at the
+/// generic probe point meets no zero pivot and keeps element growth within
+/// [`PlanCache::GROWTH_BOUND`].
+fn certifies(program: &FactorProgram, pattern: &[(usize, usize, Complex, Complex)]) -> bool {
+    let s = generic_probe();
+    let values = pattern.iter().map(|&(_, _, k0, k1)| k0 + s * k1);
+    program
+        .refactor_growth(values, &mut ProgramScratch::new())
+        .is_ok_and(|growth| growth <= PlanCache::GROWTH_BOUND)
 }
 
 /// The affine stamp pattern `A(s) = K₀ + s·K₁` of `(sys, scale)`,
@@ -684,10 +829,11 @@ impl SweepPlan {
     }
 
     /// As [`SweepPlan::new_with_ordering`], sharing pivot orders through
-    /// `cache`: a cache entry recorded at a nearby scale for the same
-    /// pattern fingerprint and ordering mode replaces the probe
-    /// factorization entirely — the fleet path where one pivot search
-    /// serves a whole topology.
+    /// `cache`: the plan takes the selection of its plan cell (same
+    /// pattern fingerprint and ordering mode, scale within the cell),
+    /// which the cache computes once from the pattern's anchor — the
+    /// fleet path where one pivot search serves a whole topology. See
+    /// [`PlanCache`].
     ///
     /// # Errors
     ///
@@ -816,8 +962,7 @@ impl SweepPlan {
         let (dim, pattern) = affine_pattern(sys, scale);
         let fingerprint = sys.pattern_fingerprint();
         let selection = match cache {
-            Some(cache) => cache
-                .selection_for(scale, fingerprint, mode, || select_ordering(dim, &pattern, mode)),
+            Some(cache) => cache.selection_for(sys, scale, mode),
             None => select_ordering(dim, &pattern, mode),
         };
         let (compiled, ordering) = match selection {
@@ -1516,36 +1661,121 @@ mod tests {
         assert!((r.response - Complex::ONE).abs() < 1e-12, "H(0) = {}", r.response);
     }
 
+    /// A cross-coupled transconductor pair: node `x` and node `y` each
+    /// drive the other through `gm`. At the anchor scale the
+    /// transconductances dominate and the root order pivots on them; where
+    /// the capacitors dominate instead (conductance scale down, or
+    /// frequency scale up), that order's replay grows past the gate.
+    fn cross_coupled(c1: f64, gm: f64) -> Circuit {
+        let mut c = Circuit::new();
+        c.add_vsource("VIN", "in", "0", 1.0).unwrap();
+        c.add_resistor("R0", "in", "x", 1e3).unwrap();
+        c.add_capacitor("C1", "x", "0", c1).unwrap();
+        c.add_resistor("R1", "x", "0", 1e6).unwrap();
+        c.add_vccs("G1", "x", "0", "y", "0", gm).unwrap();
+        c.add_vccs("G2", "y", "0", "x", "0", gm).unwrap();
+        c.add_resistor("R2", "y", "0", 1e6).unwrap();
+        c.add_capacitor("C2", "y", "0", 1e-9).unwrap();
+        c
+    }
+
+    /// Scales of `anchor`'s cells: one decade apart, centred on it.
+    fn cell_scale(anchor: Scale, df: i32, dg: i32) -> Scale {
+        Scale::new(anchor.f * 10f64.powi(df), anchor.g * 10f64.powi(dg))
+    }
+
+    /// Within a cell every plan shares one selection, by reference; a
+    /// cell whose gate passes shares the root's, counted as a hit; a cell
+    /// whose gate fails probes the anchor at its centre and records an
+    /// order of its own.
     #[test]
-    fn plan_cache_shares_orders_across_nearby_scales_only() {
+    fn gate_failing_cell_probes_its_own_order() {
+        let sys = MnaSystem::new(&cross_coupled(1e-9, 1e-2)).unwrap();
+        let anchor = Scale::new(1e9, 1e3);
         let cache = PlanCache::new();
+        cache.register_anchor(&sys, anchor);
         let mode = OrderingMode::default();
-        let sys = MnaSystem::new(&ua741()).unwrap();
-        let spec = spec();
-        let scale = Scale::new(1e9, 1e3);
-        let p1 = SweepPlan::new_cached_with_ordering(&sys, scale, &spec, &cache, mode).unwrap();
-        assert_eq!(cache.pivot_searches(), 1);
-        assert_eq!(cache.shared_hits(), 0);
+        let plan =
+            |scale| SweepPlan::for_determinant_cached_with_ordering(&sys, scale, &cache, mode);
+        let root = plan(anchor);
+        assert_eq!((cache.pivot_searches(), cache.shared_hits()), (1, 0));
 
-        // A verify-style nearby scale (±0.2 decades) reuses the order —
-        // and the same compiled program, by reference…
-        let nearby = Scale::new(1e9 * 10f64.powf(0.2), 1e3 / 10f64.powf(0.2));
-        let p2 = SweepPlan::new_cached_with_ordering(&sys, nearby, &spec, &cache, mode).unwrap();
-        assert_eq!(cache.pivot_searches(), 1, "nearby scale must not re-probe");
-        assert_eq!(cache.shared_hits(), 1);
-        assert_eq!(p2.order(), p1.order());
-        assert_eq!(cache.programs_compiled(), 1, "symbolic analysis runs once per entry");
-        assert!(
-            std::ptr::eq(p1.program().unwrap(), p2.program().unwrap()),
-            "cache hit hands out the same compiled program"
-        );
+        // A verify-style scale (±0.2 decades) is in the root cell.
+        let nearby = plan(Scale::new(anchor.f * 10f64.powf(0.2), anchor.g / 10f64.powf(0.2)));
+        assert!(std::ptr::eq(nearby.program().unwrap(), root.program().unwrap()));
+        // Ten decades up in conductance, the root order certifies.
+        let certified = plan(cell_scale(anchor, 0, 10));
+        assert!(std::ptr::eq(certified.program().unwrap(), root.program().unwrap()));
+        assert_eq!((cache.pivot_searches(), cache.shared_hits()), (1, 2));
 
-        // …while a re-tilted window scale records its own.
-        let far = Scale::new(1e13, 1e2);
-        let _p3 = SweepPlan::for_determinant_cached_with_ordering(&sys, far, &cache, mode);
+        // Ten decades down in conductance, it does not.
+        let failing = cell_scale(anchor, 0, -10);
+        let probed = plan(failing);
+        assert_eq!((cache.pivot_searches(), cache.programs_compiled()), (2, 2));
+        assert_ne!(probed.order(), root.order(), "the cell records its own order");
+        let centre = sys.affine_pattern(failing);
+        assert!(!certifies(root.program().unwrap(), &centre), "the root order fails there");
+        assert!(certifies(probed.program().unwrap(), &centre), "its own order passes");
+        // The cell's other plans reuse its order, without another probe.
+        let again = plan(Scale::new(failing.f * 10f64.powf(0.3), failing.g * 10f64.powf(-0.4)));
+        assert!(std::ptr::eq(again.program().unwrap(), probed.program().unwrap()));
         assert_eq!(cache.pivot_searches(), 2);
-        assert_eq!(cache.programs_compiled(), 2);
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.len(), 3);
+    }
+
+    /// A plan's order is a function of `(anchor, cell)`: two caches with
+    /// one anchor that plan different-valued variants over the same cells
+    /// in opposite orders hold identical selections, plan for plan, with
+    /// identical counters.
+    #[test]
+    fn opposite_visit_orders_give_identical_selections() {
+        let nominal = MnaSystem::new(&cross_coupled(1e-9, 1e-2)).unwrap();
+        let anchor = Scale::new(1e9, 1e3);
+        let cells = [(0, 0), (0, -10), (10, 0), (-3, -6), (0, -10), (5, 5), (0, 0)];
+        let visits: Vec<(MnaSystem, Scale)> = cells
+            .iter()
+            .enumerate()
+            .map(|(k, &(df, dg))| {
+                let variant = cross_coupled(1e-9 * (1.0 + 0.3 * k as f64), 1e-2 / (1.0 + k as f64));
+                let shift = 10f64.powf(0.1 * k as f64 - 0.3);
+                let scale = cell_scale(anchor, df, dg);
+                (MnaSystem::new(&variant).unwrap(), Scale::new(scale.f * shift, scale.g / shift))
+            })
+            .collect();
+        let run = |order: &mut dyn Iterator<Item = usize>| {
+            let cache = PlanCache::new();
+            cache.register_anchor(&nominal, anchor);
+            let mut orders = vec![None; visits.len()];
+            for k in order {
+                let (sys, scale) = &visits[k];
+                let plan = SweepPlan::for_determinant_cached_with_ordering(
+                    sys,
+                    *scale,
+                    &cache,
+                    OrderingMode::default(),
+                );
+                orders[k] = plan.order().cloned();
+            }
+            let counters = (cache.pivot_searches(), cache.shared_hits(), cache.len());
+            (orders, counters)
+        };
+        let forward = run(&mut (0..visits.len()));
+        let backward = run(&mut (0..visits.len()).rev());
+        assert_eq!(forward, backward);
+        assert!(forward.1 .0 >= 2, "test premise: a cell fails its gate");
+    }
+
+    /// The gate rejects an order whose replay meets an exact-zero pivot,
+    /// and one whose replay grows past [`PlanCache::GROWTH_BOUND`].
+    #[test]
+    fn zero_pivot_fails_the_gate() {
+        let entry = |r, c, v: f64| (r, c, Complex::real(v), Complex::ZERO);
+        let pattern =
+            |a00: f64| vec![entry(0, 0, a00), entry(0, 1, 1.0), entry(1, 0, 1.0), entry(1, 1, 2.0)];
+        let program = compile_program(2, &pattern(1.0), &PivotOrder::diagonal(vec![0, 1])).unwrap();
+        assert!(certifies(&program, &pattern(1.0)));
+        assert!(!certifies(&program, &pattern(0.0)), "zero pivot");
+        assert!(!certifies(&program, &pattern(1e-3)), "growth ≈ 1000");
     }
 
     /// The fleet shape the batch-session layer is built on: 64
@@ -1661,10 +1891,10 @@ mod tests {
         let sys = MnaSystem::new(&ua741()).unwrap();
         let scale = Scale::new(1e9, 1e3);
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            cache.selection_for(scale, 42, OrderingMode::Markowitz, || panic!("probe panicked"))
+            cache.selection_with(&sys, scale, mode, |_, _, _| panic!("probe panicked"))
         }));
         assert!(panicked.is_err());
-        assert!(cache.entries.is_poisoned(), "test premise: the build panicked under the lock");
+        assert!(cache.state.is_poisoned(), "test premise: the build panicked under the lock");
         assert!(cache.is_empty(), "the half-built entry is dropped");
 
         let p1 = SweepPlan::new_cached_with_ordering(&sys, scale, &spec(), &cache, mode).unwrap();

@@ -5,6 +5,7 @@ use refgen_circuit::{Circuit, Element, ElementKind, NodeId};
 use refgen_numeric::{Complex, ExtComplex};
 use refgen_sparse::{SparseLu, Triplets};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Frequency and conductance scale factors applied during stamping.
 ///
@@ -60,7 +61,9 @@ pub struct MnaSystem {
     branch_rows: HashMap<String, usize>,
     node_count: usize,
     dim: usize,
-    stamps: StampTable,
+    /// Shared by reference: a [`PlanCache`](crate::PlanCache) anchor
+    /// holds it to stamp the nominal system at any scale.
+    stamps: Arc<StampTable>,
 }
 
 /// How a stamp's value depends on the scale factors and on `s` — the
@@ -125,7 +128,7 @@ impl Stamp {
 /// Every raw stamp of a circuit, compiled once per [`MnaSystem`], plus the
 /// merge of duplicate positions into the affine pattern `A(s) = K₀ + s·K₁`.
 #[derive(Clone, Debug)]
-struct StampTable {
+pub(crate) struct StampTable {
     /// Raw stamps in element order, then stamp order within an element:
     /// the entry order of [`MnaSystem::assemble`].
     raw: Vec<Stamp>,
@@ -178,7 +181,7 @@ impl StampTable {
     }
 
     /// The deduplicated affine pattern at `scale`, sorted by position.
-    fn affine(&self, scale: Scale) -> Vec<(usize, usize, Complex, Complex)> {
+    pub(crate) fn affine(&self, scale: Scale) -> Vec<(usize, usize, Complex, Complex)> {
         let mut pattern = Vec::with_capacity(self.positions.len());
         let mut start = 0;
         for (&(r, c), &end) in self.positions.iter().zip(&self.group_ends) {
@@ -227,7 +230,7 @@ impl MnaSystem {
         for el in circuit.elements() {
             stamp(&mut raw, el, &node_row, &branch_rows);
         }
-        let stamps = StampTable::new(dim, raw);
+        let stamps = Arc::new(StampTable::new(dim, raw));
         Ok(MnaSystem { circuit: circuit.clone(), node_rows, branch_rows, node_count, dim, stamps })
     }
 
@@ -328,6 +331,11 @@ impl MnaSystem {
     /// [`MnaSystem::assemble`] at `s = 0` and `s = 1`.
     pub(crate) fn affine_pattern(&self, scale: Scale) -> Vec<(usize, usize, Complex, Complex)> {
         self.stamps.affine(scale)
+    }
+
+    /// The stamp table behind [`MnaSystem::affine_pattern`], by reference.
+    pub(crate) fn stamp_table(&self) -> &Arc<StampTable> {
+        &self.stamps
     }
 
     /// The stamped positions of [`MnaSystem::affine_pattern`], in order.

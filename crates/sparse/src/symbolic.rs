@@ -256,6 +256,51 @@ impl FactorProgram {
     where
         I: IntoIterator<Item = Complex>,
     {
+        self.scatter_values(values, scratch);
+        self.replay(scratch)
+    }
+
+    /// As [`FactorProgram::refactor_values`], returning the replay's
+    /// **element growth**: the largest magnitude among U's entries, pivots
+    /// included, over the largest magnitude among A's. Wilkinson's
+    /// backward-error bound for LU is proportional to this factor, so it
+    /// certifies whether an order recorded on one matrix stays stable on
+    /// another of the same pattern. One extra pass over the slots before
+    /// and after the replay; the factorization left in `scratch` is the
+    /// one [`FactorProgram::refactor_values`] leaves.
+    ///
+    /// # Errors
+    ///
+    /// See [`FactorProgram::refactor`].
+    ///
+    /// # Panics
+    ///
+    /// See [`FactorProgram::refactor_values`].
+    pub fn refactor_growth<I>(
+        &self,
+        values: I,
+        scratch: &mut ProgramScratch,
+    ) -> Result<f64, FactorError>
+    where
+        I: IntoIterator<Item = Complex>,
+    {
+        self.scatter_values(values, scratch);
+        // A NaN magnitude propagates (`f64::max` would drop it), so a
+        // non-finite factorization never reads as a small growth.
+        let max = |m: f64, v: Complex| if v.abs() > m || v.abs().is_nan() { v.abs() } else { m };
+        let max_a = scratch.vals.iter().fold(0.0, |m, &v| max(m, v));
+        self.replay(scratch)?;
+        let u_slots = self.pivot_slots.iter().chain(self.uents.iter().map(|(_, slot)| slot));
+        let max_u = u_slots.fold(0.0, |m, &slot| max(m, scratch.vals[slot as usize]));
+        Ok(max_u / max_a)
+    }
+
+    /// Clears `scratch` and scatters one value per raw entry through the
+    /// stamp map.
+    fn scatter_values<I>(&self, values: I, scratch: &mut ProgramScratch)
+    where
+        I: IntoIterator<Item = Complex>,
+    {
         scratch.begin(self);
         let mut count = 0usize;
         for v in values {
@@ -266,7 +311,6 @@ impl FactorProgram {
             count += 1;
         }
         assert_eq!(count, self.scatter.len(), "value count differs from compiled pattern");
-        self.replay(scratch)
     }
 
     /// The branch-free elimination replay.
@@ -1569,6 +1613,37 @@ mod tests {
             let t = build(0.1 + 0.3 * k as f64);
             assert_program_matches_refactor(&program, &t, &order, &b, &mut scratch);
         }
+    }
+
+    /// Element growth of a replay: `[[ε, 1], [1, 1]]` pivoted on `ε` first
+    /// grows U to `|1 − 1/ε|`; the swapped order keeps every U entry at
+    /// most 1. The factorization left behind is `refactor`'s, bit for bit,
+    /// and a zero prescribed pivot is the same typed error.
+    #[test]
+    fn refactor_growth_measures_u_over_a() {
+        let eps = 1e-6;
+        let t = tri(2, &[(0, 0, eps), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 1.0)]);
+        let growth = |order: PivotOrder, t: &Triplets| {
+            let program = FactorProgram::for_triplets(t, &order).unwrap();
+            let mut scratch = ProgramScratch::new();
+            let values = t.entries().iter().map(|&(_, _, v)| v);
+            let g = program.refactor_growth(values, &mut scratch);
+            if g.is_ok() {
+                let mut plain = ProgramScratch::new();
+                program.refactor(t, &mut plain).unwrap();
+                assert_eq!(det_bits(scratch.det()), det_bits(plain.det()));
+            }
+            g
+        };
+        let small_first = growth(PivotOrder::diagonal(vec![0, 1]), &t).unwrap();
+        assert!((small_first - (1.0 / eps - 1.0)).abs() <= 1e-6 / eps, "growth {small_first}");
+        let swapped = PivotOrder::diagonal(vec![1, 0]);
+        assert!(growth(swapped, &t).unwrap() <= 1.0);
+        let singular = tri(2, &[(0, 0, 0.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 1.0)]);
+        assert!(matches!(
+            growth(PivotOrder::diagonal(vec![0, 1]), &singular),
+            Err(FactorError::Singular { step: 0 })
+        ));
     }
 
     /// A cyclic bidiagonal pattern fills in a cascade under diagonal

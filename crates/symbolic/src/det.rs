@@ -16,11 +16,21 @@
 use refgen_circuit::{Circuit, Element, ElementKind, NodeId};
 use refgen_core::PolyKind;
 use refgen_mna::MnaSystem;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 
 /// Hard cap on the matrix dimension accepted by the expansion.
 pub const MAX_DIM: usize = 14;
+
+/// Hard cap on the distinct `(symbols, power)` keys the expansion's term
+/// table may hold, cancelled terms included. The table grows with the
+/// element count, not the dimension: the 14-unknown `rc_ladder(12)` fits
+/// (75 025 nonzero terms), while the Table 1 OTA (dimension 11, 37
+/// capacitors) would grow it until memory runs out and now stops here,
+/// in well under a second optimized. At about 100 bytes a key the cap
+/// bounds the table near 50 MB.
+pub const MAX_TERMS: usize = 1 << 19;
 
 /// Errors from symbolic expansion.
 #[derive(Clone, Debug, PartialEq)]
@@ -29,6 +39,11 @@ pub enum SymbolicError {
     TooLarge {
         /// The offending dimension.
         dim: usize,
+    },
+    /// The expansion's term table passed [`MAX_TERMS`] distinct terms.
+    TooManyTerms {
+        /// The cap that was passed.
+        cap: usize,
     },
     /// The circuit contains an element kind the symbolic stamps do not
     /// support (only R, G, C, VCCS and independent sources are).
@@ -45,6 +60,9 @@ impl fmt::Display for SymbolicError {
         match self {
             SymbolicError::TooLarge { dim } => {
                 write!(f, "matrix dimension {dim} exceeds symbolic expansion cap {MAX_DIM}")
+            }
+            SymbolicError::TooManyTerms { cap } => {
+                write!(f, "symbolic expansion passed its cap of {cap} distinct terms")
             }
             SymbolicError::Unsupported { element } => {
                 write!(f, "element {element} is not supported by symbolic expansion")
@@ -143,8 +161,9 @@ impl SymbolicMatrix {
 /// # Errors
 ///
 /// [`SymbolicError::TooLarge`] beyond [`MAX_DIM`],
-/// [`SymbolicError::Unsupported`] for element kinds without symbolic
-/// stamps, [`SymbolicError::Mna`] for invalid circuits.
+/// [`SymbolicError::TooManyTerms`] once the term table passes
+/// [`MAX_TERMS`], [`SymbolicError::Unsupported`] for element kinds
+/// without symbolic stamps, [`SymbolicError::Mna`] for invalid circuits.
 pub fn symbolic_polynomial(
     circuit: &Circuit,
     kind: PolyKind,
@@ -218,9 +237,10 @@ fn expand_determinant(
     }
 
     // Laplace expansion, accumulating terms keyed by (sorted symbols, power).
-    let mut acc: HashMap<(Vec<u16>, usize), f64> = HashMap::new();
-    let mut col_used = vec![false; dim];
-    expand(&m, 0, &mut col_used, 1.0, 1.0, 0, &mut Vec::new(), &mut acc);
+    let mut expansion =
+        Expansion { m: &m, viable: vec![None; 1 << dim], symbols: Vec::new(), acc: HashMap::new() };
+    expansion.expand(0, 1.0, 1.0, 0)?;
+    let acc = expansion.acc;
 
     // Group by power.
     let mut by_power: HashMap<usize, Vec<SymbolicTerm>> = HashMap::new();
@@ -244,55 +264,93 @@ fn expand_determinant(
     Ok(out)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn expand(
-    m: &SymbolicMatrix,
-    row: usize,
-    col_used: &mut [bool],
-    sign: f64,
-    value: f64,
-    s_power: usize,
-    symbols: &mut Vec<u16>,
-    acc: &mut HashMap<(Vec<u16>, usize), f64>,
-) {
-    if row == m.dim {
-        let mut key = symbols.clone();
-        key.sort_unstable();
-        *acc.entry((key, s_power)).or_insert(0.0) += sign * value;
-        return;
+/// The state of one Laplace expansion along the rows in order.
+struct Expansion<'a> {
+    m: &'a SymbolicMatrix,
+    /// Whether the rows from `popcount(mask)` on can still be matched to
+    /// the columns outside `mask`, indexed by `mask`; filled on demand.
+    viable: Vec<Option<bool>>,
+    /// Symbols of the partial product being expanded.
+    symbols: Vec<u16>,
+    /// The term table: product value summed by `(sorted symbols, power)`.
+    acc: HashMap<(Vec<u16>, usize), f64>,
+}
+
+impl Expansion<'_> {
+    /// `true` when the rows below `used`'s column count have a structural
+    /// perfect matching into the columns outside `used`. Skipping the
+    /// columns that leave none prunes every partial product that could
+    /// never complete: without it, each atom of an entry re-explores the
+    /// same dead subtree, which is what made the Table 1 OTA's expansion
+    /// crawl.
+    fn viable(&mut self, used: u32) -> bool {
+        let row = used.count_ones() as usize;
+        if row == self.m.dim {
+            return true;
+        }
+        if let Some(known) = self.viable[used as usize] {
+            return known;
+        }
+        let known = (0..self.m.dim).any(|c| {
+            used & (1 << c) == 0
+                && !self.m.at(row, c).atoms.is_empty()
+                && self.viable(used | (1 << c))
+        });
+        self.viable[used as usize] = Some(known);
+        known
     }
-    for c in 0..m.dim {
-        if col_used[c] {
-            continue;
-        }
-        let entry = m.at(row, c);
-        if entry.atoms.is_empty() {
-            continue;
-        }
-        // Parity: number of used columns below c determines the cofactor
-        // sign contribution for expanding along rows in order.
-        let skipped = col_used[..c].iter().filter(|&&u| u).count();
-        let local_sign = if (c - skipped) % 2 == 0 { 1.0 } else { -1.0 };
-        col_used[c] = true;
-        for atom in &entry.atoms {
-            if let Some(sym) = atom.symbol {
-                symbols.push(sym);
+
+    /// Expands every completion of the partial product `sign · value ·
+    /// s^s_power` over the columns outside `used` into the term table.
+    fn expand(
+        &mut self,
+        used: u32,
+        sign: f64,
+        value: f64,
+        s_power: usize,
+    ) -> Result<(), SymbolicError> {
+        let m = self.m;
+        let row = used.count_ones() as usize;
+        if row == m.dim {
+            let mut key = self.symbols.clone();
+            key.sort_unstable();
+            let full = self.acc.len() >= MAX_TERMS;
+            match self.acc.entry((key, s_power)) {
+                Entry::Occupied(term) => *term.into_mut() += sign * value,
+                Entry::Vacant(_) if full => {
+                    return Err(SymbolicError::TooManyTerms { cap: MAX_TERMS })
+                }
+                Entry::Vacant(term) => {
+                    term.insert(sign * value);
+                }
             }
-            expand(
-                m,
-                row + 1,
-                col_used,
-                sign * local_sign,
-                value * atom.value,
-                s_power + atom.s_power as usize,
-                symbols,
-                acc,
-            );
-            if atom.symbol.is_some() {
-                symbols.pop();
+            return Ok(());
+        }
+        for c in 0..m.dim {
+            let entry = m.at(row, c);
+            if used & (1 << c) != 0 || entry.atoms.is_empty() || !self.viable(used | (1 << c)) {
+                continue;
+            }
+            // Parity: number of used columns below c determines the
+            // cofactor sign contribution for expanding along rows in order.
+            let skipped = (used & ((1 << c) - 1)).count_ones() as usize;
+            let local_sign = if (c - skipped).is_multiple_of(2) { 1.0 } else { -1.0 };
+            for atom in &entry.atoms {
+                if let Some(sym) = atom.symbol {
+                    self.symbols.push(sym);
+                }
+                self.expand(
+                    used | (1 << c),
+                    sign * local_sign,
+                    value * atom.value,
+                    s_power + atom.s_power as usize,
+                )?;
+                if atom.symbol.is_some() {
+                    self.symbols.pop();
+                }
             }
         }
-        col_used[c] = false;
+        Ok(())
     }
 }
 
@@ -484,6 +542,22 @@ mod tests {
             .map(|c| c.terms.len())
             .sum();
         assert!(t5 > 2 * t3, "t3={t3}, t5={t5}");
+    }
+
+    /// The term cap stops the Table 1 OTA's denominator with a typed
+    /// error instead of exhausting memory, while its numerator and the
+    /// 14-unknown `rc_ladder(12)` still expand in full.
+    #[test]
+    fn term_cap_stops_the_ota_and_spares_the_ladder() {
+        let ota = refgen_circuit::library::positive_feedback_ota();
+        assert_eq!(
+            symbolic_polynomial(&ota, PolyKind::Denominator).unwrap_err(),
+            SymbolicError::TooManyTerms { cap: MAX_TERMS }
+        );
+        assert!(symbolic_numerator(&ota, "VIN", "out").is_ok());
+        let ladder = symbolic_polynomial(&rc_ladder(12, 1e3, 1e-9), PolyKind::Denominator).unwrap();
+        assert_eq!(ladder.iter().map(|c| c.terms.len()).sum::<usize>(), 75_025);
+        assert_eq!(ladder.last().map(|c| c.power), Some(12));
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! opamp — every R/G/C/gm value under a uniform relative tolerance — on a
 //! persistent worker pool with one compiled plan cache: threads spawn
 //! once for the whole fleet and the pivot search that normally starts
-//! every window plan happens once per window-scale region per *topology*,
-//! not per corner. The aggregate `BatchReport` delivers per-coefficient
+//! every window plan happens once per *topology*, on the base circuit,
+//! and every window whose plan cell passes the growth gate replays that
+//! order, in every corner. The aggregate `BatchReport` delivers per-coefficient
 //! mean/σ directly; the per-corner `Solution`s still carry full network
 //! functions, so derived metrics (DC gain, GBW, phase margin) come from
 //! the same run.

@@ -2,8 +2,8 @@
 //! wall-clock time, never a bit of the answer.
 //!
 //! A corpus — the five `tests/golden/*.sp` netlists, the µA741, the
-//! Table 1 OTA, an RC ladder, three ±5 % µA741 variants and a 64-variant
-//! ±5 % µA741 fleet — is solved under the default configuration and
+//! Table 1 OTA, an RC ladder, three ±5 % µA741 variants, a 64-variant
+//! ±5 % µA741 fleet and a 32-variant ±60 % µA741 fleet — is solved under the default configuration and
 //! under [`CONFIGS`], which cover `threads ∈ {1, 4}` × scoped/pool
 //! executors × conjugate mirroring on/off × lane widths `∈ {1, 3, 32}`.
 //! Every non-default value appears alone and in at least one combined
@@ -173,6 +173,29 @@ fn ua741_fleet_matches_the_default_config_bitwise() {
     };
     let reference = fleet(RefgenConfig::default());
     assert_eq!(reference.solutions().len(), 64);
+    for (label, cfg) in configs() {
+        let run = fleet(cfg);
+        support::assert_same_fleet(&label, &reference, &run, !cfg.conjugate_mirror, true);
+    }
+}
+
+/// A 32-variant ±60 % fleet under fault containment: its variants' scale
+/// walks spread over many plan cells, each of whose pivot orders must not
+/// depend on which variant, on which worker, planned the cell first.
+#[test]
+fn ua741_wide_fleet_matches_the_default_config_bitwise() {
+    let base = library::ua741();
+    let fleet = |mut cfg: RefgenConfig| {
+        cfg.fault_policy = FaultPolicy::Contain;
+        Session::for_circuit(&base)
+            .spec(gain())
+            .config(cfg)
+            .variants(VariantSet::new(Perturbation::all_relative(0.6), 32).seed(26))
+            .solve_all()
+            .expect("contained fleet runs")
+    };
+    let reference = fleet(RefgenConfig::default());
+    assert_eq!(reference.solutions().len(), 32);
     for (label, cfg) in configs() {
         let run = fleet(cfg);
         support::assert_same_fleet(&label, &reference, &run, !cfg.conjugate_mirror, true);

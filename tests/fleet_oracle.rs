@@ -120,8 +120,8 @@ fn monte_carlo_statistics_match_closed_form() {
         );
     }
 
-    // Fleet cost accounting: one pivot search per distinct window-scale
-    // region of one solve, regardless of the 256 variants.
+    // Fleet cost accounting: the pivot searches of one solve's plan
+    // cells, regardless of the 256 variants.
     let single = Session::for_circuit(&base_circuit())
         .spec(TransferSpec::voltage_gain("VIN", "out"))
         .variants(VariantSet::new(tolerances(), 1).seed(SEED))

@@ -19,10 +19,6 @@ use refgen::symbolic::{symbolic_numerator, symbolic_polynomial, SymbolicError};
 
 mod support;
 
-/// The most reactive elements a circuit of the symbolic corner may have
-/// (the Miller opamp's 21 expand in milliseconds).
-const SYMBOLIC_MAX_REACTIVE: usize = 24;
-
 fn out() -> TransferSpec {
     TransferSpec::voltage_gain("VIN", "out")
 }
@@ -100,9 +96,9 @@ fn bound_is_the_recovered_degree() {
 /// At dimension ≤ [`MAX_DIM`] the exact symbolic expansion gives each
 /// polynomial's degree independently of the matching; the bound is never
 /// below it. The expansion's term table grows with the element count, not
-/// the dimension: the OTA (dimension 11, 37 capacitors) exhausts memory,
-/// so circuits with more than [`SYMBOLIC_MAX_REACTIVE`] reactive elements
-/// are left to the tightness test.
+/// the dimension: a polynomial whose table passes its cap (the OTA's
+/// denominator: dimension 11, 37 capacitors) returns
+/// [`SymbolicError::TooManyTerms`] and is left to the tightness test.
 #[test]
 fn bound_holds_the_symbolic_degree() {
     let degree = |terms: Vec<refgen::symbolic::CoefficientTerms>| {
@@ -111,21 +107,33 @@ fn bound_holds_the_symbolic_degree() {
     let mut checked = 0;
     for Case { name, circuit, spec, .. } in corpus() {
         let sys = MnaSystem::new(&circuit).unwrap();
-        if sys.dim() > MAX_DIM || circuit.reactive_count() > SYMBOLIC_MAX_REACTIVE {
+        if sys.dim() > MAX_DIM {
             continue;
         }
         let bounds = sys.degree_bounds(&spec.output);
-        let den = match symbolic_polynomial(&circuit, PolyKind::Denominator) {
+        match symbolic_polynomial(&circuit, PolyKind::Denominator) {
             Err(SymbolicError::Unsupported { .. }) => continue,
-            other => degree(other.unwrap()),
-        };
-        assert!(bounds.denominator >= den, "{name}: D bound {bounds:?} vs symbolic {den:?}");
+            Err(SymbolicError::TooManyTerms { .. }) => {}
+            other => {
+                let den = degree(other.unwrap());
+                assert!(
+                    bounds.denominator >= den,
+                    "{name}: D bound {bounds:?} vs symbolic {den:?}"
+                );
+                checked += 1;
+            }
+        }
         let OutputSpec::Node(node) = &spec.output else { continue };
-        let num = degree(symbolic_numerator(&circuit, &spec.input, node).unwrap());
-        assert!(bounds.numerator >= num, "{name}: N bound {bounds:?} vs symbolic {num:?}");
-        checked += 1;
+        match symbolic_numerator(&circuit, &spec.input, node) {
+            Err(SymbolicError::TooManyTerms { .. }) => {}
+            other => {
+                let num = degree(other.unwrap());
+                assert!(bounds.numerator >= num, "{name}: N bound {bounds:?} vs symbolic {num:?}");
+                checked += 1;
+            }
+        }
     }
-    assert!(checked >= 5, "only {checked} circuits are small enough");
+    assert!(checked >= 10, "only {checked} polynomials are small enough");
 }
 
 /// Value cancellation below the bound: the numerator's `s²` terms cancel,
