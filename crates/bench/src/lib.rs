@@ -711,6 +711,9 @@ fn bench_affine_pattern(
 ///   solves of the Table 1 OTA and the Miller opamp, ns per solve;
 /// * `order_bound_ua741` — both structural degree bounds of the µA741's
 ///   voltage gain ([`refgen_mna::MnaSystem::degree_bounds`]), ns per pair;
+/// * `parse_ua741`, `variants_ua741x64`, `mna_ua741` — the circuit layer
+///   in front of the engine: ns per parse of the µA741 `.TF` netlist, per
+///   64-variant `VariantSet::generate`, and per `MnaSystem::new`;
 /// * `plan_ua741_miss` — ns per plan built through a fresh `PlanCache` at
 ///   the scales where the default µA741 session's plans miss its cache
 ///   (probe factorization, ordering selection and program compile);
@@ -1002,6 +1005,55 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
             name: "order_bound_ua741".to_string(),
             median_ns_per_point: ns,
             points: pairs,
+            reps,
+        });
+    }
+
+    // The circuit layer in front of the engine: a parse of the µA741 `.TF`
+    // netlist a session reads (ns per parse), a 64-variant ±5 % fleet of
+    // it (ns per `VariantSet::generate`), and its MNA system (ns per
+    // `MnaSystem::new`). Each result is dropped inside the timed loop.
+    {
+        use refgen_circuit::{parse_netlist, to_spice, Perturbation, VariantSet};
+        let spice = to_spice(&ua741_circuit);
+        let body = spice.strip_suffix(".end\n").expect("the writer ends with .end");
+        let text = format!("{body}.tf V(out) VIN\n.end\n");
+        let parses = 20;
+        let (ns, _) = median_ns_per_point(reps, parses, || {
+            (0..parses)
+                .map(|_| {
+                    parse_netlist(&text).expect("µA741 parses").circuit.elements().len() as f64
+                })
+                .sum()
+        });
+        rows.push(PerfRow {
+            name: "parse_ua741".to_string(),
+            median_ns_per_point: ns,
+            points: parses,
+            reps,
+        });
+        let fleet = VariantSet::new(Perturbation::all_relative(0.05), 64).seed(0xf1ee7);
+        let (ns, _) = median_ns_per_point(reps, 1, || {
+            fleet.generate(&ua741_circuit).expect("µA741 variants").len() as f64
+        });
+        rows.push(PerfRow {
+            name: "variants_ua741x64".to_string(),
+            median_ns_per_point: ns,
+            points: 1,
+            reps,
+        });
+        let systems = 20;
+        let (ns, _) = median_ns_per_point(reps, systems, || {
+            (0..systems)
+                .map(|_| {
+                    refgen_mna::MnaSystem::new(&ua741_circuit).expect("µA741 compiles").dim() as f64
+                })
+                .sum()
+        });
+        rows.push(PerfRow {
+            name: "mna_ua741".to_string(),
+            median_ns_per_point: ns,
+            points: systems,
             reps,
         });
     }

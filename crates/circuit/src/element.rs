@@ -111,7 +111,7 @@ impl ElementKind {
 /// One instance of an element in a circuit.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Element {
-    /// Unique instance name (e.g. `"R1"`, `"gm_M3"`).
+    /// Instance name, unique up to ASCII case (e.g. `"R1"`, `"gm_M3"`).
     pub name: String,
     /// Terminal node pair `(+, −)`.
     pub nodes: (NodeId, NodeId),

@@ -2,7 +2,12 @@
 //!
 //! Statements are case-insensitive; `*` starts a comment line, `;` an
 //! inline comment, `+` a continuation of the previous logical line, and
-//! `.end` (optionally) terminates the file:
+//! `.end` (optionally) terminates the file. Names are case-insensitive
+//! too: nodes, elements (and so the sources a `F`/`H` line or a `.TF`
+//! card names), `.SUBCKT` blocks, their ports and parameters, and
+//! `.MODEL` cards. `R1` and `r1` on two lines are a
+//! [`CircuitError::DuplicateName`]; every name keeps the case of its
+//! first occurrence ([`Circuit`] holds the rule).
 //!
 //! ```text
 //! R<name> n+ n- value               resistor
@@ -73,6 +78,16 @@
 //! (`30p`, `2.5MEG`, `30pF`, `1kOhm`). At most one scale factor is
 //! consumed: `3.3kk` is an error, not 3300.
 //!
+//! # Cost
+//!
+//! The reader borrows: a logical line stays a slice of the input unless a
+//! continuation joins it, tokens go into one reused buffer per block, and
+//! top-level node and element names reach the [`Circuit`] as slices, so a
+//! flat netlist allocates little beyond the circuit itself (one string per
+//! element and node name). Value parsing is linear
+//! in the token: a plain float goes straight to [`str::parse`], and a
+//! suffixed one takes one scan of the float grammar.
+//!
 //! # Writing
 //!
 //! [`to_spice`] is an inverse of [`parse_spice`] over the supported
@@ -86,6 +101,7 @@ use crate::element::ElementKind;
 use crate::models::{BjtSmallSignal, MosSmallSignal};
 use crate::netlist::{Circuit, CircuitError};
 use crate::waveform::Waveform;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
@@ -223,46 +239,74 @@ const UNIT_WORDS: &[&str] = &[
 ///
 /// Returns `None` if the token is not a valid value.
 pub fn parse_value(token: &str) -> Option<f64> {
-    let t = token.trim().to_ascii_lowercase();
-    if t.is_empty() {
-        return None;
-    }
-    // Plain float first (covers 1e-9, 3.5; rejects inf/nan below).
+    let t = token.trim();
+    // Plain float first (covers 1e-9, 3.5; rejects inf/nan below). Rust's
+    // float grammar ignores ASCII case, so the token is not lowercased.
     if let Ok(v) = t.parse::<f64>() {
         return v.is_finite().then_some(v);
     }
-    let (num, rest) = split_numeric_prefix(&t)?;
+    let (num, rest) = split_numeric_prefix(t)?;
     // `rest` is nonempty (the full-string parse failed): consume at most
-    // one scale factor, `meg` before `m`.
-    let (mult, unit) = if let Some(unit) = rest.strip_prefix("meg") {
-        (1e6, unit)
+    // one scale factor, `meg` before `m`, in any case.
+    let (mult, unit) = if starts_with_ignore_case(rest, "meg") {
+        (1e6, &rest[3..])
     } else {
-        let first = rest.chars().next().expect("nonempty suffix");
-        match SCALE_FACTORS.iter().find(|(c, _)| *c == first) {
+        let first = rest.as_bytes()[0].to_ascii_lowercase();
+        match SCALE_FACTORS.iter().find(|&&(c, _)| c as u8 == first) {
             Some((_, mult)) => (*mult, &rest[1..]),
             None => (1.0, rest),
         }
     };
-    if !unit.is_empty() && !UNIT_WORDS.contains(&unit) {
+    if !unit.is_empty() && !UNIT_WORDS.iter().any(|w| w.eq_ignore_ascii_case(unit)) {
         return None;
     }
     let v = num * mult;
     v.is_finite().then_some(v)
 }
 
-/// Splits the longest prefix of `t` that parses as a finite float.
+/// `true` if `s` begins with the ASCII `prefix`, in any case.
+fn starts_with_ignore_case(s: &str, prefix: &str) -> bool {
+    s.as_bytes()
+        .get(..prefix.len())
+        .is_some_and(|head| head.eq_ignore_ascii_case(prefix.as_bytes()))
+}
+
+/// Splits the longest prefix of `t` that parses as a finite float, in one
+/// scan of the float grammar (`[sign] digits [. digits] [e [sign]
+/// digits]`, at least one mantissa digit): linear in the token.
+///
+/// When that longest literal is not finite (`1e999k`), no split exists:
+/// every shorter prefix that parses leaves a digit, `.` or `e` behind,
+/// which neither a scale factor nor a unit word accepts, so the token is
+/// not a value either way.
 fn split_numeric_prefix(t: &str) -> Option<(f64, &str)> {
-    for end in (1..=t.len()).rev() {
-        if !t.is_char_boundary(end) {
-            continue;
+    let b = t.as_bytes();
+    let digits_from = |mut i: usize| {
+        while b.get(i).is_some_and(u8::is_ascii_digit) {
+            i += 1;
         }
-        if let Ok(v) = t[..end].parse::<f64>() {
-            if v.is_finite() {
-                return Some((v, &t[end..]));
-            }
+        i
+    };
+    let start = usize::from(matches!(b.first(), Some(b'+' | b'-')));
+    let mut end = digits_from(start);
+    let mut mantissa_digits = end - start;
+    if b.get(end) == Some(&b'.') {
+        let frac_end = digits_from(end + 1);
+        mantissa_digits += frac_end - end - 1;
+        end = frac_end;
+    }
+    if mantissa_digits == 0 {
+        return None;
+    }
+    if matches!(b.get(end), Some(b'e' | b'E')) {
+        let exp_start = end + 1 + usize::from(matches!(b.get(end + 1), Some(b'+' | b'-')));
+        let exp_end = digits_from(exp_start);
+        if exp_end > exp_start {
+            end = exp_end;
         }
     }
-    None
+    let v: f64 = t[..end].parse().ok()?;
+    v.is_finite().then_some((v, &t[end..]))
 }
 
 fn syntax(line: usize, message: impl Into<String>) -> ParseError {
@@ -311,10 +355,14 @@ pub fn parse_netlist(input: &str) -> Result<Netlist, ParseError> {
     Ok(Netlist { circuit: expander.circuit, analysis: scan.analysis })
 }
 
+/// One logical line and the number of its first physical line.
+type Statement<'t> = (usize, Cow<'t, str>);
+
 /// Joins continuation lines and strips comments, remembering original
-/// line numbers.
-fn logical_lines(input: &str) -> Result<Vec<(usize, String)>, ParseError> {
-    let mut logical: Vec<(usize, String)> = Vec::new();
+/// line numbers. A line stays a slice of `input` unless a continuation
+/// joins onto it.
+fn logical_lines(input: &str) -> Result<Vec<Statement<'_>>, ParseError> {
+    let mut logical: Vec<Statement<'_>> = Vec::new();
     for (idx, raw) in input.lines().enumerate() {
         let line_no = idx + 1;
         let without_comment = match raw.find(';') {
@@ -328,6 +376,7 @@ fn logical_lines(input: &str) -> Result<Vec<(usize, String)>, ParseError> {
         if let Some(cont) = trimmed.strip_prefix('+') {
             match logical.last_mut() {
                 Some((_, prev)) => {
+                    let prev = prev.to_mut();
                     prev.push(' ');
                     prev.push_str(cont.trim());
                 }
@@ -335,13 +384,13 @@ fn logical_lines(input: &str) -> Result<Vec<(usize, String)>, ParseError> {
             }
             continue;
         }
-        logical.push((line_no, trimmed.to_string()));
+        logical.push((line_no, Cow::Borrowed(trimmed)));
     }
     Ok(logical)
 }
 
 /// A `.SUBCKT` definition collected by the scan phase.
-struct SubcktDef {
+struct SubcktDef<'t> {
     /// Name as written (lookup is case-insensitive).
     name: String,
     /// Line of the `.SUBCKT` card.
@@ -351,19 +400,19 @@ struct SubcktDef {
     /// `k=v` defaults from the header, key lowercased, value unparsed.
     defaults: Vec<(String, String)>,
     /// Body statements with original line numbers.
-    body: Vec<(usize, String)>,
+    body: Vec<Statement<'t>>,
 }
 
 /// Result of the statement scan: main-body lines, definitions, models,
 /// analysis cards.
-struct Scan {
-    main: Vec<(usize, String)>,
-    subckts: HashMap<String, SubcktDef>,
+struct Scan<'t> {
+    main: Vec<Statement<'t>>,
+    subckts: HashMap<String, SubcktDef<'t>>,
     models: HashMap<String, ModelCard>,
     analysis: AnalysisSpec,
 }
 
-fn scan_statements(logical: Vec<(usize, String)>) -> Result<Scan, ParseError> {
+fn scan_statements(logical: Vec<Statement<'_>>) -> Result<Scan<'_>, ParseError> {
     let mut scan = Scan {
         main: Vec::new(),
         subckts: HashMap::new(),
@@ -450,7 +499,7 @@ fn scan_statements(logical: Vec<(usize, String)>) -> Result<Scan, ParseError> {
 }
 
 /// Parses `.subckt NAME port… [k=v …]`.
-fn parse_subckt_header(line: usize, tokens: &[&str]) -> Result<SubcktDef, ParseError> {
+fn parse_subckt_header<'t>(line: usize, tokens: &[&str]) -> Result<SubcktDef<'t>, ParseError> {
     if tokens.len() < 3 || tokens[1].contains('=') {
         return Err(syntax(line, ".subckt: expected `.SUBCKT NAME port… [k=v …]`"));
     }
@@ -643,31 +692,31 @@ fn parse_waveform(
 struct Frame {
     /// `""` at top level, `"X1."` / `"X1.X2."` inside instances.
     prefix: String,
-    /// Lowercased port name → already-resolved outer node name.
-    node_map: HashMap<String, String>,
+    /// Lowercased port name → already-resolved outer node name (empty at
+    /// top level).
+    ports: HashMap<String, String>,
     /// Lowercased parameter name → value.
     params: HashMap<String, f64>,
 }
 
 impl Frame {
     fn root() -> Self {
-        Frame { prefix: String::new(), node_map: HashMap::new(), params: HashMap::new() }
+        Frame { prefix: String::new(), ports: HashMap::new(), params: HashMap::new() }
     }
 
     /// Maps a node token to its flattened name: ground stays ground, ports
     /// map to the caller's nodes, internal nodes gain the instance prefix.
-    fn resolve_node(&self, name: &str) -> String {
-        let lc = name.to_ascii_lowercase();
-        if lc == "0" || lc == "gnd" {
-            return "0".to_string();
-        }
-        if let Some(mapped) = self.node_map.get(&lc) {
-            return mapped.clone();
-        }
+    /// At top level every name is its own flattened name, borrowed.
+    fn resolve_node<'s>(&'s self, name: &'s str) -> Cow<'s, str> {
         if self.prefix.is_empty() {
-            name.to_string()
-        } else {
-            format!("{}{}", self.prefix, name)
+            return Cow::Borrowed(name);
+        }
+        if name == "0" || name.eq_ignore_ascii_case("gnd") {
+            return Cow::Borrowed("0");
+        }
+        match self.ports.get(&name.to_ascii_lowercase()) {
+            Some(mapped) => Cow::Borrowed(mapped),
+            None => Cow::Owned(format!("{}{}", self.prefix, name)),
         }
     }
 
@@ -685,11 +734,11 @@ impl Frame {
     }
 
     /// Prefixes an element or control-branch name with the instance path.
-    fn resolve_name(&self, name: &str) -> String {
+    fn resolve_name<'s>(&self, name: &'s str) -> Cow<'s, str> {
         if self.prefix.is_empty() {
-            name.to_string()
+            Cow::Borrowed(name)
         } else {
-            format!("{}{}", self.prefix, name)
+            Cow::Owned(format!("{}{}", self.prefix, name))
         }
     }
 }
@@ -697,7 +746,7 @@ impl Frame {
 /// The expansion phase: walks statement lists, flattening instances into
 /// `circuit`.
 struct Expander<'a> {
-    subckts: &'a HashMap<String, SubcktDef>,
+    subckts: &'a HashMap<String, SubcktDef<'a>>,
     models: &'a HashMap<String, ModelCard>,
     circuit: Circuit,
     /// Lowercased names of definitions currently being expanded (cycle
@@ -708,12 +757,15 @@ struct Expander<'a> {
 impl Expander<'_> {
     fn expand_block(
         &mut self,
-        lines: &[(usize, String)],
+        lines: &[Statement<'_>],
         frame: &mut Frame,
     ) -> Result<(), ParseError> {
+        // One token buffer, reused by every statement of the block.
+        let mut tokens: Vec<&str> = Vec::new();
         for (line_no, stmt) in lines {
             let line_no = *line_no;
-            let tokens: Vec<&str> = stmt.split_whitespace().collect();
+            tokens.clear();
+            tokens.extend(stmt.split_whitespace());
             let head = tokens[0];
             if head.starts_with('.') {
                 apply_param(line_no, &tokens, frame)?;
@@ -776,12 +828,14 @@ impl Expander<'_> {
         }
         let mut child = Frame {
             prefix: format!("{}{inst}.", frame.prefix),
-            node_map: HashMap::new(),
+            ports: def
+                .ports
+                .iter()
+                .zip(nodes)
+                .map(|(port, arg)| (port.clone(), frame.resolve_node(arg).into_owned()))
+                .collect(),
             params: frame.params.clone(),
         };
-        for (port, arg) in def.ports.iter().zip(nodes) {
-            child.node_map.insert(port.clone(), frame.resolve_node(arg));
-        }
         // Defaults and overrides both evaluate in the caller's scope, so
         // they may reference outer parameters; overrides win.
         for (k, vtok) in &def.defaults {
@@ -813,7 +867,7 @@ impl Expander<'_> {
             }
         };
         let value = |tok: &str| frame.resolve_value(line_no, tok);
-        let node = |tok: &str| frame.resolve_node(tok);
+        let node = |tok| frame.resolve_node(tok);
         let models = self.models;
         let circuit = &mut self.circuit;
         let build: Result<(), CircuitError> = match kind_letter {
@@ -894,18 +948,18 @@ impl Expander<'_> {
                 let mut duplicate = false;
                 let mut rest = &tokens[3..];
                 while !rest.is_empty() {
-                    let lead = rest[0].to_ascii_lowercase();
-                    if lead == "ac" {
+                    let lead = rest[0];
+                    if lead.eq_ignore_ascii_case("ac") {
                         need_field(line_no, head, rest, 2)?;
                         duplicate |= ac.replace(value(rest[1])?).is_some();
                         rest = &rest[2..];
-                    } else if lead == "dc" {
+                    } else if lead.eq_ignore_ascii_case("dc") {
                         need_field(line_no, head, rest, 2)?;
                         duplicate |= dc.replace(value(rest[1])?).is_some();
                         rest = &rest[2..];
-                    } else if lead.starts_with("pulse(")
-                        || lead.starts_with("sin(")
-                        || lead.starts_with("pwl(")
+                    } else if ["pulse(", "sin(", "pwl("]
+                        .iter()
+                        .any(|kind| starts_with_ignore_case(lead, kind))
                     {
                         // The argument list may span several whitespace
                         // tokens; join through the closing parenthesis.
@@ -1262,6 +1316,125 @@ mod tests {
                 prop_assert_eq!(seen, 3);
             }
         }
+    }
+
+    /// The value parser this module replaced, kept as a reference: it
+    /// lowercases the token and tries every prefix, longest first, which
+    /// is quadratic in the token.
+    fn parse_value_reference(token: &str) -> Option<f64> {
+        let t = token.trim().to_ascii_lowercase();
+        if t.is_empty() {
+            return None;
+        }
+        if let Ok(v) = t.parse::<f64>() {
+            return v.is_finite().then_some(v);
+        }
+        let (num, rest) = split_numeric_prefix_reference(&t)?;
+        let (mult, unit) = if let Some(unit) = rest.strip_prefix("meg") {
+            (1e6, unit)
+        } else {
+            let first = rest.chars().next().expect("nonempty suffix");
+            match SCALE_FACTORS.iter().find(|(c, _)| *c == first) {
+                Some((_, mult)) => (*mult, &rest[1..]),
+                None => (1.0, rest),
+            }
+        };
+        if !unit.is_empty() && !UNIT_WORDS.contains(&unit) {
+            return None;
+        }
+        let v = num * mult;
+        v.is_finite().then_some(v)
+    }
+
+    fn split_numeric_prefix_reference(t: &str) -> Option<(f64, &str)> {
+        for end in (1..=t.len()).rev() {
+            if !t.is_char_boundary(end) {
+                continue;
+            }
+            if let Ok(v) = t[..end].parse::<f64>() {
+                if v.is_finite() {
+                    return Some((v, &t[end..]));
+                }
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn linear_value_scan_matches_the_prefix_search() {
+        // Every token of up to four pieces over an alphabet of float
+        // syntax, scale factors, unit letters and non-ASCII text.
+        let pieces = [
+            "1", "0", "7", ".", "e", "E", "-", "+", "k", "MEG", "m", "f", "x", "inf", "NaN", "µ",
+            "1e999", "Ohm", " ",
+        ];
+        let mut tokens = vec![String::new()];
+        let mut layer = vec![String::new()];
+        for _ in 0..4 {
+            layer = layer
+                .iter()
+                .flat_map(|head| pieces.iter().map(move |p| format!("{head}{p}")))
+                .collect();
+            tokens.extend(layer.iter().cloned());
+        }
+        let mut parsed = 0;
+        for t in &tokens {
+            let fast = parse_value(t);
+            assert_eq!(
+                fast.map(f64::to_bits),
+                parse_value_reference(t).map(f64::to_bits),
+                "token {t:?}"
+            );
+            parsed += usize::from(fast.is_some());
+            // Where the scan splits, it splits where the search does.
+            let lower = t.to_ascii_lowercase();
+            if let Some((v, rest)) = split_numeric_prefix(&lower) {
+                assert_eq!(
+                    split_numeric_prefix_reference(&lower).map(|(w, r)| (w.to_bits(), r)),
+                    Some((v.to_bits(), rest)),
+                    "token {t:?}"
+                );
+            }
+        }
+        assert!(parsed > 1_000, "the corpus exercises accepted values ({parsed})");
+    }
+
+    #[test]
+    fn million_digit_values_parse_in_linear_time() {
+        // The prefix search needed minutes on each of these; the scan
+        // reads each token once.
+        let zeros = "0".repeat(999_990);
+        assert_eq!(parse_value(&format!("{zeros}1234567891k")), Some(1234567891e3));
+        assert_eq!(parse_value(&format!("-{zeros}.5e-3MEG")), Some(-500.0));
+        // The longest literal overflows: no value, whatever the suffix.
+        let huge = format!("1{zeros}000000000");
+        assert_eq!(parse_value(&format!("{huge}k")), None);
+        assert_eq!(parse_value(&huge), None);
+        // A long fraction underflows to zero, which is finite.
+        assert_eq!(parse_value(&format!("0.{zeros}1pF")), Some(0.0));
+        let netlist = format!("R1 a 0 {zeros}100\nR2 a 0 1k\n");
+        match &parse_spice(&netlist).unwrap().element("R1").unwrap().kind {
+            ElementKind::Resistor { ohms } => assert_eq!(*ohms, 100.0),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn element_names_are_case_insensitive() {
+        let err = parse_spice("R1 a 0 1k\nC1 a 0 1n\nr1 a 0 2k\n").unwrap_err();
+        assert_eq!(
+            err,
+            ParseError::Circuit {
+                line: 3,
+                source: CircuitError::DuplicateName { name: "r1".to_string() }
+            }
+        );
+        assert_eq!(err.to_string(), "line 3: duplicate element name r1");
+        // A control branch names its source in any case.
+        let c = parse_spice("VSENSE b 0 0\nVIN a 0 AC 1\nR1 a b 1k\nF1 0 c vsense 2\nR2 c 0 1k\n")
+            .unwrap();
+        c.validate().unwrap();
+        assert_eq!(c.element("vin").unwrap().name, "VIN");
     }
 
     #[test]

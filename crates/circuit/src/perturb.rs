@@ -6,8 +6,10 @@
 //! pattern) and differ only in element *values*. That structural guarantee
 //! is what lets the solver layers reuse one compiled
 //! `SweepPlan`/pivot order across the whole fleet, so this module is
-//! deliberately strict: variants are rebuilt element-by-element in base
-//! order, never by mutation, and only values ever change.
+//! deliberately strict: a variant is one copy of the base (node table and
+//! numbering, element order and names, source waveforms) whose values are
+//! rewritten in place, in element order, each through the check its
+//! builder applies. Nothing but values ever changes.
 //!
 //! * [`Perturbation`] — a set of per-[element-class](ElementClass)
 //!   tolerance rules ([`Tolerance::Relative`] fraction or
@@ -74,15 +76,29 @@ impl ElementClass {
         ElementClass::Transconductances,
     ];
 
-    fn matches(self, kind: &ElementKind) -> bool {
-        matches!(
-            (self, kind),
-            (ElementClass::Resistors, ElementKind::Resistor { .. })
-                | (ElementClass::Conductances, ElementKind::Conductance { .. })
-                | (ElementClass::Capacitors, ElementKind::Capacitor { .. })
-                | (ElementClass::Inductors, ElementKind::Inductor { .. })
-                | (ElementClass::Transconductances, ElementKind::Vccs { .. })
-        )
+    /// The class of a perturbable element kind and its value: R, G, C, L
+    /// values and VCCS transconductances; `None` for every other kind.
+    fn of_mut(kind: &mut ElementKind) -> Option<(ElementClass, &mut f64)> {
+        match kind {
+            ElementKind::Resistor { ohms } => Some((ElementClass::Resistors, ohms)),
+            ElementKind::Conductance { siemens } => Some((ElementClass::Conductances, siemens)),
+            ElementKind::Capacitor { farads } => Some((ElementClass::Capacitors, farads)),
+            ElementKind::Inductor { henries } => Some((ElementClass::Inductors, henries)),
+            ElementKind::Vccs { gm, .. } => Some((ElementClass::Transconductances, gm)),
+            _ => None,
+        }
+    }
+
+    /// Writes `value` into element `name`'s `slot` after the check its
+    /// builder applies: finite for a transconductance, positive otherwise.
+    fn store(self, name: &str, slot: &mut f64, value: f64) -> Result<(), CircuitError> {
+        if self == ElementClass::Transconductances {
+            Circuit::check_finite(name, value)?;
+        } else {
+            Circuit::check_positive(name, value)?;
+        }
+        *slot = value;
+        Ok(())
     }
 }
 
@@ -172,8 +188,8 @@ impl Perturbation {
         self.rules.is_empty()
     }
 
-    fn rule_for(&self, kind: &ElementKind) -> Option<Tolerance> {
-        self.rules.iter().rev().find(|(class, _)| class.matches(kind)).map(|&(_, tol)| tol)
+    fn rule_for(&self, class: ElementClass) -> Option<Tolerance> {
+        self.rules.iter().rev().find(|&&(c, _)| c == class).map(|&(_, tol)| tol)
     }
 
     /// Builds one perturbed variant of `base`, drawing one deviate per
@@ -186,10 +202,16 @@ impl Perturbation {
     /// [`CircuitError::InvalidValue`] when an absolute rule pushes a value
     /// out of its legal range (see [`Tolerance::Absolute`]).
     pub fn apply(&self, base: &Circuit, rng: &mut StdRng) -> Result<Circuit, CircuitError> {
-        rebuild(base, |el, value| match self.rule_for(&el.kind) {
-            Some(tol) => tol.apply(value, rng),
-            None => value,
-        })
+        // One copy of the base; values are rewritten in place, in element
+        // order, so node numbering, names and waveforms stay the base's.
+        let mut out = base.clone();
+        for el in out.elements_mut() {
+            let Some((class, value)) = ElementClass::of_mut(&mut el.kind) else { continue };
+            if let Some(tol) = self.rule_for(class) {
+                class.store(&el.name, value, tol.apply(*value, rng))?;
+            }
+        }
+        Ok(out)
     }
 }
 
@@ -239,86 +261,30 @@ impl VariantSet {
 }
 
 /// One-element deterministic variant: `base` with element `name`'s value
-/// multiplied by `factor` — the up/down probe of a finite-difference
-/// sensitivity fleet. Elements without a perturbable value (sources,
-/// VCVS/CCCS/CCVS) are rejected.
+/// (name matched in any case) multiplied by `factor` — the up/down probe
+/// of a finite-difference sensitivity fleet. Elements without a
+/// perturbable value (sources, VCVS/CCCS/CCVS) are rejected.
 ///
 /// # Errors
 ///
-/// [`CircuitError::DuplicateName`] never (the rebuild preserves names);
 /// [`CircuitError::InvalidValue`] when `factor` pushes the value out of
 /// range, or when `name` does not exist or is not perturbable (reported
 /// with the offending factor).
 pub fn scaled_variant(base: &Circuit, name: &str, factor: f64) -> Result<Circuit, CircuitError> {
-    let perturbable = base
-        .element(name)
-        .is_some_and(|el| ElementClass::ALL.iter().any(|class| class.matches(&el.kind)));
-    if !perturbable {
-        return Err(CircuitError::InvalidValue { element: name.to_string(), value: factor });
-    }
-    rebuild(base, |el, value| if el.name == name { value * factor } else { value })
-}
-
-/// Rebuilds `base` element by element, passing each perturbable value
-/// through `map` (kinds without a perturbable value — sources, VCVS,
-/// CCCS, CCVS — are copied verbatim and never reach `map`). Node names and
-/// element order are preserved exactly, so the result shares the base's
-/// MNA topology.
-fn rebuild(
-    base: &Circuit,
-    mut map: impl FnMut(&crate::element::Element, f64) -> f64,
-) -> Result<Circuit, CircuitError> {
-    let mut out = Circuit::new();
-    for el in base.elements() {
-        let p = base.node_name(el.nodes.0).to_string();
-        let m = base.node_name(el.nodes.1).to_string();
-        copy_element(&mut out, base, el, &p, &m, |v| map(el, v))?;
-    }
+    let invalid = || CircuitError::InvalidValue { element: name.to_string(), value: factor };
+    let mut out = base.clone();
+    let index = out.element_index(name).ok_or_else(invalid)?;
+    let el = &mut out.elements_mut()[index];
+    let (class, value) = ElementClass::of_mut(&mut el.kind).ok_or_else(invalid)?;
+    class.store(&el.name, value, *value * factor)?;
     Ok(out)
-}
-
-/// Re-adds one element of `base` into `out` with its value passed through
-/// `map` (the map is the identity for kinds that carry no perturbable
-/// value).
-fn copy_element(
-    out: &mut Circuit,
-    base: &Circuit,
-    el: &crate::element::Element,
-    p: &str,
-    m: &str,
-    map: impl FnOnce(f64) -> f64,
-) -> Result<(), CircuitError> {
-    let name = &el.name;
-    match &el.kind {
-        ElementKind::Resistor { ohms } => out.add_resistor(name, p, m, map(*ohms)),
-        ElementKind::Conductance { siemens } => out.add_conductance(name, p, m, map(*siemens)),
-        ElementKind::Capacitor { farads } => out.add_capacitor(name, p, m, map(*farads)),
-        ElementKind::Inductor { henries } => out.add_inductor(name, p, m, map(*henries)),
-        ElementKind::Vccs { gm, control } => {
-            let cp = base.node_name(control.0).to_string();
-            let cm = base.node_name(control.1).to_string();
-            out.add_vccs(name, p, m, &cp, &cm, map(*gm))
-        }
-        ElementKind::Vcvs { gain, control } => {
-            let cp = base.node_name(control.0).to_string();
-            let cm = base.node_name(control.1).to_string();
-            out.add_vcvs(name, p, m, &cp, &cm, *gain)
-        }
-        ElementKind::Cccs { gain, control_branch } => {
-            out.add_cccs(name, p, m, control_branch, *gain)
-        }
-        ElementKind::Ccvs { ohms, control_branch } => {
-            out.add_ccvs(name, p, m, control_branch, *ohms)
-        }
-        ElementKind::VSource { ac } => out.add_vsource(name, p, m, *ac),
-        ElementKind::ISource { ac } => out.add_isource(name, p, m, *ac),
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::library::{rc_ladder, ua741};
+    use crate::NodeId;
 
     #[test]
     fn variants_preserve_topology_and_ordering() {
@@ -439,6 +405,58 @@ mod tests {
         // Sources and unknown names are rejected.
         assert!(scaled_variant(&base, "VIN", 1.1).is_err());
         assert!(scaled_variant(&base, "R99", 1.1).is_err());
+    }
+
+    #[test]
+    fn variants_keep_source_waveforms() {
+        let base = crate::parse_spice(
+            "VIN in 0 AC 1 PULSE(0 1 1n 2n 3n 40n 100n)\nR1 in out 1k\nC1 out 0 1n\n",
+        )
+        .unwrap();
+        let wave = base.waveform("VIN").expect("parsed waveform").clone();
+        let fleet =
+            VariantSet::new(Perturbation::all_relative(0.05), 4).seed(1).generate(&base).unwrap();
+        for v in &fleet {
+            assert_eq!(v.waveform("VIN"), Some(&wave));
+            assert_eq!(v.waveforms().count(), 1);
+        }
+        let up = scaled_variant(&base, "R1", 1.01).unwrap();
+        assert_eq!(up.waveform("VIN"), Some(&wave));
+    }
+
+    #[test]
+    fn variants_keep_the_base_node_numbering() {
+        // `out` is interned before any element uses it, so the base's node
+        // table is not in element order.
+        let mut base = Circuit::new();
+        let out = base.node("out");
+        base.add_vsource("VIN", "in", "0", 1.0).unwrap();
+        base.add_resistor("R1", "in", "out", 1e3).unwrap();
+        base.add_capacitor("C1", "out", "0", 1e-9).unwrap();
+        assert_eq!(out.0, 1);
+        let fleet =
+            VariantSet::new(Perturbation::all_relative(0.1), 3).seed(2).generate(&base).unwrap();
+        let probe = scaled_variant(&base, "c1", 1.5).unwrap();
+        for v in fleet.iter().chain([&probe]) {
+            assert_eq!(v.find_node("out"), Some(out));
+            assert_eq!(v.node_count(), base.node_count());
+            for i in 0..base.node_count() {
+                assert_eq!(v.node_name(NodeId(i)), base.node_name(NodeId(i)));
+            }
+            for (a, b) in v.elements().iter().zip(base.elements()) {
+                assert_eq!((&a.name, a.nodes), (&b.name, b.nodes));
+            }
+        }
+        assert_eq!(probe.element("C1").unwrap().capacitance_value(), Some(1e-9 * 1.5));
+    }
+
+    #[test]
+    fn variants_do_not_touch_the_base() {
+        let base = rc_ladder(3, 1e3, 1e-9);
+        let before = format!("{:?}", base.elements());
+        let _ = VariantSet::new(Perturbation::all_relative(0.2), 2).generate(&base).unwrap();
+        let _ = scaled_variant(&base, "R1", 2.0).unwrap();
+        assert_eq!(format!("{:?}", base.elements()), before);
     }
 
     #[test]

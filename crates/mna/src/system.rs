@@ -4,7 +4,6 @@ use crate::error::MnaError;
 use refgen_circuit::{Circuit, Element, ElementKind, NodeId};
 use refgen_numeric::{Complex, ExtComplex};
 use refgen_sparse::{SparseLu, Triplets};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Frequency and conductance scale factors applied during stamping.
@@ -57,8 +56,9 @@ pub struct MnaSystem {
     circuit: Circuit,
     /// Matrix row per circuit node id (`None` for ground).
     node_rows: Vec<Option<usize>>,
-    /// Branch index by element name.
-    branch_rows: HashMap<String, usize>,
+    /// Branch-current row per element (`None` for elements without a
+    /// branch equation), in element order.
+    branch_rows: Vec<Option<usize>>,
     node_count: usize,
     dim: usize,
     /// Shared by reference: a [`PlanCache`](crate::PlanCache) anchor
@@ -218,17 +218,25 @@ impl MnaSystem {
             }
         }
         let node_count = next;
-        let mut branch_rows = HashMap::new();
-        for el in circuit.elements() {
-            if el.needs_branch() {
-                branch_rows.insert(el.name.clone(), node_count + branch_rows.len());
-            }
-        }
-        let dim = node_count + branch_rows.len();
+        let mut dim = node_count;
+        let branch_rows: Vec<Option<usize>> = circuit
+            .elements()
+            .iter()
+            .map(|el| {
+                el.needs_branch().then(|| {
+                    dim += 1;
+                    dim - 1
+                })
+            })
+            .collect();
         let node_row = |id: NodeId| node_rows[id.0];
+        // `validate` has checked that every control branch names a V source.
+        let control_row = |name: &str| {
+            circuit.element_index(name).and_then(|i| branch_rows[i]).expect("validated branch")
+        };
         let mut raw = Vec::new();
-        for el in circuit.elements() {
-            stamp(&mut raw, el, &node_row, &branch_rows);
+        for (el, &branch) in circuit.elements().iter().zip(&branch_rows) {
+            stamp(&mut raw, el, branch, &node_row, &control_row);
         }
         let stamps = Arc::new(StampTable::new(dim, raw));
         Ok(MnaSystem { circuit: circuit.clone(), node_rows, branch_rows, node_count, dim, stamps })
@@ -259,9 +267,9 @@ impl MnaSystem {
         self.node_rows.get(id.0).copied().flatten()
     }
 
-    /// Matrix row of an element's branch current.
+    /// Matrix row of an element's branch current (name in any case).
     pub fn branch_row(&self, name: &str) -> Option<usize> {
-        self.branch_rows.get(name).copied()
+        self.circuit.element_index(name).and_then(|i| self.branch_rows[i])
     }
 
     /// `true` if the circuit contains element kinds the *interpolation
@@ -364,10 +372,10 @@ impl MnaSystem {
     /// Builds the excitation vector `E` from the independent sources.
     pub fn rhs(&self) -> Vec<Complex> {
         let mut e = vec![Complex::ZERO; self.dim];
-        for el in self.circuit.elements() {
+        for (el, &branch) in self.circuit.elements().iter().zip(&self.branch_rows) {
             match &el.kind {
                 ElementKind::VSource { ac } => {
-                    let row = self.branch_rows[&el.name];
+                    let row = branch.expect("V sources have a branch row");
                     e[row] += Complex::real(*ac);
                 }
                 ElementKind::ISource { ac } => {
@@ -412,16 +420,20 @@ impl MnaSystem {
     }
 }
 
-/// Appends the raw stamps of one element, in assembly order.
+/// Appends the raw stamps of one element, in assembly order. `branch` is
+/// the element's own branch-current row; `control_row` maps a control
+/// branch name to its row.
 fn stamp(
     raw: &mut Vec<Stamp>,
     el: &Element,
+    branch: Option<usize>,
     node_row: &impl Fn(NodeId) -> Option<usize>,
-    branch_rows: &HashMap<String, usize>,
+    control_row: &impl Fn(&str) -> usize,
 ) {
     use StampSign::{Minus, Plus};
     let (rp, rm) = (node_row(el.nodes.0), node_row(el.nodes.1));
     let mut add = |row, col, source, sign| raw.push(Stamp { row, col, source, sign });
+    let own_row = || branch.expect("voltage-defined elements have a branch row");
     match &el.kind {
         ElementKind::Resistor { ohms } => {
             stamp_admittance(&mut add, rp, rm, StampSource::Resistance(*ohms));
@@ -443,10 +455,10 @@ fn stamp(
             }
         }
         ElementKind::VSource { .. } => {
-            stamp_branch_voltage(&mut add, branch_rows[&el.name], rp, rm);
+            stamp_branch_voltage(&mut add, own_row(), rp, rm);
         }
         ElementKind::Vcvs { gain, control } => {
-            let row = branch_rows[&el.name];
+            let row = own_row();
             stamp_branch_voltage(&mut add, row, rp, rm);
             if let Some(c) = node_row(control.0) {
                 add(row, c, StampSource::Constant(Complex::real(-gain)), Plus);
@@ -456,7 +468,7 @@ fn stamp(
             }
         }
         ElementKind::Cccs { gain, control_branch } => {
-            let col = branch_rows[control_branch];
+            let col = control_row(control_branch);
             if let Some(r) = rp {
                 add(r, col, StampSource::Constant(Complex::real(*gain)), Plus);
             }
@@ -465,13 +477,13 @@ fn stamp(
             }
         }
         ElementKind::Ccvs { ohms, control_branch } => {
-            let row = branch_rows[&el.name];
+            let row = own_row();
             stamp_branch_voltage(&mut add, row, rp, rm);
-            let col = branch_rows[control_branch];
+            let col = control_row(control_branch);
             add(row, col, StampSource::Constant(Complex::real(-ohms)), Plus);
         }
         ElementKind::Inductor { henries } => {
-            let row = branch_rows[&el.name];
+            let row = own_row();
             stamp_branch_voltage(&mut add, row, rp, rm);
             // The frequency scale applies to every reactive element:
             // s → f·σ substitutes exactly in the branch equation too.
@@ -542,6 +554,24 @@ mod tests {
         assert_eq!(sys.branch_unknowns(), 1);
         assert_eq!(sys.dim(), 3);
         assert!(sys.branch_row("V1").is_some());
+    }
+
+    #[test]
+    fn control_branches_resolve_in_any_case() {
+        // The CCCS names its sensing source in lower case: a current
+        // mirror of gain 2 into a 1 kΩ load, sensing the divider current.
+        let mut c = voltage_divider();
+        c.add_vsource("VSENSE", "b", "s", 0.0).unwrap();
+        c.add_resistor("RS", "s", "0", 1e3).unwrap();
+        c.add_cccs("F1", "0", "o", "vsense", 2.0).unwrap();
+        c.add_resistor("RO", "o", "0", 1e3).unwrap();
+        let sys = MnaSystem::new(&c).unwrap();
+        assert_eq!(sys.branch_row("vsense"), sys.branch_row("VSENSE"));
+        let x = sys.factor(Complex::ZERO, Scale::unit()).unwrap().solve(&sys.rhs());
+        let sense = x[sys.branch_row("VSENSE").unwrap()];
+        let out = x[sys.node_row(c.find_node("o").unwrap()).unwrap()];
+        assert!((out - sense.scale(2e3)).abs() < 1e-12, "{out} vs {sense}");
+        assert!(sense.abs() > 1e-6, "the sensed branch carries current");
     }
 
     #[test]

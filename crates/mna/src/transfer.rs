@@ -81,7 +81,8 @@ pub struct TransferResponse {
 
 impl MnaSystem {
     /// Resolves a [`TransferSpec`] input to `(source element name,
-    /// amplitude)`.
+    /// amplitude)`: the input is a source's name (any case) or, failing
+    /// that, a node with exactly one attached source.
     ///
     /// # Errors
     ///
@@ -89,33 +90,30 @@ impl MnaSystem {
     /// [`MnaError::ZeroAmplitudeSource`] when the matched source has zero
     /// AC amplitude.
     pub fn resolve_source(&self, input: &str) -> Result<(String, f64), MnaError> {
-        // Direct element-name match first.
-        if let Some(el) = self.circuit().element(input) {
-            let amp = match el.kind {
-                ElementKind::VSource { ac } => ac,
-                ElementKind::ISource { ac } => ac,
-                _ => return Err(MnaError::NoSuchSource { name: input.to_string() }),
-            };
-            if amp == 0.0 {
-                return Err(MnaError::ZeroAmplitudeSource { name: el.name.clone() });
+        // A source's own name (any case) first; otherwise (no element, or
+        // one that is not a source) a node name with exactly one attached
+        // source.
+        let found = match self.circuit().element(input).filter(|el| el.is_source()) {
+            Some(el) => el,
+            None => {
+                let node = self
+                    .circuit()
+                    .find_node(input)
+                    .ok_or_else(|| MnaError::NoSuchSource { name: input.to_string() })?;
+                let mut matches = self
+                    .circuit()
+                    .elements()
+                    .iter()
+                    .filter(|el| el.is_source() && (el.nodes.0 == node || el.nodes.1 == node));
+                let found = matches
+                    .next()
+                    .ok_or_else(|| MnaError::NoSuchSource { name: input.to_string() })?;
+                if matches.next().is_some() {
+                    return Err(MnaError::NoSuchSource { name: format!("{input} (ambiguous)") });
+                }
+                found
             }
-            return Ok((el.name.clone(), amp));
-        }
-        // Otherwise: a node name with exactly one attached source.
-        let node = self
-            .circuit()
-            .find_node(input)
-            .ok_or_else(|| MnaError::NoSuchSource { name: input.to_string() })?;
-        let mut matches = self
-            .circuit()
-            .elements()
-            .iter()
-            .filter(|el| el.is_source() && (el.nodes.0 == node || el.nodes.1 == node));
-        let found =
-            matches.next().ok_or_else(|| MnaError::NoSuchSource { name: input.to_string() })?;
-        if matches.next().is_some() {
-            return Err(MnaError::NoSuchSource { name: format!("{input} (ambiguous)") });
-        }
+        };
         let amp = match found.kind {
             ElementKind::VSource { ac } | ElementKind::ISource { ac } => ac,
             _ => unreachable!("filtered to sources"),
@@ -272,6 +270,20 @@ mod tests {
             sys.transfer(Complex::ZERO, Scale::unit(), &not_src),
             Err(MnaError::NoSuchSource { .. })
         ));
+    }
+
+    #[test]
+    fn non_source_element_name_falls_back_to_its_node() {
+        // Element names match in any case, so `r1` finds the resistor
+        // `R1`; it is not a source, so node `r1` (one source on it) decides.
+        let mut c = Circuit::new();
+        c.add_vsource("VIN", "r1", "0", 1.0).unwrap();
+        c.add_resistor("R1", "r1", "out", 1e3).unwrap();
+        c.add_resistor("R2", "out", "0", 1e3).unwrap();
+        let sys = MnaSystem::new(&c).unwrap();
+        for input in ["r1", "R1", "vin"] {
+            assert_eq!(sys.resolve_source(input).unwrap(), ("VIN".to_string(), 1.0), "{input}");
+        }
     }
 
     #[test]
