@@ -6,8 +6,10 @@
 //! * **window sampling** — the 41-point determinant batch of the first
 //!   adaptive iteration, unplanned (a Markowitz factorization per point,
 //!   the pre-refactor cost) vs. planned (pivot-order replay) at 1/2/4/auto
-//!   threads. This isolates the two tentpole claims: pivot reuse makes the
-//!   single-threaded path faster, and the scoped-thread executor scales it.
+//!   threads. This isolates two claims: pivot reuse makes the
+//!   single-threaded path faster, and the worker pool scales it. The pool
+//!   is built outside the timed loop, as a solve builds it once for all
+//!   its windows.
 //! * **full recovery** — the complete denominator recovery through
 //!   `Session`, sweeping `RefgenConfig::threads`. Every run asserts
 //!   `refactor_hits > 0` (the cheap path is actually active) and the
@@ -17,13 +19,14 @@
 //! pivot-order reuse (~an order of magnitude on the µA741). The
 //! `planned_N` rows additionally need N hardware cores to separate — on a
 //! single-CPU box (`std::thread::available_parallelism() == 1`, common in
-//! build containers) they can only measure the executor's spawn overhead
-//! (~100 µs per window at 4 workers), not a speedup.
+//! build containers) they can only measure the pool's per-batch dispatch
+//! overhead (one channel send per worker), not a speedup.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use refgen_bench::{standard_spec, ua741_sampling_cost, ua741_sampling_cost_planned, ua741_system};
 use refgen_circuit::library::ua741;
 use refgen_core::{PolyKind, RefgenConfig, Session};
+use refgen_exec::WorkerPool;
 use refgen_mna::Scale;
 use std::hint::black_box;
 
@@ -38,8 +41,9 @@ fn bench_window_sampling(c: &mut Criterion) {
     });
     for threads in [1usize, 2, 4, 0] {
         let label = if threads == 0 { "planned_auto".into() } else { format!("planned_{threads}") };
+        let pool = WorkerPool::new(threads);
         group.bench_function(label, |b| {
-            b.iter(|| black_box(ua741_sampling_cost_planned(&sys, scale, points, threads)))
+            b.iter(|| black_box(ua741_sampling_cost_planned(&sys, scale, points, &pool)))
         });
     }
     group.finish();

@@ -4,8 +4,7 @@
 //! same-topology variants), measured two ways per circuit:
 //!
 //! * **naive** — one independent `Session` per variant: every variant
-//!   pays its own scoped-thread spawns and its own probe pivot searches
-//!   (one per window, two with verify).
+//!   builds its own runtime and pays its own probe pivot searches.
 //! * **batched** — one `BatchSession` over a persistent worker pool with
 //!   a shared plan cache: threads spawn once per fleet, pivot searches
 //!   stay at the single-solve count regardless of fleet size. Measured
@@ -15,16 +14,15 @@
 //!
 //! The gap isolates exactly the two amortizations this PR adds. Both
 //! paths assert the recovered denominator degree, so a silently broken
-//! engine cannot post a fast time. As with `ablation_threads`, the
-//! parallel-executor component needs real cores to show up; on a
-//! single-CPU container the difference is dominated by the pivot-search
-//! amortization, which is hardware-independent.
+//! engine cannot post a fast time. Every config here runs at one thread,
+//! so the gap is the pivot-search and lane amortization alone, which are
+//! hardware-independent.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use refgen_bench::{fleet_batched, fleet_naive, fleet_variants, standard_spec};
 use refgen_circuit::library::{rc_ladder, ua741};
 use refgen_circuit::Circuit;
-use refgen_core::{ExecutorKind, RefgenConfig};
+use refgen_core::RefgenConfig;
 use std::hint::black_box;
 
 fn bench_circuit(c: &mut Criterion, label: &str, base: &Circuit, fleet_size: usize, degree: usize) {
@@ -34,9 +32,8 @@ fn bench_circuit(c: &mut Criterion, label: &str, base: &Circuit, fleet_size: usi
     // default-width config batches `lane_width` unit-circle points per
     // instruction-stream replay. Results are bit-identical — the gap is
     // the lane-amortization (and AVX) contribution alone.
-    let scalar_cfg =
-        RefgenConfig::builder().verify(false).executor(ExecutorKind::Pool).lane_width(1).build();
-    let pool_cfg = RefgenConfig::builder().verify(false).executor(ExecutorKind::Pool).build();
+    let scalar_cfg = RefgenConfig::builder().verify(false).lane_width(1).build();
+    let pool_cfg = RefgenConfig::builder().verify(false).build();
     let variants = fleet_variants(base, fleet_size, 4242);
     let mut group = c.benchmark_group(format!("fleet_{label}_{fleet_size}v"));
     group.sample_size(10);

@@ -350,23 +350,21 @@ pub fn ua741_sampling_cost(system: &refgen_mna::MnaSystem, scale: Scale, points:
 /// Plan/execute variant of [`ua741_sampling_cost`]: the same determinant
 /// samples through one compiled [`refgen_mna::SweepPlan`] (one pivot
 /// search at plan build, numeric refactorization per point) executed on
-/// `threads` scoped workers (`0` = available parallelism) with one
-/// [`refgen_mna::SweepScratch`] each — exactly what the engine's window
-/// sampling does. Returns the same checksum as the unplanned variant.
+/// `pool`'s workers with one [`refgen_mna::SweepScratch`] each — exactly
+/// what the engine's window sampling does. Returns the same checksum as
+/// the unplanned variant.
 pub fn ua741_sampling_cost_planned(
     system: &refgen_mna::MnaSystem,
     scale: Scale,
     points: usize,
-    threads: usize,
+    pool: &refgen_exec::WorkerPool,
 ) -> f64 {
     let plan = refgen_mna::SweepPlan::for_determinant(system, scale);
     let sigmas = refgen_numeric::dft::unit_circle_points(points);
-    let parts = refgen_exec::par_map_indexed(
-        threads,
-        &sigmas,
-        refgen_mna::SweepScratch::new,
-        |_, &sigma, scratch| plan.eval_det(sigma, scratch).norm().log2(),
-    );
+    let parts =
+        pool.par_map_indexed(&sigmas, refgen_mna::SweepScratch::new, |_, &sigma, scratch| {
+            plan.eval_det(sigma, scratch).norm().log2()
+        });
     parts.iter().sum()
 }
 
@@ -467,10 +465,9 @@ pub fn fleet_naive(
         .collect()
 }
 
-/// Solves a fleet as one **batch session** under `config` (pass an
-/// [`ExecutorKind::Pool`](refgen_core::ExecutorKind) config for the full
-/// amortization story): a shared runtime across all variants means
-/// threads spawn once and pivot searches stay at the single-solve count.
+/// Solves a fleet as one **batch session** under `config`: a shared
+/// runtime across all variants means threads spawn once and pivot
+/// searches stay at the single-solve count.
 ///
 /// # Panics
 ///
@@ -1396,7 +1393,8 @@ mod tests {
         let scale = Scale::new(1e9, 1e3);
         let plain = ua741_sampling_cost(&sys, scale, 17);
         for threads in [1, 4] {
-            let planned = ua741_sampling_cost_planned(&sys, scale, 17, threads);
+            let pool = refgen_exec::WorkerPool::new(threads);
+            let planned = ua741_sampling_cost_planned(&sys, scale, 17, &pool);
             assert!(
                 (planned - plain).abs() < 1e-6 * plain.abs(),
                 "threads {threads}: {planned} vs {plain}"
@@ -1411,8 +1409,7 @@ mod tests {
         let cfg = paper_config();
         let variants = fleet_variants(&base, 8, 77);
         let naive = fleet_naive(&variants, &spec, cfg);
-        let pool_cfg =
-            RefgenConfig::builder().verify(false).executor(refgen_core::ExecutorKind::Pool).build();
+        let pool_cfg = RefgenConfig::builder().verify(false).build();
         let batched = fleet_batched(&base, &variants, &spec, pool_cfg);
         assert_eq!(naive.len(), batched.solutions().len());
         for (i, (a, b)) in naive.iter().zip(batched.solutions()).enumerate() {
@@ -1436,7 +1433,7 @@ mod tests {
             &base,
             &fleet_variants(&base, 1, 77),
             &spec,
-            RefgenConfig::builder().verify(false).executor(refgen_core::ExecutorKind::Pool).build(),
+            RefgenConfig::builder().verify(false).build(),
         );
         assert_eq!(batched.report.pivot_searches, single.report.pivot_searches);
         assert!(batched.report.shared_plan_hits > single.report.shared_plan_hits);

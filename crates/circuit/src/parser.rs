@@ -239,15 +239,11 @@ const UNIT_WORDS: &[&str] = &[
 ///
 /// Returns `None` if the token is not a valid value.
 pub fn parse_value(token: &str) -> Option<f64> {
-    let t = token.trim();
-    // Plain float first (covers 1e-9, 3.5; rejects inf/nan below). Rust's
-    // float grammar ignores ASCII case, so the token is not lowercased.
-    if let Ok(v) = t.parse::<f64>() {
-        return v.is_finite().then_some(v);
+    let (num, rest) = split_numeric_prefix(token.trim())?;
+    if rest.is_empty() {
+        return Some(num);
     }
-    let (num, rest) = split_numeric_prefix(t)?;
-    // `rest` is nonempty (the full-string parse failed): consume at most
-    // one scale factor, `meg` before `m`, in any case.
+    // Consume at most one scale factor, `meg` before `m`, in any case.
     let (mult, unit) = if starts_with_ignore_case(rest, "meg") {
         (1e6, &rest[3..])
     } else {
@@ -288,25 +284,55 @@ fn split_numeric_prefix(t: &str) -> Option<(f64, &str)> {
         i
     };
     let start = usize::from(matches!(b.first(), Some(b'+' | b'-')));
-    let mut end = digits_from(start);
-    let mut mantissa_digits = end - start;
-    if b.get(end) == Some(&b'.') {
-        let frac_end = digits_from(end + 1);
-        mantissa_digits += frac_end - end - 1;
-        end = frac_end;
+    let int = start..digits_from(start);
+    let mut frac = int.end..int.end;
+    if b.get(int.end) == Some(&b'.') {
+        frac = int.end + 1..digits_from(int.end + 1);
     }
-    if mantissa_digits == 0 {
+    if int.is_empty() && frac.is_empty() {
         return None;
     }
+    let mut end = frac.end;
+    let mut exp = 0i64;
     if matches!(b.get(end), Some(b'e' | b'E')) {
         let exp_start = end + 1 + usize::from(matches!(b.get(end + 1), Some(b'+' | b'-')));
         let exp_end = digits_from(exp_start);
         if exp_end > exp_start {
+            // Saturates far beyond any digit count a token can carry.
+            let magnitude = b[exp_start..exp_end]
+                .iter()
+                .fold(0i64, |e, d| (10 * e + i64::from(d - b'0')).min(1 << 53));
+            exp = if b[end + 1] == b'-' { -magnitude } else { magnitude };
             end = exp_end;
         }
     }
-    let v: f64 = t[..end].parse().ok()?;
+    let v = if exp.abs() < LITERAL_EXPONENT_LIMIT {
+        t[..end].parse().ok()?
+    } else {
+        folded_literal(&t[..start], &t[int], &t[frac], exp)
+    };
     v.is_finite().then_some((v, &t[end..]))
+}
+
+/// Explicit exponents from this magnitude up are saturated by
+/// `f64::from_str`, which then misreads a literal whose digit count
+/// compensates them (`1` and 10⁶ zeros `e-999990` reads as infinity).
+const LITERAL_EXPONENT_LIMIT: i64 = 0x10000;
+
+/// The value of the literal `sign int.frac e exp`, computed with the
+/// decimal point folded into an `i64` exponent: the digits read as
+/// `0.d₁d₂…` (leading zeros stripped) times `10^e`, so the float parse
+/// sees an exponent it does not saturate.
+fn folded_literal(sign: &str, int: &str, frac: &str, exp: i64) -> f64 {
+    let lead = int.bytes().chain(frac.bytes()).take_while(|&d| d == b'0').count();
+    // The value lies in [10^(e−1), 10^e): beyond ±400 it overflows or
+    // rounds to zero whatever the digits, so clamping `e` keeps the result.
+    let e = exp.saturating_add(int.len() as i64 - lead as i64).clamp(-400, 400);
+    let (int, frac) = match int.get(lead..) {
+        Some(int) => (int, frac),
+        None => ("", &frac[lead - int.len()..]),
+    };
+    format!("{sign}0.{int}{frac}e{e}").parse().expect("a well-formed float literal")
 }
 
 fn syntax(line: usize, message: impl Into<String>) -> ParseError {
@@ -1417,6 +1443,21 @@ mod tests {
             ElementKind::Resistor { ohms } => assert_eq!(*ohms, 100.0),
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn long_literals_with_a_compensating_exponent_parse() {
+        let zeros = "0".repeat(1_000_000);
+        assert_eq!(parse_value(&format!("1{zeros}e-999990")), Some(1e10));
+        assert_eq!(parse_value(&format!("0.{zeros}1e1000001")), Some(1.0));
+        // With a scale factor and a sign, through the prefix split.
+        assert_eq!(parse_value(&format!("-1{zeros}e-999991k")), Some(-1e12));
+        // Out-of-range results stay rejected, and tiny ones round to zero.
+        assert_eq!(parse_value(&format!("1{zeros}e-999000")), None);
+        assert_eq!(parse_value(&format!("1{zeros}e-1001000")), Some(0.0));
+        assert_eq!(parse_value("1e70000"), None);
+        assert_eq!(parse_value("-1e-70000"), Some(-0.0));
+        assert_eq!(parse_value("0e99999999999999999999"), Some(0.0));
     }
 
     #[test]

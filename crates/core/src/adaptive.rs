@@ -404,7 +404,7 @@ impl AdaptiveInterpolator {
     /// # Errors
     ///
     /// See [`AdaptiveInterpolator::network_function`].
-    pub fn network_function_with(
+    fn network_function_with(
         &self,
         sys: &MnaSystem,
         spec: &TransferSpec,
@@ -418,23 +418,24 @@ impl AdaptiveInterpolator {
     /// # Errors
     ///
     /// See [`AdaptiveInterpolator::network_function`].
-    pub fn network_function_with_observed(
+    fn network_function_with_observed(
         &self,
         sys: &MnaSystem,
         spec: &TransferSpec,
         observer: &mut dyn Observer,
     ) -> Result<NetworkFunction, RefgenError> {
-        // One runtime per solve: the pool (if configured) spawns once and
-        // the plan cache is shared across every window of both
+        // One runtime per solve: the pool spawns once (nothing at one
+        // thread) and the plan cache is shared across every window of both
         // polynomials. Batch sessions call network_function_runtime
         // directly with a fleet-wide runtime instead.
         let runtime = SamplingRuntime::new(&self.config);
         self.network_function_runtime(sys, spec, observer, &runtime)
     }
 
-    /// As [`AdaptiveInterpolator::network_function_with_observed`], using
-    /// a caller-supplied [`SamplingRuntime`] (shared executor + plan
-    /// cache) instead of a per-solve one — the batch-session entry point.
+    /// As [`AdaptiveInterpolator::network_function`], streaming
+    /// [`Diagnostic`] events to `observer` and using
+    /// a caller-supplied [`SamplingRuntime`] (shared worker pool +
+    /// plan cache) instead of a per-solve one — the batch-session entry point.
     ///
     /// # Errors
     ///
@@ -1019,7 +1020,7 @@ impl Solver for AdaptiveInterpolator {
         Ok(Solution { network, method: self.name() })
     }
 
-    /// The fleet path: reuses the caller's executor and plan cache, so a
+    /// The fleet path: reuses the caller's worker pool and plan cache, so a
     /// batch of same-topology variants spawns threads once and pays one
     /// pivot search per plan cell of its anchor across the whole fleet.
     fn solve_with_runtime(

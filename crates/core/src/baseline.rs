@@ -342,7 +342,7 @@ impl StaticScalingSolver {
     }
 
     /// The scale this solver would use on `circuit`.
-    pub fn scale_for(&self, circuit: &Circuit) -> Scale {
+    fn scale_for(&self, circuit: &Circuit) -> Scale {
         self.scale.unwrap_or_else(|| initial_scale(circuit))
     }
 
@@ -413,11 +413,6 @@ pub struct GridOutcome {
 }
 
 impl GridOutcome {
-    /// Number of covered coefficients.
-    pub fn covered_count(&self) -> usize {
-        self.covered.iter().filter(|&&c| c).count()
-    }
-
     /// `true` when every coefficient was captured by some window.
     pub fn complete(&self) -> bool {
         self.covered.iter().all(|&c| c)
@@ -746,7 +741,8 @@ mod tests {
             .polynomial(&c, &spec(), PolyKind::Denominator)
             .unwrap()
             .1;
-        assert!(dense.covered_count() > coarse.covered_count());
+        let covered = |grid: &GridOutcome| grid.covered.iter().filter(|&&c| c).count();
+        assert!(covered(&dense) > covered(&coarse));
         if dense.complete() {
             assert!(
                 adaptive.total_points < dense.total_points,

@@ -5,7 +5,8 @@
 //! [`BatchSampler`] per sampled window: a compiled
 //! [`SweepPlan`](refgen_mna::SweepPlan) for the window's
 //! `(MnaSystem, Scale)` pair, shared read-only across
-//! [`refgen_exec::par_map_indexed`] workers that each own a
+//! [`WorkerPool::par_map_indexed`](refgen_exec::WorkerPool::par_map_indexed)
+//! workers that each own a
 //! [`SweepScratch`](refgen_mna::SweepScratch). It samples the determinant,
 //! the numerator, or — for the opening windows both polynomials share —
 //! both from one transfer evaluation per point
@@ -38,7 +39,7 @@
 //!   fall back to it verbatim, so output is bit-identical at every lane
 //!   width. Batching composes
 //!   with, and is orthogonal to, threading: chunks fan out across the
-//!   same executor.
+//!   same pool.
 //! * **Determinism** — every sample is a pure function of `(plan, σ)`
 //!   (scratches never adopt fallback orders here), mirroring depends only
 //!   on the σ values, and results are collected in index order, so solver
@@ -76,8 +77,7 @@ pub(crate) enum Role {
 }
 
 /// The conjugate-pair partition of one σ set: a fixed function of the σ
-/// values alone, so it is identical at any thread count under any
-/// executor — and, since every window of size `K` samples the same
+/// values alone, so it is identical at any thread count — and, since every window of size `K` samples the same
 /// [`unit_circle_points`](refgen_numeric::dft::unit_circle_points), built
 /// once per size.
 #[derive(Debug)]
@@ -264,8 +264,7 @@ impl BatchSampler {
         (den, num, run)
     }
 
-    /// Evaluates every σ of `tables` on the runtime's executor (scoped
-    /// threads or the persistent pool — bit-identical either way), `one`
+    /// Evaluates every σ of `tables` on the runtime's pool, `one`
     /// point at a time at lane width 1 and `batch` per lane group
     /// otherwise, returning samples in σ order. With mirroring active,
     /// only the size's solve list is evaluated and the rest mirrored.
@@ -277,10 +276,10 @@ impl BatchSampler {
         batch: impl Fn(&SweepPlan, &[Complex], &mut SweepBatchScratch) -> Vec<T> + Sync,
     ) -> (Vec<T>, BatchRun) {
         let solve: &[Complex] = if self.mirror { &tables.conjugate.solve } else { &tables.sigmas };
-        let executor = runtime.executor();
+        let pool = runtime.pool();
         // Reported per point regardless of lane chunking, so diagnostics
         // stay bit-identical across lane widths.
-        let threads = refgen_exec::effective_threads(executor.threads(), solve.len());
+        let threads = refgen_exec::effective_threads(pool.threads(), solve.len());
         let plan = &self.plan;
         let mut counters = SweepStats::default();
         let mut count = |job: SweepStats| counters = counters + job;
@@ -293,7 +292,7 @@ impl BatchSampler {
             // counter) below is bit-identical to the `lanes == 1` branch.
             let chunks: Vec<&[Complex]> = solve.chunks(self.lanes).collect();
             let per_chunk: Vec<(Vec<T>, SweepStats)> =
-                executor.par_map_indexed(&chunks, SweepBatchScratch::new, |_, chunk, scratch| {
+                pool.par_map_indexed(&chunks, SweepBatchScratch::new, |_, chunk, scratch| {
                     let before = scratch.stats();
                     let values = batch(plan, chunk, scratch);
                     (values, scratch.stats() - before)
@@ -307,7 +306,7 @@ impl BatchSampler {
                 .collect()
         } else {
             let per_point: Vec<(T, SweepStats)> =
-                executor.par_map_indexed(solve, SweepScratch::new, |_, &sigma, scratch| {
+                pool.par_map_indexed(solve, SweepScratch::new, |_, &sigma, scratch| {
                     let before = scratch.stats();
                     let value = one(plan, sigma, scratch);
                     (value, scratch.stats() - before)

@@ -1,7 +1,20 @@
 //! Configuration for the adaptive interpolation algorithm.
 
-pub use refgen_exec::ExecutorKind;
 pub use refgen_mna::OrderingMode;
+
+/// The executor a configuration once chose between per-batch scoped
+/// threads and a persistent worker pool. Every configuration now runs on
+/// the pool (`refgen_exec::WorkerPool`), whose output was bit-identical to
+/// the scoped executor's, so the choice is gone; the name stays so that
+/// code which still names a kind keeps compiling.
+#[deprecated(note = "every configuration runs on the worker pool; the executor choice is a no-op")]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ExecutorKind {
+    /// Formerly: scoped threads spawned per batch.
+    Scoped,
+    /// Formerly: a persistent worker pool.
+    Pool,
+}
 
 /// How a fleet session ([`BatchSession`](crate::BatchSession)) treats a
 /// failing variant.
@@ -73,22 +86,16 @@ pub struct RefgenConfig {
     /// escalating stall retry after it is clamped to the same scale; those
     /// retries are skipped (see [`RefgenConfig::stall_retries`]).
     pub max_step_decades_per_index: f64,
-    /// Worker threads for batched unit-circle sampling: each window's
-    /// points are independent numeric refactorizations, executed by
-    /// `refgen_exec` with deterministic, index-ordered collection — solver
-    /// output is **bit-identical at any thread count**. `0` means "use the
-    /// available hardware parallelism"; the default is `1`
-    /// (single-threaded, matching the original engine).
+    /// Worker threads for batched unit-circle sampling and for fleet
+    /// variants: each window's points are independent numeric
+    /// refactorizations and each variant an independent solve, mapped by
+    /// one `refgen_exec::WorkerPool` per solve (or per fleet) with
+    /// deterministic, index-ordered collection — solver output is
+    /// **bit-identical at any thread count**. The pool spawns its threads
+    /// once and reuses them for every window and polynomial. `0` means
+    /// "use the available hardware parallelism"; the default is `1`
+    /// (single-threaded: nothing is spawned, every batch runs inline).
     pub threads: usize,
-    /// How sampling batches obtain their worker threads:
-    /// [`ExecutorKind::Scoped`] spawns scoped threads per batch (zero
-    /// standing cost), [`ExecutorKind::Pool`] spawns one persistent
-    /// `refgen_exec::WorkerPool` per solve (or per batch session) and
-    /// reuses it across every window and polynomial — amortizing the
-    /// ~100 µs spawn/join per batch that dominates reduced 6-point
-    /// windows. Output is **bit-identical** under either kind; only
-    /// wall-clock time changes. Default [`ExecutorKind::Scoped`].
-    pub executor: ExecutorKind,
     /// Exploit conjugate symmetry in window sampling: the MNA pattern's
     /// `K₀`/`K₁` and RHS are real for every supported element, so
     /// `D(s̄) = conj(D(s))` **exactly**, and IEEE complex arithmetic is
@@ -139,7 +146,6 @@ impl Default for RefgenConfig {
             verify: true,
             max_step_decades_per_index: 8.0,
             threads: 1,
-            executor: ExecutorKind::Scoped,
             conjugate_mirror: true,
             // `32` measures fastest per lane on the µA741 fleet shape:
             // per-step fixed costs (pivot staging, determinant
@@ -163,13 +169,6 @@ impl RefgenConfig {
     /// Starts a [`RefgenConfigBuilder`] from the paper defaults.
     pub fn builder() -> RefgenConfigBuilder {
         RefgenConfigBuilder { config: RefgenConfig::default() }
-    }
-
-    /// Validity threshold exponent relative to the window maximum:
-    /// coefficients with `|p'_i| < 10^{−(noise_decades − sig_digits)}·max`
-    /// are rejected (paper eq. (12) with the `10^{−13+6}` criterion).
-    pub fn validity_decades(&self) -> f64 {
-        self.noise_decades - self.sig_digits as f64
     }
 
     /// Checks internal consistency.
@@ -279,11 +278,14 @@ impl RefgenConfigBuilder {
         self
     }
 
-    /// Executor strategy for sampling batches (scoped per-batch spawns or
-    /// a persistent worker pool). Output is bit-identical under either.
+    /// Does nothing: every configuration runs on the worker pool (see
+    /// [`ExecutorKind`]).
+    #[deprecated(
+        note = "every configuration runs on the worker pool; the executor choice is a no-op"
+    )]
+    #[allow(deprecated)]
     #[must_use]
-    pub fn executor(mut self, executor: ExecutorKind) -> Self {
-        self.config.executor = executor;
+    pub fn executor(self, _executor: ExecutorKind) -> Self {
         self
     }
 
@@ -351,7 +353,6 @@ mod tests {
             .verify(false)
             .max_step_decades_per_index(6.0)
             .threads(4)
-            .executor(ExecutorKind::Pool)
             .conjugate_mirror(false)
             .lane_width(4)
             .ordering(OrderingMode::Amd)
@@ -360,7 +361,6 @@ mod tests {
         assert_eq!(cfg.ordering, OrderingMode::Amd);
         assert_eq!(cfg.fault_policy, FaultPolicy::Contain);
         assert_eq!(cfg.threads, 4);
-        assert_eq!(cfg.executor, ExecutorKind::Pool);
         assert!(!cfg.conjugate_mirror);
         assert_eq!(cfg.lane_width, 4);
         assert_eq!(cfg.sig_digits, 5);
@@ -378,6 +378,20 @@ mod tests {
         assert_eq!(RefgenConfig::builder().build(), RefgenConfig::default());
     }
 
+    /// Code that still names an executor kind builds the configuration it
+    /// would have built without naming one.
+    #[test]
+    #[allow(deprecated)]
+    fn deprecated_executor_choice_is_a_no_op() {
+        for kind in [ExecutorKind::Scoped, ExecutorKind::Pool] {
+            assert_eq!(
+                RefgenConfig::builder().executor(kind).threads(4).build(),
+                RefgenConfig::builder().threads(4).build(),
+                "{kind:?}"
+            );
+        }
+    }
+
     #[test]
     #[should_panic(expected = "must be below")]
     fn builder_rejects_impossible_digits() {
@@ -389,9 +403,7 @@ mod tests {
         let c = RefgenConfig::default();
         assert_eq!(c.sig_digits, 6);
         assert_eq!(c.noise_decades, 13.0);
-        assert_eq!(c.validity_decades(), 7.0);
         assert_eq!(c.threads, 1);
-        assert_eq!(c.executor, ExecutorKind::Scoped);
         assert!(c.conjugate_mirror);
         assert_eq!(c.lane_width, 32);
         assert_eq!(c.ordering, OrderingMode::Auto);

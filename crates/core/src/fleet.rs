@@ -2,8 +2,7 @@
 //!
 //! A [`BatchSession`] solves a whole fleet of same-topology circuit
 //! variants — generated from a seeded [`VariantSet`] or supplied
-//! explicitly — through **one** [`SamplingRuntime`]: the worker pool (if
-//! [`ExecutorKind::Pool`](refgen_exec::ExecutorKind::Pool) is configured)
+//! explicitly — through **one** [`SamplingRuntime`]: its worker pool
 //! spawns once for the fleet, and the shared plan cache means one pivot
 //! search per *topology* (plus one per plan cell whose growth gate
 //! fails), not per variant: every cell's order is computed from the
@@ -14,7 +13,7 @@
 //!
 //! With more than one worker thread (and the default solver), the fleet
 //! runs **variant-major**: variants are chunked into lane-width batches
-//! and fanned across the runtime's executor, each worker solving its
+//! and fanned across the runtime's pool, each worker solving its
 //! variants through a single-threaded
 //! [`SamplingRuntime::variant_worker`] runtime that shares the fleet's
 //! plan cache. Inside each variant, `config.lane_width` unit-circle
@@ -27,12 +26,15 @@
 //! order, per-variant diagnostics are replayed to the observer in
 //! variant order, and both pivot-order replay and batched lane replay
 //! are value-exact — so a batch run is **bit-identical** at any thread
-//! count, under either executor kind, at any lane width
+//! count and any lane width
 //! (`tests/fleet_oracle.rs` asserts it against closed-form statistics).
 //!
-//! Fault containment: under the default
-//! [`FaultPolicy::FailFast`](crate::FaultPolicy) a fleet is
-//! all-or-nothing — the first failing variant's error aborts the run.
+//! Fault containment: every variant's solve runs under `catch_unwind`,
+//! whatever the policy, and results are settled in variant order. Under
+//! the default [`FaultPolicy::FailFast`](crate::FaultPolicy) a fleet is
+//! all-or-nothing — the lowest-index failing variant decides the run, at
+//! any thread count: its error is returned, or its panic re-raised with
+//! the original payload.
 //! Under [`FaultPolicy::Contain`](crate::FaultPolicy) each variant's
 //! failure (a typed solve error, or a quarantined panic) becomes a
 //! [`VariantOutcome::Failed`] entry and the fleet keeps going; the
@@ -41,8 +43,8 @@
 //! [`BatchReport::failed_variants`]. Containment never perturbs
 //! surviving variants: their solutions, diagnostics, and accounting are
 //! bit-identical to a fleet that never contained the failed circuits
-//! (`tests/fault_containment.rs` pins this across thread counts,
-//! executors, and lane widths).
+//! (`tests/fault_containment.rs` pins this across thread counts and lane
+//! widths).
 //!
 //! # Example
 //!
@@ -81,6 +83,8 @@ use refgen_circuit::perturb::VariantSet;
 use refgen_circuit::Circuit;
 use refgen_exec::JobPanic;
 use refgen_mna::{faults, MnaError, MnaSystem, TransferSpec};
+use std::any::Any;
+use std::panic::AssertUnwindSafe;
 
 /// Where a batch session's fleet comes from.
 pub(crate) enum VariantInput<'a> {
@@ -279,13 +283,19 @@ impl<'a> BatchSession<'a> {
     /// [`RefgenError::SpecMissing`] without a spec;
     /// [`RefgenError::EmptyFleet`] for a zero-variant fleet;
     /// variant-generation failures as [`RefgenError::Mna`]. Under the
-    /// default [`FaultPolicy::FailFast`](crate::FaultPolicy), the first
-    /// failing variant's error (fleet solves are all-or-nothing — a
-    /// legitimately unsolvable variant is a modeling problem the caller
+    /// default [`FaultPolicy::FailFast`](crate::FaultPolicy), the error of
+    /// the lowest-index failing variant (fleet solves are all-or-nothing —
+    /// a legitimately unsolvable variant is a modeling problem the caller
     /// should see, not a silently shortened fleet). Under
     /// [`FaultPolicy::Contain`](crate::FaultPolicy) per-variant failures
     /// — including quarantined solve panics — never abort the fleet;
     /// they are returned in place as [`VariantOutcome::Failed`].
+    ///
+    /// # Panics
+    ///
+    /// Under [`FaultPolicy::FailFast`](crate::FaultPolicy), when the
+    /// lowest-index failing variant panicked: its panic is re-raised with
+    /// the original payload, at any thread count.
     pub fn solve_all(self) -> Result<BatchRun, RefgenError> {
         let spec = self.spec.ok_or(RefgenError::SpecMissing)?;
         let generated;
@@ -312,7 +322,6 @@ impl<'a> BatchSession<'a> {
         // One runtime for the fleet: pool threads spawn here (once), and
         // the plan cache accumulates pivot orders across every variant.
         let runtime = SamplingRuntime::new(&self.config);
-        let threads = refgen_exec::resolve_threads(self.config.threads);
 
         // Every variant's system is compiled once, here, and every
         // pattern's plan cells are anchored before any variant plans: on
@@ -324,7 +333,7 @@ impl<'a> BatchSession<'a> {
         let systems: Vec<Result<MnaSystem, MnaError>> = if custom_solver {
             Vec::new()
         } else {
-            runtime.executor().par_map_indexed(
+            runtime.pool().par_map_indexed(
                 circuits,
                 || (),
                 |_, circuit, _: &mut ()| MnaSystem::new(circuit),
@@ -344,7 +353,7 @@ impl<'a> BatchSession<'a> {
             solver.solve_system(sys, &spec, observer, runtime)
         };
         let mut outcomes = Vec::with_capacity(circuits.len());
-        if !custom_solver && circuits.len() > 1 && threads > 1 {
+        if !custom_solver && circuits.len() > 1 && runtime.pool().threads() > 1 {
             // Variant-major fan-out: whole variants are the unit of
             // parallelism. Each worker solves its variants through a
             // single-threaded [`SamplingRuntime::variant_worker`] runtime
@@ -356,7 +365,6 @@ impl<'a> BatchSession<'a> {
             // keeps the plain sequential loop below.
             let mut inner_config = self.config;
             inner_config.threads = 1;
-            inner_config.executor = refgen_exec::ExecutorKind::Scoped;
 
             // Variants in lane-width batches — one batch per worker slot,
             // collected in index order. Chunk `i` covers variants
@@ -368,95 +376,44 @@ impl<'a> BatchSession<'a> {
             let chunks: Vec<&[Circuit]> = circuits.chunks(lane).collect();
             let worker_runtimes: Vec<SamplingRuntime> =
                 chunks.iter().map(|_| runtime.variant_worker()).collect();
-            let solve_chunk = |i: usize, chunk: &&[Circuit]| {
-                let solver = AdaptiveInterpolator::new(inner_config);
-                let mut sink = NullObserver;
-                (0..chunk.len())
-                    .map(|j| {
-                        let variant = i * lane + j;
-                        solve_one(variant, &mut sink, contain, |observer| {
-                            solve_variant(&solver, variant, observer, &worker_runtimes[i])
+            let fanned = runtime.pool().par_map_indexed(
+                &chunks,
+                || (),
+                |i, chunk, _: &mut ()| {
+                    let solver = AdaptiveInterpolator::new(inner_config);
+                    let mut sink = NullObserver;
+                    (0..chunk.len())
+                        .map(|j| {
+                            let variant = i * lane + j;
+                            solve_one(variant, &mut sink, |observer| {
+                                solve_variant(&solver, variant, observer, &worker_runtimes[i])
+                            })
                         })
-                    })
-                    .collect::<Vec<Result<Solution, RefgenError>>>()
-            };
-            let fanned: Vec<Vec<Result<Solution, RefgenError>>> = if contain {
-                // Contained dispatch: per-variant quarantine happens
-                // inside `solve_one`; the executor-level backstop turns a
-                // panic escaping the chunk machinery itself into typed
-                // failures for the whole chunk instead of unwinding the
-                // fleet.
-                runtime
-                    .executor()
-                    .try_par_map_indexed(
-                        &chunks,
-                        || (),
-                        |i, chunk, _: &mut ()| solve_chunk(i, chunk),
-                    )
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, chunk_result)| {
-                        chunk_result.unwrap_or_else(|panic: JobPanic| {
-                            chunks[i]
-                                .iter()
-                                .map(|_| {
-                                    Err(RefgenError::VariantPanicked {
-                                        message: panic.message.clone(),
-                                    })
-                                })
-                                .collect()
-                        })
-                    })
-                    .collect()
-            } else {
-                runtime.executor().par_map_indexed(
-                    &chunks,
-                    || (),
-                    |i, chunk, _: &mut ()| solve_chunk(i, chunk),
-                )
-            };
+                        .collect::<Vec<_>>()
+                },
+            );
 
-            // Deterministic collection: variant order, lowest-index error
-            // wins under FailFast. The recorded diagnostic trail of each
-            // solution is replayed to the session observer so the
-            // observable stream matches a sequential run event for event.
+            // Deterministic collection in variant order. The recorded
+            // diagnostic trail of each solution is replayed to the session
+            // observer so the observable stream matches a sequential run
+            // event for event.
             for (variant, result) in fanned.into_iter().flatten().enumerate() {
-                match result {
-                    Ok(solution) => {
-                        for diagnostic in solution.diagnostics() {
-                            observer.on_diagnostic(diagnostic);
-                        }
-                        observer.on_diagnostic(&Diagnostic::VariantSolved {
-                            variant,
-                            total_points: solution.total_points(),
-                            refactor_hits: solution.refactor_hits(),
-                        });
-                        outcomes.push(VariantOutcome::Solved(Box::new(solution)));
+                if let Ok(solution) = &result {
+                    for diagnostic in solution.diagnostics() {
+                        observer.on_diagnostic(diagnostic);
                     }
-                    Err(error) if contain => outcomes.push(VariantOutcome::failed(error)),
-                    Err(error) => return Err(error),
                 }
+                settle(variant, result, contain, observer, &mut outcomes)?;
             }
         } else {
             let adaptive = AdaptiveInterpolator::new(self.config);
             let custom = self.solver;
             for (variant, circuit) in circuits.iter().enumerate() {
-                let solved = solve_one(variant, observer, contain, |observer| match &custom {
+                let result = solve_one(variant, observer, |observer| match &custom {
                     Some(solver) => solver.solve_with_runtime(circuit, &spec, observer, &runtime),
                     None => solve_variant(&adaptive, variant, observer, &runtime),
                 });
-                match solved {
-                    Ok(solution) => {
-                        observer.on_diagnostic(&Diagnostic::VariantSolved {
-                            variant,
-                            total_points: solution.total_points(),
-                            refactor_hits: solution.refactor_hits(),
-                        });
-                        outcomes.push(VariantOutcome::Solved(Box::new(solution)));
-                    }
-                    Err(error) if contain => outcomes.push(VariantOutcome::failed(error)),
-                    Err(error) => return Err(error),
-                }
+                settle(variant, result, contain, observer, &mut outcomes)?;
             }
         };
 
@@ -483,40 +440,70 @@ impl<'a> BatchSession<'a> {
     }
 }
 
+/// How one variant's solve ended without a solution.
+enum VariantFailure {
+    /// A typed solve error.
+    Error(RefgenError),
+    /// A caught panic, with its original payload.
+    Panic(Box<dyn Any + Send>),
+}
+
 /// Runs `solve` for one variant with its fault scope armed on the
-/// executing thread.
+/// executing thread, under `catch_unwind` whatever the fault policy, so a
+/// panicking variant (scripted or genuine) becomes a
+/// [`VariantFailure::Panic`] that [`settle`] handles in variant order.
 ///
 /// The scope gives the deterministic fault-injection tier
 /// ([`refgen_mna::faults`]) the variant's fleet index — with no plan
-/// installed every query is an inert atomic load, so the `FailFast`
-/// path is exactly the pre-containment solve. With `contain` set, the
-/// whole solve runs under `catch_unwind`: a panicking variant
-/// (scripted or genuine) is quarantined into
-/// [`RefgenError::VariantPanicked`] instead of unwinding the fleet.
+/// installed every query is an inert atomic load.
 fn solve_one(
     variant: usize,
     observer: &mut dyn Observer,
-    contain: bool,
     solve: impl FnOnce(&mut dyn Observer) -> Result<Solution, RefgenError>,
-) -> Result<Solution, RefgenError> {
-    let run = |observer: &mut dyn Observer| {
+) -> Result<Solution, VariantFailure> {
+    let solved = std::panic::catch_unwind(AssertUnwindSafe(|| {
         let _scope = faults::FaultScope::variant(variant);
         if faults::scripted_panic() {
             panic!("injected fault: scripted panic for variant {variant}");
         }
         solve(observer)
-    };
-    if contain {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(observer))).unwrap_or_else(
-            |payload| {
-                Err(RefgenError::VariantPanicked {
-                    message: JobPanic::from_payload(payload).message,
-                })
-            },
-        )
-    } else {
-        run(observer)
+    }));
+    solved.map_err(VariantFailure::Panic)?.map_err(VariantFailure::Error)
+}
+
+/// Records variant `variant`'s result, called in variant order: a solution
+/// streams [`Diagnostic::VariantSolved`] and joins `outcomes`. A failure is
+/// contained as [`VariantOutcome::Failed`] (a panic as
+/// [`RefgenError::VariantPanicked`]) when `contain` is set; otherwise it
+/// decides the fleet: an error is returned, a panic re-raised with its
+/// original payload.
+fn settle(
+    variant: usize,
+    result: Result<Solution, VariantFailure>,
+    contain: bool,
+    observer: &mut dyn Observer,
+    outcomes: &mut Vec<VariantOutcome>,
+) -> Result<(), RefgenError> {
+    match result {
+        Ok(solution) => {
+            observer.on_diagnostic(&Diagnostic::VariantSolved {
+                variant,
+                total_points: solution.total_points(),
+                refactor_hits: solution.refactor_hits(),
+            });
+            outcomes.push(VariantOutcome::Solved(Box::new(solution)));
+        }
+        Err(VariantFailure::Error(error)) if contain => {
+            outcomes.push(VariantOutcome::failed(error))
+        }
+        Err(VariantFailure::Panic(payload)) if contain => {
+            let message = JobPanic::from_payload(payload).message;
+            outcomes.push(VariantOutcome::failed(RefgenError::VariantPanicked { message }));
+        }
+        Err(VariantFailure::Error(error)) => return Err(error),
+        Err(VariantFailure::Panic(payload)) => std::panic::resume_unwind(payload),
     }
+    Ok(())
 }
 
 /// Per-index population mean/variance over one polynomial of every
@@ -655,7 +642,6 @@ mod tests {
     /// loop, at every lane width.
     #[test]
     fn fanned_fleet_accounting_matches_sequential_exactly() {
-        use refgen_exec::ExecutorKind;
         let base = rc_ladder(5, 1e3, 1e-9);
         let fleet =
             VariantSet::new(Perturbation::all_relative(0.05), 9).seed(21).generate(&base).unwrap();
@@ -666,7 +652,6 @@ mod tests {
                 .config(
                     crate::config::RefgenConfig::builder()
                         .threads(threads)
-                        .executor(ExecutorKind::Scoped)
                         .lane_width(lanes)
                         .build(),
                 )

@@ -44,9 +44,9 @@
 //! pivot order), then executed over all points with reused per-worker
 //! scratch state: numeric refactorization instead of a pivot search per
 //! point, and zero steady-state allocation. The
-//! `RefgenConfig::builder().threads(n)` knob fans the points out over `n`
-//! scoped worker threads (`0` = available parallelism; default `1`) via
-//! the dependency-free `refgen_exec` executor, with **bit-identical
+//! `RefgenConfig::builder().threads(n)` knob fans the points out over the
+//! `n` threads of a persistent worker pool (`0` = available parallelism;
+//! default `1`) from the dependency-free `refgen_exec`, with **bit-identical
 //! output at every thread count** — results are collected in index order
 //! and each point is a pure function of the plan. Per-window cost and
 //! pivot-order reuse are reported as [`Diagnostic::SamplingBatched`]
@@ -164,7 +164,9 @@ pub mod validate;
 pub mod window;
 
 pub use adaptive::{AdaptiveInterpolator, NetworkFunction, PolyKind, PolyReport, RunReport};
-pub use config::{ExecutorKind, FaultPolicy, OrderingMode, RefgenConfig, RefgenConfigBuilder};
+#[allow(deprecated)]
+pub use config::ExecutorKind;
+pub use config::{FaultPolicy, OrderingMode, RefgenConfig, RefgenConfigBuilder};
 pub use diagnostic::{CollectObserver, Diagnostic, NullObserver, Observer, Severity};
 pub use error::RefgenError;
 pub use fleet::{BatchReport, BatchRun, BatchSession, CoeffStats, VariantOutcome};

@@ -3,11 +3,10 @@
 //! Three costs of the plan/execute sampling engine are worth paying
 //! **once** rather than per window:
 //!
-//! * **worker threads** — under
-//!   [`ExecutorKind::Pool`](refgen_exec::ExecutorKind::Pool) the runtime
-//!   owns a persistent `refgen_exec::WorkerPool`, so the per-window
-//!   scoped-thread spawn/join (~100 µs at 4 workers) disappears from the
-//!   steady state;
+//! * **worker threads** — the runtime owns a persistent
+//!   [`WorkerPool`] of `config.threads` threads, spawned once (none at one
+//!   thread), so no window pays a thread spawn/join (~100 µs at 4
+//!   workers);
 //! * **pivot searches** — the runtime's [`PlanCache`] hands every window
 //!   plan the pivot order of its plan cell, computed once from the cell's
 //!   anchor (the session's circuit, or a fleet's base circuit): the
@@ -22,7 +21,7 @@
 //! the same power columns `σ_k^i` (subtracting the known coefficient `i`)
 //! and `conj(σ_k)^{k_lo}` (the shift down to the lowest unknown), and the
 //! same conjugate-pair partition of the points into solved and mirrored
-//! ones. They depend on `K` alone, so [`window_tables`] builds them once
+//! ones. They depend on `K` alone, so `window_tables` builds them once
 //! per `K` for the whole process, each power column on first use, and
 //! every later window of that size — in any session, fleet or thread —
 //! reads them. Tables sit in a vector indexed by `K`, and each table's
@@ -34,21 +33,21 @@
 //! polynomials. A [`BatchSession`](crate::BatchSession) creates **one**
 //! runtime for its whole fleet — that is the "one pivot search per
 //! topology, threads spawned once" configuration the batch engine exists
-//! for. Sharing never changes results: executors collect in index order,
+//! for. Sharing never changes results: the pool collects in index order,
 //! pivot-order replay is value-exact, a plan's order depends only on its
 //! anchor and cell, and a table holds exactly the values a window would
 //! compute for itself, so solver output is bit-identical with or without
-//! a shared runtime, at any thread count, under either executor kind.
+//! a shared runtime, at any thread count.
 
 use crate::batch::ConjugateRoles;
 use crate::config::RefgenConfig;
-use refgen_exec::Executor;
+use refgen_exec::WorkerPool;
 use refgen_mna::PlanCache;
 use refgen_numeric::dft::{unit_circle_points, Dft};
 use refgen_numeric::Complex;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-/// Executor and plan cache shared by every sampling batch of one solve
+/// Worker pool and plan cache shared by every sampling batch of one solve
 /// (or one batch session). See the [module docs](self).
 ///
 /// The plan cache sits behind an [`Arc`] so a fleet session can hand each
@@ -57,7 +56,7 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 /// every other worker.
 #[derive(Debug)]
 pub struct SamplingRuntime {
-    executor: Executor,
+    pool: WorkerPool,
     plans: Arc<PlanCache>,
 }
 
@@ -152,28 +151,25 @@ impl SizeTables {
 }
 
 impl SamplingRuntime {
-    /// Builds the runtime a configuration asks for: an
-    /// [`Executor`] of `config.executor` kind with `config.threads`
-    /// workers (pool threads spawn here, once) and an empty plan cache.
+    /// Builds the runtime a configuration asks for: a [`WorkerPool`] of
+    /// `config.threads` workers (its threads spawn here, once) and an
+    /// empty plan cache.
     pub fn new(config: &RefgenConfig) -> SamplingRuntime {
-        SamplingRuntime {
-            executor: Executor::new(config.executor, config.threads),
-            plans: Arc::default(),
-        }
+        SamplingRuntime { pool: WorkerPool::new(config.threads), plans: Arc::default() }
     }
 
-    /// A per-variant worker runtime: a single-threaded scoped executor
-    /// (the variant-major fleet path parallelizes *across* variants, so
-    /// each variant's own sampling must not nest threads) sharing **this**
-    /// runtime's plan cache. Pivot searches, shared-plan hits, and
-    /// compiled programs all accumulate on the parent.
+    /// A per-variant worker runtime: a one-thread pool, which spawns
+    /// nothing (the variant-major fleet path parallelizes *across*
+    /// variants, so each variant's own sampling must not nest threads),
+    /// sharing **this** runtime's plan cache. Pivot searches, shared-plan
+    /// hits, and compiled programs all accumulate on the parent.
     pub fn variant_worker(&self) -> SamplingRuntime {
-        SamplingRuntime { executor: Executor::scoped(1), plans: Arc::clone(&self.plans) }
+        SamplingRuntime { pool: WorkerPool::new(1), plans: Arc::clone(&self.plans) }
     }
 
-    /// The executor sampling batches fan out on.
-    pub fn executor(&self) -> &Executor {
-        &self.executor
+    /// The pool sampling batches and fleet variants fan out on.
+    pub fn pool(&self) -> &WorkerPool {
+        &self.pool
     }
 
     /// The shared pivot-order cache window plans build through.
@@ -231,32 +227,21 @@ pub(crate) fn window_tables(k_points: usize, max_exponent: usize) -> Arc<SizeTab
 mod tests {
     use super::*;
     use crate::config::RefgenConfig;
-    use refgen_exec::ExecutorKind;
 
     #[test]
     fn runtime_reflects_config() {
-        let scoped = SamplingRuntime::new(
-            &RefgenConfig::builder().threads(3).executor(ExecutorKind::Scoped).build(),
-        );
-        assert!(!scoped.executor().is_pool());
-        assert_eq!(scoped.executor().threads(), 3);
-        assert_eq!(scoped.pivot_searches(), 0);
-
-        let pooled = SamplingRuntime::new(
-            &RefgenConfig::builder().threads(2).executor(ExecutorKind::Pool).build(),
-        );
-        assert!(pooled.executor().is_pool());
-        assert_eq!(pooled.executor().threads(), 2);
+        let three = SamplingRuntime::new(&RefgenConfig::builder().threads(3).build());
+        assert_eq!(three.pool().threads(), 3);
+        assert_eq!(three.pivot_searches(), 0);
+        let default = SamplingRuntime::new(&RefgenConfig::default());
+        assert_eq!(default.pool().threads(), 1);
     }
 
     #[test]
     fn variant_worker_is_single_threaded_and_shares_plans() {
-        let parent = SamplingRuntime::new(
-            &RefgenConfig::builder().threads(4).executor(ExecutorKind::Pool).build(),
-        );
+        let parent = SamplingRuntime::new(&RefgenConfig::builder().threads(4).build());
         let worker = parent.variant_worker();
-        assert!(!worker.executor().is_pool());
-        assert_eq!(worker.executor().threads(), 1);
+        assert_eq!(worker.pool().threads(), 1);
         // Same cache object, not a copy.
         assert!(std::ptr::eq(parent.plan_cache() as *const _, worker.plan_cache() as *const _));
     }

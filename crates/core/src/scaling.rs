@@ -79,21 +79,12 @@ pub fn initial_scale_frequency_only(circuit: &Circuit) -> Scale {
 /// `m`, `q` solves `|p'_e|·q^e = |p'_m|·q^m·10^{13+r}` — after re-scaling,
 /// the old last coefficient sits `13+r` decades above the old maximum, so
 /// the new window starts right where the old one ended (minimal overlap).
-/// The tilt is split between both knobs (`f′ = f·√q`, `g′ = g/√q`), the
-/// paper's simultaneous-scaling guard against huge individual factors.
+/// `policy` decides where the tilt goes: [`ScalePolicy::Simultaneous`]
+/// splits it between both knobs (`f′ = f·√q`, `g′ = g/√q`), the paper's
+/// guard against huge individual factors.
 ///
 /// `extra_decades` escalates the step on stall retries (0 for the first
 /// attempt).
-pub fn step_scale(
-    window: &Window,
-    direction: Direction,
-    extra_decades: f64,
-    config: &RefgenConfig,
-) -> Scale {
-    step_scale_with_policy(window, direction, extra_decades, config, ScalePolicy::Simultaneous)
-}
-
-/// As [`step_scale`], with an explicit [`ScalePolicy`].
 pub fn step_scale_with_policy(
     window: &Window,
     direction: Direction,
@@ -154,6 +145,11 @@ pub fn gap_repair_scale(a: Scale, b: Scale) -> Scale {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The paper's simultaneous step.
+    fn step_scale(w: &Window, direction: Direction, extra: f64, cfg: &RefgenConfig) -> Scale {
+        step_scale_with_policy(w, direction, extra, cfg, ScalePolicy::Simultaneous)
+    }
     use refgen_circuit::library::rc_ladder;
     use refgen_numeric::{Complex, ExtComplex, ExtFloat};
 

@@ -12,9 +12,7 @@
 
 use refgen_circuit::library::ua741;
 use refgen_circuit::{Perturbation, VariantSet};
-use refgen_core::{
-    ExecutorKind, FaultPolicy, NetworkFunction, OrderingMode, RefgenConfig, Session, Solution,
-};
+use refgen_core::{FaultPolicy, NetworkFunction, OrderingMode, RefgenConfig, Session, Solution};
 use refgen_mna::TransferSpec;
 use std::fmt::Write;
 use std::sync::OnceLock;
@@ -47,10 +45,9 @@ impl Write for Fnv {
 }
 
 /// The library defaults, each set explicitly.
-fn config(executor: ExecutorKind) -> RefgenConfig {
+fn config() -> RefgenConfig {
     RefgenConfig::builder()
         .threads(1)
-        .executor(executor)
         .conjugate_mirror(true)
         .lane_width(32)
         .ordering(OrderingMode::Auto)
@@ -111,11 +108,8 @@ fn sessions() -> &'static [Hashes] {
         circuits
             .iter()
             .map(|c| {
-                let solution = Session::for_circuit(c)
-                    .spec(spec())
-                    .config(config(ExecutorKind::Scoped))
-                    .solve()
-                    .unwrap();
+                let solution =
+                    Session::for_circuit(c).spec(spec()).config(config()).solve().unwrap();
                 hash_solutions([&solution])
             })
             .collect()
@@ -128,7 +122,7 @@ fn fleet() -> Hashes {
     *HASHES.get_or_init(|| {
         let run = Session::for_circuit(&ua741())
             .spec(spec())
-            .config(config(ExecutorKind::Pool))
+            .config(config())
             .variants(variants(64, 0xf1ee7))
             .solve_all()
             .unwrap();

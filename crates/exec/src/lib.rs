@@ -1,25 +1,15 @@
-//! Dependency-free scoped-thread executor for the `refgen` workspace.
+//! Dependency-free parallel map for the `refgen` workspace.
 //!
 //! The interpolation engine's hot loop — evaluating the MNA determinant or
 //! cofactor at `K` unit-circle points — is embarrassingly parallel: every
-//! point is an independent numeric refactorization. This crate provides the
-//! one primitive that loop needs, [`par_map_indexed`]: map a function over a
-//! work list on a fixed number of OS threads, giving each thread its own
-//! scratch state, and collect the results **in index order** so the output
-//! is bit-identical at any thread count.
-//!
-//! Two implementations share that contract:
-//!
-//! * the free function [`par_map_indexed`] spawns scoped threads per call
-//!   (`std::thread::scope`) — zero standing cost, ~100 µs spawn/join per
-//!   batch;
-//! * a persistent [`WorkerPool`] (the [`pool`] module) spawns its threads
-//!   once and feeds batches over channels — the executor batch sessions
-//!   use to amortize spawns across windows, polynomials, and whole
-//!   Monte-Carlo fleets.
-//!
-//! The [`Executor`] enum puts both behind one call site so engine code is
-//! written once and the strategy is a configuration knob.
+//! point is an independent numeric refactorization, and every variant of a
+//! fleet is an independent solve. This crate provides the one primitive
+//! both need, [`WorkerPool::par_map_indexed`]: map a function over a work
+//! list on a fixed set of OS threads, giving each participating thread its
+//! own scratch state, and collect the results **in index order** so the
+//! output is bit-identical at any thread count. The pool spawns its
+//! threads once, when it is built, and a one-thread pool spawns none: it
+//! runs every map inline on the caller's thread.
 //!
 //! # Why not rayon?
 //!
@@ -27,12 +17,11 @@
 //! external dependency is a vendored API-subset shim (see the workspace
 //! `vendor/` directory). Vendoring a faithful rayon shim would mean
 //! reimplementing its work-stealing deques and join primitives — far more
-//! code than the one fork/join shape the engine actually needs.
-//! `std::thread::scope` (stable since 1.63) lets scoped worker threads
-//! borrow the work list and the map closure directly, with no `'static`
-//! bounds, no channels, and no unsafe. If the registry ever becomes
-//! reachable, `par_map_indexed` is the single seam to swap for
-//! `rayon::iter::ParallelIterator`.
+//! code than the one fork/join shape the engine actually needs. The price
+//! of a hand-written pool is one `unsafe` lifetime erasure (see the
+//! [`pool`] module). If the registry ever becomes reachable,
+//! [`WorkerPool::par_map_indexed`] is the single seam to swap for a rayon
+//! `ThreadPool` running an indexed `par_iter().map_init(..).collect()`.
 //!
 //! # Determinism
 //!
@@ -46,23 +35,21 @@
 //! # Example
 //!
 //! ```
+//! use refgen_exec::WorkerPool;
+//!
 //! let items: Vec<u64> = (0..100).collect();
-//! let serial = refgen_exec::par_map_indexed(1, &items, || 0u64, |i, &x, _| x * i as u64);
-//! let parallel = refgen_exec::par_map_indexed(4, &items, || 0u64, |i, &x, _| x * i as u64);
+//! let serial = WorkerPool::new(1).par_map_indexed(&items, || 0u64, |i, &x, _| x * i as u64);
+//! let parallel = WorkerPool::new(4).par_map_indexed(&items, || 0u64, |i, &x, _| x * i as u64);
 //! assert_eq!(serial, parallel);
 //! ```
 
 pub mod pool;
 
-pub use pool::{Executor, ExecutorKind, WorkerPool};
+pub use pool::WorkerPool;
 
-use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
-
-/// A job panic caught by a contained executor run
-/// ([`try_par_map_indexed`] and friends): the panic payload rendered as a
-/// typed per-item failure instead of an unwinding batch.
+/// A caught job panic rendered as a typed failure: callers that quarantine
+/// a panic with `std::panic::catch_unwind` (a fleet under a containing
+/// fault policy) turn the payload into this instead of unwinding.
 ///
 /// Only the panic *message* survives the crossing (string payloads are
 /// preserved verbatim; anything else is summarized), which keeps the type
@@ -76,9 +63,7 @@ pub struct JobPanic {
 
 impl JobPanic {
     /// Renders a caught panic payload (`std::panic::catch_unwind`'s `Err`)
-    /// as a typed failure. Public so callers quarantining their own
-    /// `catch_unwind` sites produce payload messages identical to the
-    /// contained executor paths.
+    /// as a typed failure.
     pub fn from_payload(payload: Box<dyn std::any::Any + Send>) -> JobPanic {
         let message = if let Some(s) = payload.downcast_ref::<&'static str>() {
             (*s).to_string()
@@ -99,26 +84,6 @@ impl std::fmt::Display for JobPanic {
 
 impl std::error::Error for JobPanic {}
 
-/// Runs one work item under a per-item panic shield. On a caught panic the
-/// worker's scratch is discarded (the unwind may have left it in a torn
-/// state) and lazily rebuilt for the next item, so one bad item cannot
-/// corrupt its successors. Shared by the scoped and pooled contained paths.
-pub(crate) fn contain_item<T, S, R>(
-    index: usize,
-    item: &T,
-    scratch: &mut Option<S>,
-    make_scratch: &(impl Fn() -> S + Sync),
-    f: &(impl Fn(usize, &T, &mut S) -> R + Sync),
-) -> Result<R, JobPanic> {
-    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        f(index, item, scratch.get_or_insert_with(make_scratch))
-    }));
-    outcome.map_err(|payload| {
-        *scratch = None;
-        JobPanic::from_payload(payload)
-    })
-}
-
 /// Number of hardware threads available to this process (at least 1).
 pub fn available_threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
@@ -134,146 +99,19 @@ pub fn resolve_threads(requested: usize) -> usize {
     }
 }
 
-/// The worker count [`par_map_indexed`] will actually use for `requested`
-/// threads over `items` work items: [`resolve_threads`], capped at the
-/// item count, floored at 1. Callers that report the worker count (e.g.
-/// in diagnostics) use this so their number always matches the executor's
+/// The worker count a [`WorkerPool`] of `requested` threads actually uses
+/// over `items` work items: [`resolve_threads`], capped at the item count,
+/// floored at 1. Callers that report the worker count (e.g. in
+/// diagnostics) use this so their number always matches the pool's
 /// behavior.
 pub fn effective_threads(requested: usize, items: usize) -> usize {
     resolve_threads(requested).min(items).max(1)
 }
 
-/// Maps `f` over `items` on up to `threads` scoped OS threads (`0` = use
-/// [`available_threads`]), with one `make_scratch()` state per worker, and
-/// returns the results **in item order**.
-///
-/// The thread count is additionally capped at `items.len()` — spawning more
-/// workers than work items buys nothing. With an effective count of 1 the
-/// whole map runs inline on the caller's thread (no spawn at all), which is
-/// also the path a single-item list takes.
-///
-/// Items are claimed dynamically, so uneven per-item cost load-balances
-/// automatically; the index-ordered collection keeps the output independent
-/// of the schedule (see the [crate docs](crate) on determinism).
-///
-/// # Panics
-///
-/// If `f` panics on any item, the panic propagates to the caller once all
-/// workers have stopped (the behavior of [`std::thread::scope`]).
-pub fn par_map_indexed<T, S, R, FS, F>(
-    threads: usize,
-    items: &[T],
-    make_scratch: FS,
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    FS: Fn() -> S + Sync,
-    F: Fn(usize, &T, &mut S) -> R + Sync,
-{
-    let n = items.len();
-    let threads = effective_threads(threads, n);
-    if threads == 1 {
-        let mut scratch = make_scratch();
-        return items.iter().enumerate().map(|(i, item)| f(i, item, &mut scratch)).collect();
-    }
-
-    let cursor = AtomicUsize::new(0);
-    // One slot per item: workers write results home by index, so collection
-    // order is fixed regardless of which worker computed what. Per-slot
-    // locks are uncontended (each slot is written exactly once).
-    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut scratch = make_scratch();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let r = f(i, &items[i], &mut scratch);
-                    // A poisoned slot just means some other worker panicked
-                    // mid-batch; the slot value itself is written exactly
-                    // once and is never torn, so recover it.
-                    *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(r);
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .expect("every index below the cursor was computed")
-        })
-        .collect()
-}
-
-/// The **contained** variant of [`par_map_indexed`]: a panic in `f` is
-/// caught per item and surfaces as `Err(`[`JobPanic`]`)` in that item's
-/// output slot, while the workers keep draining the remaining items.
-/// Collection stays index-ordered, so for a pure map function the `Ok`
-/// results are bit-identical to an uncontained run at any thread count.
-///
-/// A worker whose item panicked discards its scratch state (the unwind may
-/// have left it torn) and rebuilds it for the next item it claims.
-pub fn try_par_map_indexed<T, S, R, FS, F>(
-    threads: usize,
-    items: &[T],
-    make_scratch: FS,
-    f: F,
-) -> Vec<Result<R, JobPanic>>
-where
-    T: Sync,
-    R: Send,
-    FS: Fn() -> S + Sync,
-    F: Fn(usize, &T, &mut S) -> R + Sync,
-{
-    let n = items.len();
-    let threads = effective_threads(threads, n);
-    if threads == 1 {
-        let mut scratch: Option<S> = None;
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| contain_item(i, item, &mut scratch, &make_scratch, &f))
-            .collect();
-    }
-
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<R, JobPanic>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut scratch: Option<S> = None;
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let r = contain_item(i, &items[i], &mut scratch, &make_scratch, &f);
-                    *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(r);
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .expect("every index below the cursor was computed")
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn resolves_zero_to_hardware() {
@@ -293,7 +131,7 @@ mod tests {
     #[test]
     fn maps_in_index_order() {
         let items: Vec<usize> = (0..257).collect();
-        let out = par_map_indexed(4, &items, || (), |i, &x, _| (i, x * 2));
+        let out = WorkerPool::new(4).par_map_indexed(&items, || (), |i, &x, _| (i, x * 2));
         assert_eq!(out.len(), 257);
         for (i, &(idx, doubled)) in out.iter().enumerate() {
             assert_eq!(idx, i);
@@ -307,7 +145,7 @@ mod tests {
         // A scratch-accumulating map whose per-item result depends only on
         // the item (the scratch is a reusable buffer, not carried state).
         let run = |threads: usize| {
-            par_map_indexed(threads, &items, Vec::<f64>::new, |i, &x, buf| {
+            WorkerPool::new(threads).par_map_indexed(&items, Vec::<f64>::new, |i, &x, buf| {
                 buf.clear();
                 buf.extend((0..8).map(|k| x.powi(k)));
                 buf.iter().sum::<f64>() * (i as f64 + 1.0)
@@ -321,99 +159,36 @@ mod tests {
 
     #[test]
     fn one_scratch_per_worker() {
-        let made = AtomicUsize::new(0);
         let items = vec![0u8; 64];
-        par_map_indexed(
-            4,
-            &items,
-            || {
-                made.fetch_add(1, Ordering::Relaxed);
-            },
-            |_, _, _| (),
-        );
-        let count = made.load(Ordering::Relaxed);
-        assert!(count <= 4, "at most one scratch per worker, got {count}");
-        assert!(count >= 1);
-    }
-
-    #[test]
-    fn empty_and_single_item_lists() {
-        let empty: Vec<u32> = Vec::new();
-        assert!(par_map_indexed(8, &empty, || (), |_, &x, _| x).is_empty());
-        let one = vec![41u32];
-        assert_eq!(par_map_indexed(8, &one, || (), |_, &x, _| x + 1), vec![42]);
-    }
-
-    #[test]
-    fn caps_threads_at_item_count() {
-        // 100 workers over 3 items must not deadlock or drop results.
-        let items = vec![1u32, 2, 3];
-        assert_eq!(par_map_indexed(100, &items, || (), |_, &x, _| x * 10), vec![10, 20, 30]);
-    }
-
-    #[test]
-    fn contained_map_quarantines_panics() {
-        let items: Vec<usize> = (0..64).collect();
-        for threads in [1, 4] {
-            let out = try_par_map_indexed(
-                threads,
+        for threads in [1, 2] {
+            let made = AtomicUsize::new(0);
+            WorkerPool::new(threads).par_map_indexed(
                 &items,
-                || (),
-                |i, &x, _| {
-                    if i == 17 || i == 40 {
-                        panic!("boom at {i}");
-                    }
-                    x * 2
+                || {
+                    made.fetch_add(1, Ordering::Relaxed);
                 },
+                |_, _, _| (),
             );
-            assert_eq!(out.len(), 64);
-            for (i, r) in out.iter().enumerate() {
-                match r {
-                    Ok(v) => assert_eq!(*v, 2 * i, "threads = {threads}"),
-                    Err(p) => {
-                        assert!(i == 17 || i == 40);
-                        assert_eq!(p.message, format!("boom at {i}"));
-                    }
-                }
-            }
+            let count = made.load(Ordering::Relaxed);
+            // Inline runs build exactly one scratch.
+            assert!((1..=threads).contains(&count), "threads {threads}: {count} scratches");
         }
     }
 
     #[test]
-    fn contained_map_rebuilds_scratch_after_panic() {
-        // The scratch carries a marker; a panicked item must not leave its
-        // marker visible to the worker's next item.
-        let items: Vec<usize> = (0..32).collect();
-        let out = try_par_map_indexed(
-            1,
-            &items,
-            || 0usize,
-            |i, _, scratch| {
-                let stale = *scratch;
-                *scratch = i + 1;
-                if i == 5 {
-                    panic!("die with scratch set");
-                }
-                stale
-            },
-        );
-        assert!(out[5].is_err());
-        // Item 6 sees a *fresh* scratch (0), not item 5's marker.
-        assert_eq!(out[6], Ok(0));
-        // Items whose predecessor succeeded see the predecessor's marker.
-        assert_eq!(out[7], Ok(7));
+    fn empty_and_single_item_lists() {
+        let pool = WorkerPool::new(3);
+        let empty: Vec<u32> = Vec::new();
+        assert!(pool.par_map_indexed(&empty, || (), |_, &x, _| x).is_empty());
+        let one = vec![41u32];
+        assert_eq!(pool.par_map_indexed(&one, || (), |_, &x, _| x + 1), vec![42]);
     }
 
     #[test]
-    fn contained_map_matches_uncontained_when_clean() {
-        let items: Vec<f64> = (0..100).map(|i| 1.0 + i as f64 / 7.0).collect();
-        let map = |i: usize, x: &f64, buf: &mut Vec<f64>| {
-            buf.clear();
-            buf.extend((0..8).map(|k| x.powi(k)));
-            buf.iter().sum::<f64>() * (i as f64 + 1.0)
-        };
-        let plain = par_map_indexed(4, &items, Vec::new, map);
-        let contained = try_par_map_indexed(4, &items, Vec::new, map);
-        assert_eq!(contained.into_iter().collect::<Result<Vec<_>, _>>().unwrap(), plain);
+    fn caps_threads_at_item_count() {
+        // 8 workers over 3 items must not deadlock or drop results.
+        let items = vec![1u32, 2, 3];
+        let pool = WorkerPool::new(8);
+        assert_eq!(pool.par_map_indexed(&items, || (), |_, &x, _| x * 10), vec![10, 20, 30]);
     }
 }

@@ -1,19 +1,18 @@
-//! A persistent worker pool with the [`par_map_indexed`](crate::par_map_indexed) contract.
+//! The persistent worker pool behind [`WorkerPool::par_map_indexed`].
 //!
-//! The scoped executor ([`crate::par_map_indexed`]) spawns its workers per
-//! call — ~100 µs of spawn/join per window batch at 4 workers, fine for a
-//! 41-point window, wasteful for a reduced 6-point one and painful for a
-//! Monte-Carlo fleet issuing thousands of batches. A [`WorkerPool`] spawns
-//! its OS threads **once** and feeds them work over channels, so the
-//! steady-state cost of a batch is one channel send per worker.
+//! A [`WorkerPool`] spawns its OS threads **once** and feeds them work over
+//! a channel, so the steady-state cost of a batch is one channel send per
+//! participating worker — a µA741 session samples 16 batches and a
+//! Monte-Carlo fleet thousands, so a spawn per batch (~100 µs at 4
+//! workers) would dominate the small ones. A pool of one thread spawns
+//! nothing and runs every map inline.
 //!
-//! The mapping contract is identical to the free function: items are
-//! claimed dynamically from an atomic cursor, each worker owns one scratch,
-//! results are written home by index and collected `0..n` — so for a map
-//! function that is a pure function of `(index, item, scratch)`, the output
-//! is **bit-identical** to the scoped executor and to a sequential map at
-//! any worker count. `tests/prop.rs` asserts this equivalence by property
-//! test.
+//! Items are claimed dynamically from an atomic cursor, each participating
+//! worker owns one scratch, and results are written home by index and
+//! collected `0..n` — so for a map function that is a pure function of
+//! `(index, item, scratch)`, the output is **bit-identical** to a
+//! sequential map at any worker count. `tests/prop.rs` asserts this by
+//! property test.
 //!
 //! # How borrowed work crosses into persistent threads
 //!
@@ -23,13 +22,13 @@
 //! bridges the gap the same way every scoped-pool implementation does: the
 //! per-call job is built with the caller's (non-`'static`) borrows and its
 //! lifetime is erased by an `unsafe` transmute before being sent to the
-//! workers. Soundness rests on one invariant, maintained by
-//! [`WorkerPool::par_map_indexed`]: **the call blocks until every
-//! dispatched job has sent its completion ack, and an ack is the last thing
-//! a job does with the borrowed state** — so no borrow is ever touched
-//! after the call returns. Worker panics are caught, forwarded as failed
-//! acks, and re-raised on the calling thread once all workers have stopped
-//! (matching `std::thread::scope`).
+//! workers. This is the crate's only `unsafe` block. Soundness rests on
+//! one invariant, maintained by [`WorkerPool::par_map_indexed`]: **the call
+//! blocks until every dispatched job has sent its completion ack, and an
+//! ack is the last thing a job does with the borrowed state** — so no
+//! borrow is ever touched after the call returns. Worker panics are caught,
+//! forwarded as failed acks, and re-raised with their original payload on
+//! the calling thread once all workers have stopped.
 //!
 //! # Example
 //!
@@ -38,9 +37,9 @@
 //!
 //! let pool = WorkerPool::new(4);
 //! let items: Vec<u64> = (0..100).collect();
-//! let doubled = pool.par_map_indexed(&items, || (), |i, &x, _| x + i as u64);
-//! let serial = refgen_exec::par_map_indexed(1, &items, || (), |i, &x, _| x + i as u64);
-//! assert_eq!(doubled, serial);
+//! let pooled = pool.par_map_indexed(&items, || (), |i, &x, _| x + i as u64);
+//! let serial: Vec<u64> = items.iter().enumerate().map(|(i, &x)| x + i as u64).collect();
+//! assert_eq!(pooled, serial);
 //! ```
 
 use std::panic::AssertUnwindSafe;
@@ -49,7 +48,7 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
-use crate::{contain_item, resolve_threads, JobPanic};
+use crate::resolve_threads;
 
 /// A type-erased, lifetime-erased unit of work. See the module docs for
 /// why the `'static` here is a (sound) lie.
@@ -111,17 +110,17 @@ impl WorkerPool {
 
     /// Maps `f` over `items` on the pool's workers with one
     /// `make_scratch()` state per participating worker, returning results
-    /// **in item order** — the exact contract of
-    /// [`crate::par_map_indexed`], minus the per-call thread spawns.
+    /// **in item order** (see the [crate docs](crate) on determinism).
     ///
-    /// At most `items.len()` workers participate; with an effective count
-    /// of 1 (or an empty pool) the whole map runs inline on the caller's
-    /// thread.
+    /// At most [`effective_threads`](crate::effective_threads) workers
+    /// participate; with an effective count of 1 (a one-thread pool, or a
+    /// single item) the whole map runs inline on the caller's thread.
     ///
     /// # Panics
     ///
-    /// If `f` panics on any item, the panic propagates to the caller once
-    /// all participating workers have finished their remaining items.
+    /// If `f` panics on any item, the panic propagates to the caller, with
+    /// its original payload, once all participating workers have finished
+    /// their remaining items. The pool stays usable.
     pub fn par_map_indexed<T, S, R, FS, F>(&self, items: &[T], make_scratch: FS, f: F) -> Vec<R>
     where
         T: Sync,
@@ -203,95 +202,6 @@ impl WorkerPool {
             })
             .collect()
     }
-
-    /// The **contained** variant of [`WorkerPool::par_map_indexed`]: a
-    /// panic in `f` is caught per item and surfaces as
-    /// `Err(`[`JobPanic`]`)` in that item's output slot while the workers
-    /// keep draining, preserving index-ordered deterministic collection —
-    /// the pool analogue of [`crate::try_par_map_indexed`].
-    pub fn try_par_map_indexed<T, S, R, FS, F>(
-        &self,
-        items: &[T],
-        make_scratch: FS,
-        f: F,
-    ) -> Vec<Result<R, JobPanic>>
-    where
-        T: Sync,
-        R: Send,
-        FS: Fn() -> S + Sync,
-        F: Fn(usize, &T, &mut S) -> R + Sync,
-    {
-        let n = items.len();
-        let workers = self.threads.min(n);
-        let Some(sender) = self.sender.as_ref().filter(|_| workers > 1) else {
-            let mut scratch: Option<S> = None;
-            return items
-                .iter()
-                .enumerate()
-                .map(|(i, item)| contain_item(i, item, &mut scratch, &make_scratch, &f))
-                .collect();
-        };
-
-        let cursor = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<R, JobPanic>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        let (ack_tx, ack_rx): (Sender<Ack>, Receiver<Ack>) = channel();
-
-        for _ in 0..workers {
-            let ack_tx = ack_tx.clone();
-            let cursor = &cursor;
-            let slots = &slots;
-            let make_scratch = &make_scratch;
-            let f = &f;
-            let run = move || {
-                // The outer shield only catches what the per-item
-                // containment cannot (e.g. a panicking Drop of a torn
-                // scratch); in the common case every panic is quarantined
-                // inside `contain_item` and the ack is `Ok`.
-                let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    let mut scratch: Option<S> = None;
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let r = contain_item(i, &items[i], &mut scratch, make_scratch, f);
-                        *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(r);
-                    }
-                }));
-                // The ack is the job's last touch of any borrowed state;
-                // try_par_map_indexed cannot return before receiving it.
-                let _ = ack_tx.send(outcome);
-            };
-            let job: Box<dyn FnOnce() + Send + '_> = Box::new(run);
-            // SAFETY: identical to `par_map_indexed` above — the job only
-            // borrows state that outlives this call frame, and the ack loop
-            // below blocks until every dispatched job has finished with its
-            // borrows. The transmute erases only the borrow lifetime.
-            let job: Job = unsafe { std::mem::transmute(job) };
-            sender.send(job).expect("worker pool channel closed while pool is alive");
-        }
-
-        let mut panic: Option<Payload> = None;
-        for _ in 0..workers {
-            match ack_rx.recv().expect("worker dropped its ack channel") {
-                Ok(()) => {}
-                Err(payload) => panic = panic.or(Some(payload)),
-            }
-        }
-        if let Some(payload) = panic {
-            std::panic::resume_unwind(payload);
-        }
-
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .expect("every index below the cursor was computed")
-            })
-            .collect()
-    }
 }
 
 type Payload = Box<dyn std::any::Any + Send + 'static>;
@@ -309,108 +219,6 @@ impl Drop for WorkerPool {
     }
 }
 
-/// Which execution strategy an [`Executor`] uses — the knob configuration
-/// layers (e.g. `refgen_core::RefgenConfig`) carry.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExecutorKind {
-    /// Scoped threads spawned per batch ([`crate::par_map_indexed`]).
-    /// Zero standing cost; ~100 µs spawn/join overhead per batch.
-    Scoped,
-    /// A persistent [`WorkerPool`] spawned once and reused across batches.
-    Pool,
-}
-
-/// A batch executor: either the per-call scoped spawner or a persistent
-/// [`WorkerPool`], behind one `par_map_indexed` entry point. Both produce
-/// bit-identical output for pure map functions — only the thread lifecycle
-/// differs — so callers can switch freely.
-#[derive(Debug)]
-pub enum Executor {
-    /// Spawn scoped workers per batch.
-    Scoped {
-        /// Resolved worker count (≥ 1).
-        threads: usize,
-    },
-    /// Reuse one persistent pool across batches.
-    Pool(WorkerPool),
-}
-
-impl Executor {
-    /// Builds an executor of the requested kind with
-    /// [`resolve_threads`]`(threads)` workers.
-    pub fn new(kind: ExecutorKind, threads: usize) -> Executor {
-        match kind {
-            ExecutorKind::Scoped => Executor::scoped(threads),
-            ExecutorKind::Pool => Executor::pool(threads),
-        }
-    }
-
-    /// A per-batch scoped-thread executor.
-    pub fn scoped(threads: usize) -> Executor {
-        Executor::Scoped { threads: resolve_threads(threads).max(1) }
-    }
-
-    /// A persistent-pool executor (threads spawn now, once).
-    pub fn pool(threads: usize) -> Executor {
-        Executor::Pool(WorkerPool::new(threads))
-    }
-
-    /// The resolved worker count (≥ 1).
-    pub fn threads(&self) -> usize {
-        match self {
-            Executor::Scoped { threads } => *threads,
-            Executor::Pool(pool) => pool.threads(),
-        }
-    }
-
-    /// `true` when this executor amortizes thread spawns across batches.
-    pub fn is_pool(&self) -> bool {
-        matches!(self, Executor::Pool(_))
-    }
-
-    /// Maps `f` over `items` under this executor's strategy — the
-    /// [`crate::par_map_indexed`] contract, with the worker count fixed at
-    /// construction.
-    pub fn par_map_indexed<T, S, R, FS, F>(&self, items: &[T], make_scratch: FS, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        FS: Fn() -> S + Sync,
-        F: Fn(usize, &T, &mut S) -> R + Sync,
-    {
-        match self {
-            Executor::Scoped { threads } => {
-                crate::par_map_indexed(*threads, items, make_scratch, f)
-            }
-            Executor::Pool(pool) => pool.par_map_indexed(items, make_scratch, f),
-        }
-    }
-
-    /// Maps `f` over `items` in **contained** mode: a panicking item
-    /// becomes `Err(`[`JobPanic`]`)` in its own slot instead of unwinding
-    /// the batch — the [`crate::try_par_map_indexed`] contract under this
-    /// executor's strategy.
-    pub fn try_par_map_indexed<T, S, R, FS, F>(
-        &self,
-        items: &[T],
-        make_scratch: FS,
-        f: F,
-    ) -> Vec<Result<R, JobPanic>>
-    where
-        T: Sync,
-        R: Send,
-        FS: Fn() -> S + Sync,
-        F: Fn(usize, &T, &mut S) -> R + Sync,
-    {
-        match self {
-            Executor::Scoped { threads } => {
-                crate::try_par_map_indexed(*threads, items, make_scratch, f)
-            }
-            Executor::Pool(pool) => pool.try_par_map_indexed(items, make_scratch, f),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -424,10 +232,11 @@ mod tests {
             buf.extend((0..6).map(|k| x.powi(k)));
             buf.iter().sum::<f64>() * (i as f64 + 1.0)
         };
-        let sequential = crate::par_map_indexed(1, &items, Vec::new, map);
-        let scoped = crate::par_map_indexed(4, &items, Vec::new, map);
+        let sequential: Vec<f64> =
+            items.iter().enumerate().map(|(i, x)| map(i, x, &mut Vec::new())).collect();
+        let inline = WorkerPool::new(1).par_map_indexed(&items, Vec::new, map);
         let pooled = pool.par_map_indexed(&items, Vec::new, map);
-        assert_eq!(sequential, scoped);
+        assert_eq!(sequential, inline);
         assert_eq!(sequential, pooled);
     }
 
@@ -510,64 +319,5 @@ mod tests {
         // next batch must run normally.
         let out = pool.par_map_indexed(&items, || (), |i, _, _| i * 2);
         assert_eq!(out[31], 62);
-    }
-
-    #[test]
-    fn pool_contained_mode_quarantines_and_stays_usable() {
-        let pool = WorkerPool::new(4);
-        let items: Vec<usize> = (0..64).collect();
-        let out = pool.try_par_map_indexed(
-            &items,
-            || (),
-            |i, &x, _| {
-                if i == 17 {
-                    panic!("boom at 17");
-                }
-                x * 2
-            },
-        );
-        assert_eq!(out.len(), 64);
-        for (i, r) in out.iter().enumerate() {
-            if i == 17 {
-                assert_eq!(r, &Err(JobPanic { message: "boom at 17".into() }));
-            } else {
-                assert_eq!(r, &Ok(2 * i));
-            }
-        }
-        // The quarantined batch must not have wedged the pool.
-        let next = pool.par_map_indexed(&items, || (), |i, _, _| i + 1);
-        assert_eq!(next[63], 64);
-    }
-
-    #[test]
-    fn executor_contained_modes_agree() {
-        let scoped = Executor::new(ExecutorKind::Scoped, 4);
-        let pooled = Executor::new(ExecutorKind::Pool, 4);
-        let items: Vec<u64> = (0..97).collect();
-        let map = |i: usize, &x: &u64, _: &mut ()| {
-            if i % 31 == 5 {
-                panic!("scripted failure at {i}");
-            }
-            x * 3
-        };
-        let a = scoped.try_par_map_indexed(&items, || (), map);
-        let b = pooled.try_par_map_indexed(&items, || (), map);
-        assert_eq!(a, b);
-        // i ∈ {5, 36, 67} panic within 0..97.
-        assert_eq!(a.iter().filter(|r| r.is_err()).count(), 3);
-    }
-
-    #[test]
-    fn executor_kinds_agree() {
-        let scoped = Executor::new(ExecutorKind::Scoped, 4);
-        let pooled = Executor::new(ExecutorKind::Pool, 4);
-        assert!(!scoped.is_pool());
-        assert!(pooled.is_pool());
-        assert_eq!(scoped.threads(), 4);
-        assert_eq!(pooled.threads(), 4);
-        let items: Vec<u64> = (0..257).collect();
-        let a = scoped.par_map_indexed(&items, || (), |i, &x, _| x * 3 + i as u64);
-        let b = pooled.par_map_indexed(&items, || (), |i, &x, _| x * 3 + i as u64);
-        assert_eq!(a, b);
     }
 }

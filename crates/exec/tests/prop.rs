@@ -1,12 +1,11 @@
-//! Property tests for the executor contract: the persistent
-//! [`WorkerPool`], the scoped [`par_map_indexed`], and a plain sequential
-//! map must be indistinguishable for any pure map function — for arbitrary
-//! item counts and worker counts, including more workers than items and
-//! empty work lists — and a panicking map function must propagate from
-//! both executors.
+//! Property tests for the pool contract: the persistent [`WorkerPool`]
+//! and a plain sequential map must be indistinguishable for any pure map
+//! function — for arbitrary item counts and worker counts, including more
+//! workers than items and empty work lists — and a panicking map function
+//! must propagate with its payload.
 
 use proptest::prelude::*;
-use refgen_exec::{par_map_indexed, Executor, WorkerPool};
+use refgen_exec::WorkerPool;
 
 /// A deterministic map whose per-item result exercises the scratch without
 /// depending on scheduling: the scratch is a reusable buffer, not carried
@@ -27,12 +26,10 @@ proptest! {
     ) {
         let sequential: Vec<(usize, f64)> =
             items.iter().enumerate().map(|(i, x)| mapper(i, x, &mut Vec::new())).collect();
-        let scoped = par_map_indexed(workers, &items, Vec::new, mapper);
         let pool = WorkerPool::new(workers);
         let pooled = pool.par_map_indexed(&items, Vec::new, mapper);
         // f64 equality is intentional: the contract is bit-identity, not
         // approximate agreement.
-        prop_assert_eq!(&scoped, &sequential);
         prop_assert_eq!(&pooled, &sequential);
     }
 
@@ -51,42 +48,6 @@ proptest! {
             prop_assert_eq!(pooled, sequential);
         }
     }
-
-    #[test]
-    fn executor_facade_is_strategy_independent(
-        items in prop::collection::vec(0u64..1_000, 0..30),
-        workers in 0usize..6,
-    ) {
-        let scoped = Executor::scoped(workers);
-        let pooled = Executor::pool(workers);
-        let run = |e: &Executor| e.par_map_indexed(&items, || 0u64, |i, &x, acc| {
-            // Scratch used as a buffer whose prior contents never leak
-            // into the result.
-            *acc = x;
-            *acc * 2 + i as u64
-        });
-        prop_assert_eq!(run(&scoped), run(&pooled));
-        prop_assert_eq!(scoped.threads(), pooled.threads());
-    }
-}
-
-// `std::thread::scope` re-raises worker panics with its own generic
-// payload; the pool preserves the original payload (strictly more
-// informative, same propagation guarantee).
-#[test]
-#[should_panic(expected = "a scoped thread panicked")]
-fn scoped_panics_propagate() {
-    let items: Vec<usize> = (0..32).collect();
-    par_map_indexed(
-        4,
-        &items,
-        || (),
-        |i, _, _| {
-            if i == 9 {
-                panic!("scoped executor panic");
-            }
-        },
-    );
 }
 
 #[test]

@@ -99,23 +99,6 @@ impl Poly {
         )
     }
 
-    /// Substitutes `s → a·s`: coefficient `c_i` becomes `c_i·a^i`.
-    ///
-    /// This is exactly the *frequency scaling* of the paper's eq. (11).
-    pub fn scale_variable(&self, a: Complex) -> Poly {
-        let mut pw = Complex::ONE;
-        Poly::new(
-            self.coeffs
-                .iter()
-                .map(|&c| {
-                    let r = c * pw;
-                    pw *= a;
-                    r
-                })
-                .collect(),
-        )
-    }
-
     /// All complex roots via Aberth–Ehrlich iteration.
     ///
     /// `tol` is the relative correction-size stopping tolerance; `max_iter`
@@ -337,11 +320,6 @@ impl ExtPoly {
         self.coeffs.iter().rev().fold(ExtComplex::ZERO, |acc, &c| acc * se + c)
     }
 
-    /// Evaluates at `s = jω`.
-    pub fn eval_jw(&self, omega: f64) -> ExtComplex {
-        self.eval(Complex::new(0.0, omega))
-    }
-
     /// Derivative.
     pub fn derivative(&self) -> ExtPoly {
         if self.coeffs.len() <= 1 {
@@ -357,7 +335,7 @@ impl ExtPoly {
     }
 
     /// Substitutes `s → a·s` with an extended-range factor: `c_i → c_i·a^i`.
-    pub fn scale_variable_ext(&self, a: ExtFloat) -> ExtPoly {
+    fn scale_variable_ext(&self, a: ExtFloat) -> ExtPoly {
         let mut pw = ExtFloat::ONE;
         ExtPoly::new(
             self.coeffs
@@ -372,7 +350,7 @@ impl ExtPoly {
     }
 
     /// The largest coefficient magnitude, or zero for the zero polynomial.
-    pub fn max_coeff_norm(&self) -> ExtFloat {
+    fn max_coeff_norm(&self) -> ExtFloat {
         self.coeffs.iter().map(|c| c.norm()).fold(ExtFloat::ZERO, |a, b| if b > a { b } else { a })
     }
 
@@ -384,7 +362,7 @@ impl ExtPoly {
     /// `ExtPoly`.
     ///
     /// Returns `None` for the zero polynomial.
-    pub fn to_scaled_poly(&self) -> Option<(ExtFloat, Poly)> {
+    fn to_scaled_poly(&self) -> Option<(ExtFloat, Poly)> {
         let max = self.max_coeff_norm();
         if max.is_zero() {
             return None;
@@ -469,15 +447,6 @@ mod tests {
         let d = p.derivative();
         assert_eq!(d.coeffs(), Poly::from_real(&[3.0, 4.0, 3.0]).coeffs());
         assert_eq!(Poly::from_real(&[7.0]).derivative().degree(), None);
-    }
-
-    #[test]
-    fn scale_variable_matches_eval() {
-        let p = Poly::from_real(&[1.0, -2.0, 4.0]);
-        let a = Complex::new(0.5, 0.25);
-        let q = p.scale_variable(a);
-        let s = Complex::new(1.0, -1.0);
-        assert!((q.eval(s) - p.eval(a * s)).abs() < 1e-14);
     }
 
     #[test]

@@ -183,41 +183,30 @@ impl DenseMatrix {
         }
         Some(x)
     }
-
-    /// Brute-force determinant by cofactor expansion — `O(n!)`, intended as
-    /// an oracle for `n ≤ 8`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dim > 9` (would take absurdly long).
-    pub fn det_cofactor(&self) -> ExtComplex {
-        assert!(self.dim <= 9, "cofactor determinant is O(n!)");
-        let idx: Vec<usize> = (0..self.dim).collect();
-        self.det_cofactor_rec(0, &idx)
-    }
-
-    fn det_cofactor_rec(&self, row: usize, cols: &[usize]) -> ExtComplex {
-        if cols.is_empty() {
-            return ExtComplex::ONE;
-        }
-        let mut acc = ExtComplex::ZERO;
-        for (i, &c) in cols.iter().enumerate() {
-            let a = self.get(row, c);
-            if a == Complex::ZERO {
-                continue;
-            }
-            let rest: Vec<usize> = cols.iter().copied().filter(|&x| x != c).collect();
-            let minor = self.det_cofactor_rec(row + 1, &rest);
-            let term = ExtComplex::from_complex(a) * minor;
-            acc = if i % 2 == 0 { acc + term } else { acc - term };
-        }
-        acc
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Brute-force determinant by cofactor expansion over the columns in
+    /// `cols`, from row `row` down — `O(n!)`, an oracle for small `n`.
+    fn det_cofactor(m: &DenseMatrix, row: usize, cols: &[usize]) -> ExtComplex {
+        if cols.is_empty() {
+            return ExtComplex::ONE;
+        }
+        let mut acc = ExtComplex::ZERO;
+        for (i, &c) in cols.iter().enumerate() {
+            let a = m.get(row, c);
+            if a == Complex::ZERO {
+                continue;
+            }
+            let rest: Vec<usize> = cols.iter().copied().filter(|&x| x != c).collect();
+            let term = ExtComplex::from_complex(a) * det_cofactor(m, row + 1, &rest);
+            acc = if i % 2 == 0 { acc + term } else { acc - term };
+        }
+        acc
+    }
 
     #[test]
     fn det_known_values() {
@@ -241,7 +230,7 @@ mod tests {
             &[3.0, 0.0, 2.0, 2.0],
         ]);
         let a = m.det();
-        let b = m.det_cofactor();
+        let b = det_cofactor(&m, 0, &[0, 1, 2, 3]);
         assert!(((a - b).norm() / a.norm()).to_f64() < 1e-12);
     }
 

@@ -50,7 +50,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let run = Session::for_circuit(&base)
         .spec(TransferSpec::voltage_gain("VIN", "out"))
-        .config(RefgenConfig::builder().executor(ExecutorKind::Pool).build())
         .observer(&mut progress)
         .variants(VariantSet::new(tolerances, corners).seed(20260612))
         .solve_all()?;

@@ -45,11 +45,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         fleet.push(scaled_variant(&circuit, name, 1.0 + REL_STEP)?);
         fleet.push(scaled_variant(&circuit, name, 1.0 - REL_STEP)?);
     }
-    let run = Session::for_circuit(&circuit)
-        .spec(spec.clone())
-        .config(RefgenConfig::builder().executor(ExecutorKind::Pool).build())
-        .variant_circuits(&fleet)
-        .solve_all()?;
+    let run =
+        Session::for_circuit(&circuit).spec(spec.clone()).variant_circuits(&fleet).solve_all()?;
 
     let mut fd: Vec<(String, f64)> = names
         .iter()

@@ -7,7 +7,7 @@
 //!
 //! * [`numeric`] — complex / extended-range / double-double arithmetic,
 //!   DFTs, polynomials.
-//! * [`exec`] — dependency-free scoped-thread executor with deterministic,
+//! * [`exec`] — dependency-free worker pool with deterministic,
 //!   index-ordered collection (the batched-sampling engine's workers).
 //! * [`sparse`] — sparse complex LU with exponent-tracked determinants.
 //! * [`circuit`] — netlists, device models, benchmark circuit generators.
@@ -80,10 +80,10 @@ pub mod prelude {
     };
     pub use refgen_core::{
         validate_against_ac, AdaptiveInterpolator, BatchReport, BatchRun, BatchSession, CoeffStats,
-        CollectObserver, Diagnostic, ExecutorKind, FaultPolicy, NetworkFunction, NullObserver,
-        Observer, PartialFractions, PolyKind, RefgenConfig, RefgenError, RichardsonCheck,
-        SamplingRuntime, Session, Severity, Solution, Solver, StepMetrics, TransientAnalysis,
-        TransientResult, ValidationReport, VariantOutcome,
+        CollectObserver, Diagnostic, FaultPolicy, NetworkFunction, NullObserver, Observer,
+        PartialFractions, PolyKind, RefgenConfig, RefgenError, RichardsonCheck, SamplingRuntime,
+        Session, Severity, Solution, Solver, StepMetrics, TransientAnalysis, TransientResult,
+        ValidationReport, VariantOutcome,
     };
     pub use refgen_exec::WorkerPool;
     pub use refgen_mna::{

@@ -4,8 +4,8 @@
 //! A corpus — the five `tests/golden/*.sp` netlists, the µA741, the
 //! Table 1 OTA, an RC ladder, three ±5 % µA741 variants, a 64-variant
 //! ±5 % µA741 fleet and a 32-variant ±60 % µA741 fleet — is solved under the default configuration and
-//! under [`CONFIGS`], which cover `threads ∈ {1, 4}` × scoped/pool
-//! executors × conjugate mirroring on/off × lane widths `∈ {1, 3, 32}`.
+//! under [`CONFIGS`], which cover `threads ∈ {1, 4}` × conjugate
+//! mirroring on/off × lane widths `∈ {1, 3, 32}`.
 //! Every non-default value appears alone and in at least one combined
 //! configuration. Each run must reproduce the default run through
 //! [`support::assert_same_solution`]: coefficient bits, report fields and
@@ -24,20 +24,11 @@ use refgen::mna::OrderingMode;
 use refgen::prelude::*;
 use support::golden::{check_solvers, golden_netlist};
 
-/// `(threads, executor, conjugate_mirror, lane_width)` of every
-/// non-default configuration. The default is `(1, Scoped, true, 32)`.
-/// Mirroring off appears with every threads × executor pair.
-const CONFIGS: [(usize, ExecutorKind, bool, usize); 9] = [
-    (4, ExecutorKind::Scoped, true, 32),
-    (1, ExecutorKind::Pool, true, 32),
-    (1, ExecutorKind::Scoped, false, 32),
-    (1, ExecutorKind::Scoped, true, 1),
-    (1, ExecutorKind::Scoped, true, 3),
-    (4, ExecutorKind::Pool, true, 32),
-    (4, ExecutorKind::Pool, false, 3),
-    (4, ExecutorKind::Scoped, false, 1),
-    (1, ExecutorKind::Pool, false, 32),
-];
+/// `(threads, conjugate_mirror, lane_width)` of every non-default
+/// configuration. The default is `(1, true, 32)`. Mirroring off appears
+/// at both thread counts.
+const CONFIGS: [(usize, bool, usize); 6] =
+    [(4, true, 32), (1, false, 32), (1, true, 1), (1, true, 3), (4, false, 3), (4, false, 1)];
 
 /// The five golden netlists.
 const GOLDEN: [&str; 5] =
@@ -47,21 +38,15 @@ const GOLDEN: [&str; 5] =
 fn configs() -> Vec<(String, RefgenConfig)> {
     assert_eq!(
         RefgenConfig::default(),
-        RefgenConfig::builder()
-            .threads(1)
-            .executor(ExecutorKind::Scoped)
-            .conjugate_mirror(true)
-            .lane_width(32)
-            .build(),
+        RefgenConfig::builder().threads(1).conjugate_mirror(true).lane_width(32).build(),
         "the matrix is anchored at the documented defaults"
     );
     CONFIGS
         .iter()
-        .map(|&(threads, executor, mirror, lanes)| {
-            let label = format!("t{threads}/{executor:?}/mirror {mirror}/l{lanes}");
+        .map(|&(threads, mirror, lanes)| {
+            let label = format!("t{threads}/mirror {mirror}/l{lanes}");
             let config = RefgenConfig::builder()
                 .threads(threads)
-                .executor(executor)
                 .conjugate_mirror(mirror)
                 .lane_width(lanes)
                 .build();

@@ -41,7 +41,6 @@ fn default_config_is_the_documented_constants() {
     set_former_hooks();
     let c = RefgenConfig::default();
     assert_eq!(c.threads, 1);
-    assert_eq!(c.executor, ExecutorKind::Scoped);
     assert!(c.conjugate_mirror);
     assert_eq!(c.lane_width, 32);
     assert_eq!(c.ordering, OrderingMode::Auto);

@@ -7,11 +7,12 @@
 //! variants under [`FaultPolicy::Contain`] completes with exactly 60
 //! [`VariantOutcome::Solved`] outcomes whose coefficients, recorded
 //! diagnostics, and survivor-side accounting match a fault-free run of
-//! just the 60 surviving circuits — across
-//! `threads ∈ {1, 4}` × scoped/pool executors × lane widths `∈ {1, 4, 8}`
-//! (the grid covering the sequential loop, the variant-major fan-out,
-//! and lane-chunked sampling). Under the default `FailFast` the same
-//! fleet returns the first victim's error, exactly.
+//! just the 60 surviving circuits — across `threads ∈ {1, 4}` × lane
+//! widths `∈ {1, 4, 8}` (the grid covering the sequential loop, the
+//! variant-major fan-out, and lane-chunked sampling). Under the default
+//! `FailFast` the same fleet returns the first victim's error, exactly,
+//! and a fleet mixing errors and panics fails the way its lowest-index
+//! failing variant does, at any thread count.
 //!
 //! The victim sets are seeded, and every test runs each of its seeds in
 //! turn. [`FaultPlan::seeded_variants`] never selects variant 0 — the
@@ -20,8 +21,10 @@
 
 mod support;
 
+use refgen::exec::JobPanic;
 use refgen::mna::faults::{self, FaultKind, FaultPlan};
 use refgen::prelude::*;
+use std::panic::AssertUnwindSafe;
 use std::sync::Mutex;
 
 const FLEET: usize = 64;
@@ -55,7 +58,6 @@ fn victims(seed: u64) -> Vec<usize> {
 fn run_fleet(
     circuits: &[Circuit],
     threads: usize,
-    executor: ExecutorKind,
     lanes: usize,
     policy: FaultPolicy,
 ) -> Result<BatchRun, RefgenError> {
@@ -65,7 +67,6 @@ fn run_fleet(
             RefgenConfig::builder()
                 .verify(false)
                 .threads(threads)
-                .executor(executor)
                 .lane_width(lanes)
                 .fault_policy(policy)
                 .build(),
@@ -93,44 +94,42 @@ fn contained_ua741_fleet_survivors_match_fault_free_run_bitwise() {
             .filter(|(i, _)| !victims.contains(i))
             .map(|(_, c)| c.clone())
             .collect();
-        let reference = run_fleet(&survivors, 1, ExecutorKind::Scoped, 1, FaultPolicy::FailFast)
+        let reference = run_fleet(&survivors, 1, 1, FaultPolicy::FailFast)
             .expect("fault-free survivor fleet solves");
         assert_eq!(reference.solutions().len(), FLEET - FAULTS);
 
         let _guard =
             faults::install(FaultPlan::new().fault_variants(&victims, FaultKind::Singular));
         for threads in [1, 4] {
-            for executor in [ExecutorKind::Scoped, ExecutorKind::Pool] {
-                for lanes in [1, 4, 8] {
-                    let label = format!("seed {seed}: {executor:?}/{threads}t/{lanes}l");
-                    let run = run_fleet(&circuits, threads, executor, lanes, FaultPolicy::Contain)
-                        .expect("contained fleet completes");
-                    assert_eq!(run.report.variants_attempted, FLEET, "{label}");
-                    assert_eq!(run.report.failed_variants, victims, "{label}");
-                    assert_eq!(run.outcomes.len(), FLEET, "{label}");
-                    for (i, outcome) in run.outcomes.iter().enumerate() {
-                        assert_eq!(
-                            outcome.is_solved(),
-                            !victims.contains(&i),
-                            "{label}: variant {i} on the wrong side of the fault line"
-                        );
-                    }
-                    // Every victim died typed, not silently zero.
-                    for &v in &victims {
-                        let error = run.outcomes[v].error().expect("victim has an error");
-                        assert!(
-                            !matches!(error, RefgenError::VariantPanicked { .. }),
-                            "{label}: variant {v}: a seeded singularity must not panic, \
-                             got {error:?}"
-                        );
-                    }
-                    // Survivors: coefficients, recorded diagnostics and
-                    // survivor-side accounting are bit-identical to the
-                    // fault-free run, in fleet order. (The runtime-global
-                    // plan-cache counters are excluded: faulted variants
-                    // legitimately touch the shared cache before dying.)
-                    support::assert_same_fleet(&label, &reference, &run, false, false);
+            for lanes in [1, 4, 8] {
+                let label = format!("seed {seed}: {threads}t/{lanes}l");
+                let run = run_fleet(&circuits, threads, lanes, FaultPolicy::Contain)
+                    .expect("contained fleet completes");
+                assert_eq!(run.report.variants_attempted, FLEET, "{label}");
+                assert_eq!(run.report.failed_variants, victims, "{label}");
+                assert_eq!(run.outcomes.len(), FLEET, "{label}");
+                for (i, outcome) in run.outcomes.iter().enumerate() {
+                    assert_eq!(
+                        outcome.is_solved(),
+                        !victims.contains(&i),
+                        "{label}: variant {i} on the wrong side of the fault line"
+                    );
                 }
+                // Every victim died typed, not silently zero.
+                for &v in &victims {
+                    let error = run.outcomes[v].error().expect("victim has an error");
+                    assert!(
+                        !matches!(error, RefgenError::VariantPanicked { .. }),
+                        "{label}: variant {v}: a seeded singularity must not panic, \
+                         got {error:?}"
+                    );
+                }
+                // Survivors: coefficients, recorded diagnostics and
+                // survivor-side accounting are bit-identical to the
+                // fault-free run, in fleet order. (The runtime-global
+                // plan-cache counters are excluded: faulted variants
+                // legitimately touch the shared cache before dying.)
+                support::assert_same_fleet(&label, &reference, &run, false, false);
             }
         }
     }
@@ -148,23 +147,66 @@ fn failfast_returns_the_first_victims_error_exactly() {
         let first = victims[0];
         let _guard =
             faults::install(FaultPlan::new().fault_variants(&victims, FaultKind::Singular));
-        let contained = run_fleet(&circuits, 4, ExecutorKind::Scoped, 4, FaultPolicy::Contain)
-            .expect("contained fleet completes");
+        let contained =
+            run_fleet(&circuits, 4, 4, FaultPolicy::Contain).expect("contained fleet completes");
         let expected = contained.outcomes[first].error().expect("first victim failed").clone();
-        for (threads, executor, lanes) in
-            [(1, ExecutorKind::Scoped, 1), (4, ExecutorKind::Scoped, 4), (4, ExecutorKind::Pool, 8)]
-        {
-            let err = run_fleet(&circuits, threads, executor, lanes, FaultPolicy::FailFast)
+        for (threads, lanes) in [(1, 1), (4, 4), (4, 8)] {
+            let err = run_fleet(&circuits, threads, lanes, FaultPolicy::FailFast)
                 .expect_err("fail-fast fleet aborts");
-            assert_eq!(err, expected, "seed {seed}: {executor:?}/{threads}t/{lanes}l");
+            assert_eq!(err, expected, "seed {seed}: {threads}t/{lanes}l");
+        }
+    }
+}
+
+/// How a fail-fast fleet ended: solved, its error, or its panic message.
+fn fail_fast_ending(fleet: &[Circuit], threads: usize, lanes: usize) -> String {
+    let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        run_fleet(fleet, threads, lanes, FaultPolicy::FailFast)
+    }));
+    match run {
+        Ok(Ok(_)) => "solved".to_string(),
+        Ok(Err(error)) => format!("error: {error:?}"),
+        Err(payload) => format!("panic: {}", JobPanic::from_payload(payload).message),
+    }
+}
+
+/// Under `FailFast`, a fleet whose failures mix errors and panics ends the
+/// way its lowest-index failing variant does, at any thread count and on
+/// every run: an error on variant 3 wins over a panic on variant 20, and
+/// of two panicking variants the lower index is the one re-raised, with
+/// its own message.
+#[test]
+fn failfast_fails_the_same_way_at_any_thread_count() {
+    let _exclusive = EXCLUSIVE.lock().unwrap();
+    let base = library::rc_ladder(6, 1e3, 1e-9);
+    let fleet =
+        VariantSet::new(Perturbation::all_relative(0.05), 24).seed(SEED).generate(&base).unwrap();
+    let plans = [
+        FaultPlan::new().fault_variant(3, FaultKind::Singular).fault_variant(20, FaultKind::Panic),
+        FaultPlan::new().fault_variants(&[14, 17], FaultKind::Panic),
+    ];
+    let expected =
+        ["error: Mna(Unrecoverable", "panic: injected fault: scripted panic for variant 14"];
+    for (plan, expected) in plans.into_iter().zip(expected) {
+        let _guard = faults::install(plan);
+        let sequential = fail_fast_ending(&fleet, 1, 1);
+        assert!(sequential.starts_with(expected), "threads 1 ended with {sequential}");
+        for repetition in 0..4 {
+            for lanes in [1, 4, 8] {
+                assert_eq!(
+                    fail_fast_ending(&fleet, 4, lanes),
+                    sequential,
+                    "threads 4, lanes {lanes}, repetition {repetition}"
+                );
+            }
         }
     }
 }
 
 /// Scripted job panics under `Contain`: quarantined into typed
 /// [`RefgenError::VariantPanicked`] outcomes while every other variant's
-/// solution stays bit-identical to a panic-free run — the worker keeps
-/// draining in both the scoped and pooled executors.
+/// solution stays bit-identical to a panic-free run — the pool's workers
+/// keep draining.
 #[test]
 fn scripted_panics_are_quarantined_and_survivors_unperturbed() {
     let _exclusive = EXCLUSIVE.lock().unwrap();
@@ -179,15 +221,13 @@ fn scripted_panics_are_quarantined_and_survivors_unperturbed() {
             .filter(|(i, _)| !panickers.contains(i))
             .map(|(_, c)| c.clone())
             .collect();
-        let reference = run_fleet(&survivors, 1, ExecutorKind::Scoped, 1, FaultPolicy::FailFast)
-            .expect("panic-free fleet solves");
+        let reference =
+            run_fleet(&survivors, 1, 1, FaultPolicy::FailFast).expect("panic-free fleet solves");
 
         let _guard = faults::install(FaultPlan::new().fault_variants(&panickers, FaultKind::Panic));
-        for (threads, executor, lanes) in
-            [(1, ExecutorKind::Scoped, 1), (4, ExecutorKind::Scoped, 1), (4, ExecutorKind::Pool, 4)]
-        {
-            let label = format!("seed {seed}: {executor:?}/{threads}t/{lanes}l");
-            let run = run_fleet(&fleet, threads, executor, lanes, FaultPolicy::Contain)
+        for (threads, lanes) in [(1, 1), (4, 1), (4, 4)] {
+            let label = format!("seed {seed}: {threads}t/{lanes}l");
+            let run = run_fleet(&fleet, threads, lanes, FaultPolicy::Contain)
                 .expect("contained fleet completes");
             assert_eq!(run.report.failed_variants, panickers, "{label}");
             for &v in &panickers {
@@ -217,15 +257,13 @@ fn replay_faults_recover_in_ladder_and_emit_diagnostics() {
     let base = library::rc_ladder(6, 1e3, 1e-9);
     let fleet =
         VariantSet::new(Perturbation::all_relative(0.05), 8).seed(SEED).generate(&base).unwrap();
-    let clean = run_fleet(&fleet, 1, ExecutorKind::Scoped, 1, FaultPolicy::FailFast)
-        .expect("clean fleet solves");
+    let clean = run_fleet(&fleet, 1, 1, FaultPolicy::FailFast).expect("clean fleet solves");
 
     let victim = 5usize;
     let _guard =
         faults::install(FaultPlan::new().fault_variant(victim, FaultKind::ReplayZeroPivot));
     // FailFast: recovery is not a failure, so the fleet still completes.
-    let run = run_fleet(&fleet, 1, ExecutorKind::Scoped, 1, FaultPolicy::FailFast)
-        .expect("recovered fleet completes");
+    let run = run_fleet(&fleet, 1, 1, FaultPolicy::FailFast).expect("recovered fleet completes");
     assert_eq!(run.report.variants, 8);
     let recovered: u64 = run.solutions()[victim]
         .diagnostics()

@@ -14,9 +14,9 @@
 //! multipliers, so its exact mean and variance follow from the moments
 //! `E[a] = 1`, `E[a²] = 1 + t_g²/3` alone. A batch session must reproduce
 //! those statistics within Monte-Carlo tolerance at a fixed seed — and
-//! reproduce them **bit-identically** across `threads ∈ {1, 4}`, across
-//! the scoped vs. pool executors, and across batched-replay lane widths
-//! `∈ {1, 4, 8}` (variant-major fan-out included).
+//! reproduce them **bit-identically** across `threads ∈ {1, 4}` and
+//! across batched-replay lane widths `∈ {1, 4, 8}` (variant-major fan-out
+//! included).
 
 mod support;
 
@@ -55,13 +55,11 @@ fn tolerances() -> Perturbation {
         .relative(ElementClass::Capacitors, TC)
 }
 
-fn run_batch(threads: usize, executor: ExecutorKind, lanes: usize) -> BatchRun {
+fn run_batch(threads: usize, lanes: usize) -> BatchRun {
     let base = base_circuit();
     Session::for_circuit(&base)
         .spec(TransferSpec::voltage_gain("VIN", "out"))
-        .config(
-            RefgenConfig::builder().threads(threads).executor(executor).lane_width(lanes).build(),
-        )
+        .config(RefgenConfig::builder().threads(threads).lane_width(lanes).build())
         .variants(VariantSet::new(tolerances(), N).seed(SEED))
         .solve_all()
         .expect("oracle fleet solves")
@@ -90,7 +88,7 @@ fn closed_form() -> [(f64, f64); 3] {
 
 #[test]
 fn monte_carlo_statistics_match_closed_form() {
-    let run = run_batch(1, ExecutorKind::Scoped, 1);
+    let run = run_batch(1, 1);
     assert_eq!(run.report.variants, N);
     assert_eq!(run.report.denominator.len(), 3);
 
@@ -138,23 +136,20 @@ fn monte_carlo_statistics_match_closed_form() {
 
 /// The determinism acceptance for batch sessions: coefficients, recorded
 /// diagnostics, variance statistics, and cost accounting are bit-identical
-/// across `threads ∈ {1, 4}` × scoped/pool executors × batched-replay lane
-/// widths `∈ {1, 4, 8}` — the grid that covers the sequential loop, the
+/// across `threads ∈ {1, 4}` × batched-replay lane widths `∈ {1, 4, 8}` — the grid that covers the sequential loop, the
 /// variant-major fan-out, per-point sampling, and lane-chunked sampling
 /// with odd tails.
 #[test]
 fn batch_is_bit_identical_across_threads_executors_and_lanes() {
-    let reference = run_batch(1, ExecutorKind::Scoped, 1);
+    let reference = run_batch(1, 1);
     for threads in [1, 4] {
-        for executor in [ExecutorKind::Scoped, ExecutorKind::Pool] {
-            for lanes in [1, 4, 8] {
-                if (threads, executor, lanes) == (1, ExecutorKind::Scoped, 1) {
-                    continue;
-                }
-                let label = format!("{executor:?}/{threads}t/{lanes}l");
-                let run = run_batch(threads, executor, lanes);
-                support::assert_same_fleet(&label, &reference, &run, false, true);
+        for lanes in [1, 4, 8] {
+            if (threads, lanes) == (1, 1) {
+                continue;
             }
+            let label = format!("{threads}t/{lanes}l");
+            let run = run_batch(threads, lanes);
+            support::assert_same_fleet(&label, &reference, &run, false, true);
         }
     }
 }
@@ -166,7 +161,7 @@ fn batch_is_bit_identical_across_threads_executors_and_lanes() {
 fn ua741_batch_session_amortizes_pivot_searches() {
     let base = library::ua741();
     let spec = TransferSpec::voltage_gain("VIN", "out");
-    let cfg = RefgenConfig::builder().verify(false).executor(ExecutorKind::Pool).build();
+    let cfg = RefgenConfig::builder().verify(false).build();
     let run_fleet = |count: usize| {
         Session::for_circuit(&base)
             .spec(spec.clone())

@@ -43,7 +43,6 @@ fn wide_variants(seed: u64) -> VariantSet {
 fn wide_fleet(seed: u64, threads: usize) -> BatchRun {
     let config = RefgenConfig::builder()
         .threads(threads)
-        .executor(ExecutorKind::Pool)
         .lane_width(4)
         .fault_policy(FaultPolicy::Contain)
         .build();

@@ -13,8 +13,8 @@
 //!   numeric factorization per run with every solve replaying the compiled
 //!   `FactorProgram` (the `SweepStats` contract, transplanted to time).
 //! * **Bit identity**: the full pipeline — symbolic solve, partial
-//!   fractions, transient waveforms — must produce identical bits across
-//!   `threads {1, 4}` × `{scoped, pool}` executors.
+//!   fractions, transient waveforms — must produce identical bits at
+//!   `threads` 1 and 4.
 
 use refgen::prelude::*;
 
@@ -120,8 +120,8 @@ fn stepper_converges_to_symbolic_step_response_at_method_order() {
 /// One full pipeline pass — symbolic solve, partial fractions, both
 /// steppers — rendered to a string whose equality implies bit equality
 /// (Debug formatting of f64 round-trips).
-fn snapshot(threads: usize, executor: ExecutorKind) -> String {
-    let cfg = RefgenConfig::builder().threads(threads).executor(executor).build();
+fn snapshot(threads: usize) -> String {
+    let cfg = RefgenConfig::builder().threads(threads).build();
     let mut out = String::new();
     for (name, circuit, h, tstop) in roster() {
         let pf = oracle(&circuit, cfg);
@@ -144,14 +144,5 @@ fn snapshot(threads: usize, executor: ExecutorKind) -> String {
 
 #[test]
 fn pipeline_is_bit_identical_across_threads_and_executors() {
-    let reference = snapshot(1, ExecutorKind::Scoped);
-    for (threads, executor) in
-        [(4, ExecutorKind::Scoped), (1, ExecutorKind::Pool), (4, ExecutorKind::Pool)]
-    {
-        let got = snapshot(threads, executor);
-        assert_eq!(
-            reference, got,
-            "pipeline output changed under threads = {threads}, executor = {executor:?}"
-        );
-    }
+    assert_eq!(snapshot(1), snapshot(4), "pipeline output changed under threads = 4");
 }
