@@ -855,25 +855,29 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
     }
 
     // Fleet sampling: one conjugate-grid window's σ points evaluated for
-    // 64 same-topology µA741 variants whose rebound plans share one
-    // compiled kernel. The scalar row solves per (point, variant) through
-    // the sequential path; the batched row drives each variant's points
-    // through `eval_batch` in lane groups of the default width, as batch
-    // sessions sample. Identical work and bit-identical results, so the
-    // ratio is the speedup of lane batching on a fleet.
+    // 64 same-topology µA741 variants planned through one `PlanCache`
+    // anchored on the base circuit, as `solve_all` plans them, so they
+    // share one compiled kernel. The scalar row solves per (point,
+    // variant) through the sequential path; the batched row drives each
+    // variant's points through `eval_batch` in lane groups of the default
+    // width, as batch sessions sample. Identical work and bit-identical
+    // results, so the ratio is the speedup of lane batching on a fleet.
     {
-        use refgen_mna::{SweepBatchScratch, SweepPlan, SweepScratch, TransferResponse};
+        use refgen_mna::{PlanCache, SweepBatchScratch, SweepPlan, SweepScratch, TransferResponse};
         let base = &circuits[1].1;
         let spec = standard_spec();
         let scale = Scale::new(1e9, 1e3);
-        let base_sys = refgen_mna::MnaSystem::new(base).expect("µA741 compiles");
-        let base_plan = SweepPlan::new(&base_sys, scale, &spec).expect("µA741 plans");
-        let systems: Vec<refgen_mna::MnaSystem> = fleet_variants(base, 64, 20260808)
+        let ordering = RefgenConfig::default().ordering;
+        let cache = PlanCache::new();
+        cache.register_anchor(&refgen_mna::MnaSystem::new(base).expect("µA741 compiles"), scale);
+        let plans: Vec<SweepPlan> = fleet_variants(base, 64, 20260808)
             .iter()
-            .map(|c| refgen_mna::MnaSystem::new(c).expect("variant compiles"))
+            .map(|c| {
+                let sys = refgen_mna::MnaSystem::new(c).expect("variant compiles");
+                SweepPlan::new_cached_with_ordering(&sys, scale, &spec, &cache, ordering)
+                    .expect("variant plans")
+            })
             .collect();
-        let plans: Vec<SweepPlan> =
-            systems.iter().map(|s| base_plan.rebind(s).expect("same topology")).collect();
         // Lane groups of the configured width: wider batches amortize
         // more instruction decode but grow the slot-major working set
         // linearly (slots × lanes complex values), so the engine's

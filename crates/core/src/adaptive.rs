@@ -395,52 +395,21 @@ impl AdaptiveInterpolator {
         spec: &TransferSpec,
     ) -> Result<NetworkFunction, RefgenError> {
         let sys = MnaSystem::new(circuit)?;
-        self.network_function_with(&sys, spec)
-    }
-
-    /// As [`AdaptiveInterpolator::network_function`] but reusing a compiled
-    /// system.
-    ///
-    /// # Errors
-    ///
-    /// See [`AdaptiveInterpolator::network_function`].
-    fn network_function_with(
-        &self,
-        sys: &MnaSystem,
-        spec: &TransferSpec,
-    ) -> Result<NetworkFunction, RefgenError> {
-        self.network_function_with_observed(sys, spec, &mut NullObserver)
-    }
-
-    /// As [`AdaptiveInterpolator::network_function_with`], streaming
-    /// [`Diagnostic`] events to `observer` as the recovery progresses.
-    ///
-    /// # Errors
-    ///
-    /// See [`AdaptiveInterpolator::network_function`].
-    fn network_function_with_observed(
-        &self,
-        sys: &MnaSystem,
-        spec: &TransferSpec,
-        observer: &mut dyn Observer,
-    ) -> Result<NetworkFunction, RefgenError> {
-        // One runtime per solve: the pool spawns once (nothing at one
-        // thread) and the plan cache is shared across every window of both
-        // polynomials. Batch sessions call network_function_runtime
-        // directly with a fleet-wide runtime instead.
         let runtime = SamplingRuntime::new(&self.config);
-        self.network_function_runtime(sys, spec, observer, &runtime)
+        self.network_function_runtime(&sys, spec, &mut NullObserver, &runtime)
     }
 
-    /// As [`AdaptiveInterpolator::network_function`], streaming
-    /// [`Diagnostic`] events to `observer` and using
-    /// a caller-supplied [`SamplingRuntime`] (shared worker pool +
-    /// plan cache) instead of a per-solve one — the batch-session entry point.
+    /// As [`AdaptiveInterpolator::network_function`] on a compiled system,
+    /// streaming [`Diagnostic`] events to `observer` and sampling through
+    /// `runtime` (worker pool + plan cache). A single solve passes a
+    /// runtime of its own, so the plan cache is shared across every window
+    /// of both polynomials; fleets pass one fleet-wide runtime through
+    /// [`AdaptiveInterpolator::solve_system`].
     ///
     /// # Errors
     ///
     /// See [`AdaptiveInterpolator::network_function`].
-    pub fn network_function_runtime(
+    fn network_function_runtime(
         &self,
         sys: &MnaSystem,
         spec: &TransferSpec,
@@ -1015,9 +984,7 @@ impl Solver for AdaptiveInterpolator {
         spec: &TransferSpec,
         observer: &mut dyn Observer,
     ) -> Result<Solution, RefgenError> {
-        let sys = MnaSystem::new(circuit)?;
-        let network = self.network_function_with_observed(&sys, spec, observer)?;
-        Ok(Solution { network, method: self.name() })
+        self.solve_with_runtime(circuit, spec, observer, &SamplingRuntime::new(&self.config))
     }
 
     /// The fleet path: reuses the caller's worker pool and plan cache, so a
@@ -1410,7 +1377,9 @@ mod tests {
         let c = rc_ladder(4, 1e3, 1e-9);
         let sys = MnaSystem::new(&c).unwrap();
         let interp = AdaptiveInterpolator::default();
-        let a = interp.network_function_with(&sys, &spec()).unwrap();
+        let runtime = SamplingRuntime::new(&interp.config);
+        let a =
+            interp.network_function_runtime(&sys, &spec(), &mut NullObserver, &runtime).unwrap();
         let b = interp.network_function(&c, &spec()).unwrap();
         for (x, y) in a.denominator.coeffs().iter().zip(b.denominator.coeffs()) {
             assert!(((*x - *y).norm() / y.norm()).to_f64() < 1e-12);

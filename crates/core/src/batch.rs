@@ -40,10 +40,10 @@
 //!   width. Batching composes
 //!   with, and is orthogonal to, threading: chunks fan out across the
 //!   same pool.
-//! * **Determinism** — every sample is a pure function of `(plan, σ)`
-//!   (scratches never adopt fallback orders here), mirroring depends only
-//!   on the σ values, and results are collected in index order, so solver
-//!   output is bit-identical at any thread count.
+//! * **Determinism** — every sample is a pure function of `(plan, σ)`,
+//!   mirroring depends only on the σ values, and results are collected
+//!   in index order, so solver output is bit-identical at any thread
+//!   count.
 //! * **Honest accounting** — the batch reports its solved points'
 //!   [`SweepStats`] (compiled replays, fresh factorizations and ladder
 //!   rescues), the worker threads it used and how many points were

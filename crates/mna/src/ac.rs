@@ -7,7 +7,7 @@
 //! interpolation engine, which is what makes the comparison meaningful.
 
 use crate::error::MnaError;
-use crate::sweep::{SweepBatchScratch, SweepPlan, SweepScratch};
+use crate::sweep::{SweepBatchScratch, SweepPlan};
 use crate::system::{MnaSystem, Scale};
 use crate::transfer::TransferSpec;
 use refgen_circuit::Circuit;
@@ -123,58 +123,38 @@ impl AcAnalysis {
     /// per point — what production circuit simulators do.
     ///
     /// `lanes` is the lane width. The grid is cut into consecutive chunks
-    /// of `lanes` frequencies, and each chunk is stamped, replayed and
-    /// solved in one pass through the batched kernels
-    /// ([`SweepPlan::eval_batch`]). A width of `1` (or `0`) evaluates one
-    /// point at a time. Widths below about 8 gain little or lose against
-    /// the one-point path; on a 1 025-unknown RC mesh, widths 16 and 32
-    /// cut the cost per frequency by about a third.
+    /// of `lanes` frequencies (one frequency per chunk at width `1` or
+    /// `0`), and [`SweepPlan::eval_batch`] stamps, replays and solves each
+    /// chunk in one pass through the batched kernels (a one-point chunk
+    /// takes the one-point replay). Widths
+    /// below about 8 gain little or lose against one-point replay
+    /// ([`SweepPlan::eval_at`]); on a 1 025-unknown RC mesh, widths 16 and
+    /// 32 cut the cost per frequency by about a third.
     ///
     /// The output is **bit-identical at every width**, errors included:
-    /// every live lane computes exactly what the one-point replay
-    /// computes. Any point where the recorded order hits an exact zero
-    /// pivot falls back to a fresh Markowitz factorization whose order is
-    /// **adopted** (compiled once) for the remaining points, so a
-    /// mid-sweep numeric pattern change costs one pivot search, not one
-    /// per remaining point. Adoption is sequential, hence the restart
-    /// rule: when any point of a chunk needs a fresh factorization, the
-    /// chunk's batched results are discarded and the sweep finishes from
-    /// that chunk's first frequency one point at a time, with an adopting
-    /// [`SweepScratch`], exactly as a width-1 sweep would. A plan whose
-    /// probe was singular (no compiled kernel) runs one point at a time
-    /// from the start.
+    /// every point is a pure function of the plan and its frequency. A
+    /// point where the recorded order hits an exact zero pivot climbs the
+    /// singular-recovery ladder alone, and the points after it replay the
+    /// plan's order again.
     ///
     /// # Errors
     ///
-    /// Fails on the first frequency where even a fresh factorization is
-    /// singular, or on spec-resolution errors.
+    /// Fails on the first frequency where every rung of the ladder fails
+    /// (replay, fresh Markowitz and the alternate-ordering recompile), or
+    /// on spec-resolution errors.
     pub fn sweep_fast(&self, freqs_hz: &[f64], lanes: usize) -> Result<Vec<AcPoint>, MnaError> {
         let plan = SweepPlan::new(&self.system, Scale::unit(), &self.spec)?;
         let mut points = Vec::with_capacity(freqs_hz.len());
-        if lanes > 1 && plan.program().is_some() {
-            let mut batch = SweepBatchScratch::new();
-            let mut sigmas = Vec::with_capacity(lanes);
-            for chunk in freqs_hz.chunks(lanes) {
-                sigmas.clear();
-                sigmas.extend(chunk.iter().map(|&f| j_omega(f)));
-                let before = batch.stats();
-                let results = plan.eval_batch(&sigmas, &mut batch);
-                let fresh = (batch.stats() - before).fresh_factorizations;
-                match results.into_iter().collect::<Result<Vec<_>, _>>() {
-                    Ok(responses) if fresh == 0 => points.extend(
-                        chunk
-                            .iter()
-                            .zip(responses)
-                            .map(|(&freq_hz, r)| AcPoint { freq_hz, response: r.response }),
-                    ),
-                    _ => break,
-                }
+        let lanes = lanes.max(1);
+        let mut batch = SweepBatchScratch::new();
+        let mut sigmas = Vec::with_capacity(lanes);
+        for chunk in freqs_hz.chunks(lanes) {
+            sigmas.clear();
+            sigmas.extend(chunk.iter().map(|&f| j_omega(f)));
+            for (&freq_hz, r) in chunk.iter().zip(plan.eval_batch(&sigmas, &mut batch)) {
+                let r = r.map_err(|e| at_frequency(e, freq_hz))?;
+                points.push(AcPoint { freq_hz, response: r.response });
             }
-        }
-        let mut scratch = SweepScratch::adopting();
-        for &f in &freqs_hz[points.len()..] {
-            let r = plan.eval_at(j_omega(f), &mut scratch).map_err(|e| at_frequency(e, f))?;
-            points.push(AcPoint { freq_hz: f, response: r.response });
         }
         Ok(points)
     }
@@ -210,24 +190,27 @@ pub fn log_space(start: f64, stop: f64, n: usize) -> Vec<f64> {
 }
 
 /// Unwraps a phase sequence (degrees) so it is continuous: whenever the
-/// step between consecutive samples exceeds 180°, a ±360° correction is
-/// accumulated. Used for Bode plots like the paper's Fig. 2, whose phase
-/// runs from 0 down to −800°.
+/// step between consecutive samples exceeds 180°, the whole turns that
+/// bring it back into `[−180°, 180°]` are accumulated as a correction. A
+/// NaN or infinite step has no turn count and is left uncorrected. Used
+/// for Bode plots like the paper's Fig. 2, whose phase runs from 0 down to
+/// −800°.
 pub fn unwrap_phase(phases_deg: &[f64]) -> Vec<f64> {
     let mut out = Vec::with_capacity(phases_deg.len());
     let mut offset = 0.0;
     for (i, &p) in phases_deg.iter().enumerate() {
         if i > 0 {
-            let prev_raw = phases_deg[i - 1];
-            let mut d = p - prev_raw;
-            while d > 180.0 {
-                d -= 360.0;
-                offset -= 360.0;
-            }
-            while d < -180.0 {
-                d += 360.0;
-                offset += 360.0;
-            }
+            let d = p - phases_deg[i - 1];
+            // Closed form: subtracting one turn at a time never ends once
+            // 360° is below the step's ulp.
+            let turns = if !d.is_finite() || d.abs() <= 180.0 {
+                0.0
+            } else if d > 0.0 {
+                ((d - 180.0) / 360.0).ceil()
+            } else {
+                ((d + 180.0) / 360.0).floor()
+            };
+            offset -= 360.0 * turns;
         }
         out.push(p + offset);
     }
@@ -386,12 +369,12 @@ mod tests {
         }
     }
 
-    /// The sequential sweep `sweep_fast` ran before it batched, kept
-    /// verbatim as the oracle: one adopting scratch, one `eval_at` per
-    /// frequency, errors reported at their frequency.
+    /// The sequential sweep `sweep_fast` ran before it batched, kept as
+    /// the oracle: one scratch, one `eval_at` per frequency, errors
+    /// reported at their frequency.
     fn sequential_oracle(ac: &AcAnalysis, freqs_hz: &[f64]) -> Result<Vec<AcPoint>, MnaError> {
         let plan = SweepPlan::new(&ac.system, Scale::unit(), &ac.spec)?;
-        let mut scratch = SweepScratch::adopting();
+        let mut scratch = crate::sweep::SweepScratch::new();
         freqs_hz
             .iter()
             .map(|&f| {
@@ -450,13 +433,12 @@ mod tests {
         }
     }
 
-    /// The restart path: the recorded order of this circuit dies at DC
-    /// (the VCCS cancels node a's conductances), so a chunk holding 0 Hz
-    /// is discarded and the sweep finishes one point at a time, adopting
-    /// the DC-safe order exactly where the sequential sweep does — the
-    /// second 0 Hz point then replays the adopted kernel.
+    /// The recorded order of this circuit dies at DC (the VCCS cancels
+    /// node a's conductances): each 0 Hz lane climbs the recovery ladder
+    /// alone, and its neighbours and every later point replay the plan's
+    /// order, exactly as the one-point oracle does.
     #[test]
-    fn batched_sweep_restarts_sequentially_where_the_order_dies() {
+    fn dead_points_climb_the_ladder_alone() {
         let mut c = refgen_circuit::Circuit::new();
         c.add_vsource("VIN", "in", "0", 1.0).unwrap();
         c.add_resistor("R1", "in", "a", 1e3).unwrap();
@@ -473,8 +455,8 @@ mod tests {
     }
 
     /// Fault scopes: replay faults send every lane down the recovery
-    /// ladder (restart path), and an exhausted ladder fails the sweep with
-    /// the oracle's error, at the oracle's frequency.
+    /// ladder, and an exhausted ladder fails the sweep with the oracle's
+    /// error, at the oracle's frequency.
     #[test]
     fn batched_sweep_matches_oracle_under_faults() {
         use crate::faults::{self, FaultKind, FaultPlan, FaultScope};
@@ -500,6 +482,23 @@ mod tests {
         for w in un.windows(2) {
             assert!((w[1] - w[0]).abs() <= 180.0);
         }
+    }
+
+    /// Steps too large for single turns, and steps with no turn count,
+    /// finish: a huge step is corrected in closed form, a NaN or infinite
+    /// one is left as it is.
+    #[test]
+    fn unwrap_phase_finishes_on_huge_and_non_finite_steps() {
+        let huge = unwrap_phase(&[0.0, 1e20]);
+        assert_eq!(huge[0], 0.0);
+        assert!(huge[1].abs() <= 180.0 + 1e20 * f64::EPSILON, "{}", huge[1]);
+        assert_eq!(unwrap_phase(&[0.0, f64::INFINITY]), [0.0, f64::INFINITY]);
+        let nan = unwrap_phase(&[0.0, f64::NAN]);
+        assert_eq!(nan[0], 0.0);
+        assert!(nan[1].is_nan());
+        // A non-finite sample moves no later one.
+        assert_eq!(unwrap_phase(&[0.0, f64::NAN, 10.0])[2], 10.0);
+        assert_eq!(unwrap_phase(&[0.0, f64::NEG_INFINITY, 10.0])[2], 10.0);
     }
 
     #[test]

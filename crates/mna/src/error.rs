@@ -56,15 +56,6 @@ pub enum MnaError {
         /// The offending Δt, seconds.
         dt: f64,
     },
-    /// A plan was asked to rebind to a system of a different shape
-    /// ([`SweepPlan::rebind`](crate::SweepPlan::rebind) requires the same
-    /// topology: identical node/element structure, values free to differ).
-    TopologyMismatch {
-        /// Dimension the plan was compiled for.
-        expected: usize,
-        /// Dimension of the offered system.
-        actual: usize,
-    },
 }
 
 impl fmt::Display for MnaError {
@@ -88,11 +79,6 @@ impl fmt::Display for MnaError {
             MnaError::InvalidTimeStep { dt } => {
                 write!(f, "transient time step must be positive and finite, got {dt}")
             }
-            MnaError::TopologyMismatch { expected, actual } => write!(
-                f,
-                "plan rebind requires the same topology: plan dimension {expected}, \
-                 system dimension {actual}"
-            ),
         }
     }
 }

@@ -36,9 +36,8 @@
 //! reusable [`SweepScratch`] with no pivot search and no steady-state
 //! allocation. Both the AC fast sweep and `refgen_core`'s batched
 //! unit-circle sampling execute on it. For same-topology *fleets*
-//! (Monte-Carlo and sensitivity variants of one circuit),
-//! [`SweepPlan::rebind`] transplants a compiled plan onto new element
-//! values and [`PlanCache`] shares recorded pivot orders across plans — one
+//! (Monte-Carlo and sensitivity variants of one circuit), [`PlanCache`]
+//! shares recorded pivot orders and compiled programs across plans — one
 //! pivot search per topology, not per variant.
 //!
 //! The [`transient`] module rides the same seam in the time domain: for a

@@ -143,13 +143,11 @@ pub struct OrderingChoice {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[must_use = "sweep accounting is the observable the determinism tiers pin — read it or drop it explicitly"]
 pub struct SweepStats {
-    /// Evaluations that replayed a recorded pivot order through a
-    /// compiled symbolic kernel ([`FactorProgram`]), the cheap path: the
-    /// plan's own kernel or one compiled for an *adopted* fallback order
-    /// (sequential sweeps compile once at adoption). Batched lanes
-    /// ([`SweepPlan::eval_batch`]) count one hit per live lane, exactly
-    /// like sequential points. Every evaluation is either a compiled hit
-    /// or a fresh factorization.
+    /// Evaluations that replayed the plan's recorded pivot order through
+    /// its compiled symbolic kernel ([`FactorProgram`]), the cheap path.
+    /// Batched lanes ([`SweepPlan::eval_batch`]) count one hit per live
+    /// lane, exactly like sequential points. Every evaluation is either a
+    /// compiled hit or a fresh factorization.
     pub compiled_hits: u64,
     /// Evaluations that paid a full Markowitz factorization (no usable
     /// order, or the recorded order hit an exact zero pivot). On a plan
@@ -207,40 +205,30 @@ impl std::ops::Sub for SweepStats {
 /// Per-executor mutable state for [`SweepPlan`] evaluation: reused
 /// assembly/factorization/solve buffers plus [`SweepStats`] counters.
 ///
-/// One scratch per thread; the plan is shared. A scratch built with
-/// [`SweepScratch::new`] always replays the *plan's* pivot order, so
-/// results are a pure function of `(plan, s)` — the mode batched sampling
-/// needs for thread-count-independent output. A scratch built with
-/// [`SweepScratch::adopting`] additionally adopts the pivot order of any
-/// fallback Markowitz factorization for subsequent points, so a sequential
-/// sweep that crosses a point where the recorded order dies (exact zero
-/// pivot) pays the pivot search once instead of at every remaining point.
-/// The adopted order is compiled at adoption and keyed by the pattern
-/// fingerprint of the plan that recorded it: plans of another pattern
-/// replay their own kernel.
+/// One scratch per thread; the plan is shared. Every evaluation replays
+/// the *plan's* pivot order, and a point where that order dies (exact zero
+/// pivot) climbs the singular-recovery ladder on its own, so results are a
+/// pure function of `(plan, s)` — what batched sampling needs for
+/// thread-count-independent output.
 #[derive(Clone, Debug, Default)]
 pub struct SweepScratch {
     triplets: Triplets,
     prog: ProgramScratch,
     x: Vec<Complex>,
-    /// The adopted fallback kernel and the pattern fingerprint it was
-    /// compiled for (`None` before any fallback).
-    adopted: Option<(u64, Arc<FactorProgram>)>,
-    adopt_on_fallback: bool,
     stats: SweepStats,
 }
 
 impl SweepScratch {
-    /// A scratch that always replays the plan's pivot order
-    /// (deterministic-batch mode; see the type docs).
+    /// An empty scratch; buffers size themselves on first use.
     pub fn new() -> Self {
         SweepScratch::default()
     }
 
-    /// A scratch that adopts the pivot order of fallback factorizations
-    /// (sequential-sweep mode; see the type docs).
+    /// The same scratch as [`SweepScratch::new`]: scratches no longer
+    /// adopt fallback pivot orders.
+    #[deprecated(note = "scratches no longer adopt fallback orders; use `SweepScratch::new`")]
     pub fn adopting() -> Self {
-        SweepScratch { adopt_on_fallback: true, ..SweepScratch::default() }
+        SweepScratch::new()
     }
 
     /// Counters accumulated so far.
@@ -252,9 +240,8 @@ impl SweepScratch {
 /// Where a factorization for one evaluation point lives.
 enum Factored {
     /// In the scratch's program scratch (compiled-kernel replay
-    /// succeeded). Carries the kernel that replayed: the plan's own, one
-    /// compiled for an adopted fallback order, or the ladder's
-    /// alternate-ordering kernel.
+    /// succeeded). Carries the kernel that replayed: the plan's own, or
+    /// the ladder's alternate-ordering kernel.
     Program(Arc<FactorProgram>),
     /// A fresh Markowitz factorization (fallback path).
     Fresh(SparseLu),
@@ -313,24 +300,16 @@ pub struct SweepPlan {
     /// plan.
     k0: Vec<Complex>,
     k1: Vec<Complex>,
-    /// The system's pattern fingerprint ([`PlanCache`] key, and the first
-    /// structure check of [`SweepPlan::rebind`]).
-    fingerprint: u64,
     rhs: Vec<Complex>,
     /// The recorded pivot order and the symbolic kernel compiled from
     /// `(pattern, order)` — the kernel is shared by reference across
-    /// rebinds and cache hits (symbolic analysis is value- and
+    /// [`PlanCache`] hits (symbolic analysis is value- and
     /// scale-independent). `None` when the probe was singular.
     compiled: Option<(PivotOrder, Arc<FactorProgram>)>,
     /// `true` when every `K₀`/`K₁` entry and every RHS entry is real, so
     /// `D(s̄) = conj(D(s))` holds exactly (see the [module docs](self)).
     conjugate_symmetric: bool,
     drive: Option<PlanDrive>,
-    /// The spec input this plan's drive was resolved from (`None` for
-    /// determinant-only plans); [`SweepPlan::rebind`] re-resolves it
-    /// against the new system so a changed source amplitude stays
-    /// consistent with the recomputed RHS.
-    input: Option<String>,
     /// The ordering-selection outcome (`None` when the probe was singular
     /// and the plan carries no order at all).
     ordering: Option<OrderingChoice>,
@@ -867,20 +846,13 @@ impl SweepPlan {
             OutputSpec::Node(n) => PlanOutput::Node(row_of(n)?),
             OutputSpec::Differential(p, m) => PlanOutput::Differential(row_of(p)?, row_of(m)?),
         };
-        Ok(Self::build(
-            sys,
-            scale,
-            Some(PlanDrive { amp, out }),
-            Some(spec.input.clone()),
-            cache,
-            mode,
-        ))
+        Ok(Self::build(sys, scale, Some(PlanDrive { amp, out }), cache, mode))
     }
 
     /// Builds a determinant-only plan ([`SweepPlan::eval_at`] is
     /// unavailable): no transfer spec needed, no RHS solve ever performed.
     pub fn for_determinant(sys: &MnaSystem, scale: Scale) -> SweepPlan {
-        Self::build(sys, scale, None, None, None, OrderingMode::default())
+        Self::build(sys, scale, None, None, OrderingMode::default())
     }
 
     /// As [`SweepPlan::for_determinant`] with an explicit
@@ -892,75 +864,17 @@ impl SweepPlan {
         cache: &PlanCache,
         mode: OrderingMode,
     ) -> SweepPlan {
-        Self::build(sys, scale, None, None, Some(cache), mode)
-    }
-
-    /// Rebinds this plan to a **same-topology** system — identical node
-    /// and element structure, element *values* free to differ (a
-    /// Monte-Carlo or sensitivity variant). The numeric pattern, RHS and
-    /// drive amplitude are recomputed from `sys`; the recorded pivot order
-    /// is carried over **without a new probe factorization**, which is
-    /// what makes a fleet of variants cost one pivot search per topology
-    /// instead of one per variant.
-    ///
-    /// # Errors
-    ///
-    /// [`MnaError::TopologyMismatch`] when `sys` has a different dimension
-    /// or sparsity structure, and the spec-resolution errors of
-    /// [`SweepPlan::new`] when the plan carries a drive.
-    pub fn rebind(&self, sys: &MnaSystem) -> Result<SweepPlan, MnaError> {
-        let mismatch = MnaError::TopologyMismatch { expected: self.dim, actual: sys.dim() };
-        if sys.dim() != self.dim || sys.pattern_fingerprint() != self.fingerprint {
-            return Err(mismatch);
-        }
-        let positions = sys.pattern_positions();
-        if positions.len() != self.pattern.len()
-            || positions.iter().zip(&self.pattern).any(|(&p, &(r, c, _, _))| p != (r, c))
-        {
-            return Err(mismatch);
-        }
-        let (dim, pattern) = affine_pattern(sys, self.scale);
-        let drive = match (&self.drive, &self.input) {
-            (Some(drive), Some(input)) => {
-                // Output rows are positional and identical across the
-                // topology; the source amplitude may have changed with the
-                // variant's element values.
-                let (_source, amp) = sys.resolve_source(input)?;
-                Some(PlanDrive { amp, out: drive.out })
-            }
-            _ => None,
-        };
-        let rhs = sys.rhs();
-        let conjugate_symmetric = pattern_is_real(&pattern, &rhs);
-        let (k0, k1) = pattern.iter().map(|&(_, _, k0, k1)| (k0, k1)).unzip();
-        Ok(SweepPlan {
-            dim,
-            scale: self.scale,
-            pattern,
-            k0,
-            k1,
-            fingerprint: self.fingerprint,
-            rhs,
-            // Symbolic analysis is value-independent: the variant replays
-            // the exact same compiled kernel, no recompilation.
-            compiled: self.compiled.clone(),
-            conjugate_symmetric,
-            drive,
-            input: self.input.clone(),
-            ordering: self.ordering,
-        })
+        Self::build(sys, scale, None, Some(cache), mode)
     }
 
     fn build(
         sys: &MnaSystem,
         scale: Scale,
         drive: Option<PlanDrive>,
-        input: Option<String>,
         cache: Option<&PlanCache>,
         mode: OrderingMode,
     ) -> SweepPlan {
         let (dim, pattern) = affine_pattern(sys, scale);
-        let fingerprint = sys.pattern_fingerprint();
         let selection = match cache {
             Some(cache) => cache.selection_for(sys, scale, mode),
             None => select_ordering(dim, &pattern, mode),
@@ -978,12 +892,10 @@ impl SweepPlan {
             pattern,
             k0,
             k1,
-            fingerprint,
             rhs,
             compiled,
             conjugate_symmetric,
             drive,
-            input,
             ordering,
         }
     }
@@ -1005,8 +917,8 @@ impl SweepPlan {
     }
 
     /// The compiled symbolic kernel this plan evaluates through (`None`
-    /// when the probe was singular). Rebinds and cache hits share one
-    /// program by reference — compare with [`std::ptr::eq`] to verify.
+    /// when the probe was singular). [`PlanCache`] hits share one program
+    /// by reference — compare with [`std::ptr::eq`] to verify.
     pub fn program(&self) -> Option<&FactorProgram> {
         self.compiled.as_ref().map(|(_, program)| &**program)
     }
@@ -1071,31 +983,18 @@ impl SweepPlan {
         scratch: &mut SweepScratch,
     ) -> Result<Factored, refgen_sparse::FactorError> {
         let s = faults::poison_point(s);
-        // An adopted fallback kernel (sequential sweeps only) supersedes
-        // the plan's own kernel, which encodes the stale order that just
-        // died — but only on the pattern it was compiled for.
-        let adopted = match &scratch.adopted {
-            Some((fingerprint, program)) if *fingerprint == self.fingerprint => {
-                Some(Arc::clone(program))
-            }
-            _ => None,
-        };
-        let program = match (adopted, &self.compiled) {
-            (Some(program), _) => program,
-            (None, Some((_, program))) => Arc::clone(program),
-            (None, None) => {
-                // No prescribed order at all (singular probe): rung 0 was
-                // never attempted, so a rung-1 success is not a recovery.
-                self.assemble_into(s, &mut scratch.triplets);
-                return self.recover(s, scratch, false);
-            }
+        let Some((_, program)) = &self.compiled else {
+            // No prescribed order at all (singular probe): rung 0 was
+            // never attempted, so a rung-1 success is not a recovery.
+            self.assemble_into(s, &mut scratch.triplets);
+            return self.recover(s, scratch, false);
         };
         // Stamp K₀ + s·K₁ straight into the program's slot array — no
         // triplet buffer, no sort, no search, no insert, no alloc.
         let replay = program.refactor_values(self.values_at(s), &mut scratch.prog);
         if replay.is_ok() && !faults::poison_replay() {
             scratch.stats.compiled_hits += 1;
-            return Ok(Factored::Program(program));
+            return Ok(Factored::Program(Arc::clone(program)));
         }
         // Compiled replay died (exact zero pivot): climb the ladder.
         self.assemble_into(s, &mut scratch.triplets);
@@ -1129,13 +1028,6 @@ impl SweepPlan {
             Ok(lu) => {
                 if replay_died {
                     scratch.stats.recovered_fresh += 1;
-                }
-                if scratch.adopt_on_fallback {
-                    // Compile the adopted order once, at adoption, for
-                    // this plan's pattern: the rest of the sweep replays
-                    // it as a flat instruction stream.
-                    scratch.adopted = compile_program(self.dim, &self.pattern, lu.order())
-                        .map(|program| (self.fingerprint, Arc::new(program)));
                 }
                 Ok(Factored::Fresh(lu))
             }
@@ -1224,13 +1116,15 @@ impl SweepPlan {
     /// [`BatchScratch`](refgen_sparse::BatchScratch)). Per point, the
     /// result — value, error, and [`SweepStats`] accounting — is
     /// **bit-identical** to a sequential `eval_at` with a fresh
-    /// (non-adopting) scratch: live lanes perform the exact one-lane
+    /// scratch: live lanes perform the exact one-lane
     /// operation sequence, and a lane whose prescribed pivot is exactly
     /// zero falls back to the identical sequential path (failed replay,
     /// then fresh Markowitz) without disturbing its neighbours.
     ///
-    /// Plans without a compiled kernel (singular probe) evaluate each
-    /// point sequentially — same results, no batching to amortize.
+    /// Plans without a compiled kernel (singular probe), and one-point
+    /// batches, evaluate each point sequentially — same results, no
+    /// batching to amortize (a one-lane batched replay costs about twice
+    /// a one-point replay on a 1 025-unknown RC mesh).
     ///
     /// # Panics
     ///
@@ -1243,7 +1137,7 @@ impl SweepPlan {
     ) -> Vec<Result<TransferResponse, MnaError>> {
         let drive = self.drive.as_ref().expect("determinant-only plan cannot evaluate a transfer");
         assert!(!sigmas.is_empty(), "batch needs at least one point");
-        let Some(program) = self.program() else {
+        let Some(program) = self.program().filter(|_| sigmas.len() > 1) else {
             return sigmas.iter().map(|&s| self.eval_at(s, &mut scratch.fallback)).collect();
         };
         let lanes = sigmas.len();
@@ -1281,8 +1175,10 @@ impl SweepPlan {
     /// Batched [`SweepPlan::eval_det`]: determinants at every point of
     /// `sigmas` through one instruction-stream traversal, bit-identical
     /// per point to the sequential path (dead lanes fall back exactly like
-    /// sequential evaluations, reporting `ExtComplex::ZERO` only if even
-    /// the fresh factorization fails).
+    /// sequential evaluations, reporting `ExtComplex::ZERO` only if every
+    /// rung of the recovery ladder fails). Like [`SweepPlan::eval_batch`],
+    /// plans without a compiled kernel and one-point batches evaluate
+    /// sequentially.
     ///
     /// # Panics
     ///
@@ -1293,7 +1189,7 @@ impl SweepPlan {
         scratch: &mut SweepBatchScratch,
     ) -> Vec<ExtComplex> {
         assert!(!sigmas.is_empty(), "batch needs at least one point");
-        let Some(program) = self.program() else {
+        let Some(program) = self.program().filter(|_| sigmas.len() > 1) else {
             return sigmas.iter().map(|&s| self.eval_det(s, &mut scratch.fallback)).collect();
         };
         self.refactor_lanes(program, sigmas, scratch);
@@ -1323,8 +1219,7 @@ pub struct SweepBatchScratch {
     sigmas: Vec<Complex>,
     rhs: Vec<Complex>,
     x: Vec<Complex>,
-    /// Non-adopting by construction: dead lanes must replicate the
-    /// deterministic-batch sequential path bit for bit.
+    /// Serves dead lanes, which replicate the sequential path bit for bit.
     fallback: SweepScratch,
     stats: SweepStats,
 }
@@ -1439,15 +1334,14 @@ mod tests {
         assert_eq!(scratch.stats().fresh_factorizations, 1);
     }
 
-    /// The regression the satellite bugfix targets: a pivot order recorded
-    /// at one frequency dies (exact zero pivot) at another where the
-    /// matrix's *numeric* pattern changes — here a node whose diagonal is
-    /// purely capacitive after a VCCS cancels its conductances, so it
-    /// vanishes at DC. An adopting scratch must pay the fallback pivot
-    /// search once and then replay the *new* order, not re-fail the stale
-    /// one at every remaining point.
+    /// A pivot order recorded at one frequency dies (exact zero pivot) at
+    /// another where the matrix's *numeric* pattern changes — here a node
+    /// whose diagonal is purely capacitive after a VCCS cancels its
+    /// conductances, so it vanishes at DC. Every DC point climbs the
+    /// ladder on its own (one fresh factorization each), and a generic
+    /// point still replays the plan's compiled kernel.
     #[test]
-    fn adopting_scratch_replaces_stale_order_on_fallback() {
+    fn dead_order_costs_one_fresh_factorization_per_point() {
         let mut c = Circuit::new();
         c.add_vsource("VIN", "in", "0", 1.0).unwrap();
         c.add_resistor("R1", "in", "a", 1e3).unwrap();
@@ -1468,37 +1362,17 @@ mod tests {
         )
         .unwrap();
 
-        // Sanity: the probe (|s| = 1, so |s·C| = 1 dominates the mS-range
+        // The probe (|s| = 1, so |s·C| = 1 dominates the mS-range
         // conductances) pivots on node a's capacitor-only diagonal.
-        let mut adopting = SweepScratch::adopting();
-        plan.eval_at(Complex::new(0.3, 1.1), &mut adopting).unwrap();
-        assert_eq!(adopting.stats().compiled_hits, 1, "generic point replays the probe order");
-
-        // At s = 0 the prescribed pivot is exactly zero: one fallback…
-        plan.eval_at(Complex::ZERO, &mut adopting).unwrap();
-        assert_eq!(adopting.stats().fresh_factorizations, 1);
-        // …and the adopted DC-safe order serves every further DC point.
-        for _ in 0..4 {
-            plan.eval_at(Complex::ZERO, &mut adopting).unwrap();
-        }
-        let stats = adopting.stats();
-        assert_eq!(
-            stats.fresh_factorizations, 1,
-            "stale order must be replaced on fallback, not re-failed per point"
-        );
-        // The adopted order is *compiled* at adoption: the probe point ran
-        // the plan's kernel (1) and all four post-fallback DC points ran
-        // the adopted kernel (4).
-        assert_eq!(stats.compiled_hits, 5, "adopted-order replays must run a compiled kernel");
-
-        // A non-adopting scratch (deterministic batch mode) keeps replaying
-        // the plan order by design, paying the fallback at every DC point.
-        let mut plain = SweepScratch::new();
+        let mut scratch = SweepScratch::new();
         for _ in 0..3 {
-            plan.eval_at(Complex::ZERO, &mut plain).unwrap();
+            plan.eval_at(Complex::ZERO, &mut scratch).unwrap();
         }
-        assert_eq!(plain.stats().fresh_factorizations, 3);
-        assert_eq!(plain.stats().compiled_hits, 0);
+        plan.eval_at(Complex::new(0.3, 1.1), &mut scratch).unwrap();
+        let stats = scratch.stats();
+        assert_eq!(stats.fresh_factorizations, 3, "one fallback per DC point: {stats:?}");
+        assert_eq!(stats.recovered_fresh, 3, "{stats:?}");
+        assert_eq!(stats.compiled_hits, 1, "the generic point replays the plan's kernel");
     }
 
     #[test]
@@ -1523,61 +1397,6 @@ mod tests {
         let _ = plan.eval_at(Complex::ONE, &mut SweepScratch::new());
     }
 
-    /// A same-topology variant of the uniform ladder: every R and C scaled
-    /// by a per-element factor, structure untouched.
-    fn perturbed_ladder(n: usize, bump: f64) -> Circuit {
-        let mut c = Circuit::new();
-        c.add_vsource("VIN", "in", "0", 1.0).unwrap();
-        let mut prev = "in".to_string();
-        for k in 0..n {
-            let node = if k + 1 == n { "out".to_string() } else { format!("l{}", k + 1) };
-            let wiggle = 1.0 + bump * ((k as f64 + 1.0) / n as f64 - 0.5);
-            c.add_resistor(&format!("R{}", k + 1), &prev, &node, 1e3 * wiggle).unwrap();
-            c.add_capacitor(&format!("C{}", k + 1), &node, "0", 1e-9 / wiggle).unwrap();
-            prev = node;
-        }
-        c
-    }
-
-    #[test]
-    fn rebind_matches_fresh_plan_without_probing() {
-        let scale = Scale::new(1e9, 1e3);
-        let base = MnaSystem::new(&perturbed_ladder(6, 0.0)).unwrap();
-        let plan = SweepPlan::new(&base, scale, &spec()).unwrap();
-        let variant = MnaSystem::new(&perturbed_ladder(6, 0.12)).unwrap();
-        let rebound = plan.rebind(&variant).unwrap();
-        // Same recorded order, no new probe…
-        assert_eq!(rebound.order(), plan.order());
-        // …and evaluations match a freshly probed plan on the variant to
-        // full precision (the order is structural; values are numeric).
-        let fresh = SweepPlan::new(&variant, scale, &spec()).unwrap();
-        let mut sa = SweepScratch::new();
-        let mut sb = SweepScratch::new();
-        for k in 0..8 {
-            let theta = 2.0 * std::f64::consts::PI * k as f64 / 8.0;
-            let s = Complex::new(theta.cos(), theta.sin());
-            let a = rebound.eval_at(s, &mut sa).unwrap();
-            let b = fresh.eval_at(s, &mut sb).unwrap();
-            let rel = (a.response - b.response).abs() / b.response.abs();
-            assert!(rel < 1e-12, "point {k}: rel {rel:.2e}");
-        }
-        // Every rebound evaluation replayed the transplanted order.
-        assert_eq!(sa.stats().compiled_hits, 8);
-        assert_eq!(sa.stats().fresh_factorizations, 0);
-    }
-
-    #[test]
-    fn rebind_rejects_different_topology() {
-        let scale = Scale::unit();
-        let sys6 = MnaSystem::new(&rc_ladder(6, 1e3, 1e-9)).unwrap();
-        let sys7 = MnaSystem::new(&rc_ladder(7, 1e3, 1e-9)).unwrap();
-        let plan = SweepPlan::for_determinant(&sys6, scale);
-        assert!(matches!(
-            plan.rebind(&sys7),
-            Err(MnaError::TopologyMismatch { expected, actual }) if expected + 1 == actual
-        ));
-    }
-
     /// A four-node RC chain with one bridging capacitor from `bridge` to
     /// node `c`.
     fn bridged_chain(bridge: &str, farads: f64) -> Circuit {
@@ -1591,73 +1410,30 @@ mod tests {
         c
     }
 
+    /// A variant whose only change is its source amplitude shares the
+    /// cached order and program, and its plan normalizes by the
+    /// *variant's* amplitude: H(0) of the RC low-pass is 1 regardless of
+    /// drive.
     #[test]
-    fn rebind_rejects_same_size_different_positions() {
-        let scale = Scale::new(1e9, 1e3);
-        let base = MnaSystem::new(&bridged_chain("a", 1e-9)).unwrap();
-        // The bridging capacitor moves from node `a` to node `in`: same
-        // dimension, same entry count, different positions.
-        let moved = MnaSystem::new(&bridged_chain("in", 1e-9)).unwrap();
-        let (dim_a, pat_a) = affine_pattern(&base, scale);
-        let (dim_b, pat_b) = affine_pattern(&moved, scale);
-        assert_eq!((dim_a, pat_a.len()), (dim_b, pat_b.len()));
-        let plan = SweepPlan::new(&base, scale, &spec()).unwrap();
-        assert!(matches!(
-            plan.rebind(&moved),
-            Err(MnaError::TopologyMismatch { expected, actual }) if expected == dim_a && actual == dim_b
-        ));
-    }
-
-    #[test]
-    fn rebind_with_matching_fingerprint_reuses_order_and_program() {
-        let scale = Scale::new(1e9, 1e3);
-        let base = MnaSystem::new(&bridged_chain("a", 1e-9)).unwrap();
-        let variant = MnaSystem::new(&bridged_chain("a", 3.3e-9)).unwrap();
-        assert_eq!(base.pattern_fingerprint(), variant.pattern_fingerprint());
+    fn cached_plan_tracks_changed_source_amplitude() {
+        let low_pass = |volts: f64| {
+            let mut c = Circuit::new();
+            c.add_vsource("VIN", "in", "0", volts).unwrap();
+            c.add_resistor("R1", "in", "out", 1e3).unwrap();
+            c.add_capacitor("C1", "out", "0", 1e-9).unwrap();
+            MnaSystem::new(&c).unwrap()
+        };
         let cache = PlanCache::new();
         let mode = OrderingMode::default();
-        let plan =
-            SweepPlan::new_cached_with_ordering(&base, scale, &spec(), &cache, mode).unwrap();
-        let rebound = plan.rebind(&variant).unwrap();
-        // No probe: the pivot search count is unchanged, and the rebound
-        // plan replays the very same order and compiled program.
-        assert_eq!(cache.pivot_searches(), 1);
-        assert_eq!(rebound.order(), plan.order());
-        assert!(std::ptr::eq(rebound.program().unwrap(), plan.program().unwrap()));
-        // Only the values changed, and they are the variant's own.
-        let (_, want) = affine_pattern(&variant, scale);
-        let bits = |z: Complex| (z.re.to_bits(), z.im.to_bits());
-        assert!(rebound
-            .pattern
-            .iter()
-            .zip(&want)
-            .all(|(g, w)| (g.0, g.1, bits(g.2), bits(g.3)) == (w.0, w.1, bits(w.2), bits(w.3))));
-        assert!(rebound.pattern.iter().zip(&plan.pattern).any(|(a, b)| bits(a.3) != bits(b.3)));
+        let plan = |sys: &MnaSystem| {
+            SweepPlan::new_cached_with_ordering(sys, Scale::unit(), &spec(), &cache, mode).unwrap()
+        };
+        let base = plan(&low_pass(1.0));
+        let scaled = plan(&low_pass(2.5));
+        assert_eq!((cache.pivot_searches(), cache.shared_hits()), (1, 1));
+        assert!(std::ptr::eq(scaled.program().unwrap(), base.program().unwrap()));
         let mut scratch = SweepScratch::new();
-        rebound.eval_at(Complex::new(0.3, 0.8), &mut scratch).unwrap();
-        assert_eq!(scratch.stats().fresh_factorizations, 0);
-        assert_eq!(scratch.stats().compiled_hits, 1);
-    }
-
-    #[test]
-    fn rebind_tracks_changed_source_amplitude() {
-        let scale = Scale::unit();
-        let mut base = Circuit::new();
-        base.add_vsource("VIN", "in", "0", 1.0).unwrap();
-        base.add_resistor("R1", "in", "out", 1e3).unwrap();
-        base.add_capacitor("C1", "out", "0", 1e-9).unwrap();
-        let plan = SweepPlan::new(&MnaSystem::new(&base).unwrap(), scale, &spec()).unwrap();
-
-        let mut scaled = Circuit::new();
-        scaled.add_vsource("VIN", "in", "0", 2.5).unwrap();
-        scaled.add_resistor("R1", "in", "out", 1e3).unwrap();
-        scaled.add_capacitor("C1", "out", "0", 1e-9).unwrap();
-        let sys = MnaSystem::new(&scaled).unwrap();
-        let rebound = plan.rebind(&sys).unwrap();
-        // H(0) of the RC low-pass is 1 regardless of drive amplitude: the
-        // rebound plan must renormalize by the *variant's* amplitude.
-        let mut scratch = SweepScratch::new();
-        let r = rebound.eval_at(Complex::ZERO, &mut scratch).unwrap();
+        let r = scaled.eval_at(Complex::ZERO, &mut scratch).unwrap();
         assert!((r.response - Complex::ONE).abs() < 1e-12, "H(0) = {}", r.response);
     }
 
@@ -1779,17 +1555,22 @@ mod tests {
     }
 
     /// The fleet shape the batch-session layer is built on: 64
-    /// same-topology µA741 variants evaluated through rebound plans —
-    /// exactly **one** pivot search for the whole fleet, every evaluation
-    /// a pivot-order replay (asserted via [`SweepStats`]).
+    /// same-topology µA741 variants planned through one [`PlanCache`]
+    /// anchored on the base circuit — exactly **one** pivot search for the
+    /// whole fleet, every evaluation a pivot-order replay (asserted via
+    /// [`SweepStats`]).
     #[test]
     fn ua741_fleet_costs_one_pivot_search_per_topology() {
         use refgen_circuit::perturb::{Perturbation, VariantSet};
 
         let base = ua741();
         let scale = Scale::new(1e9, 1e3);
-        let plan = SweepPlan::new(&MnaSystem::new(&base).unwrap(), scale, &spec()).unwrap();
-        assert!(plan.order().is_some(), "base probe records the topology's order");
+        let cache = PlanCache::new();
+        let mode = OrderingMode::default();
+        let base_sys = MnaSystem::new(&base).unwrap();
+        cache.register_anchor(&base_sys, scale);
+        let plan =
+            SweepPlan::new_cached_with_ordering(&base_sys, scale, &spec(), &cache, mode).unwrap();
         let base_program = plan.program().expect("probe order compiles");
 
         let fleet =
@@ -1798,21 +1579,23 @@ mod tests {
         let points = 16usize;
         for circuit in &fleet {
             let sys = MnaSystem::new(circuit).unwrap();
-            let rebound = plan.rebind(&sys).unwrap();
-            // Rebinding transplants the one compiled program by reference:
+            let variant =
+                SweepPlan::new_cached_with_ordering(&sys, scale, &spec(), &cache, mode).unwrap();
+            // The cache hands out the one compiled program by reference:
             // the whole fleet shares a single symbolic analysis.
             assert!(
-                std::ptr::eq(rebound.program().unwrap(), base_program),
-                "rebind must carry the compiled program, not recompile"
+                std::ptr::eq(variant.program().unwrap(), base_program),
+                "a cache hit must carry the compiled program, not recompile"
             );
             for k in 0..points {
                 let theta = 2.0 * std::f64::consts::PI * k as f64 / points as f64;
                 let s = Complex::new(theta.cos(), theta.sin());
-                rebound.eval_at(s, &mut scratch).unwrap();
+                variant.eval_at(s, &mut scratch).unwrap();
             }
         }
+        assert_eq!(cache.pivot_searches(), 1, "the one base probe must serve all 64 variants");
         let stats = scratch.stats();
-        assert_eq!(stats.fresh_factorizations, 0, "the one base probe must serve all 64 variants");
+        assert_eq!(stats.fresh_factorizations, 0, "{stats:?}");
         assert_eq!(stats.compiled_hits, 64 * points as u64, "every evaluation ran compiled");
     }
 
@@ -1878,6 +1661,18 @@ mod tests {
         let _pa2 = SweepPlan::for_determinant_cached_with_ordering(&a, scale, &cache, mode);
         let _pb2 = SweepPlan::for_determinant_cached_with_ordering(&b, scale, &cache, mode);
         assert_eq!(cache.pivot_searches(), 2);
+        assert_eq!(cache.shared_hits(), 2);
+
+        // The bridging capacitor moves from node `a` to node `in`: same
+        // dimension, same entry count, different positions.
+        let base = MnaSystem::new(&bridged_chain("a", 1e-9)).unwrap();
+        let moved = MnaSystem::new(&bridged_chain("in", 1e-9)).unwrap();
+        let (dim_a, pat_a) = affine_pattern(&base, scale);
+        let (dim_b, pat_b) = affine_pattern(&moved, scale);
+        assert_eq!((dim_a, pat_a.len()), (dim_b, pat_b.len()), "test premise: equal shapes");
+        let _pc = SweepPlan::for_determinant_cached_with_ordering(&base, scale, &cache, mode);
+        let _pd = SweepPlan::for_determinant_cached_with_ordering(&moved, scale, &cache, mode);
+        assert_eq!(cache.pivot_searches(), 4, "each position set probes its own order");
         assert_eq!(cache.shared_hits(), 2);
     }
 
@@ -1960,9 +1755,10 @@ mod tests {
         }
     }
 
-    /// The VCCS-cancelled-diagonal regression for the compiled adopted
-    /// order: post-fallback DC points must produce the same values through
-    /// the adopted kernel as a fresh factorization of each point would.
+    /// The VCCS-cancelled-diagonal regression for the plan's adopted
+    /// order: after a DC point climbs the ladder, near-DC points replay
+    /// the plan's own kernel and produce the same values as a fresh
+    /// factorization of each point would.
     #[test]
     fn adopted_order_kernel_reproduces_fresh_values() {
         let mut c = Circuit::new();
@@ -1976,64 +1772,20 @@ mod tests {
         let spec = TransferSpec::voltage_gain("VIN", "b");
         let plan = SweepPlan::new(&sys, Scale::unit(), &spec).unwrap();
 
-        let mut adopting = SweepScratch::adopting();
-        plan.eval_at(Complex::ZERO, &mut adopting).unwrap(); // fallback + adopt
-                                                             // Near-DC points replay the adopted kernel (compiled_hits move)…
-        let before = adopting.stats();
+        let mut scratch = SweepScratch::new();
+        plan.eval_at(Complex::ZERO, &mut scratch).unwrap(); // climbs the ladder
+        let before = scratch.stats();
         let probe_points: Vec<Complex> =
             (1..5).map(|k| Complex::new(1e-7 * k as f64, 0.0)).collect();
         for &s in &probe_points {
-            let got = plan.eval_at(s, &mut adopting).unwrap();
-            // …and match a from-scratch factorization to full precision.
+            let got = plan.eval_at(s, &mut scratch).unwrap();
             let want = sys.transfer(s, Scale::unit(), &spec).unwrap();
             let rel = (got.response - want.response).abs() / want.response.abs();
             assert!(rel < 1e-12, "s = {s}: rel {rel:.2e}");
         }
-        let after = adopting.stats();
-        assert_eq!(after.compiled_hits - before.compiled_hits, 4);
+        let after = scratch.stats();
+        assert_eq!(after.compiled_hits - before.compiled_hits, 4, "near-DC points replay");
         assert_eq!(after.fresh_factorizations, before.fresh_factorizations);
-    }
-
-    /// An adopted kernel is keyed by the pattern fingerprint of the plan
-    /// that adopted it. Circuit B has circuit A's dimension and entry
-    /// count but R3 lands on other positions, so after A adopts a DC
-    /// fallback order, B must replay its own kernel — not A's.
-    #[test]
-    fn adopted_kernel_serves_only_its_own_pattern() {
-        let circuit = |r3_from: &str| {
-            let mut c = Circuit::new();
-            c.add_vsource("VIN", "in", "0", 1.0).unwrap();
-            c.add_resistor("R1", "in", "a", 1e3).unwrap();
-            c.add_capacitor("C1", "a", "0", 1.0).unwrap();
-            c.add_vccs("G1", "a", "0", "a", "0", -2e-3).unwrap();
-            c.add_resistor("R3", r3_from, "b", 1e3).unwrap();
-            c.add_resistor("R4", "b", "0", 1e3).unwrap();
-            MnaSystem::new(&c).unwrap()
-        };
-        let spec = TransferSpec::voltage_gain("VIN", "b");
-        let plan = |sys: &MnaSystem| {
-            SweepPlan::new_with_ordering(sys, Scale::unit(), &spec, OrderingMode::Markowitz)
-                .unwrap()
-        };
-        let (sys_a, sys_b) = (circuit("a"), circuit("in"));
-        let (plan_a, plan_b) = (plan(&sys_a), plan(&sys_b));
-        assert_eq!(plan_a.dim(), plan_b.dim());
-        assert_eq!(
-            plan_a.program().unwrap().raw_entries(),
-            plan_b.program().unwrap().raw_entries()
-        );
-        assert_ne!(sys_a.pattern_fingerprint(), sys_b.pattern_fingerprint());
-
-        let mut scratch = SweepScratch::adopting();
-        plan_a.eval_at(Complex::ZERO, &mut scratch).unwrap();
-        assert_eq!(scratch.stats().fresh_factorizations, 1, "A adopts a DC fallback order");
-
-        let s = Complex::new(0.3, 1.1);
-        let got = plan_b.eval_at(s, &mut scratch).unwrap().response;
-        let want = plan_b.eval_at(s, &mut SweepScratch::new()).unwrap().response;
-        assert_eq!((got.re.to_bits(), got.im.to_bits()), (want.re.to_bits(), want.im.to_bits()));
-        // B divides the source between R1 and R4 alone.
-        assert!((want - Complex::real(0.5)).abs() < 1e-12, "{want}");
     }
 
     /// `eval_batch` / `eval_det_batch` over any lane width are bit-identical

@@ -346,18 +346,13 @@ impl MnaSystem {
         &self.stamps
     }
 
-    /// The stamped positions of [`MnaSystem::affine_pattern`], in order.
-    pub(crate) fn pattern_positions(&self) -> &[(usize, usize)] {
-        &self.stamps.positions
-    }
-
     /// FNV-1a fingerprint of the dimension and the stamped positions:
     /// value-independent, so same-topology variants share it.
     pub(crate) fn pattern_fingerprint(&self) -> u64 {
         self.stamps.fingerprint
     }
 
-    /// The stamped positions of [`MnaSystem::pattern_positions`], in order,
+    /// The stamped positions of [`MnaSystem::affine_pattern`], in order,
     /// each with whether any raw stamp there is reactive (`s·f·X`): the
     /// positions where `K₁` is structurally nonzero.
     pub(crate) fn reactive_pattern(&self) -> impl Iterator<Item = (usize, usize, bool)> + '_ {

@@ -42,10 +42,12 @@
 //!    with `|a| ≥ u·max|row|`, then the strictly larger `|a|`, then the
 //!    first in row-major order. Each row caches its best candidate, so a
 //!    step costs O(n) plus a rescan of the rows it touched.
-//! 2. **Adopted fallback** — when a recorded order hits an exact zero
-//!    pivot at some point, the evaluation falls back to a fresh Markowitz
-//!    factorization and (in adopting scratches) *adopts* that order for
-//!    subsequent points. Purely numeric circumstance, same algorithm.
+//! 2. **Fresh Markowitz at one point** — when a recorded order hits an
+//!    exact zero pivot at some point, that point alone climbs the sweep
+//!    engine's singular-recovery ladder, whose first rung is a fresh
+//!    value-aware Markowitz factorization at that point; the next point
+//!    replays the recorded order again. Purely numeric circumstance, same
+//!    algorithm.
 //! 3. **AMD** ([`ordering::minimum_degree`]) — purely symbolic
 //!    approximate minimum degree on the symmetrized pattern. Selected when
 //!    the probe order's realized fill crosses the sweep engine's
