@@ -723,7 +723,10 @@ fn bench_affine_pattern(
 ///   each pivot ordering;
 /// * `mesh{nodes}_auto_sweep` — the same meshes and grid through the
 ///   direct AC sweep ([`refgen_mna::AcAnalysis::sweep_fast`]) at the
-///   default lane width, plan build included, ns per point.
+///   default lane width, plan build included, ns per point;
+/// * `plan_mesh1024_auto` — the plan build alone
+///   ([`refgen_mna::SweepPlan::new`], default ordering) on the 1 024-node
+///   grid mesh, ns per plan; measured in quick mode too.
 ///
 /// The snapshot also records the [`PerfEnv`] (CPU feature flags seen by
 /// the batched kernel's runtime dispatch, configured lane width).
@@ -1192,6 +1195,18 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
                 reps: mesh_reps,
             });
         }
+        let sys =
+            refgen_mna::MnaSystem::new(&grid_rc_mesh(32, 32, 9000 + 1024)).expect("mesh compiles");
+        let plan_reps = if quick { 5 } else { 15 };
+        let (ns, _) = median_ns_per_point(plan_reps, 1, || {
+            SweepPlan::new(&sys, Scale::unit(), &spec).expect("mesh plans").dim() as f64
+        });
+        rows.push(PerfRow {
+            name: "plan_mesh1024_auto".to_string(),
+            median_ns_per_point: ns,
+            points: 1,
+            reps: plan_reps,
+        });
     }
 
     PerfSnapshot { env: PerfEnv::detect(), rows }
@@ -1226,6 +1241,7 @@ mod tests {
             "mesh1024_markowitz_direct",
             "mesh1024_amd_direct",
             "mesh1024_auto_sweep",
+            "plan_mesh1024_auto",
             "mesh4096_markowitz_direct",
             "mesh4096_amd_direct",
             "mesh4096_auto_sweep",

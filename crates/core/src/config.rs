@@ -119,7 +119,9 @@ pub struct RefgenConfig {
     /// [`OrderingMode::Auto`] lets the sweep engine keep the numeric
     /// Markowitz probe order unless its realized fill crosses the
     /// mesh-scale threshold, at which point a validated
-    /// approximate-minimum-degree order takes over;
+    /// approximate-minimum-degree order takes over (on patterns of
+    /// dimension 256 and up AMD is tried first, and a mesh skips the
+    /// probe);
     /// [`OrderingMode::Markowitz`]/[`OrderingMode::Amd`] force one side.
     /// The selection is symbolic-phase only — every ordering feeds the
     /// same compiled kernel, and per-point output is bit-identical for a

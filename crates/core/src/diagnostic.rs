@@ -34,7 +34,7 @@ pub enum Severity {
 ///
 /// The enum is `#[non_exhaustive]`: future solvers may add variants, so
 /// downstream `match`es need a wildcard arm.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, PartialEq)]
 #[non_exhaustive]
 pub enum Diagnostic {
     /// One interpolation window was computed (paper eq. (5) + eq. (12)).
@@ -134,17 +134,21 @@ pub enum Diagnostic {
         compiled_hits: u64,
     },
     /// The sampling plan for a pattern chose its pivot ordering: either
-    /// the numeric Markowitz probe order was kept, or — when its realized
-    /// fill crossed the mesh-scale threshold (or the configuration forced
-    /// it) — a validated approximate-minimum-degree order replaced it.
+    /// the numeric Markowitz probe order was kept, or a validated
+    /// approximate-minimum-degree order was adopted — when the probe's
+    /// realized fill crossed the mesh-scale threshold, when the
+    /// configuration forced it, or, on patterns of dimension 256 and up,
+    /// when AMD's own fill crossed the threshold and no probe ran (see
+    /// `refgen_mna::OrderingMode::Auto`).
     /// Fires when the reported decision differs from the previous window's
     /// (windows in plan cells that pass the growth gate share the anchor's
     /// cached selection and its choice, so repeats are suppressed).
     OrderingSelected {
         /// System dimension (MNA matrix rows).
         dim: usize,
-        /// Fill-in slots the Markowitz probe order realizes.
-        markowitz_fill: usize,
+        /// Fill-in slots the Markowitz probe order realizes (`None` when
+        /// AMD was adopted without a probe).
+        markowitz_fill: Option<usize>,
         /// Fill-in slots the AMD order realizes, when one was computed and
         /// passed validation (`None` when Markowitz won without a
         /// challenger).
@@ -268,12 +272,13 @@ impl fmt::Display for Diagnostic {
             ),
             Diagnostic::OrderingSelected { dim, markowitz_fill, amd_fill, amd } => {
                 let name = if *amd { "amd" } else { "markowitz" };
-                write!(f, "ordering for dim {dim}: {name} (fill markowitz {markowitz_fill}, amd ")?;
-                match amd_fill {
-                    Some(a) => write!(f, "{a}")?,
-                    None => write!(f, "–")?,
-                }
-                write!(f, ")")
+                let fill = |fill: &Option<usize>| fill.map_or("–".to_string(), |n| n.to_string());
+                write!(
+                    f,
+                    "ordering for dim {dim}: {name} (fill markowitz {}, amd {})",
+                    fill(markowitz_fill),
+                    fill(amd_fill)
+                )
             }
             Diagnostic::VariantSolved { variant, total_points, refactor_hits } => write!(
                 f,
@@ -286,6 +291,52 @@ impl fmt::Display for Diagnostic {
                  ({fresh} by fresh factorization, {reordered} by reordering)",
                 fresh + reordered
             ),
+        }
+    }
+}
+
+/// The derived layout, except that [`Diagnostic::OrderingSelected`] prints
+/// a probe's `markowitz_fill` bare (`None` when no probe ran), as it did
+/// while every plan probed: a stream of probed plans keeps its text, which
+/// the pinned diagnostic fingerprints hash.
+impl fmt::Debug for Diagnostic {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        macro_rules! variant {
+            ($name:ident { $($field:ident),* }) => {
+                f.debug_struct(stringify!($name))$(.field(stringify!($field), $field))*.finish()
+            };
+        }
+        match self {
+            Diagnostic::WindowOpened { kind, scale, points, region, reduced } => {
+                variant!(WindowOpened { kind, scale, points, region, reduced })
+            }
+            Diagnostic::CoefficientsDeclaredZero { kind, lo, hi } => {
+                variant!(CoefficientsDeclaredZero { kind, lo, hi })
+            }
+            Diagnostic::GapRepaired { kind, lo, hi } => variant!(GapRepaired { kind, lo, hi }),
+            Diagnostic::CrossCheckMismatch { kind, index, rel_err } => {
+                variant!(CrossCheckMismatch { kind, index, rel_err })
+            }
+            Diagnostic::AllSamplesZero { kind } => variant!(AllSamplesZero { kind }),
+            Diagnostic::SamplingBatched { points, threads, compiled_hits, mirrored } => {
+                variant!(SamplingBatched { points, threads, compiled_hits, mirrored })
+            }
+            Diagnostic::TransientStepped { steps, refactor_hits, compiled_hits } => {
+                variant!(TransientStepped { steps, refactor_hits, compiled_hits })
+            }
+            Diagnostic::OrderingSelected { dim, markowitz_fill, amd_fill, amd } => {
+                let markowitz_fill: &dyn fmt::Debug = match markowitz_fill {
+                    Some(fill) => fill,
+                    None => markowitz_fill,
+                };
+                variant!(OrderingSelected { dim, markowitz_fill, amd_fill, amd })
+            }
+            Diagnostic::VariantSolved { variant, total_points, refactor_hits } => {
+                variant!(VariantSolved { variant, total_points, refactor_hits })
+            }
+            Diagnostic::SolveRecovered { fresh, reordered } => {
+                variant!(SolveRecovered { fresh, reordered })
+            }
         }
     }
 }
@@ -367,7 +418,7 @@ mod tests {
             Diagnostic::TransientStepped { steps: 600, refactor_hits: 1, compiled_hits: 601 },
             Diagnostic::OrderingSelected {
                 dim: 4096,
-                markowitz_fill: 250_000,
+                markowitz_fill: Some(250_000),
                 amd_fill: Some(40_000),
                 amd: true,
             },
@@ -413,6 +464,35 @@ mod tests {
             }
         }
         assert_eq!(seen, 10);
+    }
+
+    /// A probed selection prints its Markowitz fill as a bare number in
+    /// both texts; an unprobed one prints `–` and `None`.
+    #[test]
+    fn ordering_text_marks_a_skipped_probe() {
+        let event = |markowitz_fill| Diagnostic::OrderingSelected {
+            dim: 1025,
+            markowitz_fill,
+            amd_fill: Some(18_683),
+            amd: true,
+        };
+        let (probed, unprobed) = (event(Some(20_260)), event(None));
+        assert_eq!(
+            probed.to_string(),
+            "ordering for dim 1025: amd (fill markowitz 20260, amd 18683)"
+        );
+        assert_eq!(
+            unprobed.to_string(),
+            "ordering for dim 1025: amd (fill markowitz –, amd 18683)"
+        );
+        assert_eq!(
+            format!("{probed:?}"),
+            "OrderingSelected { dim: 1025, markowitz_fill: 20260, amd_fill: Some(18683), amd: true }"
+        );
+        assert_eq!(
+            format!("{unprobed:?}"),
+            "OrderingSelected { dim: 1025, markowitz_fill: None, amd_fill: Some(18683), amd: true }"
+        );
     }
 
     #[test]

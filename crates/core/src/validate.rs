@@ -34,7 +34,9 @@ impl ValidationReport {
 }
 
 /// Compares interpolated-coefficient evaluation against the AC simulator
-/// over a frequency grid.
+/// over a frequency grid. A non-finite response of `nf` (a NaN or an
+/// infinity, e.g. from an all-zero denominator) is a mismatch: both errors
+/// read infinite, with `worst_freq_hz` at the first such frequency.
 ///
 /// # Errors
 ///
@@ -52,6 +54,14 @@ pub fn validate_against_ac(
     for &f in freqs_hz {
         let sim = ac.at(f)?;
         let poly = nf.response_at_hz(f);
+        if !poly.is_finite() {
+            if max_mag < f64::INFINITY {
+                worst = f;
+            }
+            max_mag = f64::INFINITY;
+            max_phase = f64::INFINITY;
+            continue;
+        }
         let mag_err = (20.0 * poly.abs().log10() - sim.mag_db()).abs();
         let mut dphase = poly.arg().to_degrees() - sim.phase_deg();
         while dphase > 180.0 {
@@ -110,6 +120,29 @@ mod tests {
         match ac_sweep_with_config(&c, &spec, &[], &RefgenConfig::default()) {
             Err(RefgenError::EmptyGrid) => {}
             other => panic!("expected EmptyGrid, got {:?}", other.map(|_| "ok")),
+        }
+    }
+
+    /// A polynomial whose response is not finite reads as an infinite
+    /// error from its first frequency on, never as a match: an all-zero
+    /// denominator (the response is `-∞ + NaN·j`, whose NaN phase error
+    /// `f64::max` used to drop) and an all-zero numerator over it (0/0, a
+    /// NaN response that used to report 0 dB and match).
+    #[test]
+    fn non_finite_response_is_a_mismatch() {
+        let c = rc_ladder(3, 1e3, 1e-9);
+        let spec = TransferSpec::voltage_gain("VIN", "out");
+        let mut nf = AdaptiveInterpolator::default().network_function(&c, &spec).unwrap();
+        let freqs = log_space(1e3, 1e7, 20);
+        nf.denominator = refgen_numeric::ExtPoly::zero();
+        let mut zero_over_zero = nf.clone();
+        zero_over_zero.numerator = refgen_numeric::ExtPoly::zero();
+        assert!(zero_over_zero.response_at_hz(freqs[0]).is_nan());
+        for nf in [nf, zero_over_zero] {
+            let rep = validate_against_ac(&nf, &c, &spec, &freqs).unwrap();
+            assert!(!rep.matches_within(1.0, 10.0));
+            assert_eq!((rep.max_mag_err_db, rep.max_phase_err_deg), (f64::INFINITY, f64::INFINITY));
+            assert_eq!(rep.worst_freq_hz, freqs[0]);
         }
     }
 

@@ -118,9 +118,11 @@ impl AcAnalysis {
         self.sweep(&card.frequencies())
     }
 
-    /// Sweeps a frequency grid through a [`SweepPlan`]: one pivot search
-    /// (the plan's probe factorization) and then a compiled-kernel replay
-    /// per point — what production circuit simulators do.
+    /// Sweeps a frequency grid through a [`SweepPlan`]: one ordering
+    /// selection (the plan's probe factorization, or on a large mesh the
+    /// AMD order that replaces it, see [`crate::OrderingMode::Auto`]) and
+    /// then a compiled-kernel replay per point — what production circuit
+    /// simulators do.
     ///
     /// `lanes` is the lane width. The grid is cut into consecutive chunks
     /// of `lanes` frequencies (one frequency per chunk at width `1` or

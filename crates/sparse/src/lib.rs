@@ -52,7 +52,9 @@
 //!    approximate minimum degree on the symmetrized pattern. Selected when
 //!    the probe order's realized fill crosses the sweep engine's
 //!    threshold (mesh-scale patterns), after validating that the compiled
-//!    order factors the probe point and actually reduces fill.
+//!    order factors the probe point and actually reduces fill. On large
+//!    patterns the sweep engine computes AMD first and skips the probe
+//!    when AMD's own fill crosses the threshold.
 //!
 //! # The three phases
 //!

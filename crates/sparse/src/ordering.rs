@@ -25,8 +25,12 @@
 //! independent of hash order (all scratch structures are index-based).
 //! Consumers validate the order by compiling it
 //! ([`FactorProgram::compile`](crate::FactorProgram::compile) fails if a
-//! prescribed pivot is structurally absent) and comparing realized
-//! [`fill_in`](crate::FactorProgram::fill_in) against the probe order's.
+//! prescribed pivot is structurally absent) and replaying it at one
+//! point, then judge its realized
+//! [`fill_in`](crate::FactorProgram::fill_in): against the numeric probe
+//! order's, or — on large patterns, where the sweep engine computes AMD
+//! before any probe — against a mesh threshold, adopting AMD unprobed
+//! when its fill alone marks the pattern as a mesh.
 
 use crate::lu::PivotOrder;
 
@@ -74,8 +78,14 @@ pub fn minimum_degree(dim: usize, positions: &[(usize, usize)]) -> PivotOrder {
     let mut var_elems: Vec<Vec<u32>> = vec![Vec::new(); n]; // E_i
     let mut elem_bound: Vec<Vec<u32>> = vec![Vec::new(); n]; // L_e
     let mut absorbed = vec![false; n];
-    let mut eliminated = vec![false; n];
     let mut degree: Vec<usize> = adj.iter().map(|a| a.len()).collect();
+    // The pivot key `(ineligible << 31) | degree` per live variable, and
+    // `u32::MAX` once eliminated: the least key is the minimum-degree
+    // eligible variable (ineligible ones only when none is eligible), and
+    // its first position the lowest index among ties.
+    assert!(n < 1 << 31, "dimension {n} exceeds the pivot key's degree field");
+    let mut key: Vec<u32> =
+        (0..n).map(|i| (u32::from(!has_diag[i]) << 31) | degree[i] as u32).collect();
 
     // Scratch: marker for set membership in the current L_p, and the
     // one-pass |L_e \ L_p| counters (w-trick), both stamped per step.
@@ -86,18 +96,11 @@ pub fn minimum_degree(dim: usize, positions: &[(usize, usize)]) -> PivotOrder {
     for _step in 0..n {
         // Select the minimum-degree *eligible* variable, lowest index on
         // ties; fall back to ineligible ones only when none is eligible.
-        let mut pick: Option<(bool, usize, usize)> = None;
-        for i in 0..n {
-            if eliminated[i] {
-                continue;
-            }
-            let key = (!has_diag[i], degree[i], i);
-            if pick.is_none_or(|best| key < best) {
-                pick = Some(key);
-            }
-        }
-        let (_, _, p) = pick.expect("an uneliminated variable remains");
-        eliminated[p] = true;
+        // Two flat passes over `key` (a minimum, then its first position)
+        // vectorize where one branchy tuple scan does not.
+        let least = key.iter().copied().min().expect("dimension is nonzero");
+        let p = key.iter().position(|&k| k == least).expect("the minimum is present");
+        key[p] = u32::MAX;
         perm.push(p);
 
         // Form L_p = (A_p ∪ ⋃_{e ∈ E_p} L_e) \ {p}: every member is live
@@ -145,7 +148,6 @@ pub fn minimum_degree(dim: usize, positions: &[(usize, usize)]) -> PivotOrder {
         // the numeric update `a[i][i] -= a[i][p]·a[p][i]/a[p][p]` creates.
         for &iu in &lp {
             let i = iu as usize;
-            has_diag[i] = true;
             adj[i].retain(|&j| j as usize != p && !in_lp[j as usize]);
             let mut elem_deg = 0usize;
             var_elems[i].retain(|&e| {
@@ -166,6 +168,8 @@ pub fn minimum_degree(dim: usize, positions: &[(usize, usize)]) -> PivotOrder {
             // Clamp by the exact upper bounds AMD uses: the previous
             // degree plus the new clique, and the number of live variables.
             degree[i] = d.min(degree[i] + lp.len() - 1).min(n - perm.len());
+            // The fill on (i, i) makes i eligible: its key drops the flag.
+            key[i] = degree[i] as u32;
         }
 
         // Reset the per-step scratch (only the touched entries).

@@ -5,11 +5,15 @@
 //! This tier drives the public plan API over real generated meshes:
 //! compiled-sweep-vs-fresh-LU within `1e-9` relative, every plan's
 //! ordering choice against a reference that compiles both candidate
-//! programs, the lane-batched AC sweep against the one-point sweep bit for
-//! bit, and (in the `#[ignore]`d large run) an AMD fill win of at least 5×
+//! programs, Auto's AMD-first size rule against the probe-first rule on an
+//! ordering corpus, the lane-batched AC sweep against the one-point sweep
+//! bit for bit, and (in the `#[ignore]`d large run) an AMD fill win of at least 5×
 //! over the probe-Markowitz order on a 4096-node random mesh.
 
-use refgen::circuit::library::{grid_rc_mesh, random_rc_mesh};
+use refgen::circuit::library::{
+    grid_rc_mesh, lc_ladder_lowpass, miller_two_stage_opamp, positive_feedback_ota, random_rc_mesh,
+    rc_ladder, ua741,
+};
 use refgen::circuit::Circuit;
 use refgen::core::ac_sweep_with_config;
 use refgen::mna::{MnaSystem, OrderingChoice, OrderingMode, SelectedOrdering, SweepPlan};
@@ -28,12 +32,24 @@ fn jw_points(lo: f64, hi: f64, n: usize) -> Vec<Complex> {
         .collect()
 }
 
-/// The ordering selection recomputed from compiled programs: the
-/// Markowitz-mode plan compiles the probe order, the AMD-mode plan
-/// compiles the AMD order whenever AMD is usable, and the selection rule
-/// is applied to their compiled fills — Auto tries AMD once the Markowitz
-/// fill exceeds `max(dim, nnz)` and adopts it only for strictly less fill.
-fn reference_choice(sys: &MnaSystem, mode: OrderingMode) -> Option<OrderingChoice> {
+/// The dimension from which `OrderingMode::Auto` computes AMD before the
+/// Markowitz probe (a private constant of the sweep engine).
+const AMD_FIRST_DIM: usize = 256;
+
+/// The fills a plan's selection rule reads, recomputed from compiled
+/// programs: the Markowitz-mode plan compiles the probe order, the
+/// AMD-mode plan compiles the AMD order whenever AMD is usable.
+#[derive(Clone, Copy)]
+struct Fills {
+    dim: usize,
+    markowitz: usize,
+    amd: Option<usize>,
+    /// The mesh threshold `max(dim, nnz)`.
+    threshold: usize,
+}
+
+/// The [`Fills`] of `sys`'s pattern (`None` when the probe is singular).
+fn compiled_fills(sys: &MnaSystem) -> Option<Fills> {
     let plan = |mode| SweepPlan::new_with_ordering(sys, Scale::unit(), &spec(), mode).unwrap();
     let markowitz = plan(OrderingMode::Markowitz);
     let program = markowitz.program()?;
@@ -42,18 +58,54 @@ fn reference_choice(sys: &MnaSystem, mode: OrderingMode) -> Option<OrderingChoic
     let amd = plan(OrderingMode::Amd);
     let amd_fill = (amd.ordering_choice()?.selected == SelectedOrdering::Amd)
         .then(|| amd.program().expect("amd plans carry a program").fill_in());
+    Some(Fills {
+        dim: sys.dim(),
+        markowitz: markowitz_fill,
+        amd: amd_fill,
+        threshold: sys.dim().max(nnz),
+    })
+}
+
+/// The ordering selection recomputed from compiled programs. Auto at
+/// dimension [`AMD_FIRST_DIM`] and up adopts AMD without a probe when its
+/// fill exceeds the mesh threshold `max(dim, nnz)`. Otherwise the rule is
+/// probe-first: Auto tries AMD once the Markowitz fill exceeds the
+/// threshold and adopts it only for strictly less fill.
+fn reference_choice(sys: &MnaSystem, mode: OrderingMode) -> Option<OrderingChoice> {
+    compiled_fills(sys).map(|fills| choice_from_fills(fills, mode))
+}
+
+/// [`reference_choice`] from fills already compiled.
+fn choice_from_fills(fills: Fills, mode: OrderingMode) -> OrderingChoice {
+    let Fills { dim, markowitz: markowitz_fill, amd: amd_fill, threshold } = fills;
+    let amd_first = mode == OrderingMode::Auto && dim >= AMD_FIRST_DIM;
+    if amd_first && amd_fill.is_some_and(|f| f > threshold) {
+        return OrderingChoice { selected: SelectedOrdering::Amd, markowitz_fill: None, amd_fill };
+    }
     let attempt = match mode {
         OrderingMode::Markowitz => false,
         OrderingMode::Amd => true,
-        OrderingMode::Auto => markowitz_fill > sys.dim().max(nnz),
+        OrderingMode::Auto => markowitz_fill > threshold,
     };
-    let amd_fill = amd_fill.filter(|_| attempt);
-    let adopt = amd_fill.is_some_and(|f| mode == OrderingMode::Amd || f < markowitz_fill);
-    Some(OrderingChoice {
+    let amd_fill = amd_fill.filter(|_| attempt || amd_first);
+    let adopt =
+        attempt && amd_fill.is_some_and(|f| mode == OrderingMode::Amd || f < markowitz_fill);
+    OrderingChoice {
         selected: if adopt { SelectedOrdering::Amd } else { SelectedOrdering::Markowitz },
-        markowitz_fill,
+        markowitz_fill: Some(markowitz_fill),
         amd_fill,
-    })
+    }
+}
+
+/// The ordering Auto selected under the probe-first rule that held for
+/// every pattern before [`AMD_FIRST_DIM`] was introduced.
+fn probe_first_selection(fills: Fills) -> SelectedOrdering {
+    let adopt = fills.markowitz > fills.threshold && fills.amd.is_some_and(|f| f < fills.markowitz);
+    if adopt {
+        SelectedOrdering::Amd
+    } else {
+        SelectedOrdering::Markowitz
+    }
 }
 
 /// `plan`, built from `sys` under `mode`, reports the reference choice.
@@ -110,7 +162,7 @@ fn orderings_agree_and_report_fill_on_meshes() {
     assert_choice_matches_reference(&mk, &sys, OrderingMode::Markowitz);
     assert_choice_matches_reference(&amd, &sys, OrderingMode::Amd);
     let choice = amd.ordering_choice().expect("mesh plans record their ordering");
-    let mk_fill = choice.markowitz_fill;
+    let mk_fill = choice.markowitz_fill.expect("forced AMD probes Markowitz");
     let amd_fill = choice.amd_fill.expect("amd fill recorded");
     assert!(amd_fill <= mk_fill, "AMD regressed fill on a grid mesh: {amd_fill} > {mk_fill}");
     let mut sa = SweepScratch::new();
@@ -125,7 +177,8 @@ fn orderings_agree_and_report_fill_on_meshes() {
 
 /// Auto plans compile only the winning ordering, yet every mesh of this
 /// tier reports the choice the compile-both reference makes, under all
-/// three modes — including the 32×32 grid, where Auto adopts AMD.
+/// three modes — including the 16×16 and 32×32 grids, where Auto adopts
+/// AMD without a probe.
 #[test]
 fn ordering_choices_match_compile_both_reference_under_every_mode() {
     for circuit in
@@ -136,6 +189,65 @@ fn ordering_choices_match_compile_both_reference_under_every_mode() {
             let plan = SweepPlan::new_with_ordering(&sys, Scale::unit(), &spec(), mode)
                 .expect("mesh plan");
             assert_choice_matches_reference(&plan, &sys, mode);
+        }
+    }
+}
+
+/// The AMD-first size rule on an ordering corpus, against the probe-first
+/// rule that held for every pattern before it:
+/// - every pattern below [`AMD_FIRST_DIM`] (the µA741, the Table 1 OTA,
+///   the Miller op-amp, RC and LC ladders, random meshes to 200 nodes)
+///   and every grid mesh from 4×4 to 48×48 selects what the probe-first
+///   rule selects;
+/// - every plan reports the reference choice, and above the rule Auto
+///   adopts AMD only unprobed (`markowitz_fill == None`);
+/// - the 400-section ladder, whose AMD fill is under the mesh threshold,
+///   keeps Markowitz;
+/// - no random mesh takes AMD at more than 1.05× the forced-Markowitz
+///   fill.
+#[test]
+fn amd_first_rule_keeps_probe_first_selections_on_the_corpus() {
+    let mut corpus = vec![
+        ("ua741".to_string(), ua741()),
+        ("ota".to_string(), positive_feedback_ota()),
+        ("miller".to_string(), miller_two_stage_opamp(2e-12, 1e-11)),
+        ("rc_ladder(12)".to_string(), rc_ladder(12, 1e3, 1e-9)),
+        ("lc_ladder(7)".to_string(), lc_ladder_lowpass(7, 50.0, 1e6)),
+        ("rc_ladder(400)".to_string(), rc_ladder(400, 1e3, 1e-9)),
+    ];
+    for (nodes, edges, seed) in [(60, 150, 3), (200, 320, 42), (400, 640, 42), (1000, 1600, 1)] {
+        corpus.push((
+            format!("random_rc_mesh({nodes}, {edges}, {seed})"),
+            random_rc_mesh(nodes, edges, seed),
+        ));
+    }
+    for side in [4, 8, 12, 16, 24, 32, 48] {
+        corpus.push((format!("grid_rc_mesh({side}, {side})"), grid_rc_mesh(side, side, 7)));
+    }
+    for (name, circuit) in &corpus {
+        let sys = MnaSystem::new(circuit).expect("corpus circuit compiles");
+        let plan = SweepPlan::new_with_ordering(&sys, Scale::unit(), &spec(), OrderingMode::Auto)
+            .expect("corpus plan");
+        let choice = plan.ordering_choice().expect("corpus probes are regular");
+        let fills = compiled_fills(&sys).expect("corpus probes are regular");
+        assert_eq!(choice, choice_from_fills(fills, OrderingMode::Auto), "{name}");
+        if sys.dim() < AMD_FIRST_DIM || name.starts_with("grid") {
+            assert_eq!(choice.selected, probe_first_selection(fills), "{name}");
+        }
+        if sys.dim() >= AMD_FIRST_DIM && choice.selected == SelectedOrdering::Amd {
+            assert_eq!(choice.markowitz_fill, None, "{name}");
+        }
+        if name == "rc_ladder(400)" {
+            assert!(sys.dim() >= AMD_FIRST_DIM);
+            assert_eq!(choice.selected, SelectedOrdering::Markowitz, "{name}");
+        }
+        if name.starts_with("random") && choice.selected == SelectedOrdering::Amd {
+            let amd_fill = choice.amd_fill.expect("adopted AMD has a fill");
+            assert!(
+                amd_fill as f64 <= 1.05 * fills.markowitz as f64,
+                "{name}: AMD fill {amd_fill} vs Markowitz {}",
+                fills.markowitz
+            );
         }
     }
 }
@@ -179,7 +291,7 @@ fn amd_cuts_fill_5x_on_4096_node_random_mesh() {
         .expect("mesh plan");
     assert_choice_matches_reference(&plan, &sys, OrderingMode::Amd);
     let choice = plan.ordering_choice().expect("ordering recorded");
-    let mk_fill = choice.markowitz_fill as f64;
+    let mk_fill = choice.markowitz_fill.expect("forced AMD probes Markowitz") as f64;
     let amd_fill = choice.amd_fill.expect("amd fill recorded") as f64;
     assert!(
         amd_fill <= mk_fill * 1.05,
