@@ -59,7 +59,7 @@ use crate::solver::{Solution, Solver};
 use crate::window::{interpolate_window, Reduction, Sampler, SharedOpening, Window};
 use refgen_circuit::{Circuit, ElementKind};
 use refgen_mna::{MnaSystem, Scale, TransferSpec};
-use refgen_numeric::{Complex, ExtComplex, ExtFloat, ExtPoly};
+use refgen_numeric::{Complex, ExtComplex, ExtPoly};
 use std::collections::{BTreeMap, BTreeSet};
 
 pub use crate::window::PolyKind;
@@ -110,6 +110,20 @@ pub struct PolyReport {
 }
 
 impl PolyReport {
+    /// An empty report for `kind` under the order bound `order_bound`.
+    pub(crate) fn new(kind: PolyKind, order_bound: usize) -> PolyReport {
+        PolyReport {
+            kind,
+            windows: Vec::new(),
+            declared_zero: Vec::new(),
+            diagnostics: Vec::new(),
+            order_bound,
+            effective_degree: None,
+            total_points: 0,
+            refactor_hits: 0,
+        }
+    }
+
     /// Diagnostics of [`Severity::Warning`] — the events worth a second
     /// look (declared zeros, cross-check mismatches, all-zero samples).
     pub fn warnings(&self) -> impl Iterator<Item = &Diagnostic> {
@@ -499,243 +513,222 @@ impl AdaptiveInterpolator {
         runtime: &SamplingRuntime,
         opening: Option<&mut SharedOpening>,
     ) -> Result<(ExtPoly, PolyReport), RefgenError> {
-        let bound = orders.bound;
         let m_adm = poly_admittance_degree(sys, spec, kind)?;
-        let sampler = Sampler { sys, spec, kind };
-        let mut report = PolyReport {
-            kind,
-            windows: Vec::new(),
-            declared_zero: Vec::new(),
-            diagnostics: Vec::new(),
-            order_bound: bound,
-            effective_degree: None,
-            total_points: 0,
-            refactor_hits: 0,
-        };
-        let mut accepted: BTreeMap<usize, Accepted> = BTreeMap::new();
-        let mut declared: BTreeSet<usize> = BTreeSet::new();
-
         let (policy, scale0) = opening_scale(sys);
         // The circuit anchors its pattern's plan cells, unless a fleet
         // registered its anchors first.
         runtime.plan_cache().register_anchor(sys, scale0);
+        let mut walk = Walk {
+            interp: self,
+            sampler: Sampler { sys, spec, kind },
+            orders,
+            m_adm,
+            policy,
+            runtime,
+            observer,
+            report: PolyReport::new(kind, orders.bound),
+            accepted: BTreeMap::new(),
+            declared: BTreeSet::new(),
+        };
         // The opening windows interpolate to the order both chains share.
         let first = opening.as_deref().map_or(orders, |o| Orders { window: o.order(), ..orders });
-        let w0 = self.run_checked(
-            &sampler,
-            scale0,
-            first,
-            m_adm,
-            None,
-            policy,
-            &mut report,
-            observer,
-            runtime,
-            opening,
-        )?;
+        let w0 = walk.run_checked(scale0, first, None, opening)?;
         if w0.all_zero() {
-            report.emit(observer, Diagnostic::AllSamplesZero { kind });
-            report.effective_degree = None;
-            return Ok((ExtPoly::zero(), report));
+            walk.report.emit(walk.observer, Diagnostic::AllSamplesZero { kind });
+            return Ok((ExtPoly::zero(), walk.report));
         }
-        self.accept_window(&w0, m_adm, &mut accepted, &mut report, observer);
+        walk.accept(&w0);
+        // Both directions start from the opening window. The descent runs
+        // first (it returns at once when the opening window reached p₀):
+        // a complete head makes the ascent's eq. (17) reduction legal from
+        // its first step.
+        walk.walk(Direction::Descending, w0.clone())?;
+        walk.walk(Direction::Ascending, w0)?;
+        walk.finish()
+    }
 
-        // --- Descending phase first (only if the first window missed p₀) —
-        // completing the head makes the ascending phase's eq. (17)
-        // reduction legal from the start.
-        if !accepted.contains_key(&0) {
-            let mut last_desc = w0.clone();
-            loop {
-                let bottom = *accepted.keys().min().expect("non-empty");
-                if bottom == 0 || report.windows.len() >= self.config.max_interpolations {
-                    break;
-                }
-                let mut stepped = false;
-                let mut previous = None;
-                for attempt in 0..=self.config.stall_retries {
-                    if report.windows.len() >= self.config.max_interpolations {
-                        break;
-                    }
-                    let extra = attempt as f64 * self.config.noise_decades;
-                    let scale = step_scale_with_policy(
-                        &last_desc,
-                        Direction::Descending,
-                        extra,
-                        &self.config,
-                        policy,
-                    );
-                    if repeats(previous, scale) {
-                        continue;
-                    }
-                    previous = Some(scale);
-                    let reduction = self.descent_reduction(&accepted, &declared, bound);
-                    let w = self.run_checked(
-                        &sampler,
-                        scale,
-                        orders,
-                        m_adm,
-                        reduction.as_ref(),
-                        policy,
-                        &mut report,
-                        observer,
-                        runtime,
-                        None,
-                    )?;
-                    let Some((lo, hi)) = w.region else { continue };
-                    if lo >= bottom {
-                        continue;
-                    }
-                    if hi + 1 < bottom {
-                        self.repair_gap(
-                            &sampler,
-                            w.scale,
-                            last_desc.scale,
-                            (hi + 1, bottom - 1),
-                            orders,
-                            m_adm,
-                            policy,
-                            &mut accepted,
-                            &mut report,
+    /// Denormalizes and merges a window's valid region into the accepted
+    /// set, preferring higher-quality (more significant digits) values and
+    /// recording consistency warnings for disagreeing overlaps.
+    fn accept_window(
+        &self,
+        w: &Window,
+        m_adm: i64,
+        accepted: &mut BTreeMap<usize, Accepted>,
+        report: &mut PolyReport,
+        observer: &mut dyn Observer,
+    ) {
+        let Some((lo, hi)) = w.region else { return };
+        for i in lo..=hi {
+            let value = w.denormalized(i, m_adm).expect("region within window");
+            let quality = w.quality(i);
+            match accepted.get(&i) {
+                Some(old) => {
+                    let rel = ((old.value - value).norm() / old.value.norm().max_abs(value.norm()))
+                        .to_f64();
+                    let tol = 10f64.powi(-(self.config.sig_digits as i32) + 3);
+                    if rel > tol {
+                        let kind = report.kind;
+                        report.emit(
                             observer,
-                            runtime,
-                        )?;
+                            Diagnostic::CrossCheckMismatch { kind, index: i, rel_err: rel },
+                        );
                     }
-                    self.accept_window(&w, m_adm, &mut accepted, &mut report, observer);
-                    last_desc = w;
-                    stepped = true;
-                    break;
+                    if quality > old.quality {
+                        accepted.insert(i, Accepted { value, quality });
+                    }
                 }
-                if !stepped {
-                    let bottom = *accepted.keys().min().expect("non-empty");
-                    report.emit(
-                        observer,
-                        Diagnostic::CoefficientsDeclaredZero { kind, lo: 0, hi: bottom - 1 },
-                    );
-                    for i in 0..bottom {
-                        declared.insert(i);
-                    }
-                    break;
+                None => {
+                    accepted.insert(i, Accepted { value, quality });
                 }
             }
         }
+    }
+}
 
-        // --- Ascending phase -------------------------------------------
-        let mut last = w0;
-        loop {
-            let top = *accepted.keys().max().expect("non-empty after first window");
-            if top >= bound || report.windows.len() >= self.config.max_interpolations {
+/// One polynomial's walk over scales: what every window of it reads, and
+/// the accepted and declared coefficients it grows.
+struct Walk<'a> {
+    interp: &'a AdaptiveInterpolator,
+    sampler: Sampler<'a>,
+    orders: Orders,
+    m_adm: i64,
+    policy: ScalePolicy,
+    runtime: &'a SamplingRuntime,
+    observer: &'a mut dyn Observer,
+    report: PolyReport,
+    accepted: BTreeMap<usize, Accepted>,
+    declared: BTreeSet<usize>,
+}
+
+impl Walk<'_> {
+    /// The coefficients a walk in `direction` has yet to cover, `None`
+    /// once it is done: those below the lowest accepted index going down,
+    /// those above the highest up to the order bound going up.
+    fn unknown(&self, direction: Direction) -> Option<(usize, usize)> {
+        match direction {
+            Direction::Descending => {
+                let bottom = *self.accepted.keys().next()?;
+                (bottom > 0).then(|| (0, bottom - 1))
+            }
+            Direction::Ascending => {
+                let top = *self.accepted.keys().next_back()?;
+                (top < self.orders.bound).then(|| (top + 1, self.orders.bound))
+            }
+        }
+    }
+
+    /// `true` while the [`RefgenConfig::max_interpolations`] budget
+    /// admits another window.
+    fn has_budget(&self) -> bool {
+        self.report.windows.len() < self.interp.config.max_interpolations
+    }
+
+    /// The §3.2–§3.3 walk in `direction`, from the window `last`: step the
+    /// scale by eq. (14) going up or eq. (15) going down while
+    /// coefficients remain unknown that way, repair a skipped gap by
+    /// eq. (16) bisection, and accept each window that advances. When
+    /// `stall_retries` escalating re-tilts advance nothing, the unknown
+    /// coefficients are declared zero by value cancellation (true-order
+    /// detection, §3.3).
+    fn walk(&mut self, direction: Direction, mut last: Window) -> Result<(), RefgenError> {
+        while let Some(unknown) = self.unknown(direction) {
+            if !self.has_budget() {
                 break;
             }
-            let mut stepped = false;
+            let reduction = self.reduction(direction, unknown);
             let mut previous = None;
-            for attempt in 0..=self.config.stall_retries {
-                if report.windows.len() >= self.config.max_interpolations {
+            let mut stepped = false;
+            for attempt in 0..=self.interp.config.stall_retries {
+                if !self.has_budget() {
                     break;
                 }
-                let extra = attempt as f64 * self.config.noise_decades;
+                let extra = attempt as f64 * self.interp.config.noise_decades;
                 let scale = step_scale_with_policy(
                     &last,
-                    Direction::Ascending,
+                    direction,
                     extra,
-                    &self.config,
-                    policy,
+                    &self.interp.config,
+                    self.policy,
                 );
                 if repeats(previous, scale) {
                     continue;
                 }
                 previous = Some(scale);
-                let reduction = self.ascent_reduction(&accepted, &declared, orders);
-                let w = self.run_checked(
-                    &sampler,
-                    scale,
-                    orders,
-                    m_adm,
-                    reduction.as_ref(),
-                    policy,
-                    &mut report,
-                    observer,
-                    runtime,
-                    None,
-                )?;
+                let w = self.run_checked(scale, self.orders, reduction.as_ref(), None)?;
                 let Some((lo, hi)) = w.region else { continue };
-                if hi <= top {
+                if hi < unknown.0 || lo > unknown.1 {
                     continue;
                 }
-                if lo > top + 1 {
-                    self.repair_gap(
-                        &sampler,
-                        last.scale,
-                        w.scale,
-                        (top + 1, lo - 1),
-                        orders,
-                        m_adm,
-                        policy,
-                        &mut accepted,
-                        &mut report,
-                        observer,
-                        runtime,
-                    )?;
+                // The coefficients between the accepted ones and the new
+                // window, with the scales that bracket them (lower-index
+                // side first).
+                let gap = match direction {
+                    Direction::Descending => {
+                        (hi < unknown.1).then(|| ((hi + 1, unknown.1), (w.scale, last.scale)))
+                    }
+                    Direction::Ascending => {
+                        (lo > unknown.0).then(|| ((unknown.0, lo - 1), (last.scale, w.scale)))
+                    }
+                };
+                if let Some((gap, (lo_side, hi_side))) = gap {
+                    self.repair_gap(lo_side, hi_side, gap)?;
                 }
-                self.accept_window(&w, m_adm, &mut accepted, &mut report, observer);
+                self.accept(&w);
                 last = w;
                 stepped = true;
                 break;
             }
             if !stepped {
-                // Stall: the remaining coefficients up to the bound are
-                // zero by value cancellation (true-order detection, §3.3).
-                let top = *accepted.keys().max().expect("non-empty");
-                report.emit(
-                    observer,
-                    Diagnostic::CoefficientsDeclaredZero { kind, lo: top + 1, hi: bound },
-                );
-                for i in (top + 1)..=bound {
-                    declared.insert(i);
-                }
+                let (lo, hi) = unknown;
+                let kind = self.report.kind;
+                self.report
+                    .emit(self.observer, Diagnostic::CoefficientsDeclaredZero { kind, lo, hi });
+                self.declared.extend(lo..=hi);
                 break;
             }
         }
-
-        // --- Coverage check ----------------------------------------------
-        let missing: Vec<usize> =
-            (0..=bound).filter(|i| !accepted.contains_key(i) && !declared.contains(i)).collect();
-        if !missing.is_empty() {
-            return Err(RefgenError::DidNotConverge { missing });
-        }
-
-        report.declared_zero = declared.iter().copied().collect();
-        let coeffs: Vec<ExtComplex> = (0..=bound)
-            .map(|i| accepted.get(&i).map(|a| a.value).unwrap_or(ExtComplex::ZERO))
-            .collect();
-        let poly = ExtPoly::new(coeffs);
-        report.effective_degree = poly.degree();
-        Ok((poly, report))
+        Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// The eq. (17) reduction for a step toward `unknown`: legal when
+    /// accepted ∪ declared covers every other index up to the order bound
+    /// (declared zeros, like the structural zeros above the bound,
+    /// subtract nothing and are omitted). Going up, the unknowns run to
+    /// the window order.
+    fn reduction(&self, direction: Direction, (k, l): (usize, usize)) -> Option<Reduction> {
+        let known = |i: &usize| self.accepted.contains_key(i) || self.declared.contains(i);
+        let legal = self.interp.config.reduce
+            && (0..=self.orders.bound).filter(|i| !(k..=l).contains(i)).all(|i| known(&i));
+        legal.then(|| Reduction {
+            k,
+            l: match direction {
+                Direction::Descending => l,
+                Direction::Ascending => self.orders.window,
+            },
+            known: self.accepted.iter().map(|(&i, a)| (i, a.value)).collect(),
+        })
+    }
+
+    /// Runs one window and records it in the report.
     fn run_window(
-        &self,
-        sampler: &Sampler<'_>,
+        &mut self,
         scale: Scale,
         order: usize,
-        m_adm: i64,
         reduction: Option<&Reduction>,
-        report: &mut PolyReport,
-        observer: &mut dyn Observer,
-        runtime: &SamplingRuntime,
         opening: Option<&mut SharedOpening>,
     ) -> Result<Window, RefgenError> {
         let w = interpolate_window(
-            sampler,
+            &self.sampler,
             scale,
             order,
-            m_adm,
+            self.m_adm,
             reduction,
-            &self.config,
-            runtime,
+            &self.interp.config,
+            self.runtime,
             opening,
         )?;
-        report.record_window(observer, &w);
+        self.report.record_window(self.observer, &w);
         Ok(w)
     }
 
@@ -746,56 +739,32 @@ impl AdaptiveInterpolator {
     /// round-off artifacts that pass the magnitude and reality tests. Both
     /// windows interpolate to `orders.window`, and the region never reaches
     /// above `orders.bound`.
-    #[allow(clippy::too_many_arguments)]
     fn run_checked(
-        &self,
-        sampler: &Sampler<'_>,
+        &mut self,
         scale: Scale,
         orders: Orders,
-        m_adm: i64,
         reduction: Option<&Reduction>,
-        policy: ScalePolicy,
-        report: &mut PolyReport,
-        observer: &mut dyn Observer,
-        runtime: &SamplingRuntime,
         mut opening: Option<&mut SharedOpening>,
     ) -> Result<Window, RefgenError> {
         let order = orders.window;
-        let mut w = self.run_window(
-            sampler,
-            scale,
-            order,
-            m_adm,
-            reduction,
-            report,
-            observer,
-            runtime,
-            opening.as_deref_mut(),
-        )?;
+        let mut w = self.run_window(scale, order, reduction, opening.as_deref_mut())?;
         let Some((lo, hi)) = w.region else { return Ok(w) };
-        if !self.config.verify {
+        if !self.interp.config.verify {
             w.region = below_bound(w.region, orders.bound);
             return Ok(w);
         }
         let delta = 10f64.powf(0.2);
-        let scale2 = match policy {
+        let scale2 = match self.policy {
             ScalePolicy::Simultaneous => Scale::new(scale.f * delta, scale.g / delta),
             // g must stay 1 in frequency-only mode (g-denormalization is
             // not valid for these circuits).
             ScalePolicy::FrequencyOnly => Scale::new(scale.f * delta * delta, 1.0),
         };
-        let w2 = self.run_window(
-            sampler, scale2, order, m_adm, reduction, report, observer, runtime, opening,
-        )?;
-        let tol = 10f64.powi(-(self.config.sig_digits as i32) + 2);
-        let denorm = |win: &Window, i: usize| -> Option<ExtComplex> {
-            let f = ExtFloat::from_f64(win.scale.f);
-            let g = ExtFloat::from_f64(win.scale.g);
-            let factor = f.powi(i as i64) * g.powi(m_adm - i as i64);
-            win.normalized_at(i).map(|c| c.scale_ext(ExtFloat::ONE / factor))
-        };
+        let w2 = self.run_window(scale2, order, reduction, opening)?;
+        let tol = 10f64.powi(-(self.interp.config.sig_digits as i32) + 2);
+        let m_adm = self.m_adm;
         let agrees = |i: usize| -> bool {
-            match (denorm(&w, i), denorm(&w2, i)) {
+            match (w.denormalized(i, m_adm), w2.denormalized(i, m_adm)) {
                 (Some(a), Some(b)) if !a.is_zero() && !b.is_zero() => {
                     let rel = ((a - b).norm() / a.norm().max_abs(b.norm())).to_f64();
                     rel <= tol
@@ -820,156 +789,66 @@ impl AdaptiveInterpolator {
         Ok(w)
     }
 
-    /// Denormalizes and merges a window's valid region into the accepted
-    /// set, preferring higher-quality (more significant digits) values and
-    /// recording consistency warnings for disagreeing overlaps.
-    fn accept_window(
-        &self,
-        w: &Window,
-        m_adm: i64,
-        accepted: &mut BTreeMap<usize, Accepted>,
-        report: &mut PolyReport,
-        observer: &mut dyn Observer,
-    ) {
-        let Some((lo, hi)) = w.region else { return };
-        let f_ext = ExtFloat::from_f64(w.scale.f);
-        let g_ext = ExtFloat::from_f64(w.scale.g);
-        for i in lo..=hi {
-            let norm = w.normalized_at(i).expect("region within window");
-            let factor = f_ext.powi(i as i64) * g_ext.powi(m_adm - i as i64);
-            let value = norm.scale_ext(ExtFloat::ONE / factor);
-            let quality = w.quality(i);
-            match accepted.get(&i) {
-                Some(old) => {
-                    let rel = ((old.value - value).norm() / old.value.norm().max_abs(value.norm()))
-                        .to_f64();
-                    let tol = 10f64.powi(-(self.config.sig_digits as i32) + 3);
-                    if rel > tol {
-                        let kind = report.kind;
-                        report.emit(
-                            observer,
-                            Diagnostic::CrossCheckMismatch { kind, index: i, rel_err: rel },
-                        );
-                    }
-                    if quality > old.quality {
-                        accepted.insert(i, Accepted { value, quality });
-                    }
-                }
-                None => {
-                    accepted.insert(i, Accepted { value, quality });
-                }
-            }
-        }
-    }
-
-    /// Eq. (17) reduction for the ascending phase: legal when accepted ∪
-    /// declared covers `0..=top` contiguously (declared zeros subtract
-    /// nothing and are simply omitted). The unknowns run up to the window
-    /// order.
-    fn ascent_reduction(
-        &self,
-        accepted: &BTreeMap<usize, Accepted>,
-        declared: &BTreeSet<usize>,
-        orders: Orders,
-    ) -> Option<Reduction> {
-        if !self.config.reduce {
-            return None;
-        }
-        let top = *accepted.keys().max()?;
-        if top >= orders.bound {
-            return None;
-        }
-        for i in 0..=top {
-            if !accepted.contains_key(&i) && !declared.contains(&i) {
-                return None;
-            }
-        }
-        Some(Reduction {
-            k: top + 1,
-            l: orders.window,
-            known: accepted.iter().map(|(&i, a)| (i, a.value)).collect(),
-        })
-    }
-
-    /// Eq. (17) reduction for the descending phase: legal when accepted ∪
-    /// declared covers `bottom..=bound` contiguously (the structural zeros
-    /// above the bound subtract nothing).
-    fn descent_reduction(
-        &self,
-        accepted: &BTreeMap<usize, Accepted>,
-        declared: &BTreeSet<usize>,
-        bound: usize,
-    ) -> Option<Reduction> {
-        if !self.config.reduce {
-            return None;
-        }
-        let bottom = *accepted.keys().min()?;
-        if bottom == 0 {
-            return None;
-        }
-        for i in bottom..=bound {
-            if !accepted.contains_key(&i) && !declared.contains(&i) {
-                return None;
-            }
-        }
-        Some(Reduction {
-            k: 0,
-            l: bottom - 1,
-            // Declared zeros subtract nothing; omit them.
-            known: accepted
-                .iter()
-                .filter(|(&i, _)| i >= bottom)
-                .map(|(&i, a)| (i, a.value))
-                .collect(),
-        })
+    /// Merges a window's valid region into the accepted coefficients.
+    fn accept(&mut self, w: &Window) {
+        self.interp.accept_window(
+            w,
+            self.m_adm,
+            &mut self.accepted,
+            &mut self.report,
+            self.observer,
+        );
     }
 
     /// Repairs a window gap by eq. (16) bisection between the bracketing
     /// scale pairs.
-    #[allow(clippy::too_many_arguments)]
     fn repair_gap(
-        &self,
-        sampler: &Sampler<'_>,
+        &mut self,
         scale_lo_side: Scale,
         scale_hi_side: Scale,
         gap: (usize, usize),
-        orders: Orders,
-        m_adm: i64,
-        policy: ScalePolicy,
-        accepted: &mut BTreeMap<usize, Accepted>,
-        report: &mut PolyReport,
-        observer: &mut dyn Observer,
-        runtime: &SamplingRuntime,
     ) -> Result<(), RefgenError> {
-        let kind = report.kind;
+        let kind = self.report.kind;
         let mut queue = vec![(scale_lo_side, scale_hi_side, 0u32)];
         while let Some((a, b, depth)) = queue.pop() {
-            let missing: Vec<usize> =
-                (gap.0..=gap.1).filter(|i| !accepted.contains_key(i)).collect();
-            if missing.is_empty() {
-                report.emit(observer, Diagnostic::GapRepaired { kind, lo: gap.0, hi: gap.1 });
-                return Ok(());
+            if (gap.0..=gap.1).all(|i| self.accepted.contains_key(&i)) {
+                break;
             }
-            if depth >= self.config.gap_retries
-                || report.windows.len() >= self.config.max_interpolations
-            {
+            if depth >= self.interp.config.gap_retries || !self.has_budget() {
                 continue;
             }
             let mid = gap_repair_scale(a, b);
-            let w = self.run_checked(
-                sampler, mid, orders, m_adm, None, policy, report, observer, runtime, None,
-            )?;
-            self.accept_window(&w, m_adm, accepted, report, observer);
+            let w = self.run_checked(mid, self.orders, None, None)?;
+            self.accept(&w);
             queue.push((a, mid, depth + 1));
             queue.push((mid, b, depth + 1));
         }
-        let still: Vec<usize> = (gap.0..=gap.1).filter(|i| !accepted.contains_key(i)).collect();
+        let still: Vec<usize> =
+            (gap.0..=gap.1).filter(|i| !self.accepted.contains_key(i)).collect();
         if still.is_empty() {
-            report.emit(observer, Diagnostic::GapRepaired { kind, lo: gap.0, hi: gap.1 });
+            self.report.emit(self.observer, Diagnostic::GapRepaired { kind, lo: gap.0, hi: gap.1 });
             Ok(())
         } else {
             Err(RefgenError::Gap { lo: still[0], hi: *still.last().expect("non-empty") })
         }
+    }
+
+    /// Checks coverage of `0..=bound` and assembles the polynomial.
+    fn finish(mut self) -> Result<(ExtPoly, PolyReport), RefgenError> {
+        let bound = self.orders.bound;
+        let missing: Vec<usize> = (0..=bound)
+            .filter(|i| !self.accepted.contains_key(i) && !self.declared.contains(i))
+            .collect();
+        if !missing.is_empty() {
+            return Err(RefgenError::DidNotConverge { missing });
+        }
+        self.report.declared_zero = self.declared.into_iter().collect();
+        let coeffs: Vec<ExtComplex> = (0..=bound)
+            .map(|i| self.accepted.get(&i).map_or(ExtComplex::ZERO, |a| a.value))
+            .collect();
+        let poly = ExtPoly::new(coeffs);
+        self.report.effective_degree = poly.degree();
+        Ok((poly, self.report))
     }
 }
 
@@ -1026,6 +905,7 @@ mod tests {
     use super::*;
     use refgen_circuit::library::{graded_rc_ladder, positive_feedback_ota, rc_ladder};
     use refgen_circuit::Circuit;
+    use refgen_numeric::ExtFloat;
 
     fn spec() -> TransferSpec {
         TransferSpec::voltage_gain("VIN", "out")

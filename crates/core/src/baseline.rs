@@ -33,7 +33,7 @@ use crate::solver::{Solution, Solver};
 use crate::window::{interpolate_window, PolyKind, Sampler, Window};
 use refgen_circuit::Circuit;
 use refgen_mna::{MnaSystem, Scale, TransferSpec};
-use refgen_numeric::{ExtComplex, ExtFloat, ExtPoly};
+use refgen_numeric::{ExtComplex, ExtPoly};
 
 /// Result of a single fixed-scale interpolation of both polynomials.
 #[derive(Clone, Debug)]
@@ -56,11 +56,7 @@ impl StaticInterpolation {
             PolyKind::Numerator => &self.numerator,
             PolyKind::Denominator => &self.denominator,
         };
-        let norm = w.normalized_at(i)?;
-        let f = ExtFloat::from_f64(self.scale.f);
-        let g = ExtFloat::from_f64(self.scale.g);
-        let factor = f.powi(i as i64) * g.powi(self.admittance_degree - i as i64);
-        Some(norm.scale_ext(ExtFloat::ONE / factor))
+        w.denormalized(i, self.admittance_degree)
     }
 }
 
@@ -123,16 +119,7 @@ fn poly_from_window(
     kind: PolyKind,
     observer: &mut dyn Observer,
 ) -> Result<(ExtPoly, PolyReport), RefgenError> {
-    let mut report = PolyReport {
-        kind,
-        windows: Vec::new(),
-        declared_zero: Vec::new(),
-        diagnostics: Vec::new(),
-        order_bound: n_max,
-        effective_degree: None,
-        total_points: 0,
-        refactor_hits: 0,
-    };
+    let mut report = PolyReport::new(kind, n_max);
     report.record_window(observer, w);
     let Some((lo, hi)) = w.region else {
         if w.threshold.is_zero() {
@@ -150,15 +137,12 @@ fn poly_from_window(
         report.emit(observer, Diagnostic::CoefficientsDeclaredZero { kind, lo: hi + 1, hi: n_max });
         report.declared_zero = (hi + 1..=n_max).collect();
     }
-    let f = ExtFloat::from_f64(w.scale.f);
-    let g = ExtFloat::from_f64(w.scale.g);
     let coeffs: Vec<ExtComplex> = (0..=n_max)
         .map(|i| {
             if i > hi {
                 return ExtComplex::ZERO;
             }
-            let factor = f.powi(i as i64) * g.powi(m_adm - i as i64);
-            w.normalized_at(i).expect("region within window").scale_ext(ExtFloat::ONE / factor)
+            w.denormalized(i, m_adm).expect("region within window")
         })
         .collect();
     let poly = ExtPoly::new(coeffs);
@@ -463,17 +447,12 @@ fn grid_recover(
         out.total_points += w.points;
         on_window(&w);
         if let Some((lo, hi)) = w.region {
-            let f_ext = ExtFloat::from_f64(scale.f);
-            let g_ext = ExtFloat::from_f64(scale.g);
             for idx in lo..=hi {
                 out.covered[idx] = true;
                 let q = w.quality(idx);
                 let keep = out.best[idx].map(|(oldq, _)| q > oldq).unwrap_or(true);
                 if keep {
-                    let factor = f_ext.powi(idx as i64) * g_ext.powi(m - idx as i64);
-                    let val =
-                        w.normalized_at(idx).expect("in region").scale_ext(ExtFloat::ONE / factor);
-                    out.best[idx] = Some((q, val));
+                    out.best[idx] = Some((q, w.denormalized(idx, m).expect("in region")));
                 }
             }
         }
@@ -564,16 +543,7 @@ impl MultiScaleGridSolver {
         observer: &mut dyn Observer,
         runtime: &SamplingRuntime,
     ) -> Result<(ExtPoly, PolyReport), RefgenError> {
-        let mut report = PolyReport {
-            kind,
-            windows: Vec::new(),
-            declared_zero: Vec::new(),
-            diagnostics: Vec::new(),
-            order_bound: n_max,
-            effective_degree: None,
-            total_points: 0,
-            refactor_hits: 0,
-        };
+        let mut report = PolyReport::new(kind, n_max);
         let g = grid_recover(
             sys,
             spec,

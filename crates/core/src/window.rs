@@ -170,6 +170,14 @@ impl Window {
         i.checked_sub(self.offset).and_then(|j| self.normalized.get(j)).copied()
     }
 
+    /// Denormalized coefficient `p_i = p'_i/(f^i·g^{M−i})` (eq. (13)) at
+    /// global index `i` for admittance degree `m_adm`, if inside this
+    /// window.
+    pub(crate) fn denormalized(&self, i: usize, m_adm: i64) -> Option<ExtComplex> {
+        let factor = normalization(self.scale, i, m_adm);
+        self.normalized_at(i).map(|c| c.scale_ext(ExtFloat::ONE / factor))
+    }
+
     /// `true` if global index `i` passes the eq. (12) validity test.
     pub fn is_valid(&self, i: usize) -> bool {
         match self.normalized_at(i) {
@@ -193,6 +201,13 @@ impl Window {
     pub fn all_zero(&self) -> bool {
         self.region.is_none()
     }
+}
+
+/// The eq. (13) normalization factor `f^i·g^{M−i}` of coefficient `i` at
+/// `scale` for admittance degree `m_adm`: a window's coefficients are
+/// `p'_i = p_i·f^i·g^{M−i}`.
+pub(crate) fn normalization(scale: Scale, i: usize, m_adm: i64) -> ExtFloat {
+    ExtFloat::from_f64(scale.f).powi(i as i64) * ExtFloat::from_f64(scale.g).powi(m_adm - i as i64)
 }
 
 /// Performs one interpolation of eq. (5), optionally reduced per eq. (17).
@@ -226,18 +241,10 @@ pub(crate) fn interpolate_window(
     let k_points = k_hi - k_lo + 1;
     let tables = window_tables(k_points, order);
 
-    let f_ext = ExtFloat::from_f64(scale.f);
-    let g_ext = ExtFloat::from_f64(scale.g);
     // Renormalized known coefficients for subtraction: p̃_i = p_i·f^i·g^{M−i}.
     let renorm_known: Vec<(usize, ExtComplex)> = reduction
         .map(|r| {
-            r.known
-                .iter()
-                .map(|&(i, c)| {
-                    let factor = f_ext.powi(i as i64) * g_ext.powi(m_adm - i as i64);
-                    (i, c.scale_ext(factor))
-                })
-                .collect()
+            r.known.iter().map(|&(i, c)| (i, c.scale_ext(normalization(scale, i, m_adm)))).collect()
         })
         .unwrap_or_default();
 
@@ -523,12 +530,7 @@ mod tests {
         let full = interp(&sampler, scale, 5, m, None, &cfg).unwrap();
         // Denormalize p0, p1 from the full window and hand them to a reduced
         // interpolation of p2..p5.
-        let f_ext = ExtFloat::from_f64(scale.f);
-        let g_ext = ExtFloat::from_f64(scale.g);
-        let denorm = |i: usize| {
-            let factor = f_ext.powi(i as i64) * g_ext.powi(m - i as i64);
-            full.normalized_at(i).unwrap().scale_ext(ExtFloat::ONE / factor)
-        };
+        let denorm = |i: usize| full.denormalized(i, m).unwrap();
         let red = Reduction { k: 2, l: 5, known: vec![(0, denorm(0)), (1, denorm(1))] };
         let reduced = interp(&sampler, scale, 5, m, Some(&red), &cfg).unwrap();
         assert_eq!(reduced.points, 4);
@@ -746,12 +748,7 @@ mod tests {
         let scale = Scale::new(1e9, 1e3);
         let full = interp(&sampler, scale, 2, m, None, &cfg).unwrap();
         // Numerator is the constant p0: subtract it and interpolate 1..2.
-        let f_ext = ExtFloat::from_f64(scale.f);
-        let g_ext = ExtFloat::from_f64(scale.g);
-        let p0 = full
-            .normalized_at(0)
-            .unwrap()
-            .scale_ext(ExtFloat::ONE / (f_ext.powi(0) * g_ext.powi(m)));
+        let p0 = full.denormalized(0, m).unwrap();
         let red = Reduction { k: 1, l: 2, known: vec![(0, p0)] };
         let w = interp(&sampler, scale, 2, m, Some(&red), &cfg).unwrap();
         // Residual coefficients are pure round-off: many decades below the
