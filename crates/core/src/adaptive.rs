@@ -619,9 +619,11 @@ impl Walk<'_> {
     }
 
     /// `true` while the [`RefgenConfig::max_interpolations`] budget
-    /// admits another window.
+    /// admits another checked window: its main window and, with `verify`
+    /// on, its verify window.
     fn has_budget(&self) -> bool {
-        self.report.windows.len() < self.interp.config.max_interpolations
+        let config = &self.interp.config;
+        self.report.windows.len() + 1 + usize::from(config.verify) <= config.max_interpolations
     }
 
     /// The §3.2–§3.3 walk in `direction`, from the window `last`: step the
@@ -1249,6 +1251,35 @@ mod tests {
                 assert!(!missing.is_empty());
             }
             other => panic!("expected DidNotConverge, got {:?}", other.map(|_| "ok")),
+        }
+    }
+
+    /// The budget caps every window opened, verify windows included: a
+    /// checked window is opened only when its verify window fits too.
+    #[test]
+    fn budget_caps_every_window_opened() {
+        use crate::diagnostic::CollectObserver;
+        let c = rc_ladder(30, 1e3, 1e-9);
+        for verify in [true, false] {
+            for budget in 2..=8 {
+                let cfg = RefgenConfig::builder().max_interpolations(budget).verify(verify).build();
+                let interp = AdaptiveInterpolator::new(cfg);
+                let (mut den, mut full) = (CollectObserver::new(), CollectObserver::new());
+                let _ = interp.solve_polynomial(&c, &spec(), PolyKind::Denominator, &mut den);
+                let _ = interp.solve_observed(&c, &spec(), &mut full);
+                for kind in [PolyKind::Denominator, PolyKind::Numerator] {
+                    for (events, solve) in [(&den.events, "polynomial"), (&full.events, "full")] {
+                        let opened = events
+                            .iter()
+                            .filter(|d| matches!(d, Diagnostic::WindowOpened { kind: k, .. } if *k == kind))
+                            .count();
+                        assert!(
+                            opened <= budget,
+                            "{solve} solve, verify {verify}: {opened} {kind:?} windows on a budget of {budget}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -57,7 +57,11 @@ pub struct RefgenConfig {
     /// The paper's tuning factor `r` in eqs. (14)–(15): extra decades of
     /// window overlap margin when stepping the scale factors.
     pub tuning_r: f64,
-    /// Hard cap on the number of interpolations per polynomial.
+    /// Hard cap on the number of interpolations per polynomial, verify
+    /// windows included. A walk step or gap repair opens its window only
+    /// when the whole checked pair fits: with [`RefgenConfig::verify`] on
+    /// each step needs two windows of the budget, so the cap must be at
+    /// least 2 (the opening pair); with it off, one.
     pub max_interpolations: usize,
     /// Apply the problem-size reduction of eq. (17) (fewer interpolation
     /// points once head/tail coefficients are known).
@@ -178,7 +182,9 @@ impl RefgenConfig {
     /// # Panics
     ///
     /// Panics if `sig_digits` leaves no usable window
-    /// (`sig_digits ≥ noise_decades`) or limits are zero.
+    /// (`sig_digits ≥ noise_decades`), limits are zero, or
+    /// `max_interpolations` cannot hold the opening window and its verify
+    /// window.
     pub fn assert_valid(&self) {
         assert!(
             (self.sig_digits as f64) < self.noise_decades,
@@ -187,6 +193,11 @@ impl RefgenConfig {
             self.noise_decades
         );
         assert!(self.max_interpolations > 0, "max_interpolations must be positive");
+        assert!(
+            !self.verify || self.max_interpolations >= 2,
+            "max_interpolations must be at least 2 with verify on (the opening window and its \
+             verify window)"
+        );
         assert!(self.tuning_r >= 0.0, "tuning_r must be non-negative");
         assert!(self.lane_width >= 1, "lane_width must be at least 1");
     }
@@ -411,6 +422,17 @@ mod tests {
         assert_eq!(c.ordering, OrderingMode::Auto);
         assert_eq!(c.fault_policy, FaultPolicy::FailFast);
         c.assert_valid();
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 2 with verify on")]
+    fn rejects_a_budget_without_room_for_the_verify_window() {
+        RefgenConfig::builder().max_interpolations(1).build();
+    }
+
+    #[test]
+    fn one_window_budget_is_valid_without_verify() {
+        RefgenConfig::builder().max_interpolations(1).verify(false).build();
     }
 
     #[test]
