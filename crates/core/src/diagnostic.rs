@@ -34,7 +34,7 @@ pub enum Severity {
 ///
 /// The enum is `#[non_exhaustive]`: future solvers may add variants, so
 /// downstream `match`es need a wildcard arm.
-#[derive(Clone, PartialEq)]
+#[derive(Clone, Debug, PartialEq)]
 #[non_exhaustive]
 pub enum Diagnostic {
     /// One interpolation window was computed (paper eq. (5) + eq. (12)).
@@ -295,52 +295,6 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// The derived layout, except that [`Diagnostic::OrderingSelected`] prints
-/// a probe's `markowitz_fill` bare (`None` when no probe ran), as it did
-/// while every plan probed: a stream of probed plans keeps its text, which
-/// the pinned diagnostic fingerprints hash.
-impl fmt::Debug for Diagnostic {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        macro_rules! variant {
-            ($name:ident { $($field:ident),* }) => {
-                f.debug_struct(stringify!($name))$(.field(stringify!($field), $field))*.finish()
-            };
-        }
-        match self {
-            Diagnostic::WindowOpened { kind, scale, points, region, reduced } => {
-                variant!(WindowOpened { kind, scale, points, region, reduced })
-            }
-            Diagnostic::CoefficientsDeclaredZero { kind, lo, hi } => {
-                variant!(CoefficientsDeclaredZero { kind, lo, hi })
-            }
-            Diagnostic::GapRepaired { kind, lo, hi } => variant!(GapRepaired { kind, lo, hi }),
-            Diagnostic::CrossCheckMismatch { kind, index, rel_err } => {
-                variant!(CrossCheckMismatch { kind, index, rel_err })
-            }
-            Diagnostic::AllSamplesZero { kind } => variant!(AllSamplesZero { kind }),
-            Diagnostic::SamplingBatched { points, threads, compiled_hits, mirrored } => {
-                variant!(SamplingBatched { points, threads, compiled_hits, mirrored })
-            }
-            Diagnostic::TransientStepped { steps, refactor_hits, compiled_hits } => {
-                variant!(TransientStepped { steps, refactor_hits, compiled_hits })
-            }
-            Diagnostic::OrderingSelected { dim, markowitz_fill, amd_fill, amd } => {
-                let markowitz_fill: &dyn fmt::Debug = match markowitz_fill {
-                    Some(fill) => fill,
-                    None => markowitz_fill,
-                };
-                variant!(OrderingSelected { dim, markowitz_fill, amd_fill, amd })
-            }
-            Diagnostic::VariantSolved { variant, total_points, refactor_hits } => {
-                variant!(VariantSolved { variant, total_points, refactor_hits })
-            }
-            Diagnostic::SolveRecovered { fresh, reordered } => {
-                variant!(SolveRecovered { fresh, reordered })
-            }
-        }
-    }
-}
-
 /// Receives [`Diagnostic`] events while a solve runs.
 ///
 /// Implementations must be cheap: events fire from inside the adaptive
@@ -487,7 +441,7 @@ mod tests {
         );
         assert_eq!(
             format!("{probed:?}"),
-            "OrderingSelected { dim: 1025, markowitz_fill: 20260, amd_fill: Some(18683), amd: true }"
+            "OrderingSelected { dim: 1025, markowitz_fill: Some(20260), amd_fill: Some(18683), amd: true }"
         );
         assert_eq!(
             format!("{unprobed:?}"),

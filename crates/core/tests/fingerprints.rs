@@ -158,10 +158,10 @@ fn ua741_fleet_coefficients_match_pinned_fingerprint() {
 fn ua741_sessions_match_pinned_fingerprints() {
     let got: Vec<u64> = sessions().iter().map(|h| h.full).collect();
     let want: [u64; 4] = [
-        0x6b36_f762_0879_689a,
-        0x5ea4_b9b4_4209_1621,
-        0xc5d0_eec9_0c1b_f936,
-        0xada4_c0a7_5e46_3844,
+        0xe5e5_e507_d319_d766,
+        0x40ab_c586_6945_ed17,
+        0xaa4d_4ad0_5ea9_486e,
+        0xebac_344d_14a6_9412,
     ];
     assert_eq!(got, want, "{got:#x?}");
 }
@@ -169,6 +169,6 @@ fn ua741_sessions_match_pinned_fingerprints() {
 #[test]
 fn ua741_fleet_matches_pinned_fingerprint() {
     let got = fleet().full;
-    let want: u64 = 0x3790_1f56_2eb2_3a4e;
+    let want: u64 = 0xbfa6_d381_1577_805a;
     assert_eq!(got, want, "{got:#x}");
 }
