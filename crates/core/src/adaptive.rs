@@ -4,20 +4,27 @@
 //!
 //! 1. First interpolation at the heuristic scale factors
 //!    (`f = 1/mean(C)`, `g = 1/mean(G)`) — aims the widest valid window.
-//! 2. **Ascending phase**: while coefficients above the known range remain,
-//!    compute new scale factors from the last window (eqs. (13)–(14)),
-//!    interpolate again — with the problem-size reduction of eq. (17) when
-//!    enabled — and merge the new valid window. Window gaps are repaired by
-//!    eq. (16) bisection. If escalating re-tilts find nothing new, the
-//!    remaining high-order coefficients are *declared zero* (cf. §3.3
-//!    "neglecting high order coefficients"). A re-tilt whose clamped scale
-//!    repeats the previous attempt's is skipped: it would recompute the
-//!    same rejected window.
-//! 3. **Descending phase** (only if the first window missed `p₀`):
-//!    symmetric, using eq. (15).
+//! 2. **Descending walk** (only if the first window missed `p₀`): from the
+//!    first window, step the scale by eq. (15) toward the coefficients
+//!    below the known range.
+//! 3. **Ascending walk**: from the first window again, step by eq. (14)
+//!    toward the coefficients above the known range. Running the descent
+//!    first completes the head, so the ascent's eq. (17) reduction is
+//!    legal from its first step.
 //!
-//! Every coefficient is denormalized as `p_i = p'_i/(f^i·g^{M−i})` in
-//! extended-range arithmetic and cross-checked between overlapping windows.
+//! Both walks are one loop, parameterized by direction. Each step
+//! interpolates again — with the problem-size reduction of eq. (17) when
+//! the known coefficients allow it — and merges the new valid window if it
+//! advances past the known range. A gap it leaves next to the known range
+//! is repaired by eq. (16) bisection. If escalating re-tilts advance nothing,
+//! the unknown coefficients on that side are *declared zero* (cf. §3.3
+//! "neglecting high order coefficients"). A re-tilt whose clamped scale
+//! repeats the previous attempt's is skipped: it would recompute the same
+//! rejected window.
+//!
+//! Every coefficient is denormalized as `p_i = p'_i/(f^i·g^{M−i})`
+//! (eq. (13)) in extended-range arithmetic and cross-checked between
+//! overlapping windows.
 //!
 //! **Order bound.** Each polynomial's degree is bounded before any
 //! sampling by its structural bound from [`MnaSystem::degree_bounds`] (a

@@ -59,9 +59,9 @@ pub struct RefgenConfig {
     pub tuning_r: f64,
     /// Hard cap on the number of interpolations per polynomial, verify
     /// windows included. A walk step or gap repair opens its window only
-    /// when the whole checked pair fits: with [`RefgenConfig::verify`] on
-    /// each step needs two windows of the budget, so the cap must be at
-    /// least 2 (the opening pair); with it off, one.
+    /// when its whole checked pair fits. With [`RefgenConfig::verify`] on,
+    /// every step takes two windows of the budget, and the cap must be at
+    /// least 2 to hold the opening pair.
     pub max_interpolations: usize,
     /// Apply the problem-size reduction of eq. (17) (fewer interpolation
     /// points once head/tail coefficients are known).

@@ -174,8 +174,8 @@ impl Window {
     /// global index `i` for admittance degree `m_adm`, if inside this
     /// window.
     pub(crate) fn denormalized(&self, i: usize, m_adm: i64) -> Option<ExtComplex> {
-        let factor = normalization(self.scale, i, m_adm);
-        self.normalized_at(i).map(|c| c.scale_ext(ExtFloat::ONE / factor))
+        let p = self.normalized_at(i)?;
+        Some(p.scale_ext(ExtFloat::ONE / normalization(self.scale, i, m_adm)))
     }
 
     /// `true` if global index `i` passes the eq. (12) validity test.
