@@ -642,7 +642,7 @@ pub fn transient_ns_per_step(
             k += 1;
             plan.step(dt * k as f64, &mut state, &mut scratch).expect("steady-state step");
         }
-        state.solution()[0].re
+        state.solution()[0]
     });
     assert_eq!(scratch.stats().refactor_hits, 1, "steady-state steps must not refactor");
     assert_eq!(scratch.stats().fresh_factorizations, 0);

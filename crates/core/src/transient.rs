@@ -147,12 +147,12 @@ fn integrate(
     let mut scratch = TransientScratch::new();
     let mut waves = vec![Vec::with_capacity(times.len()); rows.len()];
     for (wave, (_, row)) in waves.iter_mut().zip(rows) {
-        wave.push(state.solution()[*row].re);
+        wave.push(state.solution()[*row]);
     }
     for &t in &times[1..] {
         plan.step(t, &mut state, &mut scratch)?;
         for (wave, (_, row)) in waves.iter_mut().zip(rows) {
-            wave.push(state.solution()[*row].re);
+            wave.push(state.solution()[*row]);
         }
     }
     Ok((waves, scratch.stats()))

@@ -25,15 +25,32 @@
 //!       one probe factorization at γ       ──▶  recorded pivot order
 //!       one symbolic compilation           ──▶  FactorProgram
 //!
-//!   phase 2 (once per run): numeric factorization
+//!   phase 2 (once per run): numeric factorization, in f64
 //!       stamp values into program slots, replay the instruction stream
 //!       (the matrix is step-invariant: this happens exactly once)
 //!
-//!   phase 3 (per step): history stamping + back-substitution
+//!   phase 3 (per step): history stamping + back-substitution, in f64
 //!       waveform sources + companion history currents ──▶ RHS
-//!       one triangular solve through the compiled kernel
+//!       one real triangular solve through the compiled kernel
 //!       state update (capacitor currents, previous solution)
 //! ```
+//!
+//! Phases 2 and 3 run in real arithmetic because everything they touch is
+//! real. Every stamp of the affine pattern is real: resistances,
+//! conductances, reactive values and controlled-source gains all enter
+//! `K₀` and `K₁` with zero imaginary parts, and `γ` is real, so
+//! `K₀ + γ·K₁` is a real matrix. The source drives are real waveform
+//! values, and the history currents are real combinations of the previous
+//! solution. A complex solve would only carry imaginary parts that stay
+//! exactly zero. The [`FactorProgram`] is the one the probe compiled; its
+//! replay and solve are generic over the element type, so the real run and
+//! the complex frequency sweeps share one elimination loop and one solve
+//! loop. On zero imaginary parts the real part of each complex operation
+//! is the `f64` operation, so the real run reproduces the complex one's
+//! real parts. The DC operating point ([`TransientPlan::initial_state`])
+//! and the fallback that factors the matrix afresh when a recorded pivot
+//! is exactly zero stay on the complex [`SparseLu`] and convert their
+//! solutions once.
 //!
 //! Phase 3 performs **zero allocation** and **zero pivot searches** — the
 //! same contract [`SweepPlan`](crate::SweepPlan) gives the unit-circle
@@ -126,15 +143,17 @@ pub struct TransientStats {
 /// priming flag (see [`TransientPlan::step`]).
 #[derive(Clone, Debug)]
 pub struct TransientState {
-    x: Vec<Complex>,
+    x: Vec<f64>,
     cap_currents: Vec<f64>,
     primed: bool,
 }
 
 impl TransientState {
     /// The MNA solution vector at the state's time point (node voltages
-    /// first, then branch currents — [`MnaSystem`]'s unknown order).
-    pub fn solution(&self) -> &[Complex] {
+    /// first, then branch currents — [`MnaSystem`]'s unknown order). It is
+    /// real: the companion matrix, the source drives and the history
+    /// currents all are (see the [module docs](self)).
+    pub fn solution(&self) -> &[f64] {
         &self.x
     }
 }
@@ -157,10 +176,10 @@ enum StepFactor {
 /// stepped with it (call [`TransientScratch::reset`] to re-arm).
 #[derive(Debug, Default)]
 pub struct TransientScratch {
-    prog: ProgramScratch,
+    prog: ProgramScratch<f64>,
     triplets: Triplets,
-    rhs: Vec<Complex>,
-    x_next: Vec<Complex>,
+    rhs: Vec<f64>,
+    x_next: Vec<f64>,
     factored: StepFactor,
     stats: TransientStats,
 }
@@ -211,8 +230,8 @@ pub struct TransientPlan {
     gamma: f64,
     pattern: Vec<(usize, usize, Complex, Complex)>,
     /// Precomputed companion matrix values `K₀ + γ·K₁`, aligned with
-    /// `pattern`.
-    values: Vec<Complex>,
+    /// `pattern` (real: every stamp of the pattern is).
+    values: Vec<f64>,
     /// The pivot order recorded at `γ` and the kernel compiled from it
     /// (`None` when the companion matrix is singular).
     compiled: Option<(PivotOrder, Arc<FactorProgram>)>,
@@ -363,11 +382,11 @@ impl TransientPlan {
         for &(r, c, k0, _) in &self.pattern {
             t.add(r, c, k0);
         }
-        let mut rhs = vec![Complex::ZERO; self.dim];
+        let mut rhs = vec![0.0; self.dim];
         self.stamp_sources(t0, &mut rhs);
         let x = match SparseLu::factor(&t) {
-            Ok(lu) => lu.solve(&rhs),
-            Err(_) => vec![Complex::ZERO; self.dim],
+            Ok(lu) => real_solve(&lu, &rhs),
+            Err(_) => vec![0.0; self.dim],
         };
         TransientState {
             x,
@@ -380,12 +399,12 @@ impl TransientPlan {
 
     /// Source drives at time `t`, accumulated into `rhs` with
     /// [`MnaSystem::rhs`]'s sign convention.
-    fn stamp_sources(&self, t: f64, rhs: &mut [Complex]) {
+    fn stamp_sources(&self, t: f64, rhs: &mut [f64]) {
         for (row, wave) in &self.vsrcs {
-            rhs[*row] += Complex::real(wave.eval(t));
+            rhs[*row] += wave.eval(t);
         }
         for (rp, rm, wave) in &self.isrcs {
-            let v = Complex::real(wave.eval(t));
+            let v = wave.eval(t);
             if let Some(r) = rp {
                 rhs[*r] -= v;
             }
@@ -433,7 +452,7 @@ impl TransientPlan {
             for (k, cap) in self.caps.iter().enumerate() {
                 let geq = self.gamma * cap.farads;
                 let dv = vpm(&state.x, cap.rp, cap.rm) - vpm(&scratch.x_next, cap.rp, cap.rm);
-                state.cap_currents[k] = geq * dv.re;
+                state.cap_currents[k] = geq * dv;
             }
             state.primed = true;
         } else {
@@ -443,7 +462,7 @@ impl TransientPlan {
                 let geq = self.gamma * cap.farads;
                 let dv = vpm(&state.x, cap.rp, cap.rm) - vpm(&scratch.x_next, cap.rp, cap.rm);
                 let prev = if trapezoidal { state.cap_currents[k] } else { 0.0 };
-                state.cap_currents[k] = geq * dv.re - prev;
+                state.cap_currents[k] = geq * dv - prev;
             }
         }
         scratch.stats.steps += 1;
@@ -463,13 +482,13 @@ impl TransientPlan {
     ) {
         let gamma = self.gamma;
         scratch.rhs.clear();
-        scratch.rhs.resize(self.dim, Complex::ZERO);
+        scratch.rhs.resize(self.dim, 0.0);
         self.stamp_sources(t_eval, &mut scratch.rhs);
         for (k, cap) in self.caps.iter().enumerate() {
             let geq = gamma * cap.farads;
-            let mut hist = vpm(&state.x, cap.rp, cap.rm).scale(geq);
+            let mut hist = vpm(&state.x, cap.rp, cap.rm) * geq;
             if trapezoidal_hist {
-                hist += Complex::real(state.cap_currents[k]);
+                hist += state.cap_currents[k];
             }
             if let Some(r) = cap.rp {
                 scratch.rhs[r] += hist;
@@ -480,7 +499,7 @@ impl TransientPlan {
         }
         for ind in &self.inds {
             let i_n = state.x[ind.row];
-            let mut hist = -i_n.scale(gamma * ind.henries);
+            let mut hist = -(i_n * (gamma * ind.henries));
             if trapezoidal_hist {
                 hist -= vpm(&state.x, ind.rp, ind.rm);
             }
@@ -495,7 +514,7 @@ impl TransientPlan {
                 stats.compiled_hits += 1;
             }
             StepFactor::Fresh(lu) => {
-                *x_next = lu.solve(rhs);
+                *x_next = real_solve(lu, rhs);
             }
             StepFactor::Pending => unreachable!("step() factors before solving"),
         }
@@ -514,7 +533,7 @@ impl TransientPlan {
         }
         scratch.triplets.reset(self.dim);
         for (&(r, c, _, _), &v) in self.pattern.iter().zip(&self.values) {
-            scratch.triplets.add(r, c, v);
+            scratch.triplets.add(r, c, Complex::real(v));
         }
         scratch.stats.fresh_factorizations += 1;
         let lu = SparseLu::factor(&scratch.triplets).map_err(|e| {
@@ -528,14 +547,28 @@ impl TransientPlan {
     }
 }
 
-/// `K₀ + γ·K₁` for every pattern entry.
-fn companion_values(pattern: &[(usize, usize, Complex, Complex)], gamma: f64) -> Vec<Complex> {
-    pattern.iter().map(|&(_, _, k0, k1)| k0 + k1.scale(gamma)).collect()
+/// `K₀ + γ·K₁` for every pattern entry, in real arithmetic: every stamp
+/// source is real (see the [module docs](self)).
+fn companion_values(pattern: &[(usize, usize, Complex, Complex)], gamma: f64) -> Vec<f64> {
+    pattern
+        .iter()
+        .map(|&(_, _, k0, k1)| {
+            debug_assert!(k0.im == 0.0 && k1.im == 0.0, "transient stamps are real");
+            k0.re + k1.re * gamma
+        })
+        .collect()
+}
+
+/// Solves a real system through a complex factorization (the DC operating
+/// point and the fresh-factorization fallback), converting once each way.
+fn real_solve(lu: &SparseLu, rhs: &[f64]) -> Vec<f64> {
+    let b: Vec<Complex> = rhs.iter().map(|&v| Complex::real(v)).collect();
+    lu.solve(&b).into_iter().map(|z| z.re).collect()
 }
 
 /// Branch voltage `v(rp) − v(rm)` with grounded terminals reading zero.
-fn vpm(x: &[Complex], rp: Option<usize>, rm: Option<usize>) -> Complex {
-    let v = |r: Option<usize>| r.map(|i| x[i]).unwrap_or(Complex::ZERO);
+fn vpm(x: &[f64], rp: Option<usize>, rm: Option<usize>) -> f64 {
+    let v = |r: Option<usize>| r.map_or(0.0, |i| x[i]);
     v(rp) - v(rm)
 }
 
@@ -572,10 +605,10 @@ mod tests {
         let row = sys.node_row(sys.circuit().find_node(node).unwrap()).unwrap();
         let mut state = plan.initial_state(0.0);
         let mut scratch = TransientScratch::new();
-        let mut out = vec![state.solution()[row].re];
+        let mut out = vec![state.solution()[row]];
         for k in 1..=steps {
             plan.step(plan.dt() * k as f64, &mut state, &mut scratch).unwrap();
-            out.push(state.solution()[row].re);
+            out.push(state.solution()[row]);
         }
         (out, scratch.stats())
     }
@@ -622,11 +655,55 @@ mod tests {
             let t = dt * k as f64;
             let exact = 1e-3 * (1.0 - (-t / tau).exp());
             assert!(
-                (state.solution()[row].re - exact).abs() < 1e-6,
+                (state.solution()[row] - exact).abs() < 1e-6,
                 "step {k}: {} vs {exact}",
-                state.solution()[row].re
+                state.solution()[row]
             );
         }
+    }
+
+    /// A recorded pivot that is exactly zero at the plan's `γ` sends the run
+    /// to a fresh Markowitz factorization, which then serves every step.
+    /// Node `n` stamps `γ·C − gm` on its diagonal (a capacitor and a
+    /// self-controlled VCCS), and the probe pivots on it right after the
+    /// source rows, before any update reaches it. At `h = 0.5` (BE,
+    /// `γ = 2`) that pivot is `2·4 − 16 = −8`; [`TransientPlan::with_dt`]
+    /// at `h = 0.25` keeps the order and meets `4·4 − 16 = 0`. The
+    /// fallback's waveforms equal those of a plan probed at `h = 0.25`
+    /// directly, bit for bit.
+    #[test]
+    fn zero_recorded_pivot_falls_back_to_a_fresh_factorization() {
+        let mut c = Circuit::new();
+        c.add_capacitor("C1", "n", "0", 4.0).unwrap();
+        c.add_vccs("GS", "n", "0", "n", "0", -16.0).unwrap();
+        c.add_vsource("VIN", "in", "0", 1.0).unwrap();
+        c.add_resistor("R1", "in", "m", 1.0).unwrap();
+        c.add_capacitor("C2", "m", "0", 1.0).unwrap();
+        c.add_resistor("R2", "m", "k", 1.0).unwrap();
+        c.add_capacitor("C3", "k", "0", 1.0).unwrap();
+        c.add_vccs("GA", "n", "0", "m", "0", 1.0).unwrap();
+        c.add_vccs("GB", "m", "0", "n", "0", 1.0).unwrap();
+        c.set_waveform("VIN", step_source()).unwrap();
+        let sys = MnaSystem::new(&c).unwrap();
+        let waves = |plan: &TransientPlan| {
+            let mut state = plan.initial_state(0.0);
+            let mut scratch = TransientScratch::new();
+            let mut bits = Vec::new();
+            for k in 1..=12 {
+                plan.step(plan.dt() * k as f64, &mut state, &mut scratch).unwrap();
+                bits.extend(state.solution().iter().map(|v| v.to_bits()));
+            }
+            (bits, scratch.stats())
+        };
+        let coarse = TransientPlan::new(&sys, 0.5, IntegrationMethod::BackwardEuler).unwrap();
+        assert_eq!(waves(&coarse).1.fresh_factorizations, 0, "γ = 2 replays the recorded order");
+        let (fallback, stats) = waves(&coarse.with_dt(0.25).unwrap());
+        assert_eq!(stats.fresh_factorizations, 1);
+        assert_eq!((stats.refactor_hits, stats.compiled_hits, stats.steps), (0, 0, 12));
+        let (direct, stats) =
+            waves(&TransientPlan::new(&sys, 0.25, IntegrationMethod::BackwardEuler).unwrap());
+        assert_eq!((stats.fresh_factorizations, stats.compiled_hits), (0, 12));
+        assert_eq!(fallback, direct);
     }
 
     #[test]

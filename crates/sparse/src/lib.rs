@@ -159,5 +159,5 @@ pub mod triplets;
 pub use dense::DenseMatrix;
 pub use lu::{FactorError, PivotOrder, SparseLu};
 pub use ordering::minimum_degree;
-pub use symbolic::{BatchScratch, FactorProgram, ProgramScratch};
+pub use symbolic::{BatchScratch, FactorProgram, ProgramScratch, Scalar};
 pub use triplets::Triplets;

@@ -57,6 +57,43 @@ use crate::lu::{FactorError, PivotOrder};
 use crate::triplets::Triplets;
 use refgen_numeric::{Complex, ExtComplex, ExtProduct};
 use std::cell::RefCell;
+use std::ops::{AddAssign, Div, Mul, SubAssign};
+
+/// An element type a [`FactorProgram`] replays and solves in: [`Complex`]
+/// for the frequency-domain samplers, `f64` for a real matrix such as the
+/// transient companion matrix `K₀ + γ·K₁`. One elimination loop and one
+/// solve loop serve both.
+///
+/// On complex values whose imaginary parts are all zero, the real part of
+/// each complex operation the program performs (multiply, subtract, Smith
+/// division) is the `f64` operation on the real parts, so a real replay
+/// reproduces the real part of the complex one. The one possible
+/// difference is the sign of an exact zero.
+pub trait Scalar:
+    Copy + Default + PartialEq + AddAssign + SubAssign + Mul<Output = Self> + Div<Output = Self>
+{
+    /// The additive identity.
+    const ZERO: Self;
+
+    /// The value as a complex number (determinants are complex).
+    fn to_complex(self) -> Complex;
+}
+
+impl Scalar for f64 {
+    const ZERO: f64 = 0.0;
+
+    fn to_complex(self) -> Complex {
+        Complex::real(self)
+    }
+}
+
+impl Scalar for Complex {
+    const ZERO: Complex = Complex::ZERO;
+
+    fn to_complex(self) -> Complex {
+        self
+    }
+}
 
 /// One multiplier of the elimination: the entry at `slot` (original
 /// position `(row, pivot column)`) is divided by the pivot and then drives
@@ -189,8 +226,8 @@ impl FactorProgram {
         self.ops.len()
     }
 
-    /// Multipliers the elimination computes (L-entries) — one complex
-    /// division each per numeric replay.
+    /// Multipliers the elimination computes (L-entries) — one division
+    /// each per numeric replay.
     pub fn multiplier_count(&self) -> usize {
         self.lents.len()
     }
@@ -238,7 +275,8 @@ impl FactorProgram {
     /// As [`FactorProgram::refactor`], with the values supplied directly in
     /// compiled-position order — the zero-copy path sweep plans use to
     /// stamp `K₀ + s·K₁` straight into the slot array without assembling a
-    /// [`Triplets`] at all.
+    /// [`Triplets`] at all. The values may be of either [`Scalar`] type;
+    /// the replay runs in that type (a real replay's determinant is real).
     ///
     /// # Errors
     ///
@@ -248,13 +286,14 @@ impl FactorProgram {
     ///
     /// Panics if `values` yields a different number of items than the
     /// compiled pattern has raw entries.
-    pub fn refactor_values<I>(
+    pub fn refactor_values<T, I>(
         &self,
         values: I,
-        scratch: &mut ProgramScratch,
+        scratch: &mut ProgramScratch<T>,
     ) -> Result<(), FactorError>
     where
-        I: IntoIterator<Item = Complex>,
+        T: Scalar,
+        I: IntoIterator<Item = T>,
     {
         self.scatter_values(values, scratch);
         self.replay(scratch)
@@ -297,9 +336,10 @@ impl FactorProgram {
 
     /// Clears `scratch` and scatters one value per raw entry through the
     /// stamp map.
-    fn scatter_values<I>(&self, values: I, scratch: &mut ProgramScratch)
+    fn scatter_values<T, I>(&self, values: I, scratch: &mut ProgramScratch<T>)
     where
-        I: IntoIterator<Item = Complex>,
+        T: Scalar,
+        I: IntoIterator<Item = T>,
     {
         scratch.begin(self);
         let mut count = 0usize;
@@ -314,7 +354,7 @@ impl FactorProgram {
     }
 
     /// The branch-free elimination replay.
-    fn replay(&self, scratch: &mut ProgramScratch) -> Result<(), FactorError> {
+    fn replay<T: Scalar>(&self, scratch: &mut ProgramScratch<T>) -> Result<(), FactorError> {
         let vals = &mut scratch.vals;
         // Deferred-normalization fold: bit-identical to
         // `det *= ExtComplex::from_complex(pivot)` per pivot, without the
@@ -322,10 +362,10 @@ impl FactorProgram {
         let mut det = ExtProduct::ONE;
         for step in 0..self.n {
             let pivot = vals[self.pivot_slots[step] as usize];
-            if pivot == Complex::ZERO {
+            if pivot == T::ZERO {
                 return Err(FactorError::Singular { step });
             }
-            det.mul_complex(pivot);
+            det.mul_complex(pivot.to_complex());
             let (ls, le) = self.lranges[step];
             for ent in &self.lents[ls as usize..le as usize] {
                 let l = vals[ent.slot as usize] / pivot;
@@ -343,15 +383,15 @@ impl FactorProgram {
 
     /// Solves `A·x = b` with the factorization last replayed into
     /// `scratch`, writing into `x` (cleared and refilled; both `x` and the
-    /// internal forward-elimination buffer retain their allocations). The
-    /// back substitution runs over the precompiled pivot-free U entries —
-    /// no per-entry pivot test.
+    /// internal forward-elimination buffer retain their allocations), in
+    /// the scratch's element type. The back substitution runs over the
+    /// precompiled pivot-free U entries — no per-entry pivot test.
     ///
     /// # Panics
     ///
     /// Panics if `scratch` holds no successful replay of this program or
     /// `b.len()` differs from the dimension.
-    pub fn solve_into(&self, scratch: &mut ProgramScratch, b: &[Complex], x: &mut Vec<Complex>) {
+    pub fn solve_into<T: Scalar>(&self, scratch: &mut ProgramScratch<T>, b: &[T], x: &mut Vec<T>) {
         assert!(scratch.factored, "scratch holds no factorization");
         assert_eq!(b.len(), self.n, "rhs length mismatch");
         scratch.work.clear();
@@ -359,7 +399,7 @@ impl FactorProgram {
         // Forward elimination replay: y[k] lives at work[pivot_rows[k]].
         for step in 0..self.n {
             let t = scratch.work[self.pivot_rows[step] as usize];
-            if t == Complex::ZERO {
+            if t == T::ZERO {
                 continue;
             }
             let (ls, le) = self.lranges[step];
@@ -369,7 +409,7 @@ impl FactorProgram {
         }
         // Back substitution in original column coordinates.
         x.clear();
-        x.resize(self.n, Complex::ZERO);
+        x.resize(self.n, T::ZERO);
         for step in (0..self.n).rev() {
             let mut s = scratch.work[self.pivot_rows[step] as usize];
             let (us, ue) = self.uranges[step];
@@ -1507,20 +1547,21 @@ impl BatchScratch {
 
 /// Per-executor mutable state for [`FactorProgram`] execution: the flat
 /// slot-value array, the forward-elimination buffer, and the determinant
-/// of the last successful replay. All buffers retain capacity across
-/// points — the steady state performs **zero heap allocation**. One
-/// scratch per worker thread; the program is shared.
+/// of the last successful replay, in element type `T` ([`Scalar`]). All
+/// buffers retain capacity across points — the steady state performs
+/// **zero heap allocation**. One scratch per worker thread; the program is
+/// shared.
 #[derive(Clone, Debug, Default)]
-pub struct ProgramScratch {
-    vals: Vec<Complex>,
-    work: Vec<Complex>,
+pub struct ProgramScratch<T = Complex> {
+    vals: Vec<T>,
+    work: Vec<T>,
     det: ExtComplex,
     factored: bool,
 }
 
-impl ProgramScratch {
+impl<T: Scalar> ProgramScratch<T> {
     /// An empty scratch; buffers size themselves on first use.
-    pub fn new() -> ProgramScratch {
+    pub fn new() -> ProgramScratch<T> {
         ProgramScratch::default()
     }
 
@@ -1540,7 +1581,7 @@ impl ProgramScratch {
     fn begin(&mut self, program: &FactorProgram) {
         self.factored = false;
         self.vals.clear();
-        self.vals.resize(program.slots, Complex::ZERO);
+        self.vals.resize(program.slots, T::ZERO);
     }
 }
 
@@ -1613,6 +1654,54 @@ mod tests {
             let t = build(0.1 + 0.3 * k as f64);
             assert_program_matches_refactor(&program, &t, &order, &b, &mut scratch);
         }
+    }
+
+    /// A real matrix replays and solves in `f64` to the real parts of its
+    /// complex replay and solve, bit for bit, through the same program:
+    /// fill-in, negative entries, a right-hand side with exact zeros (the
+    /// forward pass skips them), and a real zero pivot failing at the same
+    /// step.
+    #[test]
+    fn real_replay_matches_complex_real_parts() {
+        let n = 9;
+        let entries = |w: f64| {
+            let mut e = Vec::new();
+            for i in 0..n {
+                e.push((i, i, 3.0 + w * i as f64));
+            }
+            for i in 1..n {
+                e.push((0, i, -1.0 / i as f64));
+                e.push((i, 0, 0.5 - w));
+                e.push((i, (i + 3) % n, w - 0.25 * i as f64));
+            }
+            e
+        };
+        let order = SparseLu::factor(&tri(n, &entries(0.7))).unwrap().order().clone();
+        let program = FactorProgram::for_triplets(&tri(n, &entries(0.7)), &order).unwrap();
+        let mut complex = ProgramScratch::new();
+        let mut real = ProgramScratch::<f64>::new();
+        let (mut xc, mut xr) = (Vec::new(), Vec::new());
+        for w in [0.7, -1.3, 2.9] {
+            let e = entries(w);
+            program.refactor(&tri(n, &e), &mut complex).unwrap();
+            program.refactor_values(e.iter().map(|&(_, _, v)| v), &mut real).unwrap();
+            let (dc, dr) = (complex.det(), real.det());
+            assert_eq!(dc.mantissa().re.to_bits(), dr.mantissa().re.to_bits());
+            assert_eq!(dc.exponent(), dr.exponent());
+            let b: Vec<f64> = (0..n).map(|i| if i % 3 == 0 { 0.0 } else { w - i as f64 }).collect();
+            let bc: Vec<Complex> = b.iter().map(|&v| Complex::real(v)).collect();
+            program.solve_into(&mut complex, &bc, &mut xc);
+            program.solve_into(&mut real, &b, &mut xr);
+            let want: Vec<u64> = xc.iter().map(|z| z.re.to_bits()).collect();
+            assert_eq!(xr.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), want, "w = {w}");
+        }
+        let (pr, pc) = (order.rows()[0], order.cols()[0]);
+        let zeroed =
+            entries(0.7).into_iter().map(|(r, c, v)| if (r, c) == (pr, pc) { 0.0 } else { v });
+        assert_eq!(
+            program.refactor_values(zeroed, &mut real),
+            Err(FactorError::Singular { step: 0 })
+        );
     }
 
     /// Element growth of a replay: `[[ε, 1], [1, 1]]` pivoted on `ε` first
