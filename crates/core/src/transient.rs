@@ -108,12 +108,7 @@ impl TransientAnalysis {
             let fine_times: Vec<f64> =
                 (0..=2 * steps).map(|k| self.card.tstart + dt_half * k as f64).collect();
             let (fine, _) = integrate(&fine_plan, &fine_times, &rows)?;
-            let mut max_abs_dev = 0.0f64;
-            for (coarse_wave, fine_wave) in waves.iter().zip(&fine) {
-                for (k, &v) in coarse_wave.iter().enumerate() {
-                    max_abs_dev = max_abs_dev.max((v - fine_wave[2 * k]).abs());
-                }
-            }
+            let max_abs_dev = max_abs_deviation(&waves, &fine);
             Some(RichardsonCheck { dt_half, max_abs_dev, order: self.method.order() })
         } else {
             None
@@ -158,13 +153,35 @@ fn integrate(
     Ok((waves, scratch.stats()))
 }
 
+/// The largest `|coarse[k] − fine[2k]|` over every node and coarse time
+/// point. A NaN deviation makes the result NaN, so two runs that both went
+/// non-finite never read as agreeing.
+fn max_abs_deviation(coarse: &[Vec<f64>], fine: &[Vec<f64>]) -> f64 {
+    coarse
+        .iter()
+        .zip(fine)
+        .flat_map(|(c, f)| c.iter().zip(f.iter().step_by(2)))
+        .map(|(&c, &f)| (c - f).abs())
+        .fold(0.0, max_keeping_nan)
+}
+
+/// `f64::max` that keeps a NaN operand instead of dropping it.
+fn max_keeping_nan(m: f64, v: f64) -> f64 {
+    if v > m || v.is_nan() {
+        v
+    } else {
+        m
+    }
+}
+
 /// The outcome of a step-halving Richardson cross-check.
 #[derive(Clone, Copy, Debug)]
 pub struct RichardsonCheck {
     /// The halved step size the verification run used.
     pub dt_half: f64,
     /// Largest absolute deviation between the two runs over every node and
-    /// coarse time point.
+    /// coarse time point. Non-finite when either run has a non-finite
+    /// sample at a coarse time point: NaN when any deviation is NaN.
     pub max_abs_dev: f64,
     /// The method's convergence order `p` (used by
     /// [`RichardsonCheck::error_estimate`]).
@@ -184,7 +201,7 @@ impl RichardsonCheck {
 pub struct StepMetrics {
     /// The last sample (the settled value for a stable run).
     pub final_value: f64,
-    /// The largest sample.
+    /// The largest sample; NaN when any sample is NaN.
     pub peak: f64,
     /// `max(0, peak − final)/|final|` in percent — the upward excursion
     /// beyond the settled value. `None` when the ratio is undefined: a
@@ -212,7 +229,7 @@ impl StepMetrics {
         assert_eq!(times.len(), wave.len(), "one sample per time point");
         assert!(!wave.is_empty(), "metrics need at least one sample");
         let final_value = *wave.last().expect("nonempty");
-        let peak = wave.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        let peak = wave.iter().copied().fold(f64::NEG_INFINITY, max_keeping_nan);
         let overshoot_pct = (final_value != 0.0 && final_value.is_finite() && peak.is_finite())
             .then(|| ((peak - final_value) / final_value.abs()).max(0.0) * 100.0);
         StepMetrics {
@@ -463,6 +480,51 @@ mod tests {
         let bad = StepMetrics::from_waveform(&[0.0, 1.0], &[0.5, f64::NAN]);
         assert!(bad.overshoot_pct.is_none());
         assert!(bad.settling_time.is_none());
+    }
+
+    #[test]
+    fn deviation_keeps_nan() {
+        let nan = f64::NAN;
+        let coarse = vec![vec![0.0, 1.0, 2.0], vec![0.0, 0.0, 0.0]];
+        let mut fine = vec![vec![0.0, 9.0, 1.5, 9.0, 2.0], vec![0.0; 5]];
+        assert_eq!(max_abs_deviation(&coarse, &fine), 0.5);
+        // A NaN early on survives a larger finite deviation after it.
+        fine[0][2] = nan;
+        fine[1][4] = 7.0;
+        assert!(max_abs_deviation(&coarse, &fine).is_nan());
+        // Two runs that are NaN throughout do not agree perfectly.
+        let all_nan = vec![vec![nan; 3]];
+        assert!(max_abs_deviation(&all_nan, &[vec![nan; 5]]).is_nan());
+        // An infinite sample on one side only reads infinite.
+        let inf = vec![vec![0.0, f64::INFINITY, 1.0]];
+        assert_eq!(max_abs_deviation(&inf, &[vec![0.0; 5]]), f64::INFINITY);
+    }
+
+    #[test]
+    fn nan_sample_mid_waveform_has_no_peak_or_overshoot() {
+        let m = StepMetrics::from_waveform(&[0.0, 1.0, 2.0, 3.0], &[0.0, f64::NAN, 2.0, 1.0]);
+        assert!(m.peak.is_nan(), "peak {}", m.peak);
+        assert!(m.overshoot_pct.is_none(), "overshoot {:?}", m.overshoot_pct);
+        assert!(m.settling_time.is_some(), "the NaN lies before the last out-of-band sample");
+    }
+
+    #[test]
+    fn overflowing_run_reports_a_non_finite_cross_check() {
+        // A 1e300 V drive through a gain of 1e10 overflows `out` to ±∞ in
+        // both runs, so the deviation there is ∞ − ∞ = NaN.
+        let mut c = Circuit::new();
+        c.add_vsource("VIN", "in", "0", 1e300).unwrap();
+        c.add_resistor("R1", "in", "a", 1e3).unwrap();
+        c.add_capacitor("C1", "a", "0", 1e-9).unwrap();
+        c.add_vcvs("E1", "out", "0", "a", "0", 1e10).unwrap();
+        c.add_resistor("RL", "out", "0", 1e3).unwrap();
+        let card = TranCard { tstep: 1e-7, tstop: 1e-6, tstart: 0.0 };
+        let result = Session::for_circuit(&c)
+            .transient(TransientAnalysis::new(card).cross_check(true))
+            .unwrap();
+        assert!(result.node("out").unwrap().iter().any(|v| !v.is_finite()));
+        let check = result.cross_check.unwrap();
+        assert!(!check.max_abs_dev.is_finite(), "{check:?}");
     }
 
     #[test]
