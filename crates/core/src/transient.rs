@@ -34,6 +34,7 @@ use crate::error::RefgenError;
 use crate::session::Session;
 use refgen_circuit::{Circuit, NodeId, TranCard};
 use refgen_mna::{IntegrationMethod, MnaSystem, TransientPlan, TransientScratch, TransientStats};
+use refgen_numeric::stats::max_keeping_nan;
 
 /// A configured transient run: time axis, integration method, and the
 /// optional Richardson cross-check. Build one from a parsed `.TRAN` card
@@ -163,15 +164,6 @@ fn max_abs_deviation(coarse: &[Vec<f64>], fine: &[Vec<f64>]) -> f64 {
         .flat_map(|(c, f)| c.iter().zip(f.iter().step_by(2)))
         .map(|(&c, &f)| (c - f).abs())
         .fold(0.0, max_keeping_nan)
-}
-
-/// `f64::max` that keeps a NaN operand instead of dropping it.
-fn max_keeping_nan(m: f64, v: f64) -> f64 {
-    if v > m || v.is_nan() {
-        v
-    } else {
-        m
-    }
 }
 
 /// The outcome of a step-halving Richardson cross-check.

@@ -33,6 +33,17 @@ pub fn geometric_mean(xs: &[f64]) -> Option<f64> {
     Some((log_sum / xs.len() as f64).exp())
 }
 
+/// `f64::max` that keeps a NaN operand instead of dropping it: once either
+/// operand is NaN the result is NaN, so a fold over values that include a
+/// NaN ends at NaN rather than at the largest finite value.
+pub fn max_keeping_nan(m: f64, v: f64) -> f64 {
+    if v > m || v.is_nan() {
+        v
+    } else {
+        m
+    }
+}
+
 /// Geometric mean of two values in log10 space — the paper's eq. (16) uses
 /// exactly this for the gap-repair scale factors.
 pub fn log10_midpoint(a: f64, b: f64) -> f64 {
@@ -48,6 +59,15 @@ mod tests {
     fn mean_basic() {
         assert_eq!(mean(&[1.0, 2.0, 3.0]), Some(2.0));
         assert_eq!(mean(&[]), None);
+    }
+
+    #[test]
+    fn max_keeping_nan_never_drops_a_nan() {
+        assert_eq!(max_keeping_nan(1.0, 2.0), 2.0);
+        assert_eq!(max_keeping_nan(2.0, 1.0), 2.0);
+        assert!(max_keeping_nan(1.0, f64::NAN).is_nan());
+        assert!(max_keeping_nan(f64::NAN, 3.0).is_nan());
+        assert!([0.5, f64::NAN, 9.0].into_iter().fold(0.0, max_keeping_nan).is_nan());
     }
 
     #[test]

@@ -55,6 +55,7 @@
 
 use crate::lu::{FactorError, PivotOrder};
 use crate::triplets::Triplets;
+use refgen_numeric::stats::max_keeping_nan;
 use refgen_numeric::{Complex, ExtComplex, ExtProduct};
 use std::cell::RefCell;
 use std::ops::{AddAssign, Div, Mul, SubAssign};
@@ -326,7 +327,7 @@ impl FactorProgram {
         self.scatter_values(values, scratch);
         // A NaN magnitude propagates (`f64::max` would drop it), so a
         // non-finite factorization never reads as a small growth.
-        let max = |m: f64, v: Complex| if v.abs() > m || v.abs().is_nan() { v.abs() } else { m };
+        let max = |m: f64, v: Complex| max_keeping_nan(m, v.abs());
         let max_a = scratch.vals.iter().fold(0.0, |m, &v| max(m, v));
         self.replay(scratch)?;
         let u_slots = self.pivot_slots.iter().chain(self.uents.iter().map(|(_, slot)| slot));
