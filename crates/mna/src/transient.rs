@@ -35,22 +35,17 @@
 //!       state update (capacitor currents, previous solution)
 //! ```
 //!
-//! Phases 2 and 3 run in real arithmetic because everything they touch is
-//! real. Every stamp of the affine pattern is real: resistances,
-//! conductances, reactive values and controlled-source gains all enter
-//! `K₀` and `K₁` with zero imaginary parts, and `γ` is real, so
-//! `K₀ + γ·K₁` is a real matrix. The source drives are real waveform
-//! values, and the history currents are real combinations of the previous
-//! solution. A complex solve would only carry imaginary parts that stay
-//! exactly zero. The [`FactorProgram`] is the one the probe compiled; its
-//! replay and solve are generic over the element type, so the real run and
-//! the complex frequency sweeps share one elimination loop and one solve
-//! loop. On zero imaginary parts the real part of each complex operation
-//! is the `f64` operation, so the real run reproduces the complex one's
-//! real parts. The DC operating point ([`TransientPlan::initial_state`])
-//! and the fallback that factors the matrix afresh when a recorded pivot
-//! is exactly zero stay on the complex [`SparseLu`] and convert their
-//! solutions once.
+//! Phases 2 and 3 run in `f64`. Every stamp of the affine pattern is real
+//! (resistances, conductances, reactive values, controlled-source gains)
+//! and `γ` is real, so `K₀ + γ·K₁` is a real matrix; the source drives and
+//! history currents are real too, so a complex solve would only carry
+//! imaginary parts that stay exactly zero. The replay and the solve are
+//! [`FactorProgram`]'s own, generic over the element type, on the program
+//! the probe compiled. On zero imaginary parts the real part of each
+//! complex operation is the `f64` operation, so the real run reproduces
+//! the real parts of a complex one. The DC operating point
+//! ([`TransientPlan::initial_state`]) and the fresh-factorization fallback
+//! stay on the complex [`SparseLu`] and convert their solutions once.
 //!
 //! Phase 3 performs **zero allocation** and **zero pivot searches** — the
 //! same contract [`SweepPlan`](crate::SweepPlan) gives the unit-circle
