@@ -18,7 +18,7 @@
 
 use refgen_circuit::library::netlist_with_library;
 use refgen_circuit::parse_netlist;
-use refgen_core::{AdaptiveInterpolator, RefgenConfig};
+use refgen_core::{AdaptiveInterpolator, RefgenConfig, Solver};
 use refgen_mna::{AcAnalysis, TransferSpec};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -186,7 +186,7 @@ fn main() {
         let tran = netlist.analysis.tran().expect("tran golden has .TRAN card");
         let tf_card = netlist.analysis.tf().expect("tran golden has .TF card");
         let pf = AdaptiveInterpolator::new(RefgenConfig::default())
-            .network_function(&netlist.circuit, &TransferSpec::from(tf_card))
+            .solve(&netlist.circuit, &TransferSpec::from(tf_card))
             .expect("symbolic solve")
             .partial_fractions()
             .expect("distinct poles");

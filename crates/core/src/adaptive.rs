@@ -55,16 +55,16 @@
 //! [`Diagnostic::SamplingBatched`]).
 
 use crate::config::RefgenConfig;
-use crate::diagnostic::{Diagnostic, NullObserver, Observer, Severity};
+use crate::diagnostic::{Diagnostic, Observer, Severity};
 use crate::error::RefgenError;
 use crate::runtime::SamplingRuntime;
 use crate::scaling::{
     gap_repair_scale, initial_scale, initial_scale_frequency_only, step_scale_with_policy,
     Direction, ScalePolicy,
 };
-use crate::solver::{Solution, Solver};
+use crate::solver::{PolyRecovery, Solver};
 use crate::window::{interpolate_window, Reduction, Sampler, SharedOpening, Window};
-use refgen_circuit::{Circuit, ElementKind};
+use refgen_circuit::ElementKind;
 use refgen_mna::{MnaSystem, Scale, TransferSpec};
 use refgen_numeric::{Complex, ExtComplex, ExtPoly};
 use std::collections::{BTreeMap, BTreeSet};
@@ -369,7 +369,18 @@ struct Accepted {
     quality: f64,
 }
 
-/// The paper's algorithm, configured.
+/// The paper's algorithm, configured. Solve through [`Solver`].
+///
+/// Circuits containing inductors or CCVS elements are handled in
+/// frequency-only scaling mode ([`ScalePolicy::FrequencyOnly`]); all other
+/// circuits use the paper's simultaneous scaling.
+///
+/// Its solves fail with
+///
+/// * [`RefgenError::NoReactiveElements`] for purely resistive circuits,
+/// * [`RefgenError::DidNotConverge`]/[`RefgenError::Gap`] when the
+///   adaptive loop cannot tile the coefficient range,
+/// * [`RefgenError::Mna`] for invalid circuits or specs.
 #[derive(Clone, Debug)]
 pub struct AdaptiveInterpolator {
     config: RefgenConfig,
@@ -391,110 +402,6 @@ impl AdaptiveInterpolator {
     pub fn new(config: RefgenConfig) -> Self {
         config.assert_valid();
         AdaptiveInterpolator { config }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &RefgenConfig {
-        &self.config
-    }
-
-    /// Recovers the full network function of `spec` on `circuit`.
-    ///
-    /// Circuits containing inductors or CCVS elements are handled in
-    /// frequency-only scaling mode ([`ScalePolicy::FrequencyOnly`]); all
-    /// other circuits use the paper's simultaneous scaling.
-    ///
-    /// # Errors
-    ///
-    /// * [`RefgenError::NoReactiveElements`] for purely resistive circuits,
-    /// * [`RefgenError::DidNotConverge`]/[`RefgenError::Gap`] when the
-    ///   adaptive loop cannot tile the coefficient range,
-    /// * [`RefgenError::Mna`] for invalid circuits or specs.
-    pub fn network_function(
-        &self,
-        circuit: &Circuit,
-        spec: &TransferSpec,
-    ) -> Result<NetworkFunction, RefgenError> {
-        let sys = MnaSystem::new(circuit)?;
-        let runtime = SamplingRuntime::new(&self.config);
-        self.network_function_runtime(&sys, spec, &mut NullObserver, &runtime)
-    }
-
-    /// As [`AdaptiveInterpolator::network_function`] on a compiled system,
-    /// streaming [`Diagnostic`] events to `observer` and sampling through
-    /// `runtime` (worker pool + plan cache). A single solve passes a
-    /// runtime of its own, so the plan cache is shared across every window
-    /// of both polynomials; fleets pass one fleet-wide runtime through
-    /// [`AdaptiveInterpolator::solve_system`].
-    ///
-    /// # Errors
-    ///
-    /// See [`AdaptiveInterpolator::network_function`].
-    fn network_function_runtime(
-        &self,
-        sys: &MnaSystem,
-        spec: &TransferSpec,
-        observer: &mut dyn Observer,
-        runtime: &SamplingRuntime,
-    ) -> Result<NetworkFunction, RefgenError> {
-        self.preflight(sys, spec)?;
-        // Both chains open at the same scale and size: the denominator's
-        // opening windows sample the transfer once for both.
-        let (den, num) = Orders::of(sys, spec);
-        let mut opening = SharedOpening::new(den.window.max(num.window));
-        let (denominator, den_report) = self.recover(
-            sys,
-            spec,
-            PolyKind::Denominator,
-            den,
-            observer,
-            runtime,
-            Some(&mut opening),
-        )?;
-        let (numerator, num_report) = self.recover(
-            sys,
-            spec,
-            PolyKind::Numerator,
-            num,
-            observer,
-            runtime,
-            Some(&mut opening),
-        )?;
-        Ok(NetworkFunction {
-            numerator,
-            denominator,
-            report: RunReport {
-                numerator: num_report,
-                denominator: den_report,
-                admittance_degree: sys.admittance_degree(),
-            },
-        })
-    }
-
-    /// Recovers a single polynomial of the network function.
-    ///
-    /// # Errors
-    ///
-    /// See [`AdaptiveInterpolator::network_function`].
-    pub fn polynomial(
-        &self,
-        circuit: &Circuit,
-        spec: &TransferSpec,
-        kind: PolyKind,
-    ) -> Result<(ExtPoly, PolyReport), RefgenError> {
-        Solver::solve_polynomial(self, circuit, spec, kind, &mut NullObserver)
-    }
-
-    /// [`Solver::solve_with_runtime`] on an already compiled system.
-    pub(crate) fn solve_system(
-        &self,
-        sys: &MnaSystem,
-        spec: &TransferSpec,
-        observer: &mut dyn Observer,
-        runtime: &SamplingRuntime,
-    ) -> Result<Solution, RefgenError> {
-        let network = self.network_function_runtime(sys, spec, observer, runtime)?;
-        Ok(Solution { network, method: self.name() })
     }
 
     fn preflight(&self, sys: &MnaSystem, spec: &TransferSpec) -> Result<(), RefgenError> {
@@ -866,52 +773,54 @@ impl Solver for AdaptiveInterpolator {
         "adaptive"
     }
 
-    fn solve_observed(
-        &self,
-        circuit: &Circuit,
-        spec: &TransferSpec,
-        observer: &mut dyn Observer,
-    ) -> Result<Solution, RefgenError> {
-        self.solve_with_runtime(circuit, spec, observer, &SamplingRuntime::new(&self.config))
-    }
-
-    /// The fleet path: reuses the caller's worker pool and plan cache, so a
-    /// batch of same-topology variants spawns threads once and pays one
-    /// pivot search per plan cell of its anchor across the whole fleet.
-    fn solve_with_runtime(
-        &self,
-        circuit: &Circuit,
-        spec: &TransferSpec,
-        observer: &mut dyn Observer,
-        runtime: &SamplingRuntime,
-    ) -> Result<Solution, RefgenError> {
-        self.solve_system(&MnaSystem::new(circuit)?, spec, observer, runtime)
+    fn config(&self) -> &RefgenConfig {
+        &self.config
     }
 
     /// Samples only the requested polynomial — half the work of a full
     /// solve, and robust to circuits where the other polynomial cannot be
     /// sampled (e.g. a singular system).
-    fn solve_polynomial(
+    fn recover_polynomial(
         &self,
-        circuit: &Circuit,
+        sys: &MnaSystem,
         spec: &TransferSpec,
         kind: PolyKind,
         observer: &mut dyn Observer,
-    ) -> Result<(ExtPoly, PolyReport), RefgenError> {
-        let sys = MnaSystem::new(circuit)?;
-        self.preflight(&sys, spec)?;
-        let runtime = SamplingRuntime::new(&self.config);
-        let orders = match (kind, Orders::of(&sys, spec)) {
+        runtime: &SamplingRuntime,
+    ) -> Result<PolyRecovery, RefgenError> {
+        self.preflight(sys, spec)?;
+        let orders = match (kind, Orders::of(sys, spec)) {
             (PolyKind::Denominator, (den, _)) => den,
             (PolyKind::Numerator, (_, num)) => num,
         };
-        self.recover(&sys, spec, kind, orders, observer, &runtime, None)
+        self.recover(sys, spec, kind, orders, observer, runtime, None)
+    }
+
+    /// Both chains open at the same scale and size: the denominator's
+    /// opening windows sample the transfer once for both (see the
+    /// [module docs](self)).
+    fn recover_network(
+        &self,
+        sys: &MnaSystem,
+        spec: &TransferSpec,
+        observer: &mut dyn Observer,
+        runtime: &SamplingRuntime,
+    ) -> Result<(PolyRecovery, PolyRecovery), RefgenError> {
+        self.preflight(sys, spec)?;
+        let (den, num) = Orders::of(sys, spec);
+        let mut opening = SharedOpening::new(den.window.max(num.window));
+        let mut recover = |kind, orders| {
+            self.recover(sys, spec, kind, orders, observer, runtime, Some(&mut opening))
+        };
+        let denominator = recover(PolyKind::Denominator, den)?;
+        Ok((denominator, recover(PolyKind::Numerator, num)?))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diagnostic::NullObserver;
     use refgen_circuit::library::{graded_rc_ladder, positive_feedback_ota, rc_ladder};
     use refgen_circuit::Circuit;
     use refgen_numeric::ExtFloat;
@@ -966,7 +875,7 @@ mod tests {
         // R = C = 1 ladder: compare against the exact integer recurrence.
         let n = 6;
         let c = rc_ladder(n, 1.0, 1.0);
-        let nf = AdaptiveInterpolator::default().network_function(&c, &spec()).unwrap();
+        let nf = AdaptiveInterpolator::default().solve(&c, &spec()).unwrap();
         let want = unit_ladder_denominator(n);
         let got = nf.denominator.coeffs();
         assert_eq!(got.len(), want.len());
@@ -990,7 +899,7 @@ mod tests {
         // coefficient spread well past 13 decades.
         let n = 30;
         let c = rc_ladder(n, 1e3, 1e-9);
-        let nf = AdaptiveInterpolator::default().network_function(&c, &spec()).unwrap();
+        let nf = AdaptiveInterpolator::default().solve(&c, &spec()).unwrap();
         assert_eq!(nf.denominator.degree(), Some(n));
         let rep = &nf.report.denominator;
         assert!(
@@ -1020,7 +929,7 @@ mod tests {
         let n = 8;
         let (r, cap) = (1e3, 1e-9);
         let c = rc_ladder(n, r, cap);
-        let nf = AdaptiveInterpolator::default().network_function(&c, &spec()).unwrap();
+        let nf = AdaptiveInterpolator::default().solve(&c, &spec()).unwrap();
         let unit = unit_ladder_denominator(n);
         let got = nf.denominator.coeffs();
         let rc = ExtFloat::from_f64(r * cap);
@@ -1035,7 +944,7 @@ mod tests {
     #[test]
     fn ota_ninth_order_denominator() {
         let c = positive_feedback_ota();
-        let nf = AdaptiveInterpolator::default().network_function(&c, &spec()).unwrap();
+        let nf = AdaptiveInterpolator::default().solve(&c, &spec()).unwrap();
         // 9 state nodes → denominator order 9 (the paper's OTA estimate).
         assert_eq!(nf.denominator.degree(), Some(9), "report: {:?}", nf.report.denominator);
         // Consecutive-coefficient ratios within the paper's 1e6..1e12 band.
@@ -1053,12 +962,12 @@ mod tests {
     fn reduction_reduces_point_counts() {
         let c = rc_ladder(24, 1e3, 1e-9);
         let with = AdaptiveInterpolator::new(RefgenConfig { reduce: true, ..Default::default() })
-            .polynomial(&c, &spec(), PolyKind::Denominator)
+            .solve_polynomial(&c, &spec(), PolyKind::Denominator, &mut NullObserver)
             .unwrap()
             .1;
         let without =
             AdaptiveInterpolator::new(RefgenConfig { reduce: false, ..Default::default() })
-                .polynomial(&c, &spec(), PolyKind::Denominator)
+                .solve_polynomial(&c, &spec(), PolyKind::Denominator, &mut NullObserver)
                 .unwrap()
                 .1;
         assert!(
@@ -1076,7 +985,7 @@ mod tests {
     #[test]
     fn graded_ladder_still_converges() {
         let c = graded_rc_ladder(12, 1e3, 1e-12, 1.8, 0.6);
-        let nf = AdaptiveInterpolator::default().network_function(&c, &spec()).unwrap();
+        let nf = AdaptiveInterpolator::default().solve(&c, &spec()).unwrap();
         assert_eq!(nf.denominator.degree(), Some(12));
         let warnings: Vec<_> = nf.report.denominator.warnings().collect();
         assert!(warnings.is_empty(), "{warnings:?}");
@@ -1091,7 +1000,7 @@ mod tests {
         c.add_capacitor("C1", "in", "out", 1e-9).unwrap();
         c.add_resistor("R1", "out", "0", 1e3).unwrap();
         c.add_capacitor("C2", "out", "0", 1e-10).unwrap();
-        let nf = AdaptiveInterpolator::default().network_function(&c, &spec()).unwrap();
+        let nf = AdaptiveInterpolator::default().solve(&c, &spec()).unwrap();
         // H = sRC1/(1 + sR(C1+C2)): numerator degree 1 with p0 = 0.
         assert_eq!(nf.numerator.degree(), Some(1));
         assert!(
@@ -1112,7 +1021,7 @@ mod tests {
         c2.add_resistor("R1", "in", "out", 1e3).unwrap();
         c2.add_resistor("R2", "out", "0", 1e3).unwrap();
         assert!(matches!(
-            AdaptiveInterpolator::default().network_function(&c2, &spec()),
+            AdaptiveInterpolator::default().solve(&c2, &spec()).map(|s| s.method),
             Err(RefgenError::NoReactiveElements)
         ));
     }
@@ -1124,7 +1033,7 @@ mod tests {
         c.add_vsource("VIN", "in", "0", 1.0).unwrap();
         c.add_inductor("L1", "in", "out", 1e-6).unwrap();
         c.add_resistor("R1", "out", "0", 50.0).unwrap();
-        let nf = AdaptiveInterpolator::default().network_function(&c, &spec()).unwrap();
+        let nf = AdaptiveInterpolator::default().solve(&c, &spec()).unwrap();
         assert_eq!(nf.denominator.degree(), Some(1));
         // Frequency-only mode pins g at 1 in every window.
         for w in &nf.report.denominator.windows {
@@ -1147,7 +1056,7 @@ mod tests {
         c.add_resistor("R1", "in", "a", r).unwrap();
         c.add_inductor("L1", "a", "out", l).unwrap();
         c.add_capacitor("C1", "out", "0", cap).unwrap();
-        let nf = AdaptiveInterpolator::default().network_function(&c, &spec()).unwrap();
+        let nf = AdaptiveInterpolator::default().solve(&c, &spec()).unwrap();
         assert_eq!(nf.denominator.degree(), Some(2));
         // Coefficient ratios: d1/d0 = RC, d2/d0 = LC.
         let d = nf.denominator.coeffs();
@@ -1172,7 +1081,7 @@ mod tests {
         c.add_ccvs("H1", "b", "0", "VIN", 2e3).unwrap();
         c.add_resistor("R2", "b", "out", 1e3).unwrap();
         c.add_capacitor("C2", "out", "0", 1e-9).unwrap();
-        let nf = AdaptiveInterpolator::default().network_function(&c, &spec()).unwrap();
+        let nf = AdaptiveInterpolator::default().solve(&c, &spec()).unwrap();
         assert!(nf.denominator.degree().is_some());
         // Cross-check against the AC simulator at a few frequencies.
         let ac = refgen_mna::AcAnalysis::new(&c, spec()).unwrap();
@@ -1195,7 +1104,7 @@ mod tests {
         c.add_capacitor("C2", "out", "0", 0.2e-9).unwrap();
         c.add_resistor("R3", "out", "0", 10e3).unwrap();
         let spec = TransferSpec::voltage_gain("IIN", "out");
-        let nf = AdaptiveInterpolator::default().network_function(&c, &spec).unwrap();
+        let nf = AdaptiveInterpolator::default().solve(&c, &spec).unwrap();
         // DC transimpedance: v(out)/i with the resistive divider:
         // in-node sees R1 ∥ (R2+R3) = 2k ∥ 15k; out = v(in)·R3/(R2+R3).
         let rin = 1.0 / (1.0 / 2e3 + 1.0 / 15e3);
@@ -1216,7 +1125,7 @@ mod tests {
         // homogeneity (M = dim − 2B) inside the interpolation engine.
         let c = refgen_circuit::library::tow_thomas_biquad(10e3, 5.0, 1e5);
         let spec = spec();
-        let nf = AdaptiveInterpolator::default().network_function(&c, &spec).unwrap();
+        let nf = AdaptiveInterpolator::default().solve(&c, &spec).unwrap();
         let ac = refgen_mna::AcAnalysis::new(&c, spec).unwrap();
         for f in [1e2, 9e3, 10e3, 11e3, 1e6] {
             let sim = ac.at(f).unwrap().response;
@@ -1237,7 +1146,7 @@ mod tests {
         c.add_resistor("R2", "in", "m", 1e3).unwrap();
         c.add_capacitor("C2", "m", "0", 2e-9).unwrap();
         let spec = TransferSpec::differential_gain("VIN", "p", "m");
-        let nf = AdaptiveInterpolator::default().network_function(&c, &spec).unwrap();
+        let nf = AdaptiveInterpolator::default().solve(&c, &spec).unwrap();
         // H = 1/(1+sτ1) − 1/(1+sτ2): zero DC gain, band-pass-ish shape.
         assert!(nf.dc_gain().abs() < 1e-9);
         let ac = refgen_mna::AcAnalysis::new(&c, spec).unwrap();
@@ -1253,7 +1162,12 @@ mod tests {
         // One interpolation cannot tile a 30-section IC-valued ladder.
         let c = rc_ladder(30, 1e3, 1e-9);
         let cfg = RefgenConfig { max_interpolations: 1, verify: false, ..Default::default() };
-        match AdaptiveInterpolator::new(cfg).polynomial(&c, &spec(), PolyKind::Denominator) {
+        match AdaptiveInterpolator::new(cfg).solve_polynomial(
+            &c,
+            &spec(),
+            PolyKind::Denominator,
+            &mut NullObserver,
+        ) {
             Err(RefgenError::DidNotConverge { missing }) => {
                 assert!(!missing.is_empty());
             }
@@ -1291,14 +1205,13 @@ mod tests {
     }
 
     #[test]
-    fn network_function_with_reuses_system() {
+    fn solve_system_reuses_system() {
         let c = rc_ladder(4, 1e3, 1e-9);
         let sys = MnaSystem::new(&c).unwrap();
         let interp = AdaptiveInterpolator::default();
         let runtime = SamplingRuntime::new(&interp.config);
-        let a =
-            interp.network_function_runtime(&sys, &spec(), &mut NullObserver, &runtime).unwrap();
-        let b = interp.network_function(&c, &spec()).unwrap();
+        let a = interp.solve_system(&sys, &spec(), &mut NullObserver, &runtime).unwrap();
+        let b = interp.solve(&c, &spec()).unwrap();
         for (x, y) in a.denominator.coeffs().iter().zip(b.denominator.coeffs()) {
             assert!(((*x - *y).norm() / y.norm()).to_f64() < 1e-12);
         }
@@ -1374,7 +1287,7 @@ mod tests {
         let mut coefficients = Vec::new();
         for lanes in [1, 32] {
             let cfg = RefgenConfig::builder().threads(1).lane_width(lanes).build();
-            let nf = AdaptiveInterpolator::new(cfg).network_function(&c, &spec()).unwrap();
+            let nf = AdaptiveInterpolator::new(cfg).solve(&c, &spec()).unwrap();
             for rep in [&nf.report.denominator, &nf.report.numerator] {
                 for pair in rep.windows.windows(2) {
                     let same = pair[0].scale.f.to_bits() == pair[1].scale.f.to_bits()
@@ -1409,7 +1322,7 @@ mod tests {
     #[test]
     fn network_function_evaluation() {
         let c = rc_ladder(1, 1e3, 1e-9);
-        let nf = AdaptiveInterpolator::default().network_function(&c, &spec()).unwrap();
+        let nf = AdaptiveInterpolator::default().solve(&c, &spec()).unwrap();
         // H(0) = 1; pole at -1/RC.
         assert!((nf.dc_gain() - Complex::ONE).abs() < 1e-9);
         let poles = nf.poles();

@@ -23,13 +23,13 @@
 //! true zero from a coefficient drowned in round-off, which is exactly the
 //! failure mode the paper's adaptive sequence exists to fix.
 
-use crate::adaptive::{NetworkFunction, PolyReport, RunReport};
+use crate::adaptive::{poly_admittance_degree, PolyReport};
 use crate::config::RefgenConfig;
 use crate::diagnostic::{Diagnostic, Observer};
 use crate::error::RefgenError;
 use crate::runtime::SamplingRuntime;
 use crate::scaling::initial_scale;
-use crate::solver::{Solution, Solver};
+use crate::solver::{PolyRecovery, Solver};
 use crate::window::{interpolate_window, PolyKind, Sampler, Window};
 use refgen_circuit::Circuit;
 use refgen_mna::{MnaSystem, Scale, TransferSpec};
@@ -60,17 +60,17 @@ impl StaticInterpolation {
     }
 }
 
-/// Compiles `circuit` and rejects inputs no fixed-scale method can handle.
-fn static_system(circuit: &Circuit) -> Result<(MnaSystem, usize), RefgenError> {
-    let sys = MnaSystem::new(circuit)?;
+/// The order every window of a fixed-scale method interpolates to (the
+/// reactive-element count), rejecting inputs no fixed-scale method can
+/// handle.
+fn static_order(sys: &MnaSystem) -> Result<usize, RefgenError> {
     if sys.has_unscalable_elements() {
         return Err(RefgenError::Unscalable);
     }
-    let n_max = sys.circuit().reactive_count();
-    if n_max == 0 {
-        return Err(RefgenError::NoReactiveElements);
+    match sys.circuit().reactive_count() {
+        0 => Err(RefgenError::NoReactiveElements),
+        n_max => Ok(n_max),
     }
-    Ok((sys, n_max))
 }
 
 /// One interpolation at a fixed scale with `K = reactive_count + 1` points.
@@ -84,7 +84,8 @@ pub fn static_interpolation(
     scale: Scale,
     config: &RefgenConfig,
 ) -> Result<StaticInterpolation, RefgenError> {
-    let (sys, n_max) = static_system(circuit)?;
+    let sys = MnaSystem::new(circuit)?;
+    let n_max = static_order(&sys)?;
     let m = sys.admittance_degree();
     let runtime = SamplingRuntime::new(config);
     let den = interpolate_window(
@@ -150,94 +151,25 @@ fn poly_from_window(
     Ok((poly, report))
 }
 
-/// One polynomial at a fixed scale, denormalized with *that polynomial's*
-/// admittance degree (the numerator cofactor of a current-source-driven
-/// spec has one admittance factor fewer — same rule the adaptive driver
-/// applies).
-#[allow(clippy::too_many_arguments)]
+/// One polynomial at a fixed scale (`None`: the circuit's heuristic
+/// initial scale), denormalized with *that polynomial's* admittance degree
+/// (the numerator cofactor of a current-source-driven spec has one
+/// admittance factor fewer — same rule the adaptive driver applies).
 fn static_polynomial(
     sys: &MnaSystem,
-    n_max: usize,
     spec: &TransferSpec,
-    scale: Scale,
-    config: &RefgenConfig,
     kind: PolyKind,
+    scale: Option<Scale>,
+    config: &RefgenConfig,
     observer: &mut dyn Observer,
     runtime: &SamplingRuntime,
-) -> Result<(ExtPoly, PolyReport), RefgenError> {
-    let m_poly = crate::adaptive::poly_admittance_degree(sys, spec, kind)?;
-    let w = interpolate_window(
-        &Sampler { sys, spec, kind },
-        scale,
-        n_max,
-        m_poly,
-        None,
-        config,
-        runtime,
-        None,
-    )?;
+) -> Result<PolyRecovery, RefgenError> {
+    let n_max = static_order(sys)?;
+    let scale = scale.unwrap_or_else(|| initial_scale(sys.circuit()));
+    let m_poly = poly_admittance_degree(sys, spec, kind)?;
+    let sampler = Sampler { sys, spec, kind };
+    let w = interpolate_window(&sampler, scale, n_max, m_poly, None, config, runtime, None)?;
     poly_from_window(&w, m_poly, n_max, kind, observer)
-}
-
-/// Assembles a [`Solution`] from per-polynomial fixed-scale windows.
-#[allow(clippy::too_many_arguments)]
-fn static_solution(
-    name: &'static str,
-    circuit: &Circuit,
-    spec: &TransferSpec,
-    scale: Scale,
-    config: &RefgenConfig,
-    observer: &mut dyn Observer,
-    runtime: &SamplingRuntime,
-) -> Result<Solution, RefgenError> {
-    let (sys, n_max) = static_system(circuit)?;
-    let (denominator, den_report) = static_polynomial(
-        &sys,
-        n_max,
-        spec,
-        scale,
-        config,
-        PolyKind::Denominator,
-        observer,
-        runtime,
-    )?;
-    let (numerator, num_report) = static_polynomial(
-        &sys,
-        n_max,
-        spec,
-        scale,
-        config,
-        PolyKind::Numerator,
-        observer,
-        runtime,
-    )?;
-    Ok(Solution {
-        network: NetworkFunction {
-            numerator,
-            denominator,
-            report: RunReport {
-                numerator: num_report,
-                denominator: den_report,
-                admittance_degree: sys.admittance_degree(),
-            },
-        },
-        method: name,
-    })
-}
-
-/// `Solver::solve_polynomial` for the fixed-scale methods: one window of
-/// the requested polynomial only.
-fn static_solve_polynomial(
-    circuit: &Circuit,
-    spec: &TransferSpec,
-    scale: Scale,
-    config: &RefgenConfig,
-    kind: PolyKind,
-    observer: &mut dyn Observer,
-) -> Result<(ExtPoly, PolyReport), RefgenError> {
-    let (sys, n_max) = static_system(circuit)?;
-    let runtime = SamplingRuntime::new(config);
-    static_polynomial(&sys, n_max, spec, scale, config, kind, observer, &runtime)
 }
 
 /// Table 1a's method as a [`Solver`]: one interpolation on the raw unit
@@ -274,34 +206,20 @@ impl Solver for UnitCircleSolver {
         "unit-circle"
     }
 
-    fn solve_observed(
-        &self,
-        circuit: &Circuit,
-        spec: &TransferSpec,
-        observer: &mut dyn Observer,
-    ) -> Result<Solution, RefgenError> {
-        let runtime = SamplingRuntime::new(&self.config);
-        self.solve_with_runtime(circuit, spec, observer, &runtime)
+    fn config(&self) -> &RefgenConfig {
+        &self.config
     }
 
-    fn solve_with_runtime(
+    fn recover_polynomial(
         &self,
-        circuit: &Circuit,
-        spec: &TransferSpec,
-        observer: &mut dyn Observer,
-        runtime: &SamplingRuntime,
-    ) -> Result<Solution, RefgenError> {
-        static_solution(self.name(), circuit, spec, Scale::unit(), &self.config, observer, runtime)
-    }
-
-    fn solve_polynomial(
-        &self,
-        circuit: &Circuit,
+        sys: &MnaSystem,
         spec: &TransferSpec,
         kind: PolyKind,
         observer: &mut dyn Observer,
-    ) -> Result<(ExtPoly, PolyReport), RefgenError> {
-        static_solve_polynomial(circuit, spec, Scale::unit(), &self.config, kind, observer)
+        runtime: &SamplingRuntime,
+    ) -> Result<PolyRecovery, RefgenError> {
+        let scale = Some(Scale::unit());
+        static_polynomial(sys, spec, kind, scale, &self.config, observer, runtime)
     }
 }
 
@@ -349,36 +267,19 @@ impl Solver for StaticScalingSolver {
         "static-scaling"
     }
 
-    fn solve_observed(
-        &self,
-        circuit: &Circuit,
-        spec: &TransferSpec,
-        observer: &mut dyn Observer,
-    ) -> Result<Solution, RefgenError> {
-        let runtime = SamplingRuntime::new(&self.config);
-        self.solve_with_runtime(circuit, spec, observer, &runtime)
+    fn config(&self) -> &RefgenConfig {
+        &self.config
     }
 
-    fn solve_with_runtime(
+    fn recover_polynomial(
         &self,
-        circuit: &Circuit,
-        spec: &TransferSpec,
-        observer: &mut dyn Observer,
-        runtime: &SamplingRuntime,
-    ) -> Result<Solution, RefgenError> {
-        let scale = self.scale_for(circuit);
-        static_solution(self.name(), circuit, spec, scale, &self.config, observer, runtime)
-    }
-
-    fn solve_polynomial(
-        &self,
-        circuit: &Circuit,
+        sys: &MnaSystem,
         spec: &TransferSpec,
         kind: PolyKind,
         observer: &mut dyn Observer,
-    ) -> Result<(ExtPoly, PolyReport), RefgenError> {
-        let scale = self.scale_for(circuit);
-        static_solve_polynomial(circuit, spec, scale, &self.config, kind, observer)
+        runtime: &SamplingRuntime,
+    ) -> Result<PolyRecovery, RefgenError> {
+        static_polynomial(sys, spec, kind, self.scale, &self.config, observer, runtime)
     }
 }
 
@@ -427,7 +328,7 @@ fn grid_recover(
 ) -> Result<GridPoly, RefgenError> {
     assert!(count >= 2 && f_lo > 0.0 && f_hi > f_lo);
     let n_max = sys.circuit().reactive_count();
-    let m = crate::adaptive::poly_admittance_degree(sys, spec, kind)?;
+    let m = poly_admittance_degree(sys, spec, kind)?;
     let gs = sys.circuit().conductance_values();
     let g = 1.0 / refgen_numeric::stats::mean(&gs).expect("conductances exist");
     let sampler = Sampler { sys, spec, kind };
@@ -483,7 +384,8 @@ pub fn multi_scale_grid(
     count: usize,
     config: &RefgenConfig,
 ) -> Result<GridOutcome, RefgenError> {
-    let (sys, _) = static_system(circuit)?;
+    let sys = MnaSystem::new(circuit)?;
+    static_order(&sys)?;
     let runtime = SamplingRuntime::new(config);
     let g = grid_recover(
         &sys,
@@ -531,18 +433,28 @@ impl MultiScaleGridSolver {
         assert!(count >= 2 && f_lo > 0.0 && f_hi > f_lo);
         MultiScaleGridSolver { f_lo, f_hi, count, config }
     }
+}
+
+impl Solver for MultiScaleGridSolver {
+    fn name(&self) -> &'static str {
+        "multi-scale-grid"
+    }
+
+    fn config(&self) -> &RefgenConfig {
+        &self.config
+    }
 
     /// Merged grid recovery of one polynomial, reported under the baseline
     /// prefix-coverage semantics.
-    fn grid_polynomial(
+    fn recover_polynomial(
         &self,
         sys: &MnaSystem,
-        n_max: usize,
         spec: &TransferSpec,
         kind: PolyKind,
         observer: &mut dyn Observer,
         runtime: &SamplingRuntime,
-    ) -> Result<(ExtPoly, PolyReport), RefgenError> {
+    ) -> Result<PolyRecovery, RefgenError> {
+        let n_max = static_order(sys)?;
         let mut report = PolyReport::new(kind, n_max);
         let g = grid_recover(
             sys,
@@ -558,23 +470,12 @@ impl MultiScaleGridSolver {
             },
         )?;
         // Contiguous covered prefix; interior holes are a hard error.
-        let prefix_end = g.covered.iter().position(|&c| !c);
-        let hi = match prefix_end {
-            Some(0) => {
-                return Err(RefgenError::DidNotConverge {
-                    missing: (0..=n_max).filter(|&i| !g.covered[i]).collect(),
-                })
-            }
-            Some(first_hole) => {
-                if g.covered[first_hole..].iter().any(|&c| c) {
-                    return Err(RefgenError::DidNotConverge {
-                        missing: (0..=n_max).filter(|&i| !g.covered[i]).collect(),
-                    });
-                }
-                first_hole - 1
-            }
-            None => n_max,
-        };
+        let prefix = g.covered.iter().take_while(|&&c| c).count();
+        if prefix == 0 || g.covered[prefix..].contains(&true) {
+            let missing = (0..=n_max).filter(|&i| !g.covered[i]).collect();
+            return Err(RefgenError::DidNotConverge { missing });
+        }
+        let hi = prefix - 1;
         if hi < n_max {
             report.emit(
                 observer,
@@ -588,62 +489,6 @@ impl MultiScaleGridSolver {
         let poly = ExtPoly::new(coeffs);
         report.effective_degree = poly.degree();
         Ok((poly, report))
-    }
-}
-
-impl Solver for MultiScaleGridSolver {
-    fn name(&self) -> &'static str {
-        "multi-scale-grid"
-    }
-
-    fn solve_observed(
-        &self,
-        circuit: &Circuit,
-        spec: &TransferSpec,
-        observer: &mut dyn Observer,
-    ) -> Result<Solution, RefgenError> {
-        let runtime = SamplingRuntime::new(&self.config);
-        self.solve_with_runtime(circuit, spec, observer, &runtime)
-    }
-
-    fn solve_with_runtime(
-        &self,
-        circuit: &Circuit,
-        spec: &TransferSpec,
-        observer: &mut dyn Observer,
-        runtime: &SamplingRuntime,
-    ) -> Result<Solution, RefgenError> {
-        let (sys, n_max) = static_system(circuit)?;
-        let m = sys.admittance_degree();
-        let run = |kind: PolyKind, observer: &mut dyn Observer| {
-            self.grid_polynomial(&sys, n_max, spec, kind, observer, runtime)
-        };
-        let (denominator, den_report) = run(PolyKind::Denominator, observer)?;
-        let (numerator, num_report) = run(PolyKind::Numerator, observer)?;
-        Ok(Solution {
-            network: NetworkFunction {
-                numerator,
-                denominator,
-                report: RunReport {
-                    numerator: num_report,
-                    denominator: den_report,
-                    admittance_degree: m,
-                },
-            },
-            method: self.name(),
-        })
-    }
-
-    fn solve_polynomial(
-        &self,
-        circuit: &Circuit,
-        spec: &TransferSpec,
-        kind: PolyKind,
-        observer: &mut dyn Observer,
-    ) -> Result<(ExtPoly, PolyReport), RefgenError> {
-        let (sys, n_max) = static_system(circuit)?;
-        let runtime = SamplingRuntime::new(&self.config);
-        self.grid_polynomial(&sys, n_max, spec, kind, observer, &runtime)
     }
 }
 
@@ -687,7 +532,7 @@ mod tests {
         let c = rc_ladder(10, 1e3, 1e-9);
         let cfg = RefgenConfig::default();
         let si = static_interpolation(&c, &spec(), Scale::new(1e9, 1e3), &cfg).unwrap();
-        let nf = AdaptiveInterpolator::default().network_function(&c, &spec()).unwrap();
+        let nf = AdaptiveInterpolator::default().solve(&c, &spec()).unwrap();
         let (lo, hi) = si.denominator.region.unwrap();
         for i in lo..=hi {
             let a = si.denormalized(PolyKind::Denominator, i).unwrap();
@@ -708,7 +553,7 @@ mod tests {
         // A dense grid covers it but spends far more points than adaptive.
         let dense = multi_scale_grid(&c, &spec(), 1e3, 1e15, 24, &cfg).unwrap();
         let adaptive = AdaptiveInterpolator::default()
-            .polynomial(&c, &spec(), PolyKind::Denominator)
+            .solve_polynomial(&c, &spec(), PolyKind::Denominator, &mut NullObserver)
             .unwrap()
             .1;
         let covered = |grid: &GridOutcome| grid.covered.iter().filter(|&&c| c).count();
@@ -801,9 +646,10 @@ mod tests {
 
     #[test]
     fn solve_polynomial_overrides_spend_one_polynomial_only() {
-        // The overrides must not silently fall back to a full two-sided
-        // solve: a single-polynomial recovery costs exactly the windows of
-        // that polynomial (half the full solve for the static methods).
+        // `solve_polynomial` must not silently fall back to a full
+        // two-sided solve: a single-polynomial recovery costs exactly the
+        // windows of that polynomial (half the full solve for the static
+        // methods).
         let c = rc_ladder(6, 1e3, 1e-9);
         let cfg = RefgenConfig::default();
         for solver in [

@@ -50,6 +50,14 @@ pub enum RefgenError {
         /// The panic payload rendered as text.
         message: String,
     },
+    /// A transient run's node voltage overflowed to ±∞ or became NaN.
+    NonFiniteTransient {
+        /// The node whose sample went non-finite first (the first in MNA
+        /// row order at the earliest such time).
+        node: String,
+        /// The time of that sample, in seconds.
+        time: f64,
+    },
 }
 
 impl fmt::Display for RefgenError {
@@ -83,6 +91,9 @@ impl fmt::Display for RefgenError {
             }
             RefgenError::VariantPanicked { message } => {
                 write!(f, "variant solve panicked (quarantined): {message}")
+            }
+            RefgenError::NonFiniteTransient { node, time } => {
+                write!(f, "transient went non-finite at node {node}, t = {time:e} s")
             }
         }
     }

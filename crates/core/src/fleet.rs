@@ -11,33 +11,36 @@
 //! [`BatchReport`] carries per-coefficient mean/variance plus the
 //! per-variant cost accounting.
 //!
-//! With more than one worker thread (and the default solver), the fleet
-//! runs **variant-major**: variants are chunked into lane-width batches
-//! and fanned across the runtime's pool, each worker solving its
-//! variants through a single-threaded
+//! Every fleet, whatever its solver and thread count, runs one path:
+//! **variant-major**. Whole variants are mapped over the runtime's pool
+//! (inline at one thread), each worker solving through
+//! [`Solver::solve_system`] on a single-threaded
 //! [`SamplingRuntime::variant_worker`] runtime that shares the fleet's
 //! plan cache. Inside each variant, `config.lane_width` unit-circle
 //! points replay the compiled kernel per instruction-stream traversal
 //! (see `refgen_sparse::BatchScratch`'s lane layout). The two axes
 //! compose but never interact with results.
 //!
-//! Determinism: variants are generated and solved in order from a fixed
-//! seed, every sampling batch and every variant batch collects in index
-//! order, per-variant diagnostics are replayed to the observer in
-//! variant order, and both pivot-order replay and batched lane replay
-//! are value-exact — so a batch run is **bit-identical** at any thread
-//! count and any lane width
-//! (`tests/fleet_oracle.rs` asserts it against closed-form statistics).
+//! Determinism: variants are generated from a fixed seed, every variant's
+//! plan cells are anchored before any variant plans, the pool collects in
+//! index order, and both pivot-order replay and batched lane replay are
+//! value-exact — so a batch run is **bit-identical** at any thread count
+//! and any lane width (`tests/fleet_oracle.rs` asserts it against
+//! closed-form statistics). Each variant solves into a sink; its recorded
+//! diagnostics are replayed to the session observer afterwards, in variant
+//! order, so the observer stream is the same at any thread count too.
 //!
 //! Fault containment: every variant's solve runs under `catch_unwind`,
-//! whatever the policy, and results are settled in variant order. Under
-//! the default [`FaultPolicy::FailFast`](crate::FaultPolicy) a fleet is
+//! whatever the policy, and every variant is solved before any result is
+//! settled, in variant order. Under the default
+//! [`FaultPolicy::FailFast`](crate::FaultPolicy) a fleet is
 //! all-or-nothing — the lowest-index failing variant decides the run, at
 //! any thread count: its error is returned, or its panic re-raised with
 //! the original payload.
 //! Under [`FaultPolicy::Contain`](crate::FaultPolicy) each variant's
 //! failure (a typed solve error, or a quarantined panic) becomes a
-//! [`VariantOutcome::Failed`] entry and the fleet keeps going; the
+//! [`VariantOutcome::Failed`] entry, which streams nothing to the
+//! observer, and the fleet keeps going; the
 //! [`BatchReport`] then aggregates over the survivors only, with the
 //! failed indices accounted exactly in
 //! [`BatchReport::failed_variants`]. Containment never perturbs
@@ -271,12 +274,15 @@ impl BatchRun {
 }
 
 impl<'a> BatchSession<'a> {
-    /// Solves every variant, in order, through one shared runtime.
+    /// Solves every variant through one shared runtime.
     ///
     /// The session's solver (default: the adaptive interpolator built
     /// from the session config) runs once per variant via
-    /// [`Solver::solve_with_runtime`]; after each variant a
-    /// [`Diagnostic::VariantSolved`] is streamed to the session observer.
+    /// [`Solver::solve_system`], on the session config's worker pool. Once
+    /// every variant has solved, each solved variant's recorded
+    /// diagnostics and then its [`Diagnostic::VariantSolved`] are streamed
+    /// to the session observer, in variant order; a failed variant streams
+    /// nothing.
     ///
     /// # Errors
     ///
@@ -284,7 +290,8 @@ impl<'a> BatchSession<'a> {
     /// [`RefgenError::EmptyFleet`] for a zero-variant fleet;
     /// variant-generation failures as [`RefgenError::Mna`]. Under the
     /// default [`FaultPolicy::FailFast`](crate::FaultPolicy), the error of
-    /// the lowest-index failing variant (fleet solves are all-or-nothing —
+    /// the lowest-index failing variant, after every variant has been
+    /// attempted (fleet solves are all-or-nothing —
     /// a legitimately unsolvable variant is a modeling problem the caller
     /// should see, not a silently shortened fleet). Under
     /// [`FaultPolicy::Contain`](crate::FaultPolicy) per-variant failures
@@ -312,12 +319,13 @@ impl<'a> BatchSession<'a> {
             return Err(RefgenError::EmptyFleet);
         }
         let contain = self.config.fault_policy == FaultPolicy::Contain;
-        let custom_solver = self.solver.is_some();
         let mut null = NullObserver;
         let observer: &mut dyn Observer = match self.observer {
             Some(o) => o,
             None => &mut null,
         };
+        let solver =
+            self.solver.unwrap_or_else(|| Box::new(AdaptiveInterpolator::new(self.config)));
 
         // One runtime for the fleet: pool threads spawn here (once), and
         // the plan cache accumulates pivot orders across every variant.
@@ -328,94 +336,38 @@ impl<'a> BatchSession<'a> {
         // the base circuit, then on the lowest-index variant of each other
         // pattern. A plan's pivot order is then a function of its anchor
         // and cell alone, whichever variant asks first and on whatever
-        // thread. A custom solver compiles its own systems; the base still
-        // anchors.
-        let systems: Vec<Result<MnaSystem, MnaError>> = if custom_solver {
-            Vec::new()
-        } else {
-            runtime.pool().par_map_indexed(
-                circuits,
-                || (),
-                |_, circuit, _: &mut ()| MnaSystem::new(circuit),
-            )
-        };
+        // thread.
+        let systems: Vec<Result<MnaSystem, MnaError>> = runtime.pool().par_map_indexed(
+            circuits,
+            || (),
+            |_, circuit, _| MnaSystem::new(circuit),
+        );
         let base = MnaSystem::new(self.circuit).ok();
         for sys in base.iter().chain(systems.iter().filter_map(|sys| sys.as_ref().ok())) {
             if sys.circuit().reactive_count() > 0 {
                 runtime.plan_cache().register_anchor(sys, opening_scale(sys).1);
             }
         }
-        let solve_variant = |solver: &AdaptiveInterpolator,
-                             variant: usize,
-                             observer: &mut dyn Observer,
-                             runtime: &SamplingRuntime| {
-            let sys = systems[variant].as_ref().map_err(|e| RefgenError::Mna(e.clone()))?;
-            solver.solve_system(sys, &spec, observer, runtime)
-        };
+
+        // Whole variants are the unit of parallelism. Each worker solves
+        // through its own single-threaded
+        // [`SamplingRuntime::variant_worker`] runtime, planning through the
+        // fleet's cache, into a sink; the recorded diagnostics reach the
+        // session observer in variant order, in `settle`.
+        let results = runtime.pool().par_map_indexed(
+            &systems,
+            || runtime.variant_worker(),
+            |variant, sys, worker| {
+                solve_one(variant, || {
+                    let sys = sys.as_ref().map_err(|e| RefgenError::Mna(e.clone()))?;
+                    solver.solve_system(sys, &spec, &mut NullObserver, worker)
+                })
+            },
+        );
         let mut outcomes = Vec::with_capacity(circuits.len());
-        if !custom_solver && circuits.len() > 1 && runtime.pool().threads() > 1 {
-            // Variant-major fan-out: whole variants are the unit of
-            // parallelism. Each worker solves its variants through a
-            // single-threaded [`SamplingRuntime::variant_worker`] runtime
-            // (plan cache shared with the fleet), so the per-variant solve
-            // is the sequential solve bit for bit; diagnostics are
-            // replayed to the session observer in variant order
-            // afterwards. A custom solver (`Box<dyn Solver>` is not
-            // `Sync`) or an effectively single-threaded configuration
-            // keeps the plain sequential loop below.
-            let mut inner_config = self.config;
-            inner_config.threads = 1;
-
-            // Variants in lane-width batches — one batch per worker slot,
-            // collected in index order. Chunk `i` covers variants
-            // `i·lane ..`, so fault scopes carry the true fleet index onto
-            // the worker thread. The anchors are registered, so whichever
-            // worker reaches a plan cell first certifies or probes it
-            // exactly as any other would.
-            let lane = self.config.lane_width.max(1);
-            let chunks: Vec<&[Circuit]> = circuits.chunks(lane).collect();
-            let worker_runtimes: Vec<SamplingRuntime> =
-                chunks.iter().map(|_| runtime.variant_worker()).collect();
-            let fanned = runtime.pool().par_map_indexed(
-                &chunks,
-                || (),
-                |i, chunk, _: &mut ()| {
-                    let solver = AdaptiveInterpolator::new(inner_config);
-                    let mut sink = NullObserver;
-                    (0..chunk.len())
-                        .map(|j| {
-                            let variant = i * lane + j;
-                            solve_one(variant, &mut sink, |observer| {
-                                solve_variant(&solver, variant, observer, &worker_runtimes[i])
-                            })
-                        })
-                        .collect::<Vec<_>>()
-                },
-            );
-
-            // Deterministic collection in variant order. The recorded
-            // diagnostic trail of each solution is replayed to the session
-            // observer so the observable stream matches a sequential run
-            // event for event.
-            for (variant, result) in fanned.into_iter().flatten().enumerate() {
-                if let Ok(solution) = &result {
-                    for diagnostic in solution.diagnostics() {
-                        observer.on_diagnostic(diagnostic);
-                    }
-                }
-                settle(variant, result, contain, observer, &mut outcomes)?;
-            }
-        } else {
-            let adaptive = AdaptiveInterpolator::new(self.config);
-            let custom = self.solver;
-            for (variant, circuit) in circuits.iter().enumerate() {
-                let result = solve_one(variant, observer, |observer| match &custom {
-                    Some(solver) => solver.solve_with_runtime(circuit, &spec, observer, &runtime),
-                    None => solve_variant(&adaptive, variant, observer, &runtime),
-                });
-                settle(variant, result, contain, observer, &mut outcomes)?;
-            }
-        };
+        for (variant, result) in results.into_iter().enumerate() {
+            settle(variant, result, contain, observer, &mut outcomes)?;
+        }
 
         // The report ranges over the survivors only, in fleet order —
         // which makes every survivor-side figure identical to a
@@ -458,21 +410,22 @@ enum VariantFailure {
 /// installed every query is an inert atomic load.
 fn solve_one(
     variant: usize,
-    observer: &mut dyn Observer,
-    solve: impl FnOnce(&mut dyn Observer) -> Result<Solution, RefgenError>,
+    solve: impl FnOnce() -> Result<Solution, RefgenError>,
 ) -> Result<Solution, VariantFailure> {
     let solved = std::panic::catch_unwind(AssertUnwindSafe(|| {
         let _scope = faults::FaultScope::variant(variant);
         if faults::scripted_panic() {
             panic!("injected fault: scripted panic for variant {variant}");
         }
-        solve(observer)
+        solve()
     }));
     solved.map_err(VariantFailure::Panic)?.map_err(VariantFailure::Error)
 }
 
 /// Records variant `variant`'s result, called in variant order: a solution
-/// streams [`Diagnostic::VariantSolved`] and joins `outcomes`. A failure is
+/// replays its recorded diagnostics to `observer`, streams
+/// [`Diagnostic::VariantSolved`] and joins `outcomes`. A failure streams
+/// nothing; it is
 /// contained as [`VariantOutcome::Failed`] (a panic as
 /// [`RefgenError::VariantPanicked`]) when `contain` is set; otherwise it
 /// decides the fleet: an error is returned, a panic re-raised with its
@@ -486,6 +439,9 @@ fn settle(
 ) -> Result<(), RefgenError> {
     match result {
         Ok(solution) => {
+            for diagnostic in solution.diagnostics() {
+                observer.on_diagnostic(diagnostic);
+            }
             observer.on_diagnostic(&Diagnostic::VariantSolved {
                 variant,
                 total_points: solution.total_points(),
@@ -635,67 +591,62 @@ mod tests {
         assert!(run.report.denominator[1].variance > 0.0);
     }
 
-    /// The satellite-6 accounting fix, pinned: fanning variants out in
-    /// lane-partitioned batches must leave every per-variant total — the
-    /// `VariantSolved` stream, `variant_points`, `variant_refactor_hits`,
-    /// and the coefficient statistics — bit-identical to the sequential
-    /// loop, at every lane width.
+    /// One variant path for every solver: a fleet fanned across four
+    /// workers — under the adaptive solver and under two baselines — must
+    /// reproduce its one-thread run bit for bit at every lane width: the
+    /// observer stream, every solution's coefficients and recorded
+    /// diagnostics, and the whole [`BatchReport`].
     #[test]
     fn fanned_fleet_accounting_matches_sequential_exactly() {
+        use crate::baseline::{MultiScaleGridSolver, StaticScalingSolver};
         let base = rc_ladder(5, 1e3, 1e-9);
         let fleet =
             VariantSet::new(Perturbation::all_relative(0.05), 9).seed(21).generate(&base).unwrap();
-        let run_with = |threads: usize, lanes: usize| {
-            let mut obs = CollectObserver::new();
-            let run = Session::for_circuit(&base)
-                .spec(spec())
-                .config(
-                    crate::config::RefgenConfig::builder()
-                        .threads(threads)
-                        .lane_width(lanes)
-                        .build(),
-                )
-                .observer(&mut obs)
-                .variant_circuits(&fleet)
-                .solve_all()
-                .unwrap();
-            let solved: Vec<(usize, usize, u64)> = obs
-                .events
-                .iter()
-                .filter_map(|d| match d {
-                    Diagnostic::VariantSolved { variant, total_points, refactor_hits } => {
-                        Some((*variant, *total_points, *refactor_hits))
-                    }
-                    _ => None,
-                })
-                .collect();
-            (run, solved)
-        };
-        let (reference, ref_solved) = run_with(1, 1);
-        for lanes in [1, 4, 8] {
-            // threads = 4 engages the variant-major fan-out; the 9-variant
-            // fleet splits into uneven lane partitions at widths 4 and 8.
-            let (run, solved) = run_with(4, lanes);
-            assert_eq!(solved, ref_solved, "lanes {lanes}: VariantSolved stream differs");
-            assert_eq!(
-                run.report.variant_points, reference.report.variant_points,
-                "lanes {lanes}: per-variant point totals differ"
-            );
-            assert_eq!(
-                run.report.variant_refactor_hits, reference.report.variant_refactor_hits,
-                "lanes {lanes}: per-variant refactor totals differ"
-            );
-            assert_eq!(run.report.total_refactor_hits, reference.report.total_refactor_hits);
-            assert_eq!(run.report.pivot_searches, reference.report.pivot_searches);
-            assert_eq!(run.report.shared_plan_hits, reference.report.shared_plan_hits);
-            assert_eq!(run.report.programs_compiled, reference.report.programs_compiled);
-            // Coefficient statistics are f64 aggregates of bit-identical
-            // solutions: Debug equality ⇔ bit equality.
-            assert_eq!(
-                format!("{:?}|{:?}", run.report.denominator, run.report.numerator),
-                format!("{:?}|{:?}", reference.report.denominator, reference.report.numerator),
-                "lanes {lanes}: coefficient statistics differ"
-            );
+        type MakeSolver = fn(RefgenConfig) -> Box<dyn Solver>;
+        let solvers: [MakeSolver; 3] = [
+            |config| Box::new(AdaptiveInterpolator::new(config)),
+            |config| Box::new(StaticScalingSolver::heuristic(config)),
+            |config| Box::new(MultiScaleGridSolver::new(1e3, 1e15, 16, config)),
+        ];
+        for make_solver in solvers {
+            let run_with = |threads: usize, lanes: usize| {
+                let config = RefgenConfig::builder().threads(threads).lane_width(lanes).build();
+                let mut obs = CollectObserver::new();
+                let run = Session::for_circuit(&base)
+                    .spec(spec())
+                    .config(config)
+                    .solver(make_solver(config))
+                    .observer(&mut obs)
+                    .variant_circuits(&fleet)
+                    .solve_all()
+                    .unwrap();
+                let stream: Vec<String> = obs.events.iter().map(ToString::to_string).collect();
+                let solutions: Vec<String> = run
+                    .solutions()
+                    .iter()
+                    .map(|s| {
+                        let diagnostics: Vec<_> = s.diagnostics().collect();
+                        let (den, num) =
+                            (s.network.denominator.coeffs(), s.network.numerator.coeffs());
+                        format!("{}|{den:?}|{num:?}|{diagnostics:?}", s.method)
+                    })
+                    .collect();
+                (format!("{:?}", run.report), solutions, stream)
+            };
+            let (report, solutions, stream) = run_with(1, 1);
+            let method = make_solver(RefgenConfig::default()).name();
+            assert_eq!(solutions.len(), 9, "{method}");
+            assert!(solutions.iter().all(|s| s.starts_with(method)), "{method}");
+            assert_eq!(stream.iter().filter(|e| e.starts_with("variant ")).count(), 9, "{method}");
+            for lanes in [1, 4, 8] {
+                // The 9-variant fleet leaves workers uneven shares at
+                // every width. Debug text of f64 round-trips: equal text
+                // is equal bits.
+                let (got_report, got_solutions, got_stream) = run_with(4, lanes);
+                assert_eq!(got_stream, stream, "{method}, lanes {lanes}: observer stream");
+                assert_eq!(got_solutions, solutions, "{method}, lanes {lanes}: solutions");
+                assert_eq!(got_report, report, "{method}, lanes {lanes}: report");
+            }
         }
     }
 

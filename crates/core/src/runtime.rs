@@ -159,8 +159,8 @@ impl SamplingRuntime {
     }
 
     /// A per-variant worker runtime: a one-thread pool, which spawns
-    /// nothing (the variant-major fleet path parallelizes *across*
-    /// variants, so each variant's own sampling must not nest threads),
+    /// nothing (a fleet parallelizes *across* variants, so each variant's
+    /// own sampling must not nest threads),
     /// sharing **this** runtime's plan cache. Pivot searches, shared-plan
     /// hits, and compiled programs all accumulate on the parent.
     pub fn variant_worker(&self) -> SamplingRuntime {

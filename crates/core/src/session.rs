@@ -78,8 +78,9 @@ impl<'a> Session<'a> {
     }
 
     /// Sets the configuration used when the session builds its own
-    /// [`AdaptiveInterpolator`]. Ignored once [`Session::solver`] supplies
-    /// a ready-made solver.
+    /// [`AdaptiveInterpolator`]. A [`Session::solver`] samples under its
+    /// own [`Solver::config`] instead; a fleet still takes its worker
+    /// count (`threads`) and `fault_policy` from this one.
     #[must_use]
     pub fn config(mut self, config: RefgenConfig) -> Self {
         self.config = config;
@@ -88,6 +89,16 @@ impl<'a> Session<'a> {
 
     /// Uses `solver` instead of the default adaptive interpolator. Accepts
     /// any [`Solver`] by value — pass `&solver` to lend one instead.
+    ///
+    /// A fleet ([`Session::variants`], [`Session::variant_circuits`]) runs
+    /// it on every variant through the one variant path of
+    /// [`BatchSession::solve_all`], whatever the solver: variants fan out
+    /// over the session config's `threads`, failures settle under its
+    /// `fault_policy` (under `FailFast`, the lowest-index failure decides
+    /// once every variant has been attempted), and the observer receives
+    /// the same stream at any thread count — each solved variant's
+    /// recorded diagnostics, replayed in variant order, and nothing from a
+    /// failed one.
     #[must_use]
     pub fn solver(mut self, solver: impl Solver + 'a) -> Self {
         self.solver = Some(Box::new(solver));

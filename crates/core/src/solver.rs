@@ -1,20 +1,25 @@
 //! The [`Solver`] abstraction: one interface over every way this workspace
 //! can answer "give me `H(s)` for this circuit and spec".
 //!
-//! The paper's adaptive algorithm, the three conventional baselines it is
-//! compared against, and any future backend (parallel per-window sampling,
-//! batched multi-circuit solves) all implement [`Solver`], so consumers —
-//! SBG/SDG error control, the experiment runners, user code — are written
-//! once against `&dyn Solver` and can swap methods freely. Construction is
-//! most convenient through [`Session`](crate::session::Session).
+//! The paper's adaptive algorithm and the three conventional baselines it
+//! is compared against differ only in how they recover one polynomial from
+//! a compiled MNA system, so that is all a [`Solver`] implements
+//! ([`Solver::recover_polynomial`]). Compiling the circuit, building the
+//! [`SamplingRuntime`], recovering the denominator and then the numerator,
+//! and assembling the [`Solution`] are written once, as provided methods of
+//! the trait. Consumers — SBG/SDG error control, the experiment runners,
+//! fleets, user code — are written once against `&dyn Solver` and can swap
+//! methods freely. Construction is most convenient through
+//! [`Session`](crate::session::Session).
 
-use crate::adaptive::{NetworkFunction, PolyReport};
+use crate::adaptive::{NetworkFunction, PolyReport, RunReport};
+use crate::config::RefgenConfig;
 use crate::diagnostic::{Diagnostic, NullObserver, Observer};
 use crate::error::RefgenError;
 use crate::runtime::SamplingRuntime;
 use crate::window::PolyKind;
 use refgen_circuit::Circuit;
-use refgen_mna::TransferSpec;
+use refgen_mna::{MnaSystem, TransferSpec};
 use refgen_numeric::ExtPoly;
 
 /// The answer a [`Solver`] produces: a recovered network function plus the
@@ -67,8 +72,11 @@ impl std::ops::Deref for Solution {
     }
 }
 
-/// A reference-generation method: anything that can recover the network
-/// function of a circuit/spec pair.
+/// One recovered polynomial and the report of how it was recovered.
+pub type PolyRecovery = (ExtPoly, PolyReport);
+
+/// A reference-generation method: anything that can recover the
+/// polynomials of a network function from a compiled MNA system.
 ///
 /// Implementations in this crate:
 ///
@@ -81,103 +89,125 @@ impl std::ops::Deref for Solution {
 /// * [`MultiScaleGridSolver`](crate::baseline::MultiScaleGridSolver) — the
 ///   §3.1 pre-chosen grid of scales.
 ///
-/// Only [`Solver::solve_observed`] is required; the other methods have
-/// default implementations in terms of it.
-pub trait Solver {
+/// A method writes only what is its own: [`Solver::name`],
+/// [`Solver::config`] and [`Solver::recover_polynomial`], one polynomial
+/// on a compiled system through a caller-supplied observer and
+/// [`SamplingRuntime`]. [`Solver::recover_network`] recovers the
+/// denominator, then the numerator; a method that shares work between the
+/// two (the adaptive driver shares its opening windows) overrides it. The
+/// `solve*` methods are written once, here: they compile the system, build
+/// a runtime from [`Solver::config`] when the caller supplies none, and
+/// [`Solver::solve_system`] assembles the [`Solution`]. No implementation
+/// overrides them.
+///
+/// `Sync`, so one solver serves every worker of a fleet
+/// ([`BatchSession`](crate::BatchSession)).
+pub trait Solver: Sync {
     /// Short stable identifier (`"adaptive"`, `"unit-circle"`, …) used in
     /// reports and bench labels.
     fn name(&self) -> &'static str;
 
-    /// Recovers the network function, streaming [`Diagnostic`] events to
-    /// `observer` as the solve progresses.
+    /// The configuration the method samples under; the runtime of a
+    /// [`Solver::solve`] or [`Solver::solve_polynomial`] is built from it.
+    fn config(&self) -> &RefgenConfig;
+
+    /// Recovers the `kind` polynomial of `spec` on `sys`, streaming
+    /// [`Diagnostic`] events to `observer` and sampling through `runtime`
+    /// (worker pool + plan cache).
     ///
     /// # Errors
     ///
     /// Method-specific; see each implementation. All errors are typed
     /// [`RefgenError`]s.
-    fn solve_observed(
+    fn recover_polynomial(
         &self,
-        circuit: &Circuit,
+        sys: &MnaSystem,
+        spec: &TransferSpec,
+        kind: PolyKind,
+        observer: &mut dyn Observer,
+        runtime: &SamplingRuntime,
+    ) -> Result<PolyRecovery, RefgenError>;
+
+    /// Recovers the denominator, then the numerator, as
+    /// `(denominator, numerator)`.
+    ///
+    /// # Errors
+    ///
+    /// See [`Solver::recover_polynomial`].
+    fn recover_network(
+        &self,
+        sys: &MnaSystem,
         spec: &TransferSpec,
         observer: &mut dyn Observer,
-    ) -> Result<Solution, RefgenError>;
+        runtime: &SamplingRuntime,
+    ) -> Result<(PolyRecovery, PolyRecovery), RefgenError> {
+        let denominator =
+            self.recover_polynomial(sys, spec, PolyKind::Denominator, observer, runtime)?;
+        let numerator =
+            self.recover_polynomial(sys, spec, PolyKind::Numerator, observer, runtime)?;
+        Ok((denominator, numerator))
+    }
+
+    /// Recovers the network function of `spec` on a compiled system
+    /// through `runtime` — the seam a [`BatchSession`](crate::BatchSession)
+    /// solves every variant through.
+    ///
+    /// # Errors
+    ///
+    /// See [`Solver::recover_polynomial`].
+    fn solve_system(
+        &self,
+        sys: &MnaSystem,
+        spec: &TransferSpec,
+        observer: &mut dyn Observer,
+        runtime: &SamplingRuntime,
+    ) -> Result<Solution, RefgenError> {
+        let ((denominator, den_report), (numerator, num_report)) =
+            self.recover_network(sys, spec, observer, runtime)?;
+        let report = RunReport {
+            numerator: num_report,
+            denominator: den_report,
+            admittance_degree: sys.admittance_degree(),
+        };
+        Ok(Solution {
+            network: NetworkFunction { numerator, denominator, report },
+            method: self.name(),
+        })
+    }
 
     /// Recovers the network function without streaming diagnostics (they
     /// are still recorded in the [`Solution`]).
     ///
     /// # Errors
     ///
-    /// See [`Solver::solve_observed`].
+    /// [`RefgenError::Mna`] when the circuit does not compile, otherwise
+    /// see [`Solver::recover_polynomial`].
     fn solve(&self, circuit: &Circuit, spec: &TransferSpec) -> Result<Solution, RefgenError> {
         self.solve_observed(circuit, spec, &mut NullObserver)
     }
 
-    /// Recovers the network function using a caller-supplied
-    /// [`SamplingRuntime`] — the seam batch sessions use to share one
-    /// worker pool and one pivot-order cache across a whole fleet of
-    /// same-topology solves.
-    ///
-    /// The default implementation ignores the runtime and performs a
-    /// plain [`Solver::solve_observed`] (always correct: a shared runtime
-    /// is an amortization, never a semantic change). Solvers built on the
-    /// batched sampling engine override it to actually share resources.
+    /// Recovers the network function, streaming [`Diagnostic`] events to
+    /// `observer` as the solve progresses.
     ///
     /// # Errors
     ///
-    /// See [`Solver::solve_observed`].
-    fn solve_with_runtime(
-        &self,
-        circuit: &Circuit,
-        spec: &TransferSpec,
-        observer: &mut dyn Observer,
-        runtime: &SamplingRuntime,
-    ) -> Result<Solution, RefgenError> {
-        let _ = runtime;
-        self.solve_observed(circuit, spec, observer)
-    }
-
-    /// Recovers a single polynomial of the network function.
-    ///
-    /// The default implementation performs a full solve and projects out
-    /// the requested polynomial; implementations able to sample one
-    /// polynomial in isolation (like the adaptive driver) override this to
-    /// halve the work — and to succeed on circuits where the *other*
-    /// polynomial cannot even be sampled (e.g. a singular system whose
-    /// determinant is identically zero).
-    ///
-    /// # Errors
-    ///
-    /// See [`Solver::solve_observed`].
-    fn solve_polynomial(
-        &self,
-        circuit: &Circuit,
-        spec: &TransferSpec,
-        kind: PolyKind,
-        observer: &mut dyn Observer,
-    ) -> Result<(ExtPoly, PolyReport), RefgenError> {
-        let solution = self.solve_observed(circuit, spec, observer)?;
-        let report = solution.network.report;
-        Ok(match kind {
-            PolyKind::Numerator => (solution.network.numerator, report.numerator),
-            PolyKind::Denominator => (solution.network.denominator, report.denominator),
-        })
-    }
-}
-
-impl<S: Solver + ?Sized> Solver for &S {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
+    /// See [`Solver::solve`].
     fn solve_observed(
         &self,
         circuit: &Circuit,
         spec: &TransferSpec,
         observer: &mut dyn Observer,
     ) -> Result<Solution, RefgenError> {
-        (**self).solve_observed(circuit, spec, observer)
+        self.solve_with_runtime(circuit, spec, observer, &SamplingRuntime::new(self.config()))
     }
 
+    /// Recovers the network function through a caller-supplied
+    /// [`SamplingRuntime`], so several solves share one worker pool and
+    /// one pivot-order cache. Sharing never changes the result.
+    ///
+    /// # Errors
+    ///
+    /// See [`Solver::solve`].
     fn solve_with_runtime(
         &self,
         circuit: &Circuit,
@@ -185,51 +215,64 @@ impl<S: Solver + ?Sized> Solver for &S {
         observer: &mut dyn Observer,
         runtime: &SamplingRuntime,
     ) -> Result<Solution, RefgenError> {
-        (**self).solve_with_runtime(circuit, spec, observer, runtime)
+        self.solve_system(&MnaSystem::new(circuit)?, spec, observer, runtime)
     }
 
+    /// Recovers a single polynomial of the network function: half the
+    /// work of a full solve, and the only way to analyse circuits where
+    /// the other polynomial cannot be sampled at all (e.g. a singular
+    /// system whose determinant is identically zero).
+    ///
+    /// # Errors
+    ///
+    /// See [`Solver::solve`].
     fn solve_polynomial(
         &self,
         circuit: &Circuit,
         spec: &TransferSpec,
         kind: PolyKind,
         observer: &mut dyn Observer,
-    ) -> Result<(ExtPoly, PolyReport), RefgenError> {
-        (**self).solve_polynomial(circuit, spec, kind, observer)
+    ) -> Result<PolyRecovery, RefgenError> {
+        let sys = MnaSystem::new(circuit)?;
+        self.recover_polynomial(&sys, spec, kind, observer, &SamplingRuntime::new(self.config()))
     }
 }
 
-impl<S: Solver + ?Sized> Solver for Box<S> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
+/// Forwards the methods an implementation writes, so a lent or boxed
+/// solver keeps its own [`Solver::recover_network`].
+macro_rules! forward_solver {
+    ($($target:ty),*) => {$(
+        impl<S: Solver + ?Sized> Solver for $target {
+            fn name(&self) -> &'static str {
+                (**self).name()
+            }
 
-    fn solve_observed(
-        &self,
-        circuit: &Circuit,
-        spec: &TransferSpec,
-        observer: &mut dyn Observer,
-    ) -> Result<Solution, RefgenError> {
-        (**self).solve_observed(circuit, spec, observer)
-    }
+            fn config(&self) -> &RefgenConfig {
+                (**self).config()
+            }
 
-    fn solve_with_runtime(
-        &self,
-        circuit: &Circuit,
-        spec: &TransferSpec,
-        observer: &mut dyn Observer,
-        runtime: &SamplingRuntime,
-    ) -> Result<Solution, RefgenError> {
-        (**self).solve_with_runtime(circuit, spec, observer, runtime)
-    }
+            fn recover_polynomial(
+                &self,
+                sys: &MnaSystem,
+                spec: &TransferSpec,
+                kind: PolyKind,
+                observer: &mut dyn Observer,
+                runtime: &SamplingRuntime,
+            ) -> Result<PolyRecovery, RefgenError> {
+                (**self).recover_polynomial(sys, spec, kind, observer, runtime)
+            }
 
-    fn solve_polynomial(
-        &self,
-        circuit: &Circuit,
-        spec: &TransferSpec,
-        kind: PolyKind,
-        observer: &mut dyn Observer,
-    ) -> Result<(ExtPoly, PolyReport), RefgenError> {
-        (**self).solve_polynomial(circuit, spec, kind, observer)
-    }
+            fn recover_network(
+                &self,
+                sys: &MnaSystem,
+                spec: &TransferSpec,
+                observer: &mut dyn Observer,
+                runtime: &SamplingRuntime,
+            ) -> Result<(PolyRecovery, PolyRecovery), RefgenError> {
+                (**self).recover_network(sys, spec, observer, runtime)
+            }
+        }
+    )*};
 }
+
+forward_solver!(&S, Box<S>);

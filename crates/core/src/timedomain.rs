@@ -151,6 +151,7 @@ impl NetworkFunction {
 mod tests {
     use super::*;
     use crate::adaptive::AdaptiveInterpolator;
+    use crate::solver::Solver;
     use refgen_circuit::library::rc_ladder;
     use refgen_circuit::Circuit;
     use refgen_mna::TransferSpec;
@@ -164,7 +165,7 @@ mod tests {
         let (r, c) = (1e3, 1e-9);
         let tau = r * c;
         let circuit = rc_ladder(1, r, c);
-        let nf = AdaptiveInterpolator::default().network_function(&circuit, &spec()).unwrap();
+        let nf = AdaptiveInterpolator::default().solve(&circuit, &spec()).unwrap();
         let pf = nf.partial_fractions().unwrap();
         assert_eq!(pf.terms.len(), 1);
         for t in [0.0, 0.5 * tau, tau, 3.0 * tau, 10.0 * tau] {
@@ -181,7 +182,7 @@ mod tests {
     #[test]
     fn expansion_round_trips_transfer_function() {
         let circuit = rc_ladder(6, 2e3, 0.5e-9);
-        let nf = AdaptiveInterpolator::default().network_function(&circuit, &spec()).unwrap();
+        let nf = AdaptiveInterpolator::default().solve(&circuit, &spec()).unwrap();
         let pf = nf.partial_fractions().unwrap();
         for f in [1e3, 1e5, 1e6, 1e7] {
             let s = Complex::new(0.0, 2.0 * std::f64::consts::PI * f);
@@ -205,7 +206,7 @@ mod tests {
         circuit.add_resistor("R1", "in", "a", r).unwrap();
         circuit.add_inductor("L1", "a", "out", l).unwrap();
         circuit.add_capacitor("C1", "out", "0", cap).unwrap();
-        let nf = AdaptiveInterpolator::default().network_function(&circuit, &spec()).unwrap();
+        let nf = AdaptiveInterpolator::default().solve(&circuit, &spec()).unwrap();
         let pf = nf.partial_fractions().unwrap();
         let w0 = 1.0 / (l * cap).sqrt();
         // Peak of a 2nd-order step ≈ 1 + exp(−πζ/√(1−ζ²)), ζ = 1/(2Q).
@@ -232,7 +233,7 @@ mod tests {
         circuit.add_resistor("R1", "in", "a", r).unwrap();
         circuit.add_inductor("L1", "a", "out", l).unwrap();
         circuit.add_capacitor("C1", "out", "0", cap).unwrap();
-        let nf = AdaptiveInterpolator::default().network_function(&circuit, &spec()).unwrap();
+        let nf = AdaptiveInterpolator::default().solve(&circuit, &spec()).unwrap();
         match nf.partial_fractions() {
             Err(TimeDomainError::RepeatedPoles { pole }) => {
                 let want = -r / (2.0 * l);
@@ -261,7 +262,7 @@ mod tests {
         // factors), numerator s·C1: both have the s factor, and the
         // interpolation recovers them faithfully; partial fractions must
         // then reject the origin pole.
-        let nf = AdaptiveInterpolator::default().network_function(&circuit, &spec()).unwrap();
+        let nf = AdaptiveInterpolator::default().solve(&circuit, &spec()).unwrap();
         match nf.partial_fractions() {
             Err(TimeDomainError::PoleAtOrigin) => {}
             other => panic!("expected PoleAtOrigin, got {other:?}"),

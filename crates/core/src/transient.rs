@@ -83,7 +83,9 @@ impl TransientAnalysis {
     /// # Errors
     ///
     /// [`RefgenError::Mna`] when the system cannot be assembled, the time
-    /// step is invalid, or the companion matrix is singular.
+    /// step is invalid, or the companion matrix is singular;
+    /// [`RefgenError::NonFiniteTransient`] when a node voltage overflows to
+    /// ±∞ or becomes NaN, in the run or in its cross-check.
     pub fn run(
         &self,
         circuit: &Circuit,
@@ -133,7 +135,8 @@ impl TransientAnalysis {
     }
 }
 
-/// Steps `plan` over `times`, recording the named node rows.
+/// Steps `plan` over `times`, recording the named node rows, and stops at
+/// the first non-finite sample it records.
 fn integrate(
     plan: &TransientPlan,
     times: &[f64],
@@ -142,14 +145,20 @@ fn integrate(
     let mut state = plan.initial_state(times[0]);
     let mut scratch = TransientScratch::new();
     let mut waves = vec![Vec::with_capacity(times.len()); rows.len()];
-    for (wave, (_, row)) in waves.iter_mut().zip(rows) {
-        wave.push(state.solution()[*row]);
-    }
+    let mut record = |time: f64, solution: &[f64]| {
+        for (wave, (node, row)) in waves.iter_mut().zip(rows) {
+            let v = solution[*row];
+            if !v.is_finite() {
+                return Err(RefgenError::NonFiniteTransient { node: node.clone(), time });
+            }
+            wave.push(v);
+        }
+        Ok(())
+    };
+    record(times[0], state.solution())?;
     for &t in &times[1..] {
         plan.step(t, &mut state, &mut scratch)?;
-        for (wave, (_, row)) in waves.iter_mut().zip(rows) {
-            wave.push(state.solution()[*row]);
-        }
+        record(t, state.solution())?;
     }
     Ok((waves, scratch.stats()))
 }
@@ -501,22 +510,37 @@ mod tests {
     }
 
     #[test]
-    fn overflowing_run_reports_a_non_finite_cross_check() {
-        // A 1e300 V drive through a gain of 1e10 overflows `out` to ±∞ in
-        // both runs, so the deviation there is ∞ − ∞ = NaN.
+    fn overflowing_run_is_a_typed_error() {
+        // A 1e300 V step at 0.25 µs through a gain of 1e10 overflows `out`
+        // to ±∞ at the first time point after the edge, 0.3 µs.
         let mut c = Circuit::new();
-        c.add_vsource("VIN", "in", "0", 1e300).unwrap();
+        c.add_vsource("VIN", "in", "0", 1.0).unwrap();
+        let edge = Waveform::Pulse {
+            v1: 0.0,
+            v2: 1e300,
+            delay: 2.5e-7,
+            rise: 0.0,
+            fall: 0.0,
+            width: f64::INFINITY,
+            period: f64::INFINITY,
+        };
+        c.set_waveform("VIN", edge).unwrap();
         c.add_resistor("R1", "in", "a", 1e3).unwrap();
         c.add_capacitor("C1", "a", "0", 1e-9).unwrap();
         c.add_vcvs("E1", "out", "0", "a", "0", 1e10).unwrap();
         c.add_resistor("RL", "out", "0", 1e3).unwrap();
         let card = TranCard { tstep: 1e-7, tstop: 1e-6, tstart: 0.0 };
-        let result = Session::for_circuit(&c)
-            .transient(TransientAnalysis::new(card).cross_check(true))
-            .unwrap();
-        assert!(result.node("out").unwrap().iter().any(|v| !v.is_finite()));
-        let check = result.cross_check.unwrap();
-        assert!(!check.max_abs_dev.is_finite(), "{check:?}");
+        let time = card.times()[3];
+        for cross_check in [false, true] {
+            let run = Session::for_circuit(&c)
+                .transient(TransientAnalysis::new(card.clone()).cross_check(cross_check));
+            match run {
+                Err(RefgenError::NonFiniteTransient { node, time: at }) => {
+                    assert_eq!((node.as_str(), at), ("out", time), "cross-check {cross_check}")
+                }
+                other => panic!("cross-check {cross_check}: expected a typed error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -8,11 +8,12 @@
 //! [`VariantOutcome::Solved`] outcomes whose coefficients, recorded
 //! diagnostics, and survivor-side accounting match a fault-free run of
 //! just the 60 surviving circuits — across `threads ∈ {1, 4}` × lane
-//! widths `∈ {1, 4, 8}` (the grid covering the sequential loop, the
-//! variant-major fan-out, and lane-chunked sampling). Under the default
-//! `FailFast` the same fleet returns the first victim's error, exactly,
-//! and a fleet mixing errors and panics fails the way its lowest-index
-//! failing variant does, at any thread count.
+//! widths `∈ {1, 4, 8}` (inline and fanned variants, lane-chunked
+//! sampling). A contained fleet's observer stream is the same at every
+//! thread count and lane width. Under the default `FailFast` the same
+//! fleet returns the first victim's error, exactly, and a fleet mixing
+//! errors and panics fails the way its lowest-index failing variant
+//! does, at any thread count.
 //!
 //! The victim sets are seeded, and every test runs each of its seeds in
 //! turn. [`FaultPlan::seeded_variants`] never selects variant 0 — the
@@ -133,6 +134,47 @@ fn contained_ua741_fleet_survivors_match_fault_free_run_bitwise() {
             }
         }
     }
+}
+
+/// A contained fleet streams the same observer events at any thread count
+/// and lane width: each solved variant's diagnostics and then its
+/// `VariantSolved`, in variant order, and nothing from a failed variant
+/// (its `VariantOutcome::Failed` is the record). A 16-variant µA741 fleet
+/// with 3 seeded-singular victims, compared as `Display` text.
+#[test]
+fn contained_fleet_streams_the_same_events_at_any_thread_count() {
+    let _exclusive = EXCLUSIVE.lock().unwrap();
+    let circuits = &ua741_fleet()[..16];
+    let victims = FaultPlan::seeded_variants(0xFA17, 16, 3);
+    let _guard = faults::install(FaultPlan::new().fault_variants(&victims, FaultKind::Singular));
+    let stream = |threads: usize, lanes: usize| {
+        let mut observer = CollectObserver::new();
+        let run = Session::for_circuit(&circuits[0])
+            .spec(spec())
+            .config(
+                RefgenConfig::builder()
+                    .verify(false)
+                    .threads(threads)
+                    .lane_width(lanes)
+                    .fault_policy(FaultPolicy::Contain)
+                    .build(),
+            )
+            .observer(&mut observer)
+            .variant_circuits(circuits)
+            .solve_all()
+            .expect("contained fleet completes");
+        assert_eq!(run.report.failed_variants, victims, "{threads}t/{lanes}l");
+        // Each survivor's recorded diagnostics plus its `VariantSolved`.
+        let survivors = run.solutions().iter().map(|s| s.diagnostics().count() + 1).sum::<usize>();
+        (observer.events.iter().map(ToString::to_string).collect::<Vec<_>>(), survivors)
+    };
+    let (sequential, survivors) = stream(1, 1);
+    for lanes in [1, 4, 8] {
+        let (fanned, _) = stream(4, lanes);
+        assert_eq!(fanned.len(), sequential.len(), "threads 4, lanes {lanes}: event counts");
+        assert_eq!(fanned, sequential, "threads 4, lanes {lanes}");
+    }
+    assert_eq!(sequential.len(), survivors, "only survivors stream");
 }
 
 /// Under the default `FailFast`, the same seeded fleet aborts with the

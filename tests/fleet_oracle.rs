@@ -15,8 +15,8 @@
 //! `E[a] = 1`, `E[a²] = 1 + t_g²/3` alone. A batch session must reproduce
 //! those statistics within Monte-Carlo tolerance at a fixed seed — and
 //! reproduce them **bit-identically** across `threads ∈ {1, 4}` and
-//! across batched-replay lane widths `∈ {1, 4, 8}` (variant-major fan-out
-//! included).
+//! across batched-replay lane widths `∈ {1, 4, 8}` (inline and fanned
+//! variants alike).
 
 mod support;
 
@@ -136,9 +136,9 @@ fn monte_carlo_statistics_match_closed_form() {
 
 /// The determinism acceptance for batch sessions: coefficients, recorded
 /// diagnostics, variance statistics, and cost accounting are bit-identical
-/// across `threads ∈ {1, 4}` × batched-replay lane widths `∈ {1, 4, 8}` — the grid that covers the sequential loop, the
-/// variant-major fan-out, per-point sampling, and lane-chunked sampling
-/// with odd tails.
+/// across `threads ∈ {1, 4}` × batched-replay lane widths `∈ {1, 4, 8}` —
+/// the grid that covers inline and fanned variants, per-point sampling,
+/// and lane-chunked sampling with odd tails.
 #[test]
 fn batch_is_bit_identical_across_threads_executors_and_lanes() {
     let reference = run_batch(1, 1);

@@ -53,7 +53,7 @@ fn roster() -> Vec<(&'static str, Circuit, f64, f64)> {
 /// Closed-form oracle for `circuit`'s VIN → out unit-step response.
 fn oracle(circuit: &Circuit, cfg: RefgenConfig) -> PartialFractions {
     AdaptiveInterpolator::new(cfg)
-        .network_function(circuit, &TransferSpec::voltage_gain("VIN", "out"))
+        .solve(circuit, &TransferSpec::voltage_gain("VIN", "out"))
         .expect("symbolic solve")
         .partial_fractions()
         .expect("distinct poles")
