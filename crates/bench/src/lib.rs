@@ -1142,7 +1142,7 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
     // only.
     {
         use refgen_circuit::library::grid_rc_mesh;
-        use refgen_mna::{AcAnalysis, OrderingMode, SweepPlan, SweepScratch};
+        use refgen_mna::{AcAnalysis, OrderingMode, PlanCache, SweepPlan, SweepScratch};
         let sides: &[usize] = if quick { &[16] } else { &[16, 32, 64] };
         let spec = standard_spec();
         for &side in sides {
@@ -1164,8 +1164,14 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
             for (mode_label, mode) in
                 [("markowitz", OrderingMode::Markowitz), ("amd", OrderingMode::Amd)]
             {
-                let plan = SweepPlan::new_with_ordering(&sys, Scale::unit(), &spec, mode)
-                    .expect("mesh plans");
+                let plan = SweepPlan::new_cached_with_ordering(
+                    &sys,
+                    Scale::unit(),
+                    &spec,
+                    &PlanCache::new(),
+                    mode,
+                )
+                .expect("mesh plans");
                 let mut direct = SweepScratch::new();
                 let (ns, _) = median_ns_per_point(mesh_reps, points, || {
                     let mut acc = 0.0;

@@ -480,7 +480,7 @@ impl AdaptiveInterpolator {
                 Some(old) => {
                     let rel = ((old.value - value).norm() / old.value.norm().max_abs(value.norm()))
                         .to_f64();
-                    let tol = 10f64.powi(-(self.config.sig_digits as i32) + 3);
+                    let tol = 10f64.powi(-(RefgenConfig::SIG_DIGITS as i32) + 3);
                     if rel > tol {
                         let kind = report.kind;
                         report.emit(
@@ -544,9 +544,9 @@ impl Walk<'_> {
     /// scale by eq. (14) going up or eq. (15) going down while
     /// coefficients remain unknown that way, repair a skipped gap by
     /// eq. (16) bisection, and accept each window that advances. When
-    /// `stall_retries` escalating re-tilts advance nothing, the unknown
-    /// coefficients are declared zero by value cancellation (true-order
-    /// detection, §3.3).
+    /// [`RefgenConfig::STALL_RETRIES`] escalating re-tilts advance
+    /// nothing, the unknown coefficients are declared zero by value
+    /// cancellation (true-order detection, §3.3).
     fn walk(&mut self, direction: Direction, mut last: Window) -> Result<(), RefgenError> {
         while let Some(unknown) = self.unknown(direction) {
             if !self.has_budget() {
@@ -555,11 +555,11 @@ impl Walk<'_> {
             let reduction = self.reduction(direction, unknown);
             let mut previous = None;
             let mut stepped = false;
-            for attempt in 0..=self.interp.config.stall_retries {
+            for attempt in 0..=RefgenConfig::STALL_RETRIES {
                 if !self.has_budget() {
                     break;
                 }
-                let extra = attempt as f64 * self.interp.config.noise_decades;
+                let extra = attempt as f64 * RefgenConfig::NOISE_DECADES;
                 let scale = step_scale_with_policy(
                     &last,
                     direction,
@@ -677,7 +677,7 @@ impl Walk<'_> {
             ScalePolicy::FrequencyOnly => Scale::new(scale.f * delta * delta, 1.0),
         };
         let w2 = self.run_window(scale2, order, reduction, opening)?;
-        let tol = 10f64.powi(-(self.interp.config.sig_digits as i32) + 2);
+        let tol = 10f64.powi(-(RefgenConfig::SIG_DIGITS as i32) + 2);
         let m_adm = self.m_adm;
         let agrees = |i: usize| -> bool {
             match (w.denormalized(i, m_adm), w2.denormalized(i, m_adm)) {

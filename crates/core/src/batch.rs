@@ -7,10 +7,12 @@
 //! `(MnaSystem, Scale)` pair, shared read-only across
 //! [`WorkerPool::par_map_indexed`](refgen_exec::WorkerPool::par_map_indexed)
 //! workers that each own a
-//! [`SweepScratch`](refgen_mna::SweepScratch). It samples the determinant,
-//! the numerator, or — for the opening windows both polynomials share —
-//! both from one transfer evaluation per point
-//! ([`BatchSampler::sample_transfer`]). Five properties matter:
+//! [`SweepBatchScratch`](refgen_mna::SweepBatchScratch). Its one method,
+//! [`BatchSampler::sample`], runs one loop. It yields `D(σ)` from a
+//! determinant-only plan, and `D(σ)` with `N(σ)` from one transfer
+//! evaluation per point from a transfer plan (the opening windows the
+//! two polynomials share, and every numerator window). Five properties
+//! matter:
 //!
 //! * **Pivot-order reuse** — the plan records one pivot order at build
 //!   time and compiles a `FactorProgram` from it; every sample is a flat
@@ -29,17 +31,17 @@
 //!   The partition depends on the window size `K` alone, so it is built
 //!   once per size ([`ConjugateRoles`], held by the runtime's window
 //!   tables).
-//! * **Lane batching** — with `config.lane_width > 1` the solved points
-//!   are chunked into lane-width groups, each group replayed through the
+//! * **Lane batching** — the solved points are chunked into
+//!   `config.lane_width` groups, each group replayed through the
 //!   compiled kernel in **one** instruction-stream traversal
 //!   ([`SweepPlan::eval_batch`] / [`SweepPlan::eval_det_batch`], which
 //!   stamp `K₀ + σ·K₁` point-major from the plan's coefficient arrays in
 //!   one vector pass); per live lane the batched replay performs the exact
-//!   scalar operation sequence of a one-point evaluation and dead lanes
-//!   fall back to it verbatim, so output is bit-identical at every lane
-//!   width. Batching composes
-//!   with, and is orthogonal to, threading: chunks fan out across the
-//!   same pool.
+//!   scalar operation sequence of a one-point evaluation, dead lanes
+//!   fall back to it verbatim, and a one-point group (every group at lane
+//!   width `1`) takes the one-point path outright, so output is
+//!   bit-identical at every lane width. Batching composes with, and is
+//!   orthogonal to, threading: groups fan out across the same pool.
 //! * **Determinism** — every sample is a pure function of `(plan, σ)`,
 //!   mirroring depends only on the σ values, and results are collected
 //!   in index order, so solver output is bit-identical at any thread
@@ -55,8 +57,8 @@ use crate::config::RefgenConfig;
 use crate::error::RefgenError;
 use crate::runtime::{SamplingRuntime, SizeTables};
 use refgen_mna::{
-    MnaError, MnaSystem, OrderingChoice, Scale, SweepBatchScratch, SweepPlan, SweepScratch,
-    SweepStats, TransferResponse, TransferSpec,
+    MnaError, MnaSystem, OrderingChoice, Scale, SweepBatchScratch, SweepPlan, SweepStats,
+    TransferResponse, TransferSpec,
 };
 use refgen_numeric::{Complex, ExtComplex};
 use std::collections::HashMap;
@@ -121,53 +123,39 @@ impl ConjugateRoles {
     }
 }
 
-/// One point's sample; a mirrored point takes its partner's conjugate.
-trait Sample: Clone + Send {
-    fn conj(self) -> Self;
-}
+/// One σ point's samples: `D(σ)` (`ExtComplex::ZERO` where every
+/// recovery rung failed — exactly what [`SweepPlan::eval_det`] reports
+/// there) and, from a transfer plan, `N(σ)` or the point's error.
+type PointSample = (ExtComplex, Option<Result<ExtComplex, MnaError>>);
 
-impl Sample for ExtComplex {
-    fn conj(self) -> Self {
-        // Exact: conjugation only negates the mantissa's imaginary
-        // component.
-        ExtComplex::conj(self)
-    }
-}
-
-impl Sample for Result<ExtComplex, MnaError> {
-    fn conj(self) -> Self {
-        self.map(ExtComplex::conj)
-    }
-}
-
-impl Sample for (ExtComplex, Result<ExtComplex, MnaError>) {
-    fn conj(self) -> Self {
-        (self.0.conj(), self.1.conj())
-    }
-}
-
-/// A transfer evaluation split into the two polynomials' samples: the
-/// denominator `D(σ)` (`ExtComplex::ZERO` where every recovery rung
-/// failed — exactly what [`SweepPlan::eval_det`] reports there) and the
-/// numerator `N(σ)` or the point's error.
-fn split(r: Result<TransferResponse, MnaError>) -> (ExtComplex, Result<ExtComplex, MnaError>) {
+/// A transfer evaluation as the point's two samples.
+fn split(r: Result<TransferResponse, MnaError>) -> PointSample {
     match r {
-        Ok(t) => (t.denominator, Ok(t.numerator)),
-        Err(e) => (ExtComplex::ZERO, Err(e)),
+        Ok(t) => (t.denominator, Some(Ok(t.numerator))),
+        Err(e) => (ExtComplex::ZERO, Some(Err(e))),
     }
+}
+
+/// The samples at the conjugate point. Exact: conjugation only negates
+/// the mantissa's imaginary component, and an error carries over.
+fn conj((den, num): PointSample) -> PointSample {
+    (den.conj(), num.map(|n| n.map(ExtComplex::conj)))
 }
 
 /// A window's sampling plan: evaluates the network function at scaled
 /// unit-circle points, in parallel, deterministically.
 pub(crate) struct BatchSampler {
     plan: SweepPlan,
+    /// The plan evaluates the transfer (it was built with a spec), so
+    /// every point yields `N(σ)` next to `D(σ)`.
+    transfer: bool,
     /// Conjugate-pair halving is active: the configuration asked for it
     /// and the plan's pattern/RHS are real.
     mirror: bool,
-    /// Lane width for batched replay (`config.lane_width`):
-    /// solved points are chunked into groups of this size, each group
-    /// driven through one instruction-stream traversal. `1` keeps the
-    /// per-point path; results are bit-identical at every width.
+    /// Lane width for batched replay (`config.lane_width`): solved points
+    /// are chunked into groups of this size, each group driven through
+    /// one instruction-stream traversal (a one-point group replays the
+    /// one-point path). Results are bit-identical at every width.
     lanes: usize,
 }
 
@@ -198,7 +186,7 @@ impl BatchSampler {
         };
         let mirror = config.conjugate_mirror && plan.conjugate_symmetric();
         let lanes = config.lane_width.max(1);
-        Ok(BatchSampler { plan, mirror, lanes })
+        Ok(BatchSampler { plan, transfer: spec.is_some(), mirror, lanes })
     }
 
     /// The plan's pivot-ordering decision with the system dimension, for
@@ -208,120 +196,50 @@ impl BatchSampler {
         self.plan.ordering_choice().map(|c| (self.plan.dim(), c))
     }
 
-    /// The determinant `D(σ)` at every σ of `tables` (a singular point is
-    /// a legitimate zero sample).
-    pub fn sample_det(
-        &self,
-        tables: &SizeTables,
-        runtime: &SamplingRuntime,
-    ) -> (Vec<ExtComplex>, BatchRun) {
-        self.sample(tables, runtime, SweepPlan::eval_det, SweepPlan::eval_det_batch)
-    }
-
-    /// The numerator `N(σ)` at every σ of `tables`.
+    /// Samples every σ of `tables` on the runtime's pool, in σ order: the
+    /// denominator `D(σ)` (a singular point is a legitimate zero sample)
+    /// and, from a transfer plan, the numerator `N(σ)` or the point's
+    /// error — both from **one** transfer evaluation per solved point,
+    /// whose factorization *is* the determinant's, accounting included.
+    /// A determinant-only plan returns no numerator samples.
     ///
-    /// # Errors
-    ///
-    /// The lowest-index point's [`MnaError`], if any point fails. A
-    /// mirrored point inherits its partner's failure.
-    pub fn sample_numerator(
-        &self,
-        tables: &SizeTables,
-        runtime: &SamplingRuntime,
-    ) -> Result<(Vec<ExtComplex>, BatchRun), RefgenError> {
-        let (values, run) = self.sample(
-            tables,
-            runtime,
-            |plan, s, scratch| plan.eval_at(s, scratch).map(|t| t.numerator),
-            |plan, chunk, scratch| {
-                plan.eval_batch(chunk, scratch)
-                    .into_iter()
-                    .map(|r| r.map(|t| t.numerator))
-                    .collect()
-            },
-        );
-        let values = values.into_iter().collect::<Result<Vec<_>, _>>()?;
-        Ok((values, run))
-    }
-
-    /// Both polynomials at every σ of `tables` from **one** transfer
-    /// evaluation per solved point: the denominator samples (bit for bit
-    /// what [`BatchSampler::sample_det`] gives — the transfer's
-    /// factorization *is* the determinant's, accounting included) and the
-    /// numerator samples with their per-point errors, in σ order.
-    pub fn sample_transfer(
+    /// The solve list — with mirroring active, the size's closed upper
+    /// half-circle; otherwise every σ — is chunked into lane-width
+    /// groups, each group one [`SweepPlan::eval_batch`] /
+    /// [`SweepPlan::eval_det_batch`] call, and every other point is
+    /// mirrored from its solved partner (a mirrored point inherits its
+    /// partner's failure).
+    pub fn sample(
         &self,
         tables: &SizeTables,
         runtime: &SamplingRuntime,
     ) -> (Vec<ExtComplex>, Vec<Result<ExtComplex, MnaError>>, BatchRun) {
-        let (values, run) = self.sample(
-            tables,
-            runtime,
-            |plan, s, scratch| split(plan.eval_at(s, scratch)),
-            |plan, chunk, scratch| plan.eval_batch(chunk, scratch).into_iter().map(split).collect(),
-        );
-        let (den, num) = values.into_iter().unzip();
-        (den, num, run)
-    }
-
-    /// Evaluates every σ of `tables` on the runtime's pool, `one`
-    /// point at a time at lane width 1 and `batch` per lane group
-    /// otherwise, returning samples in σ order. With mirroring active,
-    /// only the size's solve list is evaluated and the rest mirrored.
-    fn sample<T: Sample>(
-        &self,
-        tables: &SizeTables,
-        runtime: &SamplingRuntime,
-        one: impl Fn(&SweepPlan, Complex, &mut SweepScratch) -> T + Sync,
-        batch: impl Fn(&SweepPlan, &[Complex], &mut SweepBatchScratch) -> Vec<T> + Sync,
-    ) -> (Vec<T>, BatchRun) {
         let solve: &[Complex] = if self.mirror { &tables.conjugate.solve } else { &tables.sigmas };
         let pool = runtime.pool();
         // Reported per point regardless of lane chunking, so diagnostics
         // stay bit-identical across lane widths.
         let threads = refgen_exec::effective_threads(pool.threads(), solve.len());
         let plan = &self.plan;
+        let chunks: Vec<&[Complex]> = solve.chunks(self.lanes).collect();
+        let per_chunk: Vec<(Vec<PointSample>, SweepStats)> =
+            pool.par_map_indexed(&chunks, SweepBatchScratch::new, |_, chunk, scratch| {
+                let before = scratch.stats();
+                let values = if self.transfer {
+                    plan.eval_batch(chunk, scratch).into_iter().map(split).collect()
+                } else {
+                    plan.eval_det_batch(chunk, scratch).into_iter().map(|d| (d, None)).collect()
+                };
+                (values, scratch.stats() - before)
+            });
         let mut counters = SweepStats::default();
-        let mut count = |job: SweepStats| counters = counters + job;
-        let values: Vec<T> = if self.lanes > 1 {
-            // Batched replay: chunk the solve list into lane-width groups,
-            // each group one instruction-stream traversal through the
-            // compiled kernel. Per live lane the replay performs the exact
-            // scalar operation sequence of the per-point path, and dead
-            // lanes fall back to it verbatim, so every value (and every
-            // counter) below is bit-identical to the `lanes == 1` branch.
-            let chunks: Vec<&[Complex]> = solve.chunks(self.lanes).collect();
-            let per_chunk: Vec<(Vec<T>, SweepStats)> =
-                pool.par_map_indexed(&chunks, SweepBatchScratch::new, |_, chunk, scratch| {
-                    let before = scratch.stats();
-                    let values = batch(plan, chunk, scratch);
-                    (values, scratch.stats() - before)
-                });
-            per_chunk
-                .into_iter()
-                .flat_map(|(values, job)| {
-                    count(job);
-                    values
-                })
-                .collect()
-        } else {
-            let per_point: Vec<(T, SweepStats)> =
-                pool.par_map_indexed(solve, SweepScratch::new, |_, &sigma, scratch| {
-                    let before = scratch.stats();
-                    let value = one(plan, sigma, scratch);
-                    (value, scratch.stats() - before)
-                });
-            per_point
-                .into_iter()
-                .map(|(value, job)| {
-                    count(job);
-                    value
-                })
-                .collect()
-        };
+        let mut values = Vec::with_capacity(solve.len());
+        for (chunk, job) in per_chunk {
+            counters = counters + job;
+            values.extend(chunk);
+        }
 
         let mut mirrored = 0u64;
-        let samples = if self.mirror {
+        let samples: Vec<PointSample> = if self.mirror {
             let roles = &tables.conjugate.roles;
             roles
                 .iter()
@@ -329,13 +247,14 @@ impl BatchSampler {
                     Role::Direct(k) => values[k].clone(),
                     Role::Mirror(k) => {
                         mirrored += 1;
-                        values[k].clone().conj()
+                        conj(values[k].clone())
                     }
                 })
                 .collect()
         } else {
             values
         };
-        (samples, (threads, counters, mirrored))
+        let (den, num): (Vec<_>, Vec<_>) = samples.into_iter().unzip();
+        (den, num.into_iter().flatten().collect(), (threads, counters, mirrored))
     }
 }

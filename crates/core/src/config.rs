@@ -37,10 +37,11 @@ pub enum FaultPolicy {
 
 /// Tuning knobs for [`AdaptiveInterpolator`](crate::AdaptiveInterpolator).
 ///
-/// The defaults mirror the paper: coefficients are accepted with `σ = 6`
-/// significant digits against a machine noise floor of
-/// `10^{-13}·max_i|p'_i|` (§2.2/§3.2), the tuning factor `r` of eq. (14) is
-/// zero, and the problem-size reduction of eq. (17) is on.
+/// The defaults mirror the paper: coefficients are accepted with
+/// [`RefgenConfig::SIG_DIGITS`] `= 6` significant digits against a
+/// machine noise floor of `10^{-13}·max_i|p'_i|`
+/// ([`RefgenConfig::NOISE_DECADES`]; §2.2/§3.2), the tuning factor `r` of
+/// eq. (14) is zero, and the problem-size reduction of eq. (17) is on.
 ///
 /// The struct is `#[non_exhaustive]`: construct it with
 /// [`RefgenConfig::default`] or the [builder](RefgenConfig::builder) —
@@ -49,11 +50,6 @@ pub enum FaultPolicy {
 #[derive(Clone, Copy, Debug, PartialEq)]
 #[non_exhaustive]
 pub struct RefgenConfig {
-    /// Desired significant digits `σ` in accepted coefficients.
-    pub sig_digits: u32,
-    /// Decades of dynamic range assumed lost to round-off in one
-    /// interpolation (the paper's `13` in `10^{-13}·max|pᵢ|`).
-    pub noise_decades: f64,
     /// The paper's tuning factor `r` in eqs. (14)–(15): extra decades of
     /// window overlap margin when stepping the scale factors.
     pub tuning_r: f64,
@@ -66,14 +62,6 @@ pub struct RefgenConfig {
     /// Apply the problem-size reduction of eq. (17) (fewer interpolation
     /// points once head/tail coefficients are known).
     pub reduce: bool,
-    /// How many escalating re-tilts to try when an adaptive step yields no
-    /// new coefficients, before declaring the remaining ones zero. An
-    /// attempt whose stepped scale repeats the previous attempt's bit for
-    /// bit (the step clamped by
-    /// [`RefgenConfig::max_step_decades_per_index`]) would compute the
-    /// same rejected window again, so it is skipped: it opens no window
-    /// and uses none of the [`RefgenConfig::max_interpolations`] budget.
-    pub stall_retries: u32,
     /// How many bisection attempts (eq. (16)) to repair a window gap.
     pub gap_retries: u32,
     /// Cross-verify every window by re-interpolating at a slightly
@@ -88,7 +76,8 @@ pub struct RefgenConfig {
     /// eroding the LU determinant itself (the paper's §3.2 warning about
     /// too-large individual scale factors). Once a step is clamped, every
     /// escalating stall retry after it is clamped to the same scale; those
-    /// retries are skipped (see [`RefgenConfig::stall_retries`]).
+    /// retries are skipped (see [`RefgenConfig::STALL_RETRIES`]). Must be
+    /// positive; `f64::INFINITY` removes the cap.
     pub max_step_decades_per_index: f64,
     /// Worker threads for batched unit-circle sampling and for fleet
     /// variants: each window's points are independent numeric
@@ -112,12 +101,13 @@ pub struct RefgenConfig {
     /// of [`ac_sweep_with_config`](crate::ac_sweep_with_config): how many
     /// points one instruction-stream traversal of the compiled symbolic
     /// kernel drives at once (`refgen_sparse`'s slot-major `BatchScratch`
-    /// lanes). `1` runs the classic one-point-at-a-time path. Batching is orthogonal to
-    /// [`RefgenConfig::threads`] — lanes amortize instruction fetch inside
-    /// one worker, threads fan chunks across workers — and per live lane
-    /// the batched kernel performs the exact scalar operation sequence of
-    /// the one-lane path, so output is **bit-identical at any lane
-    /// width**. Default `32`.
+    /// lanes). Every width runs the same loop; a one-point lane group
+    /// (every group at width `1`) replays the one-point path. Batching is
+    /// orthogonal to [`RefgenConfig::threads`] — lanes amortize
+    /// instruction fetch inside one worker, threads fan groups across
+    /// workers — and per live lane the batched kernel performs the exact
+    /// scalar operation sequence of a one-point evaluation, so output is
+    /// **bit-identical at any lane width**. Default `32`.
     pub lane_width: usize,
     /// Pivot-ordering policy for the sampling plans:
     /// [`OrderingMode::Auto`] lets the sweep engine keep the numeric
@@ -142,12 +132,9 @@ pub struct RefgenConfig {
 impl Default for RefgenConfig {
     fn default() -> Self {
         RefgenConfig {
-            sig_digits: 6,
-            noise_decades: 13.0,
             tuning_r: 0.0,
             max_interpolations: 64,
             reduce: true,
-            stall_retries: 3,
             gap_retries: 3,
             verify: true,
             max_step_decades_per_index: 8.0,
@@ -172,6 +159,22 @@ impl Default for RefgenConfig {
 }
 
 impl RefgenConfig {
+    /// Desired significant digits `σ` in accepted coefficients.
+    pub const SIG_DIGITS: u32 = 6;
+
+    /// Decades of dynamic range assumed lost to round-off in one
+    /// interpolation (the paper's `13` in `10^{-13}·max|pᵢ|`).
+    pub const NOISE_DECADES: f64 = 13.0;
+
+    /// How many escalating re-tilts to try when an adaptive step yields no
+    /// new coefficients, before declaring the remaining ones zero. An
+    /// attempt whose stepped scale repeats the previous attempt's bit for
+    /// bit (the step clamped by
+    /// [`RefgenConfig::max_step_decades_per_index`]) would compute the
+    /// same rejected window again, so it is skipped: it opens no window
+    /// and uses none of the [`RefgenConfig::max_interpolations`] budget.
+    pub const STALL_RETRIES: u32 = 3;
+
     /// Starts a [`RefgenConfigBuilder`] from the paper defaults.
     pub fn builder() -> RefgenConfigBuilder {
         RefgenConfigBuilder { config: RefgenConfig::default() }
@@ -181,17 +184,10 @@ impl RefgenConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `sig_digits` leaves no usable window
-    /// (`sig_digits ≥ noise_decades`), limits are zero, or
-    /// `max_interpolations` cannot hold the opening window and its verify
-    /// window.
+    /// Panics if limits are zero, `max_interpolations` cannot hold the
+    /// opening window and its verify window, or
+    /// `max_step_decades_per_index` is not positive (`NaN` included).
     pub fn assert_valid(&self) {
-        assert!(
-            (self.sig_digits as f64) < self.noise_decades,
-            "sig_digits {} must be below noise_decades {}",
-            self.sig_digits,
-            self.noise_decades
-        );
         assert!(self.max_interpolations > 0, "max_interpolations must be positive");
         assert!(
             !self.verify || self.max_interpolations >= 2,
@@ -200,8 +196,16 @@ impl RefgenConfig {
         );
         assert!(self.tuning_r >= 0.0, "tuning_r must be non-negative");
         assert!(self.lane_width >= 1, "lane_width must be at least 1");
+        assert!(
+            self.max_step_decades_per_index > 0.0,
+            "max_step_decades_per_index must be positive, got {}",
+            self.max_step_decades_per_index
+        );
     }
 }
+
+// `SIG_DIGITS` must leave a usable window below the noise floor.
+const _: () = assert!((RefgenConfig::SIG_DIGITS as f64) < RefgenConfig::NOISE_DECADES);
 
 /// Chainable constructor for [`RefgenConfig`], starting from the paper
 /// defaults. One setter per knob; [`RefgenConfigBuilder::build`] validates.
@@ -218,20 +222,6 @@ pub struct RefgenConfigBuilder {
 }
 
 impl RefgenConfigBuilder {
-    /// Desired significant digits `σ` in accepted coefficients.
-    #[must_use]
-    pub fn sig_digits(mut self, sig_digits: u32) -> Self {
-        self.config.sig_digits = sig_digits;
-        self
-    }
-
-    /// Decades of dynamic range assumed lost to round-off per window.
-    #[must_use]
-    pub fn noise_decades(mut self, noise_decades: f64) -> Self {
-        self.config.noise_decades = noise_decades;
-        self
-    }
-
     /// The paper's tuning factor `r` of eqs. (14)–(15).
     #[must_use]
     pub fn tuning_r(mut self, tuning_r: f64) -> Self {
@@ -250,14 +240,6 @@ impl RefgenConfigBuilder {
     #[must_use]
     pub fn reduce(mut self, reduce: bool) -> Self {
         self.config.reduce = reduce;
-        self
-    }
-
-    /// Escalating re-tilts to try before declaring coefficients zero (a
-    /// retry that would repeat the previous attempt's scale is skipped).
-    #[must_use]
-    pub fn stall_retries(mut self, stall_retries: u32) -> Self {
-        self.config.stall_retries = stall_retries;
         self
     }
 
@@ -312,8 +294,8 @@ impl RefgenConfigBuilder {
     }
 
     /// Lane width for batched window sampling (how many σ points one
-    /// compiled-kernel traversal drives at once; `1` = classic per-point
-    /// path). Output is bit-identical at any width.
+    /// compiled-kernel traversal drives at once; at `1` every traversal
+    /// is a one-point evaluation). Output is bit-identical at any width.
     #[must_use]
     pub fn lane_width(mut self, lane_width: usize) -> Self {
         self.config.lane_width = lane_width;
@@ -356,12 +338,9 @@ mod tests {
     #[test]
     fn builder_overrides_and_validates() {
         let cfg = RefgenConfig::builder()
-            .sig_digits(5)
-            .noise_decades(12.0)
             .tuning_r(1.5)
             .max_interpolations(7)
             .reduce(false)
-            .stall_retries(2)
             .gap_retries(1)
             .verify(false)
             .max_step_decades_per_index(6.0)
@@ -376,12 +355,9 @@ mod tests {
         assert_eq!(cfg.threads, 4);
         assert!(!cfg.conjugate_mirror);
         assert_eq!(cfg.lane_width, 4);
-        assert_eq!(cfg.sig_digits, 5);
-        assert_eq!(cfg.noise_decades, 12.0);
         assert_eq!(cfg.tuning_r, 1.5);
         assert_eq!(cfg.max_interpolations, 7);
         assert!(!cfg.reduce && !cfg.verify);
-        assert_eq!(cfg.stall_retries, 2);
         assert_eq!(cfg.gap_retries, 1);
         assert_eq!(cfg.max_step_decades_per_index, 6.0);
     }
@@ -406,16 +382,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "must be below")]
-    fn builder_rejects_impossible_digits() {
-        RefgenConfig::builder().sig_digits(14).build();
-    }
-
-    #[test]
     fn default_matches_paper() {
         let c = RefgenConfig::default();
-        assert_eq!(c.sig_digits, 6);
-        assert_eq!(c.noise_decades, 13.0);
+        assert_eq!(RefgenConfig::SIG_DIGITS, 6);
+        assert_eq!(RefgenConfig::NOISE_DECADES, 13.0);
         assert_eq!(c.threads, 1);
         assert!(c.conjugate_mirror);
         assert_eq!(c.lane_width, 32);
@@ -436,9 +406,26 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "must be below")]
-    fn rejects_impossible_digits() {
-        RefgenConfig { sig_digits: 14, ..RefgenConfig::default() }.assert_valid();
+    #[should_panic(expected = "max_step_decades_per_index must be positive")]
+    fn rejects_a_negative_step_cap() {
+        RefgenConfig::builder().max_step_decades_per_index(-1.0).build();
+    }
+
+    #[test]
+    #[should_panic(expected = "max_step_decades_per_index must be positive")]
+    fn rejects_a_zero_step_cap() {
+        RefgenConfig::builder().max_step_decades_per_index(0.0).build();
+    }
+
+    #[test]
+    #[should_panic(expected = "max_step_decades_per_index must be positive")]
+    fn rejects_a_nan_step_cap() {
+        RefgenConfig::builder().max_step_decades_per_index(f64::NAN).build();
+    }
+
+    #[test]
+    fn an_infinite_step_cap_is_valid() {
+        RefgenConfig::builder().max_step_decades_per_index(f64::INFINITY).build();
     }
 
     #[test]

@@ -94,7 +94,7 @@ pub fn step_scale_with_policy(
 ) -> Scale {
     let (lo, hi) = window.region.expect("step_scale requires a window with a valid region");
     let m = window.max_idx;
-    let decades = config.noise_decades + config.tuning_r + extra_decades;
+    let decades = RefgenConfig::NOISE_DECADES + config.tuning_r + extra_decades;
     let log_q = match direction {
         Direction::Ascending => {
             let e = hi;

@@ -139,8 +139,9 @@ pub struct Window {
     /// Whether eq. (17) reduction was applied.
     pub reduced: bool,
     /// Absolute round-off floor of this interpolation:
-    /// `10^{−noise_decades}·S`, where `S` is the largest magnitude that
-    /// entered the computation (raw samples and subtracted known terms).
+    /// `10^{−NOISE_DECADES}·S` ([`RefgenConfig::NOISE_DECADES`]), where
+    /// `S` is the largest magnitude that entered the computation (raw
+    /// samples and subtracted known terms).
     /// Coefficients below this are indistinguishable from noise no matter
     /// how they compare to the window maximum.
     pub noise_floor: ExtFloat,
@@ -280,11 +281,10 @@ pub(crate) fn interpolate_window(
     let noise_floor = if raw_mag.is_zero() {
         ExtFloat::ZERO
     } else {
-        raw_mag * ExtFloat::exp10(-config.noise_decades)
+        raw_mag * ExtFloat::exp10(-RefgenConfig::NOISE_DECADES)
     };
 
-    let (normalized, threshold, max_idx, region) =
-        coefficients(&samples, &tables.dft, noise_floor, config);
+    let (normalized, threshold, max_idx, region) = coefficients(&samples, &tables.dft, noise_floor);
     Ok(Window {
         scale,
         offset: k_lo,
@@ -322,14 +322,14 @@ fn sample_window(
     match (kind, opening) {
         (PolyKind::Denominator, Some(opening)) => {
             let batch = BatchSampler::new(sys, Some(spec), scale, config, runtime)?;
-            let (samples, numerator, run) = batch.sample_transfer(tables, runtime);
+            let (samples, numerator, run) = batch.sample(tables, runtime);
             let ordering = batch.ordering();
             opening.windows.push(SharedWindow { scale, numerator, ordering });
             Ok((samples, run, ordering))
         }
         (PolyKind::Denominator, None) => {
             let batch = BatchSampler::new(sys, None, scale, config, runtime)?;
-            let (samples, run) = batch.sample_det(tables, runtime);
+            let (samples, _, run) = batch.sample(tables, runtime);
             Ok((samples, run, batch.ordering()))
         }
         (PolyKind::Numerator, opening) => {
@@ -338,7 +338,8 @@ fn sample_window(
                 return Ok((samples, (0, SweepStats::default(), 0), shared.ordering));
             }
             let batch = BatchSampler::new(sys, Some(spec), scale, config, runtime)?;
-            let (samples, run) = batch.sample_numerator(tables, runtime)?;
+            let (_, numerator, run) = batch.sample(tables, runtime);
+            let samples = numerator.into_iter().collect::<Result<Vec<_>, _>>()?;
             Ok((samples, run, batch.ordering()))
         }
     }
@@ -363,7 +364,6 @@ fn coefficients(
     samples: &[ExtComplex],
     dft: &Dft,
     noise_floor: ExtFloat,
-    config: &RefgenConfig,
 ) -> (Vec<ExtComplex>, ExtFloat, usize, Option<(usize, usize)>) {
     let k_points = samples.len();
     // Exponent alignment: bring all samples to the largest exponent. Samples
@@ -394,14 +394,14 @@ fn coefficients(
             max_idx = j;
         }
     }
-    // The validity threshold is `10^{sig_digits}` above the *absolute*
+    // The validity threshold is `10^{SIG_DIGITS}` above the *absolute*
     // round-off floor. For a plain full interpolation the samples and the
     // largest coefficient have comparable magnitudes, so this coincides
     // with the paper's `10^{−13+σ}·max_i|p'_i|` criterion (eq. (12)); for
     // reduced interpolations it additionally rejects windows whose entire
     // content is subtraction residue — which is how the true polynomial
     // order is detected (§3.3).
-    let threshold = noise_floor * ExtFloat::exp10(config.sig_digits as f64);
+    let threshold = noise_floor * ExtFloat::exp10(RefgenConfig::SIG_DIGITS as f64);
     if max_norm.is_zero() || max_norm < threshold {
         return (normalized, threshold, max_idx, None);
     }
@@ -410,7 +410,7 @@ fn coefficients(
     // coefficient whose imaginary part is comparable to its real part is
     // round-off garbage regardless of magnitude. (This is what rejects
     // whole windows when an extreme tilt has degraded the LU itself.)
-    let imag_tol = ExtFloat::from_f64(10f64.powf(-(config.sig_digits as f64) / 2.0));
+    let imag_tol = ExtFloat::from_f64(10f64.powf(-(RefgenConfig::SIG_DIGITS as f64) / 2.0));
     let valid: Vec<bool> = normalized
         .iter()
         .zip(&norms)

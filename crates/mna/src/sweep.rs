@@ -19,8 +19,11 @@
 //!   ([`FactorProgram::refactor_batch_points`]);
 //! * the **RHS template** (the excitation vector is frequency-independent);
 //! * a **pivot order** — from one probe factorization, or on large mesh
-//!   patterns from the symbolic AMD ordering (see [`OrderingMode::Auto`])
-//!   — held together with the **compiled symbolic kernel**
+//!   patterns from the symbolic AMD ordering (see [`OrderingMode::Auto`]),
+//!   always selected through a [`PlanCache`]: the caller's, shared by
+//!   every plan of one topology, or a fresh one of the plan's own for
+//!   [`SweepPlan::new`] and [`SweepPlan::for_determinant`] — held
+//!   together with the **compiled symbolic kernel**
 //!   ([`FactorProgram`]) built from
 //!   `(pattern, pivot order)`: fill-in, slot layout, and the elimination
 //!   instruction stream are computed once, and every point stamps
@@ -45,7 +48,9 @@
 //!
 //! ```
 //! use refgen_circuit::library::rc_ladder;
-//! use refgen_mna::{MnaSystem, Scale, SweepPlan, SweepScratch, TransferSpec};
+//! use refgen_mna::{
+//!     MnaSystem, OrderingMode, PlanCache, Scale, SweepPlan, SweepScratch, TransferSpec,
+//! };
 //! use refgen_numeric::Complex;
 //!
 //! # fn main() -> Result<(), refgen_mna::MnaError> {
@@ -62,6 +67,16 @@
 //! // Every point after the plan's probe reused the recorded pivot order.
 //! assert_eq!(scratch.stats().compiled_hits, 32);
 //! assert_eq!(scratch.stats().fresh_factorizations, 0);
+//!
+//! // `SweepPlan::new` selected its order through a fresh plan cache of
+//! // its own; plans built through one shared cache probe once per cell.
+//! let cache = PlanCache::new();
+//! for scale in [Scale::unit(), Scale::new(1.2, 1.0)] {
+//!     let mode = OrderingMode::Auto;
+//!     let cached = SweepPlan::new_cached_with_ordering(&sys, scale, &spec, &cache, mode)?;
+//!     assert_eq!(cached.ordering_choice(), plan.ordering_choice());
+//! }
+//! assert_eq!((cache.pivot_searches(), cache.shared_hits()), (1, 1));
 //! # Ok(())
 //! # }
 //! ```
@@ -490,8 +505,8 @@ impl PlanCache {
     /// of `n·u·ρ·max|A|`, with `u` the unit round-off and `ρ` the growth.
     /// At `ρ ≤ 10` a certified order loses at most one decade more than a
     /// growth-free factorization: on the µA741 (`n = 41`) that is
-    /// `n·u·ρ ≈ 4.6e-14`, still below the `10^{-noise_decades}` floor
-    /// (`RefgenConfig::noise_decades`, default 13) that the engine's
+    /// `n·u·ρ ≈ 4.6e-14`, still below the `10^{-13}` floor
+    /// (`refgen_core`'s `RefgenConfig::NOISE_DECADES`) that the engine's
     /// validity test already assumes lost to round-off in every window.
     /// The Markowitz probe's own orders grow by at most 1.83 across the
     /// µA741 scale walk.
@@ -829,10 +844,11 @@ impl SweepPlan {
     ///
     /// Resolves the spec's source and output once, extracts the affine
     /// pattern, and selects the pivot order every evaluation will replay
-    /// ([`OrderingMode::Auto`]): one probe factorization at a generic
-    /// unit-circle point, or — on a mesh pattern of dimension 256 and up —
-    /// an AMD order validated at that point, with no probe. If no order
-    /// is usable (the probe is singular) the plan still works — each
+    /// ([`OrderingMode::Auto`]) through a fresh local [`PlanCache`], whose
+    /// anchor is `(sys, scale)` itself: one probe factorization at a
+    /// generic unit-circle point, or — on a mesh pattern of dimension 256
+    /// and up — an AMD order validated at that point, with no probe. If no
+    /// order is usable (the probe is singular) the plan still works — each
     /// evaluation then runs its own Markowitz factorization.
     ///
     /// # Errors
@@ -841,30 +857,15 @@ impl SweepPlan {
     /// [`MnaSystem::resolve_source`] and [`MnaError::NoSuchNode`] for
     /// unknown output nodes.
     pub fn new(sys: &MnaSystem, scale: Scale, spec: &TransferSpec) -> Result<SweepPlan, MnaError> {
-        Self::build_transfer(sys, scale, spec, None, OrderingMode::default())
+        Self::new_cached_with_ordering(sys, scale, spec, &PlanCache::new(), OrderingMode::default())
     }
 
-    /// As [`SweepPlan::new`] with an explicit [`OrderingMode`] instead of
-    /// [`OrderingMode::Auto`].
-    ///
-    /// # Errors
-    ///
-    /// See [`SweepPlan::new`].
-    pub fn new_with_ordering(
-        sys: &MnaSystem,
-        scale: Scale,
-        spec: &TransferSpec,
-        mode: OrderingMode,
-    ) -> Result<SweepPlan, MnaError> {
-        Self::build_transfer(sys, scale, spec, None, mode)
-    }
-
-    /// As [`SweepPlan::new_with_ordering`], sharing pivot orders through
-    /// `cache`: the plan takes the selection of its plan cell (same
-    /// pattern fingerprint and ordering mode, scale within the cell),
-    /// which the cache computes once from the pattern's anchor — the
-    /// fleet path where one pivot search serves a whole topology. See
-    /// [`PlanCache`].
+    /// As [`SweepPlan::new`] with an explicit [`OrderingMode`], sharing
+    /// pivot orders through `cache`: the plan takes the selection of its
+    /// plan cell (same pattern fingerprint and ordering mode, scale within
+    /// the cell), which the cache computes once from the pattern's anchor
+    /// — the fleet path where one pivot search serves a whole topology.
+    /// See [`PlanCache`].
     ///
     /// # Errors
     ///
@@ -874,16 +875,6 @@ impl SweepPlan {
         scale: Scale,
         spec: &TransferSpec,
         cache: &PlanCache,
-        mode: OrderingMode,
-    ) -> Result<SweepPlan, MnaError> {
-        Self::build_transfer(sys, scale, spec, Some(cache), mode)
-    }
-
-    fn build_transfer(
-        sys: &MnaSystem,
-        scale: Scale,
-        spec: &TransferSpec,
-        cache: Option<&PlanCache>,
         mode: OrderingMode,
     ) -> Result<SweepPlan, MnaError> {
         let (_source, amp) = sys.resolve_source(&spec.input)?;
@@ -903,8 +894,10 @@ impl SweepPlan {
 
     /// Builds a determinant-only plan ([`SweepPlan::eval_at`] is
     /// unavailable): no transfer spec needed, no RHS solve ever performed.
+    /// The pivot order comes from a fresh local [`PlanCache`], as for
+    /// [`SweepPlan::new`].
     pub fn for_determinant(sys: &MnaSystem, scale: Scale) -> SweepPlan {
-        Self::build(sys, scale, None, None, OrderingMode::default())
+        Self::build(sys, scale, None, &PlanCache::new(), OrderingMode::default())
     }
 
     /// As [`SweepPlan::for_determinant`] with an explicit
@@ -916,22 +909,18 @@ impl SweepPlan {
         cache: &PlanCache,
         mode: OrderingMode,
     ) -> SweepPlan {
-        Self::build(sys, scale, None, Some(cache), mode)
+        Self::build(sys, scale, None, cache, mode)
     }
 
     fn build(
         sys: &MnaSystem,
         scale: Scale,
         drive: Option<PlanDrive>,
-        cache: Option<&PlanCache>,
+        cache: &PlanCache,
         mode: OrderingMode,
     ) -> SweepPlan {
         let (dim, pattern) = affine_pattern(sys, scale);
-        let selection = match cache {
-            Some(cache) => cache.selection_for(sys, scale, mode),
-            None => select_ordering(dim, &pattern, mode),
-        };
-        let (compiled, ordering) = match selection {
+        let (compiled, ordering) = match cache.selection_for(sys, scale, mode) {
             Some(sel) => (Some((sel.order, sel.program)), Some(sel.choice)),
             None => (None, None),
         };
@@ -1297,6 +1286,17 @@ mod tests {
     use refgen_circuit::library::{rc_ladder, ua741};
     use refgen_circuit::Circuit;
 
+    /// A transfer plan of `sys` at `scale` under `mode`, through a fresh
+    /// plan cache.
+    fn plan_under(
+        sys: &MnaSystem,
+        scale: Scale,
+        spec: &TransferSpec,
+        mode: OrderingMode,
+    ) -> SweepPlan {
+        SweepPlan::new_cached_with_ordering(sys, scale, spec, &PlanCache::new(), mode).unwrap()
+    }
+
     fn spec() -> TransferSpec {
         TransferSpec::voltage_gain("VIN", "out")
     }
@@ -1406,13 +1406,12 @@ mod tests {
         // Pinned to the probe order: this test documents Markowitz-probe
         // pivot mechanics (the DC-vanishing capacitor diagonal), which an
         // AMD order would pivot around.
-        let plan = SweepPlan::new_with_ordering(
+        let plan = plan_under(
             &sys,
             Scale::unit(),
             &TransferSpec::voltage_gain("VIN", "b"),
             OrderingMode::Markowitz,
-        )
-        .unwrap();
+        );
 
         // The probe (|s| = 1, so |s·C| = 1 dominates the mS-range
         // conductances) pivots on node a's capacitor-only diagonal.
@@ -1898,13 +1897,12 @@ mod tests {
         // Pinned to the probe order: this test documents Markowitz-probe
         // pivot mechanics (the DC-vanishing capacitor diagonal), which an
         // AMD order would pivot around.
-        let plan = SweepPlan::new_with_ordering(
+        let plan = plan_under(
             &sys,
             Scale::unit(),
             &TransferSpec::voltage_gain("VIN", "b"),
             OrderingMode::Markowitz,
-        )
-        .unwrap();
+        );
         let points =
             [Complex::new(0.3, 1.1), Complex::ZERO, Complex::new(-0.4, 0.9), Complex::ZERO];
 
@@ -1928,9 +1926,8 @@ mod tests {
         let c = refgen_circuit::library::random_rc_mesh(40, 60, 7);
         let sys = MnaSystem::new(&c).unwrap();
         let scale = Scale::new(1e6, 1e3);
-        let mk =
-            SweepPlan::new_with_ordering(&sys, scale, &spec(), OrderingMode::Markowitz).unwrap();
-        let amd = SweepPlan::new_with_ordering(&sys, scale, &spec(), OrderingMode::Amd).unwrap();
+        let mk = plan_under(&sys, scale, &spec(), OrderingMode::Markowitz);
+        let amd = plan_under(&sys, scale, &spec(), OrderingMode::Amd);
         assert_eq!(
             mk.ordering_choice().unwrap().selected,
             SelectedOrdering::Markowitz,
@@ -1958,15 +1955,14 @@ mod tests {
         // A ladder is tree-like: Markowitz fill stays tiny, Auto keeps it.
         let ladder = MnaSystem::new(&rc_ladder(6, 1e3, 1e-9)).unwrap();
         let scale = Scale::new(1e6, 1e3);
-        let plan =
-            SweepPlan::new_with_ordering(&ladder, scale, &spec(), OrderingMode::Auto).unwrap();
+        let plan = SweepPlan::new(&ladder, scale, &spec()).unwrap();
         let choice = plan.ordering_choice().unwrap();
         assert_eq!(choice.selected, SelectedOrdering::Markowitz);
         // A dense-ish random mesh crosses the fill threshold; Auto must
         // switch iff AMD actually reduces fill (the recorded numbers let
         // the test assert the contract rather than a particular topology).
         let mesh = MnaSystem::new(&refgen_circuit::library::random_rc_mesh(60, 150, 3)).unwrap();
-        let plan = SweepPlan::new_with_ordering(&mesh, scale, &spec(), OrderingMode::Auto).unwrap();
+        let plan = SweepPlan::new(&mesh, scale, &spec()).unwrap();
         let choice = plan.ordering_choice().unwrap();
         if choice.selected == SelectedOrdering::Amd {
             let (mf, af) = (choice.markowitz_fill.unwrap(), choice.amd_fill.unwrap());

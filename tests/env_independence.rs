@@ -7,7 +7,7 @@
 //! This is its own test binary so the variables are set in a process of
 //! its own, before anything in it builds a configuration.
 
-use refgen::mna::{MnaSystem, OrderingMode, SelectedOrdering};
+use refgen::mna::{MnaSystem, OrderingMode, PlanCache, SelectedOrdering};
 use refgen::prelude::*;
 use std::sync::Once;
 
@@ -52,9 +52,15 @@ fn default_config_is_the_documented_constants() {
 fn sweep_plans_select_auto() {
     set_former_hooks();
     let sys = MnaSystem::new(&library::ua741()).unwrap();
-    let auto = SweepPlan::new_with_ordering(&sys, Scale::unit(), &spec(), OrderingMode::Auto)
-        .unwrap()
-        .ordering_choice();
+    let auto = SweepPlan::new_cached_with_ordering(
+        &sys,
+        Scale::unit(),
+        &spec(),
+        &PlanCache::new(),
+        OrderingMode::Auto,
+    )
+    .unwrap()
+    .ordering_choice();
     let plan = SweepPlan::new(&sys, Scale::unit(), &spec()).unwrap();
     assert_eq!(plan.ordering_choice(), auto);
     let choice = auto.expect("the µA741 probe factors");

@@ -16,7 +16,9 @@ use refgen::circuit::library::{
 };
 use refgen::circuit::Circuit;
 use refgen::core::ac_sweep_with_config;
-use refgen::mna::{MnaSystem, OrderingChoice, OrderingMode, SelectedOrdering, SweepPlan};
+use refgen::mna::{
+    MnaSystem, OrderingChoice, OrderingMode, PlanCache, SelectedOrdering, SweepPlan,
+};
 use refgen::numeric::Complex;
 use refgen::prelude::*;
 
@@ -48,14 +50,20 @@ struct Fills {
     threshold: usize,
 }
 
+/// The plan of `sys` at unit scale under `mode`, through a fresh plan
+/// cache.
+fn unit_plan(sys: &MnaSystem, mode: OrderingMode) -> SweepPlan {
+    SweepPlan::new_cached_with_ordering(sys, Scale::unit(), &spec(), &PlanCache::new(), mode)
+        .expect("mesh plan")
+}
+
 /// The [`Fills`] of `sys`'s pattern (`None` when the probe is singular).
 fn compiled_fills(sys: &MnaSystem) -> Option<Fills> {
-    let plan = |mode| SweepPlan::new_with_ordering(sys, Scale::unit(), &spec(), mode).unwrap();
-    let markowitz = plan(OrderingMode::Markowitz);
+    let markowitz = unit_plan(sys, OrderingMode::Markowitz);
     let program = markowitz.program()?;
     let markowitz_fill = program.fill_in();
     let nnz = program.slots() - markowitz_fill;
-    let amd = plan(OrderingMode::Amd);
+    let amd = unit_plan(sys, OrderingMode::Amd);
     let amd_fill = (amd.ordering_choice()?.selected == SelectedOrdering::Amd)
         .then(|| amd.program().expect("amd plans carry a program").fill_in());
     Some(Fills {
@@ -118,8 +126,7 @@ fn assert_choice_matches_reference(plan: &SweepPlan, sys: &MnaSystem, mode: Orde
 /// 1e-9 relative, and every point served by the compiled kernel.
 fn assert_compiled_sweep_matches_fresh_lu(circuit: &Circuit, mode: OrderingMode, freqs: &[f64]) {
     let ac = AcAnalysis::new(circuit, spec()).expect("mesh compiles");
-    let plan =
-        SweepPlan::new_with_ordering(ac.system(), Scale::unit(), &spec(), mode).expect("mesh plan");
+    let plan = unit_plan(ac.system(), mode);
     assert_choice_matches_reference(&plan, ac.system(), mode);
     let mut scratch = SweepScratch::new();
     for (k, &f) in freqs.iter().enumerate() {
@@ -155,10 +162,8 @@ fn random_mesh_sweep_holds_to_fresh_lu_under_both_orderings() {
 fn orderings_agree_and_report_fill_on_meshes() {
     let circuit = grid_rc_mesh(16, 16, 9256);
     let sys = MnaSystem::new(&circuit).expect("mesh compiles");
-    let mk = SweepPlan::new_with_ordering(&sys, Scale::unit(), &spec(), OrderingMode::Markowitz)
-        .expect("markowitz plan");
-    let amd = SweepPlan::new_with_ordering(&sys, Scale::unit(), &spec(), OrderingMode::Amd)
-        .expect("amd plan");
+    let mk = unit_plan(&sys, OrderingMode::Markowitz);
+    let amd = unit_plan(&sys, OrderingMode::Amd);
     assert_choice_matches_reference(&mk, &sys, OrderingMode::Markowitz);
     assert_choice_matches_reference(&amd, &sys, OrderingMode::Amd);
     let choice = amd.ordering_choice().expect("mesh plans record their ordering");
@@ -186,8 +191,7 @@ fn ordering_choices_match_compile_both_reference_under_every_mode() {
     {
         let sys = MnaSystem::new(&circuit).expect("mesh compiles");
         for mode in [OrderingMode::Auto, OrderingMode::Markowitz, OrderingMode::Amd] {
-            let plan = SweepPlan::new_with_ordering(&sys, Scale::unit(), &spec(), mode)
-                .expect("mesh plan");
+            let plan = unit_plan(&sys, mode);
             assert_choice_matches_reference(&plan, &sys, mode);
         }
     }
@@ -226,8 +230,7 @@ fn amd_first_rule_keeps_probe_first_selections_on_the_corpus() {
     }
     for (name, circuit) in &corpus {
         let sys = MnaSystem::new(circuit).expect("corpus circuit compiles");
-        let plan = SweepPlan::new_with_ordering(&sys, Scale::unit(), &spec(), OrderingMode::Auto)
-            .expect("corpus plan");
+        let plan = unit_plan(&sys, OrderingMode::Auto);
         let choice = plan.ordering_choice().expect("corpus probes are regular");
         let fills = compiled_fills(&sys).expect("corpus probes are regular");
         assert_eq!(choice, choice_from_fills(fills, OrderingMode::Auto), "{name}");
@@ -287,8 +290,7 @@ fn amd_cuts_fill_5x_on_4096_node_random_mesh() {
     use refgen::sparse::PivotOrder;
     let circuit = random_rc_mesh(4096, 1024, 97);
     let sys = MnaSystem::new(&circuit).expect("mesh compiles");
-    let plan = SweepPlan::new_with_ordering(&sys, Scale::unit(), &spec(), OrderingMode::Amd)
-        .expect("mesh plan");
+    let plan = unit_plan(&sys, OrderingMode::Amd);
     assert_choice_matches_reference(&plan, &sys, OrderingMode::Amd);
     let choice = plan.ordering_choice().expect("ordering recorded");
     let mk_fill = choice.markowitz_fill.expect("forced AMD probes Markowitz") as f64;
