@@ -56,6 +56,11 @@ pub enum MnaError {
         /// The offending Δt, seconds.
         dt: f64,
     },
+    /// An AC analysis was asked for a NaN or infinite frequency.
+    InvalidFrequency {
+        /// The offending frequency, hertz.
+        freq_hz: f64,
+    },
 }
 
 impl fmt::Display for MnaError {
@@ -78,6 +83,9 @@ impl fmt::Display for MnaError {
             MnaError::NoSuchBranch { name } => write!(f, "no branch equation for `{name}`"),
             MnaError::InvalidTimeStep { dt } => {
                 write!(f, "transient time step must be positive and finite, got {dt}")
+            }
+            MnaError::InvalidFrequency { freq_hz } => {
+                write!(f, "AC frequency must be finite, got {freq_hz} Hz")
             }
         }
     }

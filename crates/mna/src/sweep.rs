@@ -701,10 +701,14 @@ fn probe_at(
     SparseLu::factor(&probe_t).ok()
 }
 
-/// Compiles the symbolic kernel for `(pattern, order)`.
-/// [`FactorProgram::compile`] fails only on a dimension mismatch or a
-/// structurally absent pivot, and neither can happen for an order a probe
-/// just recorded on this very pattern — the only orders compiled here.
+/// Compiles the symbolic kernel for `(pattern, order)`, `None` when the
+/// program would pass its compile budget ([`FactorError::TooLarge`]): the
+/// plan then replays no program. [`FactorProgram::compile`]'s other
+/// failures, a dimension mismatch or a structurally absent pivot, cannot
+/// happen for an order a probe just recorded on this very pattern — the
+/// only orders compiled here.
+///
+/// [`FactorError::TooLarge`]: refgen_sparse::FactorError::TooLarge
 /// [`PlanCache`] hits hand out the *stored* program without recompiling,
 /// safe because cache entries are keyed by the positions-only pattern
 /// fingerprint (identical positions ⇒ identical symbolic analysis).
@@ -737,8 +741,10 @@ fn amd_fill_threshold(dim: usize, nnz: usize) -> usize {
 const AMD_FIRST_DIM: usize = 256;
 
 /// The full ordering selection for one `(pattern, mode)`. Returns `None`
-/// only when no usable order exists (the plan then carries none and
-/// every point pays a fresh Markowitz factorization).
+/// only when no usable order exists — the probe is singular, or the
+/// program of every order it would adopt passes its compile budget — and
+/// the plan then carries none: every point pays a fresh Markowitz
+/// factorization.
 ///
 /// * Auto from [`AMD_FIRST_DIM`] on first tries AMD
 ///   ([`try_amd_program`]) and adopts it, unprobed, when its fill
@@ -815,7 +821,8 @@ fn select_ordering(
 /// Computes the AMD order for `pattern`, compiles it, and validates it
 /// numerically at the generic probe point (the prescribed diagonal pivots
 /// must exist in the filled pattern *and* be numerically nonzero there).
-/// `None` means AMD is unusable on this pattern — keep Markowitz.
+/// `None` means AMD is unusable on this pattern — its program is over the
+/// compile budget or fails the probe point — so keep Markowitz.
 fn try_amd_program(
     dim: usize,
     pattern: &[(usize, usize, Complex, Complex)],
@@ -1162,10 +1169,11 @@ impl SweepPlan {
     /// zero falls back to the identical sequential path (failed replay,
     /// then fresh Markowitz) without disturbing its neighbours.
     ///
-    /// Plans without a compiled kernel (singular probe), and one-point
-    /// batches, evaluate each point sequentially — same results, no
-    /// batching to amortize (a one-lane batched replay costs about twice
-    /// a one-point replay on a 1 025-unknown RC mesh).
+    /// Plans without a compiled kernel (singular probe, or a program over
+    /// its compile budget), and one-point batches, evaluate each point
+    /// sequentially — same results, no batching to amortize (a one-lane
+    /// batched replay and solve costs 2.2–2.5 times a one-point one on a
+    /// 1 025-unknown RC mesh on an AVX-512F host).
     ///
     /// # Panics
     ///

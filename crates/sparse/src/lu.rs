@@ -70,6 +70,16 @@ pub enum FactorError {
         /// Actual matrix dimension.
         actual: usize,
     },
+    /// A [`FactorProgram`](crate::FactorProgram) compile passed its
+    /// budget: the order fills the pattern so heavily that the program
+    /// would need more update ops or value slots than the pattern's
+    /// budget allows.
+    TooLarge {
+        /// The budget's update-op limit.
+        ops: usize,
+        /// The budget's slot limit.
+        slots: usize,
+    },
 }
 
 impl fmt::Display for FactorError {
@@ -81,6 +91,10 @@ impl fmt::Display for FactorError {
             FactorError::OrderMismatch { expected, actual } => {
                 write!(f, "pivot order is for dimension {expected}, matrix has {actual}")
             }
+            FactorError::TooLarge { ops, slots } => write!(
+                f,
+                "compiled program exceeds its budget of {ops} update ops or {slots} slots"
+            ),
         }
     }
 }

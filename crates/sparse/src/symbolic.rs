@@ -28,6 +28,30 @@
 //! linear pass over the instruction stream. See the
 //! [crate docs](crate) for the phase diagram relating the three phases.
 //!
+//! # Batched kernel tiers
+//!
+//! The batched replay and solve ([`FactorProgram::refactor_batch`],
+//! [`FactorProgram::refactor_batch_points`], [`FactorProgram::solve_batch`])
+//! run on one instruction-set tier, detected once per process: AVX-512F
+//! (four complex lanes per 512-bit register) if the CPU has it, else AVX
+//! (two per 256-bit register), else the scalar loops. The scalar loops are
+//! the reference; each vector kernel performs, per live lane, the scalar
+//! operation sequence — the same IEEE multiplies, adds, subtracts and
+//! divides on the same operands in the same order, never an FMA — so every
+//! tier's results are bit for bit the scalar ones:
+//!
+//! | kernel | AVX-512F sequence |
+//! |---|---|
+//! | elimination op `dest −= l·src` | `l` expanded once per multiplier entry to `[re, re]`/`[im, im]`; two multiplies, then the product's `re·re − im·im`/`re·im + im·re` as an add merged with a masked subtract over the real elements (AVX's `addsub`), then the subtract from `dest` |
+//! | pivot division `l = a / pivot` | Smith's algorithm with each lane's arm (`\|re\| ≥ \|im\|`, false on NaN like the scalar `>=`) held in a mask; masked multiplies and adds pick each arm's operands in its own order, then the two divides |
+//! | forward step `work −= vals·y` | the elimination's product and subtract; a lane whose `y` is exactly zero is left out of the store mask, as the one-lane solve skips it |
+//! | back step `acc −= vals·x`, `x = acc / pivot` | the elimination's product and subtract in U-row order, then the pivot division |
+//!
+//! The pivot capture and determinant fold and the point-major stamp run
+//! the AVX kernels on both vector tiers. The one-lane replay
+//! ([`FactorProgram::refactor_values`], [`FactorProgram::solve_into`]) is
+//! scalar on every tier.
+//!
 //! # Example
 //!
 //! ```
@@ -170,12 +194,19 @@ impl FactorProgram {
     /// capacity of the largest compile seen on that thread, so a compile
     /// allocates only the program it returns.
     ///
+    /// The compile stops once the program outgrows a budget set by the
+    /// pattern's size: `4·dim·nnz` update ops and `32·nnz` slots (at
+    /// least 2²⁰ and 2¹⁶), `nnz` being `positions.len()`, so an order
+    /// that fills the pattern catastrophically ends in a typed error
+    /// instead of exhausting memory.
+    ///
     /// # Errors
     ///
     /// [`FactorError::OrderMismatch`] when `order` is for a different
-    /// dimension, and [`FactorError::Singular`] when a prescribed pivot
+    /// dimension, [`FactorError::Singular`] when a prescribed pivot
     /// position is **structurally** absent from the filled pattern (every
-    /// numeric replay would fail at that step regardless of values).
+    /// numeric replay would fail at that step regardless of values), and
+    /// [`FactorError::TooLarge`] when the program would pass its budget.
     ///
     /// # Panics
     ///
@@ -185,13 +216,28 @@ impl FactorProgram {
         positions: &[(usize, usize)],
         order: &PivotOrder,
     ) -> Result<FactorProgram, FactorError> {
+        Self::compile_within(
+            dim,
+            positions,
+            order,
+            CompileBudget::for_pattern(dim, positions.len()),
+        )
+    }
+
+    /// [`FactorProgram::compile`] under an explicit budget.
+    pub(crate) fn compile_within(
+        dim: usize,
+        positions: &[(usize, usize)],
+        order: &PivotOrder,
+        budget: CompileBudget,
+    ) -> Result<FactorProgram, FactorError> {
         if order.dim() != dim {
             return Err(FactorError::OrderMismatch { expected: order.dim(), actual: dim });
         }
         for &(r, c) in positions {
             assert!(r < dim && c < dim, "position ({r},{c}) out of range for dim {dim}");
         }
-        COMPILE_WORKSPACE.with(|ws| compile_on(dim, positions, order, &mut ws.borrow_mut()))
+        COMPILE_WORKSPACE.with(|ws| compile_on(dim, positions, order, budget, &mut ws.borrow_mut()))
     }
 
     /// Compiles the program for `a`'s raw entry positions (in entry order,
@@ -450,6 +496,25 @@ impl FactorProgram {
         L::IntoIter: ExactSizeIterator,
         I: IntoIterator<Item = Complex>,
     {
+        self.refactor_batch_on(BatchTier::detected(), lane_values, scratch);
+    }
+
+    /// [`FactorProgram::refactor_batch`] on a given kernel tier.
+    ///
+    /// # Panics
+    ///
+    /// As [`FactorProgram::refactor_batch`], and if the CPU lacks `tier`.
+    pub(crate) fn refactor_batch_on<L, I>(
+        &self,
+        tier: BatchTier,
+        lane_values: L,
+        scratch: &mut BatchScratch,
+    ) where
+        L: IntoIterator<Item = I>,
+        L::IntoIter: ExactSizeIterator,
+        I: IntoIterator<Item = Complex>,
+    {
+        assert!(tier.supported(), "CPU lacks the {} kernel tier", tier.name());
         let iter = lane_values.into_iter();
         let lanes = iter.len();
         assert!(lanes > 0, "batch needs at least one lane");
@@ -462,7 +527,7 @@ impl FactorProgram {
             }
             assert_eq!(count, self.scatter.len(), "value count differs from compiled pattern");
         }
-        self.replay_batch(scratch);
+        self.replay_batch(tier, scratch);
     }
 
     /// Point-major batched refactorization of **one** affine matrix
@@ -491,59 +556,53 @@ impl FactorProgram {
         assert_eq!(k0.len(), self.scatter.len(), "k0 length differs from compiled pattern");
         assert_eq!(k1.len(), self.scatter.len(), "k1 length differs from compiled pattern");
         scratch.begin(self, lanes);
-        #[cfg(target_arch = "x86_64")]
-        if avx_available() {
-            // SAFETY: AVX support was verified at runtime.
-            unsafe { stamp_points_avx(&self.scatter, k0, k1, sigmas, &mut scratch.vals) };
-            self.replay_batch(scratch);
-            return;
+        let tier = BatchTier::detected();
+        match tier {
+            BatchTier::Scalar => {
+                stamp_points_scalar(&self.scatter, k0, k1, sigmas, &mut scratch.vals)
+            }
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the detected tier implies AVX.
+            BatchTier::Avx | BatchTier::Avx512 => unsafe {
+                stamp_points_avx(&self.scatter, k0, k1, sigmas, &mut scratch.vals)
+            },
         }
-        stamp_points_scalar(&self.scatter, k0, k1, sigmas, &mut scratch.vals);
-        self.replay_batch(scratch);
+        self.replay_batch(tier, scratch);
     }
 
-    /// The batched elimination replay: never fails as a whole — per-lane
-    /// zero pivots are captured in `scratch.singular`.
-    fn replay_batch(&self, scratch: &mut BatchScratch) {
+    /// The batched elimination replay on a supported `tier`: never fails
+    /// as a whole — per-lane zero pivots are captured in
+    /// `scratch.singular`.
+    fn replay_batch(&self, tier: BatchTier, scratch: &mut BatchScratch) {
         let lanes = scratch.lanes;
+        let BatchScratch { vals, pivot_lane, mult_lane, det_mant, det_exp, singular, .. } =
+            &mut *scratch;
         for step in 0..self.n {
             let ps = self.pivot_slots[step] as usize * lanes;
-            scratch.pivot_lane.copy_from_slice(&scratch.vals[ps..ps + lanes]);
-            batch_pivot_det(
-                step,
-                &scratch.pivot_lane,
-                &mut scratch.det_mant,
-                &mut scratch.det_exp,
-                &mut scratch.singular,
-            );
+            pivot_lane.copy_from_slice(&vals[ps..ps + lanes]);
+            batch_pivot_det(tier, step, pivot_lane, det_mant, det_exp, singular);
             let (ls, le) = self.lranges[step];
             let lents = &self.lents[ls as usize..le as usize];
             // The whole L-column update of one step runs as a single
             // fused kernel: per-op dispatch overhead would otherwise eat
             // the lane amortization the batch exists for.
-            #[cfg(target_arch = "x86_64")]
-            if avx_available() {
-                // SAFETY: AVX support was verified at runtime.
-                unsafe {
-                    eliminate_step_avx(
-                        lents,
-                        &self.ops,
-                        &mut scratch.vals,
-                        &scratch.pivot_lane,
-                        &mut scratch.mult_lane,
-                        lanes,
-                    )
-                };
-                continue;
+            match tier {
+                BatchTier::Scalar => {
+                    eliminate_step_scalar(lents, &self.ops, vals, pivot_lane, mult_lane, lanes)
+                }
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: the caller checked the tier is supported.
+                BatchTier::Avx => unsafe {
+                    eliminate_step_avx(lents, &self.ops, vals, pivot_lane, mult_lane, lanes)
+                },
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: the caller checked the tier is supported; `begin`
+                // sized `vals` to this program's slots and `pivot_lane` to
+                // `lanes`, and compiled slots lie below `self.slots`.
+                BatchTier::Avx512 => unsafe {
+                    avx512::eliminate_step(lents, &self.ops, vals, pivot_lane, lanes)
+                },
             }
-            eliminate_step_scalar(
-                lents,
-                &self.ops,
-                &mut scratch.vals,
-                &scratch.pivot_lane,
-                &mut scratch.mult_lane,
-                lanes,
-            );
         }
         for lane in 0..lanes {
             if scratch.singular[lane] == LANE_LIVE {
@@ -570,52 +629,61 @@ impl FactorProgram {
     /// Panics if `scratch` holds no batched replay of this program or
     /// `b.len()` differs from `dim · lanes`.
     pub fn solve_batch(&self, scratch: &mut BatchScratch, b: &[Complex], x: &mut Vec<Complex>) {
+        self.solve_batch_on(BatchTier::detected(), scratch, b, x);
+    }
+
+    /// [`FactorProgram::solve_batch`] on a given kernel tier.
+    ///
+    /// # Panics
+    ///
+    /// As [`FactorProgram::solve_batch`], and if the CPU lacks `tier`.
+    pub(crate) fn solve_batch_on(
+        &self,
+        tier: BatchTier,
+        scratch: &mut BatchScratch,
+        b: &[Complex],
+        x: &mut Vec<Complex>,
+    ) {
+        assert!(tier.supported(), "CPU lacks the {} kernel tier", tier.name());
         assert!(scratch.factored, "scratch holds no factorization");
         let lanes = scratch.lanes;
         assert_eq!(b.len(), self.n * lanes, "rhs length mismatch");
-        scratch.work.clear();
-        scratch.work.extend_from_slice(b);
+        // The vector kernels read `vals` unchecked.
+        assert_eq!(
+            scratch.vals.len(),
+            self.slots * lanes,
+            "scratch holds another program's replay"
+        );
+        let BatchScratch { vals, work, pivot_lane, mult_lane, .. } = &mut *scratch;
+        work.clear();
+        work.extend_from_slice(b);
         // Forward elimination replay: y[k] lives at work[pivot_rows[k]·lanes].
         for step in 0..self.n {
             let pr = self.pivot_rows[step] as usize * lanes;
-            scratch.mult_lane.copy_from_slice(&scratch.work[pr..pr + lanes]);
-            // Every lane skips a zero y (see below); when *all* lanes are
-            // zero — the common case for sparse excitations, where fleet
-            // variants share the zero structure — the whole step is a
-            // no-op and the instruction stream advances for free.
-            if scratch.mult_lane.iter().all(|t| *t == Complex::ZERO) {
+            mult_lane.copy_from_slice(&work[pr..pr + lanes]);
+            // Every lane skips a zero y (see `forward_step_scalar`); when
+            // *all* lanes are zero — the common case for sparse
+            // excitations, where fleet variants share the zero structure —
+            // the whole step is a no-op and the instruction stream advances
+            // for free.
+            if mult_lane.iter().all(|t| *t == Complex::ZERO) {
                 continue;
             }
             let (ls, le) = self.lranges[step];
             let lents = &self.lents[ls as usize..le as usize];
-            #[cfg(target_arch = "x86_64")]
-            if avx_available() {
-                // SAFETY: AVX support was verified at runtime.
-                unsafe {
-                    forward_step_avx(
-                        lents,
-                        &scratch.vals,
-                        &mut scratch.work,
-                        &scratch.mult_lane,
-                        lanes,
-                    )
-                };
-                continue;
-            }
-            for ent in lents {
-                let rs = ent.row as usize * lanes;
-                let es = ent.slot as usize * lanes;
-                for lane in 0..lanes {
-                    let t = scratch.mult_lane[lane];
-                    // The one-lane solve skips a zero y entirely; replicate
-                    // per lane (subtracting `l·0` could still flip signed
-                    // zeros, so "skip" and "multiply by zero" differ in bits).
-                    if t == Complex::ZERO {
-                        continue;
-                    }
-                    let d = scratch.vals[es + lane] * t;
-                    scratch.work[rs + lane] -= d;
-                }
+            match tier {
+                BatchTier::Scalar => forward_step_scalar(lents, vals, work, mult_lane, lanes),
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: the tier is supported (checked above); `vals`
+                // holds this program's slots and `work` its rows (both
+                // checked above), and compiled slots and rows lie below
+                // them.
+                BatchTier::Avx => unsafe { forward_step_avx(lents, vals, work, mult_lane, lanes) },
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: as for the AVX tier.
+                BatchTier::Avx512 => unsafe {
+                    avx512::forward_step(lents, vals, work, mult_lane, lanes)
+                },
             }
         }
         // Back substitution in original column coordinates.
@@ -623,32 +691,24 @@ impl FactorProgram {
         x.resize(self.n * lanes, Complex::ZERO);
         for step in (0..self.n).rev() {
             let pr = self.pivot_rows[step] as usize * lanes;
-            scratch.pivot_lane.copy_from_slice(&scratch.work[pr..pr + lanes]);
+            pivot_lane.copy_from_slice(&work[pr..pr + lanes]);
             let (us, ue) = self.uranges[step];
             let uents = &self.uents[us as usize..ue as usize];
             let ps = self.pivot_slots[step] as usize * lanes;
             let pc = self.pivot_cols[step] as usize * lanes;
-            #[cfg(target_arch = "x86_64")]
-            if avx_available() {
-                // SAFETY: AVX support was verified at runtime. One fused
-                // region covers the step's U-row updates and the closing
-                // pivot division (see `eliminate_step_avx` for why).
-                unsafe {
-                    back_step_avx(uents, &scratch.vals, x, &mut scratch.pivot_lane, ps, pc, lanes)
-                };
-                continue;
-            }
-            for &(c, slot) in uents {
-                let cs = c as usize * lanes;
-                let ss = slot as usize * lanes;
-                lanes_mul_sub(
-                    &scratch.vals[ss..ss + lanes],
-                    &x[cs..cs + lanes],
-                    &mut scratch.pivot_lane,
-                );
-            }
-            for lane in 0..lanes {
-                x[pc + lane] = scratch.pivot_lane[lane] / scratch.vals[ps + lane];
+            match tier {
+                BatchTier::Scalar => back_step_scalar(uents, vals, x, pivot_lane, ps, pc, lanes),
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: as for the forward step, with `x` resized to
+                // this program's columns above.
+                BatchTier::Avx => unsafe {
+                    back_step_avx(uents, vals, x, pivot_lane, ps, pc, lanes)
+                },
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: as for the AVX tier.
+                BatchTier::Avx512 => unsafe {
+                    avx512::back_step(uents, vals, x, pivot_lane, ps, pc, lanes)
+                },
             }
         }
     }
@@ -656,6 +716,42 @@ impl FactorProgram {
 
 /// Sentinel in [`BatchScratch::singular`]: the lane is still live.
 const LANE_LIVE: u32 = u32::MAX;
+
+/// The most update ops and value slots a [`FactorProgram::compile`] may
+/// produce for one pattern.
+///
+/// A pattern of `dim` unknowns and `nnz` raw entries gets `4·dim·nnz` ops
+/// (at least 2²⁰) and `32·nnz` slots (at least 2¹⁶): room for every
+/// elimination step to update each entry four times over, and for fill
+/// up to 31 times the pattern. Every order the workspace's circuits
+/// compile stays within both — the heaviest, a 1 000-node random RC mesh,
+/// takes 2.05·dim·nnz ops and 20.8·nnz slots; the 32×32 grid mesh
+/// 0.047·dim·nnz and 4.7·nnz — while the AMD program of a 4 096-node
+/// random mesh with 6 000 extra edges would take 7.0·dim·nnz ops
+/// (697 M, 5.6 GB) and 71·nnz slots, and stops at its budget instead of
+/// exhausting memory. The op limit also keeps op indices within `u32`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct CompileBudget {
+    /// Update-op limit.
+    pub(crate) ops: usize,
+    /// Value-slot limit.
+    pub(crate) slots: usize,
+}
+
+impl CompileBudget {
+    /// The budget of a pattern with `dim` unknowns and `nnz` raw entries.
+    pub(crate) fn for_pattern(dim: usize, nnz: usize) -> CompileBudget {
+        let ops = dim.saturating_mul(nnz).saturating_mul(4).max(1 << 20);
+        CompileBudget {
+            ops: ops.min(u32::MAX as usize),
+            slots: nnz.saturating_mul(32).max(1 << 16),
+        }
+    }
+
+    fn exceeded(self) -> FactorError {
+        FactorError::TooLarge { ops: self.ops, slots: self.slots }
+    }
+}
 
 /// [`FactorProgram::compile`]'s working buffers, reused across calls on
 /// one thread. Only the first `dim` rows and column lists of the current
@@ -720,6 +816,7 @@ fn compile_on(
     dim: usize,
     positions: &[(usize, usize)],
     order: &PivotOrder,
+    budget: CompileBudget,
     ws: &mut CompileWorkspace,
 ) -> Result<FactorProgram, FactorError> {
     ws.reset(dim, positions.len());
@@ -836,6 +933,17 @@ fn compile_on(
             // The eliminated entry leaves U's pattern (its slot stays,
             // holding the multiplier — the entry of L this step makes).
             let lslot = row2.remove(pos).1;
+            // One op per pivot-row entry but the pivot. The op array
+            // grows as usual but never past the budget, so a compile that
+            // stops at it has not allocated beyond it.
+            let new_ops = prow.len() - 1;
+            if ops.len() + new_ops > budget.ops {
+                return Err(budget.exceeded());
+            }
+            if ops.capacity() - ops.len() < new_ops {
+                let target = (2 * ops.capacity()).clamp(ops.len() + new_ops, budget.ops);
+                ops.reserve_exact(target - ops.len());
+            }
             let ops_start = ops.len() as u32;
             // Merge the pivot row's pattern into row2 (both sorted by
             // column), one update op per pivot-row entry.
@@ -855,6 +963,9 @@ fn compile_on(
                 } else {
                     // Fill-in: a brand-new slot, discovered once at
                     // compile time instead of at every point.
+                    if slots >= budget.slots {
+                        return Err(budget.exceeded());
+                    }
                     slots += 1;
                     col_rows[c].push(r2);
                     slot_count(slots - 1)
@@ -893,25 +1004,68 @@ fn compile_on(
     })
 }
 
-/// `dest[k] -= a[k] · b[k]` over complex lanes — the shared inner loop of
-/// the batched refactor update and the batched back substitution.
-///
-/// On `x86_64` with AVX available at runtime, two complex lanes go through
-/// one 256-bit `mul`/`mul`/`addsub`/`sub` sequence that performs exactly
-/// the scalar operations of `Complex` multiply-then-subtract in the same
-/// order — no FMA contraction, so results stay bit-identical to the scalar
-/// loop (which also serves as the fallback and handles the odd tail lane).
-#[inline]
-fn lanes_mul_sub(a: &[Complex], b: &[Complex], dest: &mut [Complex]) {
+/// The instruction-set tier the batched kernels run on (see the
+/// [module docs](self#batched-kernel-tiers)).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum BatchTier {
+    /// The scalar loops: the reference every other tier matches bit for
+    /// bit.
+    Scalar,
+    /// 256-bit AVX kernels: two complex lanes per instruction.
     #[cfg(target_arch = "x86_64")]
-    if avx_available() {
-        // SAFETY: AVX support was verified at runtime.
-        unsafe { lanes_mul_sub_avx(a, b, dest) };
-        return;
-    }
-    lanes_mul_sub_scalar(a, b, dest);
+    Avx,
+    /// 512-bit AVX-512F kernels ([`avx512`]): four complex lanes per
+    /// instruction, with the pivot capture and the stamp on AVX.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
 }
 
+impl BatchTier {
+    /// Every tier, fastest first: the dispatch order.
+    pub(crate) const ALL: &'static [BatchTier] = &[
+        #[cfg(target_arch = "x86_64")]
+        BatchTier::Avx512,
+        #[cfg(target_arch = "x86_64")]
+        BatchTier::Avx,
+        BatchTier::Scalar,
+    ];
+
+    /// The fastest tier this CPU supports, detected once per process.
+    pub(crate) fn detected() -> BatchTier {
+        use std::sync::OnceLock;
+        static TIER: OnceLock<BatchTier> = OnceLock::new();
+        *TIER.get_or_init(|| {
+            *BatchTier::ALL.iter().find(|t| t.supported()).expect("the scalar tier runs anywhere")
+        })
+    }
+
+    /// Whether this CPU can run the tier's kernels.
+    pub(crate) fn supported(self) -> bool {
+        match self {
+            BatchTier::Scalar => true,
+            #[cfg(target_arch = "x86_64")]
+            BatchTier::Avx => std::arch::is_x86_feature_detected!("avx"),
+            #[cfg(target_arch = "x86_64")]
+            BatchTier::Avx512 => {
+                BatchTier::Avx.supported() && std::arch::is_x86_feature_detected!("avx512f")
+            }
+        }
+    }
+
+    /// The tier's name, as its target feature is spelled.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            BatchTier::Scalar => "scalar",
+            #[cfg(target_arch = "x86_64")]
+            BatchTier::Avx => "avx",
+            #[cfg(target_arch = "x86_64")]
+            BatchTier::Avx512 => "avx512f",
+        }
+    }
+}
+
+/// `dest[k] -= a[k] · b[k]` over complex lanes — the shared inner loop of
+/// the scalar batched refactor update and back substitution.
 fn lanes_mul_sub_scalar(a: &[Complex], b: &[Complex], dest: &mut [Complex]) {
     for ((&ak, &bk), dk) in a.iter().zip(b).zip(dest) {
         let d = ak * bk;
@@ -919,13 +1073,11 @@ fn lanes_mul_sub_scalar(a: &[Complex], b: &[Complex], dest: &mut [Complex]) {
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-fn avx_available() -> bool {
-    use std::sync::OnceLock;
-    static AVX: OnceLock<bool> = OnceLock::new();
-    *AVX.get_or_init(|| std::arch::is_x86_feature_detected!("avx"))
-}
-
+/// The AVX copy of [`lanes_mul_sub_scalar`]: two complex lanes go through
+/// one 256-bit `mul`/`mul`/`addsub`/`sub` sequence that performs exactly
+/// the scalar operations of `Complex` multiply-then-subtract in the same
+/// order — no FMA contraction, so results stay bit-identical to the scalar
+/// loop (which also handles the odd tail lane).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
 #[inline]
@@ -961,11 +1113,61 @@ unsafe fn lanes_mul_sub_avx(a: &[Complex], b: &[Complex], dest: &mut [Complex]) 
     }
 }
 
+/// One forward-elimination step of the batched solve over all lanes:
+/// `work[row] −= vals[slot] · y` per [`LEntry`]. Scalar reference of
+/// [`forward_step_avx`] and [`avx512::forward_step`].
+fn forward_step_scalar(
+    lents: &[LEntry],
+    vals: &[Complex],
+    work: &mut [Complex],
+    y: &[Complex],
+    lanes: usize,
+) {
+    for ent in lents {
+        let rs = ent.row as usize * lanes;
+        let es = ent.slot as usize * lanes;
+        for (lane, &t) in y.iter().enumerate() {
+            // The one-lane solve skips a zero y entirely; replicate per
+            // lane (subtracting `l·0` could still flip signed zeros, so
+            // "skip" and "multiply by zero" differ in bits).
+            if t == Complex::ZERO {
+                continue;
+            }
+            let d = vals[es + lane] * t;
+            work[rs + lane] -= d;
+        }
+    }
+}
+
+/// One back-substitution step of the batched solve over all lanes: the
+/// accumulator `acc −= vals[slot] · x[col]` over the step's U entries in
+/// order, then `x[pivot col] = acc / vals[pivot slot]`, with `ps`/`pc` the
+/// pivot slot's and column's first lane. Scalar reference of
+/// [`back_step_avx`] and [`avx512::back_step`].
+fn back_step_scalar(
+    uents: &[(u32, u32)],
+    vals: &[Complex],
+    x: &mut [Complex],
+    acc: &mut [Complex],
+    ps: usize,
+    pc: usize,
+    lanes: usize,
+) {
+    for &(c, slot) in uents {
+        let cs = c as usize * lanes;
+        let ss = slot as usize * lanes;
+        lanes_mul_sub_scalar(&vals[ss..ss + lanes], &x[cs..cs + lanes], acc);
+    }
+    for lane in 0..lanes {
+        x[pc + lane] = acc[lane] / vals[ps + lane];
+    }
+}
+
 /// One elimination step's full L-column update over all lanes: per
 /// [`LEntry`], the per-lane division producing the step's multipliers,
 /// then every `dest -= l·src` op of that entry. Scalar reference path —
-/// the AVX kernel ([`eliminate_step_avx`]) must match it bit for bit on
-/// live lanes.
+/// the AVX and AVX-512F kernels ([`eliminate_step_avx`],
+/// [`avx512::eliminate_step`]) must match it bit for bit on live lanes.
 fn eliminate_step_scalar(
     lents: &[LEntry],
     ops: &[Op],
@@ -1264,22 +1466,27 @@ unsafe fn forward_step_avx(
 /// Per-step pivot capture over all lanes: records each lane's first
 /// exact-zero pivot (killing the lane) and folds live pivots into the
 /// per-lane determinant accumulator — the batched analogue of the
-/// one-lane `det *= ExtComplex::from_complex(pivot)` fold.
+/// one-lane `det *= ExtComplex::from_complex(pivot)` fold. Both vector
+/// tiers run the AVX kernel.
 fn batch_pivot_det(
+    tier: BatchTier,
     step: usize,
     pivot_lane: &[Complex],
     det_mant: &mut [Complex],
     det_exp: &mut [i64],
     singular: &mut [u32],
 ) {
-    #[cfg(target_arch = "x86_64")]
-    if avx_available() {
-        // SAFETY: AVX support was verified at runtime.
-        unsafe { det_update_avx(step, pivot_lane, det_mant, det_exp, singular) };
-        return;
-    }
-    for lane in 0..pivot_lane.len() {
-        det_update_lane(step, lane, pivot_lane, det_mant, det_exp, singular);
+    match tier {
+        BatchTier::Scalar => {
+            for lane in 0..pivot_lane.len() {
+                det_update_lane(step, lane, pivot_lane, det_mant, det_exp, singular);
+            }
+        }
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the caller checked the tier is supported; both imply AVX.
+        BatchTier::Avx | BatchTier::Avx512 => unsafe {
+            det_update_avx(step, pivot_lane, det_mant, det_exp, singular)
+        },
     }
 }
 
@@ -1586,6 +1793,9 @@ impl<T: Scalar> ProgramScratch<T> {
     }
 }
 
+#[cfg(target_arch = "x86_64")]
+mod avx512;
+
 #[cfg(test)]
 mod compile_reference;
 
@@ -1827,6 +2037,54 @@ mod tests {
         }
     }
 
+    /// A compile stops with `TooLarge` exactly when its op or slot count
+    /// would pass the budget: the budget of the program's own counts
+    /// compiles the same program, one op or one slot less does not.
+    #[test]
+    fn compile_stops_at_its_budget() {
+        let n = 12;
+        let mut positions: Vec<(usize, usize)> = (0..n).map(|i| (i, i)).collect();
+        for i in 1..n {
+            positions.extend([(0, i), (i, 0)]);
+        }
+        // The hub first fills the arrow completely.
+        let order = PivotOrder::diagonal((0..n).collect());
+        let program = FactorProgram::compile(n, &positions, &order).unwrap();
+        let (ops, slots) = (program.op_count(), program.slots());
+        assert_eq!((ops, slots), ((1..n).map(|k| k * k).sum(), n * n));
+        let exact = CompileBudget { ops, slots };
+        let within = FactorProgram::compile_within(n, &positions, &order, exact).unwrap();
+        assert_eq!((within.ops.len(), within.slots, within.fill_in), (ops, slots, program.fill_in));
+        assert_eq!(within.scatter, program.scatter);
+        for budget in
+            [CompileBudget { ops: ops - 1, slots }, CompileBudget { ops, slots: slots - 1 }]
+        {
+            assert_eq!(
+                FactorProgram::compile_within(n, &positions, &order, budget).unwrap_err(),
+                FactorError::TooLarge { ops: budget.ops, slots: budget.slots }
+            );
+        }
+        // The workspace is reset after a stopped compile.
+        let again = FactorProgram::compile(n, &positions, &order).unwrap();
+        assert_eq!((again.ops.len(), again.slots), (ops, slots));
+    }
+
+    /// The default budget: floors for small patterns, `4·dim·nnz` ops and
+    /// `32·nnz` slots beyond them, and op indices within `u32`.
+    #[test]
+    fn compile_budget_scales_with_the_pattern() {
+        assert_eq!(
+            CompileBudget::for_pattern(10, 30),
+            CompileBudget { ops: 1 << 20, slots: 1 << 16 }
+        );
+        // The 32×32 grid mesh: 1 025 unknowns, 4 994 entries.
+        assert_eq!(
+            CompileBudget::for_pattern(1025, 4994),
+            CompileBudget { ops: 4 * 1025 * 4994, slots: 32 * 4994 }
+        );
+        assert_eq!(CompileBudget::for_pattern(1 << 20, 1 << 24).ops, u32::MAX as usize);
+    }
+
     #[test]
     fn dimension_mismatch_rejected() {
         let a = tri(2, &[(0, 0, 1.0), (1, 1, 1.0)]);
@@ -2029,13 +2287,240 @@ mod tests {
             stamp_points_scalar(&program.scatter, &k0, &k1, &sigmas, &mut scalar);
             assert_eq!(vals_bits(&scalar), vals_bits(&reference), "{lanes} lanes: scalar");
             #[cfg(target_arch = "x86_64")]
-            if avx_available() {
+            if BatchTier::Avx.supported() {
                 let mut avx = zeroed.clone();
                 // SAFETY: AVX support was verified at runtime.
                 unsafe { stamp_points_avx(&program.scatter, &k0, &k1, &sigmas, &mut avx) };
                 assert_eq!(vals_bits(&avx), vals_bits(&reference), "{lanes} lanes: AVX");
             }
         }
+    }
+
+    /// A complex number's bits with every NaN as one value: which NaN an
+    /// operation returns is not part of the contract.
+    fn canon(z: Complex) -> [u64; 2] {
+        let part = |v: f64| if v.is_nan() { f64::NAN.to_bits() } else { v.to_bits() };
+        [part(z.re), part(z.im)]
+    }
+
+    /// Every kernel tier this CPU supports, each skipped tier noted once.
+    fn supported_tiers() -> Vec<BatchTier> {
+        let (run, skip): (Vec<BatchTier>, Vec<BatchTier>) =
+            BatchTier::ALL.iter().partition(|t| t.supported());
+        for tier in skip {
+            println!("skipping the {} kernel tier: this CPU lacks it", tier.name());
+        }
+        run
+    }
+
+    /// Runs `lane_values` (one compiled-order value list per lane) and
+    /// `rhs` (one right-hand side per lane) through the batched replay and
+    /// solve on every tier in `tiers`, and holds each lane to its one-lane
+    /// replay: the same dead step, or the same determinant, slot values
+    /// and solution bits.
+    fn assert_tiers_match_one_lane(
+        what: &str,
+        tiers: &[BatchTier],
+        program: &FactorProgram,
+        lane_values: &[Vec<Complex>],
+        rhs: &[Vec<Complex>],
+    ) {
+        let (n, lanes) = (program.dim(), lane_values.len());
+        let mut one = ProgramScratch::new();
+        let want: Vec<_> = lane_values
+            .iter()
+            .zip(rhs)
+            .map(|(values, b)| match program.refactor_values(values.iter().copied(), &mut one) {
+                Ok(()) => {
+                    let mut x = Vec::new();
+                    program.solve_into(&mut one, b, &mut x);
+                    let d = one.det();
+                    let slots: Vec<_> = one.vals.iter().map(|&v| canon(v)).collect();
+                    Ok(((canon(d.mantissa()), d.exponent()), slots, x))
+                }
+                Err(FactorError::Singular { step }) => Err(step),
+                Err(e) => panic!("{what}: unexpected {e:?}"),
+            })
+            .collect();
+        let mut brhs = vec![Complex::ZERO; n * lanes];
+        for (lane, b) in rhs.iter().enumerate() {
+            for (row, &v) in b.iter().enumerate() {
+                brhs[row * lanes + lane] = v;
+            }
+        }
+        for &tier in tiers {
+            let mut batch = BatchScratch::new();
+            program.refactor_batch_on(
+                tier,
+                lane_values.iter().map(|v| v.iter().copied()),
+                &mut batch,
+            );
+            let mut bx = Vec::new();
+            program.solve_batch_on(tier, &mut batch, &brhs, &mut bx);
+            let at =
+                |lane: usize| format!("{what}, {} tier, {lanes} lanes, lane {lane}", tier.name());
+            for (lane, want) in want.iter().enumerate() {
+                let (det, slots, x) = match want {
+                    Err(step) => {
+                        assert_eq!(batch.singular_step(lane), Some(*step), "{}", at(lane));
+                        continue;
+                    }
+                    Ok(lane_want) => lane_want,
+                };
+                let got = batch.lane_det(lane).unwrap_or_else(|e| panic!("{}: {e:?}", at(lane)));
+                assert_eq!((canon(got.mantissa()), got.exponent()), *det, "{}: det", at(lane));
+                let got_slots: Vec<_> =
+                    (0..program.slots).map(|s| canon(batch.vals[s * lanes + lane])).collect();
+                assert_eq!(&got_slots, slots, "{}: slots", at(lane));
+                let got_x: Vec<_> = (0..n).map(|c| canon(bx[c * lanes + lane])).collect();
+                let want_x: Vec<_> = x.iter().map(|&v| canon(v)).collect();
+                assert_eq!(got_x, want_x, "{}: solution", at(lane));
+            }
+        }
+    }
+
+    /// Lane `lane` of `lanes`: the base matrix `entries` perturbed per
+    /// lane, with lane classes that hold signed zeros, values near 1e300
+    /// and values near 1e−300, and one dead lane whose first prescribed
+    /// pivot is zeroed (positions are distinct, so the pivot is that one
+    /// entry). The lane's right-hand side has exact and signed zeros in
+    /// lane-dependent rows, so the forward pass skips lanes selectively.
+    fn tier_lane(
+        entries: &[(usize, usize, Complex)],
+        order: &PivotOrder,
+        lane: usize,
+        lanes: usize,
+    ) -> (Vec<Complex>, Vec<Complex>) {
+        let dead = lanes >= 2 && lane == 2 * lanes / 3;
+        let scale = match lane % 4 {
+            2 => 1e300,
+            3 => 1e-300,
+            _ => 1.0,
+        };
+        let values = entries
+            .iter()
+            .enumerate()
+            .map(|(e, &(r, c, v))| {
+                if dead && (r, c) == (order.rows()[0], order.cols()[0]) {
+                    return Complex::ZERO;
+                }
+                let wobble = Complex::new(
+                    0.01 * ((e * 7 + lane * 13) % 11) as f64,
+                    -0.02 * ((e * 3 + lane) % 5) as f64,
+                );
+                let v = (v + wobble) * Complex::real(scale);
+                match (lane % 4, e % 3) {
+                    (1, 1) if r != c => Complex::new(-0.0, -0.0),
+                    (1, 2) => Complex::new(v.re, -0.0),
+                    _ => v,
+                }
+            })
+            .collect();
+        let n = order.dim();
+        let zeros = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)];
+        let b = (0..n)
+            .map(|row| match (lane % 4, (row + lane) % 4) {
+                // Signed zeros down to the last row: a zero `y` meets
+                // signed-zero targets, where subtracting `l·0` would flip
+                // a sign the one-lane skip keeps.
+                (1, k) if row + 1 < n => Complex::new(zeros[k].0, zeros[k].1),
+                (_, 0) => Complex::ZERO,
+                _ => {
+                    Complex::new((row + 1) as f64, lane as f64 - row as f64) * Complex::real(scale)
+                }
+            })
+            .collect();
+        (values, b)
+    }
+
+    /// The three test matrices, positions distinct: the arrow matrix of
+    /// the sweep tests, a pseudo-random sparse pattern and a 5×5 grid
+    /// stencil.
+    fn tier_patterns() -> Vec<(&'static str, Triplets)> {
+        let arrow_n = 10;
+        let mut arrow = Vec::new();
+        for i in 0..arrow_n {
+            arrow.push((i, i, Complex::new(2.0 + i as f64, 0.1)));
+        }
+        for i in 1..arrow_n {
+            arrow.push((0, i, Complex::real(1.0)));
+            arrow.push((i, 0, Complex::new(0.5, -0.1)));
+        }
+        let random_n = 24;
+        let mut random: Vec<(usize, usize, Complex)> =
+            (0..random_n).map(|i| (i, i, Complex::new(6.0 + 0.25 * i as f64, -1.5))).collect();
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |m: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % m
+        };
+        while random.len() < random_n * 4 {
+            let (r, c) = (next(random_n), next(random_n));
+            if random.iter().all(|&(r2, c2, _)| (r2, c2) != (r, c)) {
+                let v =
+                    Complex::new(next(200) as f64 / 100.0 - 1.0, next(200) as f64 / 100.0 - 1.0);
+                random.push((r, c, v));
+            }
+        }
+        let side = 5;
+        let mut grid = Vec::new();
+        for i in 0..side * side {
+            let (x, y) = (i % side, i / side);
+            grid.push((i, i, Complex::new(4.5, 0.3 * x as f64 - 0.2 * y as f64)));
+            if x + 1 < side {
+                grid.push((i, i + 1, Complex::new(-1.0, 0.05)));
+                grid.push((i + 1, i, Complex::new(-1.0, -0.05)));
+            }
+            if y + 1 < side {
+                grid.push((i, i + side, Complex::real(-1.0)));
+                grid.push((i + side, i, Complex::real(-1.0)));
+            }
+        }
+        let triplets = |n: usize, entries: Vec<(usize, usize, Complex)>| {
+            let mut t = Triplets::new(n);
+            for (r, c, v) in entries {
+                t.add(r, c, v);
+            }
+            t
+        };
+        vec![
+            ("arrow", triplets(arrow_n, arrow)),
+            ("random", triplets(random_n, random)),
+            ("grid", triplets(side * side, grid)),
+        ]
+    }
+
+    /// Every kernel tier — called directly, not through the detected one —
+    /// against the one-lane replay, at lane counts 1..=33 and 64 (every
+    /// masked-tail width and a multi-block count) on three patterns, with
+    /// a dead lane, signed zeros and values near 1e±300.
+    #[test]
+    fn every_tier_matches_one_lane_replay() {
+        let tiers = supported_tiers();
+        for (name, t) in tier_patterns() {
+            let (n, entries) = (t.dim(), t.entries());
+            // Natural diagonal order: the arrow's hub first fills it dense.
+            let order = PivotOrder::diagonal((0..n).collect());
+            let program = FactorProgram::for_triplets(&t, &order).unwrap();
+            assert!(program.fill_in() > 0, "{name}: the pattern should fill");
+            for lanes in (1..=33).chain([64]) {
+                let (values, rhs): (Vec<_>, Vec<_>) =
+                    (0..lanes).map(|lane| tier_lane(entries, &order, lane, lanes)).unzip();
+                assert_tiers_match_one_lane(name, &tiers, &program, &values, &rhs);
+            }
+        }
+    }
+
+    /// Prints the tier the batched kernels dispatch to on this CPU (run
+    /// with `--nocapture` to see which tier an optimized run verified).
+    #[test]
+    fn reports_dispatched_tier() {
+        let tier = BatchTier::detected();
+        println!("batched kernel tier: {}", tier.name());
+        assert!(tier.supported());
+        assert_eq!(Some(&tier), BatchTier::ALL.iter().find(|t| t.supported()));
     }
 
     #[test]
@@ -2046,6 +2531,22 @@ mod tests {
         let program = FactorProgram::for_triplets(&a, &order).unwrap();
         let none: [[Complex; 1]; 0] = [];
         program.refactor_batch(none, &mut BatchScratch::new());
+    }
+
+    /// The vector kernels read the slot array unchecked, so a batched
+    /// solve refuses a scratch replayed by a program of another size.
+    #[test]
+    #[should_panic(expected = "another program")]
+    fn batched_solve_rejects_another_programs_scratch() {
+        let small = tri(1, &[(0, 0, 2.0)]);
+        let order = SparseLu::factor(&small).unwrap().order().clone();
+        let program = FactorProgram::for_triplets(&small, &order).unwrap();
+        let mut batch = BatchScratch::new();
+        program.refactor_batch([[Complex::ONE]; 4], &mut batch);
+        let big = tri(2, &[(0, 0, 1.0), (0, 1, 2.0), (1, 0, 3.0), (1, 1, 4.0)]);
+        let order = SparseLu::factor(&big).unwrap().order().clone();
+        let other = FactorProgram::for_triplets(&big, &order).unwrap();
+        other.solve_batch(&mut batch, &[Complex::ONE; 8], &mut Vec::new());
     }
 
     #[test]

@@ -287,7 +287,7 @@ fn lane_batched_mesh_sweep_is_bit_identical_to_one_point_sweep() {
 #[test]
 #[ignore = "minutes of 4096-node factorization; run with --ignored"]
 fn amd_cuts_fill_5x_on_4096_node_random_mesh() {
-    use refgen::sparse::PivotOrder;
+    use refgen::sparse::{PivotOrder, SparseLu};
     let circuit = random_rc_mesh(4096, 1024, 97);
     let sys = MnaSystem::new(&circuit).expect("mesh compiles");
     let plan = unit_plan(&sys, OrderingMode::Amd);
@@ -299,10 +299,15 @@ fn amd_cuts_fill_5x_on_4096_node_random_mesh() {
         amd_fill <= mk_fill * 1.05,
         "AMD fill {amd_fill} lost parity with the probe-Markowitz fill {mk_fill}"
     );
+    // The natural order's program (466 M update ops) is over its compile
+    // budget, so its fill comes from the element-by-element replay of that
+    // order, which reports the same value-blind fill when it skipped no
+    // exact zero.
     let a = sys.assemble(Complex::new(0.3, 0.7), Scale::unit());
-    let natural = FactorProgram::for_triplets(&a, &PivotOrder::diagonal((0..plan.dim()).collect()))
-        .expect("natural order compiles")
-        .fill_in() as f64;
+    let natural = SparseLu::refactor(&a, &PivotOrder::diagonal((0..plan.dim()).collect()))
+        .expect("natural order factors")
+        .structural_fill()
+        .expect("the natural replay skips no exact zero") as f64;
     assert!(
         amd_fill * 5.0 <= natural,
         "AMD fill {amd_fill} is not 5x below the natural-order fill {natural}"
