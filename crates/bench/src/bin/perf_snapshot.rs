@@ -29,9 +29,15 @@ fn main() {
         out.unwrap_or_else(|| format!("{}/../../BENCH_sampling.json", env!("CARGO_MANIFEST_DIR")));
 
     let snapshot = perf_snapshot(quick);
-    println!("{:<38} {:>14} {:>8} {:>6}", "row", "ns/point", "points", "reps");
+    println!(
+        "{:<38} {:>14} {:>14} {:>12} {:>8} {:>6}",
+        "row", "ns/point", "min", "mad", "points", "reps"
+    );
     for r in &snapshot.rows {
-        println!("{:<38} {:>14.1} {:>8} {:>6}", r.name, r.median_ns_per_point, r.points, r.reps);
+        println!(
+            "{:<38} {:>14.1} {:>14.1} {:>12.1} {:>8} {:>6}",
+            r.name, r.median_ns_per_point, r.min_ns_per_point, r.mad_ns_per_point, r.points, r.reps
+        );
     }
     std::fs::write(&out, snapshot.to_json()).expect("write trajectory");
     println!("wrote {out}");

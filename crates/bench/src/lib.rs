@@ -487,17 +487,46 @@ pub fn fleet_batched(
 }
 
 /// One row of the [`perf_snapshot`] trajectory: a named hot-path
-/// measurement in nanoseconds per evaluated point.
+/// measurement in nanoseconds per evaluated point, with its spread over
+/// the timed repetitions.
 #[derive(Clone, Debug)]
 pub struct PerfRow {
     /// Stable row identifier (`refactor_ua741_compiled`, …).
     pub name: String,
     /// Median over reps of (elapsed / points).
     pub median_ns_per_point: f64,
+    /// Fastest rep's (elapsed / points).
+    pub min_ns_per_point: f64,
+    /// Median absolute deviation of the reps' (elapsed / points) from
+    /// their median.
+    pub mad_ns_per_point: f64,
     /// Points evaluated per rep.
     pub points: usize,
-    /// Timed repetitions the median is taken over.
+    /// Timed repetitions the statistics are taken over.
     pub reps: usize,
+}
+
+impl PerfRow {
+    /// The row `name` of `points` points per rep, from its per-rep
+    /// samples (ns per point).
+    fn new(name: impl Into<String>, mut samples: Vec<f64>, points: usize) -> PerfRow {
+        let median = |v: &mut [f64]| {
+            v.sort_by(|a, b| a.total_cmp(b));
+            v[v.len() / 2]
+        };
+        let median_ns_per_point = median(&mut samples);
+        let min_ns_per_point = samples[0];
+        let mut deviations: Vec<f64> =
+            samples.iter().map(|s| (s - median_ns_per_point).abs()).collect();
+        PerfRow {
+            name: name.into(),
+            median_ns_per_point,
+            min_ns_per_point,
+            mad_ns_per_point: median(&mut deviations),
+            points,
+            reps: samples.len(),
+        }
+    }
 }
 
 /// The execution environment a snapshot was measured in: the CPU features
@@ -506,8 +535,8 @@ pub struct PerfRow {
 /// row is never compared across machines that vectorize differently.
 #[derive(Clone, Copy, Debug)]
 pub struct PerfEnv {
-    /// AVX available (the batched complex multiply-subtract kernel's
-    /// requirement; without it every lane runs the scalar fallback).
+    /// AVX available (the batched kernels' AVX tier; without AVX or
+    /// AVX-512F they run the scalar tier).
     pub avx: bool,
     /// AVX2 available.
     pub avx2: bool,
@@ -578,9 +607,12 @@ impl PerfSnapshot {
         for (i, r) in self.rows.iter().enumerate() {
             s.push_str(&format!(
                 "    {{\"name\": \"{}\", \"median_ns_per_point\": {:.1}, \
+                 \"min_ns_per_point\": {:.1}, \"mad_ns_per_point\": {:.1}, \
                  \"points\": {}, \"reps\": {}}}{}\n",
                 r.name,
                 r.median_ns_per_point,
+                r.min_ns_per_point,
+                r.mad_ns_per_point,
                 r.points,
                 r.reps,
                 if i + 1 == self.rows.len() { "" } else { "," }
@@ -613,11 +645,12 @@ impl PerfSnapshot {
     }
 }
 
-/// Median ns per transient time step of `circuit` at fixed `dt`, measured
-/// on the steady-state compiled path: the first step (which pays the run's
-/// one numeric factorization, plus the trapezoidal primer) executes before
-/// timing starts, so the figure is the marginal stamp-history → replay →
-/// back-substitute cost the `TransientPlan` contract promises.
+/// Each rep's ns per transient time step of `circuit` at fixed `dt`,
+/// measured on the steady-state compiled path: the first step (which pays
+/// the run's one numeric factorization, plus the trapezoidal primer)
+/// executes before timing starts, so the figure is the marginal
+/// stamp-history → replay → back-substitute cost the `TransientPlan`
+/// contract promises.
 ///
 /// # Panics
 ///
@@ -629,7 +662,7 @@ pub fn transient_ns_per_step(
     steps: usize,
     method: refgen_mna::IntegrationMethod,
     reps: usize,
-) -> f64 {
+) -> Vec<f64> {
     let sys = refgen_mna::MnaSystem::new(circuit).expect("library circuit compiles");
     let plan = refgen_mna::TransientPlan::new(&sys, dt, method).expect("plan compiles");
     let mut state = plan.initial_state(0.0);
@@ -637,7 +670,7 @@ pub fn transient_ns_per_step(
     let mut k = 0u64;
     k += 1;
     plan.step(dt * k as f64, &mut state, &mut scratch).expect("first step factors");
-    let (ns, _) = median_ns_per_point(reps, steps, || {
+    let ns = ns_per_point(reps, steps, || {
         for _ in 0..steps {
             k += 1;
             plan.step(dt * k as f64, &mut state, &mut scratch).expect("steady-state step");
@@ -649,19 +682,19 @@ pub fn transient_ns_per_step(
     ns
 }
 
-/// Median of (elapsed ns / points) over `reps` runs of `work` (one warmup
-/// run first).
-fn median_ns_per_point(reps: usize, points: usize, mut work: impl FnMut() -> f64) -> (f64, f64) {
+/// (Elapsed ns / points) of each of `reps` runs of `work` (one warmup run
+/// first).
+fn ns_per_point(reps: usize, points: usize, mut work: impl FnMut() -> f64) -> Vec<f64> {
     let mut sink = work();
-    let mut samples: Vec<f64> = (0..reps)
+    let samples = (0..reps)
         .map(|_| {
             let t0 = std::time::Instant::now();
             sink += work();
             t0.elapsed().as_nanos() as f64 / points as f64
         })
         .collect();
-    samples.sort_by(|a, b| a.total_cmp(b));
-    (samples[samples.len() / 2], sink)
+    std::hint::black_box(sink);
+    samples
 }
 
 /// The affine stamp pattern `A(s) = K₀ + s·K₁` of `(sys, scale)` — the
@@ -767,7 +800,7 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
         // Determinant-only refactorization, compiled kernel: stamp straight
         // into slots + flat instruction-stream replay.
         let mut prog_scratch = ProgramScratch::new();
-        let (ns, _) = median_ns_per_point(reps, points, || {
+        let ns = ns_per_point(reps, points, || {
             let mut acc = 0.0;
             for &sigma in &sigmas {
                 program
@@ -780,12 +813,7 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
             }
             acc
         });
-        rows.push(PerfRow {
-            name: format!("refactor_{name}_compiled"),
-            median_ns_per_point: ns,
-            points,
-            reps,
-        });
+        rows.push(PerfRow::new(format!("refactor_{name}_compiled"), ns, points));
 
         // Window-level refactor+solve over one conjugate-paired window:
         // the engine solves only the closed upper half on the compiled
@@ -793,7 +821,7 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
         // partner σ_{K−i} = conj(σ_i).
         let mut x = Vec::new();
         let mut solved: Vec<Complex> = vec![Complex::ZERO; points];
-        let (ns, _) = median_ns_per_point(reps, points, || {
+        let ns = ns_per_point(reps, points, || {
             let mut acc = 0.0;
             for (i, &sigma) in sigmas.iter().enumerate() {
                 if sigma.im >= 0.0 {
@@ -813,12 +841,7 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
             }
             acc
         });
-        rows.push(PerfRow {
-            name: format!("window_{name}_compiled_mirrored"),
-            median_ns_per_point: ns,
-            points,
-            reps,
-        });
+        rows.push(PerfRow::new(format!("window_{name}_compiled_mirrored"), ns, points));
     }
 
     // Companion-model transient stepping: ns per step on the compiled
@@ -847,12 +870,11 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
         for (name, circuit) in [("ladder16", &ladder), ("ua741", &circuits[1].1)] {
             for method in [IntegrationMethod::BackwardEuler, IntegrationMethod::Trapezoidal] {
                 let ns = transient_ns_per_step(circuit, 1e-9, steps, method, reps);
-                rows.push(PerfRow {
-                    name: format!("transient_{name}_{}", method.label().to_ascii_lowercase()),
-                    median_ns_per_point: ns,
-                    points: steps,
-                    reps,
-                });
+                rows.push(PerfRow::new(
+                    format!("transient_{name}_{}", method.label().to_ascii_lowercase()),
+                    ns,
+                    steps,
+                ));
             }
         }
     }
@@ -881,10 +903,10 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
                     .expect("variant plans")
             })
             .collect();
-        // Lane groups of the configured width: wider batches amortize
-        // more instruction decode but grow the slot-major working set
-        // linearly (slots × lanes complex values), so the engine's
-        // default width is the measured shape.
+        // Lane groups of the configured width: the batched kernels run
+        // each block of eight lanes as one pass, and the working set grows
+        // with the padded lane count (slots × lanes complex values), so
+        // the engine's default width is the measured shape.
         let lane_width = RefgenConfig::default().lane_width.max(1);
         let sigmas = refgen_numeric::dft::unit_circle_points(40);
         let evals = sigmas.len() * plans.len();
@@ -897,7 +919,7 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
             .flat_map(|plan| sigmas.iter().map(|&s| plan.eval_at(s, &mut seq)).collect::<Vec<_>>())
             .map(|r| repr(&r.expect("variant solves")))
             .collect();
-        let (ns, _) = median_ns_per_point(fleet_reps, evals, || {
+        let ns = ns_per_point(fleet_reps, evals, || {
             let mut acc = 0.0;
             for &sigma in &sigmas {
                 for plan in &plans {
@@ -906,12 +928,7 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
             }
             acc
         });
-        rows.push(PerfRow {
-            name: "fleet_ua741x64_scalar".to_string(),
-            median_ns_per_point: ns,
-            points: evals,
-            reps: fleet_reps,
-        });
+        rows.push(PerfRow::new("fleet_ua741x64_scalar", ns, evals));
 
         let mut batch = SweepBatchScratch::new();
         let batched: Vec<String> = plans
@@ -925,7 +942,7 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
             .map(|r| repr(&r.expect("variant solves")))
             .collect();
         assert_eq!(batched, scalar, "lane-batched fleet responses must match the scalar row");
-        let (ns, _) = median_ns_per_point(fleet_reps, evals, || {
+        let ns = ns_per_point(fleet_reps, evals, || {
             let mut acc = 0.0;
             for plan in &plans {
                 for chunk in sigmas.chunks(lane_width) {
@@ -936,12 +953,7 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
             }
             acc
         });
-        rows.push(PerfRow {
-            name: "fleet_ua741x64_batched".to_string(),
-            median_ns_per_point: ns,
-            points: evals,
-            reps: fleet_reps,
-        });
+        rows.push(PerfRow::new("fleet_ua741x64_batched", ns, evals));
     }
 
     // Full adaptive Session solves of the µA741, mirroring on vs off.
@@ -961,13 +973,7 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
             total_points = solution.total_points();
             samples.push(t0.elapsed().as_nanos() as f64 / total_points as f64);
         }
-        samples.sort_by(|a, b| a.total_cmp(b));
-        rows.push(PerfRow {
-            name: format!("session_ua741_mirror_{label}"),
-            median_ns_per_point: samples[samples.len() / 2],
-            points: total_points,
-            reps: session_reps,
-        });
+        rows.push(PerfRow::new(format!("session_ua741_mirror_{label}"), samples, total_points));
     }
 
     // Full adaptive sessions of the paper's Table 1 OTA and of the Miller
@@ -976,19 +982,14 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
     // follow the structural order bound's window sizing.
     let miller = refgen_circuit::library::miller_two_stage_opamp(2e-12, 5e-12);
     for (name, circuit) in [("ota_table1", positive_feedback_ota()), ("miller", miller)] {
-        let (ns, _) = median_ns_per_point(reps, 1, || {
+        let ns = ns_per_point(reps, 1, || {
             let solution = Session::for_circuit(&circuit)
                 .spec(standard_spec())
                 .solve()
                 .expect("library circuit solves");
             solution.total_points() as f64
         });
-        rows.push(PerfRow {
-            name: format!("session_{name}"),
-            median_ns_per_point: ns,
-            points: 1,
-            reps,
-        });
+        rows.push(PerfRow::new(format!("session_{name}"), ns, 1));
     }
 
     // Both structural degree bounds of the µA741's voltage gain — what each
@@ -997,7 +998,7 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
         let sys = refgen_mna::MnaSystem::new(&ua741_circuit).expect("µA741 compiles");
         let output = standard_spec().output;
         let pairs = 100;
-        let (ns, _) = median_ns_per_point(reps, pairs, || {
+        let ns = ns_per_point(reps, pairs, || {
             let mut acc = 0.0;
             for _ in 0..pairs {
                 let bounds = sys.degree_bounds(&output);
@@ -1005,12 +1006,7 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
             }
             acc
         });
-        rows.push(PerfRow {
-            name: "order_bound_ua741".to_string(),
-            median_ns_per_point: ns,
-            points: pairs,
-            reps,
-        });
+        rows.push(PerfRow::new("order_bound_ua741", ns, pairs));
     }
 
     // The circuit layer in front of the engine: a parse of the µA741 `.TF`
@@ -1023,43 +1019,28 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
         let body = spice.strip_suffix(".end\n").expect("the writer ends with .end");
         let text = format!("{body}.tf V(out) VIN\n.end\n");
         let parses = 20;
-        let (ns, _) = median_ns_per_point(reps, parses, || {
+        let ns = ns_per_point(reps, parses, || {
             (0..parses)
                 .map(|_| {
                     parse_netlist(&text).expect("µA741 parses").circuit.elements().len() as f64
                 })
                 .sum()
         });
-        rows.push(PerfRow {
-            name: "parse_ua741".to_string(),
-            median_ns_per_point: ns,
-            points: parses,
-            reps,
-        });
+        rows.push(PerfRow::new("parse_ua741", ns, parses));
         let fleet = VariantSet::new(Perturbation::all_relative(0.05), 64).seed(0xf1ee7);
-        let (ns, _) = median_ns_per_point(reps, 1, || {
+        let ns = ns_per_point(reps, 1, || {
             fleet.generate(&ua741_circuit).expect("µA741 variants").len() as f64
         });
-        rows.push(PerfRow {
-            name: "variants_ua741x64".to_string(),
-            median_ns_per_point: ns,
-            points: 1,
-            reps,
-        });
+        rows.push(PerfRow::new("variants_ua741x64", ns, 1));
         let systems = 20;
-        let (ns, _) = median_ns_per_point(reps, systems, || {
+        let ns = ns_per_point(reps, systems, || {
             (0..systems)
                 .map(|_| {
                     refgen_mna::MnaSystem::new(&ua741_circuit).expect("µA741 compiles").dim() as f64
                 })
                 .sum()
         });
-        rows.push(PerfRow {
-            name: "mna_ua741".to_string(),
-            median_ns_per_point: ns,
-            points: systems,
-            reps,
-        });
+        rows.push(PerfRow::new("mna_ua741", ns, systems));
     }
 
     // Plan misses and gates: the plans of the default µA741 session that
@@ -1102,17 +1083,12 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
                 }
             }
         }
-        let (ns, _) = median_ns_per_point(reps, misses.len(), || {
+        let ns = ns_per_point(reps, misses.len(), || {
             let cache = PlanCache::new();
             misses.iter().map(|&(kind, scale)| build(kind, scale, &cache).dim() as f64).sum()
         });
-        rows.push(PerfRow {
-            name: "plan_ua741_miss".to_string(),
-            median_ns_per_point: ns,
-            points: misses.len(),
-            reps,
-        });
-        let mut samples: Vec<f64> = (0..reps)
+        rows.push(PerfRow::new("plan_ua741_miss", ns, misses.len()));
+        let samples: Vec<f64> = (0..reps)
             .map(|_| {
                 let cache = PlanCache::new();
                 for &(kind, scale) in &misses {
@@ -1125,13 +1101,7 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
                 t0.elapsed().as_nanos() as f64 / gates.len().max(1) as f64
             })
             .collect();
-        samples.sort_by(|a, b| a.total_cmp(b));
-        rows.push(PerfRow {
-            name: "plan_ua741_gate".to_string(),
-            median_ns_per_point: samples[samples.len() / 2],
-            points: gates.len(),
-            reps,
-        });
+        rows.push(PerfRow::new("plan_ua741_gate", samples, gates.len()));
     }
 
     // Mesh-scaling rows: square grid RC meshes at 256 / 1024 / 4096 nodes,
@@ -1173,7 +1143,7 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
                 )
                 .expect("mesh plans");
                 let mut direct = SweepScratch::new();
-                let (ns, _) = median_ns_per_point(mesh_reps, points, || {
+                let ns = ns_per_point(mesh_reps, points, || {
                     let mut acc = 0.0;
                     for &f in &freqs {
                         let s = Complex::new(0.0, 2.0 * std::f64::consts::PI * f);
@@ -1181,38 +1151,23 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
                     }
                     acc
                 });
-                rows.push(PerfRow {
-                    name: format!("mesh{nodes}_{mode_label}_direct"),
-                    median_ns_per_point: ns,
-                    points,
-                    reps: mesh_reps,
-                });
+                rows.push(PerfRow::new(format!("mesh{nodes}_{mode_label}_direct"), ns, points));
             }
             let ac = AcAnalysis::new(&circuit, spec.clone()).expect("mesh compiles");
             let lanes = RefgenConfig::default().lane_width;
-            let (ns, _) = median_ns_per_point(mesh_reps, points, || {
+            let ns = ns_per_point(mesh_reps, points, || {
                 let sweep = ac.sweep_fast(&freqs, lanes).expect("mesh sweeps");
                 sweep.iter().map(|p| p.response.re).sum()
             });
-            rows.push(PerfRow {
-                name: format!("mesh{nodes}_auto_sweep"),
-                median_ns_per_point: ns,
-                points,
-                reps: mesh_reps,
-            });
+            rows.push(PerfRow::new(format!("mesh{nodes}_auto_sweep"), ns, points));
         }
         let sys =
             refgen_mna::MnaSystem::new(&grid_rc_mesh(32, 32, 9000 + 1024)).expect("mesh compiles");
         let plan_reps = if quick { 5 } else { 15 };
-        let (ns, _) = median_ns_per_point(plan_reps, 1, || {
+        let ns = ns_per_point(plan_reps, 1, || {
             SweepPlan::new(&sys, Scale::unit(), &spec).expect("mesh plans").dim() as f64
         });
-        rows.push(PerfRow {
-            name: "plan_mesh1024_auto".to_string(),
-            median_ns_per_point: ns,
-            points: 1,
-            reps: plan_reps,
-        });
+        rows.push(PerfRow::new("plan_mesh1024_auto", ns, 1));
     }
 
     PerfSnapshot { env: PerfEnv::detect(), rows }
@@ -1257,11 +1212,9 @@ mod tests {
             rows: names
                 .iter()
                 .enumerate()
-                .map(|(i, n)| PerfRow {
-                    name: n.to_string(),
-                    median_ns_per_point: 100.0 * (i as f64 + 1.0),
-                    points: 40,
-                    reps: 3,
+                .map(|(i, n)| {
+                    let m = 100.0 * (i as f64 + 1.0);
+                    PerfRow::new(*n, vec![m + 30.0, m - 10.0, m], 40)
                 })
                 .collect(),
         };
@@ -1277,6 +1230,12 @@ mod tests {
         // JSON parser dependency.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
+        // Median, min and median absolute deviation of 330, 290 and 300.
+        assert!(json.contains(
+            "{\"name\": \"refactor_ua741_compiled\", \"median_ns_per_point\": 300.0, \
+             \"min_ns_per_point\": 290.0, \"mad_ns_per_point\": 10.0, \
+             \"points\": 40, \"reps\": 3}"
+        ));
         assert_eq!(snapshot.ns("refactor_ua741_compiled"), 300.0);
         assert_eq!(snapshot.ns_opt("refactor_ua741_compiled"), Some(300.0));
         assert_eq!(snapshot.ns_opt("mesh8_missing_row"), None);
@@ -1307,12 +1266,7 @@ mod tests {
             rows: names
                 .iter()
                 .enumerate()
-                .map(|(i, n)| PerfRow {
-                    name: n.to_string(),
-                    median_ns_per_point: 10.0 * (i as f64 + 1.0),
-                    points: 48,
-                    reps: 2,
-                })
+                .map(|(i, n)| PerfRow::new(*n, vec![10.0 * (i as f64 + 1.0); 2], 48))
                 .collect(),
         };
         let json = snapshot.to_json();

@@ -2,7 +2,10 @@
 //! `BENCH_sampling.json` at the repository root must carry every
 //! `mesh{256,1024,4096}_{markowitz,amd}_direct` row (a snapshot
 //! regenerated with an older binary would silently drop them) and a
-//! numeric `mesh4096_amd_speedup_vs_markowitz` ratio.
+//! numeric `mesh4096_amd_speedup_vs_markowitz` ratio. The trajectory
+//! writer must give every row its spread next to its median.
+
+use refgen_bench::{PerfEnv, PerfRow, PerfSnapshot};
 
 /// Extracts the numeric value following `"key": ` in the flat trajectory
 /// JSON (the format is machine-written, so plain string scanning is
@@ -27,4 +30,40 @@ fn committed_trajectory_has_mesh_rows() {
     }
     let amd = derived_value(&json, "mesh4096_amd_speedup_vs_markowitz");
     assert!(amd.is_finite() && amd > 0.0, "mesh4096 AMD ratio is not a positive number: {amd}");
+}
+
+/// Every row the writer emits carries its median, minimum and median
+/// absolute deviation, the minimum at most the median.
+#[test]
+fn written_rows_carry_spread() {
+    let names = [
+        "fleet_ua741x64_scalar",
+        "fleet_ua741x64_batched",
+        "session_ua741_mirror_on",
+        "session_ua741_mirror_off",
+        "mesh256_auto_sweep",
+        "mesh1024_auto_sweep",
+    ];
+    let rows = names
+        .iter()
+        .map(|name| PerfRow {
+            name: name.to_string(),
+            median_ns_per_point: 120.0,
+            min_ns_per_point: 100.0,
+            mad_ns_per_point: 7.5,
+            points: 96,
+            reps: 5,
+        })
+        .collect();
+    let json = PerfSnapshot { env: PerfEnv::detect(), rows }.to_json();
+    for name in names {
+        let line = json
+            .lines()
+            .find(|l| l.contains(&format!("\"name\": \"{name}\"")))
+            .unwrap_or_else(|| panic!("row {name} missing"));
+        let median = derived_value(line, "median_ns_per_point");
+        let min = derived_value(line, "min_ns_per_point");
+        let mad = derived_value(line, "mad_ns_per_point");
+        assert!(min <= median && mad >= 0.0, "{name}: {line}");
+    }
 }

@@ -100,8 +100,8 @@ pub struct RefgenConfig {
     /// Lane width for batched window sampling and for the direct AC sweep
     /// of [`ac_sweep_with_config`](crate::ac_sweep_with_config): how many
     /// points one instruction-stream traversal of the compiled symbolic
-    /// kernel drives at once (`refgen_sparse`'s slot-major `BatchScratch`
-    /// lanes). Every width runs the same loop; a one-point lane group
+    /// kernel drives at once (`refgen_sparse`'s `BatchScratch` lanes, run
+    /// in blocks of eight). Every width runs the same loop; a one-point lane group
     /// (every group at width `1`) replays the one-point path. Batching is
     /// orthogonal to [`RefgenConfig::threads`] — lanes amortize
     /// instruction fetch inside one worker, threads fan groups across
@@ -140,17 +140,14 @@ impl Default for RefgenConfig {
             max_step_decades_per_index: 8.0,
             threads: 1,
             conjugate_mirror: true,
-            // `32` measures fastest per lane on the µA741 fleet shape:
-            // per-step fixed costs (pivot staging, determinant
-            // bookkeeping, dispatch) keep amortizing well past 8 lanes,
-            // while the slot-major working set — `slots × width` complex
-            // values per worker — still streams fine at µA741 size
-            // (~100 KiB). On the 1 025-unknown grid RC mesh (~24 000
-            // slots, ~12 MiB of lanes at width 32), a 95-point
-            // `ac_sweep_with_config`, Auto plan build included, took a
-            // median 66 / 63 / 66 ms at widths 8 / 16 / 32 against 94 ms
-            // at width 1 (25 interleaved runs on a 2-core Intel Xeon): the
-            // gain flattens past 16 lanes there, but 32 does not lose.
+            // `32`: a µA741 window's points (at most 21) fit one batch,
+            // whose working set — `slots × width` complex values per
+            // worker, padded to blocks of eight lanes — stays small at
+            // µA741 size (~100 KiB). On the 1 025-unknown grid RC mesh
+            // (~24 000 slots, ~12 MiB of lanes at width 32), a 95-point
+            // `AcAnalysis::sweep_fast`, Auto plan build included, runs
+            // 8–17 % slower at width 32 than at width 8 (see
+            // `sweep_fast`), and both far ahead of width 1.
             lane_width: 32,
             ordering: OrderingMode::Auto,
             fault_policy: FaultPolicy::default(),

@@ -135,8 +135,11 @@ impl AcAnalysis {
     /// chunk in one pass through the batched kernels (a one-point chunk
     /// takes the one-point replay, [`SweepPlan::eval_at`]). On a
     /// 1 025-unknown RC mesh swept at 95 frequencies on an AVX-512F host,
-    /// widths 8, 16 and 32 each cost 40–55 % of width 1 per frequency,
-    /// and 8 and 16 run 7–12 % faster than 32.
+    /// widths 8, 16 and 32 each cost 29–41 % of width 1 per frequency,
+    /// and 32 runs 8–17 % slower than 8: the batched kernels run each
+    /// block of eight lanes as its own pass, so per block the elimination
+    /// costs the same at either width, but a 32-lane batch's stamps and
+    /// solves find its four 3 MB blocks evicted by one another.
     ///
     /// The output is **bit-identical at every width**, errors included:
     /// every point is a pure function of the plan and its frequency. A

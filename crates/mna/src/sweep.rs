@@ -1172,8 +1172,9 @@ impl SweepPlan {
     /// Plans without a compiled kernel (singular probe, or a program over
     /// its compile budget), and one-point batches, evaluate each point
     /// sequentially — same results, no batching to amortize (a one-lane
-    /// batched replay and solve costs 2.2–2.5 times a one-point one on a
-    /// 1 025-unknown RC mesh on an AVX-512F host).
+    /// batched replay and solve, which computes a whole block of eight
+    /// lanes, costs 1.7–2.0 times a one-point one on a 1 025-unknown RC
+    /// mesh on an AVX-512F host).
     ///
     /// # Panics
     ///

@@ -16,8 +16,7 @@ use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssi
 /// let b = Complex::new(3.0, -1.0);
 /// assert_eq!(a * b, Complex::new(5.0, 5.0));
 /// ```
-// `repr(C)` pins the (re, im) field order so slices of `Complex` can be
-// reinterpreted as interleaved `f64` pairs by vectorized kernels downstream.
+// `repr(C)` pins the (re, im) field order in memory.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 #[repr(C)]
 pub struct Complex {

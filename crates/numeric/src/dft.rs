@@ -197,21 +197,38 @@ fn direct_loop(x: &[Complex], twiddle: &[Complex]) -> Vec<Complex> {
     let n = x.len();
     let twiddle = &twiddle[..n];
     let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        let mut acc = Complex::ZERO;
-        // `idx` runs through `(i·k) mod n` exactly: each step adds `i < n`
-        // to a value below `n`, so one conditional subtraction reduces it.
-        let mut idx = 0;
-        for &xk in x {
-            acc = xk.mul_add(twiddle[idx], acc);
-            idx += i;
-            if idx >= n {
-                idx -= n;
-            }
-        }
-        out.push(acc);
+    // Four bins advance together: each bin's chain of dependent
+    // multiply-adds runs in its own `k` order, and the four chains overlap.
+    let mut first = 0;
+    while first + 4 <= n {
+        out.extend(direct_bins::<4>(x, twiddle, first));
+        first += 4;
+    }
+    for i in first..n {
+        out.extend(direct_bins::<1>(x, twiddle, i));
     }
     out
+}
+
+/// Bins `first..first + B` of the direct transform, each accumulated over
+/// `k = 0..n` in order. Each bin's `idx` runs through `(i·k) mod n`
+/// exactly: each step adds `i < n` to a value below `n`, so one
+/// conditional subtraction reduces it.
+#[inline(always)]
+fn direct_bins<const B: usize>(x: &[Complex], twiddle: &[Complex], first: usize) -> [Complex; B] {
+    let n = x.len();
+    let mut acc = [Complex::ZERO; B];
+    let mut idx = [0; B];
+    for &xk in x {
+        for b in 0..B {
+            acc[b] = xk.mul_add(twiddle[idx[b]], acc[b]);
+            idx[b] += first + b;
+            if idx[b] >= n {
+                idx[b] -= n;
+            }
+        }
+    }
+    acc
 }
 
 fn bit_reversal(n: usize) -> Vec<u32> {

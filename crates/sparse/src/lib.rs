@@ -20,10 +20,11 @@
 //!   zero sorting, searching, insertion, or allocation.
 //! * [`BatchScratch`] — the batched execution state:
 //!   [`FactorProgram::refactor_batch`] / [`FactorProgram::solve_batch`]
-//!   drive N independent value sets ("lanes") through **one** traversal of
-//!   the instruction stream; the affine stamps `K₀ + σ·K₁` of one matrix
-//!   at many points ([`FactorProgram::refactor_batch_points`]) fill the
-//!   lanes in one vector pass.
+//!   drive N independent value sets ("lanes") through the instruction
+//!   stream, one traversal per block of eight lanes; the affine stamps
+//!   `K₀ + σ·K₁` of one matrix at many points
+//!   ([`FactorProgram::refactor_batch_points`]) fill each block just
+//!   before its traversal.
 //! * [`ordering`] — approximate-minimum-degree symbolic ordering over the
 //!   pattern graph, the fill-reducing alternative for mesh-scale circuits.
 //! * [`dense`] — a dense LU reference implementation used as a test oracle
@@ -97,17 +98,21 @@
 //! # Lane layout: batching is orthogonal to threading
 //!
 //! The per-point column above has a second axis: one instruction stream
-//! can drive N value sets at once. [`BatchScratch`] lays the slot array
-//! out **slot-major** (structure-of-arrays), so the lanes one instruction
-//! touches are contiguous and the fetch/decode cost of the stream is paid
-//! once per batch instead of once per lane:
+//! can drive N value sets at once. [`BatchScratch`] pads the lanes to
+//! blocks of eight and stores each slot of a block **split-complex**: the
+//! eight lanes' real parts, then their imaginary parts, one 64-byte-aligned
+//! pair of cache lines. Blocks follow one another, and each block is one
+//! pass over the instruction stream, so the fetch/decode cost of the
+//! stream is paid once per eight lanes instead of once per lane:
 //!
 //! ```text
-//!          lane →   0    1    2   …  N−1
-//!  slot 0         [v₀₀  v₀₁  v₀₂  …  ]   ← one refactor op = N fused
-//!  slot 1         [v₁₀  v₁₁  v₁₂  …  ]     complex multiply-adds over
-//!  slot 2         [v₂₀  v₂₁  v₂₂  …  ]     contiguous memory (AVX when
-//!    ⋮                                      available, scalar otherwise)
+//!                  block 0 (lanes 0–7)          block 1 (lanes 8–15)   …
+//!  slot 0   [re₀ … re₇][im₀ … im₇]      slot 0   [re₈ … re₁₅][im₈ … im₁₅]
+//!  slot 1   [re₀ … re₇][im₀ … im₇]      slot 1   …
+//!    ⋮       ↑ one refactor op = eight complex multiply-subtracts:
+//!              four multiplies and four adds or subtracts per plane
+//!              (one 512-bit register per plane on AVX-512F, two 256-bit
+//!              on AVX, a loop over eight lanes otherwise)
 //! ```
 //!
 //! The two parallel axes compose but never interact:
@@ -120,15 +125,14 @@
 //!
 //! **Determinism contract**: per live lane, batched execution performs the
 //! exact scalar operation sequence of a one-lane replay. The vectorized
-//! Smith division blend-selects each lane's branch *inputs* (dominant and
-//! recessive divisor components) so one deduplicated division serves both
-//! arms with the scalar arm's exact primitive ops; the vectorized update
-//! and forward solve use no FMA contraction; and the vectorized
-//! determinant fold reproduces the extended-range normalization with
-//! exact bit-built powers of two (easy-range lanes) or the scalar
-//! sequence itself (everything else). Results are **bit-identical** at
-//! every lane count and thread count — the property the whole test tier
-//! pins.
+//! Smith division computes both arms' numerators in their scalar operand
+//! order and selects each lane's arm; the vectorized stamp, update and
+//! solve use no FMA contraction; and the vectorized determinant fold
+//! reproduces the extended-range normalization with exact bit-built
+//! powers of two (easy-range lanes) or the scalar sequence itself
+//! (everything else). Padded lanes compute on zeros and are never read.
+//! Results are **bit-identical** at every lane count and thread count —
+//! the property the whole test tier pins.
 //!
 //! # Example
 //!

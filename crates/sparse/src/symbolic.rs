@@ -32,23 +32,33 @@
 //!
 //! The batched replay and solve ([`FactorProgram::refactor_batch`],
 //! [`FactorProgram::refactor_batch_points`], [`FactorProgram::solve_batch`])
-//! run on one instruction-set tier, detected once per process: AVX-512F
-//! (four complex lanes per 512-bit register) if the CPU has it, else AVX
-//! (two per 256-bit register), else the scalar loops. The scalar loops are
-//! the reference; each vector kernel performs, per live lane, the scalar
-//! operation sequence — the same IEEE multiplies, adds, subtracts and
-//! divides on the same operands in the same order, never an FMA — so every
-//! tier's results are bit for bit the scalar ones:
+//! pad their lanes to blocks of eight and store each slot of a block as
+//! eight real parts, then eight imaginary parts (§[`BatchScratch`]). Each
+//! block is its own pass over the instruction stream, on one
+//! instruction-set tier detected once per process: AVX-512F if the CPU has
+//! it, else AVX, else the scalar loops. One kernel body serves every tier;
+//! only the registers that hold a block's plane of eight real (or
+//! imaginary) parts differ:
 //!
-//! | kernel | AVX-512F sequence |
+//! | tier | one plane of a block | mask of a comparison |
+//! |---|---|---|
+//! | AVX-512F | one 512-bit register | `__mmask8` |
+//! | AVX | two 256-bit registers | two compare results |
+//! | scalar | `[f64; 8]`, loops over the lanes | `[bool; 8]` |
+//!
+//! Each kernel step is one IEEE operation per lane, applied in the order
+//! of the one-lane replay's scalar `Complex` arithmetic — never an FMA —
+//! so every tier's live lanes are bit for bit the scalar ones:
+//!
+//! | kernel | per block |
 //! |---|---|
-//! | elimination op `dest −= l·src` | `l` expanded once per multiplier entry to `[re, re]`/`[im, im]`; two multiplies, then the product's `re·re − im·im`/`re·im + im·re` as an add merged with a masked subtract over the real elements (AVX's `addsub`), then the subtract from `dest` |
-//! | pivot division `l = a / pivot` | Smith's algorithm with each lane's arm (`\|re\| ≥ \|im\|`, false on NaN like the scalar `>=`) held in a mask; masked multiplies and adds pick each arm's operands in its own order, then the two divides |
-//! | forward step `work −= vals·y` | the elimination's product and subtract; a lane whose `y` is exactly zero is left out of the store mask, as the one-lane solve skips it |
-//! | back step `acc −= vals·x`, `x = acc / pivot` | the elimination's product and subtract in U-row order, then the pivot division |
+//! | stamp `K₀ + σ·K₁` | per raw entry, `σ·k1` (four multiplies, two sums), `+ k0`, then `+=` into the slot |
+//! | pivot capture and determinant fold | per step: a lane with an exact-zero pivot dies; in the easy range the [`ExtComplex`] normalization is a power-of-two scale built from the exponent bits, vectorized; any other live lane reruns the one-lane sequence |
+//! | elimination `l = a / pivot`, `dest −= l·src` | Smith's divisor terms (the arm mask `\|re\| ≥ \|im\|`, false on NaN like the scalar `>=`, the ratio and the denominator) once per step; per multiplier both arms' numerators, selected, then two divides; per op four multiplies and four adds or subtracts per plane |
+//! | forward step `work −= vals·y` | the product and subtract, then the old `work` kept in each lane whose `y` is exactly zero, as the one-lane solve skips it; a step whose eight `y` are zero is skipped |
+//! | back step `acc −= vals·x`, `x = acc / pivot` | the product and subtract in U-row order, then Smith's division |
 //!
-//! The pivot capture and determinant fold and the point-major stamp run
-//! the AVX kernels on both vector tiers. The one-lane replay
+//! Padded lanes compute on zeros and are never read. The one-lane replay
 //! ([`FactorProgram::refactor_values`], [`FactorProgram::solve_into`]) is
 //! scalar on every tier.
 //!
@@ -83,6 +93,10 @@ use refgen_numeric::stats::max_keeping_nan;
 use refgen_numeric::{Complex, ExtComplex, ExtProduct};
 use std::cell::RefCell;
 use std::ops::{AddAssign, Div, Mul, SubAssign};
+
+pub use batch::BatchScratch;
+pub(crate) use batch::BatchTier;
+use batch::{Split, BLOCK};
 
 /// An element type a [`FactorProgram`] replays and solves in: [`Complex`]
 /// for the frequency-domain samplers, `f64` for a real matrix such as the
@@ -468,13 +482,14 @@ impl FactorProgram {
     }
 
     /// Batched numeric refactorization: one traversal of the instruction
-    /// stream drives `lanes` independent value sets ("lanes") at once.
+    /// stream per block of eight lanes drives `lanes` independent value
+    /// sets ("lanes") at once.
     ///
     /// `lane_values` yields one value iterator per lane, each in the same
     /// compiled-position order [`FactorProgram::refactor_values`] expects.
-    /// The slot array is laid out slot-major (§[`BatchScratch`]), so every
-    /// instruction fetched once applies to all lanes over contiguous
-    /// memory — the amortization a one-lane replay cannot have.
+    /// Each instruction fetched once applies to a block's eight lanes over
+    /// contiguous, aligned memory (§[`BatchScratch`]) — the amortization a
+    /// one-lane replay cannot have.
     ///
     /// Per live lane, the arithmetic performed is **operation-for-operation
     /// identical** to a one-lane [`FactorProgram::refactor_values`] replay:
@@ -514,20 +529,21 @@ impl FactorProgram {
         L::IntoIter: ExactSizeIterator,
         I: IntoIterator<Item = Complex>,
     {
-        assert!(tier.supported(), "CPU lacks the {} kernel tier", tier.name());
         let iter = lane_values.into_iter();
         let lanes = iter.len();
         assert!(lanes > 0, "batch needs at least one lane");
         scratch.begin(self, lanes);
+        scratch.vals.fill(Split::default());
         for (lane, values) in iter.enumerate() {
+            let block = &mut scratch.vals[lane / BLOCK * self.slots..][..self.slots];
             let mut count = 0usize;
             for v in values {
-                scratch.vals[self.scatter[count] as usize * lanes + lane] += v;
+                block[self.scatter[count] as usize].add_lane(lane % BLOCK, v);
                 count += 1;
             }
             assert_eq!(count, self.scatter.len(), "value count differs from compiled pattern");
         }
-        self.replay_batch(tier, scratch);
+        scratch.replay(self, tier, None);
     }
 
     /// Point-major batched refactorization of **one** affine matrix
@@ -535,10 +551,11 @@ impl FactorProgram {
     /// value `k0[e] + sigmas[k]·k1[e]`: one coefficient pair per entry
     /// broadcast across the lanes, one `σ` per lane. This is the
     /// allocation- and iterator-free fast path for window sampling (one
-    /// plan, many unit-circle points). Per lane it performs exactly the
-    /// scalar `σ·k1`, `+ k0`, `+=` sequence of
-    /// [`FactorProgram::refactor_batch`] fed `k0[e] + σ·k1[e]` iterators,
-    /// with no FMA contraction, so results are bit-identical to it.
+    /// plan, many unit-circle points), stamping each block just before
+    /// its replay. Per lane it performs exactly the scalar `σ·k1`, `+ k0`,
+    /// `+=` sequence of [`FactorProgram::refactor_batch`] fed
+    /// `k0[e] + σ·k1[e]` iterators, with no FMA contraction, so results
+    /// are bit-identical to it.
     ///
     /// # Panics
     ///
@@ -551,68 +568,28 @@ impl FactorProgram {
         sigmas: &[Complex],
         scratch: &mut BatchScratch,
     ) {
-        let lanes = sigmas.len();
-        assert!(lanes > 0, "batch needs at least one lane");
-        assert_eq!(k0.len(), self.scatter.len(), "k0 length differs from compiled pattern");
-        assert_eq!(k1.len(), self.scatter.len(), "k1 length differs from compiled pattern");
-        scratch.begin(self, lanes);
-        let tier = BatchTier::detected();
-        match tier {
-            BatchTier::Scalar => {
-                stamp_points_scalar(&self.scatter, k0, k1, sigmas, &mut scratch.vals)
-            }
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: the detected tier implies AVX.
-            BatchTier::Avx | BatchTier::Avx512 => unsafe {
-                stamp_points_avx(&self.scatter, k0, k1, sigmas, &mut scratch.vals)
-            },
-        }
-        self.replay_batch(tier, scratch);
+        self.refactor_batch_points_on(BatchTier::detected(), k0, k1, sigmas, scratch);
     }
 
-    /// The batched elimination replay on a supported `tier`: never fails
-    /// as a whole — per-lane zero pivots are captured in
-    /// `scratch.singular`.
-    fn replay_batch(&self, tier: BatchTier, scratch: &mut BatchScratch) {
-        let lanes = scratch.lanes;
-        let BatchScratch { vals, pivot_lane, mult_lane, det_mant, det_exp, singular, .. } =
-            &mut *scratch;
-        for step in 0..self.n {
-            let ps = self.pivot_slots[step] as usize * lanes;
-            pivot_lane.copy_from_slice(&vals[ps..ps + lanes]);
-            batch_pivot_det(tier, step, pivot_lane, det_mant, det_exp, singular);
-            let (ls, le) = self.lranges[step];
-            let lents = &self.lents[ls as usize..le as usize];
-            // The whole L-column update of one step runs as a single
-            // fused kernel: per-op dispatch overhead would otherwise eat
-            // the lane amortization the batch exists for.
-            match tier {
-                BatchTier::Scalar => {
-                    eliminate_step_scalar(lents, &self.ops, vals, pivot_lane, mult_lane, lanes)
-                }
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: the caller checked the tier is supported.
-                BatchTier::Avx => unsafe {
-                    eliminate_step_avx(lents, &self.ops, vals, pivot_lane, mult_lane, lanes)
-                },
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: the caller checked the tier is supported; `begin`
-                // sized `vals` to this program's slots and `pivot_lane` to
-                // `lanes`, and compiled slots lie below `self.slots`.
-                BatchTier::Avx512 => unsafe {
-                    avx512::eliminate_step(lents, &self.ops, vals, pivot_lane, lanes)
-                },
-            }
-        }
-        for lane in 0..lanes {
-            if scratch.singular[lane] == LANE_LIVE {
-                let d = ExtComplex::new(scratch.det_mant[lane], scratch.det_exp[lane])
-                    * Complex::real(self.sign);
-                scratch.det_mant[lane] = d.mantissa();
-                scratch.det_exp[lane] = d.exponent();
-            }
-        }
-        scratch.factored = true;
+    /// [`FactorProgram::refactor_batch_points`] on a given kernel tier.
+    ///
+    /// # Panics
+    ///
+    /// As [`FactorProgram::refactor_batch_points`], and if the CPU lacks
+    /// `tier`.
+    pub(crate) fn refactor_batch_points_on(
+        &self,
+        tier: BatchTier,
+        k0: &[Complex],
+        k1: &[Complex],
+        sigmas: &[Complex],
+        scratch: &mut BatchScratch,
+    ) {
+        assert!(!sigmas.is_empty(), "batch needs at least one lane");
+        assert_eq!(k0.len(), self.scatter.len(), "k0 length differs from compiled pattern");
+        assert_eq!(k1.len(), self.scatter.len(), "k1 length differs from compiled pattern");
+        scratch.begin(self, sigmas.len());
+        scratch.replay(self, tier, Some((k0, k1, sigmas)));
     }
 
     /// Batched solve with the factorization last replayed into `scratch`:
@@ -644,78 +621,33 @@ impl FactorProgram {
         b: &[Complex],
         x: &mut Vec<Complex>,
     ) {
-        assert!(tier.supported(), "CPU lacks the {} kernel tier", tier.name());
         assert!(scratch.factored, "scratch holds no factorization");
-        let lanes = scratch.lanes;
-        assert_eq!(b.len(), self.n * lanes, "rhs length mismatch");
-        // The vector kernels read `vals` unchecked.
+        let (n, lanes) = (self.n, scratch.lanes());
+        assert_eq!(b.len(), n * lanes, "rhs length mismatch");
         assert_eq!(
             scratch.vals.len(),
-            self.slots * lanes,
+            self.slots * scratch.blocks(),
             "scratch holds another program's replay"
         );
-        let BatchScratch { vals, work, pivot_lane, mult_lane, .. } = &mut *scratch;
-        work.clear();
-        work.extend_from_slice(b);
-        // Forward elimination replay: y[k] lives at work[pivot_rows[k]·lanes].
-        for step in 0..self.n {
-            let pr = self.pivot_rows[step] as usize * lanes;
-            mult_lane.copy_from_slice(&work[pr..pr + lanes]);
-            // Every lane skips a zero y (see `forward_step_scalar`); when
-            // *all* lanes are zero — the common case for sparse
-            // excitations, where fleet variants share the zero structure —
-            // the whole step is a no-op and the instruction stream advances
-            // for free.
-            if mult_lane.iter().all(|t| *t == Complex::ZERO) {
-                continue;
-            }
-            let (ls, le) = self.lranges[step];
-            let lents = &self.lents[ls as usize..le as usize];
-            match tier {
-                BatchTier::Scalar => forward_step_scalar(lents, vals, work, mult_lane, lanes),
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: the tier is supported (checked above); `vals`
-                // holds this program's slots and `work` its rows (both
-                // checked above), and compiled slots and rows lie below
-                // them.
-                BatchTier::Avx => unsafe { forward_step_avx(lents, vals, work, mult_lane, lanes) },
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: as for the AVX tier.
-                BatchTier::Avx512 => unsafe {
-                    avx512::forward_step(lents, vals, work, mult_lane, lanes)
-                },
-            }
-        }
-        // Back substitution in original column coordinates.
         x.clear();
-        x.resize(self.n * lanes, Complex::ZERO);
-        for step in (0..self.n).rev() {
-            let pr = self.pivot_rows[step] as usize * lanes;
-            pivot_lane.copy_from_slice(&work[pr..pr + lanes]);
-            let (us, ue) = self.uranges[step];
-            let uents = &self.uents[us as usize..ue as usize];
-            let ps = self.pivot_slots[step] as usize * lanes;
-            let pc = self.pivot_cols[step] as usize * lanes;
-            match tier {
-                BatchTier::Scalar => back_step_scalar(uents, vals, x, pivot_lane, ps, pc, lanes),
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: as for the forward step, with `x` resized to
-                // this program's columns above.
-                BatchTier::Avx => unsafe {
-                    back_step_avx(uents, vals, x, pivot_lane, ps, pc, lanes)
-                },
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: as for the AVX tier.
-                BatchTier::Avx512 => unsafe {
-                    avx512::back_step(uents, vals, x, pivot_lane, ps, pc, lanes)
-                },
+        x.resize(n * lanes, Complex::ZERO);
+        scratch.work.resize(n, Split::default());
+        scratch.sol.resize(n, Split::default());
+        for block in 0..scratch.blocks() {
+            let (first, count) = scratch.block_lanes(block);
+            for (row, w) in scratch.work.iter_mut().enumerate() {
+                *w = Split::from_lanes(b[row * lanes + first..][..count].iter().copied());
+            }
+            let vals = &scratch.vals[block * self.slots..][..self.slots];
+            tier.solve_block(self, vals, &mut scratch.work, &mut scratch.sol);
+            for (col, s) in scratch.sol.iter().enumerate() {
+                for k in 0..count {
+                    x[col * lanes + first + k] = s.lane(k);
+                }
             }
         }
     }
 }
-
-/// Sentinel in [`BatchScratch::singular`]: the lane is still live.
-const LANE_LIVE: u32 = u32::MAX;
 
 /// The most update ops and value slots a [`FactorProgram::compile`] may
 /// produce for one pattern.
@@ -1004,755 +936,6 @@ fn compile_on(
     })
 }
 
-/// The instruction-set tier the batched kernels run on (see the
-/// [module docs](self#batched-kernel-tiers)).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum BatchTier {
-    /// The scalar loops: the reference every other tier matches bit for
-    /// bit.
-    Scalar,
-    /// 256-bit AVX kernels: two complex lanes per instruction.
-    #[cfg(target_arch = "x86_64")]
-    Avx,
-    /// 512-bit AVX-512F kernels ([`avx512`]): four complex lanes per
-    /// instruction, with the pivot capture and the stamp on AVX.
-    #[cfg(target_arch = "x86_64")]
-    Avx512,
-}
-
-impl BatchTier {
-    /// Every tier, fastest first: the dispatch order.
-    pub(crate) const ALL: &'static [BatchTier] = &[
-        #[cfg(target_arch = "x86_64")]
-        BatchTier::Avx512,
-        #[cfg(target_arch = "x86_64")]
-        BatchTier::Avx,
-        BatchTier::Scalar,
-    ];
-
-    /// The fastest tier this CPU supports, detected once per process.
-    pub(crate) fn detected() -> BatchTier {
-        use std::sync::OnceLock;
-        static TIER: OnceLock<BatchTier> = OnceLock::new();
-        *TIER.get_or_init(|| {
-            *BatchTier::ALL.iter().find(|t| t.supported()).expect("the scalar tier runs anywhere")
-        })
-    }
-
-    /// Whether this CPU can run the tier's kernels.
-    pub(crate) fn supported(self) -> bool {
-        match self {
-            BatchTier::Scalar => true,
-            #[cfg(target_arch = "x86_64")]
-            BatchTier::Avx => std::arch::is_x86_feature_detected!("avx"),
-            #[cfg(target_arch = "x86_64")]
-            BatchTier::Avx512 => {
-                BatchTier::Avx.supported() && std::arch::is_x86_feature_detected!("avx512f")
-            }
-        }
-    }
-
-    /// The tier's name, as its target feature is spelled.
-    pub(crate) fn name(self) -> &'static str {
-        match self {
-            BatchTier::Scalar => "scalar",
-            #[cfg(target_arch = "x86_64")]
-            BatchTier::Avx => "avx",
-            #[cfg(target_arch = "x86_64")]
-            BatchTier::Avx512 => "avx512f",
-        }
-    }
-}
-
-/// `dest[k] -= a[k] · b[k]` over complex lanes — the shared inner loop of
-/// the scalar batched refactor update and back substitution.
-fn lanes_mul_sub_scalar(a: &[Complex], b: &[Complex], dest: &mut [Complex]) {
-    for ((&ak, &bk), dk) in a.iter().zip(b).zip(dest) {
-        let d = ak * bk;
-        *dk -= d;
-    }
-}
-
-/// The AVX copy of [`lanes_mul_sub_scalar`]: two complex lanes go through
-/// one 256-bit `mul`/`mul`/`addsub`/`sub` sequence that performs exactly
-/// the scalar operations of `Complex` multiply-then-subtract in the same
-/// order — no FMA contraction, so results stay bit-identical to the scalar
-/// loop (which also handles the odd tail lane).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-#[inline]
-unsafe fn lanes_mul_sub_avx(a: &[Complex], b: &[Complex], dest: &mut [Complex]) {
-    use std::arch::x86_64::{
-        _mm256_addsub_pd, _mm256_loadu_pd, _mm256_movedup_pd, _mm256_mul_pd, _mm256_permute_pd,
-        _mm256_storeu_pd, _mm256_sub_pd,
-    };
-    let lanes = dest.len();
-    debug_assert!(a.len() == lanes && b.len() == lanes);
-    let pairs = lanes / 2;
-    // `Complex` is `repr(C)` { re: f64, im: f64 }, so a lane slice is an
-    // interleaved (re, im) f64 array; loads/stores are unaligned.
-    let ap = a.as_ptr().cast::<f64>();
-    let bp = b.as_ptr().cast::<f64>();
-    let dp = dest.as_mut_ptr().cast::<f64>();
-    for k in 0..pairs {
-        let av = _mm256_loadu_pd(ap.add(4 * k));
-        let bv = _mm256_loadu_pd(bp.add(4 * k));
-        let are = _mm256_movedup_pd(av); // [a0.re, a0.re, a1.re, a1.re]
-        let aim = _mm256_permute_pd(av, 0xF); // [a0.im, a0.im, a1.im, a1.im]
-        let bsw = _mm256_permute_pd(bv, 0x5); // [b0.im, b0.re, b1.im, b1.re]
-                                              // addsub(re·b, im·b_swapped) = (re·b.re − im·b.im, re·b.im + im·b.re):
-                                              // operand-for-operand the scalar complex product.
-        let prod = _mm256_addsub_pd(_mm256_mul_pd(are, bv), _mm256_mul_pd(aim, bsw));
-        let dv = _mm256_loadu_pd(dp.add(4 * k));
-        _mm256_storeu_pd(dp.add(4 * k), _mm256_sub_pd(dv, prod));
-    }
-    if lanes % 2 == 1 {
-        let k = lanes - 1;
-        let d = a[k] * b[k];
-        dest[k] -= d;
-    }
-}
-
-/// One forward-elimination step of the batched solve over all lanes:
-/// `work[row] −= vals[slot] · y` per [`LEntry`]. Scalar reference of
-/// [`forward_step_avx`] and [`avx512::forward_step`].
-fn forward_step_scalar(
-    lents: &[LEntry],
-    vals: &[Complex],
-    work: &mut [Complex],
-    y: &[Complex],
-    lanes: usize,
-) {
-    for ent in lents {
-        let rs = ent.row as usize * lanes;
-        let es = ent.slot as usize * lanes;
-        for (lane, &t) in y.iter().enumerate() {
-            // The one-lane solve skips a zero y entirely; replicate per
-            // lane (subtracting `l·0` could still flip signed zeros, so
-            // "skip" and "multiply by zero" differ in bits).
-            if t == Complex::ZERO {
-                continue;
-            }
-            let d = vals[es + lane] * t;
-            work[rs + lane] -= d;
-        }
-    }
-}
-
-/// One back-substitution step of the batched solve over all lanes: the
-/// accumulator `acc −= vals[slot] · x[col]` over the step's U entries in
-/// order, then `x[pivot col] = acc / vals[pivot slot]`, with `ps`/`pc` the
-/// pivot slot's and column's first lane. Scalar reference of
-/// [`back_step_avx`] and [`avx512::back_step`].
-fn back_step_scalar(
-    uents: &[(u32, u32)],
-    vals: &[Complex],
-    x: &mut [Complex],
-    acc: &mut [Complex],
-    ps: usize,
-    pc: usize,
-    lanes: usize,
-) {
-    for &(c, slot) in uents {
-        let cs = c as usize * lanes;
-        let ss = slot as usize * lanes;
-        lanes_mul_sub_scalar(&vals[ss..ss + lanes], &x[cs..cs + lanes], acc);
-    }
-    for lane in 0..lanes {
-        x[pc + lane] = acc[lane] / vals[ps + lane];
-    }
-}
-
-/// One elimination step's full L-column update over all lanes: per
-/// [`LEntry`], the per-lane division producing the step's multipliers,
-/// then every `dest -= l·src` op of that entry. Scalar reference path —
-/// the AVX and AVX-512F kernels ([`eliminate_step_avx`],
-/// [`avx512::eliminate_step`]) must match it bit for bit on live lanes.
-fn eliminate_step_scalar(
-    lents: &[LEntry],
-    ops: &[Op],
-    vals: &mut [Complex],
-    pivot_lane: &[Complex],
-    mult_lane: &mut [Complex],
-    lanes: usize,
-) {
-    for ent in lents {
-        let es = ent.slot as usize * lanes;
-        for lane in 0..lanes {
-            let l = vals[es + lane] / pivot_lane[lane];
-            vals[es + lane] = l;
-            mult_lane[lane] = l;
-        }
-        for op in &ops[ent.ops_start as usize..ent.ops_end as usize] {
-            let ss = op.src as usize * lanes;
-            let ds = op.dest as usize * lanes;
-            // `dest != src` always (distinct slots), so the two lane
-            // ranges are disjoint.
-            let (src, dest): (&[Complex], &mut [Complex]) = if ds > ss {
-                let (lo, hi) = vals.split_at_mut(ds);
-                (&lo[ss..ss + lanes], &mut hi[..lanes])
-            } else {
-                let (lo, hi) = vals.split_at_mut(ss);
-                (&hi[..lanes], &mut lo[ds..ds + lanes])
-            };
-            lanes_mul_sub_scalar(mult_lane, src, dest);
-        }
-    }
-}
-
-/// The fused AVX elimination step: one `target_feature` region covers the
-/// lane divisions ([`div_lanes_avx`]) *and* the whole op list of each
-/// [`LEntry`], so nothing pays a per-op dispatch check or an uninlinable
-/// `target_feature` call boundary, and the multiplier lanes stay hot in
-/// registers across the op loop.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn eliminate_step_avx(
-    lents: &[LEntry],
-    ops: &[Op],
-    vals: &mut [Complex],
-    pivot_lane: &[Complex],
-    mult_lane: &mut [Complex],
-    lanes: usize,
-) {
-    for ent in lents {
-        let es = ent.slot as usize * lanes;
-        div_lanes_avx(pivot_lane, &mut vals[es..es + lanes], mult_lane);
-        for op in &ops[ent.ops_start as usize..ent.ops_end as usize] {
-            let ss = op.src as usize * lanes;
-            let ds = op.dest as usize * lanes;
-            // `dest != src` always (distinct slots), so the two lane
-            // ranges are disjoint.
-            let (src, dest): (&[Complex], &mut [Complex]) = if ds > ss {
-                let (lo, hi) = vals.split_at_mut(ds);
-                (&lo[ss..ss + lanes], &mut hi[..lanes])
-            } else {
-                let (lo, hi) = vals.split_at_mut(ss);
-                (&hi[..lanes], &mut lo[ds..ds + lanes])
-            };
-            lanes_mul_sub_avx(mult_lane, src, dest);
-        }
-    }
-}
-
-/// `num[k] /= den[k]` over complex lanes, the quotient mirrored into
-/// `out` — Smith's division algorithm vectorized **branchlessly**. Each
-/// lane's taken arm is selected by blending the arm *inputs* (the
-/// dominant/recessive divisor components and the ±-pattern operands), so
-/// only two `divpd` run per lane pair: one deduplicated ratio division
-/// and one quotient division. Every primitive operation matches the
-/// scalar arm exactly — `GE_OQ` is false on NaN like the scalar `>=`,
-/// `big + small·r` equals both arms' denominators by IEEE addition
-/// commutativity, and `addsub` with a negated operand reproduces the +/−
-/// pair since `a − (−b)` is IEEE-exactly `a + b` — so live-lane results
-/// are bit-identical to scalar `Complex` division.
-///
-/// The one scalar branch *not* replicated is the `0/0` special case: the
-/// divisor here is always a pivot, and an exact-zero pivot means the lane
-/// is already dead — its slots hold garbage that is never read back.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-#[inline]
-unsafe fn div_lanes_avx(den: &[Complex], num: &mut [Complex], out: &mut [Complex]) {
-    use std::arch::x86_64::{
-        _mm256_addsub_pd, _mm256_blendv_pd, _mm256_div_pd, _mm256_loadu_pd, _mm256_mul_pd,
-        _mm256_permute_pd, _mm256_set1_pd, _mm256_set_m128d, _mm256_storeu_pd, _mm256_xor_pd,
-        _mm_add_pd, _mm_andnot_pd, _mm_blendv_pd, _mm_cmp_pd, _mm_div_pd, _mm_loadu_pd, _mm_mul_pd,
-        _mm_set1_pd, _mm_unpackhi_pd, _mm_unpacklo_pd, _CMP_GE_OQ,
-    };
-    let lanes = num.len();
-    debug_assert!(den.len() == lanes && out.len() == lanes);
-    let pairs = lanes / 2;
-    let np = num.as_mut_ptr().cast::<f64>();
-    let dp = den.as_ptr().cast::<f64>();
-    let op = out.as_mut_ptr().cast::<f64>();
-    let negz256 = _mm256_set1_pd(-0.0);
-    let negz128 = _mm_set1_pd(-0.0);
-    for k in 0..pairs {
-        let nv = _mm256_loadu_pd(np.add(4 * k));
-        // Unique divisor components, one slot per complex lane.
-        let dlo = _mm_loadu_pd(dp.add(4 * k)); // [d0.re, d0.im]
-        let dhi = _mm_loadu_pd(dp.add(4 * k + 2)); // [d1.re, d1.im]
-        let dre = _mm_unpacklo_pd(dlo, dhi); // [d0.re, d1.re]
-        let dim = _mm_unpackhi_pd(dlo, dhi); // [d0.im, d1.im]
-                                             // Smith's branch condition |d.re| ≥ |d.im| per lane; select the
-                                             // dominant (big) and recessive (small) components.
-        let take_re =
-            _mm_cmp_pd::<_CMP_GE_OQ>(_mm_andnot_pd(negz128, dre), _mm_andnot_pd(negz128, dim));
-        let big = _mm_blendv_pd(dim, dre, take_re);
-        let small = _mm_blendv_pd(dre, dim, take_re);
-        // r = small/big (the scalar arm's ratio) and d = big + small·r:
-        // the re-dominant arm writes d as `d.re + d.im·r`, the
-        // im-dominant arm as `d.re·r + d.im` — IEEE addition is
-        // commutative bit for bit, so one expression serves both.
-        let r = _mm_div_pd(small, big);
-        let d2 = _mm_add_pd(big, _mm_mul_pd(small, r));
-        // Expand per-lane scalars to slot-duplicated 256-bit operands.
-        let r4 = _mm256_set_m128d(_mm_unpackhi_pd(r, r), _mm_unpacklo_pd(r, r));
-        let d4 = _mm256_set_m128d(_mm_unpackhi_pd(d2, d2), _mm_unpacklo_pd(d2, d2));
-        let m4 =
-            _mm256_set_m128d(_mm_unpackhi_pd(take_re, take_re), _mm_unpacklo_pd(take_re, take_re));
-        let nsw = _mm256_permute_pd(nv, 0x5); // [n0.im, n0.re, n1.im, n1.re]
-                                              // Numerators as one addsub(X, −Y):
-                                              //   re-dominant: (n.re + n.im·r, n.im − n.re·r) → X = n,   Y = nsw·r
-                                              //   im-dominant: (n.re·r + n.im, n.im·r − n.re) → X = n·r, Y = nsw
-        let x = _mm256_blendv_pd(_mm256_mul_pd(nv, r4), nv, m4);
-        let y = _mm256_blendv_pd(nsw, _mm256_mul_pd(nsw, r4), m4);
-        let q = _mm256_div_pd(_mm256_addsub_pd(x, _mm256_xor_pd(y, negz256)), d4);
-        _mm256_storeu_pd(np.add(4 * k), q);
-        _mm256_storeu_pd(op.add(4 * k), q);
-    }
-    if lanes % 2 == 1 {
-        let k = lanes - 1;
-        let q = num[k] / den[k];
-        num[k] = q;
-        out[k] = q;
-    }
-}
-
-/// One back-substitution step of the batched solve, fused into a single
-/// `target_feature` region: the step's U-row multiply-subtracts into the
-/// per-lane accumulator, then the closing pivot division writing the
-/// solved column — same motivation as [`eliminate_step_avx`]. The
-/// accumulator is consumed by the division (recopied next step), so the
-/// kernel overwriting it with the quotient is fine.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn back_step_avx(
-    uents: &[(u32, u32)],
-    vals: &[Complex],
-    x: &mut [Complex],
-    acc: &mut [Complex],
-    ps: usize,
-    pc: usize,
-    lanes: usize,
-) {
-    for &(c, slot) in uents {
-        let cs = c as usize * lanes;
-        let ss = slot as usize * lanes;
-        lanes_mul_sub_avx(&vals[ss..ss + lanes], &x[cs..cs + lanes], acc);
-    }
-    div_lanes_avx(&vals[ps..ps + lanes], acc, &mut x[pc..pc + lanes]);
-}
-
-/// The scalar stamp loop of [`FactorProgram::refactor_batch_points`] and
-/// the reference its AVX copy ([`stamp_points_avx`]) must match bit for
-/// bit: per raw entry, `vals[slot·lanes + k] += k0[e] + σ_k·k1[e]`.
-fn stamp_points_scalar(
-    scatter: &[u32],
-    k0: &[Complex],
-    k1: &[Complex],
-    sigmas: &[Complex],
-    vals: &mut [Complex],
-) {
-    let lanes = sigmas.len();
-    for ((&slot, &a), &b) in scatter.iter().zip(k0).zip(k1) {
-        let dst = &mut vals[slot as usize * lanes..(slot as usize + 1) * lanes];
-        for (v, &s) in dst.iter_mut().zip(sigmas) {
-            *v += a + s * b;
-        }
-    }
-}
-
-/// The AVX stamp loop of [`FactorProgram::refactor_batch_points`]: per raw
-/// entry, `k0[e]`/`k1[e]` broadcast and two lanes' `σ` per 256-bit
-/// register. Scalar operand order throughout (`σ` is the product's
-/// `self`; multiply, add `k0`, then accumulate), no FMA contraction —
-/// bit-identical to [`stamp_points_scalar`].
-///
-/// # Safety
-///
-/// The CPU must support AVX. Every memory access is bounds-checked
-/// (each entry's lane range of `vals` is sliced before the raw-pointer
-/// loop, and the loop reads `sigmas` only below `sigmas.len()`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn stamp_points_avx(
-    scatter: &[u32],
-    k0: &[Complex],
-    k1: &[Complex],
-    sigmas: &[Complex],
-    vals: &mut [Complex],
-) {
-    use std::arch::x86_64::{
-        _mm256_add_pd, _mm256_addsub_pd, _mm256_loadu_pd, _mm256_movedup_pd, _mm256_mul_pd,
-        _mm256_permute_pd, _mm256_set_pd, _mm256_storeu_pd,
-    };
-    let lanes = sigmas.len();
-    let pairs = lanes / 2;
-    let sp = sigmas.as_ptr().cast::<f64>();
-    for ((&slot, &a), &b) in scatter.iter().zip(k0).zip(k1) {
-        let dst = &mut vals[slot as usize * lanes..(slot as usize + 1) * lanes];
-        let k0v = _mm256_set_pd(a.im, a.re, a.im, a.re);
-        let k1v = _mm256_set_pd(b.im, b.re, b.im, b.re);
-        let k1sw = _mm256_permute_pd(k1v, 0x5); // [k1.im, k1.re, k1.im, k1.re]
-        let vp = dst.as_mut_ptr().cast::<f64>();
-        for k in 0..pairs {
-            // Two lanes' σ, split into duplicated real and imaginary
-            // parts; addsub(σ.re·k1, σ.im·k1_swapped) is
-            // (σ.re·k1.re − σ.im·k1.im, σ.re·k1.im + σ.im·k1.re),
-            // operand-for-operand the scalar `σ * k1`.
-            let sv = _mm256_loadu_pd(sp.add(4 * k));
-            let sre = _mm256_movedup_pd(sv);
-            let sim = _mm256_permute_pd(sv, 0xF);
-            let prod = _mm256_addsub_pd(_mm256_mul_pd(sre, k1v), _mm256_mul_pd(sim, k1sw));
-            let v = _mm256_add_pd(k0v, prod);
-            let old = _mm256_loadu_pd(vp.add(4 * k));
-            _mm256_storeu_pd(vp.add(4 * k), _mm256_add_pd(old, v));
-        }
-        if lanes % 2 == 1 {
-            dst[lanes - 1] += a + sigmas[lanes - 1] * b;
-        }
-    }
-}
-
-/// One forward-elimination step of the batched solve over all lanes:
-/// `work[row] −= vals[slot] · y` per [`LEntry`], with the one-lane
-/// solve's exact-zero skip replicated **per lane** by blending: where
-/// `y` is exactly zero (both components; `EQ_OQ` treats −0 == +0 like
-/// the scalar `==`, and is false on NaN like it) the original `work`
-/// bits are kept untouched — bit-identical to not executing the
-/// subtraction, which matters because `work − l·0` could still flip
-/// signed zeros. All arithmetic for non-zero lanes is the scalar
-/// multiply-then-subtract operand order, no FMA contraction.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn forward_step_avx(
-    lents: &[LEntry],
-    vals: &[Complex],
-    work: &mut [Complex],
-    y: &[Complex],
-    lanes: usize,
-) {
-    use std::arch::x86_64::{
-        _mm256_addsub_pd, _mm256_and_pd, _mm256_blendv_pd, _mm256_cmp_pd, _mm256_loadu_pd,
-        _mm256_movedup_pd, _mm256_mul_pd, _mm256_permute_pd, _mm256_setzero_pd, _mm256_storeu_pd,
-        _mm256_sub_pd, _CMP_EQ_OQ,
-    };
-    let pairs = lanes / 2;
-    let yp = y.as_ptr().cast::<f64>();
-    let zero = _mm256_setzero_pd();
-    for ent in lents {
-        let es = ent.slot as usize * lanes;
-        let rs = ent.row as usize * lanes;
-        let vp = vals.as_ptr().add(es).cast::<f64>();
-        let wp = work.as_mut_ptr().add(rs).cast::<f64>();
-        for k in 0..pairs {
-            let tv = _mm256_loadu_pd(yp.add(4 * k));
-            // Lane-zero mask: a slot is masked iff *both* slots of its
-            // lane compare equal to zero.
-            let z = _mm256_cmp_pd::<_CMP_EQ_OQ>(tv, zero);
-            let zb = _mm256_and_pd(z, _mm256_permute_pd(z, 0x5));
-            let av = _mm256_loadu_pd(vp.add(4 * k));
-            // vals · y in the scalar operand order (vals is `self`).
-            let prod = _mm256_addsub_pd(
-                _mm256_mul_pd(_mm256_movedup_pd(av), tv),
-                _mm256_mul_pd(_mm256_permute_pd(av, 0xF), _mm256_permute_pd(tv, 0x5)),
-            );
-            let dv = _mm256_loadu_pd(wp.add(4 * k));
-            _mm256_storeu_pd(wp.add(4 * k), _mm256_blendv_pd(_mm256_sub_pd(dv, prod), dv, zb));
-        }
-        if lanes % 2 == 1 {
-            let lane = lanes - 1;
-            let t = y[lane];
-            if t != Complex::ZERO {
-                let d = vals[es + lane] * t;
-                work[rs + lane] -= d;
-            }
-        }
-    }
-}
-
-/// Per-step pivot capture over all lanes: records each lane's first
-/// exact-zero pivot (killing the lane) and folds live pivots into the
-/// per-lane determinant accumulator — the batched analogue of the
-/// one-lane `det *= ExtComplex::from_complex(pivot)` fold. Both vector
-/// tiers run the AVX kernel.
-fn batch_pivot_det(
-    tier: BatchTier,
-    step: usize,
-    pivot_lane: &[Complex],
-    det_mant: &mut [Complex],
-    det_exp: &mut [i64],
-    singular: &mut [u32],
-) {
-    match tier {
-        BatchTier::Scalar => {
-            for lane in 0..pivot_lane.len() {
-                det_update_lane(step, lane, pivot_lane, det_mant, det_exp, singular);
-            }
-        }
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the caller checked the tier is supported; both imply AVX.
-        BatchTier::Avx | BatchTier::Avx512 => unsafe {
-            det_update_avx(step, pivot_lane, det_mant, det_exp, singular)
-        },
-    }
-}
-
-/// One lane of the pivot-capture/determinant fold — the exact scalar
-/// sequence of the one-lane replay, reference for [`det_update_avx`]
-/// and its fallback for out-of-easy-range lanes.
-#[inline]
-fn det_update_lane(
-    step: usize,
-    lane: usize,
-    pivot_lane: &[Complex],
-    det_mant: &mut [Complex],
-    det_exp: &mut [i64],
-    singular: &mut [u32],
-) {
-    if singular[lane] != LANE_LIVE {
-        return;
-    }
-    let pivot = pivot_lane[lane];
-    if pivot == Complex::ZERO {
-        singular[lane] = step as u32;
-        return;
-    }
-    let d = ExtComplex::new(det_mant[lane], det_exp[lane]) * ExtComplex::from_complex(pivot);
-    det_mant[lane] = d.mantissa();
-    det_exp[lane] = d.exponent();
-}
-
-/// The AVX pivot-capture/determinant fold: two lanes per iteration,
-/// bypassing the scalar path's `powi`-based renormalization (the single
-/// hottest per-lane cost of a batched replay).
-///
-/// For a *finite* complex value whose dominant magnitude `dom` is a
-/// normal f64 below `2^1023`, the [`ExtComplex`] normalization inside
-/// `from_complex` and `Mul` reduces to: extract `e = ⌊log₂ dom⌋` from
-/// the exponent bits, scale by the exact power of two `2^−e` (a bare
-/// exponent-field f64; multiplying by it only shifts exponents, so it
-/// is exact), and accumulate `e`. This kernel performs exactly that —
-/// exponent extraction and the `2^−e` construction are integer bit ops,
-/// the complex product uses the scalar operand order, and a shift of
-/// zero multiplies by exactly `1.0`, bit-identical to the scalar
-/// early-return. Any lane outside the easy range — already dead, zero
-/// pivot (the singular capture), NaN/infinite components, subnormal
-/// dominants, or `dom ≥ 2^1023` (where the bit-built scale would leave
-/// the normal range) — reruns through [`det_update_lane`], the exact
-/// scalar sequence, before anything is stored.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn det_update_avx(
-    step: usize,
-    pivot_lane: &[Complex],
-    det_mant: &mut [Complex],
-    det_exp: &mut [i64],
-    singular: &mut [u32],
-) {
-    use std::arch::x86_64::{
-        __m128i, _mm256_addsub_pd, _mm256_andnot_pd, _mm256_castpd256_pd128, _mm256_extractf128_pd,
-        _mm256_loadu_pd, _mm256_movedup_pd, _mm256_mul_pd, _mm256_permute_pd, _mm256_set1_pd,
-        _mm256_storeu_pd, _mm_add_epi64, _mm_and_pd, _mm_castpd_si128, _mm_castsi128_pd,
-        _mm_cmp_pd, _mm_loadu_si128, _mm_max_pd, _mm_movemask_pd, _mm_set1_epi64x, _mm_set1_pd,
-        _mm_slli_epi64, _mm_srli_epi64, _mm_storeu_si128, _mm_sub_epi64, _mm_unpackhi_pd,
-        _mm_unpacklo_pd, _CMP_GE_OQ, _CMP_LT_OQ,
-    };
-    let lanes = pivot_lane.len();
-    let pairs = lanes / 2;
-    let pp = pivot_lane.as_ptr().cast::<f64>();
-    let mp = det_mant.as_mut_ptr().cast::<f64>();
-    let negz256 = _mm256_set1_pd(-0.0);
-    // The easy-range window [MIN_POSITIVE, 2^1023): dominants whose
-    // biased exponent keeps the bit-built `2^−e` scale itself normal.
-    let min_norm = _mm_set1_pd(f64::MIN_POSITIVE);
-    let max_norm = _mm_set1_pd(f64::from_bits(2046u64 << 52)); // 2^1023
-    let bias = _mm_set1_epi64x(1023);
-    let two_bias = _mm_set1_epi64x(2046);
-    for k in 0..pairs {
-        let l0 = 2 * k;
-        // Both-components-finite plus dom-in-window, checked per lane:
-        // `LT_OQ`/`GE_OQ` are false on NaN, so any NaN component routes
-        // to the scalar fallback (whose complex finiteness check runs
-        // *before* the dominant is formed — `maxpd` alone could mask a
-        // NaN real part behind a normal imaginary one).
-        macro_rules! window_ok {
-            ($re:expr, $im:expr, $dom:expr) => {
-                _mm_movemask_pd(_mm_and_pd(
-                    _mm_and_pd(
-                        _mm_cmp_pd::<_CMP_LT_OQ>($re, max_norm),
-                        _mm_cmp_pd::<_CMP_LT_OQ>($im, max_norm),
-                    ),
-                    _mm_cmp_pd::<_CMP_GE_OQ>($dom, min_norm),
-                )) == 0b11
-            };
-        }
-        macro_rules! fallback_pair {
-            () => {{
-                det_update_lane(step, l0, pivot_lane, det_mant, det_exp, singular);
-                det_update_lane(step, l0 + 1, pivot_lane, det_mant, det_exp, singular);
-                continue;
-            }};
-        }
-        if singular[l0] != LANE_LIVE || singular[l0 + 1] != LANE_LIVE {
-            fallback_pair!();
-        }
-        let pv = _mm256_loadu_pd(pp.add(4 * k));
-        let pa = _mm256_andnot_pd(negz256, pv);
-        let alo = _mm256_castpd256_pd128(pa);
-        let ahi = _mm256_extractf128_pd::<1>(pa);
-        let pre = _mm_unpacklo_pd(alo, ahi); // [|p0.re|, |p1.re|]
-        let pim = _mm_unpackhi_pd(alo, ahi); // [|p0.im|, |p1.im|]
-                                             // Matches the scalar `re.abs().max(im.abs())` bit for bit: the
-                                             // NaN/equal-operand cases where `maxpd` and `f64::max` could
-                                             // differ are excluded by the window check (abs leaves no −0).
-        let dom_p = _mm_max_pd(pre, pim);
-        if !window_ok!(pre, pim, dom_p) {
-            fallback_pair!();
-        }
-        // e_p = biased − 1023; scale 2^−e_p built directly in the
-        // exponent field: bits = (2046 − biased) << 52.
-        let biased_p = _mm_srli_epi64::<52>(_mm_castpd_si128(dom_p));
-        let scale_p = _mm_castsi128_pd(_mm_slli_epi64::<52>(_mm_sub_epi64(two_bias, biased_p)));
-        let sp = _mm256_mul_pd(pv, expand_lane_scalars(scale_p));
-        // m = det.mantissa ⊗ scaled pivot, scalar complex operand order.
-        let dm = _mm256_loadu_pd(mp.add(4 * k));
-        let m = _mm256_addsub_pd(
-            _mm256_mul_pd(_mm256_movedup_pd(dm), sp),
-            _mm256_mul_pd(_mm256_permute_pd(dm, 0xF), _mm256_permute_pd(sp, 0x5)),
-        );
-        let ma = _mm256_andnot_pd(negz256, m);
-        let mlo = _mm256_castpd256_pd128(ma);
-        let mhi = _mm256_extractf128_pd::<1>(ma);
-        let mre = _mm_unpacklo_pd(mlo, mhi);
-        let mim = _mm_unpackhi_pd(mlo, mhi);
-        let dom_m = _mm_max_pd(mre, mim);
-        // A cancelled-to-zero, overflowed, or underflowed product reruns
-        // the pair scalar — nothing has been stored yet.
-        if !window_ok!(mre, mim, dom_m) {
-            fallback_pair!();
-        }
-        let biased_m = _mm_srli_epi64::<52>(_mm_castpd_si128(dom_m));
-        let scale_m = _mm_castsi128_pd(_mm_slli_epi64::<52>(_mm_sub_epi64(two_bias, biased_m)));
-        _mm256_storeu_pd(mp.add(4 * k), _mm256_mul_pd(m, expand_lane_scalars(scale_m)));
-        let e_sum = _mm_add_epi64(_mm_sub_epi64(biased_p, bias), _mm_sub_epi64(biased_m, bias));
-        let ep = det_exp.as_mut_ptr().add(l0).cast::<__m128i>();
-        _mm_storeu_si128(ep, _mm_add_epi64(_mm_loadu_si128(ep), e_sum));
-    }
-    if lanes % 2 == 1 {
-        det_update_lane(step, lanes - 1, pivot_lane, det_mant, det_exp, singular);
-    }
-}
-
-/// `[s0, s1]` → `[s0, s0, s1, s1]`: per-lane scalars expanded to the
-/// slot-duplicated form 256-bit complex kernels consume.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-#[inline]
-unsafe fn expand_lane_scalars(v: std::arch::x86_64::__m128d) -> std::arch::x86_64::__m256d {
-    use std::arch::x86_64::{_mm256_set_m128d, _mm_unpackhi_pd, _mm_unpacklo_pd};
-    _mm256_set_m128d(_mm_unpackhi_pd(v, v), _mm_unpacklo_pd(v, v))
-}
-
-/// Per-executor mutable state for **batched** [`FactorProgram`] execution:
-/// `lanes` independent value sets driven through one instruction-stream
-/// traversal ([`FactorProgram::refactor_batch`] /
-/// [`FactorProgram::solve_batch`]).
-///
-/// # Lane layout
-///
-/// The slot array is **slot-major** structure-of-arrays: lane `k` of slot
-/// `s` lives at `vals[s·lanes + k]`, so the lanes touched by one
-/// instruction are contiguous (one cache line for 4 lanes, vectorizable
-/// without gathers). The forward-elimination buffer is row-major
-/// (`work[row·lanes + lane]`) and solutions come back column-major
-/// (`x[col·lanes + lane]`).
-///
-/// # Per-lane failure
-///
-/// One dead lane does not kill the batch: a lane hitting an exact-zero
-/// pivot records its first failing step ([`BatchScratch::singular_step`],
-/// the batched analogue of `FactorError::Singular { step }`) while the
-/// other lanes proceed bit-identically to one-lane replays.
-///
-/// All buffers retain capacity across points; one scratch per worker
-/// thread, the program shared.
-#[derive(Clone, Debug, Default)]
-pub struct BatchScratch {
-    lanes: usize,
-    vals: Vec<Complex>,
-    work: Vec<Complex>,
-    /// Per-lane staging: current pivots (refactor) / back-substitution
-    /// accumulator (solve).
-    pivot_lane: Vec<Complex>,
-    /// Per-lane staging: current multipliers (refactor) / forward-pass `y`
-    /// (solve).
-    mult_lane: Vec<Complex>,
-    /// Per-lane determinant accumulator, split into its
-    /// [`ExtComplex`] components (mantissa / exponent) so the pivot fold
-    /// can run vectorized over contiguous mantissas. The stored pair is
-    /// always a *normalized* value, so reassembling through
-    /// [`ExtComplex::new`] (whose normalization is idempotent) is
-    /// bit-identical to having stored the `ExtComplex` whole.
-    det_mant: Vec<Complex>,
-    det_exp: Vec<i64>,
-    /// First singular step per lane, [`LANE_LIVE`] while alive.
-    singular: Vec<u32>,
-    factored: bool,
-}
-
-impl BatchScratch {
-    /// An empty scratch; buffers size themselves on first use and the lane
-    /// count follows each [`FactorProgram::refactor_batch`] call.
-    pub fn new() -> BatchScratch {
-        BatchScratch::default()
-    }
-
-    /// Lane count of the last batched replay.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// The elimination step at which `lane` died (`None` while live) — the
-    /// per-lane analogue of `FactorError::Singular { step }`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no batched replay has run yet or `lane` is out of range.
-    pub fn singular_step(&self, lane: usize) -> Option<usize> {
-        assert!(self.factored, "scratch holds no factorization");
-        match self.singular[lane] {
-            LANE_LIVE => None,
-            step => Some(step as usize),
-        }
-    }
-
-    /// Determinant of `lane` from the last batched replay (sign-corrected,
-    /// extended-range), or the same `Singular { step }` error a one-lane
-    /// replay of that lane's values would have returned.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no batched replay has run yet or `lane` is out of range.
-    pub fn lane_det(&self, lane: usize) -> Result<ExtComplex, FactorError> {
-        assert!(self.factored, "scratch holds no factorization");
-        match self.singular[lane] {
-            LANE_LIVE => Ok(ExtComplex::new(self.det_mant[lane], self.det_exp[lane])),
-            step => Err(FactorError::Singular { step: step as usize }),
-        }
-    }
-
-    /// Clears per-lane state for a new batched replay, retaining capacity.
-    fn begin(&mut self, program: &FactorProgram, lanes: usize) {
-        self.factored = false;
-        self.lanes = lanes;
-        self.vals.clear();
-        self.vals.resize(program.slots * lanes, Complex::ZERO);
-        self.pivot_lane.clear();
-        self.pivot_lane.resize(lanes, Complex::ZERO);
-        self.mult_lane.clear();
-        self.mult_lane.resize(lanes, Complex::ZERO);
-        self.det_mant.clear();
-        self.det_mant.resize(lanes, ExtComplex::ONE.mantissa());
-        self.det_exp.clear();
-        self.det_exp.resize(lanes, ExtComplex::ONE.exponent());
-        self.singular.clear();
-        self.singular.resize(lanes, LANE_LIVE);
-    }
-}
-
 /// Per-executor mutable state for [`FactorProgram`] execution: the flat
 /// slot-value array, the forward-elimination buffer, and the determinant
 /// of the last successful replay, in element type `T` ([`Scalar`]). All
@@ -1793,8 +976,7 @@ impl<T: Scalar> ProgramScratch<T> {
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-mod avx512;
+mod batch;
 
 #[cfg(test)]
 mod compile_reference;
@@ -2106,6 +1288,11 @@ mod tests {
         let mut x = Vec::new();
         program.solve_into(&mut scratch, &[], &mut x);
         assert!(x.is_empty());
+        let mut batch = BatchScratch::new();
+        program.refactor_batch([[Complex::ONE; 0]; 3], &mut batch);
+        assert_eq!(batch.lane_det(2).unwrap().to_complex(), Complex::ONE);
+        program.solve_batch(&mut batch, &[], &mut x);
+        assert!(x.is_empty());
     }
 
     #[test]
@@ -2221,12 +1408,11 @@ mod tests {
     }
 
     /// The point-major stamp of `K₀ + σ·K₁` against `refactor_batch` fed
-    /// `k0[e] + σ·k1[e]` iterators, at every lane count 1..=33 (both tail
-    /// parities), on a pattern with duplicate positions, extreme
-    /// magnitudes, signed zeros and a NaN (poisoned) lane: the slot arrays,
-    /// per-lane dead steps and determinants must match bit for bit. The
-    /// scalar and AVX stamp copies are also called directly against a
-    /// lane-by-lane reference stamp.
+    /// `k0[e] + σ·k1[e]` iterators, on every tier, at every lane count
+    /// 1..=33 (every block fill), on a pattern with duplicate positions,
+    /// extreme magnitudes, signed zeros and a NaN (poisoned) lane: the
+    /// live lanes' slots, per-lane dead steps and determinants must match
+    /// bit for bit.
     #[test]
     fn point_major_refactor_matches_iterator_batch() {
         let n = 6;
@@ -2252,7 +1438,10 @@ mod tests {
         let order = SparseLu::factor(&t).unwrap().order().clone();
         let program = FactorProgram::compile(n, &positions, &order).unwrap();
         let values = |s: Complex| k0.iter().zip(&k1).map(move |(&a, &b)| a + s * b);
-        let vals_bits = |vals: &[Complex]| vals.iter().map(|&z| bits(z)).collect::<Vec<_>>();
+        let tiers = supported_tiers();
+        // Both scratches are reused from one lane count to the next, so
+        // every replay starts on the last one's slots.
+        let (mut want, mut got) = (BatchScratch::new(), BatchScratch::new());
         for lanes in 1..=33usize {
             let sigmas: Vec<Complex> = (0..lanes)
                 .map(|k| match k % 5 {
@@ -2261,37 +1450,24 @@ mod tests {
                     _ => Complex::cis(2.0 * std::f64::consts::PI * k as f64 / lanes as f64),
                 })
                 .collect();
-            let mut want = BatchScratch::new();
-            program.refactor_batch(sigmas.iter().map(|&s| values(s)), &mut want);
-            let mut got = BatchScratch::new();
-            program.refactor_batch_points(&k0, &k1, &sigmas, &mut got);
-            assert_eq!(vals_bits(&got.vals), vals_bits(&want.vals), "{lanes} lanes: slots");
-            for lane in 0..lanes {
-                assert_eq!(got.singular_step(lane), want.singular_step(lane), "lane {lane}");
-                assert_eq!(
-                    format!("{:?}", got.lane_det(lane)),
-                    format!("{:?}", want.lane_det(lane)),
-                    "{lanes} lanes: lane {lane} det"
-                );
-            }
-
-            // Both stamp copies, directly, against the lane-by-lane stamp.
-            let zeroed = vec![Complex::ZERO; program.slots * lanes];
-            let mut reference = zeroed.clone();
-            for (lane, &s) in sigmas.iter().enumerate() {
-                for (e, v) in values(s).enumerate() {
-                    reference[program.scatter[e] as usize * lanes + lane] += v;
+            for &tier in &tiers {
+                let at = format!("{} tier, {lanes} lanes", tier.name());
+                program.refactor_batch_on(tier, sigmas.iter().map(|&s| values(s)), &mut want);
+                program.refactor_batch_points_on(tier, &k0, &k1, &sigmas, &mut got);
+                for lane in 0..lanes {
+                    let slots = |b: &BatchScratch| {
+                        (0..program.slots)
+                            .map(|s| bits(b.slot(program.slots, s, lane)))
+                            .collect::<Vec<_>>()
+                    };
+                    assert_eq!(slots(&got), slots(&want), "{at}: lane {lane} slots");
+                    assert_eq!(got.singular_step(lane), want.singular_step(lane), "{at}: {lane}");
+                    assert_eq!(
+                        format!("{:?}", got.lane_det(lane)),
+                        format!("{:?}", want.lane_det(lane)),
+                        "{at}: lane {lane} det"
+                    );
                 }
-            }
-            let mut scalar = zeroed.clone();
-            stamp_points_scalar(&program.scatter, &k0, &k1, &sigmas, &mut scalar);
-            assert_eq!(vals_bits(&scalar), vals_bits(&reference), "{lanes} lanes: scalar");
-            #[cfg(target_arch = "x86_64")]
-            if BatchTier::Avx.supported() {
-                let mut avx = zeroed.clone();
-                // SAFETY: AVX support was verified at runtime.
-                unsafe { stamp_points_avx(&program.scatter, &k0, &k1, &sigmas, &mut avx) };
-                assert_eq!(vals_bits(&avx), vals_bits(&reference), "{lanes} lanes: AVX");
             }
         }
     }
@@ -2348,8 +1524,12 @@ mod tests {
                 brhs[row * lanes + lane] = v;
             }
         }
+        // One scratch for every tier, dirty from the start: a replay must
+        // not read a slot before writing it.
+        let mut batch = BatchScratch::new();
+        let poison = vec![Complex::new(f64::NAN, 7.0); program.raw_entries()];
+        program.refactor_batch((0..lanes + 9).map(|_| poison.iter().copied()), &mut batch);
         for &tier in tiers {
-            let mut batch = BatchScratch::new();
             program.refactor_batch_on(
                 tier,
                 lane_values.iter().map(|v| v.iter().copied()),
@@ -2370,7 +1550,7 @@ mod tests {
                 let got = batch.lane_det(lane).unwrap_or_else(|e| panic!("{}: {e:?}", at(lane)));
                 assert_eq!((canon(got.mantissa()), got.exponent()), *det, "{}: det", at(lane));
                 let got_slots: Vec<_> =
-                    (0..program.slots).map(|s| canon(batch.vals[s * lanes + lane])).collect();
+                    (0..program.slots).map(|s| canon(batch.slot(program.slots, s, lane))).collect();
                 assert_eq!(&got_slots, slots, "{}: slots", at(lane));
                 let got_x: Vec<_> = (0..n).map(|c| canon(bx[c * lanes + lane])).collect();
                 let want_x: Vec<_> = x.iter().map(|&v| canon(v)).collect();
@@ -2433,9 +1613,9 @@ mod tests {
         (values, b)
     }
 
-    /// The three test matrices, positions distinct: the arrow matrix of
-    /// the sweep tests, a pseudo-random sparse pattern and a 5×5 grid
-    /// stencil.
+    /// The test matrices, positions distinct: the arrow matrix of the
+    /// sweep tests, a pseudo-random sparse pattern and 5×5 and 7×7 grid
+    /// stencils.
     fn tier_patterns() -> Vec<(&'static str, Triplets)> {
         let arrow_n = 10;
         let mut arrow = Vec::new();
@@ -2464,20 +1644,26 @@ mod tests {
                 random.push((r, c, v));
             }
         }
-        let side = 5;
-        let mut grid = Vec::new();
-        for i in 0..side * side {
-            let (x, y) = (i % side, i / side);
-            grid.push((i, i, Complex::new(4.5, 0.3 * x as f64 - 0.2 * y as f64)));
-            if x + 1 < side {
-                grid.push((i, i + 1, Complex::new(-1.0, 0.05)));
-                grid.push((i + 1, i, Complex::new(-1.0, -0.05)));
+        let grid = |side: usize| {
+            let mut grid = Vec::new();
+            for i in 0..side * side {
+                let (x, y) = (i % side, i / side);
+                grid.push((i, i, Complex::new(4.5, 0.3 * x as f64 - 0.2 * y as f64)));
+                if x + 1 < side {
+                    grid.push((i, i + 1, Complex::new(-1.0, 0.05)));
+                    grid.push((i + 1, i, Complex::new(-1.0, -0.05)));
+                }
+                if y + 1 < side {
+                    grid.push((i, i + side, Complex::real(-1.0)));
+                    grid.push((i + side, i, Complex::real(-1.0)));
+                }
             }
-            if y + 1 < side {
-                grid.push((i, i + side, Complex::real(-1.0)));
-                grid.push((i + side, i, Complex::real(-1.0)));
+            let mut t = Triplets::new(side * side);
+            for (r, c, v) in grid {
+                t.add(r, c, v);
             }
-        }
+            t
+        };
         let triplets = |n: usize, entries: Vec<(usize, usize, Complex)>| {
             let mut t = Triplets::new(n);
             for (r, c, v) in entries {
@@ -2488,14 +1674,17 @@ mod tests {
         vec![
             ("arrow", triplets(arrow_n, arrow)),
             ("random", triplets(random_n, random)),
-            ("grid", triplets(side * side, grid)),
+            ("grid", grid(5)),
+            ("grid7", grid(7)),
         ]
     }
 
     /// Every kernel tier — called directly, not through the detected one —
-    /// against the one-lane replay, at lane counts 1..=33 and 64 (every
-    /// masked-tail width and a multi-block count) on three patterns, with
-    /// a dead lane, signed zeros and values near 1e±300.
+    /// against the one-lane replay, at lane counts 1..=17, 31..=33 and 64
+    /// (every fill of a first and second block, and several blocks), on
+    /// four patterns up to a few hundred slots, with a dead lane (in the
+    /// second block or later from 12 lanes on), signed zeros and values
+    /// near 1e±300.
     #[test]
     fn every_tier_matches_one_lane_replay() {
         let tiers = supported_tiers();
@@ -2505,12 +1694,88 @@ mod tests {
             let order = PivotOrder::diagonal((0..n).collect());
             let program = FactorProgram::for_triplets(&t, &order).unwrap();
             assert!(program.fill_in() > 0, "{name}: the pattern should fill");
-            for lanes in (1..=33).chain([64]) {
+            for lanes in (1..=17).chain(31..=33).chain([64]) {
                 let (values, rhs): (Vec<_>, Vec<_>) =
                     (0..lanes).map(|lane| tier_lane(entries, &order, lane, lanes)).unzip();
                 assert_tiers_match_one_lane(name, &tiers, &program, &values, &rhs);
             }
         }
+        let slots = |t: &Triplets| {
+            let order = PivotOrder::diagonal((0..t.dim()).collect());
+            FactorProgram::for_triplets(t, &order).unwrap().slots()
+        };
+        assert!(tier_patterns().iter().any(|(_, t)| slots(t) >= 300), "a pattern of 300+ slots");
+    }
+
+    /// Padded lanes compute on zeros: their first pivot is zero, and their
+    /// slots turn NaN. They are left out of the pivot fold and the solve's
+    /// results, so every live lane, its determinant, its dead step and its
+    /// solution still equal the one-lane replays, on every tier, in both
+    /// the iterator and the point-major paths.
+    #[test]
+    fn padded_lanes_hit_zero_pivots_and_stay_unread() {
+        let tiers = supported_tiers();
+        let (_, t) = tier_patterns().swap_remove(1);
+        let (n, entries) = (t.dim(), t.entries());
+        let order = PivotOrder::diagonal((0..n).collect());
+        let program = FactorProgram::for_triplets(&t, &order).unwrap();
+        for lanes in [1, 3, 5, 11] {
+            let (values, rhs): (Vec<_>, Vec<_>) =
+                (0..lanes).map(|lane| tier_lane(entries, &order, lane, lanes)).unzip();
+            assert_tiers_match_one_lane("padded", &tiers, &program, &values, &rhs);
+            // `K₁` alone (`K₀ = 0`): the point-major stamp's padded lanes,
+            // at `σ = 0`, are all zero too.
+            let k1: Vec<Complex> = entries.iter().map(|&(_, _, v)| v).collect();
+            let k0 = vec![Complex::ZERO; k1.len()];
+            let sigmas: Vec<Complex> =
+                (0..lanes).map(|k| Complex::new(1.0 + k as f64, -0.5)).collect();
+            for &tier in &tiers {
+                let mut batch = BatchScratch::new();
+                program.refactor_batch_on(
+                    tier,
+                    values.iter().map(|v| v.iter().copied()),
+                    &mut batch,
+                );
+                let mut points = BatchScratch::new();
+                program.refactor_batch_points_on(tier, &k0, &k1, &sigmas, &mut points);
+                for scratch in [&batch, &points] {
+                    for pad in lanes..lanes.next_multiple_of(BLOCK) {
+                        let last = scratch.slot(program.slots, program.slots - 1, pad);
+                        assert!(last.re.is_nan() && last.im.is_nan(), "pad {pad}: {last:?}");
+                    }
+                }
+                let mut one = ProgramScratch::new();
+                for (lane, &s) in sigmas.iter().enumerate() {
+                    let values = k1.iter().map(|&v| Complex::ZERO + s * v);
+                    program.refactor_values(values, &mut one).unwrap();
+                    let det = points.lane_det(lane).unwrap();
+                    assert_eq!(format!("{det:?}"), format!("{:?}", one.det()), "lane {lane}");
+                    assert_eq!(points.singular_step(lane), None);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "lane 5 out of range for 5 lanes")]
+    fn lane_det_past_the_last_lane_panics() {
+        let a = tri(1, &[(0, 0, 2.0)]);
+        let order = SparseLu::factor(&a).unwrap().order().clone();
+        let program = FactorProgram::for_triplets(&a, &order).unwrap();
+        let mut batch = BatchScratch::new();
+        program.refactor_batch([[Complex::ONE]; 5], &mut batch);
+        let _ = batch.lane_det(5);
+    }
+
+    #[test]
+    #[should_panic(expected = "lane 5 out of range for 5 lanes")]
+    fn singular_step_past_the_last_lane_panics() {
+        let a = tri(1, &[(0, 0, 2.0)]);
+        let order = SparseLu::factor(&a).unwrap().order().clone();
+        let program = FactorProgram::for_triplets(&a, &order).unwrap();
+        let mut batch = BatchScratch::new();
+        program.refactor_batch([[Complex::ONE]; 5], &mut batch);
+        let _ = batch.singular_step(5);
     }
 
     /// Prints the tier the batched kernels dispatch to on this CPU (run
@@ -2518,7 +1783,7 @@ mod tests {
     #[test]
     fn reports_dispatched_tier() {
         let tier = BatchTier::detected();
-        println!("batched kernel tier: {}", tier.name());
+        println!("batched kernel tier: {}, split-complex {BLOCK}-lane blocks", tier.name());
         assert!(tier.supported());
         assert_eq!(Some(&tier), BatchTier::ALL.iter().find(|t| t.supported()));
     }
