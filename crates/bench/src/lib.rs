@@ -740,10 +740,15 @@ fn bench_affine_pattern(
 /// * `session_{ota_table1,miller}` — full default-configuration `Session`
 ///   solves of the Table 1 OTA and the Miller opamp, ns per solve;
 /// * `order_bound_ua741` — both structural degree bounds of the µA741's
-///   voltage gain ([`refgen_mna::MnaSystem::degree_bounds`]), ns per pair;
+///   voltage gain ([`refgen_mna::MnaSystem::degree_bounds`]), ns per pair,
+///   each on a topology that has not memoized it;
 /// * `parse_ua741`, `variants_ua741x64`, `mna_ua741` — the circuit layer
 ///   in front of the engine: ns per parse of the µA741 `.TF` netlist, per
 ///   64-variant `VariantSet::generate`, and per `MnaSystem::new`;
+/// * `mna_ua741_variant` — ns per variant system of a 64-variant ±5 %
+///   µA741 fleet compiled on the base circuit's stamp topology
+///   ([`refgen_mna::MnaSystem::with_topology_of`]), as `solve_all` builds
+///   them;
 /// * `plan_ua741_miss` — ns per plan built through a fresh `PlanCache` at
 ///   the scales where the default µA741 session's plans miss its cache
 ///   (probe factorization, ordering selection and program compile);
@@ -993,26 +998,34 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
     }
 
     // Both structural degree bounds of the µA741's voltage gain — what each
-    // network function computes before it samples: ns per pair.
+    // network function computes before it samples: ns per pair. The bounds
+    // are memoized on the stamp topology, so every pair is asked of a
+    // system compiled (untimed) on a topology of its own.
     {
-        let sys = refgen_mna::MnaSystem::new(&ua741_circuit).expect("µA741 compiles");
         let output = standard_spec().output;
         let pairs = 100;
-        let ns = ns_per_point(reps, pairs, || {
-            let mut acc = 0.0;
-            for _ in 0..pairs {
-                let bounds = sys.degree_bounds(&output);
-                acc += (bounds.denominator.unwrap_or(0) + bounds.numerator.unwrap_or(0)) as f64;
-            }
-            acc
-        });
-        rows.push(PerfRow::new("order_bound_ua741", ns, pairs));
+        let samples: Vec<f64> = (0..=reps)
+            .map(|_| {
+                let systems: Vec<refgen_mna::MnaSystem> = (0..pairs)
+                    .map(|_| refgen_mna::MnaSystem::new(&ua741_circuit).expect("µA741 compiles"))
+                    .collect();
+                let t0 = std::time::Instant::now();
+                for sys in &systems {
+                    std::hint::black_box(sys.degree_bounds(&output));
+                }
+                t0.elapsed().as_nanos() as f64 / pairs as f64
+            })
+            .skip(1)
+            .collect();
+        rows.push(PerfRow::new("order_bound_ua741", samples, pairs));
     }
 
     // The circuit layer in front of the engine: a parse of the µA741 `.TF`
     // netlist a session reads (ns per parse), a 64-variant ±5 % fleet of
-    // it (ns per `VariantSet::generate`), and its MNA system (ns per
-    // `MnaSystem::new`). Each result is dropped inside the timed loop.
+    // it (ns per `VariantSet::generate`), its MNA system (ns per
+    // `MnaSystem::new`), and that fleet's variant systems on the base's
+    // stamp topology (ns per system). Each result is dropped inside the
+    // timed loop.
     {
         use refgen_circuit::{parse_netlist, to_spice, Perturbation, VariantSet};
         let spice = to_spice(&ua741_circuit);
@@ -1041,6 +1054,18 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
                 .sum()
         });
         rows.push(PerfRow::new("mna_ua741", ns, systems));
+        let base = refgen_mna::MnaSystem::new(&ua741_circuit).expect("µA741 compiles");
+        let variants = fleet.generate(&ua741_circuit).expect("µA741 variants");
+        let ns = ns_per_point(reps, variants.len(), || {
+            variants
+                .iter()
+                .map(|v| {
+                    let sys = refgen_mna::MnaSystem::with_topology_of(v, &base);
+                    sys.expect("variant compiles").dim() as f64
+                })
+                .sum()
+        });
+        rows.push(PerfRow::new("mna_ua741_variant", ns, variants.len()));
     }
 
     // Plan misses and gates: the plans of the default µA741 session that

@@ -29,8 +29,9 @@
 //! **Order bound.** Each polynomial's degree is bounded before any
 //! sampling by its structural bound from [`MnaSystem::degree_bounds`] (a
 //! maximum-weight matching of the pattern, reactive positions weighing 1),
-//! capped by the reactive-element count. Both bounds are computed once per
-//! network function. The ascent ends as soon as the accepted coefficients
+//! capped by the reactive-element count. Both bounds are asked for once
+//! per network function, and computed once per stamp topology, output and
+//! set of excited rows (a fleet's same-topology variants share them). The ascent ends as soon as the accepted coefficients
 //! reach the bound; the indices above it are structural zeros, never
 //! accepted from a window and never declared. A window interpolates two
 //! indices beyond the bound (still capped by the reactive-element count);

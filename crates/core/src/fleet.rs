@@ -6,7 +6,13 @@
 //! spawns once for the fleet, and the shared plan cache means one pivot
 //! search per *topology* (plus one per plan cell whose growth gate
 //! fails), not per variant: every cell's order is computed from the
-//! topology's anchor, the base circuit. Progress is
+//! topology's anchor, the base circuit. The topology itself is built once
+//! too: every variant's [`MnaSystem`] is compiled
+//! [on the base's stamp topology](MnaSystem::with_topology_of), so a
+//! variant whose raw stamps match the base's fills in only its values,
+//! and shares the base's merge of duplicate positions and its memoized
+//! degree bounds (a variant that does not match builds its own). The
+//! sharing lasts for one `solve_all`. Progress is
 //! streamed as [`Diagnostic::VariantSolved`] events, and the aggregate
 //! [`BatchReport`] carries per-coefficient mean/variance plus the
 //! per-variant cost accounting.
@@ -71,7 +77,7 @@
 //! // Every variant recovered the full 4th-order denominator…
 //! assert!(run.solutions().iter().all(|s| s.network.denominator.degree() == Some(4)));
 //! // …and the per-coefficient spread is available directly.
-//! assert!(run.report.denominator[1].variance > 0.0);
+//! assert!(run.report.denominator[1].variance.to_f64() > 0.0);
 //! # Ok(())
 //! # }
 //! ```
@@ -86,6 +92,7 @@ use refgen_circuit::perturb::VariantSet;
 use refgen_circuit::Circuit;
 use refgen_exec::JobPanic;
 use refgen_mna::{faults, MnaError, MnaSystem, TransferSpec};
+use refgen_numeric::{ExtComplex, ExtFloat};
 use std::any::Any;
 use std::panic::AssertUnwindSafe;
 
@@ -95,9 +102,10 @@ pub(crate) enum VariantInput<'a> {
     Generated(VariantSet),
     /// Caller-supplied circuits, borrowed (the session never needs
     /// ownership). They should share the base circuit's topology for plan
-    /// reuse to engage; differing topologies still solve correctly, each
-    /// paying its own pivot searches (the plan cache keys on the sparsity
-    /// pattern, never just the dimension).
+    /// reuse and stamp-topology sharing to engage; differing topologies
+    /// still solve correctly, each paying its own pivot searches (the plan
+    /// cache keys on the sparsity pattern, never just the dimension) and
+    /// its own stamp merge.
     Explicit(&'a [Circuit]),
 }
 
@@ -115,23 +123,26 @@ pub struct BatchSession<'a> {
 }
 
 /// Mean/variance of one recovered coefficient across a fleet
-/// (population statistics, computed on the real parts in `f64` — the
-/// imaginary parts of recovered coefficients are round-off diagnostics).
+/// (population statistics of the real parts — the imaginary parts of
+/// recovered coefficients are round-off diagnostics), in extended range.
 ///
-/// Coefficients of extreme-range circuits (beyond `f64`'s ~±308 decades,
-/// e.g. deep µA741 tails) flush to zero in these statistics; the
-/// underlying [`Solution`]s keep full extended-range precision.
+/// Each coefficient index is aligned to the largest binary exponent it
+/// takes across the survivors, and its mean and variance are computed in
+/// `f64` there, so coefficients far outside `f64`'s range (the deep µA741
+/// tails reach below 1e−300) keep their spread. Where every value fits
+/// `f64`, both figures are bit for bit the plain `f64` computation: the
+/// alignment is a power of two.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CoeffStats {
     /// Sample mean.
-    pub mean: f64,
+    pub mean: ExtFloat,
     /// Population variance (`Σ(x−mean)²/n`).
-    pub variance: f64,
+    pub variance: ExtFloat,
 }
 
 impl CoeffStats {
     /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
+    pub fn std_dev(&self) -> ExtFloat {
         self.variance.sqrt()
     }
 }
@@ -182,6 +193,14 @@ pub struct BatchReport {
     /// Symbolic `FactorProgram`s compiled across the fleet. Same-topology
     /// fleets compile exactly one and replay it for every variant.
     pub programs_compiled: usize,
+    /// Stamp topologies the fleet built (sorted and merged its raw stamps
+    /// for): one for the base circuit, plus one per variant whose raw
+    /// stamps differ from the base's. A generated fleet builds one.
+    pub topologies: usize,
+    /// Degree-bound pairs computed across those topologies: one per
+    /// topology, output and set of excited rows the solver asked for
+    /// ([`MnaSystem::degree_bounds`]), however many variants asked.
+    pub degree_bounds_computed: usize,
 }
 
 /// What one variant of a fleet produced.
@@ -331,18 +350,24 @@ impl<'a> BatchSession<'a> {
         // the plan cache accumulates pivot orders across every variant.
         let runtime = SamplingRuntime::new(&self.config);
 
-        // Every variant's system is compiled once, here, and every
-        // pattern's plan cells are anchored before any variant plans: on
-        // the base circuit, then on the lowest-index variant of each other
-        // pattern. A plan's pivot order is then a function of its anchor
-        // and cell alone, whichever variant asks first and on whatever
-        // thread.
+        // Every variant's system is compiled once, here, on the base
+        // circuit's stamp topology: a variant whose raw stamps match the
+        // base's fills in only its values and shares the base's merge order
+        // and memoized degree bounds; any other builds a topology of its
+        // own. Every pattern's plan cells are anchored before any variant
+        // plans: on the base circuit, then on the lowest-index variant of
+        // each other pattern. A plan's pivot order is then a function of
+        // its anchor and cell alone, whichever variant asks first and on
+        // whatever thread.
+        let base = MnaSystem::new(self.circuit).ok();
         let systems: Vec<Result<MnaSystem, MnaError>> = runtime.pool().par_map_indexed(
             circuits,
             || (),
-            |_, circuit, _| MnaSystem::new(circuit),
+            |_, circuit, _| match &base {
+                Some(base) => MnaSystem::with_topology_of(circuit, base),
+                None => MnaSystem::new(circuit),
+            },
         );
-        let base = MnaSystem::new(self.circuit).ok();
         for sys in base.iter().chain(systems.iter().filter_map(|sys| sys.as_ref().ok())) {
             if sys.circuit().reactive_count() > 0 {
                 runtime.plan_cache().register_anchor(sys, opening_scale(sys).1);
@@ -373,6 +398,11 @@ impl<'a> BatchSession<'a> {
         // which makes every survivor-side figure identical to a
         // fault-free run of just the surviving circuits.
         let solved: Vec<&Solution> = outcomes.iter().filter_map(VariantOutcome::solution).collect();
+        // The systems that built a stamp topology: the base, and each
+        // variant that did not match it.
+        let unshared = |sys: &&MnaSystem| base.as_ref().is_none_or(|b| !sys.shares_topology(b));
+        let topologies: Vec<&MnaSystem> =
+            base.iter().chain(systems.iter().flatten().filter(unshared)).collect();
         let failed_variants: Vec<usize> =
             outcomes.iter().enumerate().filter(|(_, o)| !o.is_solved()).map(|(i, _)| i).collect();
         let report = BatchReport {
@@ -387,6 +417,8 @@ impl<'a> BatchSession<'a> {
             pivot_searches: runtime.pivot_searches(),
             shared_plan_hits: runtime.shared_plan_hits(),
             programs_compiled: runtime.programs_compiled(),
+            topologies: topologies.len(),
+            degree_bounds_computed: topologies.iter().map(|s| s.degree_bounds_computed()).sum(),
         };
         Ok(BatchRun { outcomes, report })
     }
@@ -463,19 +495,27 @@ fn settle(
 }
 
 /// Per-index population mean/variance over one polynomial of every
-/// solution, zero-padded to the longest coefficient vector.
+/// solution, zero-padded to the longest coefficient vector. Each index is
+/// computed in `f64` on the real parts scaled by `2^−E`, `E` the largest
+/// exponent among them, and scaled back (see [`CoeffStats`]).
 fn coefficient_stats(
     solutions: &[&Solution],
-    poly: impl Fn(&Solution) -> &[refgen_numeric::ExtComplex],
+    poly: impl Fn(&Solution) -> &[ExtComplex],
 ) -> Vec<CoeffStats> {
     let len = solutions.iter().map(|s| poly(s).len()).max().unwrap_or(0);
-    let n = solutions.len();
+    let n = solutions.len() as f64;
     (0..len)
         .map(|i| {
-            let values = solutions.iter().map(|s| poly(s).get(i).map_or(0.0, |c| c.re().to_f64()));
-            let mean = values.clone().sum::<f64>() / n as f64;
-            let variance = values.map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
-            CoeffStats { mean, variance }
+            let re = |s: &&Solution| poly(s).get(i).map_or(ExtFloat::ZERO, |c| c.re());
+            let top = solutions.iter().map(re).filter(|x| !x.is_zero()).map(ExtFloat::exponent);
+            let e = top.max().unwrap_or(0);
+            let values = solutions.iter().map(|s| re(s).ldexp(-e).to_f64());
+            let mean = values.clone().sum::<f64>() / n;
+            let variance = values.map(|x| (x - mean) * (x - mean)).sum::<f64>() / n;
+            CoeffStats {
+                mean: ExtFloat::from_f64(mean).ldexp(e),
+                variance: ExtFloat::from_f64(variance).ldexp(2 * e),
+            }
         })
         .collect()
 }
@@ -584,11 +624,11 @@ mod tests {
         assert_eq!(run.report.denominator.len(), 4); // degree 3 → 4 coefficients
         assert_eq!(run.report.numerator.len(), 1); // ladder numerator is constant
         for stats in &run.report.denominator {
-            assert!(stats.variance >= 0.0);
-            assert!(stats.std_dev() >= 0.0);
+            assert!(stats.variance >= ExtFloat::ZERO);
+            assert!(stats.std_dev() >= ExtFloat::ZERO);
         }
         // The perturbation actually moved the coefficients.
-        assert!(run.report.denominator[1].variance > 0.0);
+        assert!(run.report.denominator[1].variance > ExtFloat::ZERO);
     }
 
     /// One variant path for every solver: a fleet fanned across four

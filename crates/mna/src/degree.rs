@@ -15,17 +15,23 @@
 //! which is constant in `s`; a differential output is the difference of
 //! two such determinants, so its bound is the larger of the two.
 //!
-//! The bounds depend only on the pattern and on which positions are
-//! reactive, never on element values, so they hold for every value set of
-//! one topology. Value cancellation (a balanced bridge, matched time
+//! The denominator bound depends only on the pattern and on which
+//! positions are reactive. The numerator bound also depends on which rows
+//! the independent sources excite, so one element value does move it: a
+//! source's amplitude, through whether it is zero. Neither depends on any
+//! other value, so both hold for every value set of one topology with the
+//! same excited rows. Value cancellation (a balanced bridge, matched time
 //! constants) can still leave the true degree lower. They are computed on
-//! request only: [`MnaSystem::new`] does not pay for them.
+//! request only ([`MnaSystem::new`] does not pay for them) and memoized on
+//! the stamp topology, by output columns and excited rows, so the
+//! same-topology variants of a fleet compute them once.
 
 use crate::system::MnaSystem;
 use crate::transfer::OutputSpec;
 use refgen_numeric::Complex;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::{Mutex, PoisonError};
 
 /// Structural degree bounds of a transfer function's two polynomials, from
 /// [`MnaSystem::degree_bounds`]. `None` where the pattern has no perfect
@@ -39,30 +45,72 @@ pub struct DegreeBounds {
 }
 
 impl MnaSystem {
-    /// Value-independent upper bounds on the degrees of `D(s)` and of the
-    /// numerator `N(s)` of `output`: maximum-weight perfect matchings of
-    /// the pattern, reactive positions weighing 1. For the numerator the
-    /// output column is replaced by the nonzeros of [`MnaSystem::rhs`]
-    /// (weight 0), taking the larger over both columns of a differential
-    /// output; ground terminals contribute no column, and a name that is
-    /// not a node of the circuit gives `None`.
+    /// Upper bounds on the degrees of `D(s)` and of the numerator `N(s)` of
+    /// `output`: maximum-weight perfect matchings of the pattern, reactive
+    /// positions weighing 1. For the numerator the output column is
+    /// replaced by the nonzeros of [`MnaSystem::rhs`] (weight 0), taking
+    /// the larger over both columns of a differential output; ground
+    /// terminals contribute no column, and a name that is not a node of the
+    /// circuit gives `None`.
+    ///
+    /// The numerator bound is not value-independent: it reads which
+    /// sources have a nonzero amplitude. A source at zero amplitude
+    /// excites no row, so a variant that zeroes one can get a different
+    /// (or no) numerator bound than its base. Each bound is computed once
+    /// per stamp topology, output columns and set of excited rows, and
+    /// memoized on the topology: every system that
+    /// [shares it](MnaSystem::shares_topology) reads the memo.
     pub fn degree_bounds(&self, output: &OutputSpec) -> DegreeBounds {
-        let rows = Rows::new(self.dim(), self.reactive_pattern());
-        let excited: Vec<bool> = self.rhs().iter().map(|&e| e != Complex::ZERO).collect();
-        let mut search = Search::default();
         let terminals = match output {
             OutputSpec::Node(n) => [Some(n), None],
             OutputSpec::Differential(p, m) => [Some(p), Some(m)],
         };
-        let numerator = terminals
+        let columns: Vec<usize> = terminals
             .into_iter()
             .flatten()
             .filter_map(|name| self.circuit().find_node(name).and_then(|id| self.node_row(id)))
-            .filter_map(|col| rows.max_weight_perfect_matching(Some((col, &excited)), &mut search))
+            .collect();
+        let excited: Vec<bool> = self.rhs().iter().map(|&e| e != Complex::ZERO).collect();
+        // Held while computing, so concurrent variants compute each bound
+        // once: the first computes it, the others wait and read it.
+        let mut memo = self.topology().bounds.0.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(entry) = memo.iter().find(|e| e.columns == columns && e.excited == excited) {
+            return entry.bounds;
+        }
+        let rows = Rows::new(self.dim(), self.reactive_pattern());
+        let mut search = Search::default();
+        let numerator = columns
+            .iter()
+            .filter_map(|&col| rows.max_weight_perfect_matching(Some((col, &excited)), &mut search))
             .max();
         let denominator = rows.max_weight_perfect_matching(None, &mut search);
-        DegreeBounds { denominator, numerator }
+        let bounds = DegreeBounds { denominator, numerator };
+        memo.push(BoundsEntry { columns, excited, bounds });
+        bounds
     }
+
+    /// How many degree-bound pairs have been computed on this system's
+    /// stamp topology: one per distinct output columns and excited rows
+    /// [`MnaSystem::degree_bounds`] was asked for, by any system sharing
+    /// the topology.
+    pub fn degree_bounds_computed(&self) -> usize {
+        self.topology().bounds.0.lock().unwrap_or_else(PoisonError::into_inner).len()
+    }
+}
+
+/// The degree bounds computed on one stamp topology.
+#[derive(Debug, Default)]
+pub(crate) struct BoundsMemo(Mutex<Vec<BoundsEntry>>);
+
+/// One memoized [`MnaSystem::degree_bounds`] result and what it was
+/// computed for, besides the topology.
+#[derive(Debug)]
+struct BoundsEntry {
+    /// The numerator's output columns.
+    columns: Vec<usize>,
+    /// Per row: whether [`MnaSystem::rhs`] is nonzero there.
+    excited: Vec<bool>,
+    bounds: DegreeBounds,
 }
 
 /// A square pattern by rows: each entry's column and whether it is heavy
@@ -320,6 +368,42 @@ mod tests {
         }
         let lc = MnaSystem::new(&lc_ladder_lowpass(5, 50.0, 1e6)).unwrap();
         assert_eq!(lc.degree_bounds(&out()).denominator, Some(5));
+    }
+
+    /// A zero-amplitude source excites no row, so a same-topology variant
+    /// with `VIN` at zero gets the bounds a standalone build of it gets,
+    /// not its base's memoized ones; each pair is computed once per
+    /// topology.
+    #[test]
+    fn zero_amplitude_source_keys_its_own_bounds() {
+        // `rc_ladder(4, ohms, 1 nF)` with `VIN` at amplitude `vin`.
+        let ladder = |vin: f64, ohms: f64| {
+            let mut c = Circuit::new();
+            c.add_vsource("VIN", "in", "0", vin).unwrap();
+            for (k, (a, b)) in
+                [("in", "l1"), ("l1", "l2"), ("l2", "l3"), ("l3", "out")].into_iter().enumerate()
+            {
+                c.add_resistor(&format!("R{k}"), a, b, ohms).unwrap();
+                c.add_capacitor(&format!("C{k}"), b, "0", 1e-9).unwrap();
+            }
+            c
+        };
+        let base = MnaSystem::new(&ladder(1.0, 1e3)).unwrap();
+        let zero = ladder(0.0, 2e3);
+        let variant = MnaSystem::with_topology_of(&zero, &base).unwrap();
+        assert!(variant.shares_topology(&base));
+        let standalone = MnaSystem::new(&zero).unwrap();
+        assert!(!standalone.shares_topology(&base));
+
+        let driven = base.degree_bounds(&out());
+        assert_eq!(driven, DegreeBounds { denominator: Some(4), numerator: Some(0) });
+        let silent_bounds = variant.degree_bounds(&out());
+        assert_eq!(silent_bounds, standalone.degree_bounds(&out()));
+        assert_eq!(silent_bounds, DegreeBounds { denominator: Some(4), numerator: None });
+        assert_eq!(base.degree_bounds(&out()), driven);
+        assert_eq!(variant.degree_bounds(&out()), silent_bounds);
+        assert_eq!((base.degree_bounds_computed(), variant.degree_bounds_computed()), (2, 2));
+        assert_eq!(standalone.degree_bounds_computed(), 1);
     }
 
     /// Three capacitors in a loop hold two independent states; the

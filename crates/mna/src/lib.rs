@@ -13,7 +13,9 @@
 //!   `s·f·L` or a constant) and a sign — together with the merge of
 //!   duplicate positions. [`MnaSystem::assemble`], the sweep plans and the
 //!   transient plan all stamp from this one table; a new scale is one
-//!   pass over it.
+//!   pass over it. The merge depends only on the stamps' positions and
+//!   kinds, so [`MnaSystem::with_topology_of`] compiles a same-topology
+//!   variant on its base's merge and fills in only the variant's values.
 //! * **Admittance degree** `M`: the number of admittance factors in every
 //!   term of `det(Y_MNA)`, needed to *denormalize* interpolated
 //!   coefficients. [`MnaSystem::admittance_degree`] derives it structurally
@@ -22,8 +24,9 @@
 //!   via `det(λ·Y)/det(Y) = λ^M`.
 //! * **Structural degree bounds**: [`MnaSystem::degree_bounds`] bounds the
 //!   degrees of both polynomials by maximum-weight perfect matchings of the
-//!   pattern, reactive positions weighing 1 — value-independent, computed
-//!   on request.
+//!   pattern, reactive positions weighing 1 — independent of every value
+//!   but which sources are nonzero, computed on request and memoized on
+//!   the stamp topology.
 //!
 //! The [`ac`] module is the workspace's stand-in for the "commercial
 //! electrical simulator" of the paper's Fig. 2: a direct complex LU solve

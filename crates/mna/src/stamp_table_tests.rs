@@ -421,3 +421,48 @@ fn random_circuits_are_merge_order_sensitive() {
     // 48 circuits × 7 scales; most cases must be able to tell.
     assert!(sensitive >= 168, "only {sensitive} of 336 (circuit, scale) cases are order-sensitive");
 }
+
+/// A value variant compiled on its base's topology shares it and stamps
+/// exactly what the reference stamps for the variant; a circuit whose raw
+/// stamps differ in kind (a capacitor where a resistor stood, on the same
+/// positions and so the same fingerprint) or in count builds a topology
+/// of its own.
+#[test]
+fn variants_share_their_base_topology() {
+    use refgen_circuit::{Perturbation, VariantSet};
+    let mut rng = Rng(0x5eed_0033);
+    for case in 0..24 {
+        let circuit = random_circuit(&mut rng);
+        let base = MnaSystem::new(&circuit).unwrap();
+        let variants =
+            VariantSet::new(Perturbation::all_relative(0.2), 2).seed(case).generate(&circuit);
+        for (k, variant) in variants.unwrap().iter().enumerate() {
+            let sys = MnaSystem::with_topology_of(variant, &base).unwrap();
+            let name = format!("random case {case}, variant {k}");
+            assert!(sys.shares_topology(&base), "{name}");
+            let (scales, points) = (random_scales(&mut rng, 3), random_points(&mut rng, 2));
+            assert_table_matches_reference(&sys, &scales, &points, &name);
+        }
+    }
+
+    let base = MnaSystem::new(&rc_ladder(2, 1e3, 1e-9)).unwrap();
+    let mut swapped = Circuit::new();
+    swapped.add_vsource("VIN", "in", "0", 1.0).unwrap();
+    swapped.add_resistor("R1", "in", "l1", 1e3).unwrap();
+    swapped.add_capacitor("C1", "l1", "0", 1e-9).unwrap();
+    swapped.add_capacitor("CR2", "l1", "out", 1e-9).unwrap();
+    swapped.add_capacitor("C2", "out", "0", 1e-9).unwrap();
+    let mut extra = rc_ladder(2, 1e3, 1e-9);
+    extra.add_capacitor("CX", "in", "out", 1e-12).unwrap();
+    let mut rng = Rng(0x5eed_0034);
+    for (name, circuit) in [("swapped", &swapped), ("extra", &extra)] {
+        let sys = MnaSystem::with_topology_of(circuit, &base).unwrap();
+        assert!(!sys.shares_topology(&base), "{name}");
+        let (scales, points) = (random_scales(&mut rng, 3), random_points(&mut rng, 2));
+        assert_table_matches_reference(&sys, &scales, &points, name);
+    }
+    let swapped = MnaSystem::new(&swapped).unwrap();
+    assert_eq!(swapped.pattern_fingerprint(), base.pattern_fingerprint());
+    let same = MnaSystem::with_topology_of(&rc_ladder(2, 2e3, 1e-9), &base).unwrap();
+    assert!(same.shares_topology(&base));
+}

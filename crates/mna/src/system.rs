@@ -1,5 +1,6 @@
 //! MNA system assembly with element scaling.
 
+use crate::degree::BoundsMemo;
 use crate::error::MnaError;
 use refgen_circuit::{Circuit, Element, ElementKind, NodeId};
 use refgen_numeric::{Complex, ExtComplex};
@@ -123,15 +124,40 @@ impl Stamp {
         let k0 = self.value(Complex::ZERO, scale);
         (k0, self.value(Complex::ONE, scale) - k0)
     }
+
+    /// `true` when both stamps land at one position with the same kind of
+    /// source and sign, whatever their values.
+    fn same_kind(&self, other: &Stamp) -> bool {
+        use std::mem::discriminant;
+        (self.row, self.col) == (other.row, other.col)
+            && discriminant(&self.source) == discriminant(&other.source)
+            && discriminant(&self.sign) == discriminant(&other.sign)
+    }
 }
 
 /// Every raw stamp of a circuit, compiled once per [`MnaSystem`], plus the
 /// merge of duplicate positions into the affine pattern `A(s) = K₀ + s·K₁`.
+///
+/// The merge lives in a [`Topology`], which depends on the raw stamps'
+/// positions and kinds alone. Systems whose raw stamps agree in
+/// `(row, col, source kind, sign kind)`, stamp for stamp, share one
+/// topology by `Arc` ([`MnaSystem::with_topology_of`]): a fleet sorts and
+/// merges its base circuit's stamps once and every same-topology variant
+/// fills in only its values.
 #[derive(Clone, Debug)]
 pub(crate) struct StampTable {
     /// Raw stamps in element order, then stamp order within an element:
     /// the entry order of [`MnaSystem::assemble`].
     raw: Vec<Stamp>,
+    topology: Arc<Topology>,
+}
+
+/// The value-independent part of a [`StampTable`]: how its raw stamps
+/// merge into positions, which positions are reactive, and the degree
+/// bounds computed on it so far.
+#[derive(Debug)]
+pub(crate) struct Topology {
+    dim: usize,
     /// Raw indices grouped by position, each group in the order its
     /// duplicates are summed.
     merge_order: Vec<usize>,
@@ -139,32 +165,50 @@ pub(crate) struct StampTable {
     positions: Vec<(usize, usize)>,
     /// One past the last `merge_order` index of each position's group.
     group_ends: Vec<usize>,
+    /// Per position: whether any raw stamp there is reactive (`s·f·X`).
+    reactive: Vec<bool>,
     /// FNV-1a hash of the dimension and every deduplicated position.
     fingerprint: u64,
+    /// The degree bounds computed on this topology, by output columns and
+    /// excited rows ([`MnaSystem::degree_bounds`]).
+    pub(crate) bounds: BoundsMemo,
 }
 
-impl StampTable {
-    fn new(dim: usize, raw: Vec<Stamp>) -> StampTable {
+impl Topology {
+    fn new(dim: usize, raw: &[Stamp]) -> Topology {
         // The merge order is the one an unstable sort of the raw
         // `(row, col, K₀, K₁)` entries by position gives. Sorting that same
-        // element type, with the raw index carried in a value field, moves
-        // equal keys exactly as that sort does, so summing each group in
-        // this order reproduces its round-off bit for bit.
+        // element type, with the raw index and whether the stamp is
+        // reactive carried in the value fields, moves equal keys exactly as
+        // that sort does, so summing each group in this order reproduces
+        // its round-off bit for bit.
         let mut keyed: Vec<(usize, usize, Complex, Complex)> = raw
             .iter()
             .enumerate()
-            .map(|(i, st)| (st.row, st.col, Complex::real(i as f64), Complex::ZERO))
+            .map(|(i, st)| {
+                let reactive = matches!(st.source, StampSource::Reactive(_));
+                (
+                    st.row,
+                    st.col,
+                    Complex::real(i as f64),
+                    Complex::real(f64::from(u8::from(reactive))),
+                )
+            })
             .collect();
         keyed.sort_unstable_by_key(|&(r, c, _, _)| (r, c));
         let merge_order: Vec<usize> = keyed.iter().map(|&(_, _, i, _)| i.re as usize).collect();
-        let mut positions: Vec<(usize, usize)> = Vec::new();
-        let mut group_ends = Vec::new();
-        for (k, &(r, c, _, _)) in keyed.iter().enumerate() {
+        let mut positions: Vec<(usize, usize)> = Vec::with_capacity(keyed.len());
+        let mut group_ends = Vec::with_capacity(keyed.len());
+        let mut reactive = Vec::with_capacity(keyed.len());
+        for (k, &(r, c, _, flag)) in keyed.iter().enumerate() {
+            let is_reactive = flag.re != 0.0;
             if positions.last() == Some(&(r, c)) {
                 *group_ends.last_mut().expect("one end per position") = k + 1;
+                *reactive.last_mut().expect("one flag per position") |= is_reactive;
             } else {
                 positions.push((r, c));
                 group_ends.push(k + 1);
+                reactive.push(is_reactive);
             }
         }
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -177,15 +221,42 @@ impl StampTable {
             mix(r as u64);
             mix(c as u64);
         }
-        StampTable { raw, merge_order, positions, group_ends, fingerprint: h }
+        Topology {
+            dim,
+            merge_order,
+            positions,
+            group_ends,
+            reactive,
+            fingerprint: h,
+            bounds: BoundsMemo::default(),
+        }
+    }
+}
+
+impl StampTable {
+    /// The table of `raw`, on `base`'s topology when `raw` matches `base`'s
+    /// raw stamps kind for kind, on a topology of its own otherwise.
+    fn new(dim: usize, raw: Vec<Stamp>, base: Option<&StampTable>) -> StampTable {
+        let topology = match base {
+            Some(base)
+                if base.topology.dim == dim
+                    && base.raw.len() == raw.len()
+                    && base.raw.iter().zip(&raw).all(|(a, b)| a.same_kind(b)) =>
+            {
+                Arc::clone(&base.topology)
+            }
+            _ => Arc::new(Topology::new(dim, &raw)),
+        };
+        StampTable { raw, topology }
     }
 
     /// The deduplicated affine pattern at `scale`, sorted by position.
     pub(crate) fn affine(&self, scale: Scale) -> Vec<(usize, usize, Complex, Complex)> {
-        let mut pattern = Vec::with_capacity(self.positions.len());
+        let t = &*self.topology;
+        let mut pattern = Vec::with_capacity(t.positions.len());
         let mut start = 0;
-        for (&(r, c), &end) in self.positions.iter().zip(&self.group_ends) {
-            let group = &self.merge_order[start..end];
+        for (&(r, c), &end) in t.positions.iter().zip(&t.group_ends) {
+            let group = &t.merge_order[start..end];
             let (mut k0, mut k1) = self.raw[group[0]].affine(scale);
             for &i in &group[1..] {
                 let (d0, d1) = self.raw[i].affine(scale);
@@ -206,6 +277,26 @@ impl MnaSystem {
     ///
     /// Returns [`MnaError::Circuit`] if the circuit fails validation.
     pub fn new(circuit: &Circuit) -> Result<Self, MnaError> {
+        MnaSystem::compile(circuit, None)
+    }
+
+    /// Compiles `circuit` like [`MnaSystem::new`], on `base`'s stamp
+    /// topology when their raw stamps agree in position, source kind and
+    /// sign kind, stamp for stamp (a same-topology variant of `base`): the
+    /// sort and merge of duplicate positions, the fingerprint and the
+    /// memoized [`MnaSystem::degree_bounds`] are then shared, not rebuilt.
+    /// Any other circuit gets a topology of its own. The system is the one
+    /// [`MnaSystem::new`] builds either way: its merge order, and so every
+    /// value it stamps, is the same bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MnaError::Circuit`] if the circuit fails validation.
+    pub fn with_topology_of(circuit: &Circuit, base: &MnaSystem) -> Result<Self, MnaError> {
+        MnaSystem::compile(circuit, Some(&base.stamps))
+    }
+
+    fn compile(circuit: &Circuit, base: Option<&StampTable>) -> Result<Self, MnaError> {
         circuit.validate()?;
         let mut node_rows = Vec::with_capacity(circuit.node_count());
         let mut next = 0usize;
@@ -238,7 +329,7 @@ impl MnaSystem {
         for (el, &branch) in circuit.elements().iter().zip(&branch_rows) {
             stamp(&mut raw, el, branch, &node_row, &control_row);
         }
-        let stamps = Arc::new(StampTable::new(dim, raw));
+        let stamps = Arc::new(StampTable::new(dim, raw, base));
         Ok(MnaSystem { circuit: circuit.clone(), node_rows, branch_rows, node_count, dim, stamps })
     }
 
@@ -346,22 +437,31 @@ impl MnaSystem {
         &self.stamps
     }
 
+    /// The value-independent half of the stamp table.
+    pub(crate) fn topology(&self) -> &Topology {
+        &self.stamps.topology
+    }
+
+    /// `true` when both systems stand on one stamp topology: `other` was
+    /// compiled [`with_topology_of`](MnaSystem::with_topology_of) this
+    /// system (or the other way round, or both of a third), and their raw
+    /// stamps matched.
+    pub fn shares_topology(&self, other: &MnaSystem) -> bool {
+        Arc::ptr_eq(&self.stamps.topology, &other.stamps.topology)
+    }
+
     /// FNV-1a fingerprint of the dimension and the stamped positions:
     /// value-independent, so same-topology variants share it.
     pub(crate) fn pattern_fingerprint(&self) -> u64 {
-        self.stamps.fingerprint
+        self.stamps.topology.fingerprint
     }
 
     /// The stamped positions of [`MnaSystem::affine_pattern`], in order,
     /// each with whether any raw stamp there is reactive (`s·f·X`): the
     /// positions where `K₁` is structurally nonzero.
     pub(crate) fn reactive_pattern(&self) -> impl Iterator<Item = (usize, usize, bool)> + '_ {
-        let t = &self.stamps;
-        let starts = std::iter::once(0).chain(t.group_ends.iter().copied());
-        t.positions.iter().zip(starts.zip(&t.group_ends)).map(|(&(r, c), (start, &end))| {
-            let group = &t.merge_order[start..end];
-            (r, c, group.iter().any(|&i| matches!(t.raw[i].source, StampSource::Reactive(_))))
-        })
+        let t = self.topology();
+        t.positions.iter().zip(&t.reactive).map(|(&(r, c), &reactive)| (r, c, reactive))
     }
 
     /// Builds the excitation vector `E` from the independent sources.

@@ -90,8 +90,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Coefficient-level spread comes from the batch report for free.
     println!("\nDenominator coefficient spread (first five, relative σ):");
     for (i, c) in run.report.denominator.iter().take(5).enumerate() {
-        let rel = if c.mean == 0.0 { 0.0 } else { c.std_dev() / c.mean.abs() };
-        println!("  p{i}: mean {:>12.4e}   σ/|mean| {rel:.3}", c.mean);
+        let rel = if c.mean.is_zero() { 0.0 } else { (c.std_dev() / c.mean.abs()).to_f64() };
+        println!("  p{i}: mean {:>12.4}   σ/|mean| {rel:.3}", c.mean);
     }
     println!(
         "\nFleet cost: {} corners, {} pivot searches total ({} plan reuses), \

@@ -95,26 +95,29 @@ fn monte_carlo_statistics_match_closed_form() {
     // The MNA determinant carries one global sign; resolve it from the
     // measured p0 (all ladder coefficients share it).
     let sign = run.report.denominator[0].mean.signum();
+    // Every figure here is within f64 range, where the extended-range
+    // statistics are exactly the plain f64 ones.
     let oracle = closed_form();
     for (i, ((want_mean, want_var), got)) in oracle.iter().zip(&run.report.denominator).enumerate()
     {
         // Mean: the MC standard error is sd/√N; 4 standard errors is a
         // comfortably deterministic bound at this fixed seed.
         let se = (want_var / N as f64).sqrt();
-        let mean_err = (sign * got.mean - want_mean).abs();
+        let (mean, variance) = (got.mean.to_f64(), got.variance.to_f64());
+        let mean_err = (sign * mean - want_mean).abs();
         assert!(
             mean_err <= 4.0 * se,
             "p{i} mean: got {:.6e}, oracle {want_mean:.6e}, err {mean_err:.2e} > 4se {:.2e}",
-            sign * got.mean,
+            sign * mean,
             4.0 * se,
         );
         // Variance: the estimator's own relative spread is ~√(2/N) ≈ 9 %;
         // 30 % is ≳3σ with kurtosis headroom.
-        let var_rel = (got.variance - want_var).abs() / want_var;
+        let var_rel = (variance - want_var).abs() / want_var;
         assert!(
             var_rel <= 0.30,
             "p{i} variance: got {:.6e}, oracle {want_var:.6e}, rel {var_rel:.3}",
-            got.variance,
+            variance,
         );
     }
 
@@ -182,4 +185,51 @@ fn ua741_batch_session_amortizes_pivot_searches() {
     // The shared orders did real work: the fleet's extra five variants
     // planned all their windows without probing.
     assert!(fleet.report.shared_plan_hits >= 5 * single.report.pivot_searches);
+}
+
+/// The µA741's deep coefficients lie far below `f64`'s range (D[39]
+/// near 1e−330) and their squared spreads further still: computed on
+/// plain `f64` values, the variance of D[12] and above and the mean of
+/// D[30] and above flushed to zero. Every coefficient's statistics must
+/// be nonzero and equal an `f64` computation on the real parts scaled by
+/// the index's largest binary exponent.
+#[test]
+fn ua741_statistics_keep_every_coefficients_spread() {
+    let run = Session::for_circuit(&library::ua741())
+        .spec(TransferSpec::voltage_gain("VIN", "out"))
+        .variants(VariantSet::new(Perturbation::all_relative(0.05), 8).seed(3))
+        .solve_all()
+        .expect("µA741 fleet solves");
+    let solutions = run.solutions();
+    let n = solutions.len() as f64;
+    let moments = |x: &[f64]| {
+        let mean = x.iter().sum::<f64>() / n;
+        (mean, x.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n)
+    };
+    let report = &run.report;
+    for (kind, stats) in
+        [(PolyKind::Denominator, &report.denominator), (PolyKind::Numerator, &report.numerator)]
+    {
+        let coeffs = |s: &&Solution| match kind {
+            PolyKind::Denominator => s.network.denominator.coeffs().to_vec(),
+            PolyKind::Numerator => s.network.numerator.coeffs().to_vec(),
+        };
+        let coeffs: Vec<_> = solutions.iter().map(coeffs).collect();
+        assert!(coeffs.iter().all(|c| c.len() == stats.len()), "{kind:?}");
+        for (i, got) in stats.iter().enumerate() {
+            let re: Vec<_> = coeffs.iter().map(|c| c[i].re()).collect();
+            let e = re.iter().map(|x| x.exponent()).max().unwrap();
+            let scaled: Vec<f64> = re.iter().map(|x| x.ldexp(-e).to_f64()).collect();
+            let (mean, variance) = moments(&scaled);
+            assert!(!got.mean.is_zero() && !got.variance.is_zero(), "{kind:?}[{i}]: {got:?}");
+            assert_eq!(got.mean.ldexp(-e).to_f64().to_bits(), mean.to_bits(), "{kind:?}[{i}]");
+            let got_variance = got.variance.ldexp(-2 * e).to_f64();
+            assert_eq!(got_variance.to_bits(), variance.to_bits(), "{kind:?}[{i}]");
+        }
+    }
+    // Where the plain f64 computation stays in range it is unchanged.
+    let d0: Vec<f64> =
+        solutions.iter().map(|s| s.network.denominator.coeffs()[0].re().to_f64()).collect();
+    let d = &report.denominator[0];
+    assert_eq!((d.mean.to_f64(), d.variance.to_f64()), moments(&d0));
 }

@@ -82,19 +82,24 @@ fn fleet() -> Vec<Circuit> {
     circuits
 }
 
-fn run(threads: usize) -> (Vec<u64>, u64, String) {
-    let base = library::ua741();
-    let circuits = fleet();
+/// The mixed fleet on the µA741 base under containment, with the
+/// observer stream it produced.
+fn solve(threads: usize) -> (BatchRun, CollectObserver) {
     let config =
         RefgenConfig::builder().threads(threads).fault_policy(FaultPolicy::Contain).build();
     let mut observer = CollectObserver::new();
-    let run = Session::for_circuit(&base)
+    let run = Session::for_circuit(&library::ua741())
         .spec(TransferSpec::voltage_gain("VIN", "out"))
         .config(config)
         .observer(&mut observer)
-        .variant_circuits(&circuits)
+        .variant_circuits(&fleet())
         .solve_all()
         .expect("a contained fleet returns");
+    (run, observer)
+}
+
+fn run(threads: usize) -> (Vec<u64>, u64, String) {
+    let (run, observer) = solve(threads);
     let mut text = Fnv::new();
     for event in &observer.events {
         writeln!(text, "{event}").unwrap();
@@ -155,7 +160,8 @@ const OUTCOMES: [u64; 10] = [
     0xb3949ea63d66fae8,
 ];
 const TEXT: u64 = 0x0218dfc1d8a33220;
-const COUNTERS: &str = "variants 9 of 10, failed [9], points [366, 366, 366, 366, 366, 368, 378, 372, 366], \
+const COUNTERS: &str =
+    "variants 9 of 10, failed [9], points [366, 366, 366, 366, 366, 368, 378, 372, 366], \
     refactor hits [150, 150, 150, 150, 150, 152, 156, 152, 150] = 1360, pivot searches 2, \
     shared plan hits 106, programs 2";
 
@@ -174,4 +180,27 @@ fn mixed_fleet_matches_pinned_output() {
             panic!("mixed fleet moved at {threads} threads; computed:\n{table}");
         }
     }
+}
+
+/// One fleet builds each stamp topology once and computes each degree
+/// bound once per topology, output and set of excited rows. The mixed
+/// fleet builds three topologies: the base's, which the generated
+/// variants, the driven variant and the zero-amplitude one share; the
+/// extra capacitor's; and the capacitive load's. The base's topology
+/// computes two bound pairs (`VIN` alone excited, and `VIN` with `IAUX`;
+/// the zero-amplitude variant fails before it asks), the other two one
+/// each. A generated fleet builds one topology and computes one pair.
+#[test]
+fn fleets_build_each_topology_and_bound_once() {
+    for threads in [1, 4] {
+        let (run, _) = solve(threads);
+        let counts = (run.report.topologies, run.report.degree_bounds_computed);
+        assert_eq!(counts, (3, 4), "{threads} threads");
+    }
+    let run = Session::for_circuit(&library::ua741())
+        .spec(TransferSpec::voltage_gain("VIN", "out"))
+        .variants(VariantSet::new(Perturbation::all_relative(0.05), 64).seed(0x70b0))
+        .solve_all()
+        .expect("µA741 fleet solves");
+    assert_eq!((run.report.topologies, run.report.degree_bounds_computed), (1, 1));
 }

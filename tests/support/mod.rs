@@ -102,7 +102,8 @@ pub fn assert_same_outcome(
 /// through [`assert_same_solution`], in fleet order, and the
 /// survivor-side accounting of the report. With `plan_counters` the
 /// runtime-global plan-cache counters (`pivot_searches`,
-/// `shared_plan_hits`, `programs_compiled`) must match as well — not so
+/// `shared_plan_hits`, `programs_compiled`) and the fleet's `topologies`
+/// and `degree_bounds_computed` must match as well — not so
 /// under injected faults, where victims touch the shared cache before
 /// dying.
 pub fn assert_same_fleet(
@@ -132,5 +133,10 @@ pub fn assert_same_fleet(
         assert_eq!(rw.pivot_searches, rg.pivot_searches, "{ctx}: pivot_searches");
         assert_eq!(rw.shared_plan_hits, rg.shared_plan_hits, "{ctx}: shared_plan_hits");
         assert_eq!(rw.programs_compiled, rg.programs_compiled, "{ctx}: programs_compiled");
+        assert_eq!(rw.topologies, rg.topologies, "{ctx}: topologies");
+        assert_eq!(
+            rw.degree_bounds_computed, rg.degree_bounds_computed,
+            "{ctx}: degree_bounds_computed"
+        );
     }
 }
