@@ -73,7 +73,7 @@ impl MnaSystem {
         let excited: Vec<bool> = self.rhs().iter().map(|&e| e != Complex::ZERO).collect();
         // Held while computing, so concurrent variants compute each bound
         // once: the first computes it, the others wait and read it.
-        let mut memo = self.topology().bounds.0.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut memo = self.topology().bounds.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(entry) = memo.iter().find(|e| e.columns == columns && e.excited == excited) {
             return entry.bounds;
         }
@@ -94,18 +94,17 @@ impl MnaSystem {
     /// [`MnaSystem::degree_bounds`] was asked for, by any system sharing
     /// the topology.
     pub fn degree_bounds_computed(&self) -> usize {
-        self.topology().bounds.0.lock().unwrap_or_else(PoisonError::into_inner).len()
+        self.topology().bounds.lock().unwrap_or_else(PoisonError::into_inner).len()
     }
 }
 
 /// The degree bounds computed on one stamp topology.
-#[derive(Debug, Default)]
-pub(crate) struct BoundsMemo(Mutex<Vec<BoundsEntry>>);
+pub(crate) type BoundsMemo = Mutex<Vec<BoundsEntry>>;
 
 /// One memoized [`MnaSystem::degree_bounds`] result and what it was
 /// computed for, besides the topology.
 #[derive(Debug)]
-struct BoundsEntry {
+pub(crate) struct BoundsEntry {
     /// The numerator's output columns.
     columns: Vec<usize>,
     /// Per row: whether [`MnaSystem::rhs`] is nonzero there.

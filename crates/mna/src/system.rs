@@ -453,7 +453,7 @@ impl MnaSystem {
     /// FNV-1a fingerprint of the dimension and the stamped positions:
     /// value-independent, so same-topology variants share it.
     pub(crate) fn pattern_fingerprint(&self) -> u64 {
-        self.stamps.topology.fingerprint
+        self.topology().fingerprint
     }
 
     /// The stamped positions of [`MnaSystem::affine_pattern`], in order,
