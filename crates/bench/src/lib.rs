@@ -575,6 +575,10 @@ pub struct PerfSnapshot {
     pub env: PerfEnv,
     /// Every measured row.
     pub rows: Vec<PerfRow>,
+    /// `mesh4096_amd_speedup_vs_markowitz`: the median, over interleaved
+    /// pairs of reps, of the Markowitz rep's time over the AMD rep's on
+    /// the 4 096-node mesh (`None` on quick snapshots, which skip it).
+    pub mesh4096_amd_speedup: Option<f64>,
 }
 
 impl PerfSnapshot {
@@ -629,10 +633,8 @@ impl PerfSnapshot {
         ];
         // The mesh ratio only exists on full snapshots (quick mode
         // measures mesh256 alone), so it is appended conditionally.
-        if let (Some(markowitz), Some(amd)) =
-            (self.ns_opt("mesh4096_markowitz_direct"), self.ns_opt("mesh4096_amd_direct"))
-        {
-            derived.push(("mesh4096_amd_speedup_vs_markowitz", markowitz / amd));
+        if let Some(ratio) = self.mesh4096_amd_speedup {
+            derived.push(("mesh4096_amd_speedup_vs_markowitz", ratio));
         }
         for (i, (name, value)) in derived.iter().enumerate() {
             s.push_str(&format!(
@@ -693,6 +695,27 @@ fn ns_per_point(reps: usize, points: usize, mut work: impl FnMut() -> f64) -> Ve
             t0.elapsed().as_nanos() as f64 / points as f64
         })
         .collect();
+    std::hint::black_box(sink);
+    samples
+}
+
+/// [`ns_per_point`] of two workloads, their reps interleaved (one warmup
+/// run of each first): rep `i` of both runs before rep `i + 1` of either,
+/// so drift on the host shifts them alike and their per-rep ratios hold
+/// where a ratio of separately measured medians does not.
+fn paired_ns_per_point(
+    reps: usize,
+    points: usize,
+    mut a: impl FnMut() -> f64,
+    mut b: impl FnMut() -> f64,
+) -> (Vec<f64>, Vec<f64>) {
+    let mut sink = a() + b();
+    let mut time = |work: &mut dyn FnMut() -> f64| {
+        let t0 = std::time::Instant::now();
+        sink += work();
+        t0.elapsed().as_nanos() as f64 / points as f64
+    };
+    let samples = (0..reps).map(|_| (time(&mut a), time(&mut b))).unzip();
     std::hint::black_box(sink);
     samples
 }
@@ -1131,10 +1154,11 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
 
     // Mesh-scaling rows: square grid RC meshes at 256 / 1024 / 4096 nodes,
     // swept over a dense log-frequency grid under both pivot orderings
-    // (the probe-recorded Markowitz order vs. approximate minimum degree),
-    // one compiled replay per point; then the whole direct AC sweep (Auto
-    // plan build plus lane-batched replay). Quick mode measures mesh256
-    // only.
+    // (the probe-recorded Markowitz order vs. approximate minimum degree,
+    // their reps interleaved), one compiled replay per point; then the
+    // whole direct AC sweep (Auto plan build plus lane-batched replay).
+    // Quick mode measures mesh256 only.
+    let mut mesh4096_amd_speedup = None;
     {
         use refgen_circuit::library::grid_rc_mesh;
         use refgen_mna::{AcAnalysis, OrderingMode, PlanCache, SweepPlan, SweepScratch};
@@ -1152,13 +1176,11 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
             } else {
                 match side {
                     16 => 11,
-                    32 => 5,
-                    _ => 3,
+                    _ => 5,
                 }
             };
-            for (mode_label, mode) in
-                [("markowitz", OrderingMode::Markowitz), ("amd", OrderingMode::Amd)]
-            {
+            let freqs = &freqs;
+            let direct_sweep = |mode| {
                 let plan = SweepPlan::new_cached_with_ordering(
                     &sys,
                     Scale::unit(),
@@ -1168,20 +1190,32 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
                 )
                 .expect("mesh plans");
                 let mut direct = SweepScratch::new();
-                let ns = ns_per_point(mesh_reps, points, || {
+                move || {
                     let mut acc = 0.0;
-                    for &f in &freqs {
+                    for &f in freqs {
                         let s = Complex::new(0.0, 2.0 * std::f64::consts::PI * f);
                         acc += plan.eval_at(s, &mut direct).expect("mesh point solves").response.re;
                     }
                     acc
-                });
-                rows.push(PerfRow::new(format!("mesh{nodes}_{mode_label}_direct"), ns, points));
+                }
+            };
+            let (markowitz, amd) = paired_ns_per_point(
+                mesh_reps,
+                points,
+                direct_sweep(OrderingMode::Markowitz),
+                direct_sweep(OrderingMode::Amd),
+            );
+            if side == 64 {
+                let mut ratios: Vec<f64> = markowitz.iter().zip(&amd).map(|(m, a)| m / a).collect();
+                ratios.sort_by(|a, b| a.total_cmp(b));
+                mesh4096_amd_speedup = Some(ratios[ratios.len() / 2]);
             }
+            rows.push(PerfRow::new(format!("mesh{nodes}_markowitz_direct"), markowitz, points));
+            rows.push(PerfRow::new(format!("mesh{nodes}_amd_direct"), amd, points));
             let ac = AcAnalysis::new(&circuit, spec.clone()).expect("mesh compiles");
             let lanes = RefgenConfig::default().lane_width;
             let ns = ns_per_point(mesh_reps, points, || {
-                let sweep = ac.sweep_fast(&freqs, lanes).expect("mesh sweeps");
+                let sweep = ac.sweep_fast(freqs, lanes).expect("mesh sweeps");
                 sweep.iter().map(|p| p.response.re).sum()
             });
             rows.push(PerfRow::new(format!("mesh{nodes}_auto_sweep"), ns, points));
@@ -1195,7 +1229,7 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
         rows.push(PerfRow::new("plan_mesh1024_auto", ns, 1));
     }
 
-    PerfSnapshot { env: PerfEnv::detect(), rows }
+    PerfSnapshot { env: PerfEnv::detect(), rows, mesh4096_amd_speedup }
 }
 
 #[cfg(test)]
@@ -1242,6 +1276,7 @@ mod tests {
                     PerfRow::new(*n, vec![m + 30.0, m - 10.0, m], 40)
                 })
                 .collect(),
+            mesh4096_amd_speedup: Some(1.1),
         };
         let json = snapshot.to_json();
         assert!(json.contains("\"schema\": \"refgen-bench-sampling/v1\""));
@@ -1293,6 +1328,7 @@ mod tests {
                 .enumerate()
                 .map(|(i, n)| PerfRow::new(*n, vec![10.0 * (i as f64 + 1.0); 2], 48))
                 .collect(),
+            mesh4096_amd_speedup: None,
         };
         let json = snapshot.to_json();
         assert!(json.contains("\"fleet_batched_speedup\""));

@@ -32,11 +32,11 @@
 //!   once per size ([`ConjugateRoles`], held by the runtime's window
 //!   tables).
 //! * **Lane batching** — the solved points are chunked into
-//!   `config.lane_width` groups, each group replayed through the
-//!   compiled kernel in **one** instruction-stream traversal
-//!   ([`SweepPlan::eval_batch`] / [`SweepPlan::eval_det_batch`], which
-//!   stamp `K₀ + σ·K₁` point-major from the plan's coefficient arrays in
-//!   one vector pass); per live lane the batched replay performs the exact
+//!   `config.lane_width` groups, each group through **one** call of the
+//!   compiled kernel's batched pass ([`SweepPlan::eval_batch`] /
+//!   [`SweepPlan::eval_det_batch`], which stamp `K₀ + σ·K₁` from the
+//!   plan's coefficient arrays, replay and solve one block of eight lanes
+//!   after another); per live lane the batched replay performs the exact
 //!   scalar operation sequence of a one-point evaluation, dead lanes
 //!   fall back to it verbatim, and a one-point group (every group at lane
 //!   width `1`) takes the one-point path outright, so output is
@@ -154,7 +154,7 @@ pub(crate) struct BatchSampler {
     mirror: bool,
     /// Lane width for batched replay (`config.lane_width`): solved points
     /// are chunked into groups of this size, each group driven through
-    /// one instruction-stream traversal (a one-point group replays the
+    /// one call of the batched pass (a one-point group replays the
     /// one-point path). Results are bit-identical at every width.
     lanes: usize,
 }

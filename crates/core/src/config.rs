@@ -99,9 +99,9 @@ pub struct RefgenConfig {
     pub conjugate_mirror: bool,
     /// Lane width for batched window sampling and for the direct AC sweep
     /// of [`ac_sweep_with_config`](crate::ac_sweep_with_config): how many
-    /// points one instruction-stream traversal of the compiled symbolic
-    /// kernel drives at once (`refgen_sparse`'s `BatchScratch` lanes, run
-    /// in blocks of eight). Every width runs the same loop; a one-point lane group
+    /// points one call of the compiled symbolic kernel's batched pass
+    /// takes (`refgen_sparse`'s `BatchScratch` lanes, stamped, replayed
+    /// and solved in blocks of eight). Every width runs the same loop; a one-point lane group
     /// (every group at width `1`) replays the one-point path. Batching is
     /// orthogonal to [`RefgenConfig::threads`] — lanes amortize
     /// instruction fetch inside one worker, threads fan groups across
@@ -140,14 +140,14 @@ impl Default for RefgenConfig {
             max_step_decades_per_index: 8.0,
             threads: 1,
             conjugate_mirror: true,
-            // `32`: a µA741 window's points (at most 21) fit one batch,
-            // whose working set — `slots × width` complex values per
-            // worker, padded to blocks of eight lanes — stays small at
-            // µA741 size (~100 KiB). On the 1 025-unknown grid RC mesh
-            // (~24 000 slots, ~12 MiB of lanes at width 32), a 95-point
-            // `AcAnalysis::sweep_fast`, Auto plan build included, runs
-            // 8–17 % slower at width 32 than at width 8 (see
-            // `sweep_fast`), and both far ahead of width 1.
+            // `32`: a µA741 window's points (at most 21) fit one batch.
+            // The batched pass stamps, replays and solves one block of
+            // eight lanes at a time in one block of slots per worker,
+            // whatever the width (~3 MiB on the 1 025-unknown grid RC
+            // mesh's ~24 000 slots), so a 95-point
+            // `AcAnalysis::sweep_fast` of that mesh costs the same at
+            // widths 8 and 32 (see `sweep_fast`), both far ahead of
+            // width 1.
             lane_width: 32,
             ordering: OrderingMode::Auto,
             fault_policy: FaultPolicy::default(),
@@ -290,9 +290,9 @@ impl RefgenConfigBuilder {
         self
     }
 
-    /// Lane width for batched window sampling (how many σ points one
-    /// compiled-kernel traversal drives at once; at `1` every traversal
-    /// is a one-point evaluation). Output is bit-identical at any width.
+    /// Lane width for batched window sampling (how many σ points one call
+    /// of the compiled kernel's batched pass takes; at `1` every call is
+    /// a one-point evaluation). Output is bit-identical at any width.
     #[must_use]
     pub fn lane_width(mut self, lane_width: usize) -> Self {
         self.config.lane_width = lane_width;

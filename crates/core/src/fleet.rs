@@ -23,7 +23,7 @@
 //! [`Solver::solve_system`] on a single-threaded
 //! [`SamplingRuntime::variant_worker`] runtime that shares the fleet's
 //! plan cache. Inside each variant, `config.lane_width` unit-circle
-//! points replay the compiled kernel per instruction-stream traversal
+//! points go through one call of the compiled kernel's batched pass
 //! (see `refgen_sparse::BatchScratch`'s lane layout). The two axes
 //! compose but never interact with results.
 //!

@@ -132,14 +132,14 @@ impl AcAnalysis {
     /// `lanes` is the lane width. The grid is cut into consecutive chunks
     /// of `lanes` frequencies (one frequency per chunk at width `1` or
     /// `0`), and [`SweepPlan::eval_batch`] stamps, replays and solves each
-    /// chunk in one pass through the batched kernels (a one-point chunk
-    /// takes the one-point replay, [`SweepPlan::eval_at`]). On a
-    /// 1 025-unknown RC mesh swept at 95 frequencies on an AVX-512F host,
-    /// widths 8, 16 and 32 each cost 29–41 % of width 1 per frequency,
-    /// and 32 runs 8–17 % slower than 8: the batched kernels run each
-    /// block of eight lanes as its own pass, so per block the elimination
-    /// costs the same at either width, but a 32-lane batch's stamps and
-    /// solves find its four 3 MB blocks evicted by one another.
+    /// chunk through the batched kernels, one block of eight lanes after
+    /// another (a one-point chunk takes the one-point replay,
+    /// [`SweepPlan::eval_at`]). Each block is solved right after its
+    /// replay, while its slots are still in cache, so a 32-lane chunk
+    /// costs what four 8-lane chunks do. On a 1 025-unknown RC mesh swept
+    /// at 95 frequencies on an AVX-512F host, widths 8 and 32 cost the
+    /// same per frequency, within the host's noise, and about a third of
+    /// width 1.
     ///
     /// The output is **bit-identical at every width**, errors included:
     /// every point is a pure function of the plan and its frequency. A

@@ -15,8 +15,8 @@
 //!   and the pattern fingerprint already resolved: a plan build pays one
 //!   pass over the raw stamps, with no assembly, lookup or sort. The plan
 //!   keeps `K₀` and `K₁` as contiguous arrays, so batched evaluation
-//!   stamps a whole lane group of points in one vector pass
-//!   ([`FactorProgram::refactor_batch_points`]);
+//!   stamps, replays and solves a whole lane group of points in one pass
+//!   per block of eight lanes ([`FactorProgram::eval_points`]);
 //! * the **RHS template** (the excitation vector is frequency-independent);
 //! * a **pivot order** — from one probe factorization, or on large mesh
 //!   patterns from the symbolic AMD ordering (see [`OrderingMode::Auto`]),
@@ -321,9 +321,8 @@ pub struct SweepPlan {
     /// `constant + s·coefficient` at each position.
     pattern: Vec<(usize, usize, Complex, Complex)>,
     /// The pattern's constants and `s`-coefficients as two contiguous
-    /// arrays, in pattern order — what the point-major batched stamp
-    /// ([`FactorProgram::refactor_batch_points`]) reads, built once per
-    /// plan.
+    /// arrays, in pattern order — what the batched pass
+    /// ([`FactorProgram::eval_points`]) stamps from, built once per plan.
     k0: Vec<Complex>,
     k1: Vec<Complex>,
     rhs: Vec<Complex>,
@@ -999,20 +998,6 @@ impl SweepPlan {
         self.k0.iter().zip(&self.k1).map(move |(&k0, &k1)| k0 + s * k1)
     }
 
-    /// Stamps `A(σ)` for every point of `sigmas` (lane `k` at `sigmas[k]`,
-    /// fault-poisoned like a one-point evaluation) and replays the
-    /// program over all lanes in one traversal.
-    fn refactor_lanes(
-        &self,
-        program: &FactorProgram,
-        sigmas: &[Complex],
-        scratch: &mut SweepBatchScratch,
-    ) {
-        scratch.sigmas.clear();
-        scratch.sigmas.extend(sigmas.iter().map(|&s| faults::poison_point(s)));
-        program.refactor_batch_points(&self.k0, &self.k1, &scratch.sigmas, &mut scratch.batch);
-    }
-
     /// Stamps `A(s)` into the scratch's reused triplet buffer.
     fn assemble_into(&self, s: Complex, t: &mut Triplets) {
         t.reset(self.dim);
@@ -1159,8 +1144,9 @@ impl SweepPlan {
     }
 
     /// Batched [`SweepPlan::eval_at`]: evaluates the transfer at every
-    /// point of `sigmas` through **one** traversal of the compiled
-    /// instruction stream (point `k` is lane `k` of a
+    /// point of `sigmas` through **one** call of the batched pass
+    /// ([`FactorProgram::eval_points`]), which stamps, replays and solves
+    /// each block of eight points in turn (point `k` is lane `k` of a
     /// [`BatchScratch`](refgen_sparse::BatchScratch)). Per point, the
     /// result — value, error, and [`SweepStats`] accounting — is
     /// **bit-identical** to a sequential `eval_at` with a fresh
@@ -1191,13 +1177,12 @@ impl SweepPlan {
             return sigmas.iter().map(|&s| self.eval_at(s, &mut scratch.fallback)).collect();
         };
         let lanes = sigmas.len();
-        self.refactor_lanes(program, sigmas, scratch);
-        // Broadcast the (frequency-independent) RHS across lanes, row-major.
-        scratch.rhs.clear();
-        for &v in &self.rhs {
-            scratch.rhs.extend(std::iter::repeat_n(v, lanes));
-        }
-        program.solve_batch(&mut scratch.batch, &scratch.rhs, &mut scratch.x);
+        // Lane `k` at `sigmas[k]`, fault-poisoned like a one-point
+        // evaluation; every lane solves the one (frequency-independent) RHS.
+        scratch.sigmas.clear();
+        scratch.sigmas.extend(sigmas.iter().map(|&s| faults::poison_point(s)));
+        let solve = Some((&self.rhs[..], &mut scratch.x));
+        program.eval_points(&self.k0, &self.k1, &scratch.sigmas, solve, &mut scratch.batch);
         sigmas
             .iter()
             .enumerate()
@@ -1223,7 +1208,7 @@ impl SweepPlan {
     }
 
     /// Batched [`SweepPlan::eval_det`]: determinants at every point of
-    /// `sigmas` through one instruction-stream traversal, bit-identical
+    /// `sigmas` through one call of the batched pass, bit-identical
     /// per point to the sequential path (dead lanes fall back exactly like
     /// sequential evaluations, reporting `ExtComplex::ZERO` only if every
     /// rung of the recovery ladder fails). Like [`SweepPlan::eval_batch`],
@@ -1242,7 +1227,9 @@ impl SweepPlan {
         let Some(program) = self.program().filter(|_| sigmas.len() > 1) else {
             return sigmas.iter().map(|&s| self.eval_det(s, &mut scratch.fallback)).collect();
         };
-        self.refactor_lanes(program, sigmas, scratch);
+        scratch.sigmas.clear();
+        scratch.sigmas.extend(sigmas.iter().map(|&s| faults::poison_point(s)));
+        program.eval_points(&self.k0, &self.k1, &scratch.sigmas, None, &mut scratch.batch);
         sigmas
             .iter()
             .enumerate()
@@ -1259,7 +1246,7 @@ impl SweepPlan {
 
 /// Per-executor mutable state for batched plan evaluation
 /// ([`SweepPlan::eval_batch`] / [`SweepPlan::eval_det_batch`]): the
-/// sparse batch scratch, reused RHS/solution buffers, and a sequential
+/// sparse batch scratch, reused point and solution buffers, and a sequential
 /// [`SweepScratch`] that serves dead lanes the exact fallback path a
 /// sequential evaluation would take.
 #[derive(Debug, Default)]
@@ -1267,7 +1254,7 @@ pub struct SweepBatchScratch {
     batch: refgen_sparse::BatchScratch,
     /// The lanes' (fault-poisoned) evaluation points.
     sigmas: Vec<Complex>,
-    rhs: Vec<Complex>,
+    /// The lanes' solutions, column-major (`x[col·lanes + lane]`).
     x: Vec<Complex>,
     /// Serves dead lanes, which replicate the sequential path bit for bit.
     fallback: SweepScratch,

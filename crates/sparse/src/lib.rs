@@ -19,12 +19,10 @@
 //!   `(pattern, order)`, so each numeric point is scatter-then-replay with
 //!   zero sorting, searching, insertion, or allocation.
 //! * [`BatchScratch`] — the batched execution state:
-//!   [`FactorProgram::refactor_batch`] / [`FactorProgram::solve_batch`]
-//!   drive N independent value sets ("lanes") through the instruction
-//!   stream, one traversal per block of eight lanes; the affine stamps
-//!   `K₀ + σ·K₁` of one matrix at many points
-//!   ([`FactorProgram::refactor_batch_points`]) fill each block just
-//!   before its traversal.
+//!   [`FactorProgram::eval_points`] evaluates one affine matrix
+//!   `K₀ + σ·K₁` at N points ("lanes"), one pass per block of eight
+//!   lanes that stamps the block, replays the instruction stream over it
+//!   and, given a right-hand side, solves it before the next block.
 //! * [`ordering`] — approximate-minimum-degree symbolic ordering over the
 //!   pattern graph, the fill-reducing alternative for mesh-scale circuits.
 //! * [`dense`] — a dense LU reference implementation used as a test oracle
@@ -98,17 +96,19 @@
 //! # Lane layout: batching is orthogonal to threading
 //!
 //! The per-point column above has a second axis: one instruction stream
-//! can drive N value sets at once. [`BatchScratch`] pads the lanes to
-//! blocks of eight and stores each slot of a block **split-complex**: the
-//! eight lanes' real parts, then their imaginary parts, one 64-byte-aligned
-//! pair of cache lines. Blocks follow one another, and each block is one
-//! pass over the instruction stream, so the fetch/decode cost of the
-//! stream is paid once per eight lanes instead of once per lane:
+//! can drive N points of one affine matrix at once. [`BatchScratch`] pads
+//! the lanes to blocks of eight and stores each slot of a block
+//! **split-complex**: the eight lanes' real parts, then their imaginary
+//! parts, one 64-byte-aligned pair of cache lines. Each block is one fused
+//! pass — stamp, replay, solve — so the fetch/decode cost of the stream
+//! is paid once per eight lanes instead of once per lane, and the scratch
+//! holds one block of slots at any lane count: the solve reads a block
+//! the replay has just left in cache.
 //!
 //! ```text
-//!                  block 0 (lanes 0–7)          block 1 (lanes 8–15)   …
-//!  slot 0   [re₀ … re₇][im₀ … im₇]      slot 0   [re₈ … re₁₅][im₈ … im₁₅]
-//!  slot 1   [re₀ … re₇][im₀ … im₇]      slot 1   …
+//!                  block 0 (lanes 0–7), then block 1 (lanes 8–15) in the same slots, …
+//!  slot 0   [re₀ … re₇][im₀ … im₇]
+//!  slot 1   [re₀ … re₇][im₀ … im₇]
 //!    ⋮       ↑ one refactor op = eight complex multiply-subtracts:
 //!              four multiplies and four adds or subtracts per plane
 //!              (one 512-bit register per plane on AVX-512F, two 256-bit
@@ -117,9 +117,10 @@
 //!
 //! The two parallel axes compose but never interact:
 //!
-//! * **Batching** (lanes, this crate) — N matrices per instruction
+//! * **Batching** (lanes, this crate) — N points per instruction
 //!   traversal, inside one worker. A lane hitting a zero pivot dies alone
-//!   ([`BatchScratch::singular_step`]); its neighbours are unaffected.
+//!   ([`BatchScratch::lane_det`] reports its `Singular { step }`); its
+//!   neighbours are unaffected.
 //! * **Threading** (`refgen_exec`) — workers each own a scratch and share
 //!   the immutable program.
 //!
@@ -130,7 +131,8 @@
 //! solve use no FMA contraction; and the vectorized determinant fold
 //! reproduces the extended-range normalization with exact bit-built
 //! powers of two (easy-range lanes) or the scalar sequence itself
-//! (everything else). Padded lanes compute on zeros and are never read.
+//! (everything else). Padded lanes replay `K₀` (`σ = 0`) and are never
+//! read.
 //! Results are **bit-identical** at every lane count and thread count —
 //! the property the whole test tier pins.
 //!

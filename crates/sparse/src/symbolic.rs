@@ -30,15 +30,16 @@
 //!
 //! # Batched kernel tiers
 //!
-//! The batched replay and solve ([`FactorProgram::refactor_batch`],
-//! [`FactorProgram::refactor_batch_points`], [`FactorProgram::solve_batch`])
-//! pad their lanes to blocks of eight and store each slot of a block as
-//! eight real parts, then eight imaginary parts (§[`BatchScratch`]). Each
-//! block is its own pass over the instruction stream, on one
-//! instruction-set tier detected once per process: AVX-512F if the CPU has
-//! it, else AVX, else the scalar loops. One kernel body serves every tier;
-//! only the registers that hold a block's plane of eight real (or
-//! imaginary) parts differ:
+//! The batched entry point ([`FactorProgram::eval_points`]) evaluates one
+//! affine matrix `K₀ + σ·K₁` at many points. It pads its lanes to blocks
+//! of eight, stores each slot of a block as eight real parts, then eight
+//! imaginary parts (§[`BatchScratch`]), and takes each block through one
+//! fused pass before the next: stamp, replay, sign fold and, given a
+//! right-hand side, solve. Every pass runs on one instruction-set tier
+//! detected once per process: AVX-512F if the CPU has it, else AVX, else
+//! the scalar loops. One kernel body serves every tier; only the
+//! registers that hold a block's plane of eight real (or imaginary) parts
+//! differ:
 //!
 //! | tier | one plane of a block | mask of a comparison |
 //! |---|---|---|
@@ -58,7 +59,8 @@
 //! | forward step `work −= vals·y` | the product and subtract, then the old `work` kept in each lane whose `y` is exactly zero, as the one-lane solve skips it; a step whose eight `y` are zero is skipped |
 //! | back step `acc −= vals·x`, `x = acc / pivot` | the product and subtract in U-row order, then Smith's division |
 //!
-//! Padded lanes compute on zeros and are never read. The one-lane replay
+//! Padded lanes sit at `σ = 0`: they replay `K₀`, take a zero right-hand
+//! side and are never read. The one-lane replay
 //! ([`FactorProgram::refactor_values`], [`FactorProgram::solve_into`]) is
 //! scalar on every tier.
 //!
@@ -95,8 +97,6 @@ use std::cell::RefCell;
 use std::ops::{AddAssign, Div, Mul, SubAssign};
 
 pub use batch::BatchScratch;
-pub(crate) use batch::BatchTier;
-use batch::{Split, BLOCK};
 
 /// An element type a [`FactorProgram`] replays and solves in: [`Complex`]
 /// for the frequency-domain samplers, `f64` for a real matrix such as the
@@ -294,8 +294,8 @@ impl FactorProgram {
     }
 
     /// Raw input entries the compiled stamp map expects per replay (the
-    /// exact item count [`FactorProgram::refactor_values`] and
-    /// [`FactorProgram::refactor_batch`] require per lane).
+    /// exact item count [`FactorProgram::refactor_values`] requires, and
+    /// the length of [`FactorProgram::eval_points`]' coefficient slices).
     pub fn raw_entries(&self) -> usize {
         self.scatter.len()
     }
@@ -478,173 +478,6 @@ impl FactorProgram {
                 s -= scratch.vals[slot as usize] * x[c as usize];
             }
             x[self.pivot_cols[step] as usize] = s / scratch.vals[self.pivot_slots[step] as usize];
-        }
-    }
-
-    /// Batched numeric refactorization: one traversal of the instruction
-    /// stream per block of eight lanes drives `lanes` independent value
-    /// sets ("lanes") at once.
-    ///
-    /// `lane_values` yields one value iterator per lane, each in the same
-    /// compiled-position order [`FactorProgram::refactor_values`] expects.
-    /// Each instruction fetched once applies to a block's eight lanes over
-    /// contiguous, aligned memory (§[`BatchScratch`]) — the amortization a
-    /// one-lane replay cannot have.
-    ///
-    /// Per live lane, the arithmetic performed is **operation-for-operation
-    /// identical** to a one-lane [`FactorProgram::refactor_values`] replay:
-    /// results (multipliers, determinant, subsequent solves) are
-    /// bit-identical at any lane count. A lane whose prescribed pivot is
-    /// exactly zero *dies* at that step — its first failing step is
-    /// captured per lane ([`BatchScratch::singular_step`], mirroring the
-    /// one-lane `Singular { step }` error) and the remaining lanes are
-    /// unaffected; the dead lane's slots keep computing lane-local garbage
-    /// that is never read back.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane_values` is empty or any lane yields a different
-    /// number of items than the compiled pattern has raw entries.
-    pub fn refactor_batch<L, I>(&self, lane_values: L, scratch: &mut BatchScratch)
-    where
-        L: IntoIterator<Item = I>,
-        L::IntoIter: ExactSizeIterator,
-        I: IntoIterator<Item = Complex>,
-    {
-        self.refactor_batch_on(BatchTier::detected(), lane_values, scratch);
-    }
-
-    /// [`FactorProgram::refactor_batch`] on a given kernel tier.
-    ///
-    /// # Panics
-    ///
-    /// As [`FactorProgram::refactor_batch`], and if the CPU lacks `tier`.
-    pub(crate) fn refactor_batch_on<L, I>(
-        &self,
-        tier: BatchTier,
-        lane_values: L,
-        scratch: &mut BatchScratch,
-    ) where
-        L: IntoIterator<Item = I>,
-        L::IntoIter: ExactSizeIterator,
-        I: IntoIterator<Item = Complex>,
-    {
-        let iter = lane_values.into_iter();
-        let lanes = iter.len();
-        assert!(lanes > 0, "batch needs at least one lane");
-        scratch.begin(self, lanes);
-        scratch.vals.fill(Split::default());
-        for (lane, values) in iter.enumerate() {
-            let block = &mut scratch.vals[lane / BLOCK * self.slots..][..self.slots];
-            let mut count = 0usize;
-            for v in values {
-                block[self.scatter[count] as usize].add_lane(lane % BLOCK, v);
-                count += 1;
-            }
-            assert_eq!(count, self.scatter.len(), "value count differs from compiled pattern");
-        }
-        scratch.replay(self, tier, None);
-    }
-
-    /// Point-major batched refactorization of **one** affine matrix
-    /// `K₀ + σ·K₁` at many points: raw entry `e` of lane `k` takes the
-    /// value `k0[e] + sigmas[k]·k1[e]`: one coefficient pair per entry
-    /// broadcast across the lanes, one `σ` per lane. This is the
-    /// allocation- and iterator-free fast path for window sampling (one
-    /// plan, many unit-circle points), stamping each block just before
-    /// its replay. Per lane it performs exactly the scalar `σ·k1`, `+ k0`,
-    /// `+=` sequence of [`FactorProgram::refactor_batch`] fed
-    /// `k0[e] + σ·k1[e]` iterators, with no FMA contraction, so results
-    /// are bit-identical to it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sigmas` is empty or either coefficient slice's length
-    /// differs from the compiled pattern's raw entry count.
-    pub fn refactor_batch_points(
-        &self,
-        k0: &[Complex],
-        k1: &[Complex],
-        sigmas: &[Complex],
-        scratch: &mut BatchScratch,
-    ) {
-        self.refactor_batch_points_on(BatchTier::detected(), k0, k1, sigmas, scratch);
-    }
-
-    /// [`FactorProgram::refactor_batch_points`] on a given kernel tier.
-    ///
-    /// # Panics
-    ///
-    /// As [`FactorProgram::refactor_batch_points`], and if the CPU lacks
-    /// `tier`.
-    pub(crate) fn refactor_batch_points_on(
-        &self,
-        tier: BatchTier,
-        k0: &[Complex],
-        k1: &[Complex],
-        sigmas: &[Complex],
-        scratch: &mut BatchScratch,
-    ) {
-        assert!(!sigmas.is_empty(), "batch needs at least one lane");
-        assert_eq!(k0.len(), self.scatter.len(), "k0 length differs from compiled pattern");
-        assert_eq!(k1.len(), self.scatter.len(), "k1 length differs from compiled pattern");
-        scratch.begin(self, sigmas.len());
-        scratch.replay(self, tier, Some((k0, k1, sigmas)));
-    }
-
-    /// Batched solve with the factorization last replayed into `scratch`:
-    /// `b` holds `lanes` right-hand sides row-major (`b[row·lanes + lane]`),
-    /// `x` receives the solutions column-major (`x[col·lanes + lane]`,
-    /// cleared and refilled). Per live lane the result is bit-identical to
-    /// a one-lane [`FactorProgram::solve_into`] — including the forward
-    /// pass's exact-zero skip, applied per lane. Lanes that died during
-    /// [`FactorProgram::refactor_batch`] produce garbage in their `x` lane;
-    /// callers must consult [`BatchScratch::singular_step`] first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scratch` holds no batched replay of this program or
-    /// `b.len()` differs from `dim · lanes`.
-    pub fn solve_batch(&self, scratch: &mut BatchScratch, b: &[Complex], x: &mut Vec<Complex>) {
-        self.solve_batch_on(BatchTier::detected(), scratch, b, x);
-    }
-
-    /// [`FactorProgram::solve_batch`] on a given kernel tier.
-    ///
-    /// # Panics
-    ///
-    /// As [`FactorProgram::solve_batch`], and if the CPU lacks `tier`.
-    pub(crate) fn solve_batch_on(
-        &self,
-        tier: BatchTier,
-        scratch: &mut BatchScratch,
-        b: &[Complex],
-        x: &mut Vec<Complex>,
-    ) {
-        assert!(scratch.factored, "scratch holds no factorization");
-        let (n, lanes) = (self.n, scratch.lanes());
-        assert_eq!(b.len(), n * lanes, "rhs length mismatch");
-        assert_eq!(
-            scratch.vals.len(),
-            self.slots * scratch.blocks(),
-            "scratch holds another program's replay"
-        );
-        x.clear();
-        x.resize(n * lanes, Complex::ZERO);
-        scratch.work.resize(n, Split::default());
-        scratch.sol.resize(n, Split::default());
-        for block in 0..scratch.blocks() {
-            let (first, count) = scratch.block_lanes(block);
-            for (row, w) in scratch.work.iter_mut().enumerate() {
-                *w = Split::from_lanes(b[row * lanes + first..][..count].iter().copied());
-            }
-            let vals = &scratch.vals[block * self.slots..][..self.slots];
-            tier.solve_block(self, vals, &mut scratch.work, &mut scratch.sol);
-            for (col, s) in scratch.sol.iter().enumerate() {
-                for k in 0..count {
-                    x[col * lanes + first + k] = s.lane(k);
-                }
-            }
         }
     }
 }
@@ -983,6 +816,7 @@ mod compile_reference;
 
 #[cfg(test)]
 mod tests {
+    use super::batch::{BatchTier, BLOCK};
     use super::*;
     use crate::lu::SparseLu;
 
@@ -1289,9 +1123,9 @@ mod tests {
         program.solve_into(&mut scratch, &[], &mut x);
         assert!(x.is_empty());
         let mut batch = BatchScratch::new();
-        program.refactor_batch([[Complex::ONE; 0]; 3], &mut batch);
+        x.push(Complex::ONE);
+        program.eval_points(&[], &[], &[Complex::ONE; 3], Some((&[], &mut x)), &mut batch);
         assert_eq!(batch.lane_det(2).unwrap().to_complex(), Complex::ONE);
-        program.solve_batch(&mut batch, &[], &mut x);
         assert!(x.is_empty());
     }
 
@@ -1313,165 +1147,6 @@ mod tests {
         let _ = program.refactor_values([Complex::ONE], &mut ProgramScratch::new());
     }
 
-    /// The arrow-matrix sweep again, now driven five-lanes-at-a-time (odd
-    /// count: the AVX path's tail lane is exercised). Every lane must match
-    /// its one-lane replay bit for bit — determinant and solution vector.
-    #[test]
-    fn batched_replay_is_bit_identical_to_one_lane() {
-        let n = 10;
-        let build = |w: f64| {
-            let mut t = Triplets::new(n);
-            for i in 0..n {
-                t.add(i, i, Complex::new(2.0 + i as f64, w));
-            }
-            for i in 1..n {
-                t.add(0, i, Complex::real(1.0));
-                t.add(i, 0, Complex::new(0.5, -w));
-            }
-            t
-        };
-        let order = SparseLu::factor(&build(0.1)).unwrap().order().clone();
-        let program = FactorProgram::for_triplets(&build(0.1), &order).unwrap();
-        let ws: Vec<f64> = (0..5).map(|k| 0.1 + 0.3 * k as f64).collect();
-        let mats: Vec<Triplets> = ws.iter().map(|&w| build(w)).collect();
-
-        let mut batch = BatchScratch::new();
-        program.refactor_batch(
-            mats.iter().map(|m| m.entries().iter().map(|&(_, _, v)| v)),
-            &mut batch,
-        );
-        assert_eq!(batch.lanes(), 5);
-        let b: Vec<Complex> = (0..n).map(|i| Complex::new(i as f64, 1.0)).collect();
-        let mut brhs = Vec::new();
-        for &v in &b {
-            brhs.extend(std::iter::repeat_n(v, 5));
-        }
-        let mut bx = Vec::new();
-        program.solve_batch(&mut batch, &brhs, &mut bx);
-
-        let mut scratch = ProgramScratch::new();
-        let mut x = Vec::new();
-        for (lane, m) in mats.iter().enumerate() {
-            program.refactor(m, &mut scratch).unwrap();
-            assert_eq!(batch.singular_step(lane), None);
-            assert_eq!(
-                format!("{:?}", batch.lane_det(lane).unwrap()),
-                format!("{:?}", scratch.det()),
-                "lane {lane} det bits"
-            );
-            program.solve_into(&mut scratch, &b, &mut x);
-            for (col, &want) in x.iter().enumerate() {
-                let got = bx[col * 5 + lane];
-                assert_eq!(
-                    (got.re.to_bits(), got.im.to_bits()),
-                    (want.re.to_bits(), want.im.to_bits()),
-                    "lane {lane} col {col}"
-                );
-            }
-        }
-    }
-
-    /// A lane that hits an exact-zero pivot dies alone: its recorded step
-    /// matches the one-lane `Singular` error, and the surviving lanes stay
-    /// bit-identical to their one-lane replays.
-    #[test]
-    fn dead_lane_is_isolated_and_reports_one_lane_step() {
-        let a = tri(2, &[(0, 0, 1.0), (0, 1, 2.0), (1, 0, 3.0), (1, 1, 4.0)]);
-        let order = SparseLu::factor(&a).unwrap().order().clone();
-        let program = FactorProgram::for_triplets(&a, &order).unwrap();
-        let zeroed = tri(2, &[(0, 0, 0.0), (0, 1, 2.0), (1, 0, 3.0), (1, 1, 0.0)]);
-        let lanes = [&a, &zeroed, &a];
-
-        let mut batch = BatchScratch::new();
-        program.refactor_batch(
-            lanes.iter().map(|m| m.entries().iter().map(|&(_, _, v)| v)),
-            &mut batch,
-        );
-        let mut scratch = ProgramScratch::new();
-        let want_step = match program.refactor(&zeroed, &mut scratch) {
-            Err(FactorError::Singular { step }) => step,
-            other => panic!("expected singular one-lane replay, got {other:?}"),
-        };
-        assert_eq!(batch.singular_step(1), Some(want_step));
-        assert!(
-            matches!(batch.lane_det(1), Err(FactorError::Singular { step }) if step == want_step)
-        );
-        program.refactor(&a, &mut scratch).unwrap();
-        for lane in [0, 2] {
-            assert_eq!(batch.singular_step(lane), None);
-            assert_eq!(
-                format!("{:?}", batch.lane_det(lane).unwrap()),
-                format!("{:?}", scratch.det()),
-                "surviving lane {lane}"
-            );
-        }
-    }
-
-    /// The point-major stamp of `K₀ + σ·K₁` against `refactor_batch` fed
-    /// `k0[e] + σ·k1[e]` iterators, on every tier, at every lane count
-    /// 1..=33 (every block fill), on a pattern with duplicate positions,
-    /// extreme magnitudes, signed zeros and a NaN (poisoned) lane: the
-    /// live lanes' slots, per-lane dead steps and determinants must match
-    /// bit for bit.
-    #[test]
-    fn point_major_refactor_matches_iterator_batch() {
-        let n = 6;
-        let mut positions: Vec<(usize, usize)> = (0..n).map(|i| (i, i)).collect();
-        for i in 1..n {
-            positions.push((0, i));
-            positions.push((i, 0));
-        }
-        // Duplicates accumulate into one slot, in input order.
-        positions.extend([(0, 0), (2, 2), (3, 0), (2, 2)]);
-        let specials = [1e300, -1e-300, 5e-324, -0.0, 0.0, 3.5, -2.25e7, 1.0 / 3.0];
-        let coeff = |e: usize, salt: usize| {
-            let pick = |k: usize| specials[(e * 7 + salt * 3 + k) % specials.len()];
-            Complex::new(pick(0) + (e + 1) as f64, pick(5))
-        };
-        let k0: Vec<Complex> = (0..positions.len()).map(|e| coeff(e, 0)).collect();
-        let k1: Vec<Complex> = (0..positions.len()).map(|e| coeff(e, 1)).collect();
-        let probe = Complex::new(0.3, 0.7);
-        let mut t = Triplets::new(n);
-        for (&(r, c), (&a, &b)) in positions.iter().zip(k0.iter().zip(&k1)) {
-            t.add(r, c, a + probe * b);
-        }
-        let order = SparseLu::factor(&t).unwrap().order().clone();
-        let program = FactorProgram::compile(n, &positions, &order).unwrap();
-        let values = |s: Complex| k0.iter().zip(&k1).map(move |(&a, &b)| a + s * b);
-        let tiers = supported_tiers();
-        // Both scratches are reused from one lane count to the next, so
-        // every replay starts on the last one's slots.
-        let (mut want, mut got) = (BatchScratch::new(), BatchScratch::new());
-        for lanes in 1..=33usize {
-            let sigmas: Vec<Complex> = (0..lanes)
-                .map(|k| match k % 5 {
-                    3 => Complex::new(f64::NAN, f64::NAN),
-                    4 => Complex::new(-0.0, 1e-200 * k as f64),
-                    _ => Complex::cis(2.0 * std::f64::consts::PI * k as f64 / lanes as f64),
-                })
-                .collect();
-            for &tier in &tiers {
-                let at = format!("{} tier, {lanes} lanes", tier.name());
-                program.refactor_batch_on(tier, sigmas.iter().map(|&s| values(s)), &mut want);
-                program.refactor_batch_points_on(tier, &k0, &k1, &sigmas, &mut got);
-                for lane in 0..lanes {
-                    let slots = |b: &BatchScratch| {
-                        (0..program.slots)
-                            .map(|s| bits(b.slot(program.slots, s, lane)))
-                            .collect::<Vec<_>>()
-                    };
-                    assert_eq!(slots(&got), slots(&want), "{at}: lane {lane} slots");
-                    assert_eq!(got.singular_step(lane), want.singular_step(lane), "{at}: {lane}");
-                    assert_eq!(
-                        format!("{:?}", got.lane_det(lane)),
-                        format!("{:?}", want.lane_det(lane)),
-                        "{at}: lane {lane} det"
-                    );
-                }
-            }
-        }
-    }
-
     /// A complex number's bits with every NaN as one value: which NaN an
     /// operation returns is not part of the contract.
     fn canon(z: Complex) -> [u64; 2] {
@@ -1489,133 +1164,165 @@ mod tests {
         run
     }
 
-    /// Runs `lane_values` (one compiled-order value list per lane) and
-    /// `rhs` (one right-hand side per lane) through the batched replay and
-    /// solve on every tier in `tiers`, and holds each lane to its one-lane
-    /// replay: the same dead step, or the same determinant, slot values
-    /// and solution bits.
+    /// One batch of [`FactorProgram::eval_points`]: the affine matrix
+    /// `K₀ + σ·K₁` in compiled-position order, one `σ` per lane, and the
+    /// right-hand side every lane shares.
+    struct Points {
+        k0: Vec<Complex>,
+        k1: Vec<Complex>,
+        sigmas: Vec<Complex>,
+        rhs: Vec<Complex>,
+    }
+
+    /// A lane's one-lane replay: its dead step, or its determinant, slot
+    /// values and solution, every NaN canonical.
+    type LaneReplay = Result<(([u64; 2], i64), Vec<[u64; 2]>, Vec<[u64; 2]>), usize>;
+
+    /// The one-lane [`FactorProgram::refactor_values`] of `k0[e] + σ·k1[e]`
+    /// and [`FactorProgram::solve_into`] of the shared right-hand side.
+    fn one_lane(program: &FactorProgram, points: &Points, s: Complex) -> LaneReplay {
+        let mut one = ProgramScratch::new();
+        let values = points.k0.iter().zip(&points.k1).map(|(&a, &b)| a + s * b);
+        match program.refactor_values(values, &mut one) {
+            Ok(()) => {
+                let mut x = Vec::new();
+                program.solve_into(&mut one, &points.rhs, &mut x);
+                let d = one.det();
+                let slots = one.vals.iter().map(|&v| canon(v)).collect();
+                Ok(((canon(d.mantissa()), d.exponent()), slots, x.into_iter().map(canon).collect()))
+            }
+            Err(FactorError::Singular { step }) => Err(step),
+            Err(e) => panic!("unexpected {e:?}"),
+        }
+    }
+
+    /// Runs `points` through the batched pass on every tier in `tiers`,
+    /// with the right-hand side and without it, in `batch`, and holds each
+    /// lane to its one-lane replay: the same dead step, or the same
+    /// determinant and solution bits, and in the last block (the only one
+    /// whose slots the scratch keeps) the same slot values. Returns the
+    /// number of dead lanes.
     fn assert_tiers_match_one_lane(
         what: &str,
         tiers: &[BatchTier],
         program: &FactorProgram,
-        lane_values: &[Vec<Complex>],
-        rhs: &[Vec<Complex>],
-    ) {
-        let (n, lanes) = (program.dim(), lane_values.len());
-        let mut one = ProgramScratch::new();
-        let want: Vec<_> = lane_values
-            .iter()
-            .zip(rhs)
-            .map(|(values, b)| match program.refactor_values(values.iter().copied(), &mut one) {
-                Ok(()) => {
-                    let mut x = Vec::new();
-                    program.solve_into(&mut one, b, &mut x);
-                    let d = one.det();
-                    let slots: Vec<_> = one.vals.iter().map(|&v| canon(v)).collect();
-                    Ok(((canon(d.mantissa()), d.exponent()), slots, x))
-                }
-                Err(FactorError::Singular { step }) => Err(step),
-                Err(e) => panic!("{what}: unexpected {e:?}"),
-            })
-            .collect();
-        let mut brhs = vec![Complex::ZERO; n * lanes];
-        for (lane, b) in rhs.iter().enumerate() {
-            for (row, &v) in b.iter().enumerate() {
-                brhs[row * lanes + lane] = v;
-            }
-        }
-        // One scratch for every tier, dirty from the start: a replay must
-        // not read a slot before writing it.
-        let mut batch = BatchScratch::new();
-        let poison = vec![Complex::new(f64::NAN, 7.0); program.raw_entries()];
-        program.refactor_batch((0..lanes + 9).map(|_| poison.iter().copied()), &mut batch);
+        points: &Points,
+        batch: &mut BatchScratch,
+    ) -> usize {
+        let (n, lanes) = (program.dim(), points.sigmas.len());
+        let want: Vec<_> = points.sigmas.iter().map(|&s| one_lane(program, points, s)).collect();
+        let last_block = (lanes - 1) / BLOCK * BLOCK;
+        let mut x = Vec::new();
         for &tier in tiers {
-            program.refactor_batch_on(
-                tier,
-                lane_values.iter().map(|v| v.iter().copied()),
-                &mut batch,
-            );
-            let mut bx = Vec::new();
-            program.solve_batch_on(tier, &mut batch, &brhs, &mut bx);
-            let at =
-                |lane: usize| format!("{what}, {} tier, {lanes} lanes, lane {lane}", tier.name());
-            for (lane, want) in want.iter().enumerate() {
-                let (det, slots, x) = match want {
-                    Err(step) => {
-                        assert_eq!(batch.singular_step(lane), Some(*step), "{}", at(lane));
-                        continue;
-                    }
-                    Ok(lane_want) => lane_want,
+            for solve in [true, false] {
+                let (k0, k1, sigmas) = (&points.k0, &points.k1, &points.sigmas);
+                let rhs = solve.then_some((&points.rhs[..], &mut x));
+                program.eval_points_on(tier, k0, k1, sigmas, rhs, batch);
+                let at = |lane: usize| {
+                    format!(
+                        "{what}, {} tier, {lanes} lanes, solve {solve}, lane {lane}",
+                        tier.name()
+                    )
                 };
-                let got = batch.lane_det(lane).unwrap_or_else(|e| panic!("{}: {e:?}", at(lane)));
-                assert_eq!((canon(got.mantissa()), got.exponent()), *det, "{}: det", at(lane));
-                let got_slots: Vec<_> =
-                    (0..program.slots).map(|s| canon(batch.slot(program.slots, s, lane))).collect();
-                assert_eq!(&got_slots, slots, "{}: slots", at(lane));
-                let got_x: Vec<_> = (0..n).map(|c| canon(bx[c * lanes + lane])).collect();
-                let want_x: Vec<_> = x.iter().map(|&v| canon(v)).collect();
-                assert_eq!(got_x, want_x, "{}: solution", at(lane));
+                for (lane, want) in want.iter().enumerate() {
+                    let (det, slots, want_x) = match want {
+                        Err(step) => {
+                            assert_eq!(
+                                batch.lane_det(lane).unwrap_err(),
+                                FactorError::Singular { step: *step },
+                                "{}",
+                                at(lane)
+                            );
+                            continue;
+                        }
+                        Ok(lane_want) => lane_want,
+                    };
+                    let got =
+                        batch.lane_det(lane).unwrap_or_else(|e| panic!("{}: {e:?}", at(lane)));
+                    assert_eq!((canon(got.mantissa()), got.exponent()), *det, "{}: det", at(lane));
+                    if solve {
+                        let got_x: Vec<_> = (0..n).map(|c| canon(x[c * lanes + lane])).collect();
+                        assert_eq!(&got_x, want_x, "{}: solution", at(lane));
+                    }
+                    if lane >= last_block {
+                        let got_slots: Vec<_> =
+                            (0..program.slots).map(|s| canon(batch.slot(s, lane))).collect();
+                        assert_eq!(&got_slots, slots, "{}: slots", at(lane));
+                    }
+                }
             }
         }
+        want.iter().filter(|w| w.is_err()).count()
     }
 
-    /// Lane `lane` of `lanes`: the base matrix `entries` perturbed per
-    /// lane, with lane classes that hold signed zeros, values near 1e300
-    /// and values near 1e−300, and one dead lane whose first prescribed
-    /// pivot is zeroed (positions are distinct, so the pivot is that one
-    /// entry). The lane's right-hand side has exact and signed zeros in
-    /// lane-dependent rows, so the forward pass skips lanes selectively.
-    fn tier_lane(
-        entries: &[(usize, usize, Complex)],
-        order: &PivotOrder,
-        lane: usize,
-        lanes: usize,
-    ) -> (Vec<Complex>, Vec<Complex>) {
-        let dead = lanes >= 2 && lane == 2 * lanes / 3;
-        let scale = match lane % 4 {
-            2 => 1e300,
-            3 => 1e-300,
-            _ => 1.0,
-        };
-        let values = entries
+    /// A batch of `lanes` points on `t`'s pattern under `order`.
+    /// - `K₁` is `t`'s values, zero at every third entry; `K₀` is a
+    ///   wobbled copy with exact and signed zeros off the diagonal.
+    /// - `σ` lies on the unit circle, or near 1e150 or 1e−150, or has a
+    ///   signed-zero real part; some lanes sit at exactly zero (they
+    ///   replay `K₀`) and some at NaN.
+    /// - From two lanes on, lane `2·lanes/3` is planted dead: every raw
+    ///   entry at the first pivot's position gets `k0[e] = −σ·k1[e]`, so
+    ///   that lane's first pivot is exactly zero and no other lane's is.
+    /// - The right-hand side has exact and signed zeros, so the forward
+    ///   pass skips steps.
+    fn tier_points(t: &Triplets, order: &PivotOrder, lanes: usize) -> Points {
+        let entries = t.entries();
+        let mut k1: Vec<Complex> = entries
             .iter()
             .enumerate()
-            .map(|(e, &(r, c, v))| {
-                if dead && (r, c) == (order.rows()[0], order.cols()[0]) {
-                    return Complex::ZERO;
-                }
-                let wobble = Complex::new(
-                    0.01 * ((e * 7 + lane * 13) % 11) as f64,
-                    -0.02 * ((e * 3 + lane) % 5) as f64,
-                );
-                let v = (v + wobble) * Complex::real(scale);
-                match (lane % 4, e % 3) {
-                    (1, 1) if r != c => Complex::new(-0.0, -0.0),
-                    (1, 2) => Complex::new(v.re, -0.0),
-                    _ => v,
+            .map(|(e, &(_, _, v))| if e % 3 == 2 { Complex::ZERO } else { v })
+            .collect();
+        let mut k0: Vec<Complex> = entries
+            .iter()
+            .enumerate()
+            .map(|(e, &(r, c, v))| match (r == c, e % 5) {
+                (false, 0) => Complex::ZERO,
+                (false, 1) => Complex::new(-0.0, -0.0),
+                _ => v + Complex::new(0.01 * (e * 7 % 11) as f64, -0.02 * (e * 3 % 5) as f64),
+            })
+            .collect();
+        let mut sigmas: Vec<Complex> = (0..lanes)
+            .map(|k| {
+                let cis = Complex::cis(2.0 * std::f64::consts::PI * k as f64 / lanes as f64);
+                match k % 6 {
+                    1 => cis * Complex::real(1e150),
+                    2 => cis * Complex::real(1e-150),
+                    3 => Complex::new(-0.0, 0.25 * k as f64),
+                    4 if k % 12 == 4 => Complex::ZERO,
+                    5 if k % 12 == 11 => Complex::new(f64::NAN, f64::NAN),
+                    _ => cis,
                 }
             })
             .collect();
-        let n = order.dim();
-        let zeros = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)];
-        let b = (0..n)
-            .map(|row| match (lane % 4, (row + lane) % 4) {
-                // Signed zeros down to the last row: a zero `y` meets
-                // signed-zero targets, where subtracting `l·0` would flip
-                // a sign the one-lane skip keeps.
-                (1, k) if row + 1 < n => Complex::new(zeros[k].0, zeros[k].1),
-                (_, 0) => Complex::ZERO,
-                _ => {
-                    Complex::new((row + 1) as f64, lane as f64 - row as f64) * Complex::real(scale)
+        if lanes >= 2 {
+            let dead = 2 * lanes / 3;
+            sigmas[dead] = Complex::new(0.3, -0.7);
+            let pivot = (order.rows()[0], order.cols()[0]);
+            for (e, &(r, c, _)) in entries.iter().enumerate() {
+                if (r, c) == pivot {
+                    if k1[e] == Complex::ZERO {
+                        k1[e] = Complex::new(1.5, 0.5);
+                    }
+                    k0[e] = -(sigmas[dead] * k1[e]);
                 }
+            }
+        }
+        let n = t.dim();
+        let rhs = (0..n)
+            .map(|row| match row % 4 {
+                0 => Complex::ZERO,
+                1 if row + 1 < n => Complex::new(-0.0, -0.0),
+                _ => Complex::new((row + 1) as f64, 0.5 - row as f64),
             })
             .collect();
-        (values, b)
+        Points { k0, k1, sigmas, rhs }
     }
 
-    /// The test matrices, positions distinct: the arrow matrix of the
-    /// sweep tests, a pseudo-random sparse pattern and 5×5 and 7×7 grid
-    /// stencils.
+    /// The test matrices: the arrow matrix of the sweep tests, again with
+    /// duplicate positions (they accumulate into one slot, in input
+    /// order), a pseudo-random sparse pattern, 5×5 and 7×7 grid stencils
+    /// and a cyclic pattern with a tiny diagonal.
     fn tier_patterns() -> Vec<(&'static str, Triplets)> {
         let arrow_n = 10;
         let mut arrow = Vec::new();
@@ -1625,6 +1332,10 @@ mod tests {
         for i in 1..arrow_n {
             arrow.push((0, i, Complex::real(1.0)));
             arrow.push((i, 0, Complex::new(0.5, -0.1)));
+        }
+        let mut arrow_dup = arrow.clone();
+        for (r, c) in [(0, 0), (2, 2), (3, 0), (2, 2)] {
+            arrow_dup.push((r, c, Complex::new(0.75 + r as f64, -0.25 * c as f64)));
         }
         let random_n = 24;
         let mut random: Vec<(usize, usize, Complex)> =
@@ -1658,100 +1369,174 @@ mod tests {
                     grid.push((i + side, i, Complex::real(-1.0)));
                 }
             }
-            let mut t = Triplets::new(side * side);
-            for (r, c, v) in grid {
-                t.add(r, c, v);
-            }
-            t
+            (side * side, grid)
         };
-        let triplets = |n: usize, entries: Vec<(usize, usize, Complex)>| {
+        let triplets = |(n, entries): (usize, Vec<(usize, usize, Complex)>)| {
             let mut t = Triplets::new(n);
             for (r, c, v) in entries {
                 t.add(r, c, v);
             }
             t
         };
+        // Tiny diagonal entries: Markowitz's threshold pivots off the
+        // diagonal, so its order permutes rows against columns.
+        let cyclic_n = 7;
+        let mut cyclic = Vec::new();
+        for i in 0..cyclic_n {
+            cyclic.push((i, i, Complex::new(1e-9, 0.0)));
+            cyclic.push((i, (i + 1) % cyclic_n, Complex::new(1.0 + 0.125 * i as f64, 0.5)));
+            cyclic.push((i, (i + 3) % cyclic_n, Complex::new(0.25, -0.125 * i as f64)));
+        }
         vec![
-            ("arrow", triplets(arrow_n, arrow)),
-            ("random", triplets(random_n, random)),
-            ("grid", grid(5)),
-            ("grid7", grid(7)),
+            ("arrow", triplets((arrow_n, arrow))),
+            ("arrow with duplicates", triplets((arrow_n, arrow_dup))),
+            ("random", triplets((random_n, random))),
+            ("grid", triplets(grid(5))),
+            ("grid7", triplets(grid(7))),
+            ("cyclic", triplets((cyclic_n, cyclic))),
         ]
+    }
+
+    /// The program of `t` under its natural diagonal order (the arrow's
+    /// hub first fills it dense).
+    fn diagonal_program(t: &Triplets) -> (PivotOrder, FactorProgram) {
+        let order = PivotOrder::diagonal((0..t.dim()).collect());
+        let program = FactorProgram::for_triplets(t, &order).unwrap();
+        (order, program)
+    }
+
+    /// The arrow matrix's value sweep on the detected tier, five lanes
+    /// (one padded block): every lane matches its one-lane replay,
+    /// determinant, solution and slots.
+    #[test]
+    fn batched_replay_is_bit_identical_to_one_lane() {
+        let (_, t) = tier_patterns().swap_remove(0);
+        let order = SparseLu::factor(&t).unwrap().order().clone();
+        let program = FactorProgram::for_triplets(&t, &order).unwrap();
+        // `t` at `w` holds `2 + i + w·j` on the diagonal and `0.5 − w·j`
+        // below it: `K₁` is `±j` there.
+        let k0: Vec<Complex> = t.entries().iter().map(|&(_, _, v)| Complex::real(v.re)).collect();
+        let k1: Vec<Complex> = t
+            .entries()
+            .iter()
+            .map(|&(r, c, _)| match r.cmp(&c) {
+                std::cmp::Ordering::Equal => Complex::new(0.0, 1.0),
+                std::cmp::Ordering::Greater => Complex::new(0.0, -1.0),
+                std::cmp::Ordering::Less => Complex::ZERO,
+            })
+            .collect();
+        let sigmas = (0..5).map(|k| Complex::real(0.1 + 0.3 * k as f64)).collect();
+        let rhs = (0..t.dim()).map(|i| Complex::new(i as f64, 1.0)).collect();
+        let points = Points { k0, k1, sigmas, rhs };
+        let tier = [BatchTier::detected()];
+        let dead = assert_tiers_match_one_lane(
+            "arrow",
+            &tier,
+            &program,
+            &points,
+            &mut BatchScratch::new(),
+        );
+        assert_eq!(dead, 0);
+    }
+
+    /// A lane whose first pivot is exactly zero at its `σ` dies alone, as
+    /// the one-lane `Singular` error, and the surviving lanes stay
+    /// bit-identical to their one-lane replays.
+    #[test]
+    fn dead_lane_is_isolated_and_reports_one_lane_step() {
+        let a = tri(2, &[(0, 0, 1.0), (0, 1, 2.0), (1, 0, 3.0), (1, 1, 4.0)]);
+        let order = SparseLu::factor(&a).unwrap().order().clone();
+        let program = FactorProgram::for_triplets(&a, &order).unwrap();
+        let pivot = (order.rows()[0], order.cols()[0]);
+        let e = a.entries().iter().position(|&(r, c, _)| (r, c) == pivot).unwrap();
+        let mut k0: Vec<Complex> = a.entries().iter().map(|&(_, _, v)| v).collect();
+        let mut k1 = vec![Complex::ZERO; k0.len()];
+        (k0[e], k1[e]) = (Complex::real(-0.5), Complex::ONE);
+        let sigmas = [0.25, 0.5, 2.0].map(Complex::real).to_vec();
+        let points = Points { k0, k1, sigmas, rhs: vec![Complex::ONE, Complex::real(2.0)] };
+        let mut batch = BatchScratch::new();
+        let mut x = Vec::new();
+        let (k0, k1) = (&points.k0, &points.k1);
+        program.eval_points(k0, k1, &points.sigmas, Some((&points.rhs, &mut x)), &mut batch);
+        assert_eq!(batch.lane_det(1).unwrap_err(), FactorError::Singular { step: 0 });
+        assert!(batch.lane_det(0).is_ok() && batch.lane_det(2).is_ok());
+        let tiers = supported_tiers();
+        assert_eq!(assert_tiers_match_one_lane("2×2", &tiers, &program, &points, &mut batch), 1);
     }
 
     /// Every kernel tier — called directly, not through the detected one —
     /// against the one-lane replay, at lane counts 1..=17, 31..=33 and 64
     /// (every fill of a first and second block, and several blocks), on
-    /// four patterns up to a few hundred slots, with a dead lane (in the
-    /// second block or later from 12 lanes on), signed zeros and values
-    /// near 1e±300.
+    /// five patterns up to a few hundred slots under their natural order
+    /// and their Markowitz order (some of which are odd permutations, so
+    /// every block's sign fold shows), with a planted dead lane (in the
+    /// second block or later from 12 lanes on), signed zeros, values near
+    /// 1e±150 and NaN lanes. One scratch serves every program, dirty from
+    /// the start, and comes back to the first pattern at the end: a pass
+    /// must not read a slot or block it has not written.
     #[test]
     fn every_tier_matches_one_lane_replay() {
         let tiers = supported_tiers();
-        for (name, t) in tier_patterns() {
-            let (n, entries) = (t.dim(), t.entries());
-            // Natural diagonal order: the arrow's hub first fills it dense.
-            let order = PivotOrder::diagonal((0..n).collect());
-            let program = FactorProgram::for_triplets(&t, &order).unwrap();
+        let patterns = tier_patterns();
+        let mut batch = BatchScratch::new();
+        let (_, big) = diagonal_program(&patterns[4].1);
+        assert!(big.slots() >= 300, "a pattern of 300+ slots");
+        let poison = vec![Complex::new(f64::NAN, 7.0); big.raw_entries()];
+        big.eval_points(&poison, &poison, &[Complex::ONE; 40], None, &mut batch);
+        let mut odd = false;
+        for (name, t) in patterns.iter().chain(&patterns[..1]) {
+            let (order, program) = diagonal_program(t);
             assert!(program.fill_in() > 0, "{name}: the pattern should fill");
-            for lanes in (1..=17).chain(31..=33).chain([64]) {
-                let (values, rhs): (Vec<_>, Vec<_>) =
-                    (0..lanes).map(|lane| tier_lane(entries, &order, lane, lanes)).unzip();
-                assert_tiers_match_one_lane(name, &tiers, &program, &values, &rhs);
+            let markowitz = SparseLu::factor(t).unwrap().order().clone();
+            for (order, program) in [
+                (order, program),
+                (markowitz.clone(), FactorProgram::for_triplets(t, &markowitz).unwrap()),
+            ] {
+                odd |= program.sign < 0.0;
+                let (mut planted, mut dead) = (0, 0);
+                for lanes in (1..=17).chain(31..=33).chain([64]) {
+                    let points = tier_points(t, &order, lanes);
+                    dead +=
+                        assert_tiers_match_one_lane(name, &tiers, &program, &points, &mut batch);
+                    planted += usize::from(lanes >= 2);
+                }
+                assert!(dead >= planted, "{name}: {planted} lanes planted dead, {dead} died");
             }
         }
-        let slots = |t: &Triplets| {
-            let order = PivotOrder::diagonal((0..t.dim()).collect());
-            FactorProgram::for_triplets(t, &order).unwrap().slots()
-        };
-        assert!(tier_patterns().iter().any(|(_, t)| slots(t) >= 300), "a pattern of 300+ slots");
+        assert!(odd, "no order is an odd permutation");
     }
 
-    /// Padded lanes compute on zeros: their first pivot is zero, and their
-    /// slots turn NaN. They are left out of the pivot fold and the solve's
-    /// results, so every live lane, its determinant, its dead step and its
-    /// solution still equal the one-lane replays, on every tier, in both
-    /// the iterator and the point-major paths.
+    /// Padded lanes sit at `σ = 0`: they replay `K₀`, so their slots are
+    /// the one-lane replay of `K₀`; with `K₀ = 0` they meet a zero pivot
+    /// and turn NaN. Either way they stay out of the pivot fold and the
+    /// solutions, so every live lane still equals its one-lane replay, on
+    /// every tier.
     #[test]
     fn padded_lanes_hit_zero_pivots_and_stay_unread() {
         let tiers = supported_tiers();
-        let (_, t) = tier_patterns().swap_remove(1);
-        let (n, entries) = (t.dim(), t.entries());
-        let order = PivotOrder::diagonal((0..n).collect());
-        let program = FactorProgram::for_triplets(&t, &order).unwrap();
+        let (_, t) = tier_patterns().swap_remove(2);
+        let (order, program) = diagonal_program(&t);
+        let mut batch = BatchScratch::new();
         for lanes in [1, 3, 5, 11] {
-            let (values, rhs): (Vec<_>, Vec<_>) =
-                (0..lanes).map(|lane| tier_lane(entries, &order, lane, lanes)).unzip();
-            assert_tiers_match_one_lane("padded", &tiers, &program, &values, &rhs);
-            // `K₁` alone (`K₀ = 0`): the point-major stamp's padded lanes,
-            // at `σ = 0`, are all zero too.
-            let k1: Vec<Complex> = entries.iter().map(|&(_, _, v)| v).collect();
-            let k0 = vec![Complex::ZERO; k1.len()];
-            let sigmas: Vec<Complex> =
-                (0..lanes).map(|k| Complex::new(1.0 + k as f64, -0.5)).collect();
+            let mut points = tier_points(&t, &order, lanes);
+            assert_tiers_match_one_lane("padded", &tiers, &program, &points, &mut batch);
+            let (_, k0_slots, _) =
+                one_lane(&program, &points, Complex::ZERO).expect("K₀ is regular");
+            let slots = |batch: &BatchScratch, pad| -> Vec<_> {
+                (0..program.slots).map(|s| canon(batch.slot(s, pad))).collect()
+            };
             for &tier in &tiers {
-                let mut batch = BatchScratch::new();
-                program.refactor_batch_on(
-                    tier,
-                    values.iter().map(|v| v.iter().copied()),
-                    &mut batch,
-                );
-                let mut points = BatchScratch::new();
-                program.refactor_batch_points_on(tier, &k0, &k1, &sigmas, &mut points);
-                for scratch in [&batch, &points] {
-                    for pad in lanes..lanes.next_multiple_of(BLOCK) {
-                        let last = scratch.slot(program.slots, program.slots - 1, pad);
-                        assert!(last.re.is_nan() && last.im.is_nan(), "pad {pad}: {last:?}");
-                    }
+                let (k0, k1) = (&points.k0, &points.k1);
+                program.eval_points_on(tier, k0, k1, &points.sigmas, None, &mut batch);
+                for pad in lanes..lanes.next_multiple_of(BLOCK) {
+                    assert_eq!(slots(&batch, pad), k0_slots, "{} tier, pad {pad}", tier.name());
                 }
-                let mut one = ProgramScratch::new();
-                for (lane, &s) in sigmas.iter().enumerate() {
-                    let values = k1.iter().map(|&v| Complex::ZERO + s * v);
-                    program.refactor_values(values, &mut one).unwrap();
-                    let det = points.lane_det(lane).unwrap();
-                    assert_eq!(format!("{det:?}"), format!("{:?}", one.det()), "lane {lane}");
-                    assert_eq!(points.singular_step(lane), None);
-                }
+            }
+            points.k0.fill(Complex::ZERO);
+            assert_tiers_match_one_lane("padded, K₀ = 0", &tiers, &program, &points, &mut batch);
+            for pad in lanes..lanes.next_multiple_of(BLOCK) {
+                let last = batch.slot(program.slots - 1, pad);
+                assert!(last.re.is_nan() && last.im.is_nan(), "pad {pad}: {last:?}");
             }
         }
     }
@@ -1763,19 +1548,8 @@ mod tests {
         let order = SparseLu::factor(&a).unwrap().order().clone();
         let program = FactorProgram::for_triplets(&a, &order).unwrap();
         let mut batch = BatchScratch::new();
-        program.refactor_batch([[Complex::ONE]; 5], &mut batch);
+        program.eval_points(&[Complex::ONE], &[Complex::ONE], &[Complex::ONE; 5], None, &mut batch);
         let _ = batch.lane_det(5);
-    }
-
-    #[test]
-    #[should_panic(expected = "lane 5 out of range for 5 lanes")]
-    fn singular_step_past_the_last_lane_panics() {
-        let a = tri(1, &[(0, 0, 2.0)]);
-        let order = SparseLu::factor(&a).unwrap().order().clone();
-        let program = FactorProgram::for_triplets(&a, &order).unwrap();
-        let mut batch = BatchScratch::new();
-        program.refactor_batch([[Complex::ONE]; 5], &mut batch);
-        let _ = batch.singular_step(5);
     }
 
     /// Prints the tier the batched kernels dispatch to on this CPU (run
@@ -1794,24 +1568,7 @@ mod tests {
         let a = tri(1, &[(0, 0, 2.0)]);
         let order = SparseLu::factor(&a).unwrap().order().clone();
         let program = FactorProgram::for_triplets(&a, &order).unwrap();
-        let none: [[Complex; 1]; 0] = [];
-        program.refactor_batch(none, &mut BatchScratch::new());
-    }
-
-    /// The vector kernels read the slot array unchecked, so a batched
-    /// solve refuses a scratch replayed by a program of another size.
-    #[test]
-    #[should_panic(expected = "another program")]
-    fn batched_solve_rejects_another_programs_scratch() {
-        let small = tri(1, &[(0, 0, 2.0)]);
-        let order = SparseLu::factor(&small).unwrap().order().clone();
-        let program = FactorProgram::for_triplets(&small, &order).unwrap();
-        let mut batch = BatchScratch::new();
-        program.refactor_batch([[Complex::ONE]; 4], &mut batch);
-        let big = tri(2, &[(0, 0, 1.0), (0, 1, 2.0), (1, 0, 3.0), (1, 1, 4.0)]);
-        let order = SparseLu::factor(&big).unwrap().order().clone();
-        let other = FactorProgram::for_triplets(&big, &order).unwrap();
-        other.solve_batch(&mut batch, &[Complex::ONE; 8], &mut Vec::new());
+        program.eval_points(&[Complex::ONE], &[Complex::ONE], &[], None, &mut BatchScratch::new());
     }
 
     #[test]

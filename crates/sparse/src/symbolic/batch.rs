@@ -1,13 +1,16 @@
-//! The lane-batched replay and solve of [`FactorProgram`]: eight lanes per
-//! block, split into real and imaginary planes, one kernel body compiled
-//! for each instruction-set tier.
+//! The lane-batched stamp, replay and solve of [`FactorProgram`]: eight
+//! lanes per block, split into real and imaginary planes, one kernel body
+//! compiled for each instruction-set tier.
 //!
-//! A [`BatchScratch`] pads its lanes to blocks of [`BLOCK`]. Within a
-//! block each slot — and each row and column of a solve — is one
-//! [`Split`]: the eight lanes' real parts, then their imaginary parts, two
-//! 64-byte-aligned cache lines. Blocks are stored one after another, and
-//! the replay and the solve run each block as its own pass over the
-//! instruction stream.
+//! [`FactorProgram::eval_points`] is the one batched entry point. It pads
+//! its lanes to blocks of [`BLOCK`], and takes each block through the
+//! whole pass before it moves on to the next: stamp `K₀ + σ·K₁`, replay,
+//! fold the order's sign into the live lanes' determinants, and, given a
+//! right-hand side, solve. Within a block each slot — and each row and
+//! column of a solve — is one [`Split`]: the eight lanes' real parts, then
+//! their imaginary parts, two 64-byte-aligned cache lines. A
+//! [`BatchScratch`] holds one block of slots at any lane count, so a block
+//! is still in cache when its solve reads it back.
 //!
 //! Every kernel is written once, over a [`Vector`]: one plane of a block
 //! in a tier's registers. The scalar tier's vector is a [`Part`] (loops
@@ -17,9 +20,9 @@
 //! arithmetic of the one-lane replay, never as an FMA, so every tier's
 //! live lanes are bit for bit the one-lane results.
 //!
-//! Padded lanes compute on zero values (a zero `σ` in the point-major
-//! stamp) and are never read: the pivot fold leaves them out, so they are
-//! never reported dead either.
+//! Padded lanes sit at `σ = 0`, so they replay `K₀`, not zeros, and take a
+//! zero right-hand side. They are never read: the pivot fold leaves them
+//! out, so they are never reported dead either.
 
 use super::FactorProgram;
 use crate::lu::FactorError;
@@ -35,20 +38,20 @@ const LANE_LIVE: u32 = u32::MAX;
 /// 64-byte cache line.
 #[repr(C, align(64))]
 #[derive(Clone, Copy, Debug, Default)]
-pub(super) struct Part([f64; BLOCK]);
+struct Part([f64; BLOCK]);
 
 /// One slot (or row, or column) of a block: eight complex lanes, real
 /// parts first.
 #[repr(C)]
 #[derive(Clone, Copy, Debug, Default)]
-pub(super) struct Split {
+struct Split {
     re: Part,
     im: Part,
 }
 
 impl Split {
     /// Lane `k`'s value.
-    pub(super) fn lane(&self, k: usize) -> Complex {
+    fn lane(&self, k: usize) -> Complex {
         Complex::new(self.re.0[k], self.im.0[k])
     }
 
@@ -57,13 +60,8 @@ impl Split {
         (self.re.0[k], self.im.0[k]) = (v.re, v.im);
     }
 
-    /// Adds `v` to lane `k`, as the scalar `Complex` `+=`.
-    pub(super) fn add_lane(&mut self, k: usize, v: Complex) {
-        self.set_lane(k, self.lane(k) + v);
-    }
-
     /// The first `values.len()` lanes set from `values`, the rest zero.
-    pub(super) fn from_lanes(values: impl IntoIterator<Item = Complex>) -> Split {
+    fn from_lanes(values: impl IntoIterator<Item = Complex>) -> Split {
         let mut s = Split::default();
         for (k, v) in values.into_iter().enumerate() {
             s.set_lane(k, v);
@@ -78,7 +76,7 @@ impl Split {
 /// [`ExtComplex::new`], whose normalization is idempotent, is bit-identical
 /// to having stored the `ExtComplex` whole.
 #[derive(Clone, Copy, Debug)]
-pub(super) struct BlockDets {
+struct BlockDets {
     mant: Split,
     exp: [i64; BLOCK],
     /// First singular step per lane, [`LANE_LIVE`] while alive.
@@ -152,17 +150,17 @@ impl BatchTier {
         }
     }
 
-    /// Stamps (for the point-major path) and replays one block's `vals`
-    /// on this tier; `live` flags the block's real lanes.
+    /// Stamps one block into `vals` and replays it on this tier; `live`
+    /// flags the block's real lanes.
     ///
     /// # Panics
     ///
     /// Panics if the CPU lacks the tier or `vals` does not hold the
     /// program's slots.
-    pub(super) fn replay_block(
+    fn replay_block(
         self,
         program: &FactorProgram,
-        stamp: Option<Stamp<'_>>,
+        stamp: Stamp<'_>,
         vals: &mut [Split],
         dets: &mut BlockDets,
         live: u8,
@@ -189,7 +187,7 @@ impl BatchTier {
     ///
     /// Panics if the CPU lacks the tier or a buffer does not fit the
     /// program.
-    pub(super) fn solve_block(
+    fn solve_block(
         self,
         program: &FactorProgram,
         vals: &[Split],
@@ -210,13 +208,13 @@ impl BatchTier {
     }
 }
 
-/// The point-major stamp `K₀ + σ·K₁` of one block: one coefficient pair
-/// per raw entry, one `σ` per lane.
+/// The stamp `K₀ + σ·K₁` of one block: one coefficient pair per raw
+/// entry, one `σ` per lane.
 #[derive(Clone, Copy)]
-pub(super) struct Stamp<'a> {
-    pub(super) k0: &'a [Complex],
-    pub(super) k1: &'a [Complex],
-    pub(super) sigma: Split,
+struct Stamp<'a> {
+    k0: &'a [Complex],
+    k1: &'a [Complex],
+    sigma: Split,
 }
 
 /// One plane of a block in a tier's registers. Each method is one IEEE
@@ -516,9 +514,8 @@ fn fold_lane(step: usize, lane: usize, pivot: Complex, dets: &mut BlockDets) -> 
     true
 }
 
-/// One block's replay: the stamp if given (else `vals` holds the values
-/// already scattered), then per step the pivot fold
-/// and Smith's pivot terms, and per L entry the multipliers `l = a /
+/// One block's replay: the stamp, then per step the pivot fold and
+/// Smith's pivot terms, and per L entry the multipliers `l = a /
 /// pivot` (stored back into the entry's slot) and every `dest −= l·src`
 /// of the entry — four multiplies and four adds or subtracts per plane.
 ///
@@ -529,19 +526,17 @@ fn fold_lane(step: usize, lane: usize, pivot: Complex, dets: &mut BlockDets) -> 
 #[inline(always)]
 unsafe fn replay<V: Vector>(
     program: &FactorProgram,
-    stamp: Option<Stamp<'_>>,
+    Stamp { k0, k1, sigma }: Stamp<'_>,
     vals: &mut [Split],
     dets: &mut BlockDets,
     mut live: u8,
 ) {
-    if let Some(Stamp { k0, k1, sigma }) = stamp {
-        vals.fill(Split::default());
-        let s = Cx::<V>::load(&sigma);
-        for ((&slot, &a), &b) in program.scatter.iter().zip(k0).zip(k1) {
-            // `+= a + σ·b`, the scalar operand order.
-            let v = &mut vals[slot as usize];
-            Cx::load(v).add(Cx::splat(a).add(s.mul(Cx::splat(b)))).store(v);
-        }
+    vals.fill(Split::default());
+    let s = Cx::<V>::load(&sigma);
+    for ((&slot, &a), &b) in program.scatter.iter().zip(k0).zip(k1) {
+        // `+= a + σ·b`, the scalar operand order.
+        let v = &mut vals[slot as usize];
+        Cx::load(v).add(Cx::splat(a).add(s.mul(Cx::splat(b)))).store(v);
     }
     let v = vals.as_mut_ptr();
     for step in 0..program.n {
@@ -784,7 +779,7 @@ mod x86 {
     #[target_feature(enable = "avx")]
     pub(super) unsafe fn replay_avx(
         program: &FactorProgram,
-        stamp: Option<Stamp<'_>>,
+        stamp: Stamp<'_>,
         vals: &mut [Split],
         dets: &mut BlockDets,
         live: u8,
@@ -800,7 +795,7 @@ mod x86 {
     #[target_feature(enable = "avx512f")]
     pub(super) unsafe fn replay_avx512(
         program: &FactorProgram,
-        stamp: Option<Stamp<'_>>,
+        stamp: Stamp<'_>,
         vals: &mut [Split],
         dets: &mut BlockDets,
         live: u8,
@@ -839,152 +834,169 @@ mod x86 {
     }
 }
 
-/// Per-executor mutable state for **batched** [`FactorProgram`] execution:
-/// `lanes` independent value sets driven through the instruction stream
-/// together ([`FactorProgram::refactor_batch`] /
-/// [`FactorProgram::solve_batch`]).
+impl FactorProgram {
+    /// Evaluates **one** affine matrix `K₀ + σ·K₁` at many points, one
+    /// lane per point: raw entry `e` of lane `k` takes the value
+    /// `k0[e] + sigmas[k]·k1[e]`. For each block of eight lanes it stamps
+    /// those values, replays the instruction stream, folds the order's
+    /// sign into the live lanes' determinants ([`BatchScratch::lane_det`])
+    /// and, when `solve` gives a right-hand side shared by every lane,
+    /// solves the block against it. Then it moves on to the next block.
+    /// The solutions land column-major in `solve`'s vector
+    /// (`x[col·lanes + lane]`, cleared and refilled).
+    ///
+    /// Per live lane the arithmetic is **operation for operation** that of
+    /// a one-lane [`FactorProgram::refactor_values`] fed `k0[e] + σ·k1[e]`
+    /// and a [`FactorProgram::solve_into`] (the forward pass's exact-zero
+    /// skip included), with no FMA contraction, so results are
+    /// bit-identical at any lane count. A lane whose prescribed pivot is
+    /// exactly zero dies at that step: [`BatchScratch::lane_det`] reports
+    /// the one-lane `Singular { step }`, the other lanes are unaffected,
+    /// and the dead lane's solution is garbage that callers must not read.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sigmas` is empty, or a coefficient slice's length
+    /// differs from the compiled pattern's raw entry count, or the
+    /// right-hand side's from the dimension.
+    pub fn eval_points(
+        &self,
+        k0: &[Complex],
+        k1: &[Complex],
+        sigmas: &[Complex],
+        solve: Option<(&[Complex], &mut Vec<Complex>)>,
+        scratch: &mut BatchScratch,
+    ) {
+        self.eval_points_on(BatchTier::detected(), k0, k1, sigmas, solve, scratch);
+    }
+
+    /// [`FactorProgram::eval_points`] on a given kernel tier.
+    ///
+    /// # Panics
+    ///
+    /// As [`FactorProgram::eval_points`], and if the CPU lacks `tier`.
+    pub(crate) fn eval_points_on(
+        &self,
+        tier: BatchTier,
+        k0: &[Complex],
+        k1: &[Complex],
+        sigmas: &[Complex],
+        mut solve: Option<(&[Complex], &mut Vec<Complex>)>,
+        scratch: &mut BatchScratch,
+    ) {
+        assert!(!sigmas.is_empty(), "batch needs at least one lane");
+        assert_eq!(k0.len(), self.scatter.len(), "k0 length differs from compiled pattern");
+        assert_eq!(k1.len(), self.scatter.len(), "k1 length differs from compiled pattern");
+        let (n, lanes) = (self.n, sigmas.len());
+        scratch.lanes = lanes;
+        scratch.vals.resize(self.slots, Split::default());
+        scratch.dets.clear();
+        if let Some((rhs, x)) = &mut solve {
+            assert_eq!(rhs.len(), n, "rhs length mismatch");
+            x.clear();
+            x.resize(n * lanes, Complex::ZERO);
+            scratch.work.resize(n, Split::default());
+            scratch.sol.resize(n, Split::default());
+        }
+        for (b, sigmas) in sigmas.chunks(BLOCK).enumerate() {
+            let (count, mut dets) = (sigmas.len(), BlockDets::START);
+            let stamp = Stamp { k0, k1, sigma: Split::from_lanes(sigmas.iter().copied()) };
+            let live = ((1u16 << count) - 1) as u8;
+            tier.replay_block(self, stamp, &mut scratch.vals, &mut dets, live);
+            for k in 0..count {
+                if dets.singular[k] == LANE_LIVE {
+                    let d =
+                        ExtComplex::new(dets.mant.lane(k), dets.exp[k]) * Complex::real(self.sign);
+                    dets.mant.set_lane(k, d.mantissa());
+                    dets.exp[k] = d.exponent();
+                }
+            }
+            scratch.dets.push(dets);
+            if let Some((rhs, x)) = &mut solve {
+                for (w, &v) in scratch.work.iter_mut().zip(rhs.iter()) {
+                    *w = Split::from_lanes(std::iter::repeat_n(v, count));
+                }
+                tier.solve_block(self, &scratch.vals, &mut scratch.work, &mut scratch.sol);
+                for (col, s) in scratch.sol.iter().enumerate() {
+                    for k in 0..count {
+                        x[col * lanes + b * BLOCK + k] = s.lane(k);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Per-executor mutable state for [`FactorProgram::eval_points`]: the
+/// slot values of one block of eight lanes, whatever the lane count, one
+/// block's rows and columns for the solve, and each block's determinant
+/// accumulators.
 ///
 /// # Lane layout
 ///
 /// Lanes are padded to blocks of eight. Within a block, each slot holds
 /// the eight lanes' real parts and then their imaginary parts — one
-/// 64-byte-aligned pair of cache lines — and the blocks follow one
-/// another, so the replay and the solve run each block as its own pass
-/// over the instruction stream, every instruction applying to eight
-/// lanes of contiguous, aligned memory. Padded lanes compute on zeros and
-/// are never read. The layout is private: lanes are reached only through
-/// [`BatchScratch::lane_det`], [`BatchScratch::singular_step`] and the
-/// row- and column-major vectors of [`FactorProgram::solve_batch`].
+/// 64-byte-aligned pair of cache lines — so every instruction of the
+/// replay and the solve applies to eight lanes of contiguous, aligned
+/// memory. A block is stamped, replayed and solved before the next one
+/// reuses its slots. Padded lanes replay `K₀` (`σ = 0`) and are never
+/// read. The layout is private: lanes are reached only through
+/// [`BatchScratch::lane_det`] and the column-major solutions of
+/// [`FactorProgram::eval_points`].
 ///
 /// # Per-lane failure
 ///
 /// One dead lane does not kill the batch: a lane hitting an exact-zero
-/// pivot records its first failing step ([`BatchScratch::singular_step`],
-/// the batched analogue of `FactorError::Singular { step }`) while the
-/// other lanes proceed bit-identically to one-lane replays.
+/// pivot records its first failing step, which
+/// [`BatchScratch::lane_det`] reports as the one-lane
+/// `FactorError::Singular { step }`, while the other lanes proceed
+/// bit-identically to one-lane replays.
 ///
-/// All buffers retain capacity across points; one scratch per worker
+/// All buffers retain capacity across calls; one scratch per worker
 /// thread, the program shared.
 #[derive(Clone, Debug, Default)]
 pub struct BatchScratch {
+    /// Lane count of the last batch.
     lanes: usize,
-    /// Slot values, block after block: block `b` holds
-    /// `vals[b·slots..(b + 1)·slots]`.
-    pub(super) vals: Vec<Split>,
+    /// One block's slot values: the last block's, once a batch is done.
+    vals: Vec<Split>,
     /// Per block: determinant accumulators and first singular steps.
-    pub(super) dets: Vec<BlockDets>,
+    dets: Vec<BlockDets>,
     /// One block's rows during a solve (right-hand sides, then the
     /// forward pass's `y`).
-    pub(super) work: Vec<Split>,
+    work: Vec<Split>,
     /// One block's solution columns during a solve.
-    pub(super) sol: Vec<Split>,
-    pub(super) factored: bool,
+    sol: Vec<Split>,
 }
 
 impl BatchScratch {
-    /// An empty scratch; buffers size themselves on first use and the lane
-    /// count follows each [`FactorProgram::refactor_batch`] call.
+    /// An empty scratch; buffers size themselves on first use.
     pub fn new() -> BatchScratch {
         BatchScratch::default()
     }
 
-    /// Lane count of the last batched replay.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// The elimination step at which `lane` died (`None` while live) — the
-    /// per-lane analogue of `FactorError::Singular { step }`.
+    /// Determinant of `lane` from the last [`FactorProgram::eval_points`]
+    /// (sign-corrected, extended-range), or the same `Singular { step }`
+    /// error a one-lane replay of that lane's values would have returned.
     ///
     /// # Panics
     ///
-    /// Panics if no batched replay has run yet or `lane` is out of range.
-    pub fn singular_step(&self, lane: usize) -> Option<usize> {
-        match self.dets(lane).singular[lane % BLOCK] {
-            LANE_LIVE => None,
-            step => Some(step as usize),
-        }
-    }
-
-    /// Determinant of `lane` from the last batched replay (sign-corrected,
-    /// extended-range), or the same `Singular { step }` error a one-lane
-    /// replay of that lane's values would have returned.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no batched replay has run yet or `lane` is out of range.
+    /// Panics if `lane` is out of range for the last batch (or no batch
+    /// has run).
     pub fn lane_det(&self, lane: usize) -> Result<ExtComplex, FactorError> {
-        let dets = self.dets(lane);
-        let k = lane % BLOCK;
+        assert!(lane < self.lanes, "lane {lane} out of range for {} lanes", self.lanes);
+        let (dets, k) = (&self.dets[lane / BLOCK], lane % BLOCK);
         match dets.singular[k] {
             LANE_LIVE => Ok(ExtComplex::new(dets.mant.lane(k), dets.exp[k])),
             step => Err(FactorError::Singular { step: step as usize }),
         }
     }
 
-    /// The accumulators of `lane`'s block.
-    fn dets(&self, lane: usize) -> &BlockDets {
-        assert!(self.factored, "scratch holds no factorization");
-        assert!(lane < self.lanes, "lane {lane} out of range for {} lanes", self.lanes);
-        &self.dets[lane / BLOCK]
-    }
-
-    /// Number of blocks the lanes fill.
-    pub(super) fn blocks(&self) -> usize {
-        self.lanes.div_ceil(BLOCK)
-    }
-
-    /// The lanes of block `b`: its first lane and its real-lane count.
-    pub(super) fn block_lanes(&self, b: usize) -> (usize, usize) {
-        let first = b * BLOCK;
-        (first, (self.lanes - first).min(BLOCK))
-    }
-
-    /// Sizes the buffers for a new batched replay of `lanes` lanes of
-    /// `program`, retaining capacity. The slot values are left as they
-    /// were: the caller zeroes them, or the stamp does.
-    pub(super) fn begin(&mut self, program: &FactorProgram, lanes: usize) {
-        self.factored = false;
-        self.lanes = lanes;
-        self.vals.resize(program.slots * self.blocks(), Split::default());
-        self.dets.clear();
-        self.dets.resize(self.blocks(), BlockDets::START);
-    }
-
-    /// Replays every block on `tier`, stamping each first when `stamp`
-    /// gives the point-major coefficients and the lanes' `σ`, then folds
-    /// the order's sign into the live lanes' determinants.
-    pub(super) fn replay(
-        &mut self,
-        program: &FactorProgram,
-        tier: BatchTier,
-        stamp: Option<(&[Complex], &[Complex], &[Complex])>,
-    ) {
-        for b in 0..self.blocks() {
-            let (first, count) = self.block_lanes(b);
-            let stamp = stamp.map(|(k0, k1, sigmas)| Stamp {
-                k0,
-                k1,
-                sigma: Split::from_lanes(sigmas[first..first + count].iter().copied()),
-            });
-            let vals = &mut self.vals[b * program.slots..(b + 1) * program.slots];
-            let dets = &mut self.dets[b];
-            tier.replay_block(program, stamp, vals, dets, ((1u16 << count) - 1) as u8);
-            for k in 0..count {
-                if dets.singular[k] == LANE_LIVE {
-                    let d = ExtComplex::new(dets.mant.lane(k), dets.exp[k])
-                        * Complex::real(program.sign);
-                    dets.mant.set_lane(k, d.mantissa());
-                    dets.exp[k] = d.exponent();
-                }
-            }
-        }
-        self.factored = true;
-    }
-
-    /// Lane `lane`'s value in slot `slot` of the last replay.
+    /// Lane `lane`'s value in slot `slot` after the last batch, which
+    /// keeps only its last block's slots.
     #[cfg(test)]
-    pub(super) fn slot(&self, slots: usize, slot: usize, lane: usize) -> Complex {
-        self.vals[lane / BLOCK * slots + slot].lane(lane % BLOCK)
+    pub(super) fn slot(&self, slot: usize, lane: usize) -> Complex {
+        assert_eq!(lane / BLOCK + 1, self.dets.len(), "lane {lane} is not in the last block");
+        self.vals[slot].lane(lane % BLOCK)
     }
 }
