@@ -9,6 +9,8 @@
 //! experiment-specific runners below are thin wrappers around it plus the
 //! window-level data the paper tables print.
 
+pub mod check;
+
 use refgen_circuit::library::{positive_feedback_ota, rc_ladder, ua741};
 use refgen_circuit::Circuit;
 use refgen_core::baseline::{
@@ -573,6 +575,11 @@ impl PerfEnv {
 pub struct PerfSnapshot {
     /// The machine/configuration the rows were measured on.
     pub env: PerfEnv,
+    /// The median time of the calibration kernel
+    /// ([`check::calibration_ns`]) over the run, in nanoseconds: the
+    /// machine speed the rows were measured at, which `--check` rescales
+    /// by (0 when unknown).
+    pub calibration_ns: f64,
     /// Every measured row.
     pub rows: Vec<PerfRow>,
     /// `mesh4096_amd_speedup_vs_markowitz`: the median, over interleaved
@@ -597,9 +604,42 @@ impl PerfSnapshot {
         self.rows.iter().find(|r| r.name == name).map(|r| r.median_ns_per_point)
     }
 
+    /// The derived ratios: lane batching's and conjugate mirroring's
+    /// speedups, and on full snapshots the 4 096-node mesh's AMD speedup,
+    /// each with the relative spread of the two rows it is taken from (the
+    /// sum of their relative median absolute deviations). Ratios whose
+    /// rows were not measured are left out.
+    pub fn derived(&self) -> Vec<Derived> {
+        let row = |name: &str| self.rows.iter().find(|r| r.name == name);
+        let spread = |r: &PerfRow| r.mad_ns_per_point / r.median_ns_per_point;
+        let speedup = |name: &'static str, slow: &str, fast: &str| {
+            let (slow, fast) = (row(slow)?, row(fast)?);
+            let value = slow.median_ns_per_point / fast.median_ns_per_point;
+            Some(Derived { name, value, spread: spread(slow) + spread(fast) })
+        };
+        let mesh = self.mesh4096_amd_speedup.and_then(|value| {
+            let markowitz = row("mesh4096_markowitz_direct")?;
+            let amd = row("mesh4096_amd_direct")?;
+            let spread = spread(markowitz) + spread(amd);
+            Some(Derived { name: "mesh4096_amd_speedup_vs_markowitz", value, spread })
+        });
+        [
+            speedup(
+                "ua741_session_speedup_mirror_on_vs_off",
+                "session_ua741_mirror_off",
+                "session_ua741_mirror_on",
+            ),
+            speedup("fleet_batched_speedup", "fleet_ua741x64_scalar", "fleet_ua741x64_batched"),
+            mesh,
+        ]
+        .into_iter()
+        .flatten()
+        .collect()
+    }
+
     /// Serializes as the `BENCH_sampling.json` trajectory format: a
-    /// versioned schema, the raw rows, and derived speedups future PRs
-    /// regress against.
+    /// versioned schema, the calibration time, the raw rows, and derived
+    /// speedups future PRs regress against.
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\n  \"schema\": \"refgen-bench-sampling/v1\",\n");
         s.push_str(&format!(
@@ -607,6 +647,7 @@ impl PerfSnapshot {
              \"lane_width\": {}}},\n",
             self.env.avx, self.env.avx2, self.env.fma, self.env.avx512f, self.env.lane_width,
         ));
+        s.push_str(&format!("  \"calibration_ns\": {:.1},\n", self.calibration_ns));
         s.push_str("  \"rows\": [\n");
         for (i, r) in self.rows.iter().enumerate() {
             s.push_str(&format!(
@@ -623,28 +664,29 @@ impl PerfSnapshot {
             ));
         }
         s.push_str("  ],\n  \"derived\": {\n");
-        let speedup = |a: &str, b: &str| self.ns(a) / self.ns(b);
-        let mut derived: Vec<(&str, f64)> = vec![
-            (
-                "ua741_session_speedup_mirror_on_vs_off",
-                speedup("session_ua741_mirror_off", "session_ua741_mirror_on"),
-            ),
-            ("fleet_batched_speedup", speedup("fleet_ua741x64_scalar", "fleet_ua741x64_batched")),
-        ];
-        // The mesh ratio only exists on full snapshots (quick mode
-        // measures mesh256 alone), so it is appended conditionally.
-        if let Some(ratio) = self.mesh4096_amd_speedup {
-            derived.push(("mesh4096_amd_speedup_vs_markowitz", ratio));
-        }
-        for (i, (name, value)) in derived.iter().enumerate() {
+        let derived = self.derived();
+        for (i, d) in derived.iter().enumerate() {
             s.push_str(&format!(
-                "    \"{name}\": {value:.2}{}\n",
+                "    \"{}\": {:.2}{}\n",
+                d.name,
+                d.value,
                 if i + 1 == derived.len() { "" } else { "," }
             ));
         }
         s.push_str("  }\n}\n");
         s
     }
+}
+
+/// One derived ratio of a [`PerfSnapshot`] (higher is better).
+#[derive(Clone, Copy, Debug)]
+pub struct Derived {
+    /// Ratio identifier (`fleet_batched_speedup`, …).
+    pub name: &'static str,
+    /// The ratio of the two rows' medians.
+    pub value: f64,
+    /// The relative spread of the two rows it is taken from.
+    pub spread: f64,
 }
 
 /// Each rep's ns per transient time step of `circuit` at fixed `dt`,
@@ -684,6 +726,21 @@ pub fn transient_ns_per_step(
     ns
 }
 
+/// The rows of a snapshot being measured, with a calibration-kernel time
+/// taken after each.
+#[derive(Default)]
+struct Recorder {
+    rows: Vec<PerfRow>,
+    calibration: Vec<f64>,
+}
+
+impl Recorder {
+    fn push(&mut self, row: PerfRow) {
+        self.rows.push(row);
+        self.calibration.push(check::calibration_ns());
+    }
+}
+
 /// (Elapsed ns / points) of each of `reps` runs of `work` (one warmup run
 /// first).
 fn ns_per_point(reps: usize, points: usize, mut work: impl FnMut() -> f64) -> Vec<f64> {
@@ -716,6 +773,101 @@ fn paired_ns_per_point(
         t0.elapsed().as_nanos() as f64 / points as f64
     };
     let samples = (0..reps).map(|_| (time(&mut a), time(&mut b))).unzip();
+    std::hint::black_box(sink);
+    samples
+}
+
+/// Copies of one circuit with its element list rotated, so their nodes and
+/// branches are numbered in other orders: the same circuit at the same
+/// cost, but an MNA pattern the process has not planned before (a cold
+/// symbolic memo). Each copy is numbered unlike the original and every
+/// copy before it.
+struct Renumberings {
+    base: Circuit,
+    elements: Vec<String>,
+    rotation: usize,
+    seen: std::collections::HashSet<Vec<Option<usize>>>,
+}
+
+impl Renumberings {
+    fn new(base: &Circuit) -> Renumberings {
+        let text = refgen_circuit::to_spice(base);
+        let elements =
+            text.lines().filter(|l| !l.starts_with(['*', '.'])).map(str::to_string).collect();
+        let mut renumberings =
+            Renumberings { base: base.clone(), elements, rotation: 0, seen: Default::default() };
+        renumberings.seen.insert(renumberings.numbering(base));
+        renumberings
+    }
+
+    /// The MNA row of each element's two nodes and its branch, in the base
+    /// circuit's element order.
+    fn numbering(&self, circuit: &Circuit) -> Vec<Option<usize>> {
+        let sys = refgen_mna::MnaSystem::new(circuit).expect("renumbered circuit compiles");
+        let row = |id| {
+            let name = self.base.node_name(id);
+            sys.node_row(circuit.find_node(name).expect("renumbering keeps every node"))
+        };
+        let rows = |el: &refgen_circuit::Element| {
+            [row(el.nodes.0), row(el.nodes.1), sys.branch_row(&el.name)]
+        };
+        self.base.elements().iter().flat_map(rows).collect()
+    }
+
+    /// The next copy whose numbering is new.
+    ///
+    /// # Panics
+    ///
+    /// Panics once every rotation has been used.
+    fn next(&mut self) -> Circuit {
+        loop {
+            self.rotation += 1;
+            assert!(self.rotation < self.elements.len(), "out of renumberings");
+            let (head, tail) = self.elements.split_at(self.rotation);
+            let lines = tail.iter().chain(head).fold(String::new(), |acc, l| acc + l + "\n");
+            let circuit = refgen_circuit::parse_netlist(&format!("* renumbered\n{lines}.end\n"))
+                .expect("a rotated netlist parses")
+                .circuit;
+            if self.seen.insert(self.numbering(&circuit)) {
+                return circuit;
+            }
+        }
+    }
+}
+
+/// [`ns_per_point`] of `work` on an input no earlier rep planned:
+/// `fresh(rep)` builds each rep's input (and the warmup run's), all before
+/// the first timed rep, and each timed rep must miss the symbolic memo —
+/// order or compile at least once. Right before its rep, an untimed
+/// `touch` brings the input's data into cache, as a warm row's repeated
+/// input is, so the two rows differ by the memo alone.
+///
+/// # Panics
+///
+/// Panics if a timed rep planned nothing new.
+fn cold_ns_per_point<T>(
+    reps: usize,
+    points: usize,
+    fresh: impl FnMut(usize) -> T,
+    mut touch: impl FnMut(&T),
+    mut work: impl FnMut(&T) -> f64,
+) -> Vec<f64> {
+    let inputs: Vec<T> = (0..=reps).map(fresh).collect();
+    let mut sink = work(&inputs[reps]);
+    let samples = inputs[..reps]
+        .iter()
+        .enumerate()
+        .map(|(rep, input)| {
+            touch(input);
+            let misses = refgen_mna::symbolic_memo_stats().misses;
+            let t0 = std::time::Instant::now();
+            sink += work(input);
+            let ns = t0.elapsed().as_nanos() as f64 / points as f64;
+            let missed = refgen_mna::symbolic_memo_stats().misses > misses;
+            assert!(missed, "cold rep {rep} planned nothing new");
+            ns
+        })
+        .collect();
     std::hint::black_box(sink);
     samples
 }
@@ -774,7 +926,10 @@ fn bench_affine_pattern(
 ///   them;
 /// * `plan_ua741_miss` — ns per plan built through a fresh `PlanCache` at
 ///   the scales where the default µA741 session's plans miss its cache
-///   (probe factorization, ordering selection and program compile);
+///   (probe factorization, ordering selection and program compile), each
+///   rep on a renumbered µA741 the process has not planned (a cold
+///   symbolic memo); `plan_ua741_miss_warm` the same on one system every
+///   rep, whose programs the memo holds after the first;
 /// * `plan_ua741_gate` — ns per plan built at the scales where the
 ///   default µA741 session's plans certify a new plan cell (the growth
 ///   gate: a replay of the root program at the cell centre), through a
@@ -784,13 +939,17 @@ fn bench_affine_pattern(
 ///   each pivot ordering;
 /// * `mesh{nodes}_auto_sweep` — the same meshes and grid through the
 ///   direct AC sweep ([`refgen_mna::AcAnalysis::sweep_fast`]) at the
-///   default lane width, plan build included, ns per point;
+///   default lane width, plan build included, ns per point, each rep on a
+///   renumbered mesh (cold memo); `mesh{nodes}_auto_sweep_warm` on one
+///   mesh every rep;
 /// * `plan_mesh1024_auto` — the plan build alone
 ///   ([`refgen_mna::SweepPlan::new`], default ordering) on the 1 024-node
-///   grid mesh, ns per plan; measured in quick mode too.
+///   grid mesh, ns per plan, cold as above, with its `_warm` twin;
+///   measured in quick mode too.
 ///
 /// The snapshot also records the [`PerfEnv`] (CPU feature flags seen by
-/// the batched kernel's runtime dispatch, configured lane width).
+/// the batched kernel's runtime dispatch, configured lane width) and the
+/// calibration kernel's time ([`PerfSnapshot::calibration_ns`]).
 /// `quick` shrinks repetition counts for compile-smoke runs.
 ///
 /// # Panics
@@ -802,7 +961,11 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
     use refgen_sparse::{FactorProgram, ProgramScratch, SparseLu, Triplets};
 
     let reps = if quick { 5 } else { 60 };
-    let mut rows = Vec::new();
+    // The machine speed: the calibration kernel's median over runs at the
+    // start, after every row and at the end, since contention on a shared
+    // host comes and goes within a run.
+    let mut rows = Recorder::default();
+    rows.calibration.extend((0..5).map(|_| check::calibration_ns()));
 
     let circuits: [(&str, Circuit); 2] =
         [("ladder16", rc_ladder(16, 1e3, 1e-9)), ("ua741", ua741())];
@@ -938,7 +1101,9 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
         let lane_width = RefgenConfig::default().lane_width.max(1);
         let sigmas = refgen_numeric::dft::unit_circle_points(40);
         let evals = sigmas.len() * plans.len();
-        let fleet_reps = if quick { 3 } else { 25 };
+        // The derived ratios' rows run as many reps in quick mode as in a
+        // full run, so a quick check compares like with like.
+        let fleet_reps = 25;
         let repr = |r: &TransferResponse| format!("{r:?}");
 
         let mut seq = SweepScratch::new();
@@ -984,24 +1149,27 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
         rows.push(PerfRow::new("fleet_ua741x64_batched", ns, evals));
     }
 
-    // Full adaptive Session solves of the µA741, mirroring on vs off.
-    let session_reps = if quick { 2 } else { 9 };
+    // Full adaptive Session solves of the µA741, mirroring on vs off,
+    // their reps interleaved.
+    let session_reps = 9;
     let ua741_circuit = ua741();
-    for (label, mirror) in [("on", true), ("off", false)] {
-        let cfg = RefgenConfig::builder().conjugate_mirror(mirror).build();
-        let mut total_points = 0usize;
-        let mut samples: Vec<f64> = Vec::with_capacity(session_reps);
-        for _ in 0..session_reps {
-            let t0 = std::time::Instant::now();
-            let solution = Session::for_circuit(&ua741_circuit)
-                .spec(standard_spec())
-                .config(cfg)
-                .solve()
-                .expect("µA741 solves");
-            total_points = solution.total_points();
-            samples.push(t0.elapsed().as_nanos() as f64 / total_points as f64);
-        }
-        rows.push(PerfRow::new(format!("session_ua741_mirror_{label}"), samples, total_points));
+    {
+        let circuit = &ua741_circuit;
+        let session = |mirror: bool| {
+            let cfg = RefgenConfig::builder().conjugate_mirror(mirror).build();
+            move || {
+                let solution = Session::for_circuit(circuit)
+                    .spec(standard_spec())
+                    .config(cfg)
+                    .solve()
+                    .expect("µA741 solves");
+                solution.total_points() as f64
+            }
+        };
+        let points = session(true)() as usize;
+        let (on, off) = paired_ns_per_point(session_reps, points, session(true), session(false));
+        rows.push(PerfRow::new("session_ua741_mirror_on", on, points));
+        rows.push(PerfRow::new("session_ua741_mirror_off", off, points));
     }
 
     // Full adaptive sessions of the paper's Table 1 OTA and of the Miller
@@ -1131,11 +1299,38 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
                 }
             }
         }
+        // Cold: each rep plans a renumbered µA741, whose orders and
+        // programs the process has not built. Warm: the same system every
+        // rep, its programs memoized after the first.
+        let mut renumberings = Renumberings::new(&ua741_circuit);
+        let ns = cold_ns_per_point(
+            reps,
+            misses.len(),
+            |_| MnaSystem::new(&renumberings.next()).expect("µA741 compiles"),
+            |sys| {
+                let probe = Complex::new(1f64.cos(), 1f64.sin());
+                std::hint::black_box(sys.det(probe, misses[0].1).expect("µA741 stamps"));
+            },
+            |sys| {
+                let cache = PlanCache::new();
+                let build = |kind: PolyKind, scale: Scale| match kind {
+                    PolyKind::Denominator => SweepPlan::for_determinant_cached_with_ordering(
+                        sys, scale, &cache, ordering,
+                    ),
+                    PolyKind::Numerator => {
+                        SweepPlan::new_cached_with_ordering(sys, scale, &spec, &cache, ordering)
+                            .expect("µA741 plans")
+                    }
+                };
+                misses.iter().map(|&(kind, scale)| build(kind, scale).dim() as f64).sum()
+            },
+        );
+        rows.push(PerfRow::new("plan_ua741_miss", ns, misses.len()));
         let ns = ns_per_point(reps, misses.len(), || {
             let cache = PlanCache::new();
             misses.iter().map(|&(kind, scale)| build(kind, scale, &cache).dim() as f64).sum()
         });
-        rows.push(PerfRow::new("plan_ua741_miss", ns, misses.len()));
+        rows.push(PerfRow::new("plan_ua741_miss_warm", ns, misses.len()));
         let samples: Vec<f64> = (0..reps)
             .map(|_| {
                 let cache = PlanCache::new();
@@ -1212,24 +1407,54 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
             }
             rows.push(PerfRow::new(format!("mesh{nodes}_markowitz_direct"), markowitz, points));
             rows.push(PerfRow::new(format!("mesh{nodes}_amd_direct"), amd, points));
-            let ac = AcAnalysis::new(&circuit, spec.clone()).expect("mesh compiles");
+            // The whole sweep, plan build included: cold on a renumbered
+            // mesh per rep, warm on the same mesh every rep.
             let lanes = RefgenConfig::default().lane_width;
-            let ns = ns_per_point(mesh_reps, points, || {
+            let sweep = |ac: &AcAnalysis| {
                 let sweep = ac.sweep_fast(freqs, lanes).expect("mesh sweeps");
                 sweep.iter().map(|p| p.response.re).sum()
-            });
+            };
+            let mut renumberings = Renumberings::new(&circuit);
+            let ns = cold_ns_per_point(
+                mesh_reps,
+                points,
+                |_| AcAnalysis::new(&renumberings.next(), spec.clone()).expect("mesh compiles"),
+                |_| {},
+                sweep,
+            );
             rows.push(PerfRow::new(format!("mesh{nodes}_auto_sweep"), ns, points));
+            let ac = AcAnalysis::new(&circuit, spec.clone()).expect("mesh compiles");
+            let ns = ns_per_point(mesh_reps, points, || sweep(&ac));
+            rows.push(PerfRow::new(format!("mesh{nodes}_auto_sweep_warm"), ns, points));
         }
-        let sys =
-            refgen_mna::MnaSystem::new(&grid_rc_mesh(32, 32, 9000 + 1024)).expect("mesh compiles");
+        // The default plan build alone, cold and warm as above.
+        let mesh = grid_rc_mesh(32, 32, 9000 + 1024);
         let plan_reps = if quick { 5 } else { 15 };
-        let ns = ns_per_point(plan_reps, 1, || {
-            SweepPlan::new(&sys, Scale::unit(), &spec).expect("mesh plans").dim() as f64
-        });
+        let plan = |sys: &refgen_mna::MnaSystem| {
+            SweepPlan::new(sys, Scale::unit(), &spec).expect("mesh plans").dim() as f64
+        };
+        let mut renumberings = Renumberings::new(&mesh);
+        let ns = cold_ns_per_point(
+            plan_reps,
+            1,
+            |_| refgen_mna::MnaSystem::new(&renumberings.next()).expect("mesh compiles"),
+            |sys| {
+                let probe = Complex::new(1f64.cos(), 1f64.sin());
+                std::hint::black_box(sys.det(probe, Scale::unit()).expect("mesh stamps"));
+            },
+            plan,
+        );
         rows.push(PerfRow::new("plan_mesh1024_auto", ns, 1));
+        let sys = refgen_mna::MnaSystem::new(&mesh).expect("mesh compiles");
+        let ns = ns_per_point(plan_reps, 1, || plan(&sys));
+        rows.push(PerfRow::new("plan_mesh1024_auto_warm", ns, 1));
     }
 
-    PerfSnapshot { env: PerfEnv::detect(), rows, mesh4096_amd_speedup }
+    let Recorder { rows, mut calibration } = rows;
+    calibration.extend((0..5).map(|_| check::calibration_ns()));
+    calibration.sort_by(f64::total_cmp);
+    let calibration_ns = calibration[calibration.len() / 2];
+    PerfSnapshot { env: PerfEnv::detect(), calibration_ns, rows, mesh4096_amd_speedup }
 }
 
 #[cfg(test)]
@@ -1268,6 +1493,7 @@ mod tests {
         ];
         let snapshot = PerfSnapshot {
             env: PerfEnv::detect(),
+            calibration_ns: 1.5e6,
             rows: names
                 .iter()
                 .enumerate()
@@ -1323,6 +1549,7 @@ mod tests {
         ];
         let snapshot = PerfSnapshot {
             env: PerfEnv::detect(),
+            calibration_ns: 1.5e6,
             rows: names
                 .iter()
                 .enumerate()

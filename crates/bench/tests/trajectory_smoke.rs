@@ -55,7 +55,13 @@ fn written_rows_carry_spread() {
             reps: 5,
         })
         .collect();
-    let json = PerfSnapshot { env: PerfEnv::detect(), rows, mesh4096_amd_speedup: None }.to_json();
+    let json = PerfSnapshot {
+        env: PerfEnv::detect(),
+        calibration_ns: 1.5e6,
+        rows,
+        mesh4096_amd_speedup: None,
+    }
+    .to_json();
     for name in names {
         let line = json
             .lines()

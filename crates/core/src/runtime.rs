@@ -188,10 +188,13 @@ impl SamplingRuntime {
         self.plans.shared_hits()
     }
 
-    /// Compiled symbolic kernels (`FactorProgram`s) built through the
-    /// plan cache so far — like pivot searches, plan sharing drives this
-    /// toward one per topology: one per plan cell whose growth gate fails,
-    /// plus the anchor's own, for a whole fleet of same-topology variants.
+    /// Ordering selections, each holding one compiled symbolic kernel
+    /// (`FactorProgram`), recorded through the plan cache so far — like
+    /// pivot searches, plan sharing drives this toward one per topology:
+    /// one per plan cell whose growth gate fails, plus the anchor's own,
+    /// for a whole fleet of same-topology variants. A recorded kernel is
+    /// compiled only when the process-wide symbolic memo does not hold it
+    /// already (`refgen_mna::SYMBOLIC_MEMO_BYTES`).
     pub fn programs_compiled(&self) -> usize {
         self.plans.programs_compiled()
     }

@@ -86,8 +86,9 @@ pub use degree::DegreeBounds;
 pub use error::MnaError;
 pub use sensitivity::Sensitivity;
 pub use sweep::{
-    OrderingChoice, OrderingMode, PlanCache, SelectedOrdering, SweepBatchScratch, SweepPlan,
-    SweepScratch, SweepStats,
+    clear_symbolic_memo, symbolic_memo_stats, OrderingChoice, OrderingMode, PlanCache,
+    SelectedOrdering, SweepBatchScratch, SweepPlan, SweepScratch, SweepStats, SymbolicMemoStats,
+    SYMBOLIC_MEMO_BYTES,
 };
 pub use system::{MnaSystem, Scale};
 pub use transfer::{OutputSpec, TransferResponse, TransferSpec};

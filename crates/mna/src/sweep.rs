@@ -26,7 +26,10 @@
 //!   together with the **compiled symbolic kernel**
 //!   ([`FactorProgram`]) built from
 //!   `(pattern, pivot order)`: fill-in, slot layout, and the elimination
-//!   instruction stream are computed once, and every point stamps
+//!   instruction stream are computed once per process (AMD orders and
+//!   programs live in a byte-bounded process-wide memo, see
+//!   [`SYMBOLIC_MEMO_BYTES`]; the probe and every numeric check run on
+//!   every plan), and every point stamps
 //!   `K₀ + s·K₁` straight into flat slots and replays — no pivot search,
 //!   and zero sorting, searching, insertion, or allocation per point
 //!   ([`SweepStats::compiled_hits`] counts these replays);
@@ -104,7 +107,7 @@ use crate::faults;
 use crate::system::{MnaSystem, Scale, StampTable};
 use crate::transfer::{OutputSpec, TransferResponse, TransferSpec};
 use refgen_numeric::{Complex, ExtComplex};
-use refgen_sparse::{FactorProgram, PivotOrder, ProgramScratch, SparseLu, Triplets};
+use refgen_sparse::{FactorError, FactorProgram, PivotOrder, ProgramScratch, SparseLu, Triplets};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -548,11 +551,13 @@ impl PlanCache {
 
     /// Ordering selections recorded through this cache, each holding one
     /// [`FactorProgram`] — the count of recorded selections, not of
-    /// compile calls (a selection may compile none, one or two programs
-    /// while choosing). Symbolic analysis is value- and scale-independent,
-    /// so a whole fleet of same-topology plans records **one** when every
-    /// cell it visits certifies — cache hits hand out the same `Arc`'d
-    /// program the root selection stored.
+    /// compile calls (a selection may need none, one or two programs
+    /// while choosing, and each comes from the process-wide symbolic memo,
+    /// [`SYMBOLIC_MEMO_BYTES`], compiled only if this process has not
+    /// compiled it before). Symbolic analysis is value- and
+    /// scale-independent, so a whole fleet of same-topology plans records
+    /// **one** when every cell it visits certifies — cache hits hand out
+    /// the same `Arc`'d program the root selection stored.
     pub fn programs_compiled(&self) -> usize {
         self.compiled.load(Ordering::Relaxed)
     }
@@ -700,24 +705,267 @@ fn probe_at(
     SparseLu::factor(&probe_t).ok()
 }
 
-/// Compiles the symbolic kernel for `(pattern, order)`, `None` when the
-/// program would pass its compile budget ([`FactorError::TooLarge`]): the
-/// plan then replays no program. [`FactorProgram::compile`]'s other
-/// failures, a dimension mismatch or a structurally absent pivot, cannot
-/// happen for an order a probe just recorded on this very pattern — the
-/// only orders compiled here.
+/// The symbolic kernel for `(pattern, order)`, `None` when the program
+/// would pass its compile budget ([`FactorError::TooLarge`]): the plan
+/// then replays no program. [`FactorProgram::compile`]'s other failures, a
+/// dimension mismatch or a structurally absent pivot, cannot happen for an
+/// order a probe just recorded on this very pattern — the only orders
+/// compiled here.
 ///
-/// [`FactorError::TooLarge`]: refgen_sparse::FactorError::TooLarge
-/// [`PlanCache`] hits hand out the *stored* program without recompiling,
-/// safe because cache entries are keyed by the positions-only pattern
-/// fingerprint (identical positions ⇒ identical symbolic analysis).
+/// The program comes from the process-wide [symbolic memo](SYMBOLIC_MEMO_BYTES):
+/// a pattern and order this process has compiled before (a failed compile
+/// included) is not compiled again, and every plan of it shares one `Arc`'d
+/// program. Compilation is a pure function of the dimension, the positions
+/// and the order, so a memoized program is the one a compile would return.
 pub(crate) fn compile_program(
     dim: usize,
     pattern: &[(usize, usize, Complex, Complex)],
     order: &PivotOrder,
-) -> Option<FactorProgram> {
-    let positions: Vec<(usize, usize)> = pattern.iter().map(|&(r, c, _, _)| (r, c)).collect();
-    FactorProgram::compile(dim, &positions, order).ok()
+) -> Option<Arc<FactorProgram>> {
+    let positions = positions_of(pattern);
+    let compile = || Analysis {
+        order: order.clone(),
+        program: FactorProgram::compile(dim, &positions, order).map(Arc::new),
+    };
+    SYMBOLIC_MEMO.analysis(dim, &positions, Some(order), compile).program.ok()
+}
+
+/// The AMD order of `pattern`'s positions and the program compiled from
+/// it (or the compile's failure), through the process-wide symbolic memo:
+/// both are pure functions of the dimension and the positions.
+fn amd_analysis(dim: usize, pattern: &[(usize, usize, Complex, Complex)]) -> Analysis {
+    let positions = positions_of(pattern);
+    let analyze = || {
+        let order = refgen_sparse::ordering::minimum_degree(dim, &positions);
+        let program = FactorProgram::compile(dim, &positions, &order).map(Arc::new);
+        Analysis { order, program }
+    };
+    SYMBOLIC_MEMO.analysis(dim, &positions, None, analyze)
+}
+
+/// The positions of an affine pattern, in pattern order.
+fn positions_of(pattern: &[(usize, usize, Complex, Complex)]) -> Vec<(usize, usize)> {
+    pattern.iter().map(|&(r, c, _, _)| (r, c)).collect()
+}
+
+/// The byte budget of the process-wide symbolic memo, which keeps the
+/// value-independent half of plan building — the AMD order of a pattern
+/// and the [`FactorProgram`] compiled from a pattern under an order, or the
+/// compile's typed failure ([`FactorError::TooLarge`]) — so that a process
+/// planning one topology many times (the windows of a session, a stream of
+/// sessions or sweeps, a transient per run) orders and compiles it once.
+///
+/// Every value-dependent step still runs on every plan: the Markowitz
+/// probe, AMD's validation replay at the generic probe point, the
+/// [`PlanCache`] cell gates and the recovery ladder. A lookup hits only on
+/// exact equality of dimension, position list and order, so a plan's output
+/// is bit for bit the same whether the memo was cold or warm.
+///
+/// Retained bytes — each entry's key, order and program
+/// ([`FactorProgram::heap_bytes`]) — never exceed this budget: the least
+/// recently used entries are evicted first, and an entry larger than the
+/// whole budget is returned without being kept. The budget holds about
+/// two dozen AMD programs of the 32×32 grid mesh (2.6 MB each), one of
+/// the 64×64 grid (37 MB), or thousands of µA741-sized ones (8 KB).
+pub const SYMBOLIC_MEMO_BYTES: usize = 64 << 20;
+
+/// The process-wide symbolic memo (see [`SYMBOLIC_MEMO_BYTES`]).
+static SYMBOLIC_MEMO: SymbolicMemo = SymbolicMemo::new(SYMBOLIC_MEMO_BYTES);
+
+/// Size and counters of the process-wide symbolic memo (see
+/// [`SYMBOLIC_MEMO_BYTES`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SymbolicMemoStats {
+    /// Entries held now.
+    pub entries: usize,
+    /// Bytes the held entries retain; never more than
+    /// [`SYMBOLIC_MEMO_BYTES`].
+    pub bytes: usize,
+    /// Lookups answered from a held entry since the process started.
+    pub hits: u64,
+    /// Lookups that ordered or compiled since the process started.
+    pub misses: u64,
+}
+
+/// The process-wide symbolic memo's current size and counters.
+pub fn symbolic_memo_stats() -> SymbolicMemoStats {
+    SYMBOLIC_MEMO.stats()
+}
+
+/// Drops every entry of the process-wide symbolic memo (its counters
+/// keep counting), so the next plan of any pattern orders and compiles
+/// from scratch: a cold start for measurements and tests. Plans already
+/// built keep their programs.
+pub fn clear_symbolic_memo() {
+    SYMBOLIC_MEMO.clear();
+}
+
+/// The value-independent analysis of one pattern under one order: the
+/// order and the program compiled from it, or the compile's failure.
+#[derive(Clone, Debug)]
+struct Analysis {
+    order: PivotOrder,
+    program: Result<Arc<FactorProgram>, FactorError>,
+}
+
+/// One memoized analysis and its key: the dimension, the position list
+/// and the order, or for an AMD entry (`amd`) the positions alone, whose
+/// AMD order is part of the value.
+#[derive(Debug)]
+struct MemoEntry {
+    hash: u64,
+    dim: usize,
+    positions: Vec<(usize, usize)>,
+    amd: bool,
+    analysis: Analysis,
+    bytes: usize,
+    last_used: u64,
+}
+
+/// What a [`SymbolicMemo`] guards with its lock.
+#[derive(Debug)]
+struct MemoState {
+    entries: Vec<MemoEntry>,
+    bytes: usize,
+    clock: u64,
+    hits: u64,
+    misses: u64,
+}
+
+impl MemoState {
+    /// The held analysis of the entry `hash` and `matches` select, marked
+    /// as used now.
+    fn touch(&mut self, hash: u64, matches: impl Fn(&MemoEntry) -> bool) -> Option<Analysis> {
+        self.clock += 1;
+        let clock = self.clock;
+        let entry = self.entries.iter_mut().find(|e| e.hash == hash && matches(e))?;
+        entry.last_used = clock;
+        Some(entry.analysis.clone())
+    }
+
+    /// Holds `entry` unless it alone passes `budget`, evicting the least
+    /// recently used entries until the held bytes fit.
+    fn insert(&mut self, entry: MemoEntry, budget: usize) {
+        if entry.bytes > budget {
+            return;
+        }
+        self.bytes += entry.bytes;
+        self.entries.push(entry);
+        while self.bytes > budget {
+            let oldest = (0..self.entries.len())
+                .min_by_key(|&i| self.entries[i].last_used)
+                .expect("held bytes come from held entries");
+            self.bytes -= self.entries.swap_remove(oldest).bytes;
+        }
+    }
+}
+
+/// A byte-bounded, least-recently-used memo of [`Analysis`] values, keyed
+/// by dimension, positions and order (see [`SYMBOLIC_MEMO_BYTES`]).
+#[derive(Debug)]
+struct SymbolicMemo {
+    budget: usize,
+    state: Mutex<MemoState>,
+}
+
+impl SymbolicMemo {
+    const fn new(budget: usize) -> SymbolicMemo {
+        let state = MemoState { entries: Vec::new(), bytes: 0, clock: 0, hits: 0, misses: 0 };
+        SymbolicMemo { budget, state: Mutex::new(state) }
+    }
+
+    /// Locks the state, recovering it from a poisoned lock: an entry is
+    /// pushed only once built, so a panic under the lock leaves the state
+    /// valid.
+    fn lock(&self) -> MutexGuard<'_, MemoState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The analysis of `positions` under `order` (under their AMD order
+    /// when `order` is `None`): the held one, or the one `build` returns,
+    /// which the memo then holds. `build` runs outside the lock; when two
+    /// threads build one key at once, the first insert wins and both get
+    /// its value.
+    fn analysis(
+        &self,
+        dim: usize,
+        positions: &[(usize, usize)],
+        order: Option<&PivotOrder>,
+        build: impl FnOnce() -> Analysis,
+    ) -> Analysis {
+        let hash = memo_hash(dim, positions, order);
+        let matches = |e: &MemoEntry| {
+            e.dim == dim
+                && e.amd == order.is_none()
+                && e.positions == positions
+                && order.is_none_or(|order| *order == e.analysis.order)
+        };
+        {
+            let mut state = self.lock();
+            if let Some(held) = state.touch(hash, matches) {
+                state.hits += 1;
+                return held;
+            }
+            state.misses += 1;
+        }
+        let analysis = build();
+        let mut state = self.lock();
+        if let Some(held) = state.touch(hash, matches) {
+            return held;
+        }
+        let order_bytes = 2 * analysis.order.dim() * std::mem::size_of::<usize>();
+        let program_bytes = analysis.program.as_ref().map_or(0, |p| p.heap_bytes());
+        let bytes = std::mem::size_of::<MemoEntry>()
+            + std::mem::size_of_val(positions)
+            + order_bytes
+            + program_bytes;
+        let entry = MemoEntry {
+            hash,
+            dim,
+            positions: positions.to_vec(),
+            amd: order.is_none(),
+            analysis: analysis.clone(),
+            bytes,
+            last_used: state.clock,
+        };
+        state.insert(entry, self.budget);
+        analysis
+    }
+
+    fn stats(&self) -> SymbolicMemoStats {
+        let state = self.lock();
+        SymbolicMemoStats {
+            entries: state.entries.len(),
+            bytes: state.bytes,
+            hits: state.hits,
+            misses: state.misses,
+        }
+    }
+
+    fn clear(&self) {
+        let mut state = self.lock();
+        state.entries.clear();
+        state.bytes = 0;
+    }
+}
+
+/// A 64-bit hash of a memo key: the dimension, every position and, for
+/// an order key, every pivot.
+fn memo_hash(dim: usize, positions: &[(usize, usize)], order: Option<&PivotOrder>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut mix = |word: usize| {
+        h = (h ^ word as u64).wrapping_mul(0x0000_0100_0000_01b3).rotate_left(29);
+    };
+    mix(dim);
+    positions.iter().for_each(|&(r, c)| {
+        mix(r);
+        mix(c);
+    });
+    match order {
+        None => mix(usize::MAX),
+        Some(order) => order.rows().iter().chain(order.cols()).for_each(|&k| mix(k)),
+    }
+    h
 }
 
 /// The mesh regime's fill threshold: fill beyond the raw pattern size (or
@@ -766,10 +1014,10 @@ fn select_ordering(
     mode: OrderingMode,
 ) -> Option<PlanSelection> {
     let threshold = amd_fill_threshold(dim, pattern.len());
-    let amd_selection = |(order, program): (PivotOrder, FactorProgram), markowitz_fill| {
+    let amd_selection = |(order, program): (PivotOrder, Arc<FactorProgram>), markowitz_fill| {
         let amd_fill = Some(program.fill_in());
         let choice = OrderingChoice { selected: SelectedOrdering::Amd, markowitz_fill, amd_fill };
-        PlanSelection { order, program: Arc::new(program), choice }
+        PlanSelection { order, program, choice }
     };
     // `Some(result)` once AMD has been tried, so the probe path reuses it.
     let tried = match (mode == OrderingMode::Auto && dim >= AMD_FIRST_DIM)
@@ -808,7 +1056,7 @@ fn select_ordering(
     };
     Some(PlanSelection {
         order: probe.order().clone(),
-        program: Arc::new(program),
+        program,
         choice: OrderingChoice {
             selected: SelectedOrdering::Markowitz,
             markowitz_fill: Some(markowitz_fill),
@@ -817,18 +1065,18 @@ fn select_ordering(
     })
 }
 
-/// Computes the AMD order for `pattern`, compiles it, and validates it
-/// numerically at the generic probe point (the prescribed diagonal pivots
-/// must exist in the filled pattern *and* be numerically nonzero there).
-/// `None` means AMD is unusable on this pattern — its program is over the
-/// compile budget or fails the probe point — so keep Markowitz.
+/// The AMD order for `pattern` and its compiled program (both from the
+/// symbolic memo, [`amd_analysis`]), validated numerically at the generic
+/// probe point on every call: the prescribed diagonal pivots must exist in
+/// the filled pattern *and* be numerically nonzero there. `None` means
+/// AMD is unusable on this pattern — its program is over the compile
+/// budget or fails the probe point — so keep Markowitz.
 fn try_amd_program(
     dim: usize,
     pattern: &[(usize, usize, Complex, Complex)],
-) -> Option<(PivotOrder, FactorProgram)> {
-    let positions: Vec<(usize, usize)> = pattern.iter().map(|&(r, c, _, _)| (r, c)).collect();
-    let order = refgen_sparse::ordering::minimum_degree(dim, &positions);
-    let program = FactorProgram::compile(dim, &positions, &order).ok()?;
+) -> Option<(PivotOrder, Arc<FactorProgram>)> {
+    let Analysis { order, program } = amd_analysis(dim, pattern);
+    let program = program.ok()?;
     let probe = generic_probe();
     let mut scratch = ProgramScratch::new();
     program
@@ -1010,11 +1258,7 @@ impl SweepPlan {
     /// singular-recovery ladder. A replay that reports a singular pivot
     /// escalates through [`SweepPlan::recover`] (fresh Markowitz, then the
     /// alternate-ordering recompile) before the point is allowed to fail.
-    fn factor(
-        &self,
-        s: Complex,
-        scratch: &mut SweepScratch,
-    ) -> Result<Factored, refgen_sparse::FactorError> {
+    fn factor(&self, s: Complex, scratch: &mut SweepScratch) -> Result<Factored, FactorError> {
         let s = faults::poison_point(s);
         let Some((_, program)) = &self.compiled else {
             // No prescribed order at all (singular probe): rung 0 was
@@ -1050,10 +1294,10 @@ impl SweepPlan {
         s: Complex,
         scratch: &mut SweepScratch,
         replay_died: bool,
-    ) -> Result<Factored, refgen_sparse::FactorError> {
+    ) -> Result<Factored, FactorError> {
         scratch.stats.fresh_factorizations += 1;
         let fresh = if faults::poison_fresh() {
-            Err(refgen_sparse::FactorError::Singular { step: 0 })
+            Err(FactorError::Singular { step: 0 })
         } else {
             SparseLu::factor(&scratch.triplets)
         };
@@ -1067,7 +1311,7 @@ impl SweepPlan {
             Err(err) => {
                 if let Some(program) = self.alternate_program() {
                     let replay = if faults::poison_alternate() {
-                        Err(refgen_sparse::FactorError::Singular { step: 0 })
+                        Err(FactorError::Singular { step: 0 })
                     } else {
                         program.refactor_values(self.values_at(s), &mut scratch.prog)
                     };
@@ -1087,14 +1331,16 @@ impl SweepPlan {
     /// pivots by Markowitz (or carries no selection at all), a fresh
     /// Markowitz probe order when the plan pivots by AMD. Rung 2 is a cold
     /// path (reached only after a fresh factorization already failed at
-    /// this point), so nothing is cached: the result is a pure function of
-    /// the plan, keeping recovery deterministic at any thread count.
+    /// this point): its probe and AMD validation run on every call, and
+    /// only the value-independent order and program come from the symbolic
+    /// memo, so the result is a pure function of the plan, keeping recovery
+    /// deterministic at any thread count.
     fn alternate_program(&self) -> Option<Arc<FactorProgram>> {
         if self.amd_selected() {
             let order = probe_order(self.dim, &self.pattern)?;
-            compile_program(self.dim, &self.pattern, &order).map(Arc::new)
+            compile_program(self.dim, &self.pattern, &order)
         } else {
-            try_amd_program(self.dim, &self.pattern).map(|(_, program)| Arc::new(program))
+            try_amd_program(self.dim, &self.pattern).map(|(_, program)| program)
         }
     }
 
@@ -1744,6 +1990,165 @@ mod tests {
         let p2 = SweepPlan::new_cached_with_ordering(&sys, scale, &spec(), &cache, mode).unwrap();
         assert_eq!(cache.shared_hits(), 1, "and a later lookup finds it");
         assert_eq!(p1.order(), p2.order());
+    }
+
+    /// Two separately parsed netlists of one topology plan through one
+    /// memoized program, shared by reference, and that program is the one
+    /// a fresh compile returns: the µA741 under its Markowitz probe order
+    /// and a 16×16 grid mesh under the AMD order Auto adopts unprobed.
+    #[test]
+    fn separately_parsed_netlists_share_one_memoized_program() {
+        use refgen_circuit::library::grid_rc_mesh;
+        use refgen_circuit::{parse_netlist, to_spice};
+        for (circuit, scale) in
+            [(ua741(), Scale::new(1e9, 1e3)), (grid_rc_mesh(16, 16, 41), Scale::unit())]
+        {
+            let text = to_spice(&circuit);
+            let plans: Vec<SweepPlan> = (0..2)
+                .map(|_| {
+                    let parsed = parse_netlist(&text).unwrap().circuit;
+                    SweepPlan::new(&MnaSystem::new(&parsed).unwrap(), scale, &spec()).unwrap()
+                })
+                .collect();
+            let (a, b) = (plans[0].program().unwrap(), plans[1].program().unwrap());
+            assert!(std::ptr::eq(a, b), "one memoized program for both plans");
+            let (dim, pattern) = affine_pattern(&MnaSystem::new(&circuit).unwrap(), scale);
+            let fresh =
+                FactorProgram::compile(dim, &positions_of(&pattern), plans[0].order().unwrap());
+            assert_eq!(a, &fresh.unwrap(), "the memoized program equals a fresh compile");
+        }
+    }
+
+    /// A lookup hits only on the exact key: the same dimension with other
+    /// positions, or the same positions under another order, build their
+    /// own analyses, and an AMD entry never answers an order lookup.
+    #[test]
+    fn memo_never_shares_across_positions_or_orders() {
+        let memo = SymbolicMemo::new(SYMBOLIC_MEMO_BYTES);
+        let builds = std::cell::Cell::new(0);
+        let lookup = |positions: &[(usize, usize)], order: Option<&PivotOrder>| {
+            memo.analysis(3, positions, order, || {
+                builds.set(builds.get() + 1);
+                let order = order
+                    .cloned()
+                    .unwrap_or_else(|| refgen_sparse::ordering::minimum_degree(3, positions));
+                let program = FactorProgram::compile(3, positions, &order).map(Arc::new);
+                Analysis { order, program }
+            })
+        };
+        let chain = [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (2, 2)];
+        let star = [(0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 0), (2, 2)];
+        let natural = PivotOrder::diagonal(vec![0, 1, 2]);
+        let reversed = PivotOrder::diagonal(vec![2, 1, 0]);
+        let first = lookup(&chain, Some(&natural)).program.unwrap();
+        assert!(Arc::ptr_eq(&first, &lookup(&chain, Some(&natural)).program.unwrap()));
+        assert_eq!(builds.get(), 1, "the exact key hits");
+        let other_positions = lookup(&star, Some(&natural)).program.unwrap();
+        let other_order = lookup(&chain, Some(&reversed)).program.unwrap();
+        let amd = lookup(&chain, None);
+        assert_eq!(builds.get(), 4, "each other key builds its own analysis");
+        for program in [&other_positions, &other_order, amd.program.as_ref().unwrap()] {
+            assert!(!Arc::ptr_eq(&first, program));
+        }
+        // The AMD entry answers AMD lookups only, even for the order it holds.
+        assert!(Arc::ptr_eq(amd.program.as_ref().unwrap(), &lookup(&chain, None).program.unwrap()));
+        let held = lookup(&chain, Some(&amd.order)).program.unwrap();
+        assert!(!Arc::ptr_eq(amd.program.as_ref().unwrap(), &held));
+        assert_eq!(memo.stats().entries, builds.get());
+
+        // Through the planning path: same dimension, other positions.
+        let base = MnaSystem::new(&bridged_chain("a", 1e-9)).unwrap();
+        let moved = MnaSystem::new(&bridged_chain("in", 1e-9)).unwrap();
+        let scale = Scale::new(1e9, 1e3);
+        let (pa, pb) =
+            (SweepPlan::for_determinant(&base, scale), SweepPlan::for_determinant(&moved, scale));
+        assert_eq!(pa.dim(), pb.dim(), "test premise: equal dimensions");
+        assert!(!std::ptr::eq(pa.program().unwrap(), pb.program().unwrap()));
+    }
+
+    /// The memo's retained bytes never pass its budget: after more
+    /// patterns than fit, the least recently used entries are gone, a
+    /// recently used one stays, and an entry larger than the whole budget
+    /// is returned without being kept. The process-wide memo is within its
+    /// constant budget too.
+    #[test]
+    fn memo_retains_at_most_its_budget() {
+        let analyze = |dim: usize| {
+            let sys = MnaSystem::new(&rc_ladder(dim, 1e3, 1e-9)).unwrap();
+            let (dim, pattern) = affine_pattern(&sys, Scale::unit());
+            let order = probe_order(dim, &pattern).unwrap();
+            (dim, positions_of(&pattern), order)
+        };
+        let patterns: Vec<_> = (2..24).map(analyze).collect();
+        let one =
+            |memo: &SymbolicMemo,
+             (dim, positions, order): &(usize, Vec<(usize, usize)>, PivotOrder)| {
+                memo.analysis(*dim, positions, Some(order), || Analysis {
+                    order: order.clone(),
+                    program: FactorProgram::compile(*dim, positions, order).map(Arc::new),
+                })
+            };
+        let probe = SymbolicMemo::new(SYMBOLIC_MEMO_BYTES);
+        one(&probe, &patterns[10]);
+        let budget = 5 * probe.stats().bytes;
+        let memo = SymbolicMemo::new(budget);
+        for (k, pattern) in patterns.iter().enumerate() {
+            one(&memo, pattern);
+            // Keep the first pattern recently used.
+            one(&memo, &patterns[0]);
+            let stats = memo.stats();
+            assert!(stats.bytes <= budget, "pattern {k}: {stats:?} over {budget}");
+            assert_eq!(stats.bytes, memo.lock().entries.iter().map(|e| e.bytes).sum::<usize>());
+        }
+        let held = memo.stats();
+        assert!(held.entries < patterns.len() && held.entries >= 3, "{held:?}");
+        let misses = held.misses;
+        one(&memo, &patterns[0]);
+        one(&memo, &patterns[patterns.len() - 1]);
+        assert_eq!(memo.stats().misses, misses, "the recently used entries stay");
+        one(&memo, &patterns[1]);
+        assert_eq!(memo.stats().misses, misses + 1, "the least recently used one is gone");
+
+        let tiny = SymbolicMemo::new(64);
+        one(&tiny, &patterns[3]);
+        assert_eq!((tiny.stats().entries, tiny.stats().bytes), (0, 0), "too large to keep");
+
+        let global = symbolic_memo_stats();
+        assert!(global.bytes <= SYMBOLIC_MEMO_BYTES, "{global:?}");
+    }
+
+    /// A compile that passes its budget is memoized as its typed failure:
+    /// a later lookup returns the same `TooLarge` without compiling again,
+    /// and the planning path's `compile_program` reports it as no program.
+    #[test]
+    fn memoized_too_large_comes_back_without_a_recompile() {
+        // An arrow pattern eliminated hub first fills completely: 300²
+        // slots against a budget of 2¹⁶.
+        let n = 300;
+        let mut positions: Vec<(usize, usize)> = (0..n).map(|i| (i, i)).collect();
+        positions.extend((1..n).flat_map(|i| [(0, i), (i, 0)]));
+        let order = PivotOrder::diagonal((0..n).collect());
+        let memo = SymbolicMemo::new(SYMBOLIC_MEMO_BYTES);
+        let compiles = std::cell::Cell::new(0);
+        let lookup = || {
+            memo.analysis(n, &positions, Some(&order), || {
+                compiles.set(compiles.get() + 1);
+                Analysis {
+                    order: order.clone(),
+                    program: FactorProgram::compile(n, &positions, &order).map(Arc::new),
+                }
+            })
+        };
+        let first = lookup().program.unwrap_err();
+        assert!(matches!(first, FactorError::TooLarge { .. }), "{first:?}");
+        assert_eq!(lookup().program.unwrap_err(), first);
+        assert_eq!(compiles.get(), 1, "the failure is memoized");
+        assert_eq!((memo.stats().hits, memo.stats().misses), (1, 1));
+
+        let pattern: Vec<_> =
+            positions.iter().map(|&(r, c)| (r, c, Complex::ONE, Complex::ZERO)).collect();
+        assert!(compile_program(n, &pattern, &order).is_none());
+        assert!(compile_program(n, &pattern, &order).is_none());
     }
 
     /// FNV-1a over a value's `Debug` text, streamed so a mesh-sized

@@ -240,9 +240,12 @@ pub struct TransientPlan {
 
 impl TransientPlan {
     /// Builds a plan: affine pattern at [`Scale::unit`], one probe
-    /// factorization at the real companion point `γ`, one symbolic
-    /// compilation. Sources without an attached [`Waveform`] drive their
-    /// AC amplitude as a constant.
+    /// factorization at the real companion point `γ`, and the program
+    /// compiled from its order — by the process-wide symbolic memo
+    /// ([`SYMBOLIC_MEMO_BYTES`](crate::SYMBOLIC_MEMO_BYTES)), so a pattern
+    /// and order this process has compiled before are not compiled again.
+    /// Sources without an attached [`Waveform`] drive their AC amplitude as
+    /// a constant.
     ///
     /// # Errors
     ///
@@ -260,7 +263,7 @@ impl TransientPlan {
         let values = companion_values(&pattern, gamma);
         let compiled = probe_order_at(dim, &pattern, Complex::real(gamma)).and_then(|order| {
             let program = compile_program(dim, &pattern, &order)?;
-            Some((order, Arc::new(program)))
+            Some((order, program))
         });
 
         let mut caps = Vec::new();

@@ -61,8 +61,9 @@
 //! lifetimes — pay each one at the widest scope possible:
 //!
 //! ```text
-//!                    once per          once per            once per
-//!                    TOPOLOGY          (pattern, order)    POINT (σ, s)
+//!                    once per          once per process    once per
+//!                    TOPOLOGY          per (pattern,       POINT (σ, s)
+//!                                      order)
 //!                   ┌───────────────┐ ┌─────────────────┐ ┌──────────────────┐
 //!  SYMBOLIC PHASE   │ Markowitz     │ │ FactorProgram:: │ │                  │
 //!  (structure only) │ pivot search  │▶│ compile         │ │                  │
@@ -85,7 +86,13 @@
 //!
 //! Every order the sweep and transient engines replay is compiled into a
 //! [`FactorProgram`]; [`SparseLu::refactor`] is the prescribed-order
-//! reference that the program's bits are tested against.
+//! reference that the program's bits are tested against. The middle
+//! column is a pure function of the dimension, the raw positions and the
+//! order, so `refgen_mna` keeps each AMD order and each compiled program
+//! (or its compile's [`FactorError::TooLarge`]) in one byte-bounded,
+//! least-recently-used memo per process: a process that plans a pattern
+//! again pays only the value-dependent checks (the Markowitz probe,
+//! replays at probe points), never the ordering or the compile.
 //!
 //! The interpolation engine factors the same pattern at dozens of points
 //! per window and across whole Monte-Carlo fleets, so the per-point column

@@ -137,7 +137,7 @@ impl Scalar for Complex {
 /// One multiplier of the elimination: the entry at `slot` (original
 /// position `(row, pivot column)`) is divided by the pivot and then drives
 /// the updates in `ops[ops_start..ops_end]`.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct LEntry {
     /// Original row index the multiplier eliminates (needed by the solve's
     /// forward pass).
@@ -151,7 +151,7 @@ struct LEntry {
 }
 
 /// One precomputed update: `vals[dest] -= l · vals[src]`.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Op {
     dest: u32,
     src: u32,
@@ -165,7 +165,10 @@ struct Op {
 /// **value-independent** — any matrix with the same raw entry positions
 /// (in the same input order) replays the same program, which is what lets
 /// a Monte-Carlo fleet of same-topology variants compile once.
-#[derive(Clone, Debug)]
+///
+/// Two programs are equal when every field is: the same compile of the
+/// same `(dim, positions, order)` gives equal programs.
+#[derive(Clone, Debug, PartialEq)]
 pub struct FactorProgram {
     n: usize,
     slots: usize,
@@ -291,6 +294,25 @@ impl FactorProgram {
     /// each per numeric replay.
     pub fn multiplier_count(&self) -> usize {
         self.lents.len()
+    }
+
+    /// Bytes the program holds: its own size plus the capacity of every
+    /// array it owns.
+    pub fn heap_bytes(&self) -> usize {
+        fn bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        std::mem::size_of::<Self>()
+            + bytes(&self.positions)
+            + bytes(&self.scatter)
+            + bytes(&self.pivot_slots)
+            + bytes(&self.pivot_rows)
+            + bytes(&self.pivot_cols)
+            + bytes(&self.lranges)
+            + bytes(&self.lents)
+            + bytes(&self.ops)
+            + bytes(&self.uranges)
+            + bytes(&self.uents)
     }
 
     /// Raw input entries the compiled stamp map expects per replay (the
