@@ -9,38 +9,36 @@
 //! library moves rescaled times as it moves raw ones.
 //!
 //! A row is flagged when its rerun median passes its rescaled committed
-//! median by more than a tolerance derived from both runs' spreads: the
-//! sum of their relative median absolute deviations, times
-//! [`SPREAD_MULTIPLE`], but never less than a floor. The derived ratios
+//! median by more than a floor ([`TIME_FLOOR`]) plus both runs' relative
+//! spreads (median absolute deviation over median). The derived ratios
 //! (lane batching's and mirroring's speedups, the 4 096-node mesh's AMD
-//! speedup) are held the same way, their spreads the sums of their two
-//! rows' relative deviations. A ratio needs no rescaling, but host drift
-//! does not move its two rows quite alike: lane batching's speedup read
-//! 3.05 on a quiet host and 3.46 on a contended one, its calibration
-//! kernel 1.6× slower, in two back-to-back quick runs. So a ratio's
-//! tolerance also grows with the drift the two calibration times show,
-//! by [`DRIFT_SHARE`] of its logarithm. Only the ratios gate: a check
-//! fails when a ratio regressed, and reports flagged time rows without
-//! failing, since the kernel absorbs most drift but not all of it.
+//! speedup) are held the same way, on their own floor ([`RATIO_FLOOR`])
+//! plus the relative spreads of their two rows in both runs. Only the
+//! ratios gate: a check fails when a ratio regressed, and reports flagged
+//! time rows without failing, since the kernel absorbs most drift but not
+//! all of it.
+//!
+//! The ratios gate only when both runs dispatched the batched kernels to
+//! the same tier: lane batching's speedup depends on the vector width
+//! (on mesh sweeps the AVX tier takes about 1.37× the AVX-512F tier's
+//! time), and the calibration kernel is scalar code. When the
+//! committed trajectory's AVX, AVX-512F or lane width differ from the
+//! rerun's, the check reports every row and ratio and gates none.
 
-use crate::{PerfRow, PerfSnapshot};
+use crate::{PerfEnv, PerfRow, PerfSnapshot};
 use std::fmt;
 use std::hint::black_box;
 use std::time::Instant;
 
-/// How many relative median absolute deviations a rerun may move by.
-pub const SPREAD_MULTIPLE: f64 = 2.0;
-
-/// The least tolerance of a time row: the part of host drift the
+/// A time row's tolerance before spreads: the part of host drift the
 /// calibration kernel does not absorb.
 pub const TIME_FLOOR: f64 = 0.25;
 
-/// The least tolerance of a derived ratio.
-pub const RATIO_FLOOR: f64 = 0.10;
-
-/// How much of the host drift between the two runs (the logarithm of
-/// their calibration times' ratio) a derived ratio's tolerance adds.
-pub const DRIFT_SHARE: f64 = 0.3;
+/// A derived ratio's tolerance before spreads. Host contention does not
+/// move a ratio's two rows quite alike: lane batching's speedup read 3.05
+/// on a quiet host and 3.46 on a contended one in two back-to-back quick
+/// runs, 13 % apart.
+pub const RATIO_FLOOR: f64 = 0.15;
 
 /// Times one run of the calibration kernel, in nanoseconds: a sort of
 /// 50 000 pseudo-random integers (index and branch work, like planning)
@@ -112,20 +110,37 @@ fn lu_kernel() {
 }
 
 /// Reads a trajectory back from the JSON [`PerfSnapshot::to_json`]
-/// writes: one row per line, and the derived ratios as `"name": value`
-/// lines. A file written before snapshots recorded a calibration time
-/// reads as `calibration_ns` 0, which a check treats as uncalibrated.
+/// writes: the environment line, one row per line, and the derived ratios
+/// as `"name": value` lines. A file written before snapshots recorded a
+/// calibration time reads as `calibration_ns` 0, which a check treats as
+/// uncalibrated.
 ///
 /// # Errors
 ///
-/// A message naming the first row line that does not parse.
+/// A message naming an environment line or the first row line that does
+/// not parse.
 pub fn parse_snapshot(json: &str) -> Result<PerfSnapshot, String> {
-    let number = |line: &str, key: &str| -> Option<f64> {
+    fn value<T: std::str::FromStr>(line: &str, key: &str) -> Option<T> {
         let needle = format!("\"{key}\": ");
         let rest = &line[line.find(&needle)? + needle.len()..];
         let end = rest.find([',', '}']).unwrap_or(rest.len());
         rest[..end].trim().parse().ok()
-    };
+    }
+    let number = value::<f64>;
+    let env_line = json
+        .lines()
+        .find(|l| l.trim_start().starts_with("\"env\": "))
+        .ok_or("trajectory has no \"env\" line")?;
+    let env = (|| {
+        Some(crate::PerfEnv {
+            avx: value(env_line, "avx")?,
+            avx2: value(env_line, "avx2")?,
+            fma: value(env_line, "fma")?,
+            avx512f: value(env_line, "avx512f")?,
+            lane_width: value(env_line, "lane_width")?,
+        })
+    })()
+    .ok_or_else(|| format!("unreadable trajectory environment: {env_line}"))?;
     let mut rows = Vec::new();
     for line in json.lines().filter(|l| l.trim_start().starts_with("{\"name\": ")) {
         let row = (|| {
@@ -142,7 +157,7 @@ pub fn parse_snapshot(json: &str) -> Result<PerfSnapshot, String> {
         rows.push(row.ok_or_else(|| format!("unreadable trajectory row: {line}"))?);
     }
     Ok(PerfSnapshot {
-        env: crate::PerfEnv::detect(),
+        env,
         calibration_ns: number(json, "calibration_ns").unwrap_or(0.0),
         rows,
         mesh4096_amd_speedup: number(json, "mesh4096_amd_speedup_vs_markowitz"),
@@ -179,6 +194,9 @@ pub struct Comparison {
 /// A check of a rerun against a committed trajectory.
 #[derive(Clone, Debug)]
 pub struct CheckReport {
+    /// Why the ratios do not gate, when the two runs' batched kernels
+    /// ran on different tiers (see the [module docs](self)).
+    pub ungated: Option<String>,
     /// The factor committed times were multiplied by: the rerun's
     /// calibration time over the committed one (1 when either is
     /// missing).
@@ -190,9 +208,9 @@ pub struct CheckReport {
 }
 
 impl CheckReport {
-    /// `true` when no derived ratio regressed.
+    /// `true` when no derived ratio regressed, or the ratios do not gate.
     pub fn passed(&self) -> bool {
-        self.ratios.iter().all(|r| r.verdict != Verdict::Worse)
+        self.ungated.is_some() || self.ratios.iter().all(|r| r.verdict != Verdict::Worse)
     }
 }
 
@@ -215,6 +233,21 @@ fn verdict(expected: f64, now: f64, tolerance: f64, higher: bool) -> Verdict {
     }
 }
 
+/// Why the batched kernels of runs on `was` and `now` are not comparable,
+/// or `None` when both dispatch to the same tier at the same lane width.
+fn tier_difference(was: &PerfEnv, now: &PerfEnv) -> Option<String> {
+    let tier =
+        |e: &PerfEnv| format!("avx {}, avx512f {}, lane width {}", e.avx, e.avx512f, e.lane_width);
+    let same = (was.avx, was.avx512f, was.lane_width) == (now.avx, now.avx512f, now.lane_width);
+    (!same).then(|| {
+        format!(
+            "committed on {}, rerun on {}: the batched kernels run another tier",
+            tier(was),
+            tier(now)
+        )
+    })
+}
+
 /// Holds `current` to `committed`: every time row and derived ratio the
 /// two share (see the [module docs](self)).
 pub fn check(committed: &PerfSnapshot, current: &PerfSnapshot) -> CheckReport {
@@ -225,8 +258,7 @@ pub fn check(committed: &PerfSnapshot, current: &PerfSnapshot) -> CheckReport {
         .iter()
         .filter_map(|now| {
             let was = committed.rows.iter().find(|r| r.name == now.name)?;
-            let spread = relative_spread(was) + relative_spread(now);
-            let tolerance = (SPREAD_MULTIPLE * spread).max(TIME_FLOOR);
+            let tolerance = TIME_FLOOR + relative_spread(was) + relative_spread(now);
             let expected = was.median_ns_per_point * scale;
             let now_ns = now.median_ns_per_point;
             Some(Comparison {
@@ -244,8 +276,7 @@ pub fn check(committed: &PerfSnapshot, current: &PerfSnapshot) -> CheckReport {
         .into_iter()
         .filter_map(|now| {
             let was = was_ratios.iter().find(|r| r.name == now.name)?;
-            let spread = (SPREAD_MULTIPLE * (was.spread + now.spread)).max(RATIO_FLOOR);
-            let tolerance = spread + DRIFT_SHARE * scale.ln().abs();
+            let tolerance = RATIO_FLOOR + was.spread + now.spread;
             Some(Comparison {
                 name: now.name.to_string(),
                 expected: was.value,
@@ -255,7 +286,7 @@ pub fn check(committed: &PerfSnapshot, current: &PerfSnapshot) -> CheckReport {
             })
         })
         .collect();
-    CheckReport { scale, times, ratios }
+    CheckReport { ungated: tier_difference(&committed.env, &current.env), scale, times, ratios }
 }
 
 impl fmt::Display for CheckReport {
@@ -283,9 +314,10 @@ impl fmt::Display for CheckReport {
                 mark(c.verdict)
             )?;
         }
+        let gate = if self.ungated.is_some() { "not gated" } else { "gated" };
         writeln!(
             f,
-            "{:<38} {:>14} {:>14} {:>8} {:>6}  verdict (gated)",
+            "{:<38} {:>14} {:>14} {:>8} {:>6}  verdict ({gate})",
             "ratio", "committed", "now", "now/was", "tol"
         )?;
         for c in &self.ratios {
@@ -300,10 +332,13 @@ impl fmt::Display for CheckReport {
                 mark(c.verdict)
             )?;
         }
+        if let Some(why) = &self.ungated {
+            writeln!(f, "ratios not gated: {why}")?;
+        }
         let worse = |cs: &[Comparison]| cs.iter().filter(|c| c.verdict == Verdict::Worse).count();
         write!(
             f,
-            "check {}: {} of {} ratios regressed (gated); {} of {} time rows worse (reported only)",
+            "check {}: {} of {} ratios regressed ({gate}); {} of {} time rows worse (reported only)",
             if self.passed() { "passed" } else { "FAILED" },
             worse(&self.ratios),
             self.ratios.len(),
@@ -316,7 +351,6 @@ impl fmt::Display for CheckReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PerfEnv;
 
     fn row(name: &str, median: f64, mad: f64) -> PerfRow {
         PerfRow {
@@ -351,11 +385,51 @@ mod tests {
         written.rows.push(row("mesh4096_amd_direct", 1.0e7, 1.5e6));
         written.mesh4096_amd_speedup = Some(1.1);
         let read = parse_snapshot(&written.to_json()).unwrap();
+        assert_eq!(format!("{:?}", read.env), format!("{:?}", written.env));
         assert_eq!(read.calibration_ns, 1.5e6);
         assert_eq!(read.mesh4096_amd_speedup, Some(1.1));
         assert_eq!(format!("{:?}", read.rows), format!("{:?}", written.rows));
         let legacy = written.to_json().replace("  \"calibration_ns\": 1500000.0,\n", "");
         assert_eq!(parse_snapshot(&legacy).unwrap().calibration_ns, 0.0);
+        let other = PerfEnv { avx512f: !written.env.avx512f, lane_width: 8, ..written.env };
+        written.env = other;
+        assert_eq!(
+            format!("{:?}", parse_snapshot(&written.to_json()).unwrap().env),
+            format!("{other:?}")
+        );
+        let envless: String =
+            written.to_json().lines().filter(|l| !l.contains("\"env\"")).collect();
+        assert!(parse_snapshot(&envless).is_err());
+    }
+
+    /// A trajectory committed on another kernel tier — AVX, AVX-512F or
+    /// lane width differ — is reported in full but gates nothing: a
+    /// regressed ratio leaves the check passed, and the report says why.
+    /// On the same tier the same rerun fails.
+    #[test]
+    fn another_kernel_tier_reports_without_gating() {
+        let committed = snapshot(1.5e6, 850.0, 2000.0);
+        let rerun = snapshot(1.5e6, 850.0 * 1.4, 2000.0);
+        let same_tier = check(&committed, &rerun);
+        assert!(same_tier.ungated.is_none() && !same_tier.passed(), "{same_tier}");
+        let env = committed.env;
+        for other in [
+            PerfEnv { avx512f: !env.avx512f, ..env },
+            PerfEnv { avx: !env.avx, ..env },
+            PerfEnv { lane_width: env.lane_width + 1, ..env },
+        ] {
+            let report = check(&PerfSnapshot { env: other, ..committed.clone() }, &rerun);
+            assert!(report.ungated.is_some(), "{report}");
+            assert!(report.passed(), "{report}");
+            let fleet = report.ratios.iter().find(|c| c.name == "fleet_batched_speedup");
+            assert_eq!(fleet.unwrap().verdict, Verdict::Worse, "still reported");
+            let text = report.to_string();
+            assert!(text.contains("ratios not gated: committed on"), "{text}");
+            assert!(text.contains("check passed"), "{text}");
+        }
+        let fma_only = PerfEnv { fma: !env.fma, avx2: !env.avx2, ..env };
+        let report = check(&PerfSnapshot { env: fma_only, ..committed.clone() }, &rerun);
+        assert!(report.ungated.is_none(), "FMA and AVX2 pick no tier: {report}");
     }
 
     /// A uniformly slower host passes once rescaled; a slower batched

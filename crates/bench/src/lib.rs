@@ -756,6 +756,22 @@ fn ns_per_point(reps: usize, points: usize, mut work: impl FnMut() -> f64) -> Ve
     samples
 }
 
+/// [`ns_per_point`] of `work` on an input the symbolic memo holds: two
+/// untimed runs first, the first for the memo to see every key the work
+/// plans and the second for it to keep them.
+///
+/// # Panics
+///
+/// Panics if the warmup or a timed rep ordered or compiled anything.
+fn warm_ns_per_point(reps: usize, points: usize, mut work: impl FnMut() -> f64) -> Vec<f64> {
+    std::hint::black_box(work() + work());
+    let misses = refgen_mna::symbolic_memo_stats().misses;
+    let samples = ns_per_point(reps, points, work);
+    let now = refgen_mna::symbolic_memo_stats().misses;
+    assert_eq!(now, misses, "a warm rep planned something new");
+    samples
+}
+
 /// [`ns_per_point`] of two workloads, their reps interleaved (one warmup
 /// run of each first): rep `i` of both runs before rep `i + 1` of either,
 /// so drift on the host shifts them alike and their per-rep ratios hold
@@ -777,91 +793,23 @@ fn paired_ns_per_point(
     samples
 }
 
-/// Copies of one circuit with its element list rotated, so their nodes and
-/// branches are numbered in other orders: the same circuit at the same
-/// cost, but an MNA pattern the process has not planned before (a cold
-/// symbolic memo). Each copy is numbered unlike the original and every
-/// copy before it.
-struct Renumberings {
-    base: Circuit,
-    elements: Vec<String>,
-    rotation: usize,
-    seen: std::collections::HashSet<Vec<Option<usize>>>,
-}
-
-impl Renumberings {
-    fn new(base: &Circuit) -> Renumberings {
-        let text = refgen_circuit::to_spice(base);
-        let elements =
-            text.lines().filter(|l| !l.starts_with(['*', '.'])).map(str::to_string).collect();
-        let mut renumberings =
-            Renumberings { base: base.clone(), elements, rotation: 0, seen: Default::default() };
-        renumberings.seen.insert(renumberings.numbering(base));
-        renumberings
-    }
-
-    /// The MNA row of each element's two nodes and its branch, in the base
-    /// circuit's element order.
-    fn numbering(&self, circuit: &Circuit) -> Vec<Option<usize>> {
-        let sys = refgen_mna::MnaSystem::new(circuit).expect("renumbered circuit compiles");
-        let row = |id| {
-            let name = self.base.node_name(id);
-            sys.node_row(circuit.find_node(name).expect("renumbering keeps every node"))
-        };
-        let rows = |el: &refgen_circuit::Element| {
-            [row(el.nodes.0), row(el.nodes.1), sys.branch_row(&el.name)]
-        };
-        self.base.elements().iter().flat_map(rows).collect()
-    }
-
-    /// The next copy whose numbering is new.
-    ///
-    /// # Panics
-    ///
-    /// Panics once every rotation has been used.
-    fn next(&mut self) -> Circuit {
-        loop {
-            self.rotation += 1;
-            assert!(self.rotation < self.elements.len(), "out of renumberings");
-            let (head, tail) = self.elements.split_at(self.rotation);
-            let lines = tail.iter().chain(head).fold(String::new(), |acc, l| acc + l + "\n");
-            let circuit = refgen_circuit::parse_netlist(&format!("* renumbered\n{lines}.end\n"))
-                .expect("a rotated netlist parses")
-                .circuit;
-            if self.seen.insert(self.numbering(&circuit)) {
-                return circuit;
-            }
-        }
-    }
-}
-
-/// [`ns_per_point`] of `work` on an input no earlier rep planned:
-/// `fresh(rep)` builds each rep's input (and the warmup run's), all before
-/// the first timed rep, and each timed rep must miss the symbolic memo —
-/// order or compile at least once. Right before its rep, an untimed
-/// `touch` brings the input's data into cache, as a warm row's repeated
-/// input is, so the two rows differ by the memo alone.
+/// [`ns_per_point`] of `work` on a cleared symbolic memo: the memo is
+/// cleared, untimed, before each rep, so every rep orders and compiles in
+/// full, as every rep of the same row did before the memo existed (the
+/// row's input is the same every rep, its data in cache). Each rep must
+/// miss the memo at least once.
 ///
 /// # Panics
 ///
 /// Panics if a timed rep planned nothing new.
-fn cold_ns_per_point<T>(
-    reps: usize,
-    points: usize,
-    fresh: impl FnMut(usize) -> T,
-    mut touch: impl FnMut(&T),
-    mut work: impl FnMut(&T) -> f64,
-) -> Vec<f64> {
-    let inputs: Vec<T> = (0..=reps).map(fresh).collect();
-    let mut sink = work(&inputs[reps]);
-    let samples = inputs[..reps]
-        .iter()
-        .enumerate()
-        .map(|(rep, input)| {
-            touch(input);
+fn cold_ns_per_point(reps: usize, points: usize, mut work: impl FnMut() -> f64) -> Vec<f64> {
+    let mut sink = work();
+    let samples = (0..reps)
+        .map(|rep| {
+            refgen_mna::clear_symbolic_memo();
             let misses = refgen_mna::symbolic_memo_stats().misses;
             let t0 = std::time::Instant::now();
-            sink += work(input);
+            sink += work();
             let ns = t0.elapsed().as_nanos() as f64 / points as f64;
             let missed = refgen_mna::symbolic_memo_stats().misses > misses;
             assert!(missed, "cold rep {rep} planned nothing new");
@@ -908,7 +856,7 @@ fn bench_affine_pattern(
 ///   variant's points through [`refgen_mna::SweepPlan::eval_batch`] in
 ///   lane groups of the default `lane_width`, the path batch sessions
 ///   run (the batched responses are checked bit for bit against the
-///   scalar ones);
+///   scalar ones; the two rows' reps interleave);
 /// * `session_ua741_mirror_{on,off}` — full adaptive `Session` solves of
 ///   the µA741, ns per interpolation point, mirroring on versus forced
 ///   off;
@@ -927,9 +875,10 @@ fn bench_affine_pattern(
 /// * `plan_ua741_miss` — ns per plan built through a fresh `PlanCache` at
 ///   the scales where the default µA741 session's plans miss its cache
 ///   (probe factorization, ordering selection and program compile), each
-///   rep on a renumbered µA741 the process has not planned (a cold
-///   symbolic memo); `plan_ua741_miss_warm` the same on one system every
-///   rep, whose programs the memo holds after the first;
+///   rep with the symbolic memo cleared (cold, see `cold_ns_per_point`);
+///   `plan_ua741_miss_warm` the same with the programs the memo holds (it
+///   keeps a key from its second request on, so warm rows run twice
+///   untimed first);
 /// * `plan_ua741_gate` — ns per plan built at the scales where the
 ///   default µA741 session's plans certify a new plan cell (the growth
 ///   gate: a replay of the root program at the cell centre), through a
@@ -939,9 +888,8 @@ fn bench_affine_pattern(
 ///   each pivot ordering;
 /// * `mesh{nodes}_auto_sweep` — the same meshes and grid through the
 ///   direct AC sweep ([`refgen_mna::AcAnalysis::sweep_fast`]) at the
-///   default lane width, plan build included, ns per point, each rep on a
-///   renumbered mesh (cold memo); `mesh{nodes}_auto_sweep_warm` on one
-///   mesh every rep;
+///   default lane width, plan build included, ns per point, cold;
+///   `mesh{nodes}_auto_sweep_warm` warm;
 /// * `plan_mesh1024_auto` — the plan build alone
 ///   ([`refgen_mna::SweepPlan::new`], default ordering) on the 1 024-node
 ///   grid mesh, ns per plan, cold as above, with its `_warm` twin;
@@ -1112,17 +1060,6 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
             .flat_map(|plan| sigmas.iter().map(|&s| plan.eval_at(s, &mut seq)).collect::<Vec<_>>())
             .map(|r| repr(&r.expect("variant solves")))
             .collect();
-        let ns = ns_per_point(fleet_reps, evals, || {
-            let mut acc = 0.0;
-            for &sigma in &sigmas {
-                for plan in &plans {
-                    acc += plan.eval_at(sigma, &mut seq).expect("variant solves").response.re;
-                }
-            }
-            acc
-        });
-        rows.push(PerfRow::new("fleet_ua741x64_scalar", ns, evals));
-
         let mut batch = SweepBatchScratch::new();
         let batched: Vec<String> = plans
             .iter()
@@ -1135,18 +1072,34 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
             .map(|r| repr(&r.expect("variant solves")))
             .collect();
         assert_eq!(batched, scalar, "lane-batched fleet responses must match the scalar row");
-        let ns = ns_per_point(fleet_reps, evals, || {
-            let mut acc = 0.0;
-            for plan in &plans {
-                for chunk in sigmas.chunks(lane_width) {
-                    for response in plan.eval_batch(chunk, &mut batch) {
-                        acc += response.expect("variant solves").response.re;
+        // The two rows' reps interleave, so host drift moves their ratio
+        // less than it moves either row.
+        let (scalar_ns, batched_ns) = paired_ns_per_point(
+            fleet_reps,
+            evals,
+            || {
+                let mut acc = 0.0;
+                for &sigma in &sigmas {
+                    for plan in &plans {
+                        acc += plan.eval_at(sigma, &mut seq).expect("variant solves").response.re;
                     }
                 }
-            }
-            acc
-        });
-        rows.push(PerfRow::new("fleet_ua741x64_batched", ns, evals));
+                acc
+            },
+            || {
+                let mut acc = 0.0;
+                for plan in &plans {
+                    for chunk in sigmas.chunks(lane_width) {
+                        for response in plan.eval_batch(chunk, &mut batch) {
+                            acc += response.expect("variant solves").response.re;
+                        }
+                    }
+                }
+                acc
+            },
+        );
+        rows.push(PerfRow::new("fleet_ua741x64_scalar", scalar_ns, evals));
+        rows.push(PerfRow::new("fleet_ua741x64_batched", batched_ns, evals));
     }
 
     // Full adaptive Session solves of the µA741, mirroring on vs off,
@@ -1299,37 +1252,15 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
                 }
             }
         }
-        // Cold: each rep plans a renumbered µA741, whose orders and
-        // programs the process has not built. Warm: the same system every
-        // rep, its programs memoized after the first.
-        let mut renumberings = Renumberings::new(&ua741_circuit);
-        let ns = cold_ns_per_point(
-            reps,
-            misses.len(),
-            |_| MnaSystem::new(&renumberings.next()).expect("µA741 compiles"),
-            |sys| {
-                let probe = Complex::new(1f64.cos(), 1f64.sin());
-                std::hint::black_box(sys.det(probe, misses[0].1).expect("µA741 stamps"));
-            },
-            |sys| {
-                let cache = PlanCache::new();
-                let build = |kind: PolyKind, scale: Scale| match kind {
-                    PolyKind::Denominator => SweepPlan::for_determinant_cached_with_ordering(
-                        sys, scale, &cache, ordering,
-                    ),
-                    PolyKind::Numerator => {
-                        SweepPlan::new_cached_with_ordering(sys, scale, &spec, &cache, ordering)
-                            .expect("µA741 plans")
-                    }
-                };
-                misses.iter().map(|&(kind, scale)| build(kind, scale).dim() as f64).sum()
-            },
-        );
-        rows.push(PerfRow::new("plan_ua741_miss", ns, misses.len()));
-        let ns = ns_per_point(reps, misses.len(), || {
+        // Cold: each rep on a cleared memo, so it orders and compiles.
+        // Warm: the programs memoized.
+        let plan_misses = || {
             let cache = PlanCache::new();
             misses.iter().map(|&(kind, scale)| build(kind, scale, &cache).dim() as f64).sum()
-        });
+        };
+        let ns = cold_ns_per_point(reps, misses.len(), plan_misses);
+        rows.push(PerfRow::new("plan_ua741_miss", ns, misses.len()));
+        let ns = warm_ns_per_point(reps, misses.len(), plan_misses);
         rows.push(PerfRow::new("plan_ua741_miss_warm", ns, misses.len()));
         let samples: Vec<f64> = (0..reps)
             .map(|_| {
@@ -1407,24 +1338,16 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
             }
             rows.push(PerfRow::new(format!("mesh{nodes}_markowitz_direct"), markowitz, points));
             rows.push(PerfRow::new(format!("mesh{nodes}_amd_direct"), amd, points));
-            // The whole sweep, plan build included: cold on a renumbered
-            // mesh per rep, warm on the same mesh every rep.
+            // The whole sweep, plan build included, cold and warm.
             let lanes = RefgenConfig::default().lane_width;
             let sweep = |ac: &AcAnalysis| {
                 let sweep = ac.sweep_fast(freqs, lanes).expect("mesh sweeps");
                 sweep.iter().map(|p| p.response.re).sum()
             };
-            let mut renumberings = Renumberings::new(&circuit);
-            let ns = cold_ns_per_point(
-                mesh_reps,
-                points,
-                |_| AcAnalysis::new(&renumberings.next(), spec.clone()).expect("mesh compiles"),
-                |_| {},
-                sweep,
-            );
-            rows.push(PerfRow::new(format!("mesh{nodes}_auto_sweep"), ns, points));
             let ac = AcAnalysis::new(&circuit, spec.clone()).expect("mesh compiles");
-            let ns = ns_per_point(mesh_reps, points, || sweep(&ac));
+            let ns = cold_ns_per_point(mesh_reps, points, || sweep(&ac));
+            rows.push(PerfRow::new(format!("mesh{nodes}_auto_sweep"), ns, points));
+            let ns = warm_ns_per_point(mesh_reps, points, || sweep(&ac));
             rows.push(PerfRow::new(format!("mesh{nodes}_auto_sweep_warm"), ns, points));
         }
         // The default plan build alone, cold and warm as above.
@@ -1433,20 +1356,10 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
         let plan = |sys: &refgen_mna::MnaSystem| {
             SweepPlan::new(sys, Scale::unit(), &spec).expect("mesh plans").dim() as f64
         };
-        let mut renumberings = Renumberings::new(&mesh);
-        let ns = cold_ns_per_point(
-            plan_reps,
-            1,
-            |_| refgen_mna::MnaSystem::new(&renumberings.next()).expect("mesh compiles"),
-            |sys| {
-                let probe = Complex::new(1f64.cos(), 1f64.sin());
-                std::hint::black_box(sys.det(probe, Scale::unit()).expect("mesh stamps"));
-            },
-            plan,
-        );
-        rows.push(PerfRow::new("plan_mesh1024_auto", ns, 1));
         let sys = refgen_mna::MnaSystem::new(&mesh).expect("mesh compiles");
-        let ns = ns_per_point(plan_reps, 1, || plan(&sys));
+        let ns = cold_ns_per_point(plan_reps, 1, || plan(&sys));
+        rows.push(PerfRow::new("plan_mesh1024_auto", ns, 1));
+        let ns = warm_ns_per_point(plan_reps, 1, || plan(&sys));
         rows.push(PerfRow::new("plan_mesh1024_auto_warm", ns, 1));
     }
 

@@ -26,13 +26,14 @@
 //!   together with the **compiled symbolic kernel**
 //!   ([`FactorProgram`]) built from
 //!   `(pattern, pivot order)`: fill-in, slot layout, and the elimination
-//!   instruction stream are computed once per process (AMD orders and
-//!   programs live in a byte-bounded process-wide memo, see
+//!   instruction stream are computed once per plan build, or not at all
+//!   when a byte-bounded process-wide memo holds them (it keeps the AMD
+//!   orders and programs of patterns planned again, see
 //!   [`SYMBOLIC_MEMO_BYTES`]; the probe and every numeric check run on
-//!   every plan), and every point stamps
-//!   `K₀ + s·K₁` straight into flat slots and replays — no pivot search,
-//!   and zero sorting, searching, insertion, or allocation per point
-//!   ([`SweepStats::compiled_hits`] counts these replays);
+//!   every plan), and every point stamps `K₀ + s·K₁` straight into flat
+//!   slots and replays — no pivot search, and zero sorting, searching,
+//!   insertion, or allocation per point ([`SweepStats::compiled_hits`]
+//!   counts these replays);
 //! * a **conjugate-symmetry flag**: when every `K₀`/`K₁` entry and the RHS
 //!   are real (true for every supported element), `D(s̄) = conj(D(s))`
 //!   exactly, so batched samplers may solve only the closed upper half of
@@ -108,6 +109,7 @@ use crate::system::{MnaSystem, Scale, StampTable};
 use crate::transfer::{OutputSpec, TransferResponse, TransferSpec};
 use refgen_numeric::{Complex, ExtComplex};
 use refgen_sparse::{FactorError, FactorProgram, PivotOrder, ProgramScratch, SparseLu, Triplets};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -553,11 +555,11 @@ impl PlanCache {
     /// [`FactorProgram`] — the count of recorded selections, not of
     /// compile calls (a selection may need none, one or two programs
     /// while choosing, and each comes from the process-wide symbolic memo,
-    /// [`SYMBOLIC_MEMO_BYTES`], compiled only if this process has not
-    /// compiled it before). Symbolic analysis is value- and
-    /// scale-independent, so a whole fleet of same-topology plans records
-    /// **one** when every cell it visits certifies — cache hits hand out
-    /// the same `Arc`'d program the root selection stored.
+    /// [`SYMBOLIC_MEMO_BYTES`], compiled unless the memo holds it).
+    /// Symbolic analysis is value- and scale-independent, so a whole
+    /// fleet of same-topology plans records **one** when every cell it
+    /// visits certifies — cache hits hand out the same `Arc`'d program the
+    /// root selection stored.
     pub fn programs_compiled(&self) -> usize {
         self.compiled.load(Ordering::Relaxed)
     }
@@ -713,10 +715,10 @@ fn probe_at(
 /// compiled here.
 ///
 /// The program comes from the process-wide [symbolic memo](SYMBOLIC_MEMO_BYTES):
-/// a pattern and order this process has compiled before (a failed compile
-/// included) is not compiled again, and every plan of it shares one `Arc`'d
-/// program. Compilation is a pure function of the dimension, the positions
-/// and the order, so a memoized program is the one a compile would return.
+/// a pattern and order the memo holds (a failed compile included) is not
+/// compiled again, and every plan of it shares one `Arc`'d program.
+/// Compilation is a pure function of the dimension, the positions and the
+/// order, so a memoized program is the one a compile would return.
 pub(crate) fn compile_program(
     dim: usize,
     pattern: &[(usize, usize, Complex, Complex)],
@@ -761,6 +763,15 @@ fn positions_of(pattern: &[(usize, usize, Complex, Complex)]) -> Vec<(usize, usi
 /// exact equality of dimension, position list and order, so a plan's output
 /// is bit for bit the same whether the memo was cold or warm.
 ///
+/// A key whose compile succeeded is kept only when it is asked for a
+/// second time: the first request builds, returns its analysis and
+/// remembers only the key's hash (the last [`SEEN_KEYS`] of them), so a
+/// process planning a stream of distinct patterns keeps no program and
+/// its allocator recycles each program's memory for the next, while a
+/// pattern planned again is held from its second plan on. A failed
+/// compile has no program to keep and is the costliest to repeat (a
+/// `TooLarge` compile runs up to its budget), so it is kept at once.
+///
 /// Retained bytes — each entry's key, order and program
 /// ([`FactorProgram::heap_bytes`]) — never exceed this budget: the least
 /// recently used entries are evicted first, and an entry larger than the
@@ -768,6 +779,11 @@ fn positions_of(pattern: &[(usize, usize, Complex, Complex)]) -> Vec<(usize, usi
 /// two dozen AMD programs of the 32×32 grid mesh (2.6 MB each), one of
 /// the 64×64 grid (37 MB), or thousands of µA741-sized ones (8 KB).
 pub const SYMBOLIC_MEMO_BYTES: usize = 64 << 20;
+
+/// How many hashes of keys asked for once the symbolic memo remembers
+/// (8 KiB, apart from [`SYMBOLIC_MEMO_BYTES`]); the oldest is forgotten
+/// first.
+const SEEN_KEYS: usize = 1024;
 
 /// The process-wide symbolic memo (see [`SYMBOLIC_MEMO_BYTES`]).
 static SYMBOLIC_MEMO: SymbolicMemo = SymbolicMemo::new(SYMBOLIC_MEMO_BYTES);
@@ -792,10 +808,10 @@ pub fn symbolic_memo_stats() -> SymbolicMemoStats {
     SYMBOLIC_MEMO.stats()
 }
 
-/// Drops every entry of the process-wide symbolic memo (its counters
-/// keep counting), so the next plan of any pattern orders and compiles
-/// from scratch: a cold start for measurements and tests. Plans already
-/// built keep their programs.
+/// Drops every entry of the process-wide symbolic memo and forgets the
+/// keys it has seen (its counters keep counting), so the next plan of any
+/// pattern orders and compiles from scratch and is not kept: a cold start
+/// for measurements and tests. Plans already built keep their programs.
 pub fn clear_symbolic_memo() {
     SYMBOLIC_MEMO.clear();
 }
@@ -825,8 +841,13 @@ struct MemoEntry {
 /// What a [`SymbolicMemo`] guards with its lock.
 #[derive(Debug)]
 struct MemoState {
-    entries: Vec<MemoEntry>,
+    /// Held entries by key hash (keys whose hashes collide share a
+    /// bucket).
+    entries: BTreeMap<u64, Vec<MemoEntry>>,
+    held: usize,
     bytes: usize,
+    /// Hashes of keys asked for once and not held, oldest first.
+    seen: VecDeque<u64>,
     clock: u64,
     hits: u64,
     misses: u64,
@@ -838,9 +859,24 @@ impl MemoState {
     fn touch(&mut self, hash: u64, matches: impl Fn(&MemoEntry) -> bool) -> Option<Analysis> {
         self.clock += 1;
         let clock = self.clock;
-        let entry = self.entries.iter_mut().find(|e| e.hash == hash && matches(e))?;
+        let entry = self.entries.get_mut(&hash)?.iter_mut().find(|e| matches(e))?;
         entry.last_used = clock;
         Some(entry.analysis.clone())
+    }
+
+    /// `true` when the key `hash` was asked for before and is not held:
+    /// it is forgotten as seen, to be held. Otherwise the hash is
+    /// remembered as seen once, and `false`.
+    fn seen_before(&mut self, hash: u64) -> bool {
+        if let Some(i) = self.seen.iter().position(|&h| h == hash) {
+            self.seen.remove(i);
+            return true;
+        }
+        if self.seen.len() == SEEN_KEYS {
+            self.seen.pop_front();
+        }
+        self.seen.push_back(hash);
+        false
     }
 
     /// Holds `entry` unless it alone passes `budget`, evicting the least
@@ -849,13 +885,25 @@ impl MemoState {
         if entry.bytes > budget {
             return;
         }
+        self.held += 1;
         self.bytes += entry.bytes;
-        self.entries.push(entry);
+        self.entries.entry(entry.hash).or_default().push(entry);
         while self.bytes > budget {
-            let oldest = (0..self.entries.len())
-                .min_by_key(|&i| self.entries[i].last_used)
+            let (hash, i) = self
+                .entries
+                .iter()
+                .flat_map(|(&hash, bucket)| {
+                    bucket.iter().enumerate().map(move |(i, e)| (hash, i, e))
+                })
+                .min_by_key(|(_, _, e)| e.last_used)
+                .map(|(hash, i, _)| (hash, i))
                 .expect("held bytes come from held entries");
-            self.bytes -= self.entries.swap_remove(oldest).bytes;
+            let bucket = self.entries.get_mut(&hash).expect("the oldest entry's bucket");
+            self.bytes -= bucket.swap_remove(i).bytes;
+            self.held -= 1;
+            if bucket.is_empty() {
+                self.entries.remove(&hash);
+            }
         }
     }
 }
@@ -870,7 +918,15 @@ struct SymbolicMemo {
 
 impl SymbolicMemo {
     const fn new(budget: usize) -> SymbolicMemo {
-        let state = MemoState { entries: Vec::new(), bytes: 0, clock: 0, hits: 0, misses: 0 };
+        let state = MemoState {
+            entries: BTreeMap::new(),
+            held: 0,
+            bytes: 0,
+            seen: VecDeque::new(),
+            clock: 0,
+            hits: 0,
+            misses: 0,
+        };
         SymbolicMemo { budget, state: Mutex::new(state) }
     }
 
@@ -883,9 +939,10 @@ impl SymbolicMemo {
 
     /// The analysis of `positions` under `order` (under their AMD order
     /// when `order` is `None`): the held one, or the one `build` returns,
-    /// which the memo then holds. `build` runs outside the lock; when two
-    /// threads build one key at once, the first insert wins and both get
-    /// its value.
+    /// which the memo then holds if the key was asked for before (see
+    /// [`SYMBOLIC_MEMO_BYTES`]). `build` runs outside the lock; when two
+    /// threads build one held key at once, the first insert wins and both
+    /// get its value.
     fn analysis(
         &self,
         dim: usize,
@@ -913,6 +970,9 @@ impl SymbolicMemo {
         if let Some(held) = state.touch(hash, matches) {
             return held;
         }
+        if analysis.program.is_ok() && !state.seen_before(hash) {
+            return analysis;
+        }
         let order_bytes = 2 * analysis.order.dim() * std::mem::size_of::<usize>();
         let program_bytes = analysis.program.as_ref().map_or(0, |p| p.heap_bytes());
         let bytes = std::mem::size_of::<MemoEntry>()
@@ -935,7 +995,7 @@ impl SymbolicMemo {
     fn stats(&self) -> SymbolicMemoStats {
         let state = self.lock();
         SymbolicMemoStats {
-            entries: state.entries.len(),
+            entries: state.held,
             bytes: state.bytes,
             hits: state.hits,
             misses: state.misses,
@@ -945,27 +1005,33 @@ impl SymbolicMemo {
     fn clear(&self) {
         let mut state = self.lock();
         state.entries.clear();
+        state.held = 0;
+        state.seen.clear();
         state.bytes = 0;
     }
 }
 
 /// A 64-bit hash of a memo key: the dimension, every position and, for
-/// an order key, every pivot.
+/// an order key, every pivot, one word per pair. Consecutive words go to
+/// four independent multiply chains, so a key hashes at about four words
+/// per chain step.
 fn memo_hash(dim: usize, positions: &[(usize, usize)], order: Option<&PivotOrder>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |word: usize| {
-        h = (h ^ word as u64).wrapping_mul(0x0000_0100_0000_01b3).rotate_left(29);
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let pair = |a: usize, b: usize| (a as u64) << 32 ^ b as u64;
+    let mut lanes = [K, K ^ 1, K ^ 2, K ^ 3];
+    let mut words = 0usize;
+    let mut mix = |word: u64| {
+        let lane = &mut lanes[words % 4];
+        *lane = (*lane ^ word).wrapping_mul(K).rotate_left(29);
+        words += 1;
     };
-    mix(dim);
-    positions.iter().for_each(|&(r, c)| {
-        mix(r);
-        mix(c);
-    });
+    mix(dim as u64);
+    positions.iter().for_each(|&(r, c)| mix(pair(r, c)));
     match order {
-        None => mix(usize::MAX),
-        Some(order) => order.rows().iter().chain(order.cols()).for_each(|&k| mix(k)),
+        None => mix(u64::MAX),
+        Some(order) => order.rows().iter().zip(order.cols()).for_each(|(&r, &c)| mix(pair(r, c))),
     }
-    h
+    lanes.iter().fold(0, |h, &lane| (h ^ lane).wrapping_mul(K).rotate_left(29))
 }
 
 /// The mesh regime's fill threshold: fill beyond the raw pattern size (or
@@ -1992,10 +2058,11 @@ mod tests {
         assert_eq!(p1.order(), p2.order());
     }
 
-    /// Two separately parsed netlists of one topology plan through one
-    /// memoized program, shared by reference, and that program is the one
-    /// a fresh compile returns: the µA741 under its Markowitz probe order
-    /// and a 16×16 grid mesh under the AMD order Auto adopts unprobed.
+    /// Once the process has planned a topology, two separately parsed
+    /// netlists of it plan through one memoized program, shared by
+    /// reference, and that program is the one a fresh compile returns: the
+    /// µA741 under its Markowitz probe order and a 16×16 grid mesh under
+    /// the AMD order Auto adopts unprobed.
     #[test]
     fn separately_parsed_netlists_share_one_memoized_program() {
         use refgen_circuit::library::grid_rc_mesh;
@@ -2004,13 +2071,13 @@ mod tests {
             [(ua741(), Scale::new(1e9, 1e3)), (grid_rc_mesh(16, 16, 41), Scale::unit())]
         {
             let text = to_spice(&circuit);
-            let plans: Vec<SweepPlan> = (0..2)
+            let plans: Vec<SweepPlan> = (0..3)
                 .map(|_| {
                     let parsed = parse_netlist(&text).unwrap().circuit;
                     SweepPlan::new(&MnaSystem::new(&parsed).unwrap(), scale, &spec()).unwrap()
                 })
                 .collect();
-            let (a, b) = (plans[0].program().unwrap(), plans[1].program().unwrap());
+            let (a, b) = (plans[1].program().unwrap(), plans[2].program().unwrap());
             assert!(std::ptr::eq(a, b), "one memoized program for both plans");
             let (dim, pattern) = affine_pattern(&MnaSystem::new(&circuit).unwrap(), scale);
             let fresh =
@@ -2021,7 +2088,8 @@ mod tests {
 
     /// A lookup hits only on the exact key: the same dimension with other
     /// positions, or the same positions under another order, build their
-    /// own analyses, and an AMD entry never answers an order lookup.
+    /// own analyses, and an AMD entry never answers an order lookup. Each
+    /// key is asked for twice, so the memo holds it.
     #[test]
     fn memo_never_shares_across_positions_or_orders() {
         let memo = SymbolicMemo::new(SYMBOLIC_MEMO_BYTES);
@@ -2036,25 +2104,29 @@ mod tests {
                 Analysis { order, program }
             })
         };
+        let held = |positions: &[(usize, usize)], order: Option<&PivotOrder>| {
+            lookup(positions, order);
+            lookup(positions, order)
+        };
         let chain = [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (2, 2)];
         let star = [(0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 0), (2, 2)];
         let natural = PivotOrder::diagonal(vec![0, 1, 2]);
         let reversed = PivotOrder::diagonal(vec![2, 1, 0]);
-        let first = lookup(&chain, Some(&natural)).program.unwrap();
+        let first = held(&chain, Some(&natural)).program.unwrap();
         assert!(Arc::ptr_eq(&first, &lookup(&chain, Some(&natural)).program.unwrap()));
-        assert_eq!(builds.get(), 1, "the exact key hits");
-        let other_positions = lookup(&star, Some(&natural)).program.unwrap();
-        let other_order = lookup(&chain, Some(&reversed)).program.unwrap();
-        let amd = lookup(&chain, None);
-        assert_eq!(builds.get(), 4, "each other key builds its own analysis");
+        assert_eq!(builds.get(), 2, "the exact key hits once held");
+        let other_positions = held(&star, Some(&natural)).program.unwrap();
+        let other_order = held(&chain, Some(&reversed)).program.unwrap();
+        let amd = held(&chain, None);
+        assert_eq!(builds.get(), 8, "each other key builds its own analysis");
         for program in [&other_positions, &other_order, amd.program.as_ref().unwrap()] {
             assert!(!Arc::ptr_eq(&first, program));
         }
         // The AMD entry answers AMD lookups only, even for the order it holds.
         assert!(Arc::ptr_eq(amd.program.as_ref().unwrap(), &lookup(&chain, None).program.unwrap()));
-        let held = lookup(&chain, Some(&amd.order)).program.unwrap();
-        assert!(!Arc::ptr_eq(amd.program.as_ref().unwrap(), &held));
-        assert_eq!(memo.stats().entries, builds.get());
+        let by_order = held(&chain, Some(&amd.order)).program.unwrap();
+        assert!(!Arc::ptr_eq(amd.program.as_ref().unwrap(), &by_order));
+        assert_eq!(2 * memo.stats().entries, builds.get(), "each held key built twice");
 
         // Through the planning path: same dimension, other positions.
         let base = MnaSystem::new(&bridged_chain("a", 1e-9)).unwrap();
@@ -2088,17 +2160,23 @@ mod tests {
                     program: FactorProgram::compile(*dim, positions, order).map(Arc::new),
                 })
             };
+        // Asked for twice, so the memo holds it.
+        let twice = |memo: &SymbolicMemo, pattern| {
+            one(memo, pattern);
+            one(memo, pattern);
+        };
         let probe = SymbolicMemo::new(SYMBOLIC_MEMO_BYTES);
-        one(&probe, &patterns[10]);
+        twice(&probe, &patterns[10]);
         let budget = 5 * probe.stats().bytes;
         let memo = SymbolicMemo::new(budget);
         for (k, pattern) in patterns.iter().enumerate() {
-            one(&memo, pattern);
+            twice(&memo, pattern);
             // Keep the first pattern recently used.
             one(&memo, &patterns[0]);
             let stats = memo.stats();
             assert!(stats.bytes <= budget, "pattern {k}: {stats:?} over {budget}");
-            assert_eq!(stats.bytes, memo.lock().entries.iter().map(|e| e.bytes).sum::<usize>());
+            let held = memo.lock().entries.values().flatten().map(|e| e.bytes).sum::<usize>();
+            assert_eq!(stats.bytes, held);
         }
         let held = memo.stats();
         assert!(held.entries < patterns.len() && held.entries >= 3, "{held:?}");
@@ -2110,15 +2188,16 @@ mod tests {
         assert_eq!(memo.stats().misses, misses + 1, "the least recently used one is gone");
 
         let tiny = SymbolicMemo::new(64);
-        one(&tiny, &patterns[3]);
+        twice(&tiny, &patterns[3]);
         assert_eq!((tiny.stats().entries, tiny.stats().bytes), (0, 0), "too large to keep");
 
         let global = symbolic_memo_stats();
         assert!(global.bytes <= SYMBOLIC_MEMO_BYTES, "{global:?}");
     }
 
-    /// A compile that passes its budget is memoized as its typed failure:
-    /// a later lookup returns the same `TooLarge` without compiling again,
+    /// A compile that passes its budget is memoized as its typed failure,
+    /// at its first request: a later lookup returns the same `TooLarge`
+    /// without compiling again,
     /// and the planning path's `compile_program` reports it as no program.
     #[test]
     fn memoized_too_large_comes_back_without_a_recompile() {
@@ -2149,6 +2228,42 @@ mod tests {
             positions.iter().map(|&(r, c)| (r, c, Complex::ONE, Complex::ZERO)).collect();
         assert!(compile_program(n, &pattern, &order).is_none());
         assert!(compile_program(n, &pattern, &order).is_none());
+    }
+
+    /// A key asked for once is built and returned but not kept, so a
+    /// stream of one-off patterns holds no program; its second request
+    /// builds again and is kept. The memo remembers the last
+    /// [`SEEN_KEYS`] keys asked for once, forgetting the oldest first.
+    #[test]
+    fn memo_keeps_a_key_from_its_second_request_on() {
+        let sys = MnaSystem::new(&rc_ladder(6, 1e3, 1e-9)).unwrap();
+        let (dim, pattern) = affine_pattern(&sys, Scale::unit());
+        let (positions, order) = (positions_of(&pattern), probe_order(dim, &pattern).unwrap());
+        let memo = SymbolicMemo::new(SYMBOLIC_MEMO_BYTES);
+        let lookup = || {
+            memo.analysis(dim, &positions, Some(&order), || Analysis {
+                order: order.clone(),
+                program: FactorProgram::compile(dim, &positions, &order).map(Arc::new),
+            })
+        };
+        let once = lookup().program.unwrap();
+        let stats = memo.stats();
+        assert_eq!((stats.entries, stats.bytes, stats.misses), (0, 0, 1));
+        let second = lookup().program.unwrap();
+        assert!(!Arc::ptr_eq(&once, &second), "the second request builds again");
+        assert_eq!(once, second);
+        assert!(Arc::ptr_eq(&second, &lookup().program.unwrap()), "and is kept");
+        let stats = memo.stats();
+        assert_eq!((stats.entries, stats.hits, stats.misses), (1, 1, 2));
+
+        let mut state = memo.lock();
+        assert!((0..SEEN_KEYS as u64).all(|h| !state.seen_before(h)), "each seen once");
+        assert_eq!(state.seen.len(), SEEN_KEYS);
+        assert!(state.seen_before(0), "a key seen before is admitted and forgotten as seen");
+        assert!(!state.seen_before(u64::MAX), "a new key is remembered");
+        assert!(!state.seen_before(u64::MAX - 1), "the next one makes room for itself");
+        assert!(!state.seen_before(1), "by forgetting the oldest key");
+        assert_eq!(state.seen.len(), SEEN_KEYS);
     }
 
     /// FNV-1a over a value's `Debug` text, streamed so a mesh-sized

@@ -243,7 +243,8 @@ impl TransientPlan {
     /// factorization at the real companion point `γ`, and the program
     /// compiled from its order — by the process-wide symbolic memo
     /// ([`SYMBOLIC_MEMO_BYTES`](crate::SYMBOLIC_MEMO_BYTES)), so a pattern
-    /// and order this process has compiled before are not compiled again.
+    /// and order this process has planned twice before are not compiled
+    /// again.
     /// Sources without an attached [`Waveform`] drive their AC amplitude as
     /// a constant.
     ///

@@ -90,9 +90,10 @@
 //! column is a pure function of the dimension, the raw positions and the
 //! order, so `refgen_mna` keeps each AMD order and each compiled program
 //! (or its compile's [`FactorError::TooLarge`]) in one byte-bounded,
-//! least-recently-used memo per process: a process that plans a pattern
-//! again pays only the value-dependent checks (the Markowitz probe,
-//! replays at probe points), never the ordering or the compile.
+//! least-recently-used memo per process, from a pattern's second plan
+//! on: a process that plans a pattern again and again pays only the
+//! value-dependent checks (the Markowitz probe, replays at probe points),
+//! not the ordering or the compile.
 //!
 //! The interpolation engine factors the same pattern at dozens of points
 //! per window and across whole Monte-Carlo fleets, so the per-point column

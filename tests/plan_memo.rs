@@ -2,9 +2,11 @@
 //!
 //! `refgen_mna` keeps the value-independent half of plan building — AMD
 //! orders and compiled `FactorProgram`s — in one process-wide memo, so a
-//! process that plans a topology again orders and compiles nothing. Each
-//! test here clears the memo, runs a workload cold, runs it again warm,
-//! and holds the warm run to the cold one bit for bit: a default µA741
+//! process that plans a topology again and again orders and compiles it
+//! only twice: the memo keeps a program from the second request for its
+//! key on. Each test here clears the memo, runs a workload cold, once more
+//! (the run whose programs the memo keeps) and then warm, and holds both
+//! later runs to the cold one bit for bit: a default µA741
 //! session, a four-thread ±60 % µA741 fleet (plan-cache counters
 //! included) and a lane-batched AC sweep of a grid mesh that
 //! adopts AMD. The memo's retained bytes stay within its budget
@@ -27,30 +29,36 @@ fn gain() -> TransferSpec {
     TransferSpec::voltage_gain("VIN", "out")
 }
 
-/// Runs `work` on a cleared memo, then again on the memo it left, and
-/// returns both results; asserts the cold run built analyses, the warm
+/// Runs `work` on a cleared memo, a second time, and a third on the memo
+/// the second left, and returns the three results; asserts the cold run
+/// built analyses and kept none, the second kept what it built, the warm
 /// run built none, and the retained bytes stayed within the budget.
-fn cold_then_warm<T>(work: impl Fn() -> T) -> (T, T) {
+fn cold_then_warm<T>(work: impl Fn() -> T) -> [T; 3] {
     clear_symbolic_memo();
     let start = symbolic_memo_stats();
     let cold = work();
     let after_cold = symbolic_memo_stats();
     assert!(after_cold.misses > start.misses, "the cold run builds: {after_cold:?}");
+    assert_eq!((after_cold.entries, after_cold.bytes), (0, 0), "and keeps nothing");
+    let second = work();
+    let after_second = symbolic_memo_stats();
+    assert!(after_second.entries > 0, "the second run keeps: {after_second:?}");
     let warm = work();
     let after_warm = symbolic_memo_stats();
-    assert_eq!(after_warm.misses, after_cold.misses, "the warm run builds nothing");
-    assert!(after_warm.hits > after_cold.hits, "the warm run hits: {after_warm:?}");
-    for stats in [after_cold, after_warm] {
+    assert_eq!(after_warm.misses, after_second.misses, "the warm run builds nothing");
+    assert!(after_warm.hits > after_second.hits, "the warm run hits: {after_warm:?}");
+    for stats in [after_cold, after_second, after_warm] {
         assert!(stats.bytes <= SYMBOLIC_MEMO_BYTES, "{stats:?}");
     }
-    (cold, warm)
+    [cold, second, warm]
 }
 
 #[test]
 fn ua741_session_is_bit_identical_on_a_cold_and_a_warm_memo() {
     let _serial = serial();
-    let (cold, warm) =
+    let [cold, second, warm] =
         cold_then_warm(|| Session::for_circuit(&library::ua741()).spec(gain()).solve().unwrap());
+    support::assert_same_solution("µA741 session, cold vs second run", &cold, &second, false);
     support::assert_same_solution("µA741 session, cold vs warm memo", &cold, &warm, false);
 }
 
@@ -67,7 +75,14 @@ fn four_thread_fleet_is_bit_identical_on_a_cold_and_a_warm_memo() {
             .solve_all()
             .expect("contained fleet runs")
     };
-    let (cold, warm) = cold_then_warm(fleet);
+    let [cold, second, warm] = cold_then_warm(fleet);
+    support::assert_same_fleet(
+        "four-thread fleet, cold vs second run",
+        &cold,
+        &second,
+        false,
+        true,
+    );
     support::assert_same_fleet("four-thread fleet, cold vs warm memo", &cold, &warm, false, true);
 }
 
@@ -84,6 +99,7 @@ fn amd_mesh_sweep_is_bit_identical_on_a_cold_and_a_warm_memo() {
             .map(|p| (p.response.re.to_bits(), p.response.im.to_bits()))
             .collect::<Vec<_>>()
     };
-    let (cold, warm) = cold_then_warm(sweep);
+    let [cold, second, warm] = cold_then_warm(sweep);
+    assert_eq!(cold, second);
     assert_eq!(cold, warm);
 }
